@@ -2,8 +2,8 @@
 //! restores Theorem 1's bounded-variance condition).
 //!
 //! Runs the sorting, least squares and IIR workloads at a 2% fault rate
-//! under each guard policy — one engine sweep with a case per
-//! `(guard × app)` pairing. The `off` row shows why *some* guard is
+//! under each guard policy — one campaign with a job per `(guard × app)`
+//! pairing. The `off` row shows why *some* guard is
 //! necessary under bit-level fault injection; the spread across the others
 //! shows the policy is a real design choice (norm clipping for
 //! low-dimensional cold-started problems, per-lane clamping for
@@ -11,13 +11,10 @@
 //! corruption).
 
 #![forbid(unsafe_code)]
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use robustify_apps::sorting::SortProblem;
-use robustify_bench::workloads::{paper_iir_problem, paper_least_squares};
+use robustify_bench::workloads::{paper_iir_problem, paper_least_squares, paper_registry};
 use robustify_bench::{fmt_metric, ExperimentOptions, Table};
 use robustify_core::{GradientGuard, SolverSpec, StepSchedule};
-use robustify_engine::SweepCase;
+use robustify_engine::campaign::JobSpec;
 
 fn main() {
     let opts = ExperimentOptions::parse();
@@ -37,38 +34,47 @@ fn main() {
         ),
     ];
 
-    let lsq = paper_least_squares(opts.seed);
-    let lsq_gamma0 = lsq.default_gamma0();
-    let iir = paper_iir_problem(opts.seed);
-    let iir_gamma0 = iir.default_gamma0();
+    // The fixed least squares and IIR instances are the registry's at the
+    // base seed; their step sizes are derived from those same instances.
+    let lsq_gamma0 = paper_least_squares(opts.seed).default_gamma0();
+    let iir_gamma0 = paper_iir_problem(opts.seed).default_gamma0();
 
-    let mut cases = Vec::new();
+    let mut campaign = opts
+        .campaign("ablation_guard")
+        .rates(vec![2.0])
+        .trials(trials);
     for (name, guard) in &guards {
-        cases.push(SweepCase::problem(
-            &format!("{name}/sort"),
-            SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.1 }).with_guard(*guard),
-            |seed| SortProblem::random(&mut StdRng::seed_from_u64(seed), 5),
-        ));
-        cases.push(
-            SweepCase::fixed(
-                &format!("{name}/lsq"),
-                SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: lsq_gamma0 })
-                    .with_guard(*guard),
-                lsq.clone(),
+        campaign = campaign
+            .job(
+                JobSpec::new(&format!("{name}/sort"), "sorting")
+                    .per_trial()
+                    .with_solver(
+                        SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.1 })
+                            .with_guard(*guard),
+                    ),
             )
-            .with_trials(trials.min(10)),
-        );
-        cases.push(
-            SweepCase::fixed(
-                &format!("{name}/iir"),
-                SolverSpec::sgd(1000, StepSchedule::Sqrt { gamma0: iir_gamma0 }).with_guard(*guard),
-                iir.clone(),
+            .job(
+                JobSpec::new(&format!("{name}/lsq"), "least_squares")
+                    .with_solver(
+                        SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: lsq_gamma0 })
+                            .with_guard(*guard),
+                    )
+                    .with_trials(trials.min(10)),
             )
-            .with_trials(trials.min(6)),
-        );
+            .job(
+                JobSpec::new(&format!("{name}/iir"), "iir")
+                    .with_solver(
+                        SolverSpec::sgd(1000, StepSchedule::Sqrt { gamma0: iir_gamma0 })
+                            .with_guard(*guard),
+                    )
+                    .with_trials(trials.min(6)),
+            );
     }
 
-    let result = opts.sweep("ablation_guard", vec![2.0], trials).run(&cases);
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
+    let result = &run.result;
 
     let mut table = Table::new(
         &format!("Guard ablation at 2% fault rate ({trials} trials/point)"),
@@ -87,5 +93,5 @@ fn main() {
             fmt_metric(result.cell(3 * i + 2, 0).summary().median()),
         ]);
     }
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
 }

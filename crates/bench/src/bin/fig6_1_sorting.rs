@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::paper_registry;
-use robustify_bench::{success_table, CampaignExecution, ExperimentOptions};
+use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, GradientGuard, SolverSpec, StepSchedule};
 use robustify_engine::campaign::JobSpec;
 use robustify_engine::paper_fault_rates;
@@ -27,8 +27,7 @@ use robustify_engine::paper_fault_rates;
 const ITERATIONS: usize = 10_000;
 
 fn sort_job(label: &str, spec: SolverSpec) -> JobSpec {
-    // One fresh random array per trial, exactly like the historical
-    // in-process sweep's per-trial problem factory.
+    // One fresh random array per trial.
     JobSpec::new(label, "sorting").per_trial().with_solver(spec)
 }
 
@@ -66,25 +65,13 @@ fn main() {
                 .with_aggressive_stepping(AggressiveStepping::default()),
         ));
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the figure artifact.
-            println!("\n-- csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("fig6_1_sorting: {e}");
-            std::process::exit(1);
-        }
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
+    let result = &run.result;
     let table = success_table(
         &format!("Figure 6.1 — Accuracy of Sort, {ITERATIONS} iterations ({trials} trials/point)"),
-        &result,
+        result,
     );
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
 }

@@ -24,7 +24,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
-use robustify_bench::{fmt_metric, CampaignExecution, ExperimentOptions, Table};
+use robustify_bench::{fmt_metric, ExperimentOptions, Table};
 use robustify_core::{AggressiveStepping, SolverSpec, StepSchedule};
 use robustify_engine::campaign::JobSpec;
 use robustify_engine::paper_fault_rates;
@@ -54,22 +54,10 @@ fn main() {
             SolverSpec::sgd(ITERATIONS, StepSchedule::Sqrt { gamma0 }),
         ));
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the figure artifact.
-            println!("\n-- csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("fig6_2_least_squares: {e}");
-            std::process::exit(1);
-        }
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
+    let result = &run.result;
 
     let mut table = Table::new(
         &format!(
@@ -96,5 +84,5 @@ fn main() {
             fmt_metric(result.cell(3, rate_idx).summary().median()),
         ]);
     }
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
 }

@@ -10,26 +10,28 @@
 //! even using aggressive stepping and step scaling, was limited" — the
 //! enhancements of Figure 6.5 are needed to push it to 100%.
 //!
+//! The figure is a declarative campaign (4 solver-variant jobs on the
+//! `matching` workload, one fresh graph per trial), so `--server` and
+//! `--cache-dir` work as for every engine binary.
+//!
 //! Note: per-trial workload seeds use the engine's standard
 //! [`robustify_engine::problem_seed`] derivation; earlier serial recordings
 //! of this figure used a bespoke `seed ^ (trial * 6007)` stream, so trial
 //! graphs (not fault streams) differ from those runs.
 
 #![forbid(unsafe_code)]
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use robustify_apps::matching::MatchingProblem;
+use robustify_bench::workloads::paper_registry;
 use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, SolverSpec, StepSchedule};
-use robustify_engine::{paper_fault_rates, SweepCase};
-use robustify_graph::generators::random_bipartite;
+use robustify_engine::campaign::JobSpec;
+use robustify_engine::paper_fault_rates;
 
 const ITERATIONS: usize = 10_000;
 
-fn matching_case(label: &str, spec: SolverSpec) -> SweepCase {
-    SweepCase::problem(label, spec, |seed| {
-        MatchingProblem::new(random_bipartite(&mut StdRng::seed_from_u64(seed), 5, 6, 30))
-    })
+fn matching_job(label: &str, spec: SolverSpec) -> JobSpec {
+    JobSpec::new(label, "matching")
+        .per_trial()
+        .with_solver(spec)
 }
 
 fn main() {
@@ -38,28 +40,30 @@ fn main() {
 
     let ls = StepSchedule::Linear { gamma0: 0.05 };
     let sqs = StepSchedule::Sqrt { gamma0: 0.05 };
-    let cases = vec![
-        matching_case("Base", SolverSpec::baseline()),
-        matching_case("SGD,LS", SolverSpec::sgd(ITERATIONS, ls)),
-        matching_case(
+    let campaign = opts
+        .campaign("fig6_4_matching")
+        .rates(paper_fault_rates())
+        .trials(trials)
+        .job(matching_job("Base", SolverSpec::baseline()))
+        .job(matching_job("SGD,LS", SolverSpec::sgd(ITERATIONS, ls)))
+        .job(matching_job(
             "SGD+AS,LS",
             SolverSpec::sgd(ITERATIONS, ls).with_aggressive_stepping(AggressiveStepping::default()),
-        ),
-        matching_case(
+        ))
+        .job(matching_job(
             "SGD+AS,SQS",
             SolverSpec::sgd(ITERATIONS, sqs)
                 .with_aggressive_stepping(AggressiveStepping::default()),
-        ),
-    ];
+        ));
 
-    let result = opts
-        .sweep("fig6_4_matching", paper_fault_rates(), trials)
-        .run(&cases);
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
     let table = success_table(
         &format!(
             "Figure 6.4 — Accuracy of Matching, {ITERATIONS} iterations ({trials} trials/point)"
         ),
-        &result,
+        &run.result,
     );
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
 }

@@ -15,26 +15,26 @@
 //! whose ~5× larger FLOP footprint proportionally raises its fault
 //! exposure under per-FLOP injection; at high fault rates that outweighs
 //! the conditioning benefit, so ALL combines every enhancement *except*
-//! preconditioning (see EXPERIMENTS.md). Per-trial workload seeds use the
+//! preconditioning (see EXPERIMENTS.md). The figure is a declarative
+//! campaign over the `matching` workload, one fresh graph per trial.
+//! Per-trial workload seeds use the
 //! engine's standard [`robustify_engine::problem_seed`] derivation, so
 //! trial graphs (not fault streams) differ from earlier serial recordings
 //! that used a bespoke `seed ^ (trial * 6007)` stream.
 
 #![forbid(unsafe_code)]
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use robustify_apps::matching::MatchingProblem;
+use robustify_bench::workloads::paper_registry;
 use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, Annealing, SolverSpec, StepSchedule};
-use robustify_engine::{extended_fault_rates, SweepCase};
-use robustify_graph::generators::random_bipartite;
+use robustify_engine::campaign::JobSpec;
+use robustify_engine::extended_fault_rates;
 
 const ITERATIONS: usize = 10_000;
 
-fn matching_case(label: &str, spec: SolverSpec) -> SweepCase {
-    SweepCase::problem(label, spec, |seed| {
-        MatchingProblem::new(random_bipartite(&mut StdRng::seed_from_u64(seed), 5, 6, 30))
-    })
+fn matching_job(label: &str, spec: SolverSpec) -> JobSpec {
+    JobSpec::new(label, "matching")
+        .per_trial()
+        .with_solver(spec)
 }
 
 fn main() {
@@ -43,32 +43,37 @@ fn main() {
 
     let ls = StepSchedule::Linear { gamma0: 0.05 };
     let sqs = StepSchedule::Sqrt { gamma0: 0.05 };
-    let cases = vec![
-        matching_case("Non-robust", SolverSpec::baseline()),
-        matching_case("Basic,LS", SolverSpec::sgd(ITERATIONS, ls)),
-        matching_case("SQS", SolverSpec::sgd(ITERATIONS, sqs)),
-        matching_case("PRECOND", SolverSpec::preconditioned_sgd(ITERATIONS, sqs)),
-        matching_case(
+    let campaign = opts
+        .campaign("fig6_5_matching_variants")
+        .rates(extended_fault_rates())
+        .trials(trials)
+        .job(matching_job("Non-robust", SolverSpec::baseline()))
+        .job(matching_job("Basic,LS", SolverSpec::sgd(ITERATIONS, ls)))
+        .job(matching_job("SQS", SolverSpec::sgd(ITERATIONS, sqs)))
+        .job(matching_job(
+            "PRECOND",
+            SolverSpec::preconditioned_sgd(ITERATIONS, sqs),
+        ))
+        .job(matching_job(
             "ANNEAL",
             SolverSpec::sgd(ITERATIONS, sqs).with_annealing(Annealing::default()),
-        ),
-        matching_case(
+        ))
+        .job(matching_job(
             "ALL",
             SolverSpec::sgd(ITERATIONS, sqs)
                 .with_annealing(Annealing::default())
                 .with_momentum(0.5)
                 .with_aggressive_stepping(AggressiveStepping::default()),
-        ),
-    ];
+        ));
 
-    let result = opts
-        .sweep("fig6_5_matching_variants", extended_fault_rates(), trials)
-        .run(&cases);
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
     let table = success_table(
         &format!(
             "Figure 6.5 — Matching enhancements, {ITERATIONS} iterations ({trials} trials/point)"
         ),
-        &result,
+        &run.result,
     );
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
 }

@@ -33,7 +33,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
-use robustify_bench::{fmt_metric, CampaignExecution, ExperimentOptions, Table};
+use robustify_bench::{fmt_metric, ExperimentOptions, Table};
 use robustify_core::SolverSpec;
 use robustify_engine::campaign::JobSpec;
 use stochastic_fpu::{Fpu, ReliableFpu, VoltageErrorModel};
@@ -73,22 +73,10 @@ fn main() {
             JobSpec::new(&format!("CG,N={n}"), "least_squares").with_solver(SolverSpec::cg(n)),
         );
     }
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the figure artifact.
-            println!("\n-- csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("fig6_7_cg_energy: {e}");
-            std::process::exit(1);
-        }
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
+    let result = &run.result;
 
     let mut table = Table::new(
         &format!(
@@ -150,7 +138,7 @@ fn main() {
             status.to_string(),
         ]);
     }
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
     println!(
         "baseline Cholesky: {} FLOPs at {:.2} V (accuracy ~machine precision, rel err {})",
         chol_flops,

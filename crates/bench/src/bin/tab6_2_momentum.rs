@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::paper_registry;
-use robustify_bench::{success_table, CampaignExecution, ExperimentOptions};
+use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{GradientGuard, SolverSpec, StepSchedule};
 use robustify_engine::campaign::JobSpec;
 
@@ -51,26 +51,14 @@ fn main() {
         .job(job("match", "matching", match_plain))
         .job(job("match+mom", "matching", match_momentum));
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the figure artifact.
-            println!("\n-- csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("tab6_2_momentum: {e}");
-            std::process::exit(1);
-        }
+    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
+    let result = &run.result;
 
     let table = success_table(
         &format!("§6.2.2 — momentum (β = 0.5) vs basic SGD ({trials} trials/point)"),
-        &result,
+        result,
     );
-    opts.emit(&table, &result);
+    opts.emit(&table, &run);
 }

@@ -16,7 +16,6 @@
 use crate::Table;
 use robustify_core::WorkloadRegistry;
 use robustify_engine::campaign::{self, protocol, CampaignRun, CampaignSpec, ResultCache};
-use robustify_engine::SweepResult;
 use stochastic_fpu::{BitFaultModel, BitWidth, FaultModelSpec};
 
 /// Options common to every experiment binary.
@@ -42,10 +41,10 @@ pub struct ExperimentOptions {
     /// `intermittent`, `muldiv`), a voltage-linked scenario (`voltage`,
     /// `dvfs`), or a memory-persistent scenario (`regfile`, `memory`).
     pub fault_model: String,
-    /// Sweep worker threads (`0` = all available cores); results are
+    /// Campaign worker threads (`0` = all available cores); results are
     /// bit-identical for every choice.
     pub threads: usize,
-    /// Also print the sweep's JSON document after each table.
+    /// Also print the campaign's JSON document after each table.
     pub json: bool,
     /// Restrict multi-application campaigns to this comma-separated app
     /// subset (`None` = all applications).
@@ -167,7 +166,7 @@ impl ExperimentOptions {
     }
 
     /// Resolves the fault-model preset as a full [`FaultModelSpec`]
-    /// scenario (every engine sweep accepts any family member).
+    /// scenario (every campaign accepts any family member).
     ///
     /// # Panics
     ///
@@ -218,57 +217,12 @@ impl ExperimentOptions {
         }
     }
 
-    /// Builds an engine sweep grid from these options (seed, fault model,
-    /// worker threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown fault-model presets, and
-    /// like [`SweepSpec::builder`](robustify_engine::SweepSpec::builder)
-    /// on an empty grid.
-    pub fn sweep(
-        &self,
-        name: &str,
-        rates_pct: Vec<f64>,
-        trials: usize,
-    ) -> robustify_engine::SweepSpec {
-        robustify_engine::SweepSpec::builder(name)
-            .rates(rates_pct)
-            .trials(trials)
-            .seed(self.seed)
-            .model(self.fault_model_spec())
-            .threads(self.threads)
-            .build()
-    }
-
-    /// Builds a *voltage-axis* engine sweep from these options: the rate
-    /// grid is derived from `voltages` through `energy_model` (Figure
-    /// 5.2) and every cell gains `energy = P(V) × FLOPs` provenance.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown fault-model presets, and
-    /// like [`SweepSpec::builder`](robustify_engine::SweepSpec::builder)
-    /// on an empty or invalid voltage grid.
-    pub fn sweep_voltages(
-        &self,
-        name: &str,
-        voltages: Vec<f64>,
-        trials: usize,
-        energy_model: stochastic_fpu::VoltageErrorModel,
-    ) -> robustify_engine::SweepSpec {
-        robustify_engine::SweepSpec::builder(name)
-            .voltages(voltages, energy_model)
-            .trials(trials)
-            .seed(self.seed)
-            .model(self.fault_model_spec())
-            .threads(self.threads)
-            .build()
-    }
-
     /// Seeds a [`CampaignSpec`] with the shared options (seed, fault
-    /// model, worker threads), the way [`sweep`](Self::sweep) seeds an
-    /// in-process `SweepSpec`. The caller adds grid axes and jobs.
+    /// model, worker threads). The caller adds grid axes and jobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a usage message on unknown fault-model presets.
     pub fn campaign(&self, name: &str) -> CampaignSpec {
         CampaignSpec::new(name)
             .seed(self.seed)
@@ -276,23 +230,49 @@ impl ExperimentOptions {
             .threads(self.threads)
     }
 
-    /// Executes a campaign according to the service flags: submitted to
-    /// the `--server` daemon when one is named, otherwise run in-process
-    /// against the optional `--cache-dir` cache. Both paths produce
-    /// byte-identical CSV/JSON documents; only the local path retains the
-    /// full [`SweepResult`] for rich table rendering.
+    /// Executes a campaign according to the service flags.
+    ///
+    /// With `--server` the campaign is submitted to the daemon, whose
+    /// documents — byte-identical to a local run's — are printed as the
+    /// artifact (`-- csv --`, plus `-- json --` with `--json`); there is no
+    /// local result to render, so this returns `None`. Otherwise it runs
+    /// in-process against the optional `--cache-dir` cache and returns the
+    /// run for table rendering.
+    ///
+    /// # Panics
+    ///
+    /// Exits with code 1, printing `<campaign name>: <error>`, when the
+    /// campaign fails (unknown workload, unreachable daemon, cache I/O).
     pub fn execute_campaign(
         &self,
         spec: &CampaignSpec,
         registry: &WorkloadRegistry,
-    ) -> Result<CampaignExecution, String> {
+    ) -> Option<CampaignRun> {
+        match self.try_execute_campaign(spec, registry) {
+            Ok(run) => run,
+            Err(e) => {
+                eprintln!("{}: {e}", spec.name());
+                std::process::exit(1)
+            }
+        }
+    }
+
+    fn try_execute_campaign(
+        &self,
+        spec: &CampaignSpec,
+        registry: &WorkloadRegistry,
+    ) -> Result<Option<CampaignRun>, String> {
         if let Some(addr) = &self.server {
             let outcome = protocol::submit_tcp(addr, spec, |_| {})?;
             eprintln!(
                 "[{}: {} cells from {addr}, {} served from cache]",
                 outcome.name, outcome.cells, outcome.cached
             );
-            return Ok(CampaignExecution::Remote(outcome));
+            println!("\n-- csv --\n{}", outcome.csv);
+            if self.json {
+                println!("\n-- json --\n{}", outcome.json);
+            }
+            return Ok(None);
         }
         let cache = match &self.cache_dir {
             Some(dir) => {
@@ -310,36 +290,24 @@ impl ExperimentOptions {
                 cache.dir().display()
             );
         }
-        Ok(CampaignExecution::Local(run))
+        Ok(Some(run))
     }
 
     /// Prints a rendered table, the run's parallel throughput, and (with
-    /// `--json`) the sweep's JSON document.
-    pub fn emit(&self, table: &Table, result: &SweepResult) {
+    /// `--json`) the result's JSON document.
+    pub fn emit(&self, table: &Table, run: &CampaignRun) {
         table.print();
         eprintln!(
             "[{} trials in {:.2?} on {} threads — {:.1} trials/s]",
-            result.total_trials(),
-            result.elapsed(),
-            result.threads(),
-            result.throughput(),
+            run.result.total_trials(),
+            run.elapsed,
+            run.threads,
+            run.throughput(),
         );
         if self.json {
-            println!("\n-- json --\n{}", result.to_json());
+            println!("\n-- json --\n{}", run.result.to_json());
         }
     }
-}
-
-/// How [`ExperimentOptions::execute_campaign`] ran a campaign: in-process
-/// (the full [`SweepResult`] is available for table rendering) or
-/// submitted to a daemon (the streamed CSV/JSON documents — byte-identical
-/// to a local run's — are all a thin client gets back).
-#[derive(Debug)]
-pub enum CampaignExecution {
-    /// Ran in-process via [`robustify_engine::campaign::run`].
-    Local(CampaignRun),
-    /// Submitted to the `campaign_server` daemon named by `--server`.
-    Remote(protocol::ClientOutcome),
 }
 
 fn usage(msg: &str) -> ! {
@@ -466,15 +434,13 @@ mod tests {
             .rates(vec![0.0, 10.0])
             .trials(3)
             .job(robustify_engine::campaign::JobSpec::new("half", "half"));
-        let cold = match opts.execute_campaign(&spec, &registry) {
-            Ok(CampaignExecution::Local(run)) => run,
-            other => panic!("expected a local run, got {other:?}"),
-        };
+        let cold = opts
+            .execute_campaign(&spec, &registry)
+            .expect("a local run");
         assert_eq!(cold.cells_cached, 0);
-        let warm = match opts.execute_campaign(&spec, &registry) {
-            Ok(CampaignExecution::Local(run)) => run,
-            other => panic!("expected a local run, got {other:?}"),
-        };
+        let warm = opts
+            .execute_campaign(&spec, &registry)
+            .expect("a local run");
         assert_eq!(warm.cells_cached, warm.cells_total);
         assert_eq!(warm.result.to_csv(), cold.result.to_csv());
         assert_eq!(warm.result.to_json(), cold.result.to_json());

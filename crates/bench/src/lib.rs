@@ -1,14 +1,15 @@
 //! Shared plumbing for the experiment binaries: the unified CLI parser
-//! ([`cli`]), table and CSV printers, and renderers from engine sweep
-//! results to tables.
+//! ([`cli`]), the paper's workload registry ([`workloads`]), table and CSV
+//! printers, and renderers from engine results to tables.
 //!
-//! Each binary in `src/bin/` regenerates one figure of the paper as a thin
-//! declarative sweep over [`robustify_engine`]: it describes a
-//! `(problem × fault rate × solver)` grid and lets the engine execute it in
-//! parallel with deterministic seeding. Campaign-shaped binaries can also
-//! run as *thin clients* of the `campaign_server` daemon (`--server`) or
-//! checkpoint into its content-addressed result cache (`--cache-dir`);
-//! see [`cli::ExperimentOptions::execute_campaign`].
+//! Each binary in `src/bin/` regenerates one figure of the paper as a
+//! declarative campaign over [`robustify_engine`]: it names
+//! `(workload × solver)` jobs in [`workloads::paper_registry`] over a
+//! fault-rate grid and lets the engine execute it in parallel with
+//! deterministic seeding. Every engine binary can also run as a *thin
+//! client* of the `campaign_server` daemon (`--server`) or checkpoint into
+//! its content-addressed result cache (`--cache-dir`); see
+//! [`cli::ExperimentOptions::execute_campaign`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,11 +17,11 @@
 pub mod cli;
 pub mod workloads;
 
-pub use cli::{CampaignExecution, ExperimentOptions};
+pub use cli::ExperimentOptions;
 
 use robustify_engine::SweepResult;
 
-/// Renders a success-rate sweep as a `fault_rate × case` table (the shape
+/// Renders a success-rate result as a `fault_rate × case` table (the shape
 /// of Figures 6.1, 6.4, 6.5).
 pub fn success_table(title: &str, result: &SweepResult) -> Table {
     let mut headers: Vec<&str> = vec!["fault_rate_%"];
@@ -36,7 +37,7 @@ pub fn success_table(title: &str, result: &SweepResult) -> Table {
     table
 }
 
-/// Renders a median-metric sweep as a `fault_rate × case` table (the shape
+/// Renders a median-metric result as a `fault_rate × case` table (the shape
 /// of Figures 6.2, 6.3, 6.6; lower is better, `fail` marks all-broken
 /// cells).
 pub fn metric_table(title: &str, result: &SweepResult) -> Table {

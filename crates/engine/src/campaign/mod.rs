@@ -1,13 +1,13 @@
-//! The sweep grid as *data*: declarative campaign specs, a
-//! content-addressed result cache, a resumable parallel runner, and the
+//! The grid as *data*: declarative campaign specs, a content-addressed
+//! result cache, the one executor every grid runs through, and the
 //! line-delimited JSON protocol of the `campaign_server` daemon.
 //!
-//! A [`SweepSpec`](crate::SweepSpec) run is bound to closures, so it lives
-//! and dies inside one process. A campaign is the same grid written down:
-//! every job *names* its workload in a
+//! A campaign names each job's workload in a
 //! [`WorkloadRegistry`](robustify_core::WorkloadRegistry) and carries
-//! declarative solver and fault-model specs, so the whole experiment can
-//! be serialized, shipped to a daemon, hashed, checkpointed, and resumed.
+//! declarative solver and fault-model specs instead of closures, so the
+//! same experiment runs in-process, ships to a daemon, hashes into cache
+//! keys, checkpoints, and resumes. Callers with bespoke workloads register
+//! them in a registry of their own.
 //!
 //! The pieces:
 //!
@@ -19,15 +19,14 @@
 //!   executor is bit-deterministic in exactly those inputs, replaying a
 //!   cached cell is indistinguishable from re-running it — which is what
 //!   makes resuming a killed campaign sound.
-//! * [`run`] / [`run_with_budget`] — the executor: cache-hit cells replay
-//!   instantly, missing cells decompose into trial-granular items on the
-//!   shared work-stealing [`Scheduler`](crate::Scheduler) (so a heavy
-//!   sparse cell load-balances across workers instead of serializing),
-//!   each cell checkpoints as its last trial lands, and the assembled
-//!   [`SweepResult`](crate::SweepResult) is emitted by the same
-//!   CSV/JSON code paths as an in-process sweep. The `_on` variants
-//!   ([`run_on`] / [`run_with_budget_on`]) execute on an already-running
-//!   pool — the daemon's process-wide scheduler.
+//! * [`run_on`] — the executor: cache-hit cells replay instantly, missing
+//!   cells decompose into trial-granular items on a work-stealing
+//!   [`Scheduler`](crate::Scheduler) (so a heavy sparse cell load-balances
+//!   across workers instead of serializing), each cell checkpoints as its
+//!   last trial lands, and the cells assemble into a
+//!   [`SweepResult`](crate::SweepResult) document. [`run`] opens a scoped
+//!   pool sized by the spec and calls `run_on`; the daemon calls `run_on`
+//!   with its process-wide pool.
 //! * [`protocol`] — newline-delimited JSON requests/events over
 //!   stdin/stdout or TCP, shared by the daemon and its thin clients.
 
@@ -37,8 +36,5 @@ mod runner;
 mod spec;
 
 pub use cache::ResultCache;
-pub use runner::{
-    resolve_cells, run, run_on, run_with_budget, run_with_budget_on, CampaignOutcome, CampaignRun,
-    CellUpdate, ResolvedCell,
-};
+pub use runner::{resolve_cells, run, run_on, CampaignRun, CellUpdate, ResolvedCell};
 pub use spec::{CampaignSpec, Instantiate, JobSpec};

@@ -10,9 +10,11 @@ use crate::stats::{CellStats, TrialRecord};
 use crate::sweep::{derive_trial_seed, problem_seed, CaseParts};
 use crate::SweepResult;
 use robustify_core::{DynProblem, SolverSpec, WorkloadRegistry};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use stochastic_fpu::json::escape;
 use stochastic_fpu::{FaultModelSpec, FaultRate, Fpu, NoisyFpu};
 
@@ -47,32 +49,31 @@ pub struct CellUpdate {
     pub successes: usize,
 }
 
-/// A finished campaign.
+/// A finished campaign: the deterministic result document plus how this
+/// particular execution went (cache replays, workers, wall clock).
 #[derive(Debug)]
 pub struct CampaignRun {
-    /// The assembled result — emitted by the exact same CSV/JSON paths as
-    /// an in-process sweep.
+    /// The assembled result document.
     pub result: SweepResult,
     /// Total cells in the grid.
     pub cells_total: usize,
     /// Cells replayed from the cache rather than executed.
     pub cells_cached: usize,
+    /// Worker threads of the pool the campaign ran on.
+    pub threads: usize,
+    /// Wall-clock duration of the run (never part of the documents).
+    pub elapsed: Duration,
 }
 
-/// What [`run_with_budget`] came back with.
-#[derive(Debug)]
-pub enum CampaignOutcome {
-    /// Every cell finished (boxed: a completed run carries the whole
-    /// aggregated document, dwarfing the out-of-budget counters).
-    Complete(Box<CampaignRun>),
-    /// The execution budget ran out first; finished cells are
-    /// checkpointed, so a re-run with the same cache resumes from here.
-    OutOfBudget {
-        /// Cells executed (and checkpointed) this run.
-        cells_executed: usize,
-        /// Cells replayed from the cache this run.
-        cells_cached: usize,
-    },
+impl CampaignRun {
+    /// Trials per second of wall clock for this run.
+    pub fn throughput(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        if secs <= 0.0 {
+            return f64::INFINITY;
+        }
+        self.result.total_trials() as f64 / secs
+    }
 }
 
 struct ResolvedJob {
@@ -178,17 +179,30 @@ struct ExecCell {
     /// Trials still missing. The worker that takes this to zero assembles
     /// the cell in trial-index order, checkpoints it, and reports it.
     remaining: Mutex<usize>,
+    /// The first trial panic, if any. A failed cell is reported as an
+    /// error and never checkpointed.
+    failure: Mutex<Option<String>>,
 }
 
-/// `(grid slot, assembled records, checkpoint error)` — one per finished
-/// cell, streamed back to the submitting thread.
-type CellDone = (usize, Vec<TrialRecord>, Option<String>);
+/// One finished cell, streamed back to the submitting thread: its grid
+/// slot and either its records in trial order (plus any checkpoint error)
+/// or the message of its first panicking trial.
+type CellDone = (usize, Result<(Vec<TrialRecord>, Option<String>), String>);
+
+/// The text of a caught panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
 
 /// A campaign's cache-missed cells as a flattened scheduler item space:
-/// item `i` is one trial, seeded exactly like
-/// [`SweepSpec::run`](crate::SweepSpec::run) seeds it — so a campaign
-/// cell and the equivalent in-process sweep cell produce bit-identical
-/// records no matter which worker runs which trial.
+/// item `i` is one trial, whose fault stream and instance seed depend only
+/// on its trial index ([`derive_trial_seed`], [`problem_seed`]) — so a
+/// cell's records are bit-identical no matter which worker runs which
+/// trial.
 ///
 /// The set *owns* everything per-job (resolved jobs, cells, record slots,
 /// the report channel) and borrows only the registry and cache at `'env`:
@@ -205,11 +219,8 @@ struct CampaignWorkSet<'env> {
     tx: Sender<CellDone>,
 }
 
-impl WorkSet for CampaignWorkSet<'_> {
-    fn run_item(&self, index: usize) {
-        let position = self.cells.partition_point(|c| c.offset <= index) - 1;
-        let cell = &self.cells[position];
-        let trial = (index - cell.offset) as u64;
+impl CampaignWorkSet<'_> {
+    fn run_trial(&self, cell: &ExecCell, trial: u64) -> TrialRecord {
         let job = &self.jobs[cell.job_index];
         let rate = FaultRate::percent_of_flops(self.rates[cell.rate_index]);
         let mut fpu = NoisyFpu::new(
@@ -232,17 +243,49 @@ impl WorkSet for CampaignWorkSet<'_> {
                 .expect("resolved")
                 .run_trial_dyn(&job.solver, &mut fpu),
         };
-        *self.records[index].lock().expect("record slot") = Some(TrialRecord {
+        TrialRecord {
             verdict,
             flops: fpu.flops(),
             faults: fpu.faults(),
-        });
+        }
+    }
+}
+
+impl WorkSet for CampaignWorkSet<'_> {
+    fn run_item(&self, index: usize) {
+        let position = self.cells.partition_point(|c| c.offset <= index) - 1;
+        let cell = &self.cells[position];
+        let trial = (index - cell.offset) as u64;
+        // A panicking trial fails its cell, not the worker: a dead worker
+        // would strand its queued chunks, and with them the report channel
+        // the submitter drains.
+        match catch_unwind(AssertUnwindSafe(|| self.run_trial(cell, trial))) {
+            Ok(record) => *self.records[index].lock().expect("record slot") = Some(record),
+            Err(payload) => {
+                let job = &self.jobs[cell.job_index];
+                cell.failure
+                    .lock()
+                    .expect("cell failure")
+                    .get_or_insert_with(|| {
+                        format!(
+                            "trial {trial} of \"{}\" at {}% panicked: {}",
+                            job.label,
+                            self.rates[cell.rate_index],
+                            panic_message(payload.as_ref()),
+                        )
+                    });
+            }
+        }
         let finished = {
             let mut left = cell.remaining.lock().expect("cell counter");
             *left -= 1;
             *left == 0
         };
         if finished {
+            if let Some(message) = cell.failure.lock().expect("cell failure").take() {
+                let _ = self.tx.send((cell.slot, Err(message)));
+                return;
+            }
             // Assemble in trial-index order: the steal schedule decided
             // *when* each record was produced, never how they combine.
             let records: Vec<TrialRecord> = (cell.offset..cell.offset + cell.trials)
@@ -261,7 +304,7 @@ impl WorkSet for CampaignWorkSet<'_> {
                     .err()
                     .map(|e| e.to_string())
             });
-            let _ = self.tx.send((cell.slot, records, store_err));
+            let _ = self.tx.send((cell.slot, Ok((records, store_err))));
         }
     }
 }
@@ -275,72 +318,45 @@ fn stats_of(records: &[TrialRecord]) -> CellStats {
 }
 
 /// Runs a campaign to completion on a private worker pool sized by the
-/// spec. Cache-hit cells replay instantly; missing cells decompose into
-/// trial-granular scheduler items, checkpointing to `cache` as each
-/// cell's last trial lands. `on_cell` observes every finished cell
-/// (cached ones first, in grid order; executed ones in completion order).
+/// spec (`0` threads = available parallelism): a scoped [`Scheduler`]
+/// that [`run_on`] executes on. Cache-hit cells replay instantly; missing
+/// cells decompose into trial-granular scheduler items, checkpointing to
+/// `cache` as each cell's last trial lands. `on_cell` observes every
+/// finished cell (cached ones first, in grid order; executed ones in
+/// completion order). A trial that panics fails its cell: the cell is not
+/// checkpointed, the rest of the grid still runs, and the campaign
+/// returns `Err` naming the trial.
 pub fn run(
     spec: &CampaignSpec,
     registry: &WorkloadRegistry,
     cache: Option<&ResultCache>,
     on_cell: impl FnMut(&CellUpdate),
 ) -> Result<CampaignRun, String> {
-    match run_internal(spec, registry, cache, None, None, on_cell)? {
-        CampaignOutcome::Complete(run) => Ok(*run),
-        CampaignOutcome::OutOfBudget { .. } => unreachable!("no budget was set"),
-    }
+    let threads = match spec.thread_count() {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
+    };
+    let pool = Scheduler::new(threads);
+    std::thread::scope(|scope| {
+        pool.start(scope);
+        let run = run_on(spec, registry, cache, &pool, on_cell);
+        pool.shutdown();
+        run
+    })
 }
 
-/// [`run`], but executing on an already-running shared [`Scheduler`] —
-/// the daemon path, where every connection's trials interleave on one
-/// process-wide pool instead of each spawning its own.
+/// [`run`], but executing on an already-running [`Scheduler`] — the one
+/// body behind every campaign. The daemon passes its process-wide pool, so
+/// every connection's trials interleave on one set of workers.
 pub fn run_on<'env>(
     spec: &CampaignSpec,
     registry: &'env WorkloadRegistry,
     cache: Option<&'env ResultCache>,
     pool: &Scheduler<'env>,
-    on_cell: impl FnMut(&CellUpdate),
-) -> Result<CampaignRun, String> {
-    match run_internal(spec, registry, cache, None, Some(pool), on_cell)? {
-        CampaignOutcome::Complete(run) => Ok(*run),
-        CampaignOutcome::OutOfBudget { .. } => unreachable!("no budget was set"),
-    }
-}
-
-/// [`run`], but stopping after at most `cell_budget` cells have been
-/// *executed* (cache replays are free). This is the resumption primitive:
-/// a killed daemon is equivalent to an exhausted budget, and re-running
-/// the same campaign against the same cache picks up where it stopped.
-pub fn run_with_budget(
-    spec: &CampaignSpec,
-    registry: &WorkloadRegistry,
-    cache: Option<&ResultCache>,
-    cell_budget: Option<usize>,
-    on_cell: impl FnMut(&CellUpdate),
-) -> Result<CampaignOutcome, String> {
-    run_internal(spec, registry, cache, cell_budget, None, on_cell)
-}
-
-/// [`run_with_budget`] on an already-running shared [`Scheduler`].
-pub fn run_with_budget_on<'env>(
-    spec: &CampaignSpec,
-    registry: &'env WorkloadRegistry,
-    cache: Option<&'env ResultCache>,
-    cell_budget: Option<usize>,
-    pool: &Scheduler<'env>,
-    on_cell: impl FnMut(&CellUpdate),
-) -> Result<CampaignOutcome, String> {
-    run_internal(spec, registry, cache, cell_budget, Some(pool), on_cell)
-}
-
-fn run_internal<'env>(
-    spec: &CampaignSpec,
-    registry: &'env WorkloadRegistry,
-    cache: Option<&'env ResultCache>,
-    cell_budget: Option<usize>,
-    pool: Option<&Scheduler<'env>>,
     mut on_cell: impl FnMut(&CellUpdate),
-) -> Result<CampaignOutcome, String> {
+) -> Result<CampaignRun, String> {
     // detlint::allow(nondeterministic-order, reason = "wall-clock campaign timing; excluded from result bytes")
     let start = Instant::now();
     let jobs = Arc::new(resolve_jobs(spec, registry)?);
@@ -348,8 +364,8 @@ fn run_internal<'env>(
     let base_seed = spec.base_seed();
     let rates = spec.rates_pct();
 
-    // Replay phase: resolve every cell against the cache first, so the
-    // budget is spent only on genuinely new work.
+    // Replay phase: resolve every cell against the cache first, so only
+    // genuinely new work is scheduled.
     let mut slots: Vec<Option<Vec<TrialRecord>>> = vec![None; cells.len()];
     let mut misses: Vec<usize> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
@@ -375,38 +391,13 @@ fn run_internal<'env>(
         }
     }
 
-    // The budget is applied up front: exactly the first
-    // `min(budget, misses)` missing cells (in grid order) are enqueued.
-    // The pre-refactor design let each worker claim a budget slot before
-    // popping the queue, so a worker racing an empty queue consumed a
-    // slot without executing a cell and interrupted runs under-executed
-    // their budget; truncating the work list first cannot leak.
-    let executing: Vec<usize> = match cell_budget {
-        Some(budget) => misses.iter().copied().take(budget).collect(),
-        None => misses,
-    };
-
-    let threads = match pool {
-        Some(p) => p.workers(),
-        None => {
-            if spec.thread_count() > 0 {
-                spec.thread_count()
-            } else {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }
-        }
-    };
-
-    let mut store_error: Option<String> = None;
-    let mut cells_executed = 0usize;
-    if !executing.is_empty() {
-        // Flatten the executing cells into one trial-granular item space.
-        let mut exec_cells = Vec::with_capacity(executing.len());
-        let mut offsets = Vec::with_capacity(executing.len() + 1);
+    let mut error: Option<String> = None;
+    if !misses.is_empty() {
+        // Flatten the missing cells into one trial-granular item space.
+        let mut exec_cells = Vec::with_capacity(misses.len());
+        let mut offsets = Vec::with_capacity(misses.len() + 1);
         let mut total = 0usize;
-        for &slot in &executing {
+        for &slot in &misses {
             let cell = &cells[slot];
             let trials = jobs[cell.job_index].trials;
             offsets.push(total);
@@ -419,6 +410,7 @@ fn run_internal<'env>(
                 key_json: cell.key_json.clone(),
                 fixed: OnceLock::new(),
                 remaining: Mutex::new(trials),
+                failure: Mutex::new(None),
             });
             total += trials;
         }
@@ -435,102 +427,54 @@ fn run_internal<'env>(
             records: (0..total).map(|_| Mutex::new(None)).collect(),
             tx,
         });
-        let chunks = scheduler::cell_chunks(&offsets, threads);
-
-        // The channel (unbounded, so workers never block on it) streams
-        // each finished cell back for progress reporting. A `recv` error
-        // means a worker died mid-cell and its cell can never arrive; the
-        // panic itself resurfaces when the worker's scope joins.
-        let mut drain = |rx: &mpsc::Receiver<CellDone>| {
-            while cells_executed < executing.len() {
-                let Ok((slot, records, store_err)) = rx.recv() else {
-                    break;
-                };
-                if let Some(err) = store_err {
-                    store_error.get_or_insert(err);
+        // Trials cannot kill workers (they are caught in `run_item`), so
+        // every missed cell reports exactly once.
+        let handle = pool.submit(set, scheduler::cell_chunks(&offsets, pool.workers()));
+        for (slot, done) in rx.iter().take(misses.len()) {
+            let (records, store_err) = match done {
+                Ok(done) => done,
+                Err(message) => {
+                    error.get_or_insert(message);
+                    continue;
                 }
-                let cell = &cells[slot];
-                let stats = stats_of(&records);
-                on_cell(&CellUpdate {
-                    job_index: cell.job_index,
-                    rate_index: cell.rate_index,
-                    label: jobs[cell.job_index].label.clone(),
-                    rate_pct: rates[cell.rate_index],
-                    cached: false,
-                    trials: stats.trials(),
-                    successes: stats.successes(),
-                });
-                slots[slot] = Some(records);
-                cells_executed += 1;
+            };
+            if let Some(err) = store_err {
+                error.get_or_insert(format!("cache checkpoint failed: {err}"));
             }
-        };
-        match pool {
-            // Shared pool (the daemon): the pool is already running; the
-            // submitting thread streams cell events while workers execute.
-            // No `set` clone is retained here, so if a worker dies the
-            // channel disconnects and `drain` stops instead of hanging.
-            Some(p) => {
-                let handle = p.submit(set, chunks);
-                drain(&rx);
-                handle.wait();
-            }
-            // Private pool, parallel: identical wiring on a scoped
-            // scheduler owned by this call.
-            None if threads > 1 => {
-                let local = Scheduler::new(threads);
-                std::thread::scope(|scope| {
-                    local.start(scope);
-                    let handle = local.submit(set, chunks);
-                    drain(&rx);
-                    handle.wait();
-                    local.shutdown();
-                });
-            }
-            // Serial: run the chunks inline in submission order; events
-            // buffer in the channel and drain afterwards (the channel is
-            // unbounded, so the inline sends cannot block).
-            None => {
-                for chunk in chunks {
-                    for index in chunk {
-                        set.run_item(index);
-                    }
-                }
-                drop(set);
-                drain(&rx);
-            }
+            let cell = &cells[slot];
+            let stats = stats_of(&records);
+            on_cell(&CellUpdate {
+                job_index: cell.job_index,
+                rate_index: cell.rate_index,
+                label: jobs[cell.job_index].label.clone(),
+                rate_pct: rates[cell.rate_index],
+                cached: false,
+                trials: stats.trials(),
+                successes: stats.successes(),
+            });
+            slots[slot] = Some(records);
         }
+        handle.wait();
     }
-    if let Some(err) = store_error {
-        return Err(format!("cache checkpoint failed: {err}"));
+    if let Some(err) = error {
+        return Err(err);
     }
-    if slots.iter().any(Option::is_none) {
-        return Ok(CampaignOutcome::OutOfBudget {
-            cells_executed,
-            cells_cached,
+
+    // Assembly: fold records into per-cell aggregates in grid order.
+    let n_rates = rates.len();
+    let mut case_parts = Vec::with_capacity(jobs.len());
+    for (job_index, job) in jobs.iter().enumerate() {
+        let mut job_cells = Vec::with_capacity(n_rates);
+        for slot in &slots[job_index * n_rates..(job_index + 1) * n_rates] {
+            job_cells.push(stats_of(slot.as_ref().expect("every cell reported")));
+        }
+        case_parts.push(CaseParts {
+            label: job.label.clone(),
+            spec_json: job.solver.to_json(),
+            fault_model: job.fault_model.clone(),
+            cells: job_cells,
         });
     }
-
-    // Assembly: fold records into per-cell aggregates in grid order and
-    // hand them to the standard result type, so emission is shared with
-    // the in-process sweep path.
-    let n_rates = rates.len();
-    let case_parts: Vec<CaseParts> = jobs
-        .iter()
-        .enumerate()
-        .map(|(job_index, job)| CaseParts {
-            label: job.label.clone(),
-            spec_json: Some(job.solver.to_json()),
-            fault_model: job.fault_model.clone(),
-            cells: (0..n_rates)
-                .map(|rate_index| {
-                    let slot = slots[job_index * n_rates + rate_index]
-                        .as_ref()
-                        .expect("all cells resolved");
-                    stats_of(slot)
-                })
-                .collect(),
-        })
-        .collect();
     let result = SweepResult::from_parts(
         spec.name().to_string(),
         case_parts,
@@ -538,14 +482,14 @@ fn run_internal<'env>(
         spec.voltages_axis().map(<[f64]>::to_vec),
         spec.energy_model().cloned(),
         base_seed,
-        threads,
-        start.elapsed(),
     );
-    Ok(CampaignOutcome::Complete(Box::new(CampaignRun {
+    Ok(CampaignRun {
         result,
         cells_total: cells.len(),
         cells_cached,
-    })))
+        threads: pool.workers(),
+        elapsed: start.elapsed(),
+    })
 }
 
 #[cfg(test)]
@@ -554,7 +498,7 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, Verdict};
     use std::path::PathBuf;
-    use stochastic_fpu::Fpu;
+    use stochastic_fpu::{BitFaultModel, BitWidth, Fpu, VoltageErrorModel};
 
     /// A seed-deterministic FPU workload: accumulate through the noisy
     /// FPU and judge the drift. The seed biases the target so instances
@@ -601,6 +545,22 @@ mod tests {
             .job(JobSpec::new("fresh", "drift").per_trial().with_trials(7))
     }
 
+    /// A one-job campaign over `drift` at `rates`, for the emitter tests.
+    fn single(name: &str, rates: Vec<f64>, trials: usize) -> CampaignSpec {
+        CampaignSpec::new(name)
+            .rates(rates)
+            .trials(trials)
+            .seed(1)
+            .threads(1)
+            .job(JobSpec::new("only", "drift"))
+    }
+
+    fn run_plain(spec: &CampaignSpec) -> SweepResult {
+        run(spec, &registry(), None, |_| {})
+            .expect("campaign runs")
+            .result
+    }
+
     fn temp_cache(tag: &str) -> (PathBuf, ResultCache) {
         let dir = std::env::temp_dir().join(format!(
             "robustify-runner-test-{tag}-{}",
@@ -619,6 +579,7 @@ mod tests {
         let cold = run(&spec, &reg, Some(&cache), |_| {}).expect("cold run");
         assert_eq!(cold.cells_cached, 0);
         assert_eq!(cold.cells_total, 6);
+        assert_eq!(cold.threads, 2);
         let mut updates = Vec::new();
         let warm = run(&spec, &reg, Some(&cache), |u| updates.push(u.clone())).expect("warm run");
         assert_eq!(warm.cells_cached, 6, "every cell replays");
@@ -628,60 +589,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A killed campaign leaves some cells checkpointed and others never
+    /// written; deleting checkpoints from a complete cache reproduces that
+    /// state exactly.
     #[test]
     fn interrupted_campaign_resumes_to_identical_output() {
         let reg = registry();
         let spec = campaign();
         let fresh = run(&spec, &reg, None, |_| {}).expect("uncached run");
         let (dir, cache) = temp_cache("resume");
-        // Budget of 2 cells ≈ a SIGKILL mid-grid: some cells durable,
-        // some never started.
-        let halted =
-            run_with_budget(&spec, &reg, Some(&cache), Some(2), |_| {}).expect("budgeted run");
-        match halted {
-            CampaignOutcome::OutOfBudget {
-                cells_executed,
-                cells_cached,
-            } => {
-                assert_eq!(cells_executed, 2);
-                assert_eq!(cells_cached, 0);
-            }
-            CampaignOutcome::Complete(_) => panic!("budget of 2 must interrupt 6 cells"),
+        run(&spec, &reg, Some(&cache), |_| {}).expect("checkpointing run");
+        let cells = resolve_cells(&spec, &reg).expect("resolve");
+        for cell in cells.iter().step_by(2) {
+            std::fs::remove_file(dir.join(ResultCache::file_name(&cell.key_json)))
+                .expect("checkpoint exists");
         }
-        assert_eq!(cache.len(), 2, "interrupted cells are checkpointed");
+        assert_eq!(cache.len(), 3, "half the cells survive the kill");
         let resumed = run(&spec, &reg, Some(&cache), |_| {}).expect("resumed run");
-        assert_eq!(resumed.cells_cached, 2, "resume skips checkpointed cells");
+        assert_eq!(resumed.cells_cached, 3, "resume skips checkpointed cells");
         assert_eq!(
             resumed.result.to_csv(),
             fresh.result.to_csv(),
             "resumed CSV is byte-identical to an uninterrupted run"
         );
         assert_eq!(resumed.result.to_json(), fresh.result.to_json());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The budget-claim leak regression: the pre-refactor executor let a
-    /// worker claim a budget slot and then find the queue empty, so a
-    /// budget of exactly `misses` could under-execute. Now budget ==
-    /// misses must execute every cell and complete.
-    #[test]
-    fn budget_equal_to_misses_executes_every_cell() {
-        let reg = registry();
-        let spec = campaign();
-        let fresh = run(&spec, &reg, None, |_| {}).expect("uncached run");
-        let (dir, cache) = temp_cache("exact-budget");
-        let outcome =
-            run_with_budget(&spec, &reg, Some(&cache), Some(6), |_| {}).expect("budgeted run");
-        match outcome {
-            CampaignOutcome::Complete(run) => {
-                assert_eq!(run.cells_cached, 0);
-                assert_eq!(cache.len(), 6, "all six cells checkpointed");
-                assert_eq!(run.result.to_json(), fresh.result.to_json());
-            }
-            CampaignOutcome::OutOfBudget { cells_executed, .. } => {
-                panic!("budget == misses must complete, executed {cells_executed}")
-            }
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -703,6 +634,7 @@ mod tests {
         assert_eq!(pooled.result.to_csv(), local.result.to_csv());
         assert_eq!(pooled.result.to_json(), local.result.to_json());
         assert_eq!(pooled.cells_total, 6);
+        assert_eq!(pooled.threads, 3);
     }
 
     #[test]
@@ -733,5 +665,239 @@ mod tests {
             .job(JobSpec::new("a", "nope"));
         let err = run(&spec, &reg, None, |_| {}).unwrap_err();
         assert!(err.contains("unknown workload"), "got: {err}");
+    }
+
+    #[test]
+    fn emitters_have_expected_shape() {
+        let result = run_plain(&single("shape", vec![2.0], 3));
+        let csv = result.to_csv();
+        assert!(csv.starts_with("case,fault_model,fault_rate_pct"));
+        assert!(csv.contains("only,transient_emulated,2,"));
+        assert_eq!(csv.lines().count(), 2);
+        let json = result.to_json();
+        assert!(json.contains("\"name\":\"shape\""));
+        assert!(json.contains("\"rate_pct\":2"));
+        assert!(json.contains("\"fault_model\":{\"kind\":\"transient\""));
+        assert_eq!(result.case_cell("only", 0).trials(), 3);
+        assert_eq!(result.total_trials(), 3);
+    }
+
+    /// Splits one RFC 4180 CSV row into its fields.
+    fn csv_fields(row: &str) -> Vec<String> {
+        let mut fields = vec![String::new()];
+        let mut quoted = false;
+        let mut chars = row.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (c, quoted) {
+                ('"', true) if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    fields.last_mut().expect("field").push('"');
+                }
+                ('"', _) => quoted = !quoted,
+                (',', false) => fields.push(String::new()),
+                (c, _) => fields.last_mut().expect("field").push(c),
+            }
+        }
+        fields
+    }
+
+    #[test]
+    fn labels_with_quotes_backslashes_and_commas_round_trip() {
+        let label = r#"SGD,"LS"\x"#;
+        let spec = CampaignSpec::new(r#"odd "name", \ here"#)
+            .rates(vec![1.0, 5.0])
+            .trials(2)
+            .job(JobSpec::new(label, "drift"))
+            .job(JobSpec::new("plain", "drift"));
+        let result = run_plain(&spec);
+        let doc = stochastic_fpu::json::parse(&result.to_json()).expect("well-formed JSON");
+        assert_eq!(
+            doc.get("name").and_then(|v| v.as_str()),
+            Some(r#"odd "name", \ here"#)
+        );
+        let cases = doc.get("cases").and_then(|v| v.as_array()).expect("cases");
+        assert_eq!(cases[0].get("label").and_then(|v| v.as_str()), Some(label));
+        let csv = result.to_csv();
+        for row in csv.lines() {
+            assert_eq!(csv_fields(row).len(), 14, "row: {row}");
+        }
+        let first = csv.lines().nth(1).expect("data row");
+        assert_eq!(csv_fields(first)[0], label);
+    }
+
+    #[test]
+    fn voltage_axis_campaigns_carry_energy_provenance() {
+        let model = VoltageErrorModel::paper_figure_5_2();
+        let spec = CampaignSpec::new("volt")
+            .voltages(vec![1.0, 0.7], model.clone())
+            .trials(4)
+            .seed(2)
+            .job(JobSpec::new("a", "drift"));
+        let result = run_plain(&spec);
+        assert_eq!(result.voltages(), Some(&[1.0, 0.7][..]));
+        assert_eq!(result.voltage(0, 1), Some(0.7));
+        let flops = result.cell(0, 1).flops_per_trial();
+        assert_eq!(
+            result.energy_per_trial(0, 1),
+            Some(model.energy(flops, 0.7))
+        );
+        // The derived rate grid follows Figure 5.2: lower voltage, more
+        // faults per FLOP.
+        assert!(result.rates_pct()[1] > result.rates_pct()[0]);
+        let csv = result.to_csv();
+        assert!(csv.starts_with(
+            "case,fault_model,fault_rate_pct,trials,successes,success_rate,\
+             median,mean,max,failures,flops,faults,voltage,energy_per_trial"
+        ));
+        let last = csv.trim_end().lines().last().expect("data row");
+        assert_eq!(last.split(',').count(), 14);
+        assert!(result.to_json().contains("\"voltages\":[1,0.7]"));
+        assert!(result.to_json().contains("\"voltage\":0.7"));
+    }
+
+    #[test]
+    fn rate_campaigns_emit_empty_voltage_fields() {
+        let result = run_plain(&single("t", vec![1.0], 2));
+        assert_eq!(result.voltages(), None);
+        assert_eq!(result.voltage(0, 0), None);
+        assert_eq!(result.energy_per_trial(0, 0), None);
+        assert!(result.to_json().contains("\"voltages\":null"));
+        assert!(result.to_json().contains("\"energy_per_trial\":null"));
+        let csv = result.to_csv();
+        let row = csv.lines().nth(1).expect("data row");
+        assert!(row.ends_with(",,"), "empty voltage/energy fields: {row}");
+    }
+
+    #[test]
+    fn voltage_linked_job_overrides_supply_cell_voltage() {
+        let model = VoltageErrorModel::paper_figure_5_2();
+        let spec = CampaignSpec::new("t")
+            .rates(vec![50.0])
+            .trials(3)
+            .seed(1)
+            .job(
+                JobSpec::new("pinned", "drift")
+                    .with_fault_model(FaultModelSpec::voltage_linked(model.clone(), 0.8)),
+            )
+            .job(JobSpec::new("grid", "drift"));
+        let result = run_plain(&spec);
+        // The pinned job reports its own operating point and energy even
+        // though the campaign itself has no voltage axis…
+        assert_eq!(result.voltage(0, 0), Some(0.8));
+        let flops = result.cell(0, 0).flops_per_trial();
+        assert_eq!(
+            result.energy_per_trial(0, 0),
+            Some(model.energy(flops, 0.8))
+        );
+        // …while its grid-rated neighbour reports none.
+        assert_eq!(result.voltage(1, 0), None);
+        assert_eq!(result.energy_per_trial(1, 0), None);
+    }
+
+    #[test]
+    fn per_job_fault_models_reach_the_emitters() {
+        let spec = CampaignSpec::new("models")
+            .rates(vec![20.0])
+            .trials(4)
+            .seed(2)
+            .model(BitFaultModel::emulated())
+            .job(JobSpec::new("default", "drift"))
+            .job(
+                JobSpec::new("stuck", "drift").with_fault_model(FaultModelSpec::stuck_at(
+                    52,
+                    true,
+                    BitWidth::F64,
+                )),
+            )
+            .job(
+                JobSpec::new("lsb", "drift")
+                    .with_fault_model(BitFaultModel::lsb_only(BitWidth::F64))
+                    .with_trials(15),
+            );
+        let result = run_plain(&spec);
+        assert_eq!(result.fault_model(0).name(), "transient_emulated");
+        assert_eq!(result.fault_model(1).name(), "stuck1_bit52");
+        assert_eq!(result.cell(2, 0).trials(), 15);
+        let csv = result.to_csv();
+        assert!(csv.contains("stuck,stuck1_bit52,20,"));
+        assert!(result.to_json().contains("\"kind\":\"stuck_at\""));
+    }
+
+    /// A per-job fault model must reach the FPU, not just the emitters.
+    #[test]
+    fn per_job_fault_models_reach_the_fpu() {
+        let spec = CampaignSpec::new("models")
+            .rates(vec![20.0])
+            .trials(15)
+            .seed(3)
+            .threads(2)
+            .model(BitFaultModel::emulated())
+            .job(JobSpec::new("default", "drift"))
+            .job(
+                JobSpec::new("lsb", "drift")
+                    .with_fault_model(BitFaultModel::lsb_only(BitWidth::F64)),
+            );
+        let result = run_plain(&spec);
+        // An LSB-only injector perturbs this workload far less than the
+        // emulated distribution, so the two columns must differ.
+        let default_summary = result.cell(0, 0).summary();
+        let lsb_summary = result.cell(1, 0).summary();
+        assert!(lsb_summary.median() <= default_summary.median());
+        assert_ne!(lsb_summary, default_summary);
+        assert_eq!(result.cell(1, 0).trials(), 15);
+    }
+
+    /// A workload whose every trial panics.
+    struct Boom;
+
+    impl DynProblem for Boom {
+        fn name(&self) -> &'static str {
+            "boom"
+        }
+
+        fn run_trial_dyn(&self, _spec: &SolverSpec, _fpu: &mut NoisyFpu) -> Verdict {
+            panic!("boom")
+        }
+    }
+
+    /// A panicking trial fails its campaign with `Err` instead of killing
+    /// the worker, so a one-worker pool neither hangs nor dies: the next
+    /// campaign on it still completes, byte-identically.
+    #[test]
+    fn panicking_trials_fail_the_campaign_and_spare_the_workers() {
+        let mut reg = registry();
+        reg.register(
+            "boom",
+            Box::new(|_| Box::new(Boom)),
+            Box::new(|_| SolverSpec::baseline()),
+        );
+        let bad = CampaignSpec::new("bad")
+            .rates(vec![0.0, 5.0])
+            .trials(3)
+            .threads(1)
+            .job(JobSpec::new("ok", "drift"))
+            .job(JobSpec::new("bad", "boom"));
+        let (dir, cache) = temp_cache("panic");
+        let err = run(&bad, &reg, Some(&cache), |_| {}).unwrap_err();
+        assert!(
+            err.contains("of \"bad\"") && err.contains("panicked: boom"),
+            "got: {err}"
+        );
+        assert_eq!(cache.len(), 2, "only the healthy cells are checkpointed");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let good = campaign();
+        let expected = run_plain(&good);
+        let pool = crate::Scheduler::new(1);
+        let (failed, pooled) = std::thread::scope(|scope| {
+            pool.start(scope);
+            let failed = run_on(&bad, &reg, None, &pool, |_| {});
+            let pooled = run_on(&good, &reg, None, &pool, |_| {});
+            pool.shutdown();
+            (failed, pooled)
+        });
+        assert!(failed.is_err());
+        let pooled = pooled.expect("the pool survives a failed campaign");
+        assert_eq!(pooled.result.to_json(), expected.to_json());
     }
 }

@@ -40,9 +40,8 @@ impl Instantiate {
 /// One campaign column: a named workload with optional solver,
 /// fault-model, and trial-count overrides.
 ///
-/// Where a [`SweepCase`](crate::SweepCase) holds a closure, a `JobSpec`
-/// holds only names and declarative specs — everything a daemon needs to
-/// re-materialize the identical column from its registry.
+/// A `JobSpec` holds only names and declarative specs — everything a
+/// daemon needs to re-materialize the identical column from its registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     label: String,
@@ -188,10 +187,9 @@ impl JobSpec {
     }
 }
 
-/// A serializable sweep: the grid axes of a
-/// [`SweepSpec`](crate::SweepSpec) plus the [`JobSpec`] columns, built
-/// with the same named-setter style as
-/// [`SweepSpecBuilder`](crate::SweepSpecBuilder).
+/// A serializable grid: fault rates (or supply voltages) × trials per cell
+/// × base seed × default fault model, plus the [`JobSpec`] columns, each
+/// axis set by a named method.
 ///
 /// # Examples
 ///
@@ -246,8 +244,8 @@ impl CampaignSpec {
 
     /// Makes *supply voltage* the grid axis: each column's rate is the one
     /// `energy_model` predicts at that operating point, and cells gain
-    /// energy provenance — exactly
-    /// [`SweepSpecBuilder::voltages`](crate::SweepSpecBuilder::voltages).
+    /// energy provenance (`energy = P(V) × FLOPs`, the Figure 6.7 y-axis)
+    /// in the emitted documents.
     pub fn voltages(mut self, voltages: Vec<f64>, energy_model: VoltageErrorModel) -> Self {
         self.rates_pct = voltages
             .iter()

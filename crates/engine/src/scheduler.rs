@@ -1,7 +1,7 @@
 //! The shared work-stealing trial scheduler: one place that decides
-//! *when* a unit of deterministic work runs, used by in-process sweeps
-//! ([`SweepSpec::run`](crate::SweepSpec::run)), campaign execution
-//! ([`campaign::run`](crate::campaign::run)), and the daemon's shared
+//! *when* a unit of deterministic work runs, used by campaign execution
+//! ([`campaign::run_on`](crate::campaign::run_on), on a private pool via
+//! [`campaign::run`](crate::campaign::run)) and the daemon's shared
 //! connection pool ([`campaign::protocol::serve_tcp`](crate::campaign::protocol::serve_tcp)).
 //!
 //! # Design
@@ -317,33 +317,6 @@ pub fn cell_chunks(offsets: &[usize], workers: usize) -> Vec<Range<usize>> {
     chunks
 }
 
-/// Runs one job to completion on a private pool of `threads` workers —
-/// the standalone path used by in-process sweeps and campaigns that were
-/// not handed a shared scheduler. With one thread the chunks run inline
-/// on the caller's thread in submission order (no pool, no signalling);
-/// either way the output-visible behavior is identical, because only the
-/// schedule differs.
-pub fn run_standalone<'env>(
-    threads: usize,
-    set: Arc<dyn WorkSet + 'env>,
-    chunks: Vec<Range<usize>>,
-) {
-    if threads <= 1 {
-        for range in chunks {
-            for index in range {
-                set.run_item(index);
-            }
-        }
-        return;
-    }
-    let pool = Scheduler::new(threads);
-    std::thread::scope(|scope| {
-        pool.start(scope);
-        pool.submit(set, chunks).wait();
-        pool.shutdown();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,25 +372,21 @@ mod tests {
     }
 
     #[test]
-    fn standalone_runs_every_item_exactly_once_at_any_width() {
-        for threads in [1usize, 2, 5] {
-            let set = Arc::new(Touch::new(97));
-            let offsets = [0usize, 13, 13, 50, 97];
-            run_standalone(threads, set.clone(), cell_chunks(&offsets, threads));
-            set.assert_each_ran_once();
+    fn every_item_runs_exactly_once_at_any_width_and_placement() {
+        let offsets = [0usize, 13, 13, 50, 97];
+        for workers in [1usize, 2, 5] {
+            for placement in [Placement::RoundRobin, Placement::Pinned(workers - 1)] {
+                let set = Arc::new(Touch::new(97));
+                let pool = Scheduler::new(workers).with_placement(placement);
+                std::thread::scope(|scope| {
+                    pool.start(scope);
+                    pool.submit(set.clone(), cell_chunks(&offsets, workers))
+                        .wait();
+                    pool.shutdown();
+                });
+                set.assert_each_ran_once();
+            }
         }
-    }
-
-    #[test]
-    fn pinned_placement_forces_steals_and_still_covers_everything() {
-        let set = Arc::new(Touch::new(64));
-        let pool = Scheduler::new(4).with_placement(Placement::Pinned(2));
-        std::thread::scope(|scope| {
-            pool.start(scope);
-            pool.submit(set.clone(), cell_chunks(&[0, 64], 4)).wait();
-            pool.shutdown();
-        });
-        set.assert_each_ran_once();
     }
 
     #[test]

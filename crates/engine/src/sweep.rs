@@ -1,11 +1,9 @@
-//! The sweep grid, its multi-threaded executor, and result emitters.
+//! Trial seeding, the paper's fault-rate lists, and the result document
+//! every campaign emits.
 
-use crate::scheduler::{self, WorkSet};
-use crate::stats::{CellStats, TrialRecord};
-use robustify_core::{RobustProblem, SolverSpec, Verdict};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-use stochastic_fpu::{FaultModelSpec, FaultRate, Fpu, NoisyFpu, VoltageErrorModel};
+use crate::stats::CellStats;
+use stochastic_fpu::json::escape;
+use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
 
 /// Derives the FPU seed for trial `i` from a sweep's base seed.
 ///
@@ -37,488 +35,17 @@ pub fn extended_fault_rates() -> Vec<f64> {
     vec![0.0, 1.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0]
 }
 
-/// Per-trial context handed to a sweep case's runner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrialCtx {
-    /// Trial index within the cell (`0..trials`).
-    pub trial: u64,
-    /// The sweep's base seed.
-    pub base_seed: u64,
-    /// The derived workload seed for this trial ([`problem_seed`]).
-    pub problem_seed: u64,
-    /// The cell's fault rate.
-    pub rate: FaultRate,
-}
-
-type TrialRunner = Box<dyn Fn(&TrialCtx, &mut NoisyFpu) -> Verdict + Sync>;
-
-/// One column of a sweep: a labelled trial runner, typically a
-/// `(problem × solver spec)` pairing.
+/// The aggregated outcome of a campaign: every cell's deterministic
+/// aggregates plus the grid provenance, with CSV and JSON emitters.
 ///
-/// Build one from a [`RobustProblem`] with [`SweepCase::problem`] (a fresh
-/// workload instance per trial) or [`SweepCase::fixed`] (one shared
-/// instance), or from a raw closure with [`SweepCase::new`] for bespoke
-/// trials the trait does not cover.
-pub struct SweepCase {
-    label: String,
-    runner: TrialRunner,
-    model: Option<FaultModelSpec>,
-    trials: Option<usize>,
-    spec_json: Option<String>,
-}
-
-impl SweepCase {
-    /// A case from a raw trial closure.
-    pub fn new(
-        label: &str,
-        runner: impl Fn(&TrialCtx, &mut NoisyFpu) -> Verdict + Sync + 'static,
-    ) -> Self {
-        SweepCase {
-            label: label.to_string(),
-            runner: Box::new(runner),
-            model: None,
-            trials: None,
-            spec_json: None,
-        }
-    }
-
-    /// A case that draws a fresh problem instance per trial (from the
-    /// trial's [`problem_seed`]) and runs it under `spec`.
-    pub fn problem<P, G>(label: &str, spec: SolverSpec, factory: G) -> Self
-    where
-        P: RobustProblem,
-        G: Fn(u64) -> P + Sync + 'static,
-    {
-        let json = spec.to_json();
-        let mut case = Self::new(label, move |ctx: &TrialCtx, fpu: &mut NoisyFpu| {
-            factory(ctx.problem_seed).run_trial(&spec, fpu)
-        });
-        case.spec_json = Some(json);
-        case
-    }
-
-    /// A case that runs every trial against the same shared problem
-    /// instance under `spec`.
-    pub fn fixed<P>(label: &str, spec: SolverSpec, problem: P) -> Self
-    where
-        P: RobustProblem + Sync + 'static,
-    {
-        let json = spec.to_json();
-        let mut case = Self::new(label, move |_ctx: &TrialCtx, fpu: &mut NoisyFpu| {
-            problem.run_trial(&spec, fpu)
-        });
-        case.spec_json = Some(json);
-        case
-    }
-
-    /// Overrides the sweep's fault model for this case (used by the
-    /// fault-model ablation and campaign, where the *case* axis is the
-    /// injector). Accepts a [`FaultModelSpec`] or a bare
-    /// [`BitFaultModel`](stochastic_fpu::BitFaultModel) (the paper's
-    /// transient-flip scenario).
-    pub fn with_model(mut self, model: impl Into<FaultModelSpec>) -> Self {
-        self.model = Some(model.into());
-        self
-    }
-
-    /// The case's fault-model override, if any.
-    pub fn model(&self) -> Option<&FaultModelSpec> {
-        self.model.as_ref()
-    }
-
-    /// Overrides the sweep's trial count for this case (e.g. fewer trials
-    /// for an expensive solver column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0`.
-    pub fn with_trials(mut self, trials: usize) -> Self {
-        assert!(trials > 0, "need at least one trial");
-        self.trials = Some(trials);
-        self
-    }
-
-    /// The case label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-impl std::fmt::Debug for SweepCase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepCase")
-            .field("label", &self.label)
-            .field("model", &self.model)
-            .field("trials", &self.trials)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The grid of a sweep: fault model × fault rates × trials × seeding ×
-/// threading.
-///
-/// Build one with [`SweepSpec::builder`]; every axis is set by a named
-/// method, so call sites stay readable as the grid grows axes.
-///
-/// # Examples
-///
-/// ```
-/// use robustify_engine::SweepSpec;
-/// use stochastic_fpu::BitFaultModel;
-///
-/// let spec = SweepSpec::builder("demo")
-///     .rates(vec![1.0, 5.0])
-///     .trials(10)
-///     .seed(42)
-///     .model(BitFaultModel::emulated())
-///     .build();
-/// assert_eq!(spec.rates_pct(), &[1.0, 5.0]);
-/// assert_eq!(spec.fault_model().name(), "transient_emulated");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    name: String,
-    rates_pct: Vec<f64>,
-    trials: usize,
-    base_seed: u64,
-    model: FaultModelSpec,
-    threads: usize,
-    /// Supply voltage per rate-grid column, when the sweep's axis is
-    /// voltage rather than an abstract rate.
-    voltages: Option<Vec<f64>>,
-    /// The voltage ↦ rate/power calibration of a voltage-axis sweep.
-    energy_model: Option<VoltageErrorModel>,
-}
-
-impl SweepSpec {
-    /// Starts a builder for a sweep named `name` — the one construction
-    /// path. Set the grid with [`rates`](SweepSpecBuilder::rates) or
-    /// [`voltages`](SweepSpecBuilder::voltages), the per-cell trial count
-    /// with [`trials`](SweepSpecBuilder::trials), then
-    /// [`build`](SweepSpecBuilder::build).
-    pub fn builder(name: &str) -> SweepSpecBuilder {
-        SweepSpecBuilder {
-            name: name.to_string(),
-            rates_pct: None,
-            voltages: None,
-            energy_model: None,
-            trials: None,
-            base_seed: 0,
-            model: FaultModelSpec::default(),
-            threads: 0,
-        }
-    }
-
-    /// The sweep's default fault model.
-    pub fn fault_model(&self) -> &FaultModelSpec {
-        &self.model
-    }
-
-    /// The voltage grid of a voltage-axis sweep (parallel to
-    /// [`rates_pct`](Self::rates_pct)), `None` for plain rate sweeps.
-    pub fn voltages(&self) -> Option<&[f64]> {
-        self.voltages.as_deref()
-    }
-
-    /// The voltage/energy calibration of a voltage-axis sweep.
-    pub fn energy_model(&self) -> Option<&VoltageErrorModel> {
-        self.energy_model.as_ref()
-    }
-
-    /// Pins the worker-thread count (`0` = available parallelism). The
-    /// result is bit-identical for every choice.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The fault-rate grid, as percentages of FLOPs.
-    pub fn rates_pct(&self) -> &[f64] {
-        &self.rates_pct
-    }
-
-    /// Default trials per cell.
-    pub fn trials(&self) -> usize {
-        self.trials
-    }
-
-    /// The base seed.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// Executes the sweep over `cases`, returning aggregated results.
-    ///
-    /// Every `(case, rate, trial)` triple is an independent unit of work:
-    /// its fault stream is seeded by [`derive_trial_seed`] from the trial
-    /// index alone, and aggregation streams records in trial-index order —
-    /// so the result is byte-identical no matter how many threads run it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cases` is empty.
-    pub fn run(&self, cases: &[SweepCase]) -> SweepResult {
-        assert!(!cases.is_empty(), "sweep needs at least one case");
-        // detlint::allow(nondeterministic-order, reason = "wall-clock sweep timing; excluded from result bytes")
-        let start = Instant::now();
-
-        // Flatten the grid into a global work list: cells are
-        // `(case, rate)` pairs, each holding its own trial count.
-        let n_rates = self.rates_pct.len();
-        let cell_trials: Vec<usize> = cases
-            .iter()
-            .flat_map(|case| std::iter::repeat_n(case.trials.unwrap_or(self.trials), n_rates))
-            .collect();
-        let mut offsets = Vec::with_capacity(cell_trials.len() + 1);
-        let mut total = 0usize;
-        for &t in &cell_trials {
-            offsets.push(total);
-            total += t;
-        }
-        offsets.push(total);
-
-        let threads = self.resolve_threads(total);
-
-        /// The sweep grid as a flattened scheduler item space: item `idx`
-        /// is one trial, located by binary search over the cell offsets.
-        /// Each item writes only its own record slot, so the schedule
-        /// cannot reach the aggregates (folded in index order below).
-        struct SweepItems<'a> {
-            spec: &'a SweepSpec,
-            cases: &'a [SweepCase],
-            offsets: &'a [usize],
-            n_rates: usize,
-            records: Vec<Mutex<Option<TrialRecord>>>,
-        }
-
-        impl WorkSet for SweepItems<'_> {
-            fn run_item(&self, idx: usize) {
-                let cell = self.offsets.partition_point(|&o| o <= idx) - 1;
-                let trial = (idx - self.offsets[cell]) as u64;
-                let case = &self.cases[cell / self.n_rates];
-                let rate = FaultRate::percent_of_flops(self.spec.rates_pct[cell % self.n_rates]);
-                let model = case.model.as_ref().unwrap_or(&self.spec.model);
-                let mut fpu = NoisyFpu::new(
-                    rate,
-                    model.clone(),
-                    derive_trial_seed(self.spec.base_seed, trial),
-                );
-                let ctx = TrialCtx {
-                    trial,
-                    base_seed: self.spec.base_seed,
-                    problem_seed: problem_seed(self.spec.base_seed, trial),
-                    rate,
-                };
-                let verdict = (case.runner)(&ctx, &mut fpu);
-                *self.records[idx].lock().expect("record slot") = Some(TrialRecord {
-                    verdict,
-                    flops: fpu.flops(),
-                    faults: fpu.faults(),
-                });
-            }
-        }
-
-        let set = Arc::new(SweepItems {
-            spec: self,
-            cases,
-            offsets: &offsets,
-            n_rates,
-            records: (0..total).map(|_| Mutex::new(None)).collect(),
-        });
-        scheduler::run_standalone(
-            threads,
-            set.clone(),
-            scheduler::cell_chunks(&offsets, threads),
-        );
-
-        // Stream records into per-cell aggregates in trial-index order so
-        // float reductions are independent of the execution schedule.
-        let mut cells: Vec<Vec<CellStats>> = cases
-            .iter()
-            .map(|_| vec![CellStats::new(); n_rates])
-            .collect();
-        for (cell, _) in cell_trials.iter().enumerate() {
-            let stats = &mut cells[cell / n_rates][cell % n_rates];
-            for idx in offsets[cell]..offsets[cell + 1] {
-                let record = set.records[idx]
-                    .lock()
-                    .expect("record slot")
-                    .take()
-                    .expect("every trial ran");
-                stats.push(&record);
-            }
-        }
-
-        SweepResult {
-            name: self.name.clone(),
-            labels: cases.iter().map(|c| c.label.clone()).collect(),
-            specs_json: cases.iter().map(|c| c.spec_json.clone()).collect(),
-            fault_models: cases
-                .iter()
-                .map(|c| c.model.clone().unwrap_or_else(|| self.model.clone()))
-                .collect(),
-            rates_pct: self.rates_pct.clone(),
-            voltages: self.voltages.clone(),
-            energy_model: self.energy_model.clone(),
-            base_seed: self.base_seed,
-            threads,
-            total_trials: total,
-            cells,
-            elapsed: start.elapsed(),
-        }
-    }
-
-    fn resolve_threads(&self, total: usize) -> usize {
-        let requested = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        requested.clamp(1, total.max(1))
-    }
-}
-
-/// Assembles a [`SweepSpec`] axis by axis; every method names the axis it
-/// sets, so a grid's construction reads as its description.
-///
-/// Obtained from [`SweepSpec::builder`]. Exactly one of
-/// [`rates`](Self::rates) or [`voltages`](Self::voltages) must be called,
-/// plus [`trials`](Self::trials); [`seed`](Self::seed) defaults to `0`,
-/// [`model`](Self::model) to the paper's emulated transient flip, and
-/// [`threads`](Self::threads) to the machine's available parallelism.
-///
-/// # Examples
-///
-/// ```
-/// use robustify_engine::SweepSpec;
-/// use stochastic_fpu::{BitFaultModel, VoltageErrorModel};
-///
-/// let volt = SweepSpec::builder("demo")
-///     .voltages(vec![1.0, 0.7], VoltageErrorModel::paper_figure_5_2())
-///     .trials(10)
-///     .seed(42)
-///     .model(BitFaultModel::emulated())
-///     .build();
-/// assert_eq!(volt.voltages(), Some(&[1.0, 0.7][..]));
-/// // The derived rate grid follows Figure 5.2: lower voltage, more faults.
-/// assert!(volt.rates_pct()[1] > volt.rates_pct()[0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SweepSpecBuilder {
-    name: String,
-    rates_pct: Option<Vec<f64>>,
-    voltages: Option<Vec<f64>>,
-    energy_model: Option<VoltageErrorModel>,
-    trials: Option<usize>,
-    base_seed: u64,
-    model: FaultModelSpec,
-    threads: usize,
-}
-
-impl SweepSpecBuilder {
-    /// Sets the fault-rate grid, as percentages of FLOPs.
-    pub fn rates(mut self, rates_pct: Vec<f64>) -> Self {
-        self.rates_pct = Some(rates_pct);
-        self
-    }
-
-    /// Makes *supply voltage* the grid axis: each voltage maps to the
-    /// fault rate `energy_model` (the Figure 5.2 calibration) predicts at
-    /// that operating point, and every cell gains energy accounting
-    /// (`energy = P(V) × FLOPs`, the paper's Figure 6.7 y-axis) emitted
-    /// into the CSV/JSON provenance.
-    pub fn voltages(mut self, voltages: Vec<f64>, energy_model: VoltageErrorModel) -> Self {
-        self.voltages = Some(voltages);
-        self.energy_model = Some(energy_model);
-        self
-    }
-
-    /// Sets the default trials per cell (required).
-    pub fn trials(mut self, trials: usize) -> Self {
-        self.trials = Some(trials);
-        self
-    }
-
-    /// Sets the base seed (default `0`).
-    pub fn seed(mut self, base_seed: u64) -> Self {
-        self.base_seed = base_seed;
-        self
-    }
-
-    /// Sets the sweep's default fault model — a [`FaultModelSpec`] or a
-    /// bare [`BitFaultModel`](stochastic_fpu::BitFaultModel); cases may
-    /// override it per column with [`SweepCase::with_model`]. Defaults to
-    /// the paper's emulated transient flip.
-    pub fn model(mut self, model: impl Into<FaultModelSpec>) -> Self {
-        self.model = model.into();
-        self
-    }
-
-    /// Pins the worker-thread count (`0` = available parallelism, the
-    /// default). The result is bit-identical for every choice.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Finishes the spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if neither [`rates`](Self::rates) nor
-    /// [`voltages`](Self::voltages) was called (or both were), if the grid
-    /// is empty or holds a non-positive/non-finite voltage, or if
-    /// [`trials`](Self::trials) was not called or is zero.
-    pub fn build(self) -> SweepSpec {
-        let trials = self.trials.expect("sweep builder needs .trials(..)");
-        assert!(trials > 0, "need at least one trial per cell");
-        let (rates_pct, voltages, energy_model) = match (self.rates_pct, self.voltages) {
-            (Some(_), Some(_)) => {
-                panic!("sweep grid is either .rates(..) or .voltages(..), not both")
-            }
-            (None, None) => panic!("sweep builder needs .rates(..) or .voltages(..)"),
-            (Some(rates), None) => {
-                assert!(!rates.is_empty(), "sweep needs at least one fault rate");
-                (rates, None, None)
-            }
-            (None, Some(voltages)) => {
-                assert!(!voltages.is_empty(), "sweep needs at least one voltage");
-                for &v in &voltages {
-                    assert!(
-                        v > 0.0 && v.is_finite(),
-                        "voltage must be positive and finite, got {v}"
-                    );
-                }
-                let energy_model = self.energy_model.expect("voltages() stores its model");
-                let rates = voltages
-                    .iter()
-                    .map(|&v| energy_model.fault_rate_at(v).percent())
-                    .collect();
-                (rates, Some(voltages), Some(energy_model))
-            }
-        };
-        SweepSpec {
-            name: self.name,
-            rates_pct,
-            trials,
-            base_seed: self.base_seed,
-            model: self.model,
-            threads: self.threads,
-            voltages,
-            energy_model,
-        }
-    }
-}
-
-/// The aggregated outcome of a sweep run.
+/// Holds only bytes-relevant data; wall-clock timing and worker counts
+/// live on [`CampaignRun`](crate::campaign::CampaignRun).
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     name: String,
     labels: Vec<String>,
-    specs_json: Vec<Option<String>>,
-    /// Effective fault model per case (the case override or the sweep
+    specs_json: Vec<String>,
+    /// Effective fault model per case (the job override or the campaign
     /// default).
     fault_models: Vec<FaultModelSpec>,
     rates_pct: Vec<f64>,
@@ -527,11 +54,9 @@ pub struct SweepResult {
     /// The voltage/energy calibration (voltage-axis sweeps only).
     energy_model: Option<VoltageErrorModel>,
     base_seed: u64,
-    threads: usize,
     total_trials: usize,
     /// `cells[case][rate]`.
     cells: Vec<Vec<CellStats>>,
-    elapsed: Duration,
 }
 
 /// The per-case inputs the campaign runner assembles a [`SweepResult`]
@@ -539,16 +64,14 @@ pub struct SweepResult {
 /// per-rate aggregates in rate order.
 pub(crate) struct CaseParts {
     pub(crate) label: String,
-    pub(crate) spec_json: Option<String>,
+    pub(crate) spec_json: String,
     pub(crate) fault_model: FaultModelSpec,
     pub(crate) cells: Vec<CellStats>,
 }
 
 impl SweepResult {
     /// Assembles a result from campaign-executed (possibly cache-replayed)
-    /// cells, so campaign output is emitted by the exact same
-    /// `to_csv`/`to_json` code paths as an in-process sweep.
-    #[allow(clippy::too_many_arguments)]
+    /// cells.
     pub(crate) fn from_parts(
         name: String,
         cases: Vec<CaseParts>,
@@ -556,8 +79,6 @@ impl SweepResult {
         voltages: Option<Vec<f64>>,
         energy_model: Option<VoltageErrorModel>,
         base_seed: u64,
-        threads: usize,
-        elapsed: Duration,
     ) -> Self {
         let total_trials = cases
             .iter()
@@ -584,10 +105,8 @@ impl SweepResult {
             voltages,
             energy_model,
             base_seed,
-            threads,
             total_trials,
             cells,
-            elapsed,
         }
     }
 
@@ -686,29 +205,9 @@ impl SweepResult {
         &self.fault_models[case]
     }
 
-    /// Worker threads the run actually used.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Total trials executed across all cells.
     pub fn total_trials(&self) -> usize {
         self.total_trials
-    }
-
-    /// Wall-clock duration of the run (not part of the deterministic
-    /// emitter output).
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// Trials per second of wall clock for this run.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.total_trials as f64 / secs
     }
 
     /// Machine-readable CSV: one row per `(case, rate)` cell.
@@ -724,7 +223,7 @@ impl SweepResult {
                 let summary = cell.summary();
                 out.push_str(&format!(
                     "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                    self.labels[case],
+                    csv_field(&self.labels[case]),
                     self.fault_models[case].name(),
                     self.rates_pct[rate_idx],
                     cell.trials(),
@@ -763,7 +262,7 @@ impl SweepResult {
         };
         let mut out = format!(
             "{{\"name\":\"{}\",\"base_seed\":{},\"rates_pct\":[{}],\"voltages\":{voltages},\"cases\":[",
-            self.name,
+            escape(&self.name),
             self.base_seed,
             self.rates_pct
                 .iter()
@@ -775,13 +274,10 @@ impl SweepResult {
             if case > 0 {
                 out.push(',');
             }
-            let spec = match &self.specs_json[case] {
-                Some(json) => json.clone(),
-                None => "null".to_string(),
-            };
             out.push_str(&format!(
-                "{{\"label\":\"{}\",\"spec\":{spec},\"fault_model\":{},\"cells\":[",
-                self.labels[case],
+                "{{\"label\":\"{}\",\"spec\":{},\"fault_model\":{},\"cells\":[",
+                escape(&self.labels[case]),
+                self.specs_json[case],
                 self.fault_models[case].to_json(),
             ));
             for (rate_idx, cell) in row.iter().enumerate() {
@@ -814,6 +310,16 @@ impl SweepResult {
     }
 }
 
+/// A CSV text field, quoted per RFC 4180 only when it holds a comma, a
+/// quote or a line break (so plain labels keep their historical bytes).
+fn csv_field(text: &str) -> String {
+    if text.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", text.replace('"', "\"\""))
+    } else {
+        text.to_string()
+    }
+}
+
 fn csv_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -842,20 +348,6 @@ fn json_opt(v: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robustify_core::Verdict;
-    use stochastic_fpu::BitFaultModel;
-
-    fn toy_case(label: &str) -> SweepCase {
-        SweepCase::new(label, |ctx: &TrialCtx, fpu: &mut NoisyFpu| {
-            // A tiny FPU workload whose outcome depends on the fault
-            // stream, exercising determinism end to end.
-            let mut acc = 0.0;
-            for i in 0..64 {
-                acc = fpu.add(acc, (i % 7) as f64 * 0.25);
-            }
-            Verdict::from_metric((acc - 96.0).abs() + ctx.trial as f64 * 1e-9, 0.5)
-        })
-    }
 
     #[test]
     fn seed_derivation_matches_the_serial_harness() {
@@ -866,175 +358,5 @@ mod tests {
             .wrapping_add(3u64.wrapping_mul(0xBF58_476D_1CE4_E5B9));
         assert_eq!(derive_trial_seed(base, 2), expected);
         assert_eq!(problem_seed(7, 0), 7 ^ 7919);
-    }
-
-    #[test]
-    fn single_and_multi_threaded_runs_are_identical() {
-        let cases = [toy_case("a"), toy_case("b").with_trials(13)];
-        let spec = SweepSpec::builder("t")
-            .rates(vec![1.0, 10.0])
-            .trials(20)
-            .seed(9)
-            .model(BitFaultModel::emulated())
-            .build();
-        let serial = spec.clone().with_threads(1).run(&cases);
-        let parallel = spec.with_threads(4).run(&cases);
-        assert_eq!(serial.to_json(), parallel.to_json());
-        assert_eq!(serial.to_csv(), parallel.to_csv());
-        assert_eq!(parallel.threads(), 4);
-        assert_eq!(serial.total_trials(), (20 + 13) * 2);
-    }
-
-    #[test]
-    fn per_case_overrides_apply() {
-        let cases = [
-            toy_case("default"),
-            toy_case("lsb").with_model(BitFaultModel::lsb_only(stochastic_fpu::BitWidth::F64)),
-        ];
-        let spec = SweepSpec::builder("t")
-            .rates(vec![20.0])
-            .trials(15)
-            .seed(3)
-            .model(BitFaultModel::emulated())
-            .threads(2)
-            .build();
-        let result = spec.run(&cases);
-        // An LSB-only injector perturbs this workload far less than the
-        // emulated distribution, so the two columns must differ.
-        let default_summary = result.cell(0, 0).summary();
-        let lsb_summary = result.cell(1, 0).summary();
-        assert!(lsb_summary.median() <= default_summary.median());
-        assert_eq!(result.cell(1, 0).trials(), 15);
-    }
-
-    #[test]
-    fn emitters_have_expected_shape() {
-        let cases = [toy_case("only")];
-        let result = SweepSpec::builder("shape")
-            .rates(vec![2.0])
-            .trials(3)
-            .seed(1)
-            .model(BitFaultModel::emulated())
-            .threads(1)
-            .build()
-            .run(&cases);
-        let csv = result.to_csv();
-        assert!(csv.starts_with("case,fault_model,fault_rate_pct"));
-        assert!(csv.contains("only,transient_emulated,2,"));
-        assert_eq!(csv.lines().count(), 2);
-        let json = result.to_json();
-        assert!(json.contains("\"name\":\"shape\""));
-        assert!(json.contains("\"rate_pct\":2"));
-        assert!(json.contains("\"fault_model\":{\"kind\":\"transient\""));
-        assert!(result.case_cell("only", 0).trials() == 3);
-    }
-
-    #[test]
-    fn voltage_axis_sweeps_carry_energy_provenance() {
-        use stochastic_fpu::VoltageErrorModel;
-        let model = VoltageErrorModel::paper_figure_5_2();
-        let cases = [toy_case("a")];
-        let result = SweepSpec::builder("volt")
-            .voltages(vec![1.0, 0.7], model.clone())
-            .trials(4)
-            .seed(2)
-            .model(BitFaultModel::emulated())
-            .threads(1)
-            .build()
-            .run(&cases);
-        assert_eq!(result.voltages(), Some(&[1.0, 0.7][..]));
-        assert_eq!(result.voltage(0, 1), Some(0.7));
-        let flops = result.cell(0, 1).flops_per_trial();
-        assert_eq!(
-            result.energy_per_trial(0, 1),
-            Some(model.energy(flops, 0.7))
-        );
-        // The derived rate grid follows Figure 5.2: lower voltage, more
-        // faults per FLOP.
-        assert!(result.rates_pct()[1] > result.rates_pct()[0]);
-        let csv = result.to_csv();
-        assert!(csv.starts_with(
-            "case,fault_model,fault_rate_pct,trials,successes,success_rate,\
-             median,mean,max,failures,flops,faults,voltage,energy_per_trial"
-        ));
-        let last = csv.trim_end().lines().last().expect("data row");
-        assert_eq!(last.split(',').count(), 14);
-        assert!(result.to_json().contains("\"voltages\":[1,0.7]"));
-        assert!(result.to_json().contains("\"voltage\":0.7"));
-    }
-
-    #[test]
-    fn rate_sweeps_emit_empty_voltage_fields() {
-        let result = SweepSpec::builder("t")
-            .rates(vec![1.0])
-            .trials(2)
-            .seed(1)
-            .model(BitFaultModel::emulated())
-            .threads(1)
-            .build()
-            .run(&[toy_case("a")]);
-        assert_eq!(result.voltages(), None);
-        assert_eq!(result.voltage(0, 0), None);
-        assert_eq!(result.energy_per_trial(0, 0), None);
-        assert!(result.to_json().contains("\"voltages\":null"));
-        assert!(result.to_json().contains("\"energy_per_trial\":null"));
-        let row = result
-            .to_csv()
-            .lines()
-            .nth(1)
-            .expect("data row")
-            .to_string();
-        assert!(row.ends_with(",,"), "empty voltage/energy fields: {row}");
-    }
-
-    #[test]
-    fn voltage_linked_case_overrides_supply_cell_voltage() {
-        use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
-        let model = VoltageErrorModel::paper_figure_5_2();
-        let cases = [
-            toy_case("pinned").with_model(FaultModelSpec::voltage_linked(model.clone(), 0.8)),
-            toy_case("grid"),
-        ];
-        let result = SweepSpec::builder("t")
-            .rates(vec![50.0])
-            .trials(3)
-            .seed(1)
-            .model(BitFaultModel::emulated())
-            .threads(2)
-            .build()
-            .run(&cases);
-        // The pinned case reports its own operating point and energy even
-        // though the sweep itself has no voltage axis…
-        assert_eq!(result.voltage(0, 0), Some(0.8));
-        let flops = result.cell(0, 0).flops_per_trial();
-        assert_eq!(
-            result.energy_per_trial(0, 0),
-            Some(model.energy(flops, 0.8))
-        );
-        // …while its grid-rated neighbour reports none.
-        assert_eq!(result.voltage(1, 0), None);
-        assert_eq!(result.energy_per_trial(1, 0), None);
-    }
-
-    #[test]
-    fn per_case_fault_models_reach_the_emitters() {
-        use stochastic_fpu::{BitWidth, FaultModelSpec};
-        let cases = [
-            toy_case("default"),
-            toy_case("stuck").with_model(FaultModelSpec::stuck_at(52, true, BitWidth::F64)),
-        ];
-        let result = SweepSpec::builder("models")
-            .rates(vec![10.0])
-            .trials(4)
-            .seed(2)
-            .model(FaultModelSpec::default())
-            .threads(2)
-            .build()
-            .run(&cases);
-        assert_eq!(result.fault_model(0).name(), "transient_emulated");
-        assert_eq!(result.fault_model(1).name(), "stuck1_bit52");
-        let csv = result.to_csv();
-        assert!(csv.contains("stuck,stuck1_bit52,10,"));
-        assert!(result.to_json().contains("\"kind\":\"stuck_at\""));
     }
 }

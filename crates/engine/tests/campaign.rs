@@ -153,32 +153,33 @@ fn model_family() -> Vec<FaultModelSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The resumption guarantee: kill a campaign after K executed cells
-    /// (the budget stop is indistinguishable from SIGKILL, since cells
-    /// checkpoint before they are reported), re-run it against the same
-    /// cache, and the emitted CSV/JSON is byte-identical to a run that
-    /// was never interrupted.
+    /// The resumption guarantee: a killed campaign leaves some cells
+    /// checkpointed and the rest never written (cells checkpoint before
+    /// they are reported). Reproduce that by deleting K checkpoints from
+    /// a complete cache, re-run against it, and the emitted CSV/JSON is
+    /// byte-identical to a run that was never interrupted.
     #[test]
     fn killed_and_resumed_campaigns_emit_identical_documents(
         seed in 0u64..1_000_000,
         trials in 1usize..8,
-        budget in 0usize..6,
+        killed in 0usize..7,
     ) {
         let reg = registry();
         let spec = campaign(seed, trials);
         let fresh = campaign::run(&spec, &reg, None, |_| {}).expect("uninterrupted run");
 
         let (dir, cache) = temp_cache("kill");
-        let halted =
-            campaign::run_with_budget(&spec, &reg, Some(&cache), Some(budget), |_| {})
-                .expect("budgeted run");
-        if let campaign::CampaignOutcome::Complete(_) = halted {
-            prop_assert!(budget >= 6, "budget {budget} of 6 cells must interrupt");
+        campaign::run(&spec, &reg, Some(&cache), |_| {}).expect("checkpointing run");
+        let cells = campaign::resolve_cells(&spec, &reg).expect("resolve");
+        for cell in cells.iter().rev().take(killed) {
+            std::fs::remove_file(dir.join(ResultCache::file_name(&cell.key_json)))
+                .expect("checkpoint exists");
         }
         let resumed = campaign::run(&spec, &reg, Some(&cache), |_| {}).expect("resumed run");
-        prop_assert_eq!(resumed.cells_cached, budget.min(6));
+        prop_assert_eq!(resumed.cells_cached, cells.len() - killed);
         prop_assert_eq!(resumed.result.to_csv(), fresh.result.to_csv());
         prop_assert_eq!(resumed.result.to_json(), fresh.result.to_json());
+        prop_assert_eq!(cache.len(), cells.len(), "the resume re-checkpoints every cell");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

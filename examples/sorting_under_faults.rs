@@ -4,15 +4,17 @@
 //! error tolerant" — one corrupted comparison and the output is wrong.
 //! This example sweeps quicksort and the robustified LP-based sort side by
 //! side across fault rates on the parallel engine and reports success over
-//! repeated trials.
+//! repeated trials of one fixed array, registered as a local workload.
 //!
 //! ```sh
 //! cargo run --release --example sorting_under_faults
 //! ```
 
 use robustify::apps::sorting::SortProblem;
-use robustify::core::{AggressiveStepping, GradientGuard, SolverSpec, StepSchedule};
-use robustify::engine::{SweepCase, SweepSpec};
+use robustify::core::{
+    AggressiveStepping, GradientGuard, SolverSpec, StepSchedule, WorkloadRegistry,
+};
+use robustify::engine::campaign::{self, CampaignSpec, JobSpec};
 use robustify::fpu::BitFaultModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,17 +29,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reject: 30.0,
         })
         .with_aggressive_stepping(AggressiveStepping::default());
-    let cases = vec![
-        SweepCase::fixed("quicksort", SolverSpec::baseline(), problem.clone()),
-        SweepCase::fixed("robust_sgd", robust, problem),
-    ];
-    let result = SweepSpec::builder("sorting_under_faults")
+    // The same array for every seed: every trial sorts it under a fresh
+    // fault stream.
+    let mut registry = WorkloadRegistry::new();
+    registry.register(
+        "fixed_array",
+        Box::new(move |_seed| Box::new(problem.clone())),
+        Box::new(|_seed| SolverSpec::baseline()),
+    );
+    let spec = CampaignSpec::new("sorting_under_faults")
         .rates(vec![0.5, 2.0, 5.0, 10.0, 20.0])
         .trials(60)
         .seed(7)
         .model(BitFaultModel::emulated())
-        .build()
-        .run(&cases);
+        .job(JobSpec::new("quicksort", "fixed_array"))
+        .job(JobSpec::new("robust_sgd", "fixed_array").with_solver(robust));
+    let result = campaign::run(&spec, &registry, None, |_| {})?.result;
 
     println!(
         "{:>12} {:>14} {:>14}",

@@ -28,9 +28,10 @@
 //!   filtering, sorting, bipartite matching, max-flow, all-pairs shortest
 //!   paths, eigenvalue extraction, SVM fitting, assignment — every one a
 //!   [`RobustProblem`](core::RobustProblem).
-//! * [`engine`] — the multi-threaded deterministic sweep executor over
-//!   `(problem × fault model × fault rate × solver)` grids, with
-//!   streaming aggregation and CSV/JSON emitters.
+//! * [`engine`] — the multi-threaded deterministic campaign executor over
+//!   `(workload × fault model × fault rate × solver)` grids, with a
+//!   content-addressed result cache, streaming aggregation and CSV/JSON
+//!   emitters.
 //!
 //! # Quickstart
 //!

@@ -1,7 +1,7 @@
 //! End-to-end robustification pipelines across every crate of the
 //! workspace, at fixed fault rates with fixed seeds — all driven through
-//! the unified `RobustProblem` × `SolverSpec` interface and the parallel
-//! sweep engine.
+//! the unified `RobustProblem` × `SolverSpec` interface and campaigns over
+//! workloads registered locally.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,8 +11,12 @@ use robustify::apps::least_squares::LeastSquares;
 use robustify::apps::matching::MatchingProblem;
 use robustify::apps::maxflow::MaxFlowProblem;
 use robustify::apps::sorting::SortProblem;
-use robustify::core::{AggressiveStepping, Annealing, GradientGuard, SolverSpec, StepSchedule};
-use robustify::engine::{SweepCase, SweepSpec};
+use robustify::core::{
+    AggressiveStepping, Annealing, GradientGuard, RobustProblem, SolverSpec, StepSchedule,
+    WorkloadRegistry,
+};
+use robustify::engine::campaign::{self, CampaignSpec, JobSpec};
+use robustify::engine::SweepResult;
 use robustify::fpu::{BitFaultModel, FaultRate, Fpu, NoisyFpu, ReliableFpu};
 use robustify::graph::generators::{
     random_bipartite, random_flow_network, random_strongly_connected,
@@ -20,13 +24,44 @@ use robustify::graph::generators::{
 
 const RATE_2PCT: f64 = 2.0;
 
-fn sweep(name: &str, rate_pct: f64, trials: usize, seed: u64) -> SweepSpec {
-    SweepSpec::builder(name)
+/// A registry holding `problem` under `name` for every seed, so fixed
+/// jobs run one shared instance.
+fn fixed<P>(name: &str, problem: P) -> WorkloadRegistry
+where
+    P: RobustProblem + Clone + Send + Sync + 'static,
+{
+    let mut reg = WorkloadRegistry::new();
+    reg.register(
+        name,
+        Box::new(move |_| Box::new(problem.clone())),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    reg
+}
+
+/// A registry drawing a fresh 5-element sorting array per seed.
+fn random_sorts() -> WorkloadRegistry {
+    let mut reg = WorkloadRegistry::new();
+    reg.register(
+        "sort",
+        Box::new(|seed| Box::new(SortProblem::random(&mut StdRng::seed_from_u64(seed), 5))),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    reg
+}
+
+fn grid(name: &str, rate_pct: f64, trials: usize, seed: u64) -> CampaignSpec {
+    CampaignSpec::new(name)
         .rates(vec![rate_pct])
         .trials(trials)
         .seed(seed)
         .model(BitFaultModel::emulated())
-        .build()
+}
+
+fn run(spec: &CampaignSpec, registry: &WorkloadRegistry) -> SweepResult {
+    campaign::run(spec, registry, None, |_| {})
+        .expect("campaign runs")
+        .result
 }
 
 #[test]
@@ -39,17 +74,13 @@ fn robust_least_squares_beats_every_baseline_at_2pct() {
         },
     )
     .with_aggressive_stepping(AggressiveStepping::default());
-    let cases = vec![
-        SweepCase::fixed("robust", sgd, problem.clone()),
-        SweepCase::fixed("svd", SolverSpec::baseline_variant("svd"), problem.clone()),
-        SweepCase::fixed("qr", SolverSpec::baseline_variant("qr"), problem.clone()),
-        SweepCase::fixed(
-            "cholesky",
-            SolverSpec::baseline_variant("cholesky"),
-            problem.clone(),
-        ),
-    ];
-    let result = sweep("lsq_2pct", RATE_2PCT, 8, 77).run(&cases);
+    let reg = fixed("lsq", problem);
+    let mut spec =
+        grid("lsq_2pct", RATE_2PCT, 8, 77).job(JobSpec::new("robust", "lsq").with_solver(sgd));
+    for name in ["svd", "qr", "cholesky"] {
+        spec = spec.job(JobSpec::new(name, "lsq").with_solver(SolverSpec::baseline_variant(name)));
+    }
+    let result = run(&spec, &reg);
     let robust = result.case_cell("robust", 0).summary();
     assert!(
         robust.median() < 0.1,
@@ -75,10 +106,9 @@ fn robust_sort_high_success_at_5pct() {
             reject: 30.0,
         })
         .with_aggressive_stepping(AggressiveStepping::default());
-    let case = SweepCase::problem("sort", spec, |seed| {
-        SortProblem::random(&mut StdRng::seed_from_u64(seed), 5)
-    });
-    let result = sweep("sort_5pct", 5.0, 20, 9).run(&[case]);
+    let campaign = grid("sort_5pct", 5.0, 20, 9)
+        .job(JobSpec::new("sort", "sort").per_trial().with_solver(spec));
+    let result = run(&campaign, &random_sorts());
     let success = result.cell(0, 0).success_rate();
     assert!(success >= 70.0, "robust sort success {success}% at 5%");
 }
@@ -88,10 +118,25 @@ fn robust_matching_high_success_at_10pct_with_annealing() {
     let spec = SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.05 })
         .with_annealing(Annealing::default())
         .with_aggressive_stepping(AggressiveStepping::default());
-    let case = SweepCase::problem("matching", spec, |seed| {
-        MatchingProblem::new(random_bipartite(&mut StdRng::seed_from_u64(seed), 5, 6, 30))
-    });
-    let result = sweep("matching_10pct", 10.0, 12, 5).run(&[case]);
+    let mut reg = WorkloadRegistry::new();
+    reg.register(
+        "matching",
+        Box::new(|seed| {
+            Box::new(MatchingProblem::new(random_bipartite(
+                &mut StdRng::seed_from_u64(seed),
+                5,
+                6,
+                30,
+            )))
+        }),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    let campaign = grid("matching_10pct", 10.0, 12, 5).job(
+        JobSpec::new("matching", "matching")
+            .per_trial()
+            .with_solver(spec),
+    );
+    let result = run(&campaign, &reg);
     let success = result.cell(0, 0).success_rate();
     assert!(success >= 60.0, "robust matching success {success}% at 10%");
 }
@@ -106,16 +151,15 @@ fn robust_iir_orders_of_magnitude_better_at_1pct() {
         .expect("signal longer than taps");
     let problem = IirProblem::new(filter, u).expect("signal longer than taps");
 
-    let cases = vec![
-        SweepCase::fixed("baseline", SolverSpec::baseline(), problem.clone()),
-        SweepCase::fixed(
-            "robust",
-            SolverSpec::sgd(1500, StepSchedule::Sqrt { gamma0 })
-                .with_guard(GradientGuard::ClampComponents { max_abs: 1.0 }),
-            problem,
-        ),
-    ];
-    let result = sweep("iir_1pct", 1.0, 6, 13).run(&cases);
+    let spec = grid("iir_1pct", 1.0, 6, 13)
+        .job(JobSpec::new("baseline", "iir"))
+        .job(
+            JobSpec::new("robust", "iir").with_solver(
+                SolverSpec::sgd(1500, StepSchedule::Sqrt { gamma0 })
+                    .with_guard(GradientGuard::ClampComponents { max_abs: 1.0 }),
+            ),
+        );
+    let result = run(&spec, &fixed("iir", problem));
     let baseline = result.case_cell("baseline", 0).summary();
     let robust = result.case_cell("robust", 0).summary();
     assert!(
@@ -132,8 +176,9 @@ fn robust_maxflow_small_error_at_1pct() {
         .expect("non-empty network");
     let spec = SolverSpec::sgd(8000, StepSchedule::Sqrt { gamma0: 0.02 })
         .with_annealing(Annealing::default());
-    let result =
-        sweep("maxflow_1pct", 1.0, 5, 3).run(&[SweepCase::fixed("maxflow", spec, problem)]);
+    let campaign =
+        grid("maxflow_1pct", 1.0, 5, 3).job(JobSpec::new("maxflow", "maxflow").with_solver(spec));
+    let result = run(&campaign, &fixed("maxflow", problem));
     let summary = result.cell(0, 0).summary();
     assert!(
         summary.median() < 0.3,
@@ -156,7 +201,8 @@ fn robust_apsp_small_error_at_1pct() {
             factor: 10.0,
             reject: 100.0,
         });
-    let result = sweep("apsp_1pct", 1.0, 5, 3).run(&[SweepCase::fixed("apsp", spec, problem)]);
+    let campaign = grid("apsp_1pct", 1.0, 5, 3).job(JobSpec::new("apsp", "apsp").with_solver(spec));
+    let result = run(&campaign, &fixed("apsp", problem));
     let summary = result.cell(0, 0).summary();
     assert!(
         summary.median() < 0.3,
@@ -168,7 +214,7 @@ fn robust_apsp_small_error_at_1pct() {
 #[test]
 fn real_app_sweep_is_thread_count_invariant() {
     // The engine determinism guarantee on a real application: a sorting
-    // sweep aggregated from 1 worker and from 4 workers emits identical
+    // campaign aggregated from 1 worker and from 4 workers emits identical
     // bytes.
     let spec = SolverSpec::sgd(2000, StepSchedule::Sqrt { gamma0: 0.1 }).with_guard(
         GradientGuard::Adaptive {
@@ -176,24 +222,16 @@ fn real_app_sweep_is_thread_count_invariant() {
             reject: 30.0,
         },
     );
-    let cases = || {
-        vec![
-            SweepCase::problem("baseline", SolverSpec::baseline(), |seed| {
-                SortProblem::random(&mut StdRng::seed_from_u64(seed), 5)
-            }),
-            SweepCase::problem("sgd", spec.clone(), |seed| {
-                SortProblem::random(&mut StdRng::seed_from_u64(seed), 5)
-            }),
-        ]
-    };
-    let grid = SweepSpec::builder("sort_determinism")
+    let grid = CampaignSpec::new("sort_determinism")
         .rates(vec![1.0, 10.0])
         .trials(6)
         .seed(42)
         .model(BitFaultModel::emulated())
-        .build();
-    let serial = grid.clone().with_threads(1).run(&cases());
-    let parallel = grid.with_threads(4).run(&cases());
+        .job(JobSpec::new("baseline", "sort").per_trial())
+        .job(JobSpec::new("sgd", "sort").per_trial().with_solver(spec));
+    let reg = random_sorts();
+    let serial = run(&grid.clone().threads(1), &reg);
+    let parallel = run(&grid.threads(4), &reg);
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
