@@ -3,11 +3,10 @@
 //!
 //! Accepts line-delimited JSON requests (`ping`, `workloads`, `submit`,
 //! `shutdown`) over stdin/stdout (the default, for piping and tests) or
-//! TCP (`--listen HOST:PORT`). In TCP mode every connection's campaigns
-//! execute on one process-wide work-stealing
-//! [`Scheduler`](robustify_engine::Scheduler) — concurrent clients share
-//! the machine trial-by-trial instead of oversubscribing it with
-//! per-connection pools, and the steal deques dispatch chunks in
+//! TCP (`--listen HOST:PORT`). Campaigns execute on one process-wide
+//! work-stealing [`Scheduler`] sized to the host. In TCP mode concurrent
+//! clients share the machine trial-by-trial instead of oversubscribing it
+//! with per-connection pools, and the steal deques dispatch chunks in
 //! approximate submission order, so no connection starves. Submitted
 //! campaigns name their workloads declaratively; the daemon resolves them
 //! against [`paper_registry`], executes the grid across worker threads,
@@ -26,6 +25,7 @@
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::paper_registry;
 use robustify_engine::campaign::{protocol, ResultCache};
+use robustify_engine::Scheduler;
 use std::net::TcpListener;
 
 fn usage(msg: &str) -> ! {
@@ -97,7 +97,16 @@ fn main() {
             let stdout = std::io::stdout();
             let mut reader = stdin.lock();
             let mut writer = stdout.lock();
-            protocol::serve_connection(&mut reader, &mut writer, &registry, cache.as_ref())
+            Scheduler::new(0)
+                .scoped(|pool| {
+                    protocol::serve_connection(
+                        &mut reader,
+                        &mut writer,
+                        &registry,
+                        cache.as_ref(),
+                        pool,
+                    )
+                })
                 .unwrap_or_else(|e| fail(format!("serve: {e}")));
         }
     }

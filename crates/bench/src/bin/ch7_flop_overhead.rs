@@ -109,5 +109,5 @@ fn main() {
         ]);
     }
     opts.emit(&table, &run);
-    println!("paper, Ch. 7: robust FLOP counts are 10-1000x the baselines'.");
+    robustify_bench::outln!("paper, Ch. 7: robust FLOP counts are 10-1000x the baselines'.");
 }

@@ -185,5 +185,5 @@ fn main() {
 
     // The engine's per-cell CSV (voltage + energy_per_trial columns) is
     // the machine-readable frontier artifact.
-    println!("\n-- engine csv --\n{}", result.to_csv());
+    robustify_bench::outln!("\n-- engine csv --\n{}", result.to_csv());
 }

@@ -142,5 +142,5 @@ fn main() {
 
     // The engine's own per-cell CSV (with the fault_model column) is the
     // machine-readable comparison artifact.
-    println!("\n-- engine csv --\n{}", result.to_csv());
+    robustify_bench::outln!("\n-- engine csv --\n{}", result.to_csv());
 }

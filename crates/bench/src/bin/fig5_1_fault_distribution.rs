@@ -88,5 +88,7 @@ fn main() {
     let emulated = &histograms[0];
     let tiny: f64 = emulated[..7].iter().sum(); // rel err below 1e-6
     let huge: f64 = emulated[14..].iter().sum(); // rel err above 1e1 or non-finite
-    println!("emulated bimodality: {tiny:.1}% tiny (<1e-6), {huge:.1}% huge (>10 or non-finite)");
+    robustify_bench::outln!(
+        "emulated bimodality: {tiny:.1}% tiny (<1e-6), {huge:.1}% huge (>10 or non-finite)"
+    );
 }

@@ -139,7 +139,7 @@ fn main() {
         ]);
     }
     opts.emit(&table, &run);
-    println!(
+    robustify_bench::outln!(
         "baseline Cholesky: {} FLOPs at {:.2} V (accuracy ~machine precision, rel err {})",
         chol_flops,
         model.nominal_voltage(),

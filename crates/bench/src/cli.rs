@@ -16,7 +16,7 @@
 use crate::Table;
 use robustify_core::WorkloadRegistry;
 use robustify_engine::campaign::{self, protocol, CampaignRun, CampaignSpec, ResultCache};
-use stochastic_fpu::{BitFaultModel, BitWidth, FaultModelSpec};
+use stochastic_fpu::FaultModelSpec;
 
 /// Options common to every experiment binary.
 ///
@@ -147,24 +147,6 @@ impl ExperimentOptions {
         opts
     }
 
-    /// Resolves the fault-model preset as a bare bit distribution (for
-    /// binaries that study the distribution itself, e.g. Figure 5.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on preset names that are not plain bit
-    /// distributions (use [`fault_model_spec`](Self::fault_model_spec) for
-    /// the full scenario family).
-    pub fn model(&self) -> BitFaultModel {
-        match self.fault_model.as_str() {
-            "emulated" => BitFaultModel::emulated(),
-            "uniform" => BitFaultModel::uniform(BitWidth::F64),
-            "msb" => BitFaultModel::msb_only(BitWidth::F64),
-            "lsb" => BitFaultModel::lsb_only(BitWidth::F64),
-            other => usage(&format!("unknown bit-distribution fault model {other}")),
-        }
-    }
-
     /// Resolves the fault-model preset as a full [`FaultModelSpec`]
     /// scenario (every campaign accepts any family member).
     ///
@@ -268,9 +250,9 @@ impl ExperimentOptions {
                 "[{}: {} cells from {addr}, {} served from cache]",
                 outcome.name, outcome.cells, outcome.cached
             );
-            println!("\n-- csv --\n{}", outcome.csv);
+            crate::outln!("\n-- csv --\n{}", outcome.csv);
             if self.json {
-                println!("\n-- json --\n{}", outcome.json);
+                crate::outln!("\n-- json --\n{}", outcome.json);
             }
             return Ok(None);
         }
@@ -305,7 +287,7 @@ impl ExperimentOptions {
             run.throughput(),
         );
         if self.json {
-            println!("\n-- json --\n{}", run.result.to_json());
+            crate::outln!("\n-- json --\n{}", run.result.to_json());
         }
     }
 }
@@ -325,14 +307,14 @@ fn usage(msg: &str) -> ! {
 mod tests {
     use super::*;
     use robustify_core::{DynProblem, SolverSpec, Verdict};
-    use stochastic_fpu::{Fpu, NoisyFpu};
+    use stochastic_fpu::{BitFaultModel, BitWidth, Fpu, NoisyFpu};
 
     #[test]
     fn defaults() {
         let opts = ExperimentOptions::parse_from(std::iter::empty());
         assert!(!opts.fast);
         assert_eq!(opts.seed, 42);
-        assert_eq!(opts.model(), BitFaultModel::emulated());
+        assert_eq!(opts.fault_model_spec(), FaultModelSpec::default());
         assert_eq!(opts.trials(100, 10), 100);
         assert_eq!(opts.server, None);
         assert_eq!(opts.cache_dir, None);
@@ -347,7 +329,10 @@ mod tests {
         );
         assert!(opts.fast);
         assert_eq!(opts.seed, 9);
-        assert_eq!(opts.model(), BitFaultModel::lsb_only(BitWidth::F64));
+        assert_eq!(
+            opts.fault_model_spec(),
+            FaultModelSpec::transient(BitFaultModel::lsb_only(BitWidth::F64))
+        );
         assert_eq!(opts.trials(100, 10), 10);
     }
 

@@ -14,12 +14,36 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+/// `println!` through [`write_line`], so a closed stdout ends the process
+/// quietly instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_line(format_args!($($arg)*))
+    };
+}
+
 pub mod cli;
 pub mod workloads;
 
 pub use cli::ExperimentOptions;
 
 use robustify_engine::SweepResult;
+use std::io::{ErrorKind, Write};
+
+/// Writes one line to stdout: the only stdout path of the experiment
+/// binaries. A reader that closed the pipe early (`| head`) has all the
+/// output it wants, so a `BrokenPipe` exits quietly with code 0; any other
+/// write error exits with code 1.
+pub fn write_line(line: std::fmt::Arguments) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Renders a success-rate result as a `fault_rate × case` table (the shape
 /// of Figures 6.1, 6.4, 6.5).
@@ -116,23 +140,23 @@ impl Table {
                 *w = (*w).max(cell.len());
             }
         }
-        println!("\n== {} ==", self.title);
+        outln!("\n== {} ==", self.title);
         let header_line: Vec<String> = self
             .headers
             .iter()
             .zip(&widths)
             .map(|(h, w)| format!("{h:>w$}"))
             .collect();
-        println!("{}", header_line.join("  "));
+        outln!("{}", header_line.join("  "));
         for row in &self.rows {
             let line: Vec<String> = row
                 .iter()
                 .zip(&widths)
                 .map(|(c, w)| format!("{c:>w$}"))
                 .collect();
-            println!("{}", line.join("  "));
+            outln!("{}", line.join("  "));
         }
-        println!("\n-- csv --\n{}", self.to_csv());
+        outln!("\n-- csv --\n{}", self.to_csv());
     }
 }
 

@@ -88,6 +88,5 @@ pub use workload::{DynProblem, ProblemFactory, SolverFactory, WorkloadRegistry};
 // experiment from one crate — including the voltage-linked (DVFS) and
 // memory-persistent scenario families.
 pub use stochastic_fpu::{
-    DvfsStep, FaultCtx, FaultModel, FaultModelSpec, MemoryFaultKind, MemoryFaultModel,
-    VoltageErrorModel,
+    DvfsStep, FaultModelSpec, MemoryFaultKind, MemoryFaultModel, VoltageErrorModel,
 };

@@ -61,7 +61,7 @@ fn handle_submit<'env>(
     writer: &mut impl Write,
     registry: &'env WorkloadRegistry,
     cache: Option<&'env ResultCache>,
-    pool: Option<&Scheduler<'env>>,
+    pool: &Scheduler<'env>,
 ) -> io::Result<()> {
     let campaign = match request.get("campaign") {
         Some(v) => v,
@@ -86,18 +86,14 @@ fn handle_submit<'env>(
     // remembered and surfaced after the run (the run itself keeps its
     // checkpoints either way).
     let mut stream_error: Option<io::Error> = None;
-    let mut on_cell = |update: &CellUpdate| {
+    let outcome = runner::run_on(&spec, registry, cache, pool, |update| {
         if stream_error.is_some() {
             return;
         }
         if let Err(e) = writeln!(writer, "{}", cell_event(update)).and_then(|()| writer.flush()) {
             stream_error = Some(e);
         }
-    };
-    let outcome = match pool {
-        Some(pool) => runner::run_on(&spec, registry, cache, pool, on_cell),
-        None => runner::run(&spec, registry, cache, &mut on_cell),
-    };
+    });
     if let Some(e) = stream_error {
         return Err(e);
     }
@@ -120,37 +116,14 @@ fn handle_submit<'env>(
 }
 
 /// Serves one line-delimited JSON connection (stdio or a TCP stream)
-/// until EOF or a `shutdown` request, executing submissions on a private
-/// per-submit pool. Returns whether shutdown was requested.
-pub fn serve_connection(
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    registry: &WorkloadRegistry,
-    cache: Option<&ResultCache>,
-) -> io::Result<bool> {
-    serve_connection_impl(reader, writer, registry, cache, None)
-}
-
-/// [`serve_connection`], but executing submissions on an already-running
-/// shared [`Scheduler`] — the TCP daemon path, where every connection's
-/// trials interleave fairly (in submission order) on one process-wide
-/// pool.
-pub fn serve_connection_on<'env>(
+/// until EOF or a `shutdown` request, executing submissions on the
+/// running `pool`. Returns whether shutdown was requested.
+pub fn serve_connection<'env>(
     reader: &mut impl BufRead,
     writer: &mut impl Write,
     registry: &'env WorkloadRegistry,
     cache: Option<&'env ResultCache>,
     pool: &Scheduler<'env>,
-) -> io::Result<bool> {
-    serve_connection_impl(reader, writer, registry, cache, Some(pool))
-}
-
-fn serve_connection_impl<'env>(
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    registry: &'env WorkloadRegistry,
-    cache: Option<&'env ResultCache>,
-    pool: Option<&Scheduler<'env>>,
 ) -> io::Result<bool> {
     for line in reader.lines() {
         let line = line?;
@@ -213,49 +186,45 @@ pub fn serve_tcp(
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let shutdown = AtomicBool::new(false);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pool = Scheduler::new(workers);
-    std::thread::scope(|scope| {
-        pool.start(scope);
-        let mut handlers = Vec::new();
-        let outcome = loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let shutdown = &shutdown;
-                    let pool = &pool;
-                    handlers.push(scope.spawn(move || {
-                        let _ = stream.set_nonblocking(false);
-                        let mut reader = BufReader::new(match stream.try_clone() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        });
-                        let mut writer = stream;
-                        if let Ok(true) =
-                            serve_connection_on(&mut reader, &mut writer, registry, cache, pool)
-                        {
-                            shutdown.store(true, Ordering::SeqCst);
-                        }
-                    }));
+    // The pool outlives the handler scope: a handler mid-submit finishes
+    // enqueueing (and awaiting) its job before the workers are told to
+    // drain and exit.
+    Scheduler::new(0).scoped(|pool| {
+        std::thread::scope(|scope| {
+            let mut handlers = Vec::new();
+            let outcome = loop {
+                if shutdown.load(Ordering::SeqCst) {
+                    break Ok(());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
+                match listener.accept() {
+                    Ok((stream, _addr)) => {
+                        let shutdown = &shutdown;
+                        handlers.push(scope.spawn(move || {
+                            let _ = stream.set_nonblocking(false);
+                            let mut reader = BufReader::new(match stream.try_clone() {
+                                Ok(s) => s,
+                                Err(_) => return,
+                            });
+                            let mut writer = stream;
+                            if let Ok(true) =
+                                serve_connection(&mut reader, &mut writer, registry, cache, pool)
+                            {
+                                shutdown.store(true, Ordering::SeqCst);
+                            }
+                        }));
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    Err(e) => break Err(e),
                 }
-                Err(e) => break Err(e),
+            };
+            // A panicking handler loses its own connection, not the daemon.
+            for handler in handlers {
+                let _ = handler.join();
             }
-        };
-        // Handlers first, pool second: a handler mid-submit must finish
-        // enqueueing (and awaiting) its job before the workers are told
-        // to drain-and-exit — the reverse order could strand its chunks.
-        for handler in handlers {
-            let _ = handler.join();
-        }
-        pool.shutdown();
-        outcome
+            outcome
+        })
     })
 }
 
@@ -421,7 +390,9 @@ mod tests {
     fn serve_lines(input: &str, registry: &WorkloadRegistry) -> (Vec<String>, bool) {
         let mut reader = Cursor::new(input.as_bytes().to_vec());
         let mut out = Vec::new();
-        let shutdown = serve_connection(&mut reader, &mut out, registry, None).expect("serve");
+        let shutdown = Scheduler::new(2)
+            .scoped(|pool| serve_connection(&mut reader, &mut out, registry, None, pool))
+            .expect("serve");
         let text = String::from_utf8(out).expect("utf8 events");
         (text.lines().map(str::to_string).collect(), shutdown)
     }

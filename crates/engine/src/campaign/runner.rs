@@ -149,7 +149,11 @@ pub fn resolve_cells(
     spec: &CampaignSpec,
     registry: &WorkloadRegistry,
 ) -> Result<Vec<ResolvedCell>, String> {
-    let jobs = resolve_jobs(spec, registry)?;
+    Ok(cells_of(spec, &resolve_jobs(spec, registry)?))
+}
+
+/// The cells of already-resolved `jobs` (see [`resolve_cells`]).
+fn cells_of(spec: &CampaignSpec, jobs: &[ResolvedJob]) -> Vec<ResolvedCell> {
     let mut cells = Vec::with_capacity(jobs.len() * spec.rates_pct().len());
     for (job_index, job) in jobs.iter().enumerate() {
         for (rate_index, &rate_pct) in spec.rates_pct().iter().enumerate() {
@@ -160,7 +164,7 @@ pub fn resolve_cells(
             });
         }
     }
-    Ok(cells)
+    cells
 }
 
 /// One executing (cache-missed) cell inside the flattened trial space.
@@ -332,19 +336,7 @@ pub fn run(
     cache: Option<&ResultCache>,
     on_cell: impl FnMut(&CellUpdate),
 ) -> Result<CampaignRun, String> {
-    let threads = match spec.thread_count() {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    };
-    let pool = Scheduler::new(threads);
-    std::thread::scope(|scope| {
-        pool.start(scope);
-        let run = run_on(spec, registry, cache, &pool, on_cell);
-        pool.shutdown();
-        run
-    })
+    Scheduler::new(spec.thread_count()).scoped(|pool| run_on(spec, registry, cache, pool, on_cell))
 }
 
 /// [`run`], but executing on an already-running [`Scheduler`] — the one
@@ -360,7 +352,7 @@ pub fn run_on<'env>(
     // detlint::allow(nondeterministic-order, reason = "wall-clock campaign timing; excluded from result bytes")
     let start = Instant::now();
     let jobs = Arc::new(resolve_jobs(spec, registry)?);
-    let cells = resolve_cells(spec, registry)?;
+    let cells = cells_of(spec, &jobs);
     let base_seed = spec.base_seed();
     let rates = spec.rates_pct();
 
@@ -498,6 +490,7 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, Verdict};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use stochastic_fpu::{BitFaultModel, BitWidth, Fpu, VoltageErrorModel};
 
     /// A seed-deterministic FPU workload: accumulate through the noisy
@@ -623,14 +616,10 @@ mod tests {
         let reg = registry();
         let spec = campaign();
         let local = run(&spec, &reg, None, |_| {}).expect("private-pool run");
-        let pool = crate::Scheduler::new(3).with_placement(crate::Placement::Pinned(1));
-        let pooled = std::thread::scope(|scope| {
-            pool.start(scope);
-            let run = run_on(&spec, &reg, None, &pool, |_| {});
-            pool.shutdown();
-            run
-        })
-        .expect("shared-pool run");
+        let pooled = Scheduler::new(3)
+            .with_placement(crate::Placement::Pinned(1))
+            .scoped(|pool| run_on(&spec, &reg, None, pool, |_| {}))
+            .expect("shared-pool run");
         assert_eq!(pooled.result.to_csv(), local.result.to_csv());
         assert_eq!(pooled.result.to_json(), local.result.to_json());
         assert_eq!(pooled.cells_total, 6);
@@ -654,6 +643,32 @@ mod tests {
         for (a, b) in cells.iter().zip(&reseeded) {
             assert_ne!(a.key_json, b.key_json);
         }
+    }
+
+    /// Each job without a solver resolves its registry default exactly
+    /// once per run: for the paper's workloads that factory builds a whole
+    /// instance.
+    #[test]
+    fn default_solvers_resolve_once_per_job() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut reg = registry();
+        let counter = Arc::clone(&calls);
+        reg.register(
+            "counted",
+            Box::new(|_| Box::new(Drift { target: 48.0 })),
+            Box::new(move |_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                SolverSpec::baseline()
+            }),
+        );
+        let spec = CampaignSpec::new("counted")
+            .rates(vec![0.0, 5.0])
+            .trials(2)
+            .threads(1)
+            .job(JobSpec::new("a", "counted"))
+            .job(JobSpec::new("b", "counted").per_trial());
+        run(&spec, &reg, None, |_| {}).expect("campaign runs");
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -888,13 +903,11 @@ mod tests {
 
         let good = campaign();
         let expected = run_plain(&good);
-        let pool = crate::Scheduler::new(1);
-        let (failed, pooled) = std::thread::scope(|scope| {
-            pool.start(scope);
-            let failed = run_on(&bad, &reg, None, &pool, |_| {});
-            let pooled = run_on(&good, &reg, None, &pool, |_| {});
-            pool.shutdown();
-            (failed, pooled)
+        let (failed, pooled) = Scheduler::new(1).scoped(|pool| {
+            (
+                run_on(&bad, &reg, None, pool, |_| {}),
+                run_on(&good, &reg, None, pool, |_| {}),
+            )
         });
         assert!(failed.is_err());
         let pooled = pooled.expect("the pool survives a failed campaign");

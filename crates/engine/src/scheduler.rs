@@ -114,6 +114,7 @@ impl JobHandle {
 /// into a scope) → any number of [`submit`](Self::submit)s (from any
 /// thread) → [`shutdown`](Self::shutdown) once no further submits can
 /// arrive. Workers drain every queued chunk before exiting.
+/// [`scoped`](Self::scoped) runs that whole lifecycle around one closure.
 pub struct Scheduler<'env> {
     deques: Vec<Mutex<VecDeque<QueuedChunk<'env>>>>,
     /// Bumped on every submit (and on shutdown) under the lock, so a
@@ -129,13 +130,15 @@ pub struct Scheduler<'env> {
 }
 
 impl<'env> Scheduler<'env> {
-    /// A scheduler with `workers` worker slots (at least one) and
-    /// round-robin placement.
+    /// A scheduler with `workers` worker slots (`0` = the host's available
+    /// parallelism) and round-robin placement.
     pub fn new(workers: usize) -> Self {
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         Scheduler {
-            deques: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             generation: Mutex::new(0),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -167,6 +170,18 @@ impl<'env> Scheduler<'env> {
         for me in 0..self.deques.len() {
             scope.spawn(move || self.worker_loop(me));
         }
+    }
+
+    /// The whole lifecycle for a caller that owns the pool: starts the
+    /// workers in a fresh scope, runs `body` on the pool, then shuts the
+    /// pool down and joins the workers once their queues drain.
+    pub fn scoped<R>(&self, body: impl FnOnce(&Self) -> R) -> R {
+        std::thread::scope(|scope| {
+            self.start(scope);
+            let out = body(self);
+            self.shutdown();
+            out
+        })
     }
 
     /// Queues a job's chunks and returns a handle to await it. The
@@ -377,13 +392,12 @@ mod tests {
         for workers in [1usize, 2, 5] {
             for placement in [Placement::RoundRobin, Placement::Pinned(workers - 1)] {
                 let set = Arc::new(Touch::new(97));
-                let pool = Scheduler::new(workers).with_placement(placement);
-                std::thread::scope(|scope| {
-                    pool.start(scope);
-                    pool.submit(set.clone(), cell_chunks(&offsets, workers))
-                        .wait();
-                    pool.shutdown();
-                });
+                Scheduler::new(workers)
+                    .with_placement(placement)
+                    .scoped(|pool| {
+                        pool.submit(set.clone(), cell_chunks(&offsets, workers))
+                            .wait()
+                    });
                 set.assert_each_ran_once();
             }
         }
@@ -392,20 +406,16 @@ mod tests {
     #[test]
     fn many_jobs_from_many_submitters_all_complete() {
         let sets: Vec<Arc<Touch>> = (0..6).map(|i| Arc::new(Touch::new(10 + i))).collect();
-        let pool = Scheduler::new(3);
-        std::thread::scope(|scope| {
-            pool.start(scope);
+        Scheduler::new(3).scoped(|pool| {
             std::thread::scope(|submitters| {
                 for set in &sets {
-                    let pool = &pool;
                     submitters.spawn(move || {
                         let chunks = cell_chunks(&[0, set.hits.len()], pool.workers());
                         pool.submit(Arc::clone(set) as Arc<dyn WorkSet>, chunks)
                             .wait();
                     });
                 }
-            });
-            pool.shutdown();
+            })
         });
         for set in &sets {
             set.assert_each_ran_once();
@@ -415,12 +425,9 @@ mod tests {
     #[test]
     fn empty_jobs_complete_immediately() {
         let set = Arc::new(Touch::new(0));
-        let pool = Scheduler::new(2);
-        std::thread::scope(|scope| {
-            pool.start(scope);
+        Scheduler::new(2).scoped(|pool| {
             pool.submit(set.clone(), Vec::new()).wait();
             pool.submit(set, vec![0..0, 0..0]).wait();
-            pool.shutdown();
         });
     }
 }

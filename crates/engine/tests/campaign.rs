@@ -210,14 +210,10 @@ proptest! {
         // Forced steals: every chunk lands on one worker's deque, so the
         // other `threads − 1` workers execute only by stealing.
         let (dir_pin, cache_pin) = temp_cache("steal-pin");
-        let pool = Scheduler::new(threads).with_placement(Placement::Pinned(pin));
-        let stolen = std::thread::scope(|scope| {
-            pool.start(scope);
-            let run = campaign::run_on(&base, &reg, Some(&cache_pin), &pool, |_| {});
-            pool.shutdown();
-            run
-        })
-        .expect("pinned run");
+        let stolen = Scheduler::new(threads)
+            .with_placement(Placement::Pinned(pin))
+            .scoped(|pool| campaign::run_on(&base, &reg, Some(&cache_pin), pool, |_| {}))
+            .expect("pinned run");
 
         prop_assert_eq!(parallel.result.to_csv(), serial.result.to_csv());
         prop_assert_eq!(parallel.result.to_json(), serial.result.to_json());
@@ -285,23 +281,23 @@ proptest! {
 #[test]
 fn fault_model_hashes_collide_iff_specs_are_equal() {
     let family = model_family();
+    let hash = |spec: &FaultModelSpec| fnv1a_64(spec.to_json().as_bytes());
     for (i, a) in family.iter().enumerate() {
         let round_tripped =
             FaultModelSpec::from_json(&a.to_json()).expect("every family member parses");
         assert_eq!(&round_tripped, a, "round trip preserves the spec");
         assert_eq!(
-            round_tripped.content_hash(),
-            a.content_hash(),
+            hash(&round_tripped),
+            hash(a),
             "round trip preserves the hash"
         );
-        assert_eq!(a.content_hash(), fnv1a_64(a.to_json().as_bytes()));
         for (j, b) in family.iter().enumerate() {
             if i == j {
-                assert_eq!(a.content_hash(), b.content_hash());
+                assert_eq!(hash(a), hash(b));
             } else {
                 assert_ne!(
-                    a.content_hash(),
-                    b.content_hash(),
+                    hash(a),
+                    hash(b),
                     "distinct specs {} and {} must not collide",
                     a.name(),
                     b.name()

@@ -165,15 +165,10 @@ fn run(spec: &CampaignSpec, threads: usize) -> SweepResult {
 /// one worker's deque.
 fn run_pinned(spec: &CampaignSpec, workers: usize, pin: usize) -> SweepResult {
     let reg = registry();
-    let pool = Scheduler::new(workers).with_placement(Placement::Pinned(pin));
-    std::thread::scope(|scope| {
-        pool.start(scope);
-        let run = campaign::run_on(spec, &reg, None, &pool, |_| {});
-        pool.shutdown();
-        run
-    })
-    .expect("pinned run")
-    .result
+    let run = Scheduler::new(workers)
+        .with_placement(Placement::Pinned(pin))
+        .scoped(|pool| campaign::run_on(spec, &reg, None, pool, |_| {}));
+    run.expect("pinned run").result
 }
 
 proptest! {

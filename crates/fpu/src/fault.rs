@@ -52,6 +52,21 @@ impl BitWidth {
         }
     }
 
+    /// XORs `mask` into the encoding of `value`: the `f64` bits directly,
+    /// or the bits of `value` rounded to `f32` and widened back. An empty
+    /// mask returns `value` untouched, not even rounded through `f32`, so a
+    /// healthy storage slot never perturbs the values passing through it.
+    /// Every injected flip goes through here.
+    pub(crate) fn xor(self, value: f64, mask: u64) -> f64 {
+        if mask == 0 {
+            return value;
+        }
+        match self {
+            BitWidth::F32 => f32::from_bits((value as f32).to_bits() ^ mask as u32) as f64,
+            BitWidth::F64 => f64::from_bits(value.to_bits() ^ mask),
+        }
+    }
+
     /// The inverse of [`name`](Self::name), for spec parsers.
     pub fn from_name(name: &str) -> Option<Self> {
         Some(match name {
@@ -352,18 +367,6 @@ impl BitFaultModel {
             Err(i) => i,
         }
     }
-
-    /// Flips the sampled bit in `value` according to this model's width.
-    pub fn corrupt(&self, value: f64, lfsr: &mut Lfsr) -> f64 {
-        let bit = self.sample_bit(lfsr);
-        match self.width {
-            BitWidth::F32 => {
-                let bits = (value as f32).to_bits() ^ (1u32 << bit);
-                f32::from_bits(bits) as f64
-            }
-            BitWidth::F64 => f64::from_bits(value.to_bits() ^ (1u64 << bit)),
-        }
-    }
 }
 
 impl Default for BitFaultModel {
@@ -447,6 +450,11 @@ impl FaultStats {
 mod tests {
     use super::*;
 
+    /// Flips one bit of `value` drawn from `model`.
+    fn corrupt(model: &BitFaultModel, value: f64, lfsr: &mut Lfsr) -> f64 {
+        model.width().xor(value, 1 << model.sample_bit(lfsr))
+    }
+
     fn sample_histogram(model: &BitFaultModel, n: usize) -> Vec<f64> {
         let mut lfsr = Lfsr::new(0xFEED);
         let mut counts = vec![0u64; model.width().bits()];
@@ -506,7 +514,7 @@ mod tests {
         let n = 20_000;
         let mut bounded = 0;
         for _ in 0..n {
-            let c = model.corrupt(3.7, &mut lfsr);
+            let c = corrupt(&model, 3.7, &mut lfsr);
             let rel = ((c - 3.7) / 3.7).abs();
             if rel <= 1.0 {
                 bounded += 1;
@@ -549,7 +557,7 @@ mod tests {
         let model = BitFaultModel::lsb_only(BitWidth::F64);
         let mut lfsr = Lfsr::new(3);
         for _ in 0..1000 {
-            let corrupted = model.corrupt(1.0, &mut lfsr);
+            let corrupted = corrupt(&model, 1.0, &mut lfsr);
             assert!(
                 (corrupted - 1.0).abs() < 1e-7,
                 "low-bit flip changed 1.0 to {corrupted}"
@@ -562,7 +570,7 @@ mod tests {
         let model = BitFaultModel::msb_only(BitWidth::F64);
         let mut lfsr = Lfsr::new(17);
         for _ in 0..1000 {
-            let corrupted = model.corrupt(1.0, &mut lfsr);
+            let corrupted = corrupt(&model, 1.0, &mut lfsr);
             let changed = corrupted != 1.0;
             assert!(changed, "exponent/sign flip left value unchanged");
             // The smallest exponent-field perturbation of 1.0 flips the
@@ -577,7 +585,7 @@ mod tests {
         let model = BitFaultModel::uniform(BitWidth::F64);
         let mut lfsr = Lfsr::new(9);
         for &v in &[0.0, 1.0, -3.25, 1e300, 1e-300] {
-            let c = model.corrupt(v, &mut lfsr);
+            let c = corrupt(&model, v, &mut lfsr);
             let diff = (v.to_bits() ^ c.to_bits()).count_ones();
             assert_eq!(diff, 1, "value {v} -> {c} flipped {diff} bits");
         }
@@ -587,9 +595,17 @@ mod tests {
     fn corrupt_f32_stays_in_f32_grid() {
         let model = BitFaultModel::uniform(BitWidth::F32);
         let mut lfsr = Lfsr::new(9);
-        let c = model.corrupt(1.5, &mut lfsr);
+        let c = corrupt(&model, 1.5, &mut lfsr);
         // Round-tripping through f32 must be exact for an injected f32 value.
         assert_eq!(c, c as f32 as f64);
+    }
+
+    #[test]
+    fn zero_mask_is_a_perfect_no_op_even_for_f32() {
+        // A healthy f32-width slot must not round values through f32.
+        let exact = 1.0 + 1e-12;
+        assert_eq!(BitWidth::F32.xor(exact, 0), exact);
+        assert_ne!(BitWidth::F32.xor(exact, 1), exact);
     }
 
     #[test]

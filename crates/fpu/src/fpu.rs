@@ -10,7 +10,7 @@
 use crate::fault::{FaultRate, FaultStats};
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultState;
-use crate::model::{FaultCtx, FaultModel, FaultModelSpec};
+use crate::model::{FaultCtx, FaultModelSpec};
 
 /// Width of the fault-free fast lane: the unroll factor of the batch
 /// kernels' `chunks_exact` microkernels, and the number of independent
@@ -876,14 +876,13 @@ impl Fpu for ReliableFpu {
 /// The fault-injecting FPU of the paper's FPGA framework.
 ///
 /// At LFSR-scheduled random intervals — uniform with mean equal to the
-/// configured [`FaultRate`]'s mean interval — the injector hands the
-/// operation to a pluggable [`FaultModel`](crate::FaultModel) strategy
-/// described by a [`FaultModelSpec`]. The paper's scenario (a transient
-/// single-bit flip of the committed result, per a
+/// configured [`FaultRate`]'s mean interval — the injector lets its
+/// [`FaultModelSpec`] corrupt the operation. The paper's scenario (a
+/// transient single-bit flip of the committed result, per a
 /// [`BitFaultModel`](crate::BitFaultModel) distribution) is the
-/// [`FaultModelSpec::Transient`] variant and the
-/// default; stuck-at, burst, operand-side, intermittent and op-selective
-/// scenarios plug in through the same interface.
+/// [`FaultModelSpec::Transient`] variant and the default; stuck-at,
+/// burst, operand-side, intermittent and op-selective scenarios are the
+/// other variants of the same enum.
 ///
 /// # Examples
 ///
@@ -913,7 +912,6 @@ impl Fpu for ReliableFpu {
 pub struct NoisyFpu {
     rate: FaultRate,
     spec: FaultModelSpec,
-    model: std::sync::Arc<dyn FaultModel>,
     lfsr: Lfsr,
     /// FLOPs remaining until the next injection (0 when rate is zero).
     countdown: u64,
@@ -952,8 +950,14 @@ impl NoisyFpu {
     /// voltage. Memory-persistent specs allocate shadow storage whose
     /// corruptions outlive the ops that suffered them (inspect it via
     /// [`memory_state`](Self::memory_state)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a combinator in the spec nests an injector-level spec
+    /// (possible only for a spec assembled as an enum literal).
     pub fn new(rate: FaultRate, model: impl Into<FaultModelSpec>, seed: u64) -> Self {
         let spec = model.into();
+        spec.assert_nesting();
         let rate = spec.rate_override().unwrap_or(rate);
         let memory = spec.memory_model().cloned().map(MemoryFaultState::new);
         // One source of truth for the schedule-to-rate mapping, shared
@@ -961,7 +965,6 @@ impl NoisyFpu {
         let dvfs = spec.dvfs_segments();
         let mut fpu = NoisyFpu {
             rate,
-            model: spec.build(),
             spec,
             lfsr: Lfsr::new(seed),
             countdown: 0,
@@ -1104,7 +1107,7 @@ impl Fpu for NoisyFpu {
                     exact,
                     flop,
                 };
-                self.model.corrupt(&ctx, &mut self.lfsr, &mut self.stats)
+                self.spec.corrupt(&ctx, &mut self.lfsr, &mut self.stats)
             }
             None => exact,
         }

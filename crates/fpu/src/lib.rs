@@ -13,9 +13,8 @@
 //! * [`ReliableFpu`] — exact IEEE-754 arithmetic with FLOP accounting; the
 //!   "control plane" and the error-free baseline.
 //! * [`NoisyFpu`] — the fault injector: corrupts operation results at
-//!   LFSR-scheduled random intervals according to a pluggable
-//!   [`FaultModel`] scenario described by a serializable
-//!   [`FaultModelSpec`]. The paper's scenario — flip one randomly chosen
+//!   LFSR-scheduled random intervals according to a serializable
+//!   [`FaultModelSpec`] scenario. The paper's scenario — flip one randomly chosen
 //!   bit of the committed result, position drawn from a
 //!   [`BitFaultModel`] (Figure 5.1 is the [`BitFaultModel::emulated`]
 //!   preset) — is the default; stuck-at-0/1 bits, multi-bit bursts,
@@ -73,5 +72,5 @@ pub use fpu::{
 };
 pub use lfsr::Lfsr;
 pub use memory::{MemoryFaultKind, MemoryFaultModel, MemoryFaultState};
-pub use model::{DvfsStep, FaultCtx, FaultModel, FaultModelSpec};
+pub use model::{DvfsStep, FaultModelSpec};
 pub use processor::{StochasticProcessor, SystemEnergyReport};

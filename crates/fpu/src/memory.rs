@@ -160,10 +160,7 @@ impl MemoryFaultModel {
             self.slots,
             self.scrub_interval,
             self.bits.kind(),
-            match self.bits.width() {
-                BitWidth::F32 => "f32",
-                BitWidth::F64 => "f64",
-            },
+            self.bits.width().name(),
         )
     }
 
@@ -200,19 +197,6 @@ impl MemoryFaultModel {
             MemoryFaultKind::RegisterFile => Self::register_file(slots, bits, scrub_interval),
             MemoryFaultKind::ArrayResident => Self::array_resident(slots, bits, scrub_interval),
         })
-    }
-}
-
-/// XORs `mask` into `value` on the model's bit grid (no-op for an empty
-/// mask, so healthy slots never perturb values — not even by an `f32`
-/// round trip).
-fn apply_mask(value: f64, mask: u64, width: BitWidth) -> f64 {
-    if mask == 0 {
-        return value;
-    }
-    match width {
-        BitWidth::F32 => f32::from_bits((value as f32).to_bits() ^ (mask as u32)) as f64,
-        BitWidth::F64 => f64::from_bits(value.to_bits() ^ mask),
     }
 }
 
@@ -269,10 +253,7 @@ impl MemoryFaultState {
         let width = self.model.bits.width();
         let wa = ((2 * flop) % n) as usize;
         let wb = ((2 * flop + 1) % n) as usize;
-        (
-            apply_mask(a, self.masks[wa], width),
-            apply_mask(b, self.masks[wb], width),
-        )
+        (width.xor(a, self.masks[wa]), width.xor(b, self.masks[wb]))
     }
 
     /// Commits the result of FLOP `flop` through storage: register-file
@@ -281,9 +262,7 @@ impl MemoryFaultState {
     pub fn commit_result(&mut self, flop: u64, value: f64) -> f64 {
         let slot = (flop % self.model.slots as u64) as usize;
         match self.model.kind {
-            MemoryFaultKind::RegisterFile => {
-                apply_mask(value, self.masks[slot], self.model.bits.width())
-            }
+            MemoryFaultKind::RegisterFile => self.model.bits.width().xor(value, self.masks[slot]),
             MemoryFaultKind::ArrayResident => {
                 self.masks[slot] = 0;
                 value
@@ -401,14 +380,6 @@ mod tests {
         assert!(state.corrupted_slots() > 0, "no scrub before the boundary");
         state.begin_op(100);
         assert_eq!(state.corrupted_slots(), 0, "scrub boundary clears all");
-    }
-
-    #[test]
-    fn zero_mask_is_a_perfect_no_op_even_for_f32() {
-        // A healthy f32-width slot must not round values through f32.
-        let exact = 1.0 + 1e-12;
-        assert_eq!(apply_mask(exact, 0, BitWidth::F32), exact);
-        assert_ne!(apply_mask(exact, 1, BitWidth::F32), exact);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pluggable fault models: the scenario axis of the fault injector.
+//! Fault-model scenarios: the scenario axis of the fault injector.
 //!
 //! The paper evaluates one hardware scenario — a transient single-bit flip
 //! in the FPU result, with the bit position drawn from a circuit-modeled
@@ -8,21 +8,14 @@
 //! cycle of their aggressor, latches corrupt *operands* on the way into a
 //! functional unit, and hot spots make faults *op-selective* (the
 //! multiplier array fails long before the adder). This module makes the
-//! scenario a first-class, sweepable axis:
+//! scenario a first-class, sweepable axis with one plain-data enum,
+//! [`FaultModelSpec`]. The same value is serialized into campaign jobs and
+//! result documents, names the CSV `fault_model` column, and corrupts
+//! every strike the injector schedules.
 //!
-//! * [`FaultModel`] — the object-safe corruption strategy every injector
-//!   implements. Given the operation, its operands, the exact result and
-//!   the injector's LFSR, it produces the committed (possibly corrupted)
-//!   value. Determinism contract: the output depends only on the inputs
-//!   and the LFSR state, never on ambient state.
-//! * [`FaultModelSpec`] — the serializable, plain-data description of a
-//!   model (the analogue of `SolverSpec` for the injector side), from
-//!   which [`build`](FaultModelSpec::build) constructs the strategy.
-//! * [`FaultCtx`] — the per-strike context handed to a model.
-//!
-//! The engine's sweep grids carry a `FaultModelSpec` per sweep (with
-//! per-case overrides), so experiments become
-//! `(problem × fault model × fault rate × solver)` grids.
+//! Determinism contract: a strike's committed value depends only on the
+//! operation, its operands, the FLOP index and draws from the injector's
+//! LFSR, never on ambient state.
 
 use crate::energy::VoltageErrorModel;
 use crate::fault::{BitFaultModel, BitWidth, FaultRate, FaultStats};
@@ -30,14 +23,14 @@ use crate::fpu::FlopOp;
 use crate::json::JsonValue;
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultModel;
-use std::sync::Arc;
+use std::sync::LazyLock;
 
-/// Everything a fault model may condition on when corrupting one strike.
+/// Everything a scenario may condition on when corrupting one strike.
 ///
 /// `flop` is the zero-based index of the operation within the trial, which
 /// lets duty-cycle models gate on *time* while staying deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultCtx {
+pub(crate) struct FaultCtx {
     /// The operation being executed.
     pub op: FlopOp,
     /// First operand.
@@ -50,32 +43,15 @@ pub struct FaultCtx {
     pub flop: u64,
 }
 
-/// An object-safe corruption strategy: what happens when the injector's
-/// LFSR schedule says a fault strikes.
-///
-/// Implementations must be *seed-deterministic*: the returned value (and
-/// any statistics recorded) may depend only on the [`FaultCtx`] and on
-/// draws from the supplied [`Lfsr`]. Models that decline to corrupt (an
-/// intermittent model outside its duty window, an op-selective model on a
-/// non-selected op) return `ctx.exact` unchanged and record nothing.
-pub trait FaultModel: std::fmt::Debug + Send + Sync {
-    /// A short stable name for emitters and diagnostics.
-    fn name(&self) -> String;
+/// The bit distribution of the voltage-linked scenarios' flips.
+static EMULATED: LazyLock<BitFaultModel> = LazyLock::new(BitFaultModel::emulated);
 
-    /// Produces the committed result for one scheduled strike, recording
-    /// any injected fault into `stats`.
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64;
-}
-
-/// Flips `bit` of `value` in the given encoding (widening back for f32).
-fn flip_bit(value: f64, bit: usize, width: BitWidth) -> f64 {
-    match width {
-        BitWidth::F32 => {
-            let bits = (value as f32).to_bits() ^ (1u32 << bit);
-            f32::from_bits(bits) as f64
-        }
-        BitWidth::F64 => f64::from_bits(value.to_bits() ^ (1u64 << bit)),
-    }
+/// The paper's transient flip: XORs one bit drawn from `model` into
+/// `value` and records it.
+fn flip(model: &BitFaultModel, value: f64, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
+    let bit = model.sample_bit(lfsr);
+    stats.record_fault(model.width(), bit);
+    model.width().xor(value, 1 << bit)
 }
 
 /// Forces `bit` of `value` to `one` in the given encoding. Returns the
@@ -103,216 +79,16 @@ fn force_bit(value: f64, bit: usize, one: bool, width: BitWidth) -> (f64, bool) 
     }
 }
 
-/// The paper's scenario: a transient single-bit flip in the committed
-/// result, position drawn from a [`BitFaultModel`] distribution.
-#[derive(Debug, Clone)]
-struct TransientFlip {
-    model: BitFaultModel,
-}
-
-impl FaultModel for TransientFlip {
-    fn name(&self) -> String {
-        format!("transient_{}", self.model.kind())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let bit = self.model.sample_bit(lfsr);
-        stats.record_fault(self.model.width(), bit);
-        flip_bit(ctx.exact, bit, self.model.width())
-    }
-}
-
-/// A stuck-at fault: one fixed bit of the result datapath is tied to a
-/// constant 0 or 1. Strikes on results whose bit already holds the stuck
-/// value are invisible and record nothing.
-#[derive(Debug, Clone)]
-struct StuckAtFault {
-    bit: usize,
-    stuck_to_one: bool,
-    width: BitWidth,
-}
-
-impl FaultModel for StuckAtFault {
-    fn name(&self) -> String {
-        format!(
-            "stuck{}_bit{}",
-            if self.stuck_to_one { 1 } else { 0 },
-            self.bit
-        )
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, _lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let (forced, changed) = force_bit(ctx.exact, self.bit, self.stuck_to_one, self.width);
-        if changed {
-            stats.record_fault(self.width, self.bit);
-        }
-        forced
-    }
-}
-
-/// A multi-bit burst: a timing violation smears across `length` adjacent
-/// bits starting at a sampled position (clamped at the encoding's top).
-#[derive(Debug, Clone)]
-struct BurstFlip {
-    model: BitFaultModel,
-    length: usize,
-}
-
-impl FaultModel for BurstFlip {
-    fn name(&self) -> String {
-        format!("burst{}_{}", self.length, self.model.kind())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let width = self.model.width();
-        let start = self.model.sample_bit(lfsr);
-        // One fault event, recorded at its primary (sampled) position.
-        stats.record_fault(width, start);
-        let mut value = ctx.exact;
-        for bit in start..(start + self.length).min(width.bits()) {
-            value = flip_bit(value, bit, width);
-        }
-        value
-    }
-}
-
-/// Operand-side corruption: the fault lands on an *input* latch, so the
-/// functional unit computes an exact result of a wrong operand.
-#[derive(Debug, Clone)]
-struct OperandFlip {
-    model: BitFaultModel,
-}
-
-impl FaultModel for OperandFlip {
-    fn name(&self) -> String {
-        format!("operand_{}", self.model.kind())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let bit = self.model.sample_bit(lfsr);
-        stats.record_fault(self.model.width(), bit);
-        // Unary ops only have operand `a`; binary ops pick one by an LFSR
-        // coin flip (drawn after the bit so the bit distribution matches
-        // the configured model exactly).
-        let corrupt_a = matches!(ctx.op, FlopOp::Sqrt) || lfsr.next_f64() < 0.5;
-        if corrupt_a {
-            let a = flip_bit(ctx.a, bit, self.model.width());
-            ctx.op.exact(a, ctx.b)
-        } else {
-            let b = flip_bit(ctx.b, bit, self.model.width());
-            ctx.op.exact(ctx.a, b)
-        }
-    }
-}
-
-/// An intermittent fault: the inner model is active only while the FLOP
-/// index lies in the first `duty` fraction of each `period`-FLOP window —
-/// the signature of a marginal circuit tracking its aggressor's duty
-/// cycle. Strikes outside the window pass through untouched.
-#[derive(Debug)]
-struct DutyCycleFault {
-    inner: Arc<dyn FaultModel>,
-    duty: f64,
-    period: u64,
-    /// Precomputed `round(duty * period)`.
-    active: u64,
-}
-
-impl FaultModel for DutyCycleFault {
-    fn name(&self) -> String {
-        format!(
-            "intermittent{}_{}",
-            (self.duty * 100.0).round() as u64,
-            self.inner.name()
-        )
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        if ctx.flop % self.period < self.active {
-            self.inner.corrupt(ctx, lfsr, stats)
-        } else {
-            ctx.exact
-        }
-    }
-}
-
-/// The corruption strategy of the voltage-linked scenarios: the paper's
-/// transient emulated-distribution flip, named after its operating point.
-/// The *rate* side of a voltage-linked scenario is enforced by
-/// [`NoisyFpu`](crate::NoisyFpu) (via
-/// [`FaultModelSpec::rate_override`] /
-/// [`FaultModelSpec::dvfs_rate_at`]), not here.
-#[derive(Debug)]
-struct VoltageLinkedFlip {
-    name: String,
-    inner: TransientFlip,
-}
-
-impl FaultModel for VoltageLinkedFlip {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        self.inner.corrupt(ctx, lfsr, stats)
-    }
-}
-
-/// The stateless projection of a memory-persistent fault: a transient flip
-/// drawn from the same bit distribution. Used only when a memory spec's
-/// built model is driven outside a [`NoisyFpu`](crate::NoisyFpu) — the FPU
-/// itself intercepts memory specs and applies the true persistent
-/// semantics through [`MemoryFaultState`](crate::MemoryFaultState).
-#[derive(Debug)]
-struct MemoryShadowFault {
-    model: MemoryFaultModel,
-}
-
-impl FaultModel for MemoryShadowFault {
-    fn name(&self) -> String {
-        self.model.name()
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let bit = self.model.bits().sample_bit(lfsr);
-        stats.record_fault(self.model.bits().width(), bit);
-        flip_bit(ctx.exact, bit, self.model.bits().width())
-    }
-}
-
-/// An op-selective fault: only the listed operations' functional units are
-/// faulty (e.g. only mul/div, matching a multiplier-array hot spot).
-/// Strikes on other ops pass through untouched.
-#[derive(Debug)]
-struct OpSelectiveFault {
-    inner: Arc<dyn FaultModel>,
-    ops: Vec<FlopOp>,
-}
-
-impl FaultModel for OpSelectiveFault {
-    fn name(&self) -> String {
-        let ops: Vec<&str> = self.ops.iter().map(|op| op.name()).collect();
-        format!("only_{}_{}", ops.join("+"), self.inner.name())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        if self.ops.contains(&ctx.op) {
-            self.inner.corrupt(ctx, lfsr, stats)
-        } else {
-            ctx.exact
-        }
-    }
-}
-
 /// A serializable, plain-data description of a fault model — the analogue
 /// of `robustify_core`'s `SolverSpec` for the injector side of a sweep.
 ///
-/// Specs are built in code, carried by sweep grids (with per-case
+/// Specs are built in code, carried by campaign grids (with per-job
 /// overrides), serialized into result documents for provenance via
-/// [`to_json`](Self::to_json), and instantiated with
-/// [`build`](Self::build). The combinator variants
+/// [`to_json`](Self::to_json), and handed to
+/// [`NoisyFpu`](crate::NoisyFpu), which asks the spec to corrupt each
+/// scheduled strike. The combinator variants
 /// ([`Intermittent`](Self::Intermittent), [`OpSelective`](Self::OpSelective))
-/// nest any other spec.
+/// nest any spec that is not [injector-level](Self::is_injector_level).
 ///
 /// # Examples
 ///
@@ -335,7 +111,8 @@ pub enum FaultModelSpec {
         /// Bit-position distribution (and width) of the flip.
         model: BitFaultModel,
     },
-    /// A result bit tied to 0 or 1.
+    /// A result bit tied to 0 or 1. A strike on a result whose bit
+    /// already holds the stuck value is invisible and records nothing.
     StuckAt {
         /// The affected bit (LSB-first index into the encoding).
         bit: usize,
@@ -344,19 +121,24 @@ pub enum FaultModelSpec {
         /// The encoding the fault applies to.
         width: BitWidth,
     },
-    /// A burst of adjacent result-bit flips.
+    /// A burst of adjacent result-bit flips from a sampled start bit,
+    /// clamped at the encoding's top and recorded as one fault at the
+    /// start bit.
     Burst {
         /// Distribution of the burst's starting bit.
         model: BitFaultModel,
         /// Number of adjacent bits flipped (≥ 1).
         length: usize,
     },
-    /// A single-bit flip in an input operand before the op executes.
+    /// A single-bit flip in an input operand before the op executes, so
+    /// the unit computes the exact result of a wrong operand.
     Operand {
         /// Bit-position distribution (and width) of the operand flip.
         model: BitFaultModel,
     },
-    /// The inner model, active only during a duty-cycle window.
+    /// The inner model, active only while the FLOP index lies in the
+    /// first `duty` fraction of each `period`-FLOP window: a marginal
+    /// circuit tracking its aggressor's duty cycle.
     Intermittent {
         /// The gated model.
         inner: Box<FaultModelSpec>,
@@ -365,7 +147,8 @@ pub enum FaultModelSpec {
         /// Window length in FLOPs.
         period: u64,
     },
-    /// The inner model, restricted to a set of operations.
+    /// The inner model, restricted to a set of operations (e.g. mul/div,
+    /// a multiplier-array hot spot).
     OpSelective {
         /// The restricted model.
         inner: Box<FaultModelSpec>,
@@ -471,16 +254,13 @@ impl FaultModelSpec {
             "duty cycle must be in (0, 1], got {duty}"
         );
         assert!(period > 0, "duty-cycle period must be positive");
-        assert!(
-            !inner.is_injector_level(),
-            "{} is injector-level and cannot nest inside a combinator",
-            inner.name()
-        );
-        FaultModelSpec::Intermittent {
+        let spec = FaultModelSpec::Intermittent {
             inner: Box::new(inner),
             duty,
             period,
-        }
+        };
+        spec.assert_nesting();
+        spec
     }
 
     /// Restricts `inner` to the listed operations.
@@ -491,15 +271,12 @@ impl FaultModelSpec {
     /// (voltage-linked, DVFS, memory) that cannot nest.
     pub fn op_selective(ops: Vec<FlopOp>, inner: FaultModelSpec) -> Self {
         assert!(!ops.is_empty(), "op-selective fault needs at least one op");
-        assert!(
-            !inner.is_injector_level(),
-            "{} is injector-level and cannot nest inside a combinator",
-            inner.name()
-        );
-        FaultModelSpec::OpSelective {
+        let spec = FaultModelSpec::OpSelective {
             inner: Box::new(inner),
             ops,
-        }
+        };
+        spec.assert_nesting();
+        spec
     }
 
     /// The paper's transient flip with its rate tied to a fixed
@@ -578,6 +355,23 @@ impl FaultModelSpec {
                 | FaultModelSpec::DvfsSchedule { .. }
                 | FaultModelSpec::Memory { .. }
         )
+    }
+
+    /// Panics if a combinator anywhere in the spec nests an injector-level
+    /// spec, whose rate or persistence semantics would be silently lost.
+    /// The constructors check this; [`NoisyFpu::new`](crate::NoisyFpu::new)
+    /// checks it again for specs assembled as enum literals.
+    pub(crate) fn assert_nesting(&self) {
+        if let FaultModelSpec::Intermittent { inner, .. }
+        | FaultModelSpec::OpSelective { inner, .. } = self
+        {
+            assert!(
+                !inner.is_injector_level(),
+                "{} is injector-level and cannot nest inside a combinator",
+                inner.name()
+            );
+            inner.assert_nesting();
+        }
     }
 
     /// The fixed fault rate this spec mandates, if any: a
@@ -730,8 +524,106 @@ impl FaultModelSpec {
     /// A short stable name (used as the default case label suffix and the
     /// CSV `fault_model` column).
     pub fn name(&self) -> String {
-        // Delegate to the built model so spec and model never disagree.
-        self.build().name()
+        match self {
+            FaultModelSpec::Transient { model } => format!("transient_{}", model.kind()),
+            FaultModelSpec::StuckAt {
+                bit, stuck_to_one, ..
+            } => format!("stuck{}_bit{bit}", u8::from(*stuck_to_one)),
+            FaultModelSpec::Burst { model, length } => format!("burst{length}_{}", model.kind()),
+            FaultModelSpec::Operand { model } => format!("operand_{}", model.kind()),
+            FaultModelSpec::Intermittent { inner, duty, .. } => format!(
+                "intermittent{}_{}",
+                (duty * 100.0).round() as u64,
+                inner.name()
+            ),
+            FaultModelSpec::OpSelective { inner, ops } => {
+                let ops: Vec<&str> = ops.iter().map(|op| op.name()).collect();
+                format!("only_{}_{}", ops.join("+"), inner.name())
+            }
+            FaultModelSpec::VoltageLinked { voltage, .. } => {
+                format!("vdd{voltage:.3}_transient_emulated")
+            }
+            FaultModelSpec::DvfsSchedule { steps, .. } => {
+                format!("dvfs{}step_transient_emulated", steps.len())
+            }
+            FaultModelSpec::Memory { model } => model.name(),
+        }
+    }
+
+    /// Produces the committed result for one strike the injector
+    /// scheduled, recording any injected fault into `stats`.
+    ///
+    /// The value and the statistics depend only on `ctx` and on draws from
+    /// `lfsr`. A scenario that declines a strike (an intermittent fault
+    /// outside its duty window, an op-selective fault on another op, a
+    /// stuck-at bit that already holds its value) records nothing. The
+    /// voltage-linked scenarios flip with the paper's emulated
+    /// distribution; their *rate* is the injector's business. A memory
+    /// spec applies a stateless flip here: [`NoisyFpu`](crate::NoisyFpu)
+    /// routes memory specs through
+    /// [`MemoryFaultState`](crate::MemoryFaultState) instead.
+    pub(crate) fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
+        match self {
+            FaultModelSpec::Transient { model } => flip(model, ctx.exact, lfsr, stats),
+            FaultModelSpec::StuckAt {
+                bit,
+                stuck_to_one,
+                width,
+            } => {
+                let (forced, changed) = force_bit(ctx.exact, *bit, *stuck_to_one, *width);
+                if changed {
+                    stats.record_fault(*width, *bit);
+                }
+                forced
+            }
+            FaultModelSpec::Burst { model, length } => {
+                let width = model.width();
+                let start = model.sample_bit(lfsr);
+                // One fault event, recorded at its primary (sampled) position.
+                stats.record_fault(width, start);
+                let mut value = ctx.exact;
+                for bit in start..(start + length).min(width.bits()) {
+                    value = width.xor(value, 1 << bit);
+                }
+                value
+            }
+            FaultModelSpec::Operand { model } => {
+                let width = model.width();
+                let bit = model.sample_bit(lfsr);
+                stats.record_fault(width, bit);
+                // Unary ops only have operand `a`; binary ops pick one by an
+                // LFSR coin flip (drawn after the bit so the bit distribution
+                // matches the configured model exactly).
+                if matches!(ctx.op, FlopOp::Sqrt) || lfsr.next_f64() < 0.5 {
+                    ctx.op.exact(width.xor(ctx.a, 1 << bit), ctx.b)
+                } else {
+                    ctx.op.exact(ctx.a, width.xor(ctx.b, 1 << bit))
+                }
+            }
+            FaultModelSpec::Intermittent {
+                inner,
+                duty,
+                period,
+            } => {
+                let active = ((duty * *period as f64).round() as u64).clamp(1, *period);
+                if ctx.flop % period < active {
+                    inner.corrupt(ctx, lfsr, stats)
+                } else {
+                    ctx.exact
+                }
+            }
+            FaultModelSpec::OpSelective { inner, ops } => {
+                if ops.contains(&ctx.op) {
+                    inner.corrupt(ctx, lfsr, stats)
+                } else {
+                    ctx.exact
+                }
+            }
+            FaultModelSpec::VoltageLinked { .. } | FaultModelSpec::DvfsSchedule { .. } => {
+                flip(&EMULATED, ctx.exact, lfsr, stats)
+            }
+            FaultModelSpec::Memory { model } => flip(model.bits(), ctx.exact, lfsr, stats),
+        }
     }
 
     /// Serializes the spec to a single-line JSON object — the wire format
@@ -742,7 +634,7 @@ impl FaultModelSpec {
             FaultModelSpec::Transient { model } => format!(
                 "{{\"kind\":\"transient\",\"distribution\":\"{}\",\"width\":\"{}\"}}",
                 model.kind(),
-                width_name(model.width()),
+                model.width().name(),
             ),
             FaultModelSpec::StuckAt {
                 bit,
@@ -751,17 +643,17 @@ impl FaultModelSpec {
             } => format!(
                 "{{\"kind\":\"stuck_at\",\"bit\":{bit},\"stuck_to\":{},\"width\":\"{}\"}}",
                 u8::from(*stuck_to_one),
-                width_name(*width),
+                width.name(),
             ),
             FaultModelSpec::Burst { model, length } => format!(
                 "{{\"kind\":\"burst\",\"length\":{length},\"distribution\":\"{}\",\"width\":\"{}\"}}",
                 model.kind(),
-                width_name(model.width()),
+                model.width().name(),
             ),
             FaultModelSpec::Operand { model } => format!(
                 "{{\"kind\":\"operand\",\"distribution\":\"{}\",\"width\":\"{}\"}}",
                 model.kind(),
-                width_name(model.width()),
+                model.width().name(),
             ),
             FaultModelSpec::Intermittent {
                 inner,
@@ -946,87 +838,6 @@ impl FaultModelSpec {
             other => return Err(format!("unknown fault model kind \"{other}\"")),
         })
     }
-
-    /// The 64-bit FNV-1a content hash of the spec's canonical JSON — the
-    /// fault-model component of campaign cache keys. Semantically equal
-    /// specs serialize identically, so they hash identically; distinct
-    /// specs differ in their JSON and (modulo hash collisions) in their
-    /// hash.
-    pub fn content_hash(&self) -> u64 {
-        crate::json::fnv1a_64(self.to_json().as_bytes())
-    }
-
-    /// Instantiates the corruption strategy this spec describes.
-    pub fn build(&self) -> Arc<dyn FaultModel> {
-        match self {
-            FaultModelSpec::Transient { model } => Arc::new(TransientFlip {
-                model: model.clone(),
-            }),
-            FaultModelSpec::StuckAt {
-                bit,
-                stuck_to_one,
-                width,
-            } => Arc::new(StuckAtFault {
-                bit: *bit,
-                stuck_to_one: *stuck_to_one,
-                width: *width,
-            }),
-            FaultModelSpec::Burst { model, length } => Arc::new(BurstFlip {
-                model: model.clone(),
-                length: *length,
-            }),
-            FaultModelSpec::Operand { model } => Arc::new(OperandFlip {
-                model: model.clone(),
-            }),
-            FaultModelSpec::Intermittent {
-                inner,
-                duty,
-                period,
-            } => {
-                // Belt-and-braces for specs assembled as enum literals,
-                // bypassing the constructor's nesting guard: an
-                // injector-level inner would silently lose its rate /
-                // persistence semantics here.
-                assert!(
-                    !inner.is_injector_level(),
-                    "{} is injector-level and cannot nest inside a combinator",
-                    inner.name()
-                );
-                Arc::new(DutyCycleFault {
-                    inner: inner.build(),
-                    duty: *duty,
-                    period: *period,
-                    active: ((duty * *period as f64).round() as u64).clamp(1, *period),
-                })
-            }
-            FaultModelSpec::OpSelective { inner, ops } => {
-                assert!(
-                    !inner.is_injector_level(),
-                    "{} is injector-level and cannot nest inside a combinator",
-                    inner.name()
-                );
-                Arc::new(OpSelectiveFault {
-                    inner: inner.build(),
-                    ops: ops.clone(),
-                })
-            }
-            FaultModelSpec::VoltageLinked { voltage, .. } => Arc::new(VoltageLinkedFlip {
-                name: format!("vdd{voltage:.3}_transient_emulated"),
-                inner: TransientFlip {
-                    model: BitFaultModel::emulated(),
-                },
-            }),
-            FaultModelSpec::DvfsSchedule { steps, .. } => Arc::new(VoltageLinkedFlip {
-                name: format!("dvfs{}step_transient_emulated", steps.len()),
-                inner: TransientFlip {
-                    model: BitFaultModel::emulated(),
-                },
-            }),
-            FaultModelSpec::Memory { model } => Arc::new(MemoryShadowFault {
-                model: model.clone(),
-            }),
-        }
-    }
 }
 
 impl Default for FaultModelSpec {
@@ -1059,16 +870,10 @@ pub(crate) fn dvfs_segment_rate(segments: &[(u64, f64)], flop: u64) -> f64 {
         .unwrap_or_else(|| segments.last().expect("schedule is non-empty").1)
 }
 
-fn width_name(width: BitWidth) -> &'static str {
-    match width {
-        BitWidth::F32 => "f32",
-        BitWidth::F64 => "f64",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::fnv1a_64;
 
     fn ctx(op: FlopOp, a: f64, b: f64, flop: u64) -> FaultCtx {
         FaultCtx {
@@ -1083,12 +888,11 @@ mod tests {
     /// Runs `n` strikes of `spec` with a fixed seed and returns the
     /// committed values.
     fn strike_stream(spec: &FaultModelSpec, seed: u64, n: usize) -> Vec<f64> {
-        let model = spec.build();
         let mut lfsr = Lfsr::new(seed);
         let mut stats = FaultStats::default();
         (0..n)
             .map(|i| {
-                model.corrupt(
+                spec.corrupt(
                     &ctx(FlopOp::Mul, 3.0 + i as f64, 5.0, i as u64),
                     &mut lfsr,
                     &mut stats,
@@ -1154,22 +958,20 @@ mod tests {
 
     #[test]
     fn transient_matches_the_legacy_injector_path() {
-        // The compatibility contract: TransientFlip consumes exactly one
-        // LFSR f64 draw and flips exactly the sampled bit, byte-for-byte
-        // what NoisyFpu did before the trait existed.
+        // The compatibility contract: a transient strike consumes exactly
+        // one LFSR f64 draw and flips exactly the sampled bit.
         let bit_model = BitFaultModel::emulated();
         let spec = FaultModelSpec::transient(bit_model.clone());
-        let model = spec.build();
         let mut lfsr_a = Lfsr::new(99);
         let mut lfsr_b = Lfsr::new(99);
         let mut stats = FaultStats::default();
         for i in 0..512u64 {
             let c = ctx(FlopOp::Add, i as f64, 0.5, i);
-            let got = model.corrupt(&c, &mut lfsr_a, &mut stats);
+            let got = spec.corrupt(&c, &mut lfsr_a, &mut stats);
             let bit = bit_model.sample_bit(&mut lfsr_b);
             assert_eq!(
                 got.to_bits(),
-                flip_bit(c.exact, bit, BitWidth::F64).to_bits()
+                BitWidth::F64.xor(c.exact, 1 << bit).to_bits()
             );
             assert_eq!(lfsr_a.state(), lfsr_b.state(), "extra LFSR draws");
         }
@@ -1179,28 +981,26 @@ mod tests {
     #[test]
     fn stuck_at_forces_and_skips_invisible_strikes() {
         let spec = FaultModelSpec::stuck_at(63, true, BitWidth::F64);
-        let model = spec.build();
         let mut lfsr = Lfsr::new(1);
         let mut stats = FaultStats::default();
         // 2.0 has sign bit 0: the strike forces it negative and records.
         let c = ctx(FlopOp::Add, 1.0, 1.0, 0);
-        assert_eq!(model.corrupt(&c, &mut lfsr, &mut stats), -2.0);
+        assert_eq!(spec.corrupt(&c, &mut lfsr, &mut stats), -2.0);
         assert_eq!(stats.faults(), 1);
         // -2.0 already has sign bit 1: invisible, nothing recorded.
         let c = ctx(FlopOp::Sub, -1.0, 1.0, 1);
-        assert_eq!(model.corrupt(&c, &mut lfsr, &mut stats), -2.0);
+        assert_eq!(spec.corrupt(&c, &mut lfsr, &mut stats), -2.0);
         assert_eq!(stats.faults(), 1);
     }
 
     #[test]
     fn burst_flips_adjacent_bits() {
         let spec = FaultModelSpec::burst(4, BitFaultModel::lsb_only(BitWidth::F64));
-        let model = spec.build();
         let mut lfsr = Lfsr::new(5);
         let mut stats = FaultStats::default();
         for i in 0..64u64 {
             let c = ctx(FlopOp::Mul, 3.0, 5.0, i);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = spec.corrupt(&c, &mut lfsr, &mut stats);
             let diff = c.exact.to_bits() ^ got.to_bits();
             assert_eq!(diff.count_ones(), 4, "burst should flip 4 bits");
             // Adjacency: the flipped bits form one contiguous run.
@@ -1213,13 +1013,12 @@ mod tests {
     #[test]
     fn operand_faults_produce_exact_results_of_wrong_inputs() {
         let spec = FaultModelSpec::operand(BitFaultModel::uniform(BitWidth::F64));
-        let model = spec.build();
         let mut lfsr = Lfsr::new(3);
         let mut stats = FaultStats::default();
         let mut changed = 0;
         for i in 0..256u64 {
             let c = ctx(FlopOp::Mul, 3.0, 5.0, i);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = spec.corrupt(&c, &mut lfsr, &mut stats);
             // The result is some a' * 5.0 or 3.0 * b' where the primed
             // operand differs from the original in exactly one bit.
             let as_a = got / 5.0;
@@ -1242,7 +1041,6 @@ mod tests {
     #[test]
     fn sqrt_operand_faults_land_on_the_only_operand() {
         let spec = FaultModelSpec::operand(BitFaultModel::uniform(BitWidth::F64));
-        let model = spec.build();
         let mut lfsr = Lfsr::new(17);
         let mut stats = FaultStats::default();
         // Every possible outcome: sqrt of a one-bit-off 9.0.
@@ -1255,7 +1053,7 @@ mod tests {
             .collect();
         for i in 0..64u64 {
             let c = ctx(FlopOp::Sqrt, 9.0, 0.0, i);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = spec.corrupt(&c, &mut lfsr, &mut stats);
             assert!(
                 outcomes.contains(&got.to_bits()),
                 "sqrt fault must corrupt the single operand (got {got})"
@@ -1266,12 +1064,11 @@ mod tests {
     #[test]
     fn intermittent_is_silent_outside_the_window() {
         let spec = FaultModelSpec::intermittent(0.25, 100, FaultModelSpec::default());
-        let model = spec.build();
         let mut lfsr = Lfsr::new(7);
         let mut stats = FaultStats::default();
         for flop in 0..1000u64 {
             let c = ctx(FlopOp::Add, 1.0, 2.0, flop);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = spec.corrupt(&c, &mut lfsr, &mut stats);
             if flop % 100 >= 25 {
                 assert_eq!(got, c.exact, "fault outside duty window at {flop}");
             }
@@ -1286,16 +1083,15 @@ mod tests {
             vec![FlopOp::Mul, FlopOp::Div],
             FaultModelSpec::transient(BitFaultModel::msb_only(BitWidth::F64)),
         );
-        let model = spec.build();
         let mut lfsr = Lfsr::new(13);
         let mut stats = FaultStats::default();
         for i in 0..100u64 {
             let c = ctx(FlopOp::Add, 1.0, 2.0, i);
-            assert_eq!(model.corrupt(&c, &mut lfsr, &mut stats), 3.0);
+            assert_eq!(spec.corrupt(&c, &mut lfsr, &mut stats), 3.0);
         }
         assert_eq!(stats.faults(), 0);
         let c = ctx(FlopOp::Mul, 3.0, 5.0, 0);
-        let got = model.corrupt(&c, &mut lfsr, &mut stats);
+        let got = spec.corrupt(&c, &mut lfsr, &mut stats);
         assert_ne!(got, 15.0, "MSB flips always change a finite value");
         assert_eq!(stats.faults(), 1);
     }
@@ -1349,13 +1145,19 @@ mod tests {
                 FaultModelSpec::from_json(&json).unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
             assert_eq!(parsed, spec, "round trip changed {}", spec.name());
             assert_eq!(parsed.to_json(), json, "re-serialization drifted");
-            assert_eq!(parsed.content_hash(), spec.content_hash());
+            assert_eq!(
+                fnv1a_64(parsed.to_json().as_bytes()),
+                fnv1a_64(spec.to_json().as_bytes())
+            );
         }
     }
 
     #[test]
-    fn content_hashes_separate_distinct_specs() {
-        let hashes: Vec<u64> = family().iter().map(|s| s.content_hash()).collect();
+    fn json_hashes_separate_distinct_specs() {
+        let hashes: Vec<u64> = family()
+            .iter()
+            .map(|s| fnv1a_64(s.to_json().as_bytes()))
+            .collect();
         let distinct: std::collections::HashSet<&u64> = hashes.iter().collect();
         assert_eq!(distinct.len(), hashes.len(), "hash collision in family");
     }
@@ -1461,9 +1263,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "injector-level")]
-    fn literal_nested_injector_specs_fail_at_build() {
+    fn literal_nested_injector_specs_fail_at_fpu_construction() {
         // Assembling the enum directly bypasses the constructor guard;
-        // build() still refuses to silently degrade the semantics.
+        // the FPU still refuses to silently degrade the semantics.
         let spec = FaultModelSpec::OpSelective {
             inner: Box::new(FaultModelSpec::array_resident(
                 8,
@@ -1472,7 +1274,7 @@ mod tests {
             )),
             ops: vec![FlopOp::Mul],
         };
-        spec.build();
+        crate::NoisyFpu::new(FaultRate::ZERO, spec, 0);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`fpu`] — the stochastic-processor substrate: fault-injecting FPU,
-//!   LFSR scheduling, the pluggable [`FaultModel`](fpu::FaultModel)
-//!   scenario family ([`FaultModelSpec`](fpu::FaultModelSpec): transient
-//!   flips, stuck-at bits, bursts, operand corruption, intermittent and
-//!   op-selective faults), voltage/energy model.
+//!   LFSR scheduling, the fault-scenario family
+//!   ([`FaultModelSpec`](fpu::FaultModelSpec): transient flips, stuck-at
+//!   bits, bursts, operand corruption, intermittent and op-selective
+//!   faults), voltage/energy model.
 //! * [`linalg`] — dense/banded linear algebra executed through the FPU
 //!   (QR, SVD, Cholesky baselines).
 //! * [`core`] — the robustification framework: cost functions, exact
