@@ -223,6 +223,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use robustify_core::CostFunction;
     use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
 
     fn small() -> Poisson2d {
@@ -332,43 +333,40 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(n, n, &triplets).expect("valid triplets");
         let budget = 3 * CG_BUDGET;
-        let x0 = vec![0.0; n];
-
-        let plain = CgLeastSquares::new(&a, p.b())
-            .expect("consistent shapes")
-            .with_max_iterations(budget)
-            .with_tolerance(0.0)
-            .solve(&x0, &mut ReliableFpu::new());
         let d = a.normal_diagonal(&mut ReliableFpu::new());
-        let jacobi = CgLeastSquares::new(&a, p.b())
-            .expect("consistent shapes")
-            .with_max_iterations(budget)
-            .with_tolerance(0.0)
-            .with_jacobi_preconditioner(&d)
-            .expect("diagonal has n entries")
-            .solve(&x0, &mut ReliableFpu::new());
+        let cost = QuadraticResidualCost::new(a.clone(), p.b().to_vec()).expect("consistent");
+        let solve = |k: usize, jacobi: bool| {
+            let mut solver = CgLeastSquares::new(&a, p.b())
+                .expect("consistent shapes")
+                .with_max_iterations(k)
+                .with_tolerance(0.0);
+            if jacobi {
+                solver = solver
+                    .with_jacobi_preconditioner(&d)
+                    .expect("diagonal has n entries");
+            }
+            solver.solve(&vec![0.0; n], &mut ReliableFpu::new())
+        };
+        // A reliable solve with budget k stops at iterate k, so the
+        // residual after k iterations is that of a rerun at budget k.
+        let residual_at =
+            |k: usize, jacobi: bool| cost.cost(&solve(k, jacobi).x, &mut ReliableFpu::new());
+        let plain = solve(budget, false);
 
         // Same residual: the preconditioned run must reach the best cost
         // the unpreconditioned run achieves anywhere in its budget…
-        let target = plain
-            .trace
-            .entries()
-            .iter()
-            .map(|&(_, c)| c)
+        let target = (0..=plain.iterations)
+            .map(|k| residual_at(k, false))
             .fold(f64::INFINITY, f64::min);
+        let jacobi_final = residual_at(budget, true);
         assert!(
-            jacobi.final_cost <= target,
-            "jacobi final {} vs plain best {target}",
-            jacobi.final_cost
+            jacobi_final <= target,
+            "jacobi final {jacobi_final} vs plain best {target}"
         );
         // …and strictly earlier (fewer iterations to the same residual).
-        let crossing = jacobi
-            .trace
-            .entries()
-            .iter()
-            .find(|&&(_, c)| c <= target)
-            .map(|&(t, _)| t)
-            .expect("preconditioned trace reaches the target");
+        let crossing = (0..=budget)
+            .find(|&k| residual_at(k, true) <= target)
+            .expect("preconditioned run reaches the target");
         assert!(
             crossing < plain.iterations,
             "jacobi crossed at {crossing}, plain used {} iterations",

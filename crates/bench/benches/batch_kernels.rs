@@ -70,7 +70,7 @@ fn bench_cg_iteration(c: &mut Criterion) {
                 .expect("consistent")
                 .with_max_iterations(1);
             group.bench_function(format!("{label}_{mode}"), |bch| {
-                bch.iter(|| black_box(solver.solve(&[0.0; 32], &mut fpu).final_cost))
+                bch.iter(|| black_box(solver.solve(&[0.0; 32], &mut fpu).x))
             });
         }
     }

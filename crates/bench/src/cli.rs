@@ -137,10 +137,10 @@ impl ExperimentOptions {
                         .unwrap_or_else(|| usage("--cache-dir needs a directory path"));
                     opts.cache_dir = Some(v);
                 }
-                "--help" | "-h" => usage(
-                    "
-",
-                ),
+                "--help" | "-h" => {
+                    crate::outln!("{USAGE}");
+                    std::process::exit(0)
+                }
                 other => usage(&format!("unknown flag {other}")),
             }
         }
@@ -292,14 +292,14 @@ impl ExperimentOptions {
     }
 }
 
+const USAGE: &str = "usage: <experiment> [--fast] [--seed N] \
+     [--fault-model emulated|uniform|msb|lsb|stuck0|stuck1|burst|operand|intermittent|muldiv\
+     |voltage|dvfs|regfile|memory] \
+     [--threads N] [--json] [--apps app1,app2,...] \
+     [--server HOST:PORT] [--cache-dir PATH]";
+
 fn usage(msg: &str) -> ! {
-    eprintln!(
-        "{msg}\nusage: <experiment> [--fast] [--seed N] \
-         [--fault-model emulated|uniform|msb|lsb|stuck0|stuck1|burst|operand|intermittent|muldiv\
-         |voltage|dvfs|regfile|memory] \
-         [--threads N] [--json] [--apps app1,app2,...] \
-         [--server HOST:PORT] [--cache-dir PATH]"
-    );
+    eprintln!("{msg}\n{USAGE}");
     std::process::exit(2)
 }
 

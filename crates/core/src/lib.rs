@@ -68,7 +68,6 @@ mod schedule;
 mod sgd;
 #[cfg(test)]
 pub(crate) mod test_util;
-mod trace;
 mod workload;
 
 pub use cg::{CgLeastSquares, CgReport};
@@ -80,7 +79,6 @@ pub use precondition::{precondition_lp, PreconditionedLp};
 pub use problem::{default_solve, RobustOutcome, RobustProblem, SolveMethod, SolverSpec, Verdict};
 pub use schedule::StepSchedule;
 pub use sgd::{AggressiveStepping, Annealing, GradientGuard, GuardState, Sgd, SolveReport};
-pub use trace::Trace;
 pub use workload::{DynProblem, ProblemFactory, SolverFactory, WorkloadRegistry};
 
 // The injector-side vocabulary of a trial, re-exported so problem and

@@ -200,12 +200,42 @@ impl SolverSpec {
         self
     }
 
+    /// Checks the values the solver builders would panic on inside a
+    /// trial: momentum outside `(0, 1]`, an annealing period of `0` or a
+    /// factor that is not a finite number above `1`, and a CG restart
+    /// interval of `0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(beta) = self.momentum {
+            if !(beta > 0.0 && beta <= 1.0) {
+                return Err(format!("momentum β must be in (0, 1], got {beta}"));
+            }
+        }
+        if let Some(Annealing { period, factor }) = self.annealing {
+            if period == 0 {
+                return Err("annealing period must be positive".to_string());
+            }
+            if !(factor > 1.0 && factor.is_finite()) {
+                return Err(format!(
+                    "annealing factor must be finite and exceed 1.0, got {factor}"
+                ));
+            }
+        }
+        if self.restart == 0 {
+            return Err("CG restart interval must be positive".to_string());
+        }
+        Ok(())
+    }
+
     /// Builds the configured [`Sgd`] solver.
     ///
     /// # Panics
     ///
     /// Panics (like the [`Sgd`] builders) on invalid momentum or annealing
-    /// parameters.
+    /// parameters, which [`validate`](Self::validate) reports as errors.
     pub fn build_sgd(&self) -> Sgd {
         let mut sgd = Sgd::new(self.iterations, self.schedule);
         if let Some(beta) = self.momentum {
@@ -678,6 +708,46 @@ mod tests {
         ] {
             assert!(SolverSpec::from_json(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    fn assert_rejected(spec: SolverSpec, field: &str) {
+        let err = spec.validate().expect_err(&spec.to_json());
+        assert!(err.contains(field), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_momentum_outside_unit_interval() {
+        for beta in [0.0, -0.5, 5.0, f64::NAN] {
+            let spec = SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_momentum(beta);
+            assert_rejected(spec, "momentum");
+        }
+        let edge = SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_momentum(1.0);
+        assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_annealing_period() {
+        let annealing = Annealing {
+            period: 0,
+            factor: 2.0,
+        };
+        let spec = SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_annealing(annealing);
+        assert_rejected(spec, "annealing period");
+    }
+
+    #[test]
+    fn validate_rejects_annealing_factor_not_above_one_or_non_finite() {
+        for factor in [1.0, 0.5, f64::INFINITY, f64::NAN] {
+            let annealing = Annealing { period: 5, factor };
+            let spec = SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_annealing(annealing);
+            assert_rejected(spec, "annealing factor");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_restart_interval() {
+        assert_rejected(SolverSpec::cg(12).with_restart(0), "restart");
+        assert_eq!(SolverSpec::cg(12).with_restart(1).validate(), Ok(()));
     }
 
     #[test]

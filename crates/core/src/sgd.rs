@@ -24,7 +24,6 @@
 
 use crate::cost::CostFunction;
 use crate::schedule::StepSchedule;
-use crate::trace::Trace;
 use stochastic_fpu::{Fpu, FpuExt, ReliableFpu};
 
 /// The adaptive step-size phase appended after the main loop (§3.2:
@@ -276,10 +275,6 @@ pub struct SolveReport {
     pub flops: u64,
     /// Faults the FPU injected during the solve.
     pub faults: u64,
-    /// Final cost, measured reliably.
-    pub final_cost: f64,
-    /// Optional convergence trace (reliable cost samples).
-    pub trace: Option<Trace>,
 }
 
 /// Stochastic gradient descent configured with the paper's enhancements.
@@ -290,7 +285,7 @@ pub struct SolveReport {
 /// # Examples
 ///
 /// ```
-/// use robustify_core::{Sgd, StepSchedule, QuadraticResidualCost};
+/// use robustify_core::{CostFunction, Sgd, StepSchedule, QuadraticResidualCost};
 /// use robustify_linalg::Matrix;
 /// use stochastic_fpu::ReliableFpu;
 ///
@@ -300,7 +295,7 @@ pub struct SolveReport {
 ///     .with_momentum(0.5)
 ///     .with_aggressive_stepping(Default::default());
 /// let report = sgd.run(&mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
-/// assert!(report.final_cost < 1e-6);
+/// assert!(cost.cost(&report.x, &mut ReliableFpu::new()) < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
@@ -312,7 +307,6 @@ pub struct Sgd {
     aggressive: Option<AggressiveStepping>,
     annealing: Option<Annealing>,
     guard: GradientGuard,
-    trace_stride: Option<usize>,
 }
 
 impl Sgd {
@@ -326,7 +320,6 @@ impl Sgd {
             aggressive: None,
             annealing: None,
             guard: GradientGuard::default(),
-            trace_stride: None,
         }
     }
 
@@ -370,12 +363,6 @@ impl Sgd {
         self
     }
 
-    /// Records a reliable cost sample every `stride` iterations.
-    pub fn with_trace(mut self, stride: usize) -> Self {
-        self.trace_stride = Some(stride.max(1));
-        self
-    }
-
     /// Runs the solve from `x0`, evaluating gradients through `fpu`.
     ///
     /// The returned report's FLOP/fault counts are the *deltas* accrued on
@@ -400,13 +387,7 @@ impl Sgd {
         let mut x = x0.to_vec();
         let mut grad = vec![0.0; dim];
         let mut direction = vec![0.0; dim];
-        let mut trace = self.trace_stride.map(Trace::new);
-        let mut measure = ReliableFpu::new();
         let mut guard = GuardState::new(self.guard);
-
-        if let Some(tr) = &mut trace {
-            tr.record(0, cost.cost(&x, &mut measure));
-        }
 
         let mut executed = 0;
         for t in 1..=self.iterations {
@@ -430,11 +411,6 @@ impl Sgd {
                     cost.anneal(ann.factor);
                 }
             }
-            if let Some(tr) = &mut trace {
-                if tr.due(t) {
-                    tr.record(t, cost.cost(&x, &mut measure));
-                }
-            }
             executed = t;
         }
 
@@ -442,17 +418,11 @@ impl Sgd {
             executed += self.aggressive_phase(cost, &mut x, &mut grad, fpu, aggressive, &mut guard);
         }
 
-        let final_cost = cost.cost(&x, &mut measure);
-        if let Some(tr) = &mut trace {
-            tr.record(executed, final_cost);
-        }
         SolveReport {
             x,
             iterations: executed,
             flops: snapshot.flops_since(fpu),
             faults: snapshot.faults_since(fpu),
-            final_cost,
-            trace,
         }
     }
 
@@ -520,6 +490,10 @@ mod tests {
     use robustify_linalg::Matrix;
     use stochastic_fpu::{BitFaultModel, BitWidth, FaultRate, NoisyFpu};
 
+    fn reliable_cost(cost: &impl CostFunction, x: &[f64]) -> f64 {
+        cost.cost(x, &mut ReliableFpu::new())
+    }
+
     fn residual_cost() -> QuadraticResidualCost {
         // Minimum at x = (2, -1).
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).expect("valid rows");
@@ -537,7 +511,7 @@ mod tests {
         );
         assert!((report.x[0] - 2.0).abs() < 1e-6, "x = {:?}", report.x);
         assert!((report.x[1] + 1.0).abs() < 1e-6);
-        assert!(report.final_cost < 1e-10);
+        assert!(reliable_cost(&cost, &report.x) < 1e-10);
         assert_eq!(report.iterations, 300);
         assert!(report.flops > 0);
         assert_eq!(report.faults, 0);
@@ -584,7 +558,7 @@ mod tests {
         let report = Sgd::new(500, StepSchedule::Fixed(0.05))
             .with_momentum(0.5)
             .run(&mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
-        assert!(report.final_cost < 1e-8);
+        assert!(reliable_cost(&cost, &report.x) < 1e-8);
     }
 
     #[test]
@@ -599,11 +573,13 @@ mod tests {
         let with_as = Sgd::new(20, StepSchedule::Linear { gamma0: 0.3 })
             .with_aggressive_stepping(AggressiveStepping::default())
             .run(&mut cost2, &[0.0, 0.0], &mut ReliableFpu::new());
+        let (with_as_cost, base_cost) = (
+            reliable_cost(&cost2, &with_as.x),
+            reliable_cost(&cost, &base.x),
+        );
         assert!(
-            with_as.final_cost <= base.final_cost,
-            "AS {} vs base {}",
-            with_as.final_cost,
-            base.final_cost
+            with_as_cost <= base_cost,
+            "AS {with_as_cost} vs base {base_cost}"
         );
         assert!(with_as.iterations > base.iterations);
     }
@@ -633,21 +609,6 @@ mod tests {
             })
             .run(&mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
         assert_eq!(cost.mu(), mu_before * 2f64.powi(10));
-    }
-
-    #[test]
-    fn trace_records_decreasing_costs() {
-        let mut cost = residual_cost();
-        let report = Sgd::new(100, StepSchedule::Fixed(0.1)).with_trace(10).run(
-            &mut cost,
-            &[0.0, 0.0],
-            &mut ReliableFpu::new(),
-        );
-        let trace = report.trace.expect("trace was requested");
-        assert!(trace.len() >= 10);
-        let first = trace.entries()[0].1;
-        let last = trace.last().expect("non-empty");
-        assert!(last < first, "cost did not decrease: {first} -> {last}");
     }
 
     #[test]
@@ -717,7 +678,7 @@ mod tests {
                     &mut fpu,
                 );
                 // f* = -b'Q^{-1}b/2 = -(1+1) = -2 for this system.
-                total += report.final_cost - (-2.0);
+                total += reliable_cost(&cost, &report.x) - (-2.0);
             }
             total / runs as f64
         };

@@ -126,7 +126,8 @@ proptest! {
 
     /// SGD on a least squares cost with a fixed stable step contracts the
     /// reliable cost (no noise ⇒ plain gradient descent must not increase
-    /// the objective).
+    /// the objective). A reliable run with budget `k` stops at iterate `k`,
+    /// so rerunning every prefix budget walks the iterates of one solve.
     #[test]
     fn reliable_sgd_never_increases_quadratic_cost(a in full_rank_tall(6, 3)) {
         let b = vec![1.0, -2.0, 0.5, 3.0, -1.0, 2.0];
@@ -135,13 +136,16 @@ proptest! {
         let mut fpu = ReliableFpu::new();
         let fro = a.frobenius_norm(&mut fpu);
         let gamma = 0.5 / (fro * fro);
-        let report = Sgd::new(50, StepSchedule::Fixed(gamma))
-            .with_guard(GradientGuard::Off)
-            .with_trace(1)
-            .run(&mut cost, &[0.0; 3], &mut ReliableFpu::new());
-        let trace = report.trace.expect("trace requested");
-        for w in trace.entries().windows(2) {
-            prop_assert!(w[1].1 <= w[0].1 + 1e-9, "cost increased: {:?}", trace.entries());
+        let costs: Vec<f64> = (0..=50)
+            .map(|k| {
+                let report = Sgd::new(k, StepSchedule::Fixed(gamma))
+                    .with_guard(GradientGuard::Off)
+                    .run(&mut cost, &[0.0; 3], &mut ReliableFpu::new());
+                cost.cost(&report.x, &mut ReliableFpu::new())
+            })
+            .collect();
+        for w in costs.windows(2) {
+            prop_assert!(w[1] <= w[0] + 1e-9, "cost increased: {:?}", costs);
         }
     }
 
@@ -154,7 +158,9 @@ proptest! {
         let solver = CgLeastSquares::new(&a, &b).expect("consistent")
             .with_max_iterations(12);
         let report = solver.solve(&[0.0; 4], &mut ReliableFpu::new());
-        prop_assert!(report.final_cost < 1e-12, "residual {}", report.final_cost);
+        let cost = QuadraticResidualCost::new(a.clone(), b.clone()).expect("consistent")
+            .cost(&report.x, &mut ReliableFpu::new());
+        prop_assert!(cost < 1e-12, "residual {}", cost);
     }
 
     /// Every guard policy leaves an already-clean, small gradient intact.

@@ -347,7 +347,7 @@ pub fn shutdown_tcp(addr: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::campaign::JobSpec;
-    use robustify_core::{DynProblem, SolverSpec, Verdict};
+    use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict};
     use std::io::Cursor;
     use stochastic_fpu::{Fpu, NoisyFpu};
 
@@ -387,10 +387,14 @@ mod tests {
             .job(JobSpec::new("w", "wobble"))
     }
 
-    fn serve_lines(input: &str, registry: &WorkloadRegistry) -> (Vec<String>, bool) {
+    fn serve_lines(
+        input: &str,
+        registry: &WorkloadRegistry,
+        workers: usize,
+    ) -> (Vec<String>, bool) {
         let mut reader = Cursor::new(input.as_bytes().to_vec());
         let mut out = Vec::new();
-        let shutdown = Scheduler::new(2)
+        let shutdown = Scheduler::new(workers)
             .scoped(|pool| serve_connection(&mut reader, &mut out, registry, None, pool))
             .expect("serve");
         let text = String::from_utf8(out).expect("utf8 events");
@@ -403,6 +407,7 @@ mod tests {
         let (events, shutdown) = serve_lines(
             "{\"op\":\"ping\"}\nnot json\n{\"op\":\"workloads\"}\n{\"op\":\"nope\"}\n",
             &reg,
+            2,
         );
         assert!(!shutdown);
         assert_eq!(events[0], "{\"event\":\"pong\"}");
@@ -420,7 +425,7 @@ mod tests {
         let spec = campaign();
         let local = super::super::runner::run(&spec, &reg, None, |_| {}).expect("local");
         let request = format!("{{\"op\":\"submit\",\"campaign\":{}}}\n", spec.to_json());
-        let (events, _) = serve_lines(&request, &reg);
+        let (events, _) = serve_lines(&request, &reg, 2);
         assert!(events[0].contains("\"event\":\"accepted\""));
         assert!(events[0].contains("\"cells\":2"));
         let cell_lines: Vec<_> = events
@@ -445,16 +450,52 @@ mod tests {
     #[test]
     fn malformed_submissions_answer_with_error_events() {
         let reg = registry();
-        let (events, _) = serve_lines("{\"op\":\"submit\"}\n", &reg);
+        let (events, _) = serve_lines("{\"op\":\"submit\"}\n", &reg, 2);
         assert!(events[0].starts_with("{\"event\":\"error\""));
         let empty_grid = "{\"op\":\"submit\",\"campaign\":{\"name\":\"x\",\"rates_pct\":[],\
              \"voltages\":null,\"energy_model\":null,\"trials\":1,\"base_seed\":0,\
              \"threads\":0,\"fault_model\":{\"kind\":\"transient\",\
              \"distribution\":\"emulated\",\"width\":\"f64\"},\"jobs\":[]}}\n";
-        let (events, _) = serve_lines(empty_grid, &reg);
+        let (events, _) = serve_lines(empty_grid, &reg, 2);
         assert!(
             events[0].starts_with("{\"event\":\"error\""),
             "got {events:?}"
+        );
+    }
+
+    #[test]
+    fn invalid_solver_is_refused_before_accept_and_the_connection_serves_on() {
+        let reg = registry();
+        let solver = SolverSpec::sgd(5, StepSchedule::Fixed(0.1)).with_momentum(0.5);
+        let good = campaign().job(JobSpec::new("s", "wobble").with_solver(solver));
+        let local = super::super::runner::run(&good, &reg, None, |_| {}).expect("local");
+        let bad = good.to_json().replace("\"momentum\":0.5", "\"momentum\":5");
+        assert_ne!(bad, good.to_json());
+        let input = format!(
+            "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n",
+            good.to_json()
+        );
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("momentum"),
+            "got {events:?}"
+        );
+        // The refused campaign's only event is the error; the valid one
+        // is accepted next.
+        assert!(
+            events[1].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        let done = json::parse(events.last().expect("done event")).expect("done parses");
+        assert_eq!(done.get("event").and_then(JsonValue::as_str), Some("done"));
+        assert_eq!(
+            done.get("csv").and_then(JsonValue::as_str),
+            Some(local.result.to_csv().as_str())
+        );
+        assert_eq!(
+            done.get("json").and_then(JsonValue::as_str),
+            Some(local.result.to_json().as_str())
         );
     }
 

@@ -334,7 +334,8 @@ impl CampaignSpec {
     }
 
     /// Structural validation: a runnable campaign has a non-empty grid,
-    /// positive trials, at least one job, and distinct job labels.
+    /// positive trials, at least one job, distinct job labels, and
+    /// explicit solver specs that pass [`SolverSpec::validate`].
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -365,6 +366,11 @@ impl CampaignSpec {
         for (i, job) in self.jobs.iter().enumerate() {
             if self.jobs[..i].iter().any(|j| j.label == job.label) {
                 return Err(format!("duplicate job label \"{}\"", job.label));
+            }
+            if let Some(solver) = &job.solver {
+                solver
+                    .validate()
+                    .map_err(|e| format!("job \"{}\": {e}", job.label))?;
             }
         }
         Ok(())
@@ -542,6 +548,11 @@ mod tests {
             .job(JobSpec::new("a", "w"))
             .job(JobSpec::new("a", "w2"));
         assert!(dup.validate().unwrap_err().contains("duplicate"));
+        let bad_solver = CampaignSpec::new("x").rates(vec![1.0]).trials(5).job(
+            JobSpec::new("a", "w")
+                .with_solver(SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_momentum(5.0)),
+        );
+        assert!(bad_solver.validate().unwrap_err().contains("momentum"));
         // A zero campaign trial count is fine when every job overrides it.
         let per_job = CampaignSpec::new("x")
             .rates(vec![1.0])
