@@ -12,10 +12,10 @@
 //! graphs). The baseline is Floyd–Warshall through the faulty FPU.
 
 use robustify_core::{
-    CoreError, LinearCost, LinearProgram, PenaltyCost, PenaltyKind, RobustProblem, Sgd,
-    SolveReport, SolverSpec, Verdict,
+    CoreError, LinearCost, LinearProgram, PenaltyCost, PenaltyKind, RobustProblem, SolverSpec,
+    Verdict,
 };
-use robustify_graph::{floyd_warshall, DiGraph, GraphError};
+use robustify_graph::{floyd_warshall, DiGraph};
 use robustify_linalg::Matrix;
 use stochastic_fpu::{Fpu, ReliableFpu};
 
@@ -26,16 +26,16 @@ use stochastic_fpu::{Fpu, ReliableFpu};
 ///
 /// ```
 /// use robustify_apps::apsp::ApspProblem;
-/// use robustify_core::{Annealing, Sgd, StepSchedule};
+/// use robustify_core::{Annealing, RobustProblem, SolverSpec, StepSchedule};
 /// use robustify_graph::DiGraph;
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = DiGraph::new(3, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])?;
 /// let p = ApspProblem::new(g)?;
-/// let sgd = Sgd::new(8000, StepSchedule::Sqrt { gamma0: 0.05 })
+/// let spec = SolverSpec::sgd(8000, StepSchedule::Sqrt { gamma0: 0.05 })
 ///     .with_annealing(Annealing::default());
-/// let (d, _report) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+/// let d = p.solve(&spec, &mut ReliableFpu::new())?.solution.expect("sgd decodes");
 /// assert!((d[0][2] - 2.0).abs() < 0.2);
 /// # Ok(())
 /// # }
@@ -127,18 +127,6 @@ impl ApspProblem {
             .expect("constructed shapes are consistent")
     }
 
-    /// Solves the robust form with SGD on the exact-penalty LP, returning
-    /// the decoded (rescaled) distance matrix and the solve report.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> (Vec<Vec<f64>>, SolveReport) {
-        let lp = self.to_lp();
-        let mut cost = lp
-            .penalized(Self::DEFAULT_MU, PenaltyKind::Squared)
-            .expect("default mu is valid");
-        let x0 = vec![0.0; lp.dim()];
-        let report = sgd.run(&mut cost, &x0, fpu);
-        (self.decode(&report.x), report)
-    }
-
     /// Decodes the flat LP variables into an `n × n` distance matrix,
     /// rescaling to original lengths (native arithmetic).
     pub fn decode(&self, x: &[f64]) -> Vec<Vec<f64>> {
@@ -146,16 +134,6 @@ impl ApspProblem {
         (0..n)
             .map(|i| (0..n).map(|j| x[i * n + j] * self.length_scale).collect())
             .collect()
-    }
-
-    /// The fault-exposed Floyd–Warshall baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError::NumericalBreakdown`] (a failed baseline
-    /// run).
-    pub fn solve_baseline<F: Fpu>(&self, fpu: &mut F) -> Result<Vec<Vec<f64>>, GraphError> {
-        floyd_warshall(fpu, &self.graph)
     }
 
     /// Mean relative error of a distance matrix against the reliable
@@ -203,18 +181,16 @@ impl RobustProblem for ApspProblem {
         ApspProblem::decode(self, x)
     }
 
-    fn reference(&self) -> Vec<Vec<f64>> {
-        self.reference.clone()
-    }
-
     /// The metric is the mean relative distance error; success requires it
     /// at most 5%.
     fn verify(&self, solution: &Vec<Vec<f64>>) -> Verdict {
         Verdict::from_metric(self.mean_relative_error(solution), 0.05)
     }
 
+    /// The fault-exposed Floyd–Warshall baseline; a numerical breakdown is
+    /// a failed run.
     fn baseline<F: Fpu>(&self, _spec: &SolverSpec, fpu: &mut F) -> Option<Vec<Vec<f64>>> {
-        self.solve_baseline(fpu).ok()
+        floyd_warshall(fpu, &self.graph).ok()
     }
 }
 
@@ -233,6 +209,19 @@ mod tests {
                 .expect("valid graph"),
         )
         .expect("strongly connected")
+    }
+
+    /// Solves `p` with `spec`, panicking on a breakdown.
+    fn solved<F: Fpu>(p: &ApspProblem, spec: &SolverSpec, fpu: &mut F) -> Vec<Vec<f64>> {
+        p.solve(spec, fpu)
+            .expect("supported method")
+            .solution
+            .expect("no breakdown")
+    }
+
+    fn annealed_sgd() -> SolverSpec {
+        SolverSpec::sgd(8000, StepSchedule::Sqrt { gamma0: 0.05 })
+            .with_annealing(Default::default())
     }
 
     #[test]
@@ -261,9 +250,7 @@ mod tests {
     #[test]
     fn sgd_recovers_distances_reliably() {
         let p = triangle();
-        let sgd =
-            Sgd::new(8000, StepSchedule::Sqrt { gamma0: 0.05 }).with_annealing(Default::default());
-        let (d, _) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+        let d = solved(&p, &annealed_sgd(), &mut ReliableFpu::new());
         let err = p.mean_relative_error(&d);
         assert!(err < 0.1, "mean relative error {err}, d = {d:?}");
     }
@@ -274,10 +261,8 @@ mod tests {
         let mut total = 0.0;
         let runs = 5;
         for seed in 0..runs {
-            let sgd = Sgd::new(8000, StepSchedule::Sqrt { gamma0: 0.05 })
-                .with_annealing(Default::default());
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), seed);
-            let (d, _) = p.solve_sgd(&sgd, &mut fpu);
+            let d = solved(&p, &annealed_sgd(), &mut fpu);
             total += p.mean_relative_error(&d).min(10.0);
         }
         assert!(
@@ -290,9 +275,7 @@ mod tests {
     #[test]
     fn baseline_is_exact_reliably() {
         let p = triangle();
-        let d = p
-            .solve_baseline(&mut ReliableFpu::new())
-            .expect("reliable run");
+        let d = solved(&p, &SolverSpec::baseline(), &mut ReliableFpu::new());
         assert_eq!(p.mean_relative_error(&d), 0.0);
     }
 

@@ -541,13 +541,6 @@ impl RobustProblem for AssignmentProblem {
         cost.decode_assignment(x, 0.25)
     }
 
-    fn reference(&self) -> Vec<(usize, usize)> {
-        hungarian(&mut ReliableFpu::new(), &self.graph)
-            .expect("reliable hungarian cannot break down")
-            .pairs()
-            .to_vec()
-    }
-
     /// Success means attaining the optimal weight (up to round-off); the
     /// metric is the relative payoff gap.
     fn verify(&self, solution: &Vec<(usize, usize)>) -> Verdict {

@@ -4,13 +4,12 @@
 //! repeating k times."
 //!
 //! The robust form maximizes `xᵀAx` on the unit sphere via the penalized
-//! cost `f(x) = −xᵀAx + μ(xᵀx − 1)²`; the baseline is power iteration
-//! through the faulty FPU.
+//! cost `f(x) = −xᵀAx + μ(xᵀx − 1)²` and extracts the top pair (the first
+//! of those `k` stages); the baseline is power iteration through the
+//! faulty FPU.
 
 use rand::{Rng, RngExt};
-use robustify_core::{
-    CoreError, CostFunction, RobustProblem, Sgd, SolveReport, SolverSpec, Verdict,
-};
+use robustify_core::{CoreError, CostFunction, RobustProblem, SolverSpec, Verdict};
 use robustify_linalg::Matrix;
 use stochastic_fpu::{Fpu, ReliableFpu};
 
@@ -129,15 +128,15 @@ impl CostFunction for RayleighCost {
 ///
 /// ```
 /// use robustify_apps::eigen::EigenProblem;
-/// use robustify_core::{Sgd, StepSchedule};
+/// use robustify_core::{RobustProblem, SolverSpec, StepSchedule};
 /// use robustify_linalg::Matrix;
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 3.0]])?;
 /// let p = EigenProblem::new(a)?;
-/// let sgd = Sgd::new(2000, StepSchedule::Sqrt { gamma0: 0.05 });
-/// let (lambda, _v, _report) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+/// let spec = SolverSpec::sgd(2000, StepSchedule::Sqrt { gamma0: 0.05 });
+/// let (lambda, _v) = p.solve(&spec, &mut ReliableFpu::new())?.solution.expect("sgd decodes");
 /// assert!((lambda - 4.0).abs() < 0.05);
 /// # Ok(())
 /// # }
@@ -192,19 +191,6 @@ impl EigenProblem {
         self.top_eigenvalue
     }
 
-    /// Solves with SGD on the penalized Rayleigh cost, returning the
-    /// decoded eigenvalue (reliable Rayleigh quotient of the normalized
-    /// iterate), the eigenvector estimate, and the report.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> (f64, Vec<f64>, SolveReport) {
-        // Cost and start come from the one RobustProblem definition so the
-        // two solve paths can never drift apart.
-        let mut cost = RobustProblem::cost(self);
-        let x0 = RobustProblem::initial_iterate(self, &cost, fpu);
-        let report = sgd.run(&mut cost, &x0, fpu);
-        let (lambda, v) = self.decode(&report.x);
-        (lambda, v, report)
-    }
-
     /// Decodes an iterate: normalize (native) and compute the reliable
     /// Rayleigh quotient. Non-finite iterates decode to `(NaN, x)`.
     pub fn decode(&self, x: &[f64]) -> (f64, Vec<f64>) {
@@ -224,14 +210,6 @@ impl EigenProblem {
         (lambda, v)
     }
 
-    /// The fault-exposed power-iteration baseline: `k` iterations of
-    /// `x ← A x / ‖A x‖` through `fpu`, decoded reliably.
-    pub fn solve_baseline<F: Fpu>(&self, fpu: &mut F, k: usize) -> (f64, Vec<f64>) {
-        let (_, v) = power_iteration(fpu, &self.a, k);
-        let (lambda, v) = self.decode(&v);
-        (lambda, v)
-    }
-
     /// Relative eigenvalue error against the ground truth (native
     /// measurement; NaN yields `∞`).
     pub fn relative_error(&self, lambda: f64) -> f64 {
@@ -239,51 +217,6 @@ impl EigenProblem {
             return f64::INFINITY;
         }
         (lambda - self.top_eigenvalue).abs() / self.top_eigenvalue.abs().max(1e-300)
-    }
-
-    /// Extracts the top `k` eigenpairs by the paper's deflation scheme:
-    /// "maximizing a Rayleigh quotient, subtracting the resulting rank-1
-    /// matrix from the target matrix, and repeating k times." Each stage's
-    /// gradients run through `fpu`; the deflation `A ← A − λ v vᵀ` is a
-    /// between-stage control step (native arithmetic).
-    ///
-    /// Returns `(eigenvalue, eigenvector)` pairs in extraction order.
-    /// Stages whose iterate decodes to NaN are skipped in the deflation and
-    /// reported as `(NaN, v)` — under heavy faults the caller can see which
-    /// stages failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` exceeds the matrix dimension.
-    pub fn solve_top_k_sgd<F: Fpu>(
-        &self,
-        k: usize,
-        sgd: &Sgd,
-        fpu: &mut F,
-    ) -> Vec<(f64, Vec<f64>)> {
-        let n = self.a.rows();
-        assert!(
-            k <= n,
-            "cannot extract {k} eigenpairs from a {n}x{n} matrix"
-        );
-        let mut pairs = Vec::with_capacity(k);
-        let mut current = self.clone();
-        for _ in 0..k {
-            let (lambda, v, _) = current.solve_sgd(sgd, fpu);
-            if lambda.is_finite() {
-                // Deflate: A ← A − λ v vᵀ (control plane).
-                let mut deflated = current.a.clone();
-                for i in 0..n {
-                    for j in 0..n {
-                        deflated[(i, j)] -= lambda * v[i] * v[j];
-                    }
-                }
-                current = EigenProblem::new(deflated)
-                    .expect("deflation of a symmetric matrix stays symmetric");
-            }
-            pairs.push((lambda, v));
-        }
-        pairs
     }
 }
 
@@ -301,8 +234,7 @@ impl RobustProblem for EigenProblem {
         RayleighCost::new(self.a.clone(), mu).expect("matrix validated at problem construction")
     }
 
-    /// The deterministic non-degenerate start on the unit sphere used by
-    /// [`solve_sgd`](EigenProblem::solve_sgd).
+    /// A deterministic non-degenerate start on the unit sphere.
     fn initial_iterate<F: Fpu>(&self, _cost: &Self::Cost, _fpu: &mut F) -> Vec<f64> {
         let n = self.a.rows();
         // detlint::allow(fpu-routing, reason = "deterministic start vector is reliable problem setup")
@@ -317,20 +249,17 @@ impl RobustProblem for EigenProblem {
         EigenProblem::decode(self, x)
     }
 
-    fn reference(&self) -> (f64, Vec<f64>) {
-        self.solve_baseline(&mut ReliableFpu::new(), 500)
-    }
-
     /// The metric is the relative eigenvalue error; success requires it at
     /// most 5%.
     fn verify(&self, solution: &(f64, Vec<f64>)) -> Verdict {
         Verdict::from_metric(self.relative_error(solution.0), 0.05)
     }
 
-    /// The power-iteration baseline, running `spec.iterations` iterations
-    /// through the faulty FPU.
+    /// The power-iteration baseline: `spec.iterations` iterations of
+    /// `x ← A x / ‖A x‖` through the faulty FPU, decoded reliably.
     fn baseline<F: Fpu>(&self, spec: &SolverSpec, fpu: &mut F) -> Option<(f64, Vec<f64>)> {
-        Some(self.solve_baseline(fpu, spec.iterations))
+        let (_, v) = power_iteration(fpu, &self.a, spec.iterations);
+        Some(EigenProblem::decode(self, &v))
     }
 }
 
@@ -371,6 +300,14 @@ mod tests {
             .expect("symmetric")
     }
 
+    /// Solves `p` with `spec`, panicking on a breakdown.
+    fn solved<F: Fpu>(p: &EigenProblem, spec: &SolverSpec, fpu: &mut F) -> (f64, Vec<f64>) {
+        p.solve(spec, fpu)
+            .expect("supported method")
+            .solution
+            .expect("no breakdown")
+    }
+
     #[test]
     fn ground_truth_is_correct() {
         let p = two_by_two();
@@ -399,8 +336,8 @@ mod tests {
     #[test]
     fn sgd_finds_top_eigenpair_reliably() {
         let p = two_by_two();
-        let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.05 });
-        let (lambda, v, _) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+        let spec = SolverSpec::sgd(3000, StepSchedule::Sqrt { gamma0: 0.05 });
+        let (lambda, v) = solved(&p, &spec, &mut ReliableFpu::new());
         assert!(p.relative_error(lambda) < 0.01, "lambda {lambda}");
         // Eigenvector alignment: |⟨v, (1,1)/√2⟩| ≈ 1.
         let align = ((v[0] + v[1]) / 2f64.sqrt()).abs();
@@ -410,7 +347,7 @@ mod tests {
     #[test]
     fn baseline_power_iteration_is_exact_reliably() {
         let p = two_by_two();
-        let (lambda, _) = p.solve_baseline(&mut ReliableFpu::new(), 200);
+        let (lambda, _) = solved(&p, &SolverSpec::baseline(), &mut ReliableFpu::new());
         assert!(p.relative_error(lambda) < 1e-9);
     }
 
@@ -420,9 +357,9 @@ mod tests {
         let mut total = 0.0;
         let runs = 5;
         for seed in 0..runs {
-            let sgd = Sgd::new(4000, StepSchedule::Sqrt { gamma0: 0.02 });
+            let spec = SolverSpec::sgd(4000, StepSchedule::Sqrt { gamma0: 0.02 });
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), seed);
-            let (lambda, _, _) = p.solve_sgd(&sgd, &mut fpu);
+            let (lambda, _) = solved(&p, &spec, &mut fpu);
             total += p.relative_error(lambda).min(10.0);
         }
         assert!(
@@ -440,41 +377,6 @@ mod tests {
         assert!(EigenProblem::new(asym).is_err());
         let sym = Matrix::identity(2);
         assert!(RayleighCost::new(sym, 0.0).is_err());
-    }
-
-    #[test]
-    fn deflation_extracts_both_eigenpairs() {
-        let p = two_by_two(); // eigenvalues 4 and 2
-        let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.05 });
-        let pairs = p.solve_top_k_sgd(2, &sgd, &mut ReliableFpu::new());
-        assert_eq!(pairs.len(), 2);
-        assert!((pairs[0].0 - 4.0).abs() < 0.05, "lambda1 {}", pairs[0].0);
-        assert!((pairs[1].0 - 2.0).abs() < 0.05, "lambda2 {}", pairs[1].0);
-        // Eigenvectors of a symmetric matrix are orthogonal.
-        let dot: f64 = pairs[0].1.iter().zip(&pairs[1].1).map(|(a, b)| a * b).sum();
-        assert!(dot.abs() < 0.05, "eigenvectors not orthogonal: {dot}");
-    }
-
-    #[test]
-    fn deflation_survives_moderate_faults() {
-        let p = EigenProblem::random(&mut StdRng::seed_from_u64(6), 5);
-        let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.02 });
-        let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 8);
-        let pairs = p.solve_top_k_sgd(2, &sgd, &mut fpu);
-        // The top eigenvalue estimate stays in the ballpark.
-        assert!(
-            p.relative_error(pairs[0].0) < 0.5,
-            "top eigenvalue error {}",
-            p.relative_error(pairs[0].0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "eigenpairs")]
-    fn top_k_validates_k() {
-        let p = two_by_two();
-        let sgd = Sgd::new(10, StepSchedule::Fixed(0.01));
-        p.solve_top_k_sgd(3, &sgd, &mut ReliableFpu::new());
     }
 
     #[test]

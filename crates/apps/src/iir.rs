@@ -7,9 +7,7 @@
 //! generate the initial iterate for the stochastic least squares solver."
 
 use rand::{Rng, RngExt};
-use robustify_core::{
-    CoreError, CostFunction, RobustProblem, Sgd, SolveReport, SolverSpec, Verdict,
-};
+use robustify_core::{CoreError, CostFunction, RobustProblem, SolverSpec, Verdict};
 use robustify_linalg::BandedMatrix;
 use stochastic_fpu::{Fpu, ReliableFpu};
 
@@ -147,25 +145,6 @@ impl IirFilter {
         // not of the iterative solve.
         let au = a_mat.matvec(&mut ReliableFpu::new(), u)?;
         Ok((b_mat, au))
-    }
-
-    /// Solves the robust form with SGD, seeding the iterate with the noisy
-    /// feed-forward output as in the paper.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the signal is shorter than
-    /// the tap vectors.
-    pub fn solve_sgd<F: Fpu>(
-        &self,
-        u: &[f64],
-        sgd: &Sgd,
-        fpu: &mut F,
-    ) -> Result<SolveReport, CoreError> {
-        let (b_mat, au) = self.to_least_squares(u)?;
-        let x0 = self.warm_start(u, &b_mat, &au, fpu);
-        let mut cost = BandedResidualCost::new(b_mat, au);
-        Ok(sgd.run(&mut cost, &x0, fpu))
     }
 
     /// The paper's noisy feed-forward warm start with control-plane
@@ -448,10 +427,6 @@ impl RobustProblem for IirProblem {
         x.to_vec()
     }
 
-    fn reference(&self) -> Vec<f64> {
-        self.y_ref.clone()
-    }
-
     fn verify(&self, solution: &Vec<f64>) -> Verdict {
         Verdict::from_metric(
             self.filter.error_to_signal(solution, &self.y_ref),
@@ -582,9 +557,9 @@ mod tests {
         let baseline = f.apply_direct(&mut fpu, &u);
         let baseline_err = f.error_to_signal(&baseline, &y_ref);
         let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), 5);
-        let sgd = Sgd::new(800, StepSchedule::Linear { gamma0: 0.2 });
-        let report = f.solve_sgd(&u, &sgd, &mut fpu).expect("signal long enough");
-        let robust_err = f.error_to_signal(&report.x, &y_ref);
+        let spec = SolverSpec::sgd(800, StepSchedule::Linear { gamma0: 0.2 });
+        let problem = IirProblem::new(f, u).expect("signal long enough");
+        let robust_err = problem.run_trial(&spec, &mut fpu).metric;
         assert!(
             robust_err < baseline_err,
             "robust {robust_err} not better than baseline {baseline_err}"

@@ -6,10 +6,10 @@
 
 use rand::{Rng, RngExt};
 use robustify_core::{
-    CgLeastSquares, CgReport, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, Sgd,
-    SolveMethod, SolveReport, SolverSpec, StepSchedule, Verdict,
+    CgLeastSquares, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, SolveMethod,
+    SolverSpec, Verdict,
 };
-use robustify_linalg::{lstsq_cholesky, lstsq_qr, lstsq_svd, LinalgError, Matrix, QrFactorization};
+use robustify_linalg::{lstsq_cholesky, lstsq_qr, lstsq_svd, Matrix, QrFactorization};
 use stochastic_fpu::{Fpu, ReliableFpu};
 
 /// A least squares problem `min ‖A x − b‖` with robust (SGD, CG) and
@@ -19,16 +19,16 @@ use stochastic_fpu::{Fpu, ReliableFpu};
 ///
 /// ```
 /// use robustify_apps::least_squares::LeastSquares;
-/// use robustify_core::{AggressiveStepping, Sgd, StepSchedule};
+/// use robustify_core::{AggressiveStepping, RobustProblem, SolverSpec, StepSchedule};
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = LeastSquares::from_rows(&[&[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]], vec![1.0, 2.0, 3.0])?;
 /// // The paper's "SGD+AS,LS" variant: 1/t steps plus aggressive stepping.
-/// let sgd = Sgd::new(1000, StepSchedule::Linear { gamma0: p.default_gamma0() })
+/// let spec = SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: p.default_gamma0() })
 ///     .with_aggressive_stepping(AggressiveStepping::default());
-/// let report = p.solve_sgd(&sgd, &mut ReliableFpu::new());
-/// assert!(p.relative_error(&report.x) < 1e-3);
+/// let x = p.solve(&spec, &mut ReliableFpu::new())?.solution.expect("sgd decodes");
+/// assert!(p.relative_error(&x) < 1e-3);
 /// # Ok(())
 /// # }
 /// ```
@@ -153,26 +153,6 @@ impl LeastSquares {
             .expect("problem shapes are consistent by construction")
     }
 
-    /// Solves with a caller-configured SGD from the zero iterate.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> SolveReport {
-        let mut cost = self.cost();
-        sgd.run(&mut cost, &vec![0.0; self.dim()], fpu)
-    }
-
-    /// Solves with the paper's Figure 6.2 configuration: 1000 iterations of
-    /// SGD with linear (`1/t`) step scaling.
-    pub fn solve_sgd_default<F: Fpu>(&self, fpu: &mut F) -> SolveReport {
-        self.solve_sgd(
-            &Sgd::new(
-                1000,
-                StepSchedule::Linear {
-                    gamma0: self.default_gamma0(),
-                },
-            ),
-            fpu,
-        )
-    }
-
     /// The initial step size used by the default solver: `1 / σ_max²`,
     /// with `σ_max` estimated by a short reliable power iteration on `AᵀA`
     /// (one-time control-plane setup). This is the stability edge of
@@ -204,45 +184,6 @@ impl LeastSquares {
             v = atav.iter().map(|&x| x / lambda).collect();
         }
         lambda
-    }
-
-    /// Solves with conjugate gradient (§3.3 / Figure 6.6, default `N = 10`
-    /// iterations, restart every 4).
-    pub fn solve_cg<F: Fpu>(&self, iterations: usize, fpu: &mut F) -> CgReport {
-        CgLeastSquares::new(&self.a, &self.b)
-            .expect("problem shapes are consistent by construction")
-            .with_max_iterations(iterations)
-            .with_restart_interval(4)
-            .solve(&vec![0.0; self.dim()], fpu)
-    }
-
-    /// The "Base: SVD" solver, through the given (possibly faulty) FPU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates numerical breakdowns ([`LinalgError`]), which count as
-    /// failed baseline runs.
-    pub fn solve_svd<F: Fpu>(&self, fpu: &mut F) -> Result<Vec<f64>, LinalgError> {
-        lstsq_svd(fpu, &self.a, &self.b)
-    }
-
-    /// The "Base: QR" solver, through the given (possibly faulty) FPU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates numerical breakdowns ([`LinalgError`]).
-    pub fn solve_qr<F: Fpu>(&self, fpu: &mut F) -> Result<Vec<f64>, LinalgError> {
-        lstsq_qr(fpu, &self.a, &self.b)
-    }
-
-    /// The "Base: Cholesky" solver, through the given (possibly faulty)
-    /// FPU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates numerical breakdowns ([`LinalgError`]).
-    pub fn solve_cholesky<F: Fpu>(&self, fpu: &mut F) -> Result<Vec<f64>, LinalgError> {
-        lstsq_cholesky(fpu, &self.a, &self.b)
     }
 
     /// The exact solution computed offline with a reliable QR solve — the
@@ -316,10 +257,6 @@ impl RobustProblem for LeastSquares {
         x.to_vec()
     }
 
-    fn reference(&self) -> Vec<f64> {
-        self.ideal()
-    }
-
     /// The metric is the paper's residual relative error; as in Figure 6.2,
     /// a trial only *fails* outright when it breaks down (non-finite
     /// output).
@@ -334,9 +271,9 @@ impl RobustProblem for LeastSquares {
     /// Baseline variants: `svd` (default), `qr`, `cholesky`.
     fn baseline<F: Fpu>(&self, spec: &SolverSpec, fpu: &mut F) -> Option<Vec<f64>> {
         match spec.variant.as_deref() {
-            None | Some("svd") => self.solve_svd(fpu).ok(),
-            Some("qr") => self.solve_qr(fpu).ok(),
-            Some("cholesky") => self.solve_cholesky(fpu).ok(),
+            None | Some("svd") => lstsq_svd(fpu, &self.a, &self.b).ok(),
+            Some("qr") => lstsq_qr(fpu, &self.a, &self.b).ok(),
+            Some("cholesky") => lstsq_cholesky(fpu, &self.a, &self.b).ok(),
             Some(_) => None,
         }
     }
@@ -370,6 +307,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use robustify_core::StepSchedule;
     use robustify_linalg::condition_number;
     use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
 
@@ -379,37 +317,52 @@ mod tests {
         LeastSquares::random(&mut rng, 100, 10)
     }
 
+    /// The Figure 6.2 configuration: 1000 iterations of `1/t` SGD.
+    fn figure_sgd(p: &LeastSquares) -> SolverSpec {
+        SolverSpec::sgd(
+            1000,
+            StepSchedule::Linear {
+                gamma0: p.default_gamma0(),
+            },
+        )
+    }
+
+    /// Solves `p` with `spec`, panicking on a breakdown.
+    fn solved<F: Fpu>(p: &LeastSquares, spec: &SolverSpec, fpu: &mut F) -> Vec<f64> {
+        p.solve(spec, fpu)
+            .expect("supported method")
+            .solution
+            .expect("no breakdown")
+    }
+
     #[test]
     fn all_solvers_agree_on_reliable_fpu() {
         let p = paper_problem();
         let mut fpu = ReliableFpu::new();
         let ideal = p.ideal();
-        for x in [
-            p.solve_svd(&mut fpu).expect("full rank"),
-            p.solve_qr(&mut fpu).expect("full rank"),
-            p.solve_cholesky(&mut fpu).expect("full rank"),
-        ] {
+        for variant in ["svd", "qr", "cholesky"] {
+            let x = solved(&p, &SolverSpec::baseline_variant(variant), &mut fpu);
             for (a, b) in x.iter().zip(&ideal) {
-                assert!((a - b).abs() < 1e-8);
+                assert!((a - b).abs() < 1e-8, "{variant}");
             }
         }
-        let cg = p.solve_cg(10, &mut fpu);
+        let cg = solved(&p, &SolverSpec::cg(10), &mut fpu);
         // Restarted CG does not terminate exactly in n steps, but gets close.
         assert!(
-            p.relative_error(&cg.x) < 1e-4,
+            p.relative_error(&cg) < 1e-4,
             "cg error {}",
-            p.relative_error(&cg.x)
+            p.relative_error(&cg)
         );
     }
 
     #[test]
     fn sgd_reaches_modest_accuracy_reliably() {
         let p = paper_problem();
-        let report = p.solve_sgd_default(&mut ReliableFpu::new());
+        let x = solved(&p, &figure_sgd(&p), &mut ReliableFpu::new());
         assert!(
-            p.relative_error(&report.x) < 1e-2,
+            p.relative_error(&x) < 1e-2,
             "relative error {}",
-            p.relative_error(&report.x)
+            p.relative_error(&x)
         );
     }
 
@@ -423,16 +376,19 @@ mod tests {
         let runs = 5;
         for seed in 0..runs {
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), seed);
-            let report = p.solve_sgd_default(&mut fpu);
-            sgd_total += p.relative_error(&report.x).min(1e3);
+            let x = solved(&p, &figure_sgd(&p), &mut fpu);
+            sgd_total += p.relative_error(&x).min(1e3);
             let mut fpu = NoisyFpu::new(
                 FaultRate::per_flop(0.02),
                 BitFaultModel::emulated(),
                 100 + seed,
             );
-            let err = match p.solve_svd(&mut fpu) {
-                Ok(x) => p.relative_error(&x).min(1e3),
-                Err(_) => 1e3,
+            let svd = p
+                .solve(&SolverSpec::baseline(), &mut fpu)
+                .expect("svd is supported");
+            let err = match svd.solution {
+                Some(x) => p.relative_error(&x).min(1e3),
+                None => 1e3,
             };
             svd_total += err;
         }
@@ -476,15 +432,15 @@ mod tests {
     fn cg_converges_faster_than_sgd_in_flops() {
         let p = paper_problem();
         let mut fpu_cg = ReliableFpu::new();
-        let cg = p.solve_cg(10, &mut fpu_cg);
+        let cg = solved(&p, &SolverSpec::cg(10), &mut fpu_cg);
         let mut fpu_sgd = ReliableFpu::new();
-        let sgd = p.solve_sgd_default(&mut fpu_sgd);
-        assert!(p.relative_error(&cg.x) <= p.relative_error(&sgd.x) + 1e-9);
+        let sgd = solved(&p, &figure_sgd(&p), &mut fpu_sgd);
+        assert!(p.relative_error(&cg) <= p.relative_error(&sgd) + 1e-9);
         assert!(
-            cg.flops < sgd.flops / 10,
+            fpu_cg.flops() < fpu_sgd.flops() / 10,
             "cg {} vs sgd {}",
-            cg.flops,
-            sgd.flops
+            fpu_cg.flops(),
+            fpu_sgd.flops()
         );
     }
 }

@@ -15,7 +15,7 @@
 //! | [`matching`] | LP over doubly stochastic matrices (§4.4) | Hungarian |
 //! | [`maxflow`] | flow LP (§4.5) | Ford–Fulkerson |
 //! | [`apsp`] | distance LP (§4.6) | Floyd–Warshall |
-//! | [`eigen`] | penalized Rayleigh quotient + deflation (§4.7) | power iteration |
+//! | [`eigen`] | penalized Rayleigh quotient, top pair (§4.7) | power iteration |
 //! | [`svm`] | hinge-loss data fitting (§4.7) | reliable SGD reference |
 //! | [`doubly_stochastic`] | assignment LP (4.3) as its own problem | Hungarian |
 //! | [`poisson2d`] | sparse CG on the 5-point Laplacian (§3.3 at 10⁵ unknowns) | — |

@@ -6,10 +6,10 @@
 
 use crate::doubly_stochastic::DoublyStochasticCost;
 use robustify_core::{
-    precondition_lp, CoreError, PenaltyKind, RobustOutcome, RobustProblem, Sgd, SolveMethod,
+    precondition_lp, CoreError, PenaltyKind, RobustOutcome, RobustProblem, SolveMethod,
     SolveReport, SolverSpec, Verdict,
 };
-use robustify_graph::{brute_force_matching, hungarian, BipartiteGraph, GraphError, Matching};
+use robustify_graph::{brute_force_matching, hungarian, BipartiteGraph, Matching};
 use robustify_linalg::Matrix;
 use stochastic_fpu::Fpu;
 
@@ -20,15 +20,15 @@ use stochastic_fpu::Fpu;
 ///
 /// ```
 /// use robustify_apps::matching::MatchingProblem;
-/// use robustify_core::{Sgd, StepSchedule};
+/// use robustify_core::{RobustProblem, SolverSpec, StepSchedule};
 /// use robustify_graph::BipartiteGraph;
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = BipartiteGraph::new(2, 2, vec![(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)])?;
 /// let p = MatchingProblem::new(g);
-/// let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.05 });
-/// let (m, _report) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+/// let spec = SolverSpec::sgd(3000, StepSchedule::Sqrt { gamma0: 0.05 });
+/// let m = p.solve(&spec, &mut ReliableFpu::new())?.solution.expect("sgd decodes");
 /// assert!(p.is_success(&m));
 /// # Ok(())
 /// # }
@@ -96,46 +96,6 @@ impl MatchingProblem {
         DoublyStochasticCost::new(scaled, mu1, mu2, kind).expect("default weights are valid")
     }
 
-    /// Solves the robust form with the given SGD configuration and default
-    /// penalty weights, decoding the relaxed `X` to a matching over real
-    /// edges.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> (Matching, SolveReport) {
-        let mut cost = self.robust_cost(Self::DEFAULT_MU1, Self::DEFAULT_MU2, PenaltyKind::Squared);
-        let x0 = cost.initial_iterate();
-        let report = sgd.run(&mut cost, &x0, fpu);
-        let matching = self.decode(&cost, &report.x);
-        (matching, report)
-    }
-
-    /// Solves via the *generic* LP path with QR preconditioning (§6.2.1):
-    /// precondition the stacked constraint matrix, run SGD on the
-    /// transformed program, recover `x = R⁻¹y`, decode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates preconditioning failures ([`CoreError`]).
-    pub fn solve_preconditioned_sgd<F: Fpu>(
-        &self,
-        sgd: &Sgd,
-        fpu: &mut F,
-    ) -> Result<(Matching, SolveReport), CoreError> {
-        let cost = self.robust_cost(Self::DEFAULT_MU1, Self::DEFAULT_MU2, PenaltyKind::Squared);
-        let lp = cost.to_lp();
-        let pre = precondition_lp(&lp)?;
-        let mut pen = pre
-            .lp()
-            .penalized(Self::DEFAULT_MU2, PenaltyKind::Squared)?;
-        // Start from y = R x0 (control-plane setup).
-        let x0 = cost.initial_iterate();
-        let y0 = pre
-            .r()
-            .matvec(&mut stochastic_fpu::ReliableFpu::new(), &x0)
-            .expect("x0 has lp dim");
-        let report = sgd.run(&mut pen, &y0, fpu);
-        let x = pre.recover(&report.x)?;
-        Ok((self.decode(&cost, &x), report))
-    }
-
     /// Decodes a relaxed `X` into a matching over *real* edges — LP
     /// rounding as a control-plane step. The relaxation's support (entries
     /// at or above threshold `0.25` that correspond to edges of the graph)
@@ -172,14 +132,29 @@ impl MatchingProblem {
             .expect("reliable hungarian cannot break down")
     }
 
-    /// The fault-exposed Hungarian baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError::NumericalBreakdown`] (a failed baseline
-    /// run).
-    pub fn solve_baseline<F: Fpu>(&self, fpu: &mut F) -> Result<Matching, GraphError> {
-        hungarian(fpu, &self.graph)
+    /// The generic LP path with QR preconditioning (§6.2.1): precondition
+    /// the stacked constraint matrix, run `spec`'s SGD on the transformed
+    /// program, recover `x = R⁻¹y`, decode.
+    fn run_preconditioned_lp<F: Fpu>(
+        &self,
+        spec: &SolverSpec,
+        fpu: &mut F,
+    ) -> Result<(Matching, SolveReport), CoreError> {
+        let cost = self.robust_cost(Self::DEFAULT_MU1, Self::DEFAULT_MU2, PenaltyKind::Squared);
+        let lp = cost.to_lp();
+        let pre = precondition_lp(&lp)?;
+        let mut pen = pre
+            .lp()
+            .penalized(Self::DEFAULT_MU2, PenaltyKind::Squared)?;
+        // Start from y = R x0 (control-plane setup).
+        let x0 = cost.initial_iterate();
+        let y0 = pre
+            .r()
+            .matvec(&mut stochastic_fpu::ReliableFpu::new(), &x0)
+            .expect("x0 has lp dim");
+        let report = spec.build_sgd().run(&mut pen, &y0, fpu);
+        let x = pre.recover(&report.x)?;
+        Ok((self.decode(&cost, &x), report))
     }
 
     /// The paper's Figure 6.4 success criterion: "the percentage of outputs
@@ -211,11 +186,6 @@ impl RobustProblem for MatchingProblem {
         MatchingProblem::decode(self, cost, x)
     }
 
-    fn reference(&self) -> Matching {
-        hungarian(&mut stochastic_fpu::ReliableFpu::new(), &self.graph)
-            .expect("reliable hungarian cannot break down")
-    }
-
     /// Success is the paper's criterion
     /// ([`is_success`](MatchingProblem::is_success)); the metric is the
     /// relative weight gap to the optimal matching.
@@ -228,8 +198,10 @@ impl RobustProblem for MatchingProblem {
         }
     }
 
+    /// The fault-exposed Hungarian baseline; a numerical breakdown is a
+    /// failed run.
     fn baseline<F: Fpu>(&self, _spec: &SolverSpec, fpu: &mut F) -> Option<Matching> {
-        self.solve_baseline(fpu).ok()
+        hungarian(fpu, &self.graph).ok()
     }
 
     /// Adds [`SolveMethod::PreconditionedSgd`] (§6.2.1) on top of the
@@ -241,18 +213,16 @@ impl RobustProblem for MatchingProblem {
         fpu: &mut F,
     ) -> Result<RobustOutcome<Matching>, CoreError> {
         match spec.method {
-            SolveMethod::PreconditionedSgd => {
-                match self.solve_preconditioned_sgd(&spec.build_sgd(), fpu) {
-                    Ok((matching, report)) => Ok(RobustOutcome {
-                        solution: Some(matching),
-                        report: Some(report),
-                    }),
-                    Err(_) => Ok(RobustOutcome {
-                        solution: None,
-                        report: None,
-                    }),
-                }
-            }
+            SolveMethod::PreconditionedSgd => match self.run_preconditioned_lp(spec, fpu) {
+                Ok((matching, report)) => Ok(RobustOutcome {
+                    solution: Some(matching),
+                    report: Some(report),
+                }),
+                Err(_) => Ok(RobustOutcome {
+                    solution: None,
+                    report: None,
+                }),
+            },
             _ => robustify_core::default_solve(self, spec, fpu),
         }
     }
@@ -273,12 +243,18 @@ mod tests {
         MatchingProblem::new(random_bipartite(&mut rng, 5, 6, 30))
     }
 
+    /// Solves `p` with `spec`, panicking on a breakdown.
+    fn solved<F: Fpu>(p: &MatchingProblem, spec: &SolverSpec, fpu: &mut F) -> Matching {
+        p.solve(spec, fpu)
+            .expect("supported method")
+            .solution
+            .expect("no breakdown")
+    }
+
     #[test]
     fn baseline_is_optimal_reliably() {
         let p = paper_workload(1);
-        let m = p
-            .solve_baseline(&mut ReliableFpu::new())
-            .expect("reliable run");
+        let m = solved(&p, &SolverSpec::baseline(), &mut ReliableFpu::new());
         assert!(
             p.is_success(&m),
             "hungarian {} vs optimal {}",
@@ -290,9 +266,9 @@ mod tests {
     #[test]
     fn robust_matching_succeeds_reliably() {
         let p = paper_workload(2);
-        let sgd =
-            Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.05 }).with_annealing(Default::default());
-        let (m, _) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+        let spec = SolverSpec::sgd(6000, StepSchedule::Sqrt { gamma0: 0.05 })
+            .with_annealing(Default::default());
+        let m = solved(&p, &spec, &mut ReliableFpu::new());
         assert!(
             p.is_success(&m),
             "robust weight {} vs optimal {}",
@@ -306,11 +282,11 @@ mod tests {
         let p = paper_workload(3);
         let mut successes = 0;
         for seed in 0..6 {
-            let sgd = Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.05 })
+            let spec = SolverSpec::sgd(6000, StepSchedule::Sqrt { gamma0: 0.05 })
                 .with_annealing(Default::default())
                 .with_aggressive_stepping(Default::default());
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), seed);
-            let (m, _) = p.solve_sgd(&sgd, &mut fpu);
+            let m = solved(&p, &spec, &mut fpu);
             if p.is_success(&m) {
                 successes += 1;
             }
@@ -325,12 +301,8 @@ mod tests {
     fn preconditioned_path_matches_reliably() {
         let mut rng = StdRng::seed_from_u64(5);
         let p = MatchingProblem::new(random_bipartite(&mut rng, 3, 3, 7));
-        let (m, _) = p
-            .solve_preconditioned_sgd(
-                &Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.05 }),
-                &mut ReliableFpu::new(),
-            )
-            .expect("preconditionable");
+        let spec = SolverSpec::preconditioned_sgd(6000, StepSchedule::Sqrt { gamma0: 0.05 });
+        let m = solved(&p, &spec, &mut ReliableFpu::new());
         assert!(
             p.is_success(&m),
             "preconditioned weight {} vs optimal {}",

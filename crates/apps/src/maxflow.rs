@@ -11,10 +11,10 @@
 //! baseline is Ford–Fulkerson through the faulty FPU.
 
 use robustify_core::{
-    CoreError, LinearCost, LinearProgram, PenaltyCost, PenaltyKind, RobustProblem, Sgd,
-    SolveReport, SolverSpec, Verdict,
+    CoreError, LinearCost, LinearProgram, PenaltyCost, PenaltyKind, RobustProblem, SolverSpec,
+    Verdict,
 };
-use robustify_graph::{max_flow, FlowNetwork, GraphError, MaxFlowResult};
+use robustify_graph::{max_flow, FlowNetwork};
 use robustify_linalg::Matrix;
 use stochastic_fpu::{Fpu, ReliableFpu};
 
@@ -25,7 +25,7 @@ use stochastic_fpu::{Fpu, ReliableFpu};
 ///
 /// ```
 /// use robustify_apps::maxflow::MaxFlowProblem;
-/// use robustify_core::{Annealing, Sgd, StepSchedule};
+/// use robustify_core::{Annealing, RobustProblem, SolverSpec, StepSchedule};
 /// use robustify_graph::FlowNetwork;
 /// use stochastic_fpu::ReliableFpu;
 ///
@@ -34,9 +34,9 @@ use stochastic_fpu::{Fpu, ReliableFpu};
 ///     (0, 1, 3.0), (0, 2, 2.0), (1, 3, 2.0), (2, 3, 3.0),
 /// ])?;
 /// let p = MaxFlowProblem::new(net)?;
-/// let sgd = Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.02 })
+/// let spec = SolverSpec::sgd(6000, StepSchedule::Sqrt { gamma0: 0.02 })
 ///     .with_annealing(Annealing::default());
-/// let (value, _report) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
+/// let value = p.solve(&spec, &mut ReliableFpu::new())?.solution.expect("sgd decodes");
 /// assert!((value - 4.0).abs() < 0.3);
 /// # Ok(())
 /// # }
@@ -141,19 +141,6 @@ impl MaxFlowProblem {
             .with_nonneg()
     }
 
-    /// Solves the robust form with SGD on the exact-penalty LP, returning
-    /// the decoded flow value (rescaled to original capacities) and the
-    /// solve report.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> (f64, SolveReport) {
-        let lp = self.to_lp();
-        let mut cost = lp
-            .penalized(Self::DEFAULT_MU, PenaltyKind::Squared)
-            .expect("default mu is valid");
-        let x0 = vec![0.0; lp.dim()];
-        let report = sgd.run(&mut cost, &x0, fpu);
-        (self.decode_value(&report.x), report)
-    }
-
     /// Decodes a per-edge flow vector to the source outflow (native
     /// arithmetic; non-finite lanes count as zero).
     pub fn decode_value(&self, f: &[f64]) -> f64 {
@@ -177,16 +164,6 @@ impl MaxFlowProblem {
             })
             // detlint::allow(float-reassociation, reason = "flow-value measurement is reliable verification arithmetic")
             .sum()
-    }
-
-    /// The fault-exposed Ford–Fulkerson baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError::NumericalBreakdown`] (a failed baseline
-    /// run).
-    pub fn solve_baseline<F: Fpu>(&self, fpu: &mut F) -> Result<MaxFlowResult, GraphError> {
-        max_flow(fpu, &self.net)
     }
 
     /// Relative error of a flow value against the ground truth (native
@@ -217,18 +194,16 @@ impl RobustProblem for MaxFlowProblem {
         self.decode_value(x)
     }
 
-    fn reference(&self) -> f64 {
-        self.optimal_value
-    }
-
     /// The metric is the relative flow-value error; success requires it at
     /// most 5% of the optimum.
     fn verify(&self, solution: &f64) -> Verdict {
         Verdict::from_metric(self.relative_error(*solution), 0.05)
     }
 
+    /// The fault-exposed Ford–Fulkerson baseline; a numerical breakdown is
+    /// a failed run.
     fn baseline<F: Fpu>(&self, _spec: &SolverSpec, fpu: &mut F) -> Option<f64> {
-        self.solve_baseline(fpu).ok().map(|r| r.value)
+        max_flow(fpu, &self.net).ok().map(|r| r.value)
     }
 }
 
@@ -260,6 +235,19 @@ mod tests {
         .expect("non-empty network")
     }
 
+    fn annealed_sgd() -> SolverSpec {
+        SolverSpec::sgd(6000, StepSchedule::Sqrt { gamma0: 0.02 })
+            .with_annealing(Default::default())
+    }
+
+    /// Solves `p` with `spec`, panicking on a breakdown.
+    fn solved<F: Fpu>(p: &MaxFlowProblem, spec: &SolverSpec, fpu: &mut F) -> f64 {
+        p.solve(spec, fpu)
+            .expect("supported method")
+            .solution
+            .expect("no breakdown")
+    }
+
     #[test]
     fn lp_optimum_matches_ford_fulkerson() {
         // Check that a feasible flow attaining the max value has LP
@@ -283,9 +271,7 @@ mod tests {
     #[test]
     fn sgd_approaches_max_flow_reliably() {
         let p = diamond();
-        let sgd =
-            Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.02 }).with_annealing(Default::default());
-        let (value, _) = p.solve_sgd(&sgd, &mut stochastic_fpu::ReliableFpu::new());
+        let value = solved(&p, &annealed_sgd(), &mut ReliableFpu::new());
         assert!(
             p.relative_error(value) < 0.1,
             "value {value} vs optimal {}",
@@ -299,10 +285,8 @@ mod tests {
         let mut total = 0.0;
         let runs = 5;
         for seed in 0..runs {
-            let sgd = Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.02 })
-                .with_annealing(Default::default());
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), seed);
-            let (value, _) = p.solve_sgd(&sgd, &mut fpu);
+            let value = solved(&p, &annealed_sgd(), &mut fpu);
             total += p.relative_error(value).min(10.0);
         }
         assert!(

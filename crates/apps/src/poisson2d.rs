@@ -20,19 +20,17 @@
 
 use rand::{Rng, RngExt};
 use robustify_core::{
-    CgLeastSquares, CgReport, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem,
-    SolveMethod, SolverSpec, Verdict,
+    CgLeastSquares, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, SolveMethod,
+    SolverSpec, Verdict,
 };
 use robustify_linalg::CsrMatrix;
 use stochastic_fpu::{Fpu, ReliableFpu};
 
-/// The canonical CG iteration budget for this workload (restart every 4,
-/// the §3.3 configuration). The reference residual is computed with the
-/// same budget, so solver specs should use it too.
+/// The canonical CG iteration budget for this workload, run as
+/// [`SolverSpec::cg`] (restart every 4, the §3.3 configuration). The
+/// reference residual is computed with the same spec, so solver specs
+/// should use it too.
 pub const CG_BUDGET: usize = 12;
-
-/// The restart interval paired with [`CG_BUDGET`].
-pub const CG_RESTART: usize = 4;
 
 /// A discretized 2D Poisson problem `A x = b` with a sparse robust solver.
 ///
@@ -42,24 +40,27 @@ pub const CG_RESTART: usize = 4;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 /// use robustify_apps::poisson2d::{Poisson2d, CG_BUDGET};
+/// use robustify_core::{RobustProblem, SolverSpec};
 /// use stochastic_fpu::ReliableFpu;
 ///
+/// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let p = Poisson2d::new(8, &mut StdRng::seed_from_u64(1));
 /// assert_eq!(p.dim(), 64);
 /// // A reliable run at the canonical budget reproduces the reference.
-/// let report = p.solve_cg(CG_BUDGET, &mut ReliableFpu::new());
-/// assert_eq!(p.relative_residual(&report.x), p.reference_metric());
+/// let out = p.solve(&SolverSpec::cg(CG_BUDGET), &mut ReliableFpu::new())?;
+/// let x = out.solution.expect("cg always yields an iterate");
+/// assert_eq!(p.relative_residual(&x), p.reference_metric());
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Poisson2d {
     grid: usize,
     a: CsrMatrix,
     b: Vec<f64>,
-    /// Reliable CG solution at the canonical budget (the ground truth a
-    /// budget-limited stochastic run is measured against).
-    reference: Vec<f64>,
-    /// Relative residual of `reference` — the quality the budget buys
-    /// reliably.
+    /// Relative residual of a reliable CG solve at the canonical budget —
+    /// the quality the budget buys, which a budget-limited stochastic run
+    /// is measured against.
     ref_metric: f64,
 }
 
@@ -101,12 +102,14 @@ impl Poisson2d {
             grid,
             a,
             b,
-            reference: Vec::new(),
             ref_metric: f64::INFINITY,
         };
-        let report = problem.solve_cg(CG_BUDGET, &mut ReliableFpu::new());
-        problem.ref_metric = problem.relative_residual(&report.x);
-        problem.reference = report.x;
+        let reference = problem
+            .solve(&SolverSpec::cg(CG_BUDGET), &mut ReliableFpu::new())
+            .expect("cg is supported")
+            .solution
+            .expect("cg always yields an iterate");
+        problem.ref_metric = problem.relative_residual(&reference);
         problem
     }
 
@@ -133,16 +136,6 @@ impl Poisson2d {
     /// The reliable reference residual at the canonical budget.
     pub fn reference_metric(&self) -> f64 {
         self.ref_metric
-    }
-
-    /// Solves with restarted CG over the sparse backend from the zero
-    /// iterate.
-    pub fn solve_cg<F: Fpu>(&self, iterations: usize, fpu: &mut F) -> CgReport {
-        CgLeastSquares::new(&self.a, &self.b)
-            .expect("problem shapes are consistent by construction")
-            .with_max_iterations(iterations)
-            .with_restart_interval(CG_RESTART)
-            .solve(&vec![0.0; self.dim()], fpu)
     }
 
     /// The reliable relative residual `‖A x − b‖ / ‖b‖` (native
@@ -175,10 +168,6 @@ impl RobustProblem for Poisson2d {
 
     fn decode(&self, _cost: &Self::Cost, x: &[f64]) -> Vec<f64> {
         x.to_vec()
-    }
-
-    fn reference(&self) -> Vec<f64> {
-        self.reference.clone()
     }
 
     /// The metric is the reliable relative residual; a trial succeeds when
@@ -265,9 +254,12 @@ mod tests {
     #[test]
     fn reference_matches_canonical_budget() {
         let p = small();
-        let report = p.solve_cg(CG_BUDGET, &mut ReliableFpu::new());
-        assert_eq!(report.x, p.reference());
-        assert_eq!(p.relative_residual(&report.x), p.reference_metric());
+        let x = p
+            .solve(&SolverSpec::cg(CG_BUDGET), &mut ReliableFpu::new())
+            .expect("cg is supported")
+            .solution
+            .expect("cg always yields an iterate");
+        assert_eq!(p.relative_residual(&x), p.reference_metric());
         assert!(p.reference_metric().is_finite());
         assert!(p.reference_metric() > 0.0);
     }

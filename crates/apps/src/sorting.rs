@@ -7,9 +7,7 @@
 
 use crate::doubly_stochastic::DoublyStochasticCost;
 use rand::{Rng, RngExt};
-use robustify_core::{
-    CoreError, PenaltyKind, RobustProblem, Sgd, SolveReport, SolverSpec, Verdict,
-};
+use robustify_core::{CoreError, PenaltyKind, RobustProblem, SolverSpec, Verdict};
 use robustify_linalg::Matrix;
 use stochastic_fpu::{Fpu, FpuExt};
 
@@ -139,14 +137,14 @@ fn insertion_inner<F: Fpu>(fpu: &mut F, data: &mut [f64]) {
 ///
 /// ```
 /// use robustify_apps::sorting::SortProblem;
-/// use robustify_core::{Sgd, StepSchedule};
+/// use robustify_core::{RobustProblem, SolverSpec, StepSchedule};
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let problem = SortProblem::new(vec![3.0, 1.0, 2.0])?;
-/// let sgd = Sgd::new(2000, StepSchedule::Sqrt { gamma0: 0.05 });
-/// let (sorted, _report) = problem.solve_sgd(&sgd, &mut ReliableFpu::new());
-/// assert_eq!(sorted, vec![1.0, 2.0, 3.0]);
+/// let spec = SolverSpec::sgd(2000, StepSchedule::Sqrt { gamma0: 0.05 });
+/// let sorted = problem.solve(&spec, &mut ReliableFpu::new())?.solution;
+/// assert_eq!(sorted, Some(vec![1.0, 2.0, 3.0]));
 /// # Ok(())
 /// # }
 /// ```
@@ -221,17 +219,6 @@ impl SortProblem {
             .expect("default penalty weights are valid")
     }
 
-    /// Solves the robust form with the given SGD configuration and default
-    /// penalty weights, decoding the relaxed `X` to a permutation and
-    /// returning the permuted (exact) input values.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> (Vec<f64>, SolveReport) {
-        let mut cost = self.robust_cost(Self::DEFAULT_MU1, Self::DEFAULT_MU2, PenaltyKind::Squared);
-        let x0 = cost.initial_iterate();
-        let report = sgd.run(&mut cost, &x0, fpu);
-        let output = self.decode(&cost, &report.x);
-        (output, report)
-    }
-
     /// Decodes a relaxed `X` into an output array: greedy assignment, then
     /// the permutation is applied to the original values natively (the
     /// decode is a protected control step). Rows of `X` index *positions*,
@@ -299,10 +286,6 @@ impl RobustProblem for SortProblem {
 
     fn decode(&self, cost: &Self::Cost, x: &[f64]) -> Vec<f64> {
         SortProblem::decode(self, cost, x)
-    }
-
-    fn reference(&self) -> Vec<f64> {
-        self.sorted_reference()
     }
 
     /// Success is the paper's strict criterion
@@ -395,10 +378,13 @@ mod tests {
     #[test]
     fn robust_sort_succeeds_reliably() {
         let p = SortProblem::new(vec![4.0, -2.0, 9.0, 0.5, 1.0]).expect("finite entries");
-        let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.05 });
-        let (out, report) = p.solve_sgd(&sgd, &mut ReliableFpu::new());
-        assert!(p.is_success(&out), "output {out:?}");
-        assert!(report.flops > 0);
+        let spec = SolverSpec::sgd(3000, StepSchedule::Sqrt { gamma0: 0.05 });
+        let out = p
+            .solve(&spec, &mut ReliableFpu::new())
+            .expect("sgd is supported");
+        let sorted = out.solution.expect("sgd decodes");
+        assert!(p.is_success(&sorted), "output {sorted:?}");
+        assert!(out.report.expect("sgd reports").flops > 0);
     }
 
     #[test]
@@ -406,11 +392,10 @@ mod tests {
         let mut successes = 0;
         for seed in 0..10 {
             let p = SortProblem::new(vec![4.0, -2.0, 9.0, 0.5, 1.0]).expect("finite entries");
-            let sgd = Sgd::new(4000, StepSchedule::Sqrt { gamma0: 0.05 })
+            let spec = SolverSpec::sgd(4000, StepSchedule::Sqrt { gamma0: 0.05 })
                 .with_aggressive_stepping(Default::default());
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), seed);
-            let (out, _) = p.solve_sgd(&sgd, &mut fpu);
-            if p.is_success(&out) {
+            if p.run_trial(&spec, &mut fpu).success {
                 successes += 1;
             }
         }
@@ -462,7 +447,7 @@ mod tests {
         let verdict = p.verify(&out.solution.expect("sgd decodes"));
         assert!(verdict.success);
         assert_eq!(verdict.metric, 0.0);
-        assert_eq!(p.reference(), vec![-2.0, 4.0, 9.0]);
+        assert_eq!(p.sorted_reference(), vec![-2.0, 4.0, 9.0]);
 
         let baseline = p
             .baseline(
@@ -470,7 +455,7 @@ mod tests {
                 &mut ReliableFpu::new(),
             )
             .expect("mergesort is a known variant");
-        assert_eq!(baseline, p.reference());
+        assert_eq!(baseline, p.sorted_reference());
         assert!(p
             .baseline(
                 &SolverSpec::baseline_variant("bogus"),

@@ -16,9 +16,7 @@
 //! mini-batching supplies in Pegasos-style solvers.
 
 use rand::{Rng, RngExt};
-use robustify_core::{
-    CoreError, CostFunction, RobustProblem, Sgd, SolveReport, StepSchedule, Verdict,
-};
+use robustify_core::{CoreError, CostFunction, RobustProblem, Verdict};
 use stochastic_fpu::{Fpu, FpuExt, ReliableFpu};
 
 /// A binary classification dataset with `±1` labels.
@@ -260,14 +258,14 @@ impl CostFunction for SvmCost {
 /// ```
 /// use rand::{rngs::StdRng, SeedableRng};
 /// use robustify_apps::svm::{Dataset, SvmProblem};
-/// use robustify_core::{Sgd, StepSchedule};
+/// use robustify_core::{RobustProblem, SolverSpec, StepSchedule};
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let data = Dataset::separable_blobs(&mut StdRng::seed_from_u64(1), 20, 3, 2.0, 0.8);
 /// let problem = SvmProblem::new(data, 0.01)?;
-/// let sgd = Sgd::new(2000, StepSchedule::Sqrt { gamma0: 0.5 });
-/// let (wb, _report) = problem.solve_sgd(&sgd, &mut ReliableFpu::new());
+/// let spec = SolverSpec::sgd(2000, StepSchedule::Sqrt { gamma0: 0.5 });
+/// let wb = problem.solve(&spec, &mut ReliableFpu::new())?.solution.expect("sgd decodes");
 /// assert_eq!(problem.accuracy(&wb), 1.0);
 /// # Ok(())
 /// # }
@@ -292,15 +290,6 @@ impl SvmProblem {
     /// The underlying objective.
     pub fn cost(&self) -> &SvmCost {
         &self.cost
-    }
-
-    /// Trains with the given SGD configuration from the zero vector,
-    /// returning `(parameters, report)`.
-    pub fn solve_sgd<F: Fpu>(&self, sgd: &Sgd, fpu: &mut F) -> (Vec<f64>, SolveReport) {
-        let mut cost = self.cost.clone();
-        let x0 = vec![0.0; cost.dim()];
-        let report = sgd.run(&mut cost, &x0, fpu);
-        (report.x.clone(), report)
     }
 
     /// Training accuracy of `wb` in `[0, 1]`, scored reliably (the decode
@@ -337,14 +326,6 @@ impl RobustProblem for SvmProblem {
         x.to_vec()
     }
 
-    /// The reliable SGD reference the paper names as the comparison point:
-    /// the Figure-scale training run (2000 sqrt-schedule iterations)
-    /// executed on an exact FPU.
-    fn reference(&self) -> Vec<f64> {
-        let sgd = Sgd::new(2000, StepSchedule::Sqrt { gamma0: 0.5 });
-        self.solve_sgd(&sgd, &mut ReliableFpu::new()).0
-    }
-
     /// The metric is the misclassification fraction `1 − accuracy`;
     /// success requires at least 95% training accuracy.
     fn verify(&self, solution: &Vec<f64>) -> Verdict {
@@ -358,7 +339,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use robustify_core::StepSchedule;
+    use robustify_core::{SolverSpec, StepSchedule};
     use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
 
     fn blobs(seed: u64) -> Dataset {
@@ -395,8 +376,12 @@ mod tests {
     #[test]
     fn separable_data_reaches_full_accuracy_reliably() {
         let problem = SvmProblem::new(blobs(2), 0.01).expect("valid lambda");
-        let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.5 });
-        let (wb, _) = problem.solve_sgd(&sgd, &mut ReliableFpu::new());
+        let spec = SolverSpec::sgd(3000, StepSchedule::Sqrt { gamma0: 0.5 });
+        let wb = problem
+            .solve(&spec, &mut ReliableFpu::new())
+            .expect("sgd is supported")
+            .solution
+            .expect("sgd decodes");
         assert_eq!(problem.accuracy(&wb), 1.0);
     }
 
@@ -406,9 +391,13 @@ mod tests {
         let mut total = 0.0;
         let runs = 5;
         for seed in 0..runs {
-            let sgd = Sgd::new(3000, StepSchedule::Sqrt { gamma0: 0.5 });
+            let spec = SolverSpec::sgd(3000, StepSchedule::Sqrt { gamma0: 0.5 });
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), seed);
-            let (wb, _) = problem.solve_sgd(&sgd, &mut fpu);
+            let wb = problem
+                .solve(&spec, &mut fpu)
+                .expect("sgd is supported")
+                .solution
+                .expect("sgd decodes");
             total += problem.accuracy(&wb);
         }
         assert!(

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robustify_bench::workloads::paper_sort;
-use robustify_core::{AggressiveStepping, Sgd, StepSchedule};
+use robustify_core::{AggressiveStepping, RobustProblem, SolverSpec, StepSchedule};
 use std::hint::black_box;
 use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
 
@@ -23,20 +23,20 @@ fn bench_schedules(c: &mut Criterion) {
     ];
     for (name, schedule) in schedules {
         group.bench_function(name, |b| {
-            let sgd = Sgd::new(1000, schedule);
+            let sgd = SolverSpec::sgd(1000, schedule);
             b.iter(|| {
                 let mut fpu =
                     NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 7);
-                black_box(problem.solve_sgd(&sgd, &mut fpu))
+                black_box(problem.solve(&sgd, &mut fpu))
             })
         });
     }
     group.bench_function("sqrt_plus_aggressive", |b| {
-        let sgd = Sgd::new(1000, StepSchedule::Sqrt { gamma0: 0.1 })
+        let sgd = SolverSpec::sgd(1000, StepSchedule::Sqrt { gamma0: 0.1 })
             .with_aggressive_stepping(AggressiveStepping::default());
         b.iter(|| {
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 7);
-            black_box(problem.solve_sgd(&sgd, &mut fpu))
+            black_box(problem.solve(&sgd, &mut fpu))
         })
     });
     group.finish();

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robustify_bench::workloads::paper_least_squares;
-use robustify_core::{Sgd, StepSchedule};
+use robustify_core::{RobustProblem, SolverSpec, StepSchedule};
 use std::hint::black_box;
 use stochastic_fpu::ReliableFpu;
 
@@ -16,42 +16,26 @@ fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("lstsq_solvers_100x10");
     group.sample_size(20);
 
-    group.bench_function("qr", |b| {
-        b.iter(|| {
-            let mut fpu = ReliableFpu::new();
-            black_box(problem.solve_qr(&mut fpu).expect("full rank"))
-        })
-    });
-    group.bench_function("svd", |b| {
-        b.iter(|| {
-            let mut fpu = ReliableFpu::new();
-            black_box(problem.solve_svd(&mut fpu).expect("full rank"))
-        })
-    });
-    group.bench_function("cholesky", |b| {
-        b.iter(|| {
-            let mut fpu = ReliableFpu::new();
-            black_box(problem.solve_cholesky(&mut fpu).expect("full rank"))
-        })
-    });
-    group.bench_function("cg_n10", |b| {
-        b.iter(|| {
-            let mut fpu = ReliableFpu::new();
-            black_box(problem.solve_cg(10, &mut fpu))
-        })
-    });
-    group.bench_function("sgd_1000_ls", |b| {
-        let sgd = Sgd::new(
-            1000,
-            StepSchedule::Linear {
-                gamma0: problem.default_gamma0(),
-            },
-        );
-        b.iter(|| {
-            let mut fpu = ReliableFpu::new();
-            black_box(problem.solve_sgd(&sgd, &mut fpu))
-        })
-    });
+    let sgd = SolverSpec::sgd(
+        1000,
+        StepSchedule::Linear {
+            gamma0: problem.default_gamma0(),
+        },
+    );
+    for (name, spec) in [
+        ("qr", SolverSpec::baseline_variant("qr")),
+        ("svd", SolverSpec::baseline_variant("svd")),
+        ("cholesky", SolverSpec::baseline_variant("cholesky")),
+        ("cg_n10", SolverSpec::cg(10)),
+        ("sgd_1000_ls", sgd),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut fpu = ReliableFpu::new();
+                black_box(problem.solve(&spec, &mut fpu).expect("supported method"))
+            })
+        });
+    }
     group.finish();
 }
 

@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
 use robustify_bench::{fmt_metric, ExperimentOptions, Table};
-use robustify_core::SolverSpec;
+use robustify_core::{RobustProblem, SolverSpec};
 use robustify_engine::campaign::JobSpec;
 use robustify_engine::paper_fault_rates;
 use stochastic_fpu::{Fpu, ReliableFpu};
@@ -105,38 +105,15 @@ fn main() {
         "§6.3 — FLOP cost per solve (reliable FPU)",
         &["solver", "flops"],
     );
-    let count = |f: &dyn Fn(&mut ReliableFpu)| {
+    for (solver, spec) in [
+        ("QR", SolverSpec::baseline_variant("qr")),
+        ("SVD", SolverSpec::baseline_variant("svd")),
+        ("Cholesky", SolverSpec::baseline_variant("cholesky")),
+        ("CG, N=10", SolverSpec::cg(CG_ITERATIONS)),
+    ] {
         let mut fpu = ReliableFpu::new();
-        f(&mut fpu);
-        fpu.flops()
-    };
-    flops_table.row(&[
-        "QR".into(),
-        count(&|fpu| {
-            let _ = well.solve_qr(fpu);
-        })
-        .to_string(),
-    ]);
-    flops_table.row(&[
-        "SVD".into(),
-        count(&|fpu| {
-            let _ = well.solve_svd(fpu);
-        })
-        .to_string(),
-    ]);
-    flops_table.row(&[
-        "Cholesky".into(),
-        count(&|fpu| {
-            let _ = well.solve_cholesky(fpu);
-        })
-        .to_string(),
-    ]);
-    flops_table.row(&[
-        "CG, N=10".into(),
-        count(&|fpu| {
-            let _ = well.solve_cg(CG_ITERATIONS, fpu);
-        })
-        .to_string(),
-    ]);
+        let _ = well.solve(&spec, &mut fpu);
+        flops_table.row(&[solver.into(), fpu.flops().to_string()]);
+    }
     flops_table.print();
 }

@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
 use robustify_bench::{fmt_metric, ExperimentOptions, Table};
-use robustify_core::SolverSpec;
+use robustify_core::{RobustProblem, SolverSpec};
 use robustify_engine::campaign::JobSpec;
 use stochastic_fpu::{Fpu, ReliableFpu, VoltageErrorModel};
 
@@ -46,13 +46,14 @@ fn main() {
 
     // Baseline: Cholesky at the nominal voltage (error-free guardbanded
     // operation; its accuracy is machine precision, meeting every target).
-    let chol_flops = {
-        let mut fpu = ReliableFpu::new();
-        problem
-            .solve_cholesky(&mut fpu)
-            .expect("full-rank workload");
-        fpu.flops()
-    };
+    let cholesky = SolverSpec::baseline_variant("cholesky");
+    let mut fpu = ReliableFpu::new();
+    let chol_x = problem
+        .solve(&cholesky, &mut fpu)
+        .expect("least squares has baselines")
+        .solution
+        .expect("full-rank workload");
+    let chol_flops = fpu.flops();
     let chol_energy = model.energy(chol_flops, model.nominal_voltage());
 
     // The voltage axis, nominal first: 1.0 V down to the calibrated
@@ -143,12 +144,6 @@ fn main() {
         "baseline Cholesky: {} FLOPs at {:.2} V (accuracy ~machine precision, rel err {})",
         chol_flops,
         model.nominal_voltage(),
-        fmt_metric(
-            problem.residual_relative_error(
-                &problem
-                    .solve_cholesky(&mut ReliableFpu::new())
-                    .expect("full-rank workload")
-            )
-        ),
+        fmt_metric(problem.residual_relative_error(&chol_x)),
     );
 }

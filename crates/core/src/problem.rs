@@ -455,13 +455,16 @@ pub struct RobustOutcome<S> {
 ///    fault-injecting [`Fpu`];
 /// 4. [`decode`](RobustProblem::decode) maps the relaxed iterate back to an
 ///    application-level output (a protected control step);
-/// 5. [`verify`](RobustProblem::verify) scores it against
-///    [`reference`](RobustProblem::reference).
+/// 5. [`verify`](RobustProblem::verify) scores it against whatever ground
+///    truth the problem computed reliably when it was built; it is the
+///    only judge of a solution, so the trait exposes no reference output.
 ///
 /// The provided [`solve`](RobustProblem::solve) /
 /// [`run_trial`](RobustProblem::run_trial) methods wire those stages
 /// together, so the sweep engine can drive any problem × spec pairing
-/// without knowing the application.
+/// without knowing the application. `solve` is every application's one
+/// solver entry point: extra solver paths (CG, a preconditioned LP) are
+/// arms of an overriding `solve`, not inherent methods beside it.
 pub trait RobustProblem {
     /// The application-level output (sorted array, matching, parameters…).
     type Solution;
@@ -485,9 +488,6 @@ pub trait RobustProblem {
     /// Decodes a relaxed iterate into an application-level output (native
     /// arithmetic; a protected control step).
     fn decode(&self, cost: &Self::Cost, x: &[f64]) -> Self::Solution;
-
-    /// The ground-truth output, computed reliably offline.
-    fn reference(&self) -> Self::Solution;
 
     /// Scores a solution against the ground truth.
     fn verify(&self, solution: &Self::Solution) -> Verdict;
@@ -599,10 +599,6 @@ mod tests {
 
         fn decode(&self, _cost: &Self::Cost, x: &[f64]) -> Vec<f64> {
             x.to_vec()
-        }
-
-        fn reference(&self) -> Vec<f64> {
-            self.b.clone()
         }
 
         fn verify(&self, solution: &Vec<f64>) -> Verdict {

@@ -160,10 +160,6 @@ mod tests {
             x.to_vec()
         }
 
-        fn reference(&self) -> Vec<f64> {
-            self.b.clone()
-        }
-
         fn verify(&self, solution: &Vec<f64>) -> Verdict {
             let err: f64 = solution
                 .iter()

@@ -404,19 +404,23 @@ mod tests {
     #[test]
     fn ping_workloads_and_garbage_are_answered() {
         let reg = registry();
-        let (events, shutdown) = serve_lines(
-            "{\"op\":\"ping\"}\nnot json\n{\"op\":\"workloads\"}\n{\"op\":\"nope\"}\n",
-            &reg,
-            2,
+        // Unbounded recursion on the first line would overflow the
+        // connection thread's stack and abort the daemon.
+        let input = format!(
+            "{}\n{{\"op\":\"ping\"}}\nnot json\n{{\"op\":\"workloads\"}}\n{{\"op\":\"nope\"}}\n",
+            "[".repeat(100_000)
         );
+        let (events, shutdown) = serve_lines(&input, &reg, 2);
         assert!(!shutdown);
-        assert_eq!(events[0], "{\"event\":\"pong\"}");
-        assert!(events[1].starts_with("{\"event\":\"error\""));
+        assert_eq!(events.len(), 5, "got {events:?}");
+        assert!(events[0].starts_with("{\"event\":\"error\"") && events[0].contains("nesting"));
+        assert_eq!(events[1], "{\"event\":\"pong\"}");
+        assert!(events[2].starts_with("{\"event\":\"error\""));
         assert_eq!(
-            events[2],
+            events[3],
             "{\"event\":\"workloads\",\"names\":[\"wobble\"]}"
         );
-        assert!(events[3].contains("\"op\\\" must be"));
+        assert!(events[4].contains("\"op\\\" must be"));
     }
 
     #[test]
@@ -471,8 +475,14 @@ mod tests {
         let local = super::super::runner::run(&good, &reg, None, |_| {}).expect("local");
         let bad = good.to_json().replace("\"momentum\":0.5", "\"momentum\":5");
         assert_ne!(bad, good.to_json());
+        // A rate outside [0, 100] would panic in every trial.
+        let bad_rate = good
+            .to_json()
+            .replace("\"rates_pct\":[0,10]", "\"rates_pct\":[150]");
+        assert_ne!(bad_rate, good.to_json());
         let input = format!(
             "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{bad_rate}}}\n\
              {{\"op\":\"submit\",\"campaign\":{}}}\n",
             good.to_json()
         );
@@ -481,10 +491,22 @@ mod tests {
             events[0].starts_with("{\"event\":\"error\"") && events[0].contains("momentum"),
             "got {events:?}"
         );
-        // The refused campaign's only event is the error; the valid one
+        assert!(
+            events[1].starts_with("{\"event\":\"error\"") && events[1].contains("fault rate"),
+            "got {events:?}"
+        );
+        // Each refused campaign's only event is its error; the valid one
         // is accepted next.
         assert!(
-            events[1].contains("\"event\":\"accepted\""),
+            events[2].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        assert_eq!(
+            events
+                .iter()
+                .filter(|e| e.contains("\"event\":\"accepted\""))
+                .count(),
+            1,
             "got {events:?}"
         );
         let done = json::parse(events.last().expect("done event")).expect("done parses");

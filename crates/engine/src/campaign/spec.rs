@@ -333,9 +333,10 @@ impl CampaignSpec {
         &self.jobs
     }
 
-    /// Structural validation: a runnable campaign has a non-empty grid,
-    /// positive trials, at least one job, distinct job labels, and
-    /// explicit solver specs that pass [`SolverSpec::validate`].
+    /// Structural validation: a runnable campaign has a non-empty grid of
+    /// fault-rate percentages in `[0, 100]`, positive trials (campaign-wide
+    /// and per job), at least one job, distinct job labels, and explicit
+    /// solver specs that pass [`SolverSpec::validate`].
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -353,8 +354,10 @@ impl CampaignSpec {
             }
         }
         for &r in &self.rates_pct {
-            if !(r >= 0.0 && r.is_finite()) {
-                return Err(format!("fault rate must be finite and >= 0, got {r}"));
+            if !(r.is_finite() && (0.0..=100.0).contains(&r)) {
+                return Err(format!(
+                    "fault rate must be a percentage in [0, 100], got {r}"
+                ));
             }
         }
         if self.trials == 0 && self.jobs.iter().any(|j| j.trials.is_none()) {
@@ -366,6 +369,9 @@ impl CampaignSpec {
         for (i, job) in self.jobs.iter().enumerate() {
             if self.jobs[..i].iter().any(|j| j.label == job.label) {
                 return Err(format!("duplicate job label \"{}\"", job.label));
+            }
+            if job.trials == Some(0) {
+                return Err(format!("job \"{}\": trials must be positive", job.label));
             }
             if let Some(solver) = &job.solver {
                 solver
@@ -553,6 +559,31 @@ mod tests {
                 .with_solver(SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_momentum(5.0)),
         );
         assert!(bad_solver.validate().unwrap_err().contains("momentum"));
+        // Rates are percentages: every trial would panic outside [0, 100].
+        for rate in [150.0, 100.5, -1.0, f64::NAN, f64::INFINITY] {
+            let bad_rate = CampaignSpec::new("x")
+                .rates(vec![1.0, rate])
+                .trials(5)
+                .job(JobSpec::new("a", "w"));
+            assert!(
+                bad_rate.validate().unwrap_err().contains("fault rate"),
+                "accepted rate {rate}"
+            );
+        }
+        let full = CampaignSpec::new("x")
+            .rates(vec![0.0, 100.0])
+            .trials(5)
+            .job(JobSpec::new("a", "w"));
+        full.validate().expect("the closed interval is valid");
+        // A zero per-job trial count would leave its cells unreported.
+        let zero_job_trials = CampaignSpec::new("x")
+            .rates(vec![1.0])
+            .trials(5)
+            .job(JobSpec::new("a", "w").with_trials(0));
+        assert!(zero_job_trials
+            .validate()
+            .unwrap_err()
+            .contains("trials must be positive"));
         // A zero campaign trial count is fine when every job overrides it.
         let per_job = CampaignSpec::new("x")
             .rates(vec![1.0])

@@ -45,10 +45,6 @@ impl RobustProblem for Recover {
         x.to_vec()
     }
 
-    fn reference(&self) -> Vec<f64> {
-        self.b.clone()
-    }
-
     fn verify(&self, solution: &Vec<f64>) -> Verdict {
         let err = solution
             .iter()

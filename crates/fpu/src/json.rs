@@ -14,6 +14,12 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so without a bound one request line of
+/// `[`s overflows the thread's stack and aborts the whole process; the
+/// deepest document the workspace emits nests fewer than a dozen levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document node.
 ///
 /// Object member order is preserved as written, which keeps
@@ -118,11 +124,13 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document, rejecting trailing non-whitespace.
+/// Parses one JSON document, rejecting trailing non-whitespace and
+/// arrays or objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -136,6 +144,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -167,8 +177,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -176,6 +186,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -426,6 +451,27 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "\"open", "01x", "{\"a\"}", "1 2", "{,}"] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let objects =
+            |levels: usize| format!("{}0{}", "{\"a\":".repeat(levels), "}".repeat(levels));
+        // At the limit both kinds of container parse.
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // One level past it, or far past it (unterminated), is an error,
+        // not a stack overflow.
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let err = parse(&doc).expect_err("over-deep document accepted");
+            assert!(err.message.contains("nesting"), "{err}");
         }
     }
 

@@ -8,8 +8,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustify::apps::least_squares::LeastSquares;
-use robustify::core::{AggressiveStepping, Sgd, StepSchedule};
+use robustify::core::{AggressiveStepping, RobustProblem, SolverSpec, StepSchedule};
 use robustify::fpu::{BitFaultModel, FaultRate, Fpu, NoisyFpu};
+use robustify::linalg::lstsq_svd;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's workload scale: a random 100 x 10 system.
@@ -21,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The deterministic baseline (SVD) executed on the same faulty FPU —
     // the paper calls this "disastrously unstable under numerical noise".
-    let baseline_error = match problem.solve_svd(&mut fpu) {
+    // Calling the kernel directly (rather than the problem's `svd`
+    // baseline) keeps the reason for a breakdown.
+    let baseline_error = match lstsq_svd(&mut fpu, problem.a(), problem.b()) {
         Ok(x) => problem.residual_relative_error(&x),
         Err(e) => {
             println!("SVD baseline broke down: {e}");
@@ -32,15 +35,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The robustified version: the same problem recast as minimizing
     // ‖Ax − b‖² and solved with fault-tolerant stochastic gradient descent
     // (the paper's SGD+AS,LS configuration).
-    let sgd = Sgd::new(
+    let sgd = SolverSpec::sgd(
         1000,
         StepSchedule::Linear {
             gamma0: problem.default_gamma0(),
         },
     )
     .with_aggressive_stepping(AggressiveStepping::default());
-    let report = problem.solve_sgd(&sgd, &mut fpu);
-    let robust_error = problem.residual_relative_error(&report.x);
+    let x = problem
+        .solve(&sgd, &mut fpu)?
+        .solution
+        .expect("sgd decodes");
+    let robust_error = problem.residual_relative_error(&x);
 
     println!("faults injected so far : {}", fpu.faults());
     println!("baseline (SVD) error   : {baseline_error:.3e}");

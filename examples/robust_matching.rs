@@ -12,7 +12,7 @@
 //! ```
 
 use robustify::apps::matching::MatchingProblem;
-use robustify::core::{AggressiveStepping, Annealing, Sgd, StepSchedule};
+use robustify::core::{AggressiveStepping, Annealing, RobustProblem, SolverSpec, StepSchedule};
 use robustify::fpu::{BitFaultModel, FaultRate, NoisyFpu};
 use robustify::graph::BipartiteGraph;
 
@@ -45,13 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             BitFaultModel::emulated(),
             3,
         );
-        let baseline = match problem.solve_baseline(&mut fpu) {
-            Ok(m) => format!(
+        let baseline = match problem.solve(&SolverSpec::baseline(), &mut fpu)?.solution {
+            Some(m) => format!(
                 "weight {:.1} (optimal: {})",
                 m.weight(),
                 problem.is_success(&m)
             ),
-            Err(e) => format!("broke down: {e}"),
+            None => "broke down".to_string(),
         };
 
         let mut fpu = NoisyFpu::new(
@@ -59,10 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             BitFaultModel::emulated(),
             3,
         );
-        let sgd = Sgd::new(10_000, StepSchedule::Sqrt { gamma0: 0.05 })
+        let sgd = SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.05 })
             .with_annealing(Annealing::default())
             .with_aggressive_stepping(AggressiveStepping::default());
-        let (matching, report) = problem.solve_sgd(&sgd, &mut fpu);
+        let out = problem.solve(&sgd, &mut fpu)?;
+        let matching = out.solution.expect("sgd decodes");
+        let report = out.report.expect("sgd reports");
 
         println!("\nfault rate {rate_pct}%:");
         println!("  hungarian baseline : {baseline}");

@@ -10,8 +10,8 @@
 //! cargo run --release --example sensor_denoising
 //! ```
 
-use robustify::apps::iir::IirFilter;
-use robustify::core::{AggressiveStepping, GradientGuard, Sgd, StepSchedule};
+use robustify::apps::iir::{IirFilter, IirProblem};
+use robustify::core::{AggressiveStepping, GradientGuard, RobustProblem, SolverSpec, StepSchedule};
 use robustify::fpu::{BitFaultModel, FaultRate, NoisyFpu};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,6 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let clean = filter.reference(&u);
+    let problem = IirProblem::new(filter.clone(), u.clone())?;
+    let gamma0 = problem.default_gamma0();
 
     println!(
         "{:>12} {:>16} {:>16}",
@@ -43,12 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             BitFaultModel::emulated(),
             11,
         );
-        let gamma0 = filter.default_gamma0(u.len())?;
-        let sgd = Sgd::new(1500, StepSchedule::Sqrt { gamma0 })
+        let sgd = SolverSpec::sgd(1500, StepSchedule::Sqrt { gamma0 })
             .with_guard(GradientGuard::ClampComponents { max_abs: 1.0 })
             .with_aggressive_stepping(AggressiveStepping::default());
-        let report = filter.solve_sgd(&u, &sgd, &mut fpu)?;
-        let robust_err = filter.error_to_signal(&report.x, &clean);
+        // The robust form: noisy feed-forward warm start, then SGD on
+        // `‖Bx − Au‖²`.
+        let robust = problem
+            .solve(&sgd, &mut fpu)?
+            .solution
+            .expect("sgd decodes");
+        let robust_err = filter.error_to_signal(&robust, &clean);
 
         println!("{rate_pct:>12} {direct_err:>16.3e} {robust_err:>16.3e}");
     }

@@ -14,7 +14,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustify::apps::least_squares::LeastSquares;
-use robustify::fpu::{BitFaultModel, StochasticProcessor, VoltageErrorModel};
+use robustify::core::{RobustProblem, SolverSpec};
+use robustify::fpu::{BitFaultModel, Fpu, StochasticProcessor, VoltageErrorModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = LeastSquares::random(&mut StdRng::seed_from_u64(1), 100, 10);
@@ -38,18 +39,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1.0 / lambda
     });
 
-    // Data phase: overscale to 0.7 V (~1e-3 errors per FLOP) and run CG.
+    // Data phase: overscale to 0.7 V (~1e-3 errors per FLOP) and run CG
+    // (5 iterations, restart every 4).
     cpu.set_voltage(0.7);
-    let report = robustify::core::CgLeastSquares::new(problem.a(), problem.b())?
-        .with_max_iterations(5)
-        .with_restart_interval(4)
-        .solve(&vec![0.0; problem.dim()], &mut cpu);
+    let x = problem
+        .solve(&SolverSpec::cg(5), &mut cpu)?
+        .solution
+        .expect("cg always yields an iterate");
     let _ = gamma0;
 
     let energy = cpu.energy_report();
     println!(
         "solution rel. error  : {:.3e}",
-        problem.residual_relative_error(&report.x)
+        problem.residual_relative_error(&x)
     );
     println!(
         "data-plane FLOPs     : {} at 0.70 V (faults seen: {})",
@@ -65,8 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Compare against the all-nominal baseline (Cholesky, reliable).
     let mut fpu = robustify::fpu::ReliableFpu::new();
-    problem.solve_cholesky(&mut fpu)?;
-    use robustify::fpu::Fpu;
+    problem.solve(&SolverSpec::baseline_variant("cholesky"), &mut fpu)?;
     println!(
         "baseline Cholesky    : {} FLOPs at 1.00 V, energy {:.0}",
         fpu.flops(),

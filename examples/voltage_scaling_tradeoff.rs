@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustify::apps::least_squares::LeastSquares;
+use robustify::core::{RobustProblem, SolverSpec};
 use robustify::fpu::{BitFaultModel, Fpu, NoisyFpu, ReliableFpu, VoltageErrorModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The guardbanded baseline: exact Cholesky at nominal voltage.
     let mut fpu = ReliableFpu::new();
-    problem.solve_cholesky(&mut fpu)?;
+    problem.solve(&SolverSpec::baseline_variant("cholesky"), &mut fpu)?;
     let baseline_energy = model.energy(fpu.flops(), model.nominal_voltage());
     println!(
         "Cholesky @ {:.2} V: {} FLOPs, energy {:.0}\n",
@@ -39,9 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &(v, iters) in &[(1.0, 3), (0.9, 3), (0.8, 3), (0.75, 4), (0.7, 5), (0.65, 6)] {
         let rate = model.fault_rate_at(v);
         let mut fpu = NoisyFpu::new(rate, BitFaultModel::emulated(), 21);
-        let report = problem.solve_cg(iters, &mut fpu);
-        let err = problem.residual_relative_error(&report.x);
-        let energy = model.energy(report.flops, v);
+        let x = problem
+            .solve(&SolverSpec::cg(iters), &mut fpu)?
+            .solution
+            .expect("cg always yields an iterate");
+        let err = problem.residual_relative_error(&x);
+        let energy = model.energy(fpu.flops(), v);
         println!(
             "{v:>9.2} {iters:>10} {:>12.1e} {err:>12.3e} {energy:>12.0} {:>10.0}",
             rate.fraction(),

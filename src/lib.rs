@@ -37,6 +37,7 @@
 //!
 //! ```
 //! use robustify::apps::least_squares::LeastSquares;
+//! use robustify::core::{RobustProblem, SolverSpec, StepSchedule};
 //! use robustify::fpu::{BitFaultModel, FaultRate, NoisyFpu};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,8 +48,10 @@
 //!     &[1.0, 3.0],
 //! ], vec![1.0, 2.0, 3.0])?;
 //! let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 42);
-//! let report = problem.solve_sgd_default(&mut fpu);
-//! assert!(problem.relative_error(&report.x) < 0.5);
+//! // 1000 SGD iterations with 1/t step scaling (the Figure 6.2 solver).
+//! let spec = SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: problem.default_gamma0() });
+//! let x = problem.solve(&spec, &mut fpu)?.solution.expect("sgd decodes");
+//! assert!(problem.relative_error(&x) < 0.5);
 //! # Ok(())
 //! # }
 //! ```

@@ -245,17 +245,24 @@ fn energy_pipeline_cg_beats_cholesky_for_loose_targets() {
     let model = robustify::fpu::VoltageErrorModel::paper_figure_5_2();
 
     let mut fpu = ReliableFpu::new();
-    problem.solve_cholesky(&mut fpu).expect("full rank");
+    let cholesky = problem
+        .solve(&SolverSpec::baseline_variant("cholesky"), &mut fpu)
+        .expect("least squares has baselines");
+    assert!(cholesky.solution.is_some(), "full rank");
     let baseline_energy = model.energy(fpu.flops(), model.nominal_voltage());
 
     let v = 0.8;
     let mut fpu = NoisyFpu::new(model.fault_rate_at(v), BitFaultModel::emulated(), 2);
-    let report = problem.solve_cg(3, &mut fpu);
-    let energy = model.energy(report.flops, v);
+    let x = problem
+        .solve(&SolverSpec::cg(3), &mut fpu)
+        .expect("cg is supported")
+        .solution
+        .expect("cg always yields an iterate");
+    let energy = model.energy(fpu.flops(), v);
     assert!(
-        problem.residual_relative_error(&report.x) < 1e-2,
+        problem.residual_relative_error(&x) < 1e-2,
         "accuracy target missed: {}",
-        problem.residual_relative_error(&report.x)
+        problem.residual_relative_error(&x)
     );
     assert!(
         energy < baseline_energy,
@@ -268,8 +275,18 @@ fn whole_stack_is_deterministic_per_seed() {
     let run = |seed: u64| {
         let problem = LeastSquares::random(&mut StdRng::seed_from_u64(3), 30, 5);
         let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), seed);
-        let report = problem.solve_sgd_default(&mut fpu);
-        (report.x, fpu.faults())
+        let spec = SolverSpec::sgd(
+            1000,
+            StepSchedule::Linear {
+                gamma0: problem.default_gamma0(),
+            },
+        );
+        let x = problem
+            .solve(&spec, &mut fpu)
+            .expect("sgd is supported")
+            .solution
+            .expect("sgd decodes");
+        (x, fpu.faults())
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9).0, run(10).0);

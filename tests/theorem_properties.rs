@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustify::apps::matching::MatchingProblem;
 use robustify::apps::sorting::SortProblem;
-use robustify::core::{CostFunction, PenaltyKind, QuadraticCost, Sgd, StepSchedule};
+use robustify::core::{
+    CostFunction, PenaltyKind, QuadraticCost, RobustProblem, Sgd, SolverSpec, StepSchedule,
+};
 use robustify::fpu::{BitFaultModel, BitWidth, FaultRate, NoisyFpu, ReliableFpu};
 use robustify::graph::generators::random_bipartite;
 use robustify::graph::{brute_force_matching, hungarian};
@@ -101,8 +103,12 @@ proptest! {
             .collect();
         u.shuffle(&mut StdRng::seed_from_u64(seed));
         let problem = SortProblem::new(u).expect("finite entries");
-        let sgd = Sgd::new(6000, StepSchedule::Sqrt { gamma0: 0.1 });
-        let (out, _) = problem.solve_sgd(&sgd, &mut ReliableFpu::new());
+        let spec = SolverSpec::sgd(6000, StepSchedule::Sqrt { gamma0: 0.1 });
+        let out = problem
+            .solve(&spec, &mut ReliableFpu::new())
+            .expect("sgd is supported")
+            .solution
+            .expect("sgd decodes");
         prop_assert!(problem.is_success(&out), "output {:?}", out);
     }
 
@@ -126,9 +132,10 @@ proptest! {
         let problem = SortProblem::random(&mut StdRng::seed_from_u64(seed), 4);
         let mut fpu =
             NoisyFpu::new(FaultRate::per_flop(rate), BitFaultModel::emulated(), seed);
-        let sgd = Sgd::new(300, StepSchedule::Sqrt { gamma0: 0.1 });
-        let (out, report) = problem.solve_sgd(&sgd, &mut fpu);
+        let spec = SolverSpec::sgd(300, StepSchedule::Sqrt { gamma0: 0.1 });
+        let out = problem.solve(&spec, &mut fpu).expect("sgd is supported");
+        let report = out.report.expect("sgd reports");
         prop_assert!(report.x.iter().all(|v| v.is_finite()));
-        prop_assert!(out.iter().all(|v| v.is_finite()));
+        prop_assert!(out.solution.expect("sgd decodes").iter().all(|v| v.is_finite()));
     }
 }

@@ -3,7 +3,7 @@
 //! deterministic under a fixed seed.
 
 use robustify::apps::least_squares::LeastSquares;
-use robustify::core::{Sgd, StepSchedule};
+use robustify::core::{RobustProblem, Sgd, SolverSpec, StepSchedule};
 use robustify::fpu::{BitFaultModel, FaultRate, Fpu, NoisyFpu, ReliableFpu};
 use robustify::graph::BipartiteGraph;
 use robustify::linalg::Matrix;
@@ -44,7 +44,17 @@ fn quickstart_runs_deterministically_with_fixed_seed() {
         )
         .expect("valid rows");
         let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 42);
-        let report = problem.solve_sgd_default(&mut fpu);
+        let spec = SolverSpec::sgd(
+            1000,
+            StepSchedule::Linear {
+                gamma0: problem.default_gamma0(),
+            },
+        );
+        let report = problem
+            .solve(&spec, &mut fpu)
+            .expect("sgd is supported")
+            .report
+            .expect("sgd reports");
         assert!(
             problem.relative_error(&report.x) < 0.5,
             "quickstart failed to converge: {:?}",
