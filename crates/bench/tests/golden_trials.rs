@@ -1,0 +1,171 @@
+//! Golden trial fingerprints: one trial per registry workload × fault
+//! scenario × rate, pinned to its verdict bits, FLOP count and fault
+//! count.
+//!
+//! The result cache replays a cell whenever its key matches, so any code
+//! change that moves a trial's bits must also change the key. That is
+//! what `TRIAL_BITS_VERSION` in the cell key is for, and this test is its
+//! tripwire: a fingerprint that moves means trial bits moved. Never edit
+//! a pinned value to make this test pass. Bump `TRIAL_BITS_VERSION`
+//! instead, then recapture the table (and `PINNED_VERSION`) from the new
+//! code; the failure message prints every current fingerprint.
+
+use robustify_bench::workloads::paper_registry;
+use robustify_core::WorkloadRegistry;
+use robustify_engine::campaign::TRIAL_BITS_VERSION;
+use robustify_engine::derive_trial_seed;
+use stochastic_fpu::{BitFaultModel, FaultModelSpec, FaultRate, Fpu, NoisyFpu, VoltageErrorModel};
+
+/// The `TRIAL_BITS_VERSION` the table below was captured under.
+const PINNED_VERSION: u32 = 1;
+
+/// Base seed of every fingerprinted trial.
+const SEED: u64 = 1;
+
+/// `(workload, scenario, rate label, success, metric bits, flops, faults)`.
+type Fingerprint<'a> = (&'a str, &'static str, &'static str, bool, u64, u64, u64);
+
+/// Captured before the memory-fault fast lane and slot cursors landed;
+/// they left every value unchanged.
+#[rustfmt::skip]
+const GOLDEN: &[Fingerprint<'static>] = &[
+    ("apsp", "transient", "rate0", false, 4599443747266848694, 3125243, 0),
+    ("apsp", "transient", "0.7V", false, 4599522403323254243, 3125073, 3150),
+    ("apsp", "register_file", "rate0", false, 4599443747266848694, 3125243, 0),
+    ("apsp", "register_file", "0.7V", false, 4599568780244207734, 3125438, 3149),
+    ("apsp", "array_resident", "rate0", false, 4599443747266848694, 3125243, 0),
+    ("apsp", "array_resident", "0.7V", false, 4599436186777218961, 3124993, 3148),
+    ("doubly_stochastic", "transient", "rate0", true, 0, 19591, 0),
+    ("doubly_stochastic", "transient", "0.7V", true, 0, 19543, 22),
+    ("doubly_stochastic", "register_file", "rate0", true, 0, 19591, 0),
+    ("doubly_stochastic", "register_file", "0.7V", false, 4594611090120145783, 18336, 19),
+    ("doubly_stochastic", "array_resident", "rate0", true, 0, 19591, 0),
+    ("doubly_stochastic", "array_resident", "0.7V", true, 0, 19542, 20),
+    ("eigen", "transient", "rate0", true, 4575673731685243846, 34000, 0),
+    ("eigen", "transient", "0.7V", true, 4575410517685317473, 34000, 36),
+    ("eigen", "register_file", "rate0", true, 4575673731685243846, 34000, 0),
+    ("eigen", "register_file", "0.7V", true, 4584980024678726353, 34000, 38),
+    ("eigen", "array_resident", "rate0", true, 4575673731685243846, 34000, 0),
+    ("eigen", "array_resident", "0.7V", true, 4575910290184009385, 34000, 38),
+    ("iir", "transient", "rate0", true, 4355577799731715521, 953226, 0),
+    ("iir", "transient", "0.7V", true, 4565665825192436476, 953226, 962),
+    ("iir", "register_file", "rate0", true, 4355577799731715521, 953226, 0),
+    ("iir", "register_file", "0.7V", true, 4574002333957039590, 953226, 946),
+    ("iir", "array_resident", "rate0", true, 4355577799731715521, 953226, 0),
+    ("iir", "array_resident", "0.7V", true, 4572296347282911544, 953226, 946),
+    ("least_squares", "transient", "rate0", true, 4487265902613432588, 287700, 0),
+    ("least_squares", "transient", "0.7V", true, 4524032817241540315, 283590, 291),
+    ("least_squares", "register_file", "rate0", true, 4487265902613432588, 287700, 0),
+    ("least_squares", "register_file", "0.7V", true, 4548532287787945943, 472650, 484),
+    ("least_squares", "array_resident", "rate0", true, 4487265902613432588, 287700, 0),
+    ("least_squares", "array_resident", "0.7V", true, 4510116502148083854, 295920, 305),
+    ("least_squares_ill", "transient", "rate0", true, 4584086694269057259, 1027500, 0),
+    ("least_squares_ill", "transient", "0.7V", true, 4584939791967254730, 1027500, 1036),
+    ("least_squares_ill", "register_file", "rate0", true, 4584086694269057259, 1027500, 0),
+    ("least_squares_ill", "register_file", "0.7V", true, 4586363132670555243, 1027500, 1025),
+    ("least_squares_ill", "array_resident", "rate0", true, 4584086694269057259, 1027500, 0),
+    ("least_squares_ill", "array_resident", "0.7V", true, 4584844725254547008, 1027500, 1025),
+    ("matching", "transient", "rate0", true, 0, 76873, 0),
+    ("matching", "transient", "0.7V", true, 0, 76800, 82),
+    ("matching", "register_file", "rate0", true, 0, 76873, 0),
+    ("matching", "register_file", "0.7V", true, 0, 72513, 77),
+    ("matching", "array_resident", "rate0", true, 0, 76873, 0),
+    ("matching", "array_resident", "0.7V", true, 0, 76780, 80),
+    ("maxflow", "transient", "rate0", false, 4599629116647983396, 459086, 0),
+    ("maxflow", "transient", "0.7V", false, 4599628035364615862, 459074, 468),
+    ("maxflow", "register_file", "rate0", false, 4599629116647983396, 459086, 0),
+    ("maxflow", "register_file", "0.7V", false, 4600917263461514687, 459518, 467),
+    ("maxflow", "array_resident", "rate0", false, 4599629116647983396, 459086, 0),
+    ("maxflow", "array_resident", "0.7V", false, 4599856254798017293, 459203, 466),
+    ("poisson2d", "transient", "rate0", false, 4602215200198876685, 6128640, 0),
+    ("poisson2d", "transient", "0.7V", false, 4607182418800017408, 8171520, 8173),
+    ("poisson2d", "register_file", "rate0", false, 4602215200198876685, 6128640, 0),
+    ("poisson2d", "register_file", "0.7V", false, 4607182418800017408, 8171520, 8147),
+    ("poisson2d", "array_resident", "rate0", false, 4602215200198876685, 6128640, 0),
+    ("poisson2d", "array_resident", "0.7V", false, 4607182418800017408, 8171520, 8147),
+    ("sorting", "transient", "rate0", true, 0, 92870, 0),
+    ("sorting", "transient", "0.7V", true, 0, 92937, 97),
+    ("sorting", "register_file", "rate0", true, 0, 92870, 0),
+    ("sorting", "register_file", "0.7V", false, 4600877379321698714, 68584, 73),
+    ("sorting", "array_resident", "rate0", true, 0, 92870, 0),
+    ("sorting", "array_resident", "0.7V", false, 4600877379321698714, 92893, 94),
+    ("svm", "transient", "rate0", true, 0, 81120, 0),
+    ("svm", "transient", "0.7V", true, 0, 81147, 85),
+    ("svm", "register_file", "rate0", true, 0, 81120, 0),
+    ("svm", "register_file", "0.7V", true, 0, 88365, 91),
+    ("svm", "array_resident", "rate0", true, 0, 81120, 0),
+    ("svm", "array_resident", "0.7V", true, 0, 81120, 84),
+];
+
+/// The scenarios: the paper's transient flip, and the two
+/// memory-persistent kinds at the energy campaign's sizes.
+fn scenarios() -> [(&'static str, FaultModelSpec); 3] {
+    [
+        ("transient", FaultModelSpec::default()),
+        (
+            "register_file",
+            FaultModelSpec::register_file(32, BitFaultModel::emulated(), 10_000),
+        ),
+        (
+            "array_resident",
+            FaultModelSpec::array_resident(4096, BitFaultModel::emulated(), 100_000),
+        ),
+    ]
+}
+
+/// Rate 0 and a paper rate: Figure 5.2's error rate at 0.7 V (1e-3 per
+/// FLOP), a point on the energy frontier.
+fn rates() -> [(&'static str, FaultRate); 2] {
+    [
+        ("rate0", FaultRate::per_flop(0.0)),
+        (
+            "0.7V",
+            VoltageErrorModel::paper_figure_5_2().fault_rate_at(0.7),
+        ),
+    ]
+}
+
+fn fingerprints(registry: &WorkloadRegistry) -> Vec<Fingerprint<'_>> {
+    let mut out = Vec::new();
+    for workload in registry.names() {
+        let problem = registry.materialize(workload, SEED).expect("registered");
+        // A twentieth of the default iteration budget keeps every solver
+        // feature (guards, annealing, aggressive stepping) in play at a
+        // debug-build cost of seconds.
+        let mut solver = registry.default_solver(workload, SEED).expect("registered");
+        solver.iterations = (solver.iterations / 20).max(2);
+        for (scenario, spec) in scenarios() {
+            for (rate_label, rate) in rates() {
+                let mut fpu = NoisyFpu::new(rate, spec.clone(), derive_trial_seed(SEED, 0));
+                let verdict = problem.run_trial_dyn(&solver, &mut fpu);
+                out.push((
+                    workload,
+                    scenario,
+                    rate_label,
+                    verdict.success,
+                    verdict.metric.to_bits(),
+                    fpu.flops(),
+                    fpu.faults(),
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn trial_fingerprints_match_the_pinned_table() {
+    assert_eq!(
+        TRIAL_BITS_VERSION, PINNED_VERSION,
+        "TRIAL_BITS_VERSION moved: recapture GOLDEN from the new code and set PINNED_VERSION"
+    );
+    let registry = paper_registry();
+    let got = fingerprints(&registry);
+    if got != GOLDEN {
+        let table: String = got.iter().map(|f| format!("    {f:?},\n")).collect();
+        panic!(
+            "trial bits changed: bump TRIAL_BITS_VERSION so no cache replays stale \
+             cells, then recapture this table.\ncurrent fingerprints:\n{table}"
+        );
+    }
+}

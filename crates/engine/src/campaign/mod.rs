@@ -36,5 +36,7 @@ mod runner;
 mod spec;
 
 pub use cache::ResultCache;
-pub use runner::{resolve_cells, run, run_on, CampaignRun, CellUpdate, ResolvedCell};
-pub use spec::{CampaignSpec, Instantiate, JobSpec};
+pub use runner::{
+    resolve_cells, run, run_on, CampaignRun, CellUpdate, ResolvedCell, TRIAL_BITS_VERSION,
+};
+pub use spec::{CampaignSpec, Instantiate, JobSpec, MAX_MEMORY_SLOTS};

@@ -349,7 +349,7 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict};
     use std::io::Cursor;
-    use stochastic_fpu::{Fpu, NoisyFpu};
+    use stochastic_fpu::{BitFaultModel, FaultModelSpec, Fpu, NoisyFpu};
 
     struct Wobble;
 
@@ -515,6 +515,41 @@ mod tests {
             done.get("csv").and_then(JsonValue::as_str),
             Some(local.result.to_csv().as_str())
         );
+        assert_eq!(
+            done.get("json").and_then(JsonValue::as_str),
+            Some(local.result.to_json().as_str())
+        );
+    }
+
+    /// A memory fault model too large to allocate is refused before
+    /// `accepted`, instead of aborting the daemon from inside a trial, and
+    /// the connection serves the next submission.
+    #[test]
+    fn oversized_memory_models_are_refused_and_the_connection_serves_on() {
+        let reg = registry();
+        let good = campaign().job(JobSpec::new("m", "wobble").with_fault_model(
+            FaultModelSpec::array_resident(64, BitFaultModel::emulated(), 0),
+        ));
+        let local = super::super::runner::run(&good, &reg, None, |_| {}).expect("local");
+        let bad = good
+            .to_json()
+            .replace("\"slots\":64", "\"slots\":1000000000000000");
+        assert_ne!(bad, good.to_json());
+        let input = format!(
+            "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n",
+            good.to_json()
+        );
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("slots"),
+            "got {events:?}"
+        );
+        assert!(
+            events[1].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        let done = json::parse(events.last().expect("done event")).expect("done parses");
         assert_eq!(
             done.get("json").and_then(JsonValue::as_str),
             Some(local.result.to_json().as_str())

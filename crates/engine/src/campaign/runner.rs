@@ -124,6 +124,13 @@ fn resolve_jobs(
         .collect()
 }
 
+/// The version of the code that produces trial bits, part of every cell
+/// key. Bump it in any change that moves a trial's verdict, FLOP or fault
+/// count (the golden trial fingerprints in `robustify_bench`'s tests fail
+/// on such a change), so a cache written by older code is never replayed
+/// as current.
+pub const TRIAL_BITS_VERSION: u32 = 1;
+
 /// The canonical content key of one cell: exactly the inputs the
 /// deterministic executor's records depend on, nothing else. Grid
 /// provenance that does not alter trials (campaign name, voltage labels,
@@ -131,8 +138,8 @@ fn resolve_jobs(
 /// across campaigns.
 fn cell_key_json(job: &ResolvedJob, base_seed: u64, rate_pct: f64) -> String {
     format!(
-        "{{\"workload\":\"{}\",\"instantiate\":\"{}\",\"base_seed\":{},\"trials\":{},\
-         \"rate_pct\":{},\"solver\":{},\"fault_model\":{}}}",
+        "{{\"trial_bits\":{TRIAL_BITS_VERSION},\"workload\":\"{}\",\"instantiate\":\"{}\",\
+         \"base_seed\":{},\"trials\":{},\"rate_pct\":{},\"solver\":{},\"fault_model\":{}}}",
         escape(&job.workload),
         job.instantiate.name(),
         base_seed,
@@ -168,6 +175,8 @@ fn cells_of(spec: &CampaignSpec, jobs: &[ResolvedJob]) -> Vec<ResolvedCell> {
 }
 
 /// One executing (cache-missed) cell inside the flattened trial space.
+/// A fixed-instantiation cell holds no problem of its own: its trials run
+/// on the work set's one instance of the job's workload.
 struct ExecCell {
     /// Index into the full resolved grid (`slots`).
     slot: usize,
@@ -177,9 +186,6 @@ struct ExecCell {
     offset: usize,
     trials: usize,
     key_json: String,
-    /// Fixed-instantiation problem, materialized once on first use and
-    /// shared by every worker that runs one of the cell's trials.
-    fixed: OnceLock<Box<dyn DynProblem>>,
     /// Trials still missing. The worker that takes this to zero assembles
     /// the cell in trial-index order, checkpoints it, and reports it.
     remaining: Mutex<usize>,
@@ -219,6 +225,11 @@ struct CampaignWorkSet<'env> {
     registry: &'env WorkloadRegistry,
     cache: Option<&'env ResultCache>,
     cells: Vec<ExecCell>,
+    /// The fixed-instantiation problems, one per distinct workload among
+    /// the `Instantiate::Fixed` jobs: the instance depends only on the
+    /// workload and the base seed, so every cell of every such job shares
+    /// it. Each is materialized on first use.
+    fixed: Vec<(String, OnceLock<Box<dyn DynProblem>>)>,
     records: Vec<Mutex<Option<TrialRecord>>>,
     tx: Sender<CellDone>,
 }
@@ -233,8 +244,12 @@ impl CampaignWorkSet<'_> {
             derive_trial_seed(self.base_seed, trial),
         );
         let verdict = match job.instantiate {
-            Instantiate::Fixed => cell
+            Instantiate::Fixed => self
                 .fixed
+                .iter()
+                .find(|(workload, _)| *workload == job.workload)
+                .expect("one instance per fixed workload")
+                .1
                 .get_or_init(|| {
                     self.registry
                         .materialize(&job.workload, self.base_seed)
@@ -400,13 +415,18 @@ pub fn run_on<'env>(
                 offset: total,
                 trials,
                 key_json: cell.key_json.clone(),
-                fixed: OnceLock::new(),
                 remaining: Mutex::new(trials),
                 failure: Mutex::new(None),
             });
             total += trials;
         }
         offsets.push(total);
+        let mut fixed: Vec<(String, OnceLock<_>)> = Vec::new();
+        for job in jobs.iter().filter(|j| j.instantiate == Instantiate::Fixed) {
+            if !fixed.iter().any(|(workload, _)| *workload == job.workload) {
+                fixed.push((job.workload.clone(), OnceLock::new()));
+            }
+        }
 
         let (tx, rx) = mpsc::channel::<CellDone>();
         let set: Arc<dyn WorkSet + 'env> = Arc::new(CampaignWorkSet {
@@ -416,6 +436,7 @@ pub fn run_on<'env>(
             registry,
             cache,
             cells: exec_cells,
+            fixed,
             records: (0..total).map(|_| Mutex::new(None)).collect(),
             tx,
         });
@@ -669,6 +690,47 @@ mod tests {
             .job(JobSpec::new("b", "counted").per_trial());
         run(&spec, &reg, None, |_| {}).expect("campaign runs");
         assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
+
+    /// Every fixed-instantiation cell of a workload shares one instance:
+    /// it depends only on the workload and the base seed, so the runner
+    /// materializes it once per campaign, whatever the thread count.
+    #[test]
+    fn fixed_instances_materialize_once_per_workload() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut reg = registry();
+        let counter = Arc::clone(&calls);
+        reg.register(
+            "counted",
+            Box::new(move |seed| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Box::new(Drift {
+                    target: 48.0 + (seed % 3) as f64,
+                })
+            }),
+            Box::new(|_| SolverSpec::baseline()),
+        );
+        let spec = |threads| {
+            CampaignSpec::new("shared")
+                .rates(vec![0.0, 2.0, 5.0, 20.0])
+                .trials(6)
+                .seed(4)
+                .threads(threads)
+                .job(JobSpec::new("transient", "counted"))
+                .job(JobSpec::new("regfile", "counted").with_fault_model(
+                    FaultModelSpec::register_file(4, BitFaultModel::emulated(), 16),
+                ))
+        };
+        let mut documents = Vec::new();
+        for threads in [1, 4] {
+            calls.store(0, Ordering::SeqCst);
+            let result = run(&spec(threads), &reg, None, |_| {})
+                .expect("campaign runs")
+                .result;
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "{threads} threads");
+            documents.push((result.to_csv(), result.to_json()));
+        }
+        assert_eq!(documents[0], documents[1]);
     }
 
     #[test]

@@ -5,6 +5,12 @@ use robustify_core::SolverSpec;
 use stochastic_fpu::json::{escape, JsonValue};
 use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
 
+/// The most storage slots a memory fault model may declare. Every trial
+/// allocates one shadow mask per slot, and a failed allocation aborts the
+/// process rather than panicking, so [`CampaignSpec::validate`] refuses
+/// larger models up front. The largest figure grid uses 4096.
+pub const MAX_MEMORY_SLOTS: usize = 1 << 20;
+
 /// How a job turns its workload factory into problem instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instantiate {
@@ -335,8 +341,9 @@ impl CampaignSpec {
 
     /// Structural validation: a runnable campaign has a non-empty grid of
     /// fault-rate percentages in `[0, 100]`, positive trials (campaign-wide
-    /// and per job), at least one job, distinct job labels, and explicit
-    /// solver specs that pass [`SolverSpec::validate`].
+    /// and per job), at least one job, distinct job labels, explicit
+    /// solver specs that pass [`SolverSpec::validate`], and memory fault
+    /// models of at most [`MAX_MEMORY_SLOTS`] slots.
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -366,6 +373,7 @@ impl CampaignSpec {
         if self.jobs.is_empty() {
             return Err("campaign needs at least one job".to_string());
         }
+        validate_fault_model(&self.fault_model).map_err(|e| format!("campaign: {e}"))?;
         for (i, job) in self.jobs.iter().enumerate() {
             if self.jobs[..i].iter().any(|j| j.label == job.label) {
                 return Err(format!("duplicate job label \"{}\"", job.label));
@@ -377,6 +385,9 @@ impl CampaignSpec {
                 solver
                     .validate()
                     .map_err(|e| format!("job \"{}\": {e}", job.label))?;
+            }
+            if let Some(model) = &job.fault_model {
+                validate_fault_model(model).map_err(|e| format!("job \"{}\": {e}", job.label))?;
             }
         }
         Ok(())
@@ -487,6 +498,17 @@ impl CampaignSpec {
             fault_model,
             jobs,
         })
+    }
+}
+
+/// Refuses fault models whose shadow state could not be allocated.
+fn validate_fault_model(model: &FaultModelSpec) -> Result<(), String> {
+    match model.memory_model() {
+        Some(memory) if memory.slots() > MAX_MEMORY_SLOTS => Err(format!(
+            "memory fault model has {} slots; the limit is {MAX_MEMORY_SLOTS}",
+            memory.slots()
+        )),
+        _ => Ok(()),
     }
 }
 

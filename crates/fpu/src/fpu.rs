@@ -222,8 +222,8 @@ pub trait Fpu {
 
     /// How many of the next `max` FLOPs are *guaranteed* to execute
     /// exactly — no fault strike, no per-op injector state (DVFS Bernoulli
-    /// draws, memory-persistent shadow storage) — so a caller may compute
-    /// them natively and account for them with
+    /// draws, corrupted memory-persistent shadow storage) — so a caller may
+    /// compute them natively and account for them with
     /// [`commit_exact`](Self::commit_exact).
     ///
     /// The default is the conservative `0` ("no guarantee; go through
@@ -1125,12 +1125,21 @@ impl Fpu for NoisyFpu {
     /// interval schedule says the next `countdown − 1` operations cannot
     /// strike, so they may run natively; the op the countdown expires on
     /// (and everything after it) must go through [`execute`](Fpu::execute).
-    /// Specs that genuinely need per-op state — DVFS schedules (a Bernoulli
-    /// LFSR draw per op) and memory-persistent scenarios (shadow storage
-    /// touched by every op) — report no window and always take the per-op
-    /// path.
+    /// Memory-persistent specs get the same window while their shadow
+    /// state is clean: an op on clean storage reads no corruption, writes
+    /// none, heals nothing, and a scrub of clean masks is a no-op. While
+    /// any slot is corrupted they report no window. DVFS schedules draw a
+    /// Bernoulli from the LFSR on every op, so they are the one spec that
+    /// always takes the per-op path.
     fn run_exact(&self, max: u64) -> u64 {
-        if !self.batched || self.memory.is_some() || self.dvfs.is_some() {
+        if !self.batched || self.dvfs.is_some() {
+            return 0;
+        }
+        if self
+            .memory
+            .as_ref()
+            .is_some_and(|memory| memory.corrupted_slots() > 0)
+        {
             return 0;
         }
         if self.rate.is_zero() {
@@ -1567,14 +1576,55 @@ mod tests {
     }
 
     #[test]
-    fn per_op_state_specs_report_no_window() {
-        // Memory-persistent shadow storage must be touched by every op.
-        let memory = NoisyFpu::new(
-            FaultRate::per_flop(0.01),
-            FaultModelSpec::register_file(8, BitFaultModel::emulated(), 0),
-            2,
-        );
-        assert_eq!(memory.run_exact(1000), 0);
+    fn memory_specs_get_windows_only_while_clean() {
+        let rate = FaultRate::per_flop(1e-4);
+        let seed = 2;
+        // The strike schedule does not depend on the spec: a transient FPU
+        // with the same seed predicts the memory spec's first window.
+        let window = NoisyFpu::new(rate, BitFaultModel::emulated(), seed).run_exact(u64::MAX);
+        assert!(window > 0);
+        let struck = |spec: FaultModelSpec| {
+            let mut fpu = NoisyFpu::new(rate, spec, seed);
+            assert_eq!(fpu.run_exact(u64::MAX), window, "a fresh spec is clean");
+            fpu.commit_exact(window);
+            fpu.add(1.0, 1.0);
+            assert_eq!(fpu.faults(), 1, "the op after the window strikes");
+            assert_eq!(fpu.run_exact(1000), 0, "dirty storage has no window");
+            fpu
+        };
+
+        // Array-resident: the 8 writes after the strike overwrite every
+        // word, and the window returns as soon as the struck word heals.
+        let mut array = struck(FaultModelSpec::array_resident(
+            8,
+            BitFaultModel::emulated(),
+            0,
+        ));
+        let mut writes = 0;
+        while array.run_exact(1000) == 0 {
+            assert!(writes < 8, "an overwrite heals within one pass");
+            array.add(1.0, 1.0);
+            writes += 1;
+        }
+        assert_eq!(array.faults(), 1);
+        assert_eq!(array.memory_state().expect("shadow").corrupted_slots(), 0);
+
+        // Register file: rewrites never heal latch damage, so the window
+        // returns only with the scrub, 16 ops (two passes) after the
+        // strike.
+        let mut regfile = struck(FaultModelSpec::register_file(
+            8,
+            BitFaultModel::emulated(),
+            window + 17,
+        ));
+        for _ in 0..16 {
+            regfile.add(1.0, 1.0);
+            assert_eq!(regfile.run_exact(1000), 0, "rewrites do not heal");
+        }
+        regfile.add(1.0, 1.0);
+        assert_eq!(regfile.faults(), 1);
+        assert!(regfile.run_exact(1000) > 0, "the scrub cleans the latches");
+
         // A DVFS schedule draws a Bernoulli per op.
         let dvfs = NoisyFpu::new(
             FaultRate::ZERO,

@@ -205,17 +205,49 @@ impl MemoryFaultModel {
 ///
 /// Owned and driven by [`NoisyFpu`](crate::NoisyFpu); exposed read-only so
 /// tests and diagnostics can observe which slots are corrupted.
+///
+/// Per-FLOP routing costs no division: the state keeps the slot of the op
+/// in progress and the next scrub boundary as cursors, advanced by
+/// increment and conditional subtract. Only when an op's FLOP index does
+/// not follow the previous op's (after the FPU skipped a guaranteed-exact
+/// window or rewound its counters) does [`begin_op`](Self::begin_op)
+/// re-sync them with one `%`. A count of corrupted slots, kept in O(1) by
+/// installs, heals and scrubs, tells the FPU when the state is clean and
+/// exact ops may run natively.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryFaultState {
     model: MemoryFaultModel,
     masks: Vec<u64>,
+    /// Number of nonzero masks.
+    dirty: usize,
+    /// FLOP index of the op in progress (the last `begin_op`);
+    /// `u64::MAX` before the first.
+    cur: u64,
+    /// `cur % slots`: the write slot of the op in progress.
+    slot: usize,
+    /// The first scrub boundary after `cur`: the smallest positive
+    /// multiple of the scrub interval above it (`u64::MAX` when the model
+    /// never scrubs).
+    next_scrub: u64,
 }
 
 impl MemoryFaultState {
     /// A fresh (uncorrupted) shadow state for `model`.
     pub fn new(model: MemoryFaultModel) -> Self {
         let masks = vec![0; model.slots];
-        MemoryFaultState { model, masks }
+        let next_scrub = match model.scrub_interval {
+            0 => u64::MAX,
+            interval => interval,
+        };
+        MemoryFaultState {
+            slot: model.slots - 1,
+            model,
+            masks,
+            dirty: 0,
+            // FLOP "−1": the first op, FLOP 0, takes the increment path.
+            cur: u64::MAX,
+            next_scrub,
+        }
     }
 
     /// The model this state implements.
@@ -228,31 +260,71 @@ impl MemoryFaultState {
         &self.masks
     }
 
-    /// Number of currently corrupted slots.
+    /// Number of currently corrupted slots, in O(1).
     pub fn corrupted_slots(&self) -> usize {
-        self.masks.iter().filter(|&&m| m != 0).count()
+        self.dirty
     }
 
-    /// Runs the scrubber: at every `scrub_interval`-th FLOP boundary all
-    /// masks clear. Called by the FPU before executing FLOP `flop`.
+    /// The FLOP index of the op in progress (the last
+    /// [`begin_op`](Self::begin_op)) and its write slot, `flop % slots`;
+    /// `None` before the first op.
+    pub fn cursor(&self) -> Option<(u64, usize)> {
+        (self.cur != u64::MAX).then_some((self.cur, self.slot))
+    }
+
+    /// Positions the cursors at FLOP `flop`, called by the FPU before
+    /// executing it, and runs the scrubber: at every
+    /// `scrub_interval`-th FLOP boundary all masks clear.
     pub fn begin_op(&mut self, flop: u64) {
-        let interval = self.model.scrub_interval;
-        if interval > 0 && flop > 0 && flop.is_multiple_of(interval) {
-            self.masks.fill(0);
+        if flop == self.cur.wrapping_add(1) {
+            self.slot += 1;
+            if self.slot == self.masks.len() {
+                self.slot = 0;
+            }
+        } else {
+            self.slot = (flop % self.model.slots as u64) as usize;
+            let interval = self.model.scrub_interval;
+            if interval > 0 {
+                self.next_scrub = flop.div_ceil(interval).max(1).saturating_mul(interval);
+            }
+        }
+        self.cur = flop;
+        if flop == self.next_scrub {
+            self.next_scrub = self.next_scrub.saturating_add(self.model.scrub_interval);
+            if self.dirty > 0 {
+                self.masks.fill(0);
+                self.dirty = 0;
+            }
+        }
+    }
+
+    /// The write slot of FLOP `flop`: the cursor when `flop` is the op in
+    /// progress, else one `%`.
+    fn write_slot(&self, flop: u64) -> usize {
+        if flop == self.cur {
+            self.slot
+        } else {
+            (flop % self.model.slots as u64) as usize
         }
     }
 
     /// Applies read-path corruption to the operands of FLOP `flop`
     /// (array-resident faults only; register-file damage sits on the
-    /// write path).
+    /// write path). Operand `a` reads word `2·flop % words`, operand `b`
+    /// the word after it.
     pub fn load_operands(&self, flop: u64, a: f64, b: f64) -> (f64, f64) {
         if self.model.kind != MemoryFaultKind::ArrayResident {
             return (a, b);
         }
-        let n = self.model.slots as u64;
+        let n = self.masks.len();
+        // `2·flop ≡ 2·slot (mod n)` and `2·slot < 2n`, so one conditional
+        // subtract reduces it.
+        let mut wa = 2 * self.write_slot(flop);
+        if wa >= n {
+            wa -= n;
+        }
+        let wb = if wa + 1 == n { 0 } else { wa + 1 };
         let width = self.model.bits.width();
-        let wa = ((2 * flop) % n) as usize;
-        let wb = ((2 * flop + 1) % n) as usize;
         (width.xor(a, self.masks[wa]), width.xor(b, self.masks[wb]))
     }
 
@@ -260,11 +332,14 @@ impl MemoryFaultState {
     /// damage corrupts the written value; an array-resident write
     /// overwrites (and thereby heals) word `flop % words`.
     pub fn commit_result(&mut self, flop: u64, value: f64) -> f64 {
-        let slot = (flop % self.model.slots as u64) as usize;
+        let slot = self.write_slot(flop);
         match self.model.kind {
             MemoryFaultKind::RegisterFile => self.model.bits.width().xor(value, self.masks[slot]),
             MemoryFaultKind::ArrayResident => {
-                self.masks[slot] = 0;
+                if self.masks[slot] != 0 {
+                    self.masks[slot] = 0;
+                    self.dirty -= 1;
+                }
                 value
             }
         }
@@ -278,6 +353,9 @@ impl MemoryFaultState {
     pub fn install(&mut self, lfsr: &mut Lfsr, stats: &mut FaultStats) {
         let slot = (lfsr.uniform_1_to(self.model.slots as u64) - 1) as usize;
         let bit = self.model.bits.sample_bit(lfsr);
+        if self.masks[slot] == 0 {
+            self.dirty += 1;
+        }
         self.masks[slot] |= 1u64 << bit;
         stats.record_fault(self.model.bits.width(), bit);
     }
