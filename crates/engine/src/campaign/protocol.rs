@@ -29,11 +29,50 @@ use super::runner::{self, CellUpdate};
 use super::spec::CampaignSpec;
 use crate::scheduler::Scheduler;
 use robustify_core::WorkloadRegistry;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use stochastic_fpu::json::{self, escape, JsonValue};
+
+/// The longest request line the daemon reads, in bytes before its `\n`.
+/// A longer line is answered with one `error` event and skipped without
+/// being held, so no single line can exhaust the daemon's memory. The
+/// largest full-size figure campaign, `fault_model_campaign`, submits a
+/// 21,148-byte line.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One request line read through the [`MAX_REQUEST_BYTES`] bound.
+enum RequestLine {
+    /// The line without its `\n` or `\r\n` terminator.
+    Complete(String),
+    /// A line over the bound; the reader has consumed it through its
+    /// newline.
+    TooLong,
+}
+
+/// Reads the next request line, holding at most [`MAX_REQUEST_BYTES`] of
+/// it (plus its newline) in memory. Returns `None` at EOF.
+fn read_request_line(reader: &mut impl BufRead) -> io::Result<Option<RequestLine>> {
+    let mut line = Vec::new();
+    let read =
+        Read::take(&mut *reader, MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', &mut line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_REQUEST_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(RequestLine::TooLong));
+    }
+    String::from_utf8(line)
+        .map(|line| Some(RequestLine::Complete(line)))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
 
 fn error_event(message: &str) -> String {
     format!(
@@ -125,8 +164,16 @@ pub fn serve_connection<'env>(
     cache: Option<&'env ResultCache>,
     pool: &Scheduler<'env>,
 ) -> io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
+    while let Some(line) = read_request_line(reader)? {
+        let line = match line {
+            RequestLine::Complete(line) => line,
+            RequestLine::TooLong => {
+                let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                writeln!(writer, "{}", error_event(&message))?;
+                writer.flush()?;
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -554,6 +601,65 @@ mod tests {
             done.get("json").and_then(JsonValue::as_str),
             Some(local.result.to_json().as_str())
         );
+    }
+
+    /// A grid whose trial total exceeds the cap would size the runner's
+    /// record slots past any allocation; it is refused before `accepted`,
+    /// and the connection serves the next submission.
+    #[test]
+    fn oversized_trial_totals_are_refused_and_the_connection_serves_on() {
+        let reg = registry();
+        let good = campaign();
+        let local = super::super::runner::run(&good, &reg, None, |_| {}).expect("local");
+        let bad = good
+            .to_json()
+            .replace("\"trials\":6", "\"trials\":100000000000000");
+        assert_ne!(bad, good.to_json());
+        let input = format!(
+            "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n",
+            good.to_json()
+        );
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("trials"),
+            "got {events:?}"
+        );
+        assert!(
+            events[1].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        let done = json::parse(events.last().expect("done event")).expect("done parses");
+        assert_eq!(
+            done.get("json").and_then(JsonValue::as_str),
+            Some(local.result.to_json().as_str())
+        );
+    }
+
+    /// A request line over the bound gets one `error`, its rest is
+    /// skipped, and the next line on the connection is served.
+    #[test]
+    fn over_long_lines_are_refused_and_the_connection_serves_on() {
+        let reg = registry();
+        let at_bound = format!("{{\"op\":\"ping\"}}{}", " ".repeat(MAX_REQUEST_BYTES - 13));
+        assert_eq!(at_bound.len(), MAX_REQUEST_BYTES);
+        let input = format!(
+            "{}\n{at_bound}\n{{\"op\":\"ping\"}}\r\n{}",
+            "x".repeat(3 * MAX_REQUEST_BYTES),
+            "y".repeat(MAX_REQUEST_BYTES + 1)
+        );
+        let (events, shutdown) = serve_lines(&input, &reg, 1);
+        assert!(!shutdown);
+        assert_eq!(events.len(), 4, "got {events:?}");
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("exceeds"),
+            "got {events:?}"
+        );
+        // A line exactly at the bound is still read whole.
+        assert_eq!(events[1], "{\"event\":\"pong\"}");
+        assert_eq!(events[2], "{\"event\":\"pong\"}");
+        // So is an over-long last line with no newline before EOF.
+        assert!(events[3].contains("exceeds"), "got {events:?}");
     }
 
     /// Two clients submitting different campaigns *simultaneously* to one

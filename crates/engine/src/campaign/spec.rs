@@ -11,6 +11,13 @@ use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
 /// larger models up front. The largest figure grid uses 4096.
 pub const MAX_MEMORY_SLOTS: usize = 1 << 20;
 
+/// The most trials one campaign may run, summed over every cell (each
+/// job's trials × the rate grid). The runner holds one record slot per
+/// trial, so [`CampaignSpec::validate`] refuses larger grids before a
+/// failed allocation can abort the process. The largest full-size figure
+/// grid, `fig6_1_sorting`, runs 4,800.
+pub const MAX_CAMPAIGN_TRIALS: usize = 1_000_000;
+
 /// How a job turns its workload factory into problem instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instantiate {
@@ -342,8 +349,9 @@ impl CampaignSpec {
     /// Structural validation: a runnable campaign has a non-empty grid of
     /// fault-rate percentages in `[0, 100]`, positive trials (campaign-wide
     /// and per job), at least one job, distinct job labels, explicit
-    /// solver specs that pass [`SolverSpec::validate`], and memory fault
-    /// models of at most [`MAX_MEMORY_SLOTS`] slots.
+    /// solver specs that pass [`SolverSpec::validate`], memory fault
+    /// models of at most [`MAX_MEMORY_SLOTS`] slots, and at most
+    /// [`MAX_CAMPAIGN_TRIALS`] trials summed over every cell.
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -389,6 +397,18 @@ impl CampaignSpec {
             if let Some(model) = &job.fault_model {
                 validate_fault_model(model).map_err(|e| format!("job \"{}\": {e}", job.label))?;
             }
+        }
+        let total_trials = self.jobs.iter().try_fold(0usize, |total, job| {
+            job.trials
+                .unwrap_or(self.trials)
+                .checked_mul(self.rates_pct.len())
+                .and_then(|trials| total.checked_add(trials))
+                .filter(|&total| total <= MAX_CAMPAIGN_TRIALS)
+        });
+        if total_trials.is_none() {
+            return Err(format!(
+                "campaign runs more than {MAX_CAMPAIGN_TRIALS} trials in total"
+            ));
         }
         Ok(())
     }
@@ -611,6 +631,21 @@ mod tests {
             .rates(vec![1.0])
             .job(JobSpec::new("a", "w").with_trials(3));
         per_job.validate().expect("per-job trials suffice");
+        // Total trials (job trials × rates, summed over jobs) are capped,
+        // and a product that overflows `usize` is refused the same way.
+        let at_cap = CampaignSpec::new("x")
+            .rates(vec![0.0, 1.0])
+            .trials(MAX_CAMPAIGN_TRIALS / 4)
+            .job(JobSpec::new("a", "w"))
+            .job(JobSpec::new("b", "w"));
+        at_cap.validate().expect("a grid at the cap is valid");
+        let over_cap = at_cap.job(JobSpec::new("c", "w").with_trials(1));
+        assert!(over_cap.validate().unwrap_err().contains("trials in total"));
+        let overflow = CampaignSpec::new("x")
+            .rates(vec![0.0, 1.0])
+            .trials(usize::MAX / 2 + 1)
+            .job(JobSpec::new("a", "w"));
+        assert!(overflow.validate().unwrap_err().contains("trials in total"));
     }
 
     #[test]

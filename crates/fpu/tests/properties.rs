@@ -309,7 +309,7 @@ proptest! {
             prop_assert_eq!(state.cursor(), Some((flop, (flop % slots as u64) as usize)));
             let (dirty, corrupted) = recount(&fpu);
             prop_assert_eq!(dirty, corrupted, "dirty count after the probe");
-            if scrub > 0 && flop > 0 && flop % scrub == 0 {
+            if scrub > 0 && flop > 0 && flop.is_multiple_of(scrub) {
                 prop_assert!(dirty <= 1, "the scrub at FLOP {} cleared the masks", flop);
             }
         }

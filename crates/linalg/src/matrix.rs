@@ -11,15 +11,6 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 use stochastic_fpu::Fpu;
 
-/// Depth-tile of the blocked [`Matrix::matmul`]: one `MATMUL_KB × MATMUL_JB`
-/// panel of the right-hand side (≤ 128 KiB of `f64`s) is reused across all
-/// output rows before the walk advances, keeping it L2-resident.
-const MATMUL_KB: usize = 64;
-
-/// Column-panel width of the blocked [`Matrix::matmul`]: one output-row
-/// panel (2 KiB of `f64`s) stays L1-resident while its `k`-terms stream.
-const MATMUL_JB: usize = 256;
-
 /// A dense row-major matrix of `f64` entries.
 ///
 /// # Examples
@@ -256,18 +247,13 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `A B` through the FPU, cache-blocked over the inner
-    /// (`k`) dimension and the output columns.
+    /// Matrix product `A B` through the FPU.
     ///
-    /// The `k` loop is tiled so a `MATMUL_KB`-row panel of `rhs` stays hot
-    /// in cache across every output row, and wide outputs are walked in
-    /// `MATMUL_JB`-column panels that fit L1. Within a tile the inner step
-    /// is still the batched `out_row += aik · rhs_row` (scalar first)
-    /// sequence, and every output element accumulates its `k`-terms in
-    /// ascending order exactly as the unblocked loop did — so at fault
-    /// rate 0 the result is bit-identical to the historical row-major
-    /// triple loop, and at any rate the batched and per-op dispatch paths
-    /// agree bit for bit.
+    /// Row-major: for each output row `i` and each nonzero `a_ik` in
+    /// ascending `k`, one batched `out_row += a_ik · rhs_row(k)` (scalar
+    /// first). Every output element therefore accumulates its `k`-terms
+    /// in ascending order, and the batched and per-op dispatch paths
+    /// agree bit for bit at any fault rate.
     ///
     /// # Errors
     ///
@@ -280,19 +266,13 @@ impl Matrix {
             ));
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for kb in (0..self.cols).step_by(MATMUL_KB) {
-            let kend = (kb + MATMUL_KB).min(self.cols);
-            for jb in (0..rhs.cols).step_by(MATMUL_JB) {
-                let jend = (jb + MATMUL_JB).min(rhs.cols);
-                for i in 0..self.rows {
-                    for k in kb..kend {
-                        let aik = self[(i, k)];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        fpu.axpy_batch(aik, &rhs.row(k)[jb..jend], &mut out.row_mut(i)[jb..jend]);
-                    }
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let aik = self[(i, k)];
+                if aik == 0.0 {
+                    continue;
                 }
+                fpu.axpy_batch(aik, rhs.row(k), out.row_mut(i));
             }
         }
         Ok(out)

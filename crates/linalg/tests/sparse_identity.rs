@@ -1,22 +1,24 @@
-//! Sparse determinism contract: CSR SpMV/SpMTV are **byte-identical**
-//! between batched and scalar dispatch for every shipped
-//! `FaultModelSpec` variant, and agree with the dense products at
-//! rate 0.
+//! Determinism contract of the dense and sparse layers: every product
+//! is **byte-identical** between batched and scalar dispatch for every
+//! shipped `FaultModelSpec` variant. Dense: `Matrix::matmul`, `gram` and
+//! `matvec_t` (the `QrFactorization::compute` case is a known failure,
+//! ignored); sparse: CSR SpMV/SpMTV, which also agree with the dense
+//! products at rate 0.
 //!
 //! "Scalar" is the same kernel code with the countdown skip-ahead fast
 //! path disabled (`NoisyFpu::set_batching(false)`), which degrades every
-//! row reduction to its documented per-op `execute` expansion — the
-//! `crates/fpu/tests/batch_identity.rs` pattern applied to the sparse
-//! layer. Fingerprints pin committed result bits, FLOP counters, fault
-//! counters and statistics (including the bit-position histogram),
+//! batched kernel to its documented per-op `execute` expansion — the
+//! `crates/fpu/tests/batch_identity.rs` pattern applied to the linear
+//! algebra layer. Fingerprints pin committed result bits, FLOP counters,
+//! fault counters and statistics (including the bit-position histogram),
 //! memory shadow state, and the continuation of the fault stream after
 //! the products.
 
 use proptest::prelude::*;
-use robustify_linalg::CsrMatrix;
+use robustify_linalg::{CsrMatrix, Matrix, QrFactorization};
 use stochastic_fpu::{
     BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, NoisyFpu, ReliableFpu,
-    LANE_REDUCTION_MIN,
+    LANE_REDUCTION_MIN, LANE_WIDTH,
 };
 
 /// Every shipped fault-model scenario: the CLI presets plus combinator
@@ -89,20 +91,78 @@ fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -
     if a.rows() > 1 {
         y[a.rows() / 3] = 0.0;
     }
-    let mut out = Vec::new();
-
-    // A scalar prefix slides the strike schedule relative to row
-    // boundaries, so across cases strikes land on first, interior and
-    // last entries of rows.
-    for i in 0..prefix {
-        out.push(fpu.mul(1.0 + i as f64, 1.5).to_bits());
-    }
-
+    let mut out = scalar_prefix(fpu, prefix);
     let ax = a.matvec(fpu, &x).expect("shapes match");
     out.extend(ax.iter().map(|f| f.to_bits()));
     let aty = a.matvec_t(fpu, &y).expect("shapes match");
     out.extend(aty.iter().map(|f| f.to_bits()));
+    push_fpu_state(fpu, &mut out);
+    out
+}
 
+/// A deterministic dense test matrix with a scattered zero pattern, so
+/// `matmul` also skips some `a_ik == 0` terms.
+fn dense_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |i, j| {
+        if (i + 2 * j + salt) % 7 == 3 {
+            0.0
+        } else {
+            ((i * 31 + j * 17 + salt) % 13) as f64 * 0.125 - 0.75
+        }
+    })
+}
+
+/// Runs `a · rhs`, `aᵀa` and `aᵀy` (one zero coefficient in `y`) on
+/// `fpu` and fingerprints every observable bit as
+/// [`sparse_workload_fingerprint`] does.
+fn dense_workload_fingerprint(
+    fpu: &mut NoisyFpu,
+    a: &Matrix,
+    rhs: &Matrix,
+    prefix: u64,
+) -> Vec<u64> {
+    let mut y: Vec<f64> = (0..a.rows())
+        .map(|i| 1.5 - (i % 7) as f64 * 0.125)
+        .collect();
+    y[a.rows() / 3] = 0.0;
+    let mut out = scalar_prefix(fpu, prefix);
+    out.extend(matrix_bits(&a.matmul(fpu, rhs).expect("shapes match")));
+    out.extend(matrix_bits(&a.gram(fpu)));
+    let aty = a.matvec_t(fpu, &y).expect("shapes match");
+    out.extend(aty.iter().map(|f| f.to_bits()));
+    push_fpu_state(fpu, &mut out);
+    out
+}
+
+/// Runs the Householder QR of tall-or-square `a` on `fpu` and
+/// fingerprints both factors and the FPU state.
+fn qr_fingerprint(fpu: &mut NoisyFpu, a: &Matrix, prefix: u64) -> Vec<u64> {
+    let mut out = scalar_prefix(fpu, prefix);
+    let qr = QrFactorization::compute(fpu, a).expect("tall or square");
+    out.extend(matrix_bits(qr.q()));
+    out.extend(matrix_bits(qr.r()));
+    push_fpu_state(fpu, &mut out);
+    out
+}
+
+fn matrix_bits(m: &Matrix) -> Vec<u64> {
+    (0..m.rows())
+        .flat_map(|i| m.row(i).iter().map(|f| f.to_bits()))
+        .collect()
+}
+
+/// Starts a fingerprint with `prefix` scalar ops. They slide the strike
+/// schedule relative to row boundaries, so across cases strikes land on
+/// first, interior and last entries of rows.
+fn scalar_prefix(fpu: &mut NoisyFpu, prefix: u64) -> Vec<u64> {
+    (0..prefix)
+        .map(|i| fpu.mul(1.0 + i as f64, 1.5).to_bits())
+        .collect()
+}
+
+/// Appends the continuation of the fault stream, the counters, the fault
+/// statistics and any memory shadow masks to a fingerprint.
+fn push_fpu_state(fpu: &mut NoisyFpu, out: &mut Vec<u64>) {
     // The fault stream must continue identically after the products: any
     // desynchronized LFSR draw or miscounted FLOP shows up here.
     for i in 0..64u64 {
@@ -119,7 +179,27 @@ fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -
     if let Some(memory) = fpu.memory_state() {
         out.extend(memory.masks().iter().copied());
     }
-    out
+}
+
+/// Asserts that `run` fingerprints a batched and a scalar FPU alike for
+/// every shipped fault model.
+fn assert_batched_equals_scalar(
+    rate: FaultRate,
+    seed: u64,
+    run: impl Fn(&mut NoisyFpu) -> Vec<u64>,
+) {
+    for spec in shipped_fault_models() {
+        let mut batched = NoisyFpu::new(rate, spec.clone(), seed);
+        let mut scalar = NoisyFpu::new(rate, spec.clone(), seed);
+        scalar.set_batching(false);
+        assert_eq!(
+            run(&mut batched),
+            run(&mut scalar),
+            "{} diverged (rate {:?})",
+            spec.name(),
+            rate
+        );
+    }
 }
 
 proptest! {
@@ -141,14 +221,53 @@ proptest! {
     ) {
         let a = test_matrix(rows, cols, stride);
         let rate = FaultRate::per_flop(rate_millis as f64 / 1000.0);
-        for spec in shipped_fault_models() {
-            let mut batched = NoisyFpu::new(rate, spec.clone(), seed);
-            let mut scalar = NoisyFpu::new(rate, spec.clone(), seed);
-            scalar.set_batching(false);
-            let b = sparse_workload_fingerprint(&mut batched, &a, prefix);
-            let s = sparse_workload_fingerprint(&mut scalar, &a, prefix);
-            prop_assert_eq!(b, s, "{} diverged (rate {:?})", spec.name(), rate);
-        }
+        assert_batched_equals_scalar(rate, seed, |fpu| {
+            sparse_workload_fingerprint(fpu, &a, prefix)
+        });
+    }
+
+    /// Dense batched == scalar for every shipped spec variant. Row
+    /// lengths of 1..`3·LANE_WIDTH` cross every lane remainder of the
+    /// batched kernels.
+    #[test]
+    fn dense_products_are_byte_identical_to_scalar(
+        seed in any::<u64>(),
+        rate_millis in 1u64..1001,
+        rows in 1usize..(3 * LANE_WIDTH),
+        inner in 1usize..(3 * LANE_WIDTH),
+        cols in 1usize..(3 * LANE_WIDTH),
+        salt in 0usize..7,
+        prefix in 0u64..32,
+    ) {
+        let a = dense_matrix(rows, inner, salt);
+        let rhs = dense_matrix(inner, cols, salt + 1);
+        let rate = FaultRate::per_flop(rate_millis as f64 / 1000.0);
+        assert_batched_equals_scalar(rate, seed, |fpu| {
+            dense_workload_fingerprint(fpu, &a, &rhs, prefix)
+        });
+    }
+
+    /// Householder QR batched == scalar for every shipped spec variant.
+    /// Known failure: once a row fills with NaNs, a batched axpy lane and
+    /// the per-op `add` may keep different NaN payloads (Rust leaves them
+    /// unspecified), and a later strike that flips an exponent bit turns
+    /// the payload into a finite value. The fix changes figure documents
+    /// at high fault rates, so it waits for a change that moves trial bits
+    /// anyway (ROADMAP.md, "NaN payloads break batched == scalar
+    /// identity").
+    #[test]
+    #[ignore = "NaN payloads leak through strikes; see ROADMAP.md"]
+    fn dense_qr_is_byte_identical_to_scalar(
+        seed in any::<u64>(),
+        rate_millis in 1u64..1001,
+        extra_rows in 0usize..LANE_WIDTH,
+        cols in 1usize..(2 * LANE_WIDTH),
+        salt in 0usize..7,
+        prefix in 0u64..32,
+    ) {
+        let a = dense_matrix(cols + extra_rows, cols, salt);
+        let rate = FaultRate::per_flop(rate_millis as f64 / 1000.0);
+        assert_batched_equals_scalar(rate, seed, |fpu| qr_fingerprint(fpu, &a, prefix));
     }
 
     /// Triplet → CSR → dense round-trip: assembly (any order, duplicate
@@ -264,4 +383,17 @@ fn sparse_flop_counts_reflect_stored_entries_only() {
         .matvec(&mut dense_fpu, &x)
         .expect("shapes match");
     assert_eq!(sparse_fpu.flops(), dense_fpu.flops());
+}
+
+/// Dense identity past the old `matmul` tile edges: an inner dimension
+/// above 64 and more than 256 output columns.
+#[test]
+fn dense_products_past_the_old_tile_edges_are_byte_identical_to_scalar() {
+    let a = dense_matrix(3, 70, 0);
+    let rhs = dense_matrix(70, 260, 1);
+    for rate in [1e-3, 0.05] {
+        assert_batched_equals_scalar(FaultRate::per_flop(rate), 0x5eed, |fpu| {
+            dense_workload_fingerprint(fpu, &a, &rhs, 5)
+        });
+    }
 }
