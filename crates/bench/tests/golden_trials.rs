@@ -1,20 +1,24 @@
 //! Golden trial fingerprints: one trial per registry workload × fault
-//! scenario × rate, pinned to its verdict bits, FLOP count and fault
-//! count.
+//! scenario × rate, plus one `least_squares` trial per bit distribution ×
+//! width, pinned to its verdict bits, FLOP count and fault count.
 //!
 //! The result cache replays a cell whenever its key matches, so any code
 //! change that moves a trial's bits must also change the key. That is
 //! what `TRIAL_BITS_VERSION` in the cell key is for, and this test is its
 //! tripwire: a fingerprint that moves means trial bits moved. Never edit
 //! a pinned value to make this test pass. Bump `TRIAL_BITS_VERSION`
-//! instead, then recapture the table (and `PINNED_VERSION`) from the new
+//! instead, then recapture the tables (and `PINNED_VERSION`) from the new
 //! code; the failure message prints every current fingerprint.
 
+use std::fmt::Debug;
+
 use robustify_bench::workloads::paper_registry;
-use robustify_core::WorkloadRegistry;
+use robustify_core::{DynProblem, SolverSpec, WorkloadRegistry};
 use robustify_engine::campaign::TRIAL_BITS_VERSION;
 use robustify_engine::derive_trial_seed;
-use stochastic_fpu::{BitFaultModel, FaultModelSpec, FaultRate, Fpu, NoisyFpu, VoltageErrorModel};
+use stochastic_fpu::{
+    BitFaultModel, BitWidth, FaultModelSpec, FaultRate, Fpu, NoisyFpu, VoltageErrorModel,
+};
 
 /// The `TRIAL_BITS_VERSION` the table below was captured under.
 const PINNED_VERSION: u32 = 1;
@@ -125,15 +129,23 @@ fn rates() -> [(&'static str, FaultRate); 2] {
     ]
 }
 
+/// `workload`'s instance and default solver at a twentieth of its
+/// iteration budget, which keeps every solver feature (guards, annealing,
+/// aggressive stepping) in play at a debug-build cost of seconds.
+fn budgeted_trial(
+    registry: &WorkloadRegistry,
+    workload: &str,
+) -> (Box<dyn DynProblem>, SolverSpec) {
+    let problem = registry.materialize(workload, SEED).expect("registered");
+    let mut solver = registry.default_solver(workload, SEED).expect("registered");
+    solver.iterations = (solver.iterations / 20).max(2);
+    (problem, solver)
+}
+
 fn fingerprints(registry: &WorkloadRegistry) -> Vec<Fingerprint<'_>> {
     let mut out = Vec::new();
     for workload in registry.names() {
-        let problem = registry.materialize(workload, SEED).expect("registered");
-        // A twentieth of the default iteration budget keeps every solver
-        // feature (guards, annealing, aggressive stepping) in play at a
-        // debug-build cost of seconds.
-        let mut solver = registry.default_solver(workload, SEED).expect("registered");
-        solver.iterations = (solver.iterations / 20).max(2);
+        let (problem, solver) = budgeted_trial(registry, workload);
         for (scenario, spec) in scenarios() {
             for (rate_label, rate) in rates() {
                 let mut fpu = NoisyFpu::new(rate, spec.clone(), derive_trial_seed(SEED, 0));
@@ -153,19 +165,91 @@ fn fingerprints(registry: &WorkloadRegistry) -> Vec<Fingerprint<'_>> {
     out
 }
 
-#[test]
-fn trial_fingerprints_match_the_pinned_table() {
+/// Fails unless `got` equals the pinned table `name` and the table was
+/// captured under the current `TRIAL_BITS_VERSION`.
+fn assert_pinned<T: Debug + PartialEq>(name: &str, got: &[T], pinned: &[T]) {
     assert_eq!(
         TRIAL_BITS_VERSION, PINNED_VERSION,
-        "TRIAL_BITS_VERSION moved: recapture GOLDEN from the new code and set PINNED_VERSION"
+        "TRIAL_BITS_VERSION moved: recapture {name} from the new code and set PINNED_VERSION"
     );
-    let registry = paper_registry();
-    let got = fingerprints(&registry);
-    if got != GOLDEN {
+    if got != pinned {
         let table: String = got.iter().map(|f| format!("    {f:?},\n")).collect();
         panic!(
             "trial bits changed: bump TRIAL_BITS_VERSION so no cache replays stale \
-             cells, then recapture this table.\ncurrent fingerprints:\n{table}"
+             cells, then recapture {name}.\ncurrent fingerprints:\n{table}"
         );
     }
+}
+
+#[test]
+fn trial_fingerprints_match_the_pinned_table() {
+    let registry = paper_registry();
+    assert_pinned("GOLDEN", &fingerprints(&registry), GOLDEN);
+}
+
+/// The `msb_only` `f32` row's metric bits. Its strikes make NaNs whose
+/// payloads reach the metric's finite bits, and debug and release codegen
+/// keep different payloads (ROADMAP item 10), so each build profile pins
+/// its own value; the FLOP and fault counts agree.
+const MSB_ONLY_F32_METRIC: u64 = if cfg!(debug_assertions) {
+    4590255336687568874
+} else {
+    4590255261913795293
+};
+
+/// `(distribution, width, success, metric bits, flops, faults)`.
+type BitModelFingerprint = (&'static str, &'static str, bool, u64, u64, u64);
+
+/// `least_squares` under a transient flip at 5% of FLOPs for every preset
+/// bit distribution and width: the rows that pin the bit sampler itself,
+/// which the table above reaches only through the emulated `f64` preset.
+/// Captured before the bit sampler's guide table landed; it left every
+/// value unchanged.
+#[rustfmt::skip]
+const GOLDEN_BIT_MODELS: &[BitModelFingerprint] = &[
+    ("emulated", "f64", true, 4572266306774736771, 300030, 14974),
+    ("emulated", "f32", true, 4577003268194057724, 427440, 21375),
+    ("exponent_heavy", "f64", true, 4587256850487439173, 406890, 20332),
+    ("exponent_heavy", "f32", true, 4587306351769000725, 353460, 17655),
+    ("uniform", "f64", true, 4587288263336725098, 427440, 21375),
+    ("uniform", "f32", true, 4587592865688658788, 452100, 22589),
+    ("msb_only", "f64", true, 4588258357535655029, 406890, 20332),
+    ("msb_only", "f32", true, MSB_ONLY_F32_METRIC, 341130, 17026),
+    ("lsb_only", "f64", true, 4487265905905578072, 287700, 14365),
+    ("lsb_only", "f32", true, 4487450450001353915, 287700, 14365),
+];
+
+fn bit_model_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
+    let (problem, solver) = budgeted_trial(registry, "least_squares");
+    let mut out = Vec::new();
+    for kind in [
+        "emulated",
+        "exponent_heavy",
+        "uniform",
+        "msb_only",
+        "lsb_only",
+    ] {
+        for width in [BitWidth::F64, BitWidth::F32] {
+            let model = BitFaultModel::from_kind(kind, width).expect("preset");
+            let spec = FaultModelSpec::transient(model);
+            let mut fpu =
+                NoisyFpu::new(FaultRate::per_flop(0.05), spec, derive_trial_seed(SEED, 0));
+            let verdict = problem.run_trial_dyn(&solver, &mut fpu);
+            out.push((
+                kind,
+                width.name(),
+                verdict.success,
+                verdict.metric.to_bits(),
+                fpu.flops(),
+                fpu.faults(),
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn bit_model_fingerprints_match_the_pinned_table() {
+    let got = bit_model_fingerprints(&paper_registry());
+    assert_pinned("GOLDEN_BIT_MODELS", &got, GOLDEN_BIT_MODELS);
 }

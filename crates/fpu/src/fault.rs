@@ -153,6 +153,10 @@ impl FaultRate {
     }
 }
 
+/// Buckets in [`BitFaultModel`]'s guide table: a power of two, so a
+/// draw's bucket `⌊u·M⌋` and every bucket edge `j/M` are exact.
+const GUIDE_BUCKETS: usize = 256;
+
 /// A probability distribution over which bit of an FPU result gets flipped.
 ///
 /// # Examples
@@ -170,8 +174,12 @@ pub struct BitFaultModel {
     width: BitWidth,
     /// Per-bit probabilities, `weights[i]` = P(flip bit `i`), LSB first.
     weights: Vec<f64>,
-    /// Cumulative distribution for sampling, same length as `weights`.
+    /// Cumulative distribution for sampling, same length as `weights`:
+    /// monotone, and exactly 1.0 from the last positive weight onward.
     cumulative: Vec<f64>,
+    /// Guide table over `cumulative`: `guide[j]` is the smallest `i` with
+    /// `cumulative[i] > j / GUIDE_BUCKETS`, where a draw's scan starts.
+    guide: [u8; GUIDE_BUCKETS],
     /// Stable distribution name for emitters (`"custom"` for
     /// [`from_weights`](Self::from_weights) models).
     kind: &'static str,
@@ -211,14 +219,32 @@ impl BitFaultModel {
         let mut acc = 0.0;
         for &w in &weights {
             acc += w;
-            cumulative.push(acc);
+            cumulative.push(acc.min(1.0));
         }
-        // Guard against round-off leaving the last entry below 1.0.
-        *cumulative.last_mut().expect("non-empty weights") = 1.0;
+        // Round-off can push the running sum above 1.0 (clamped above) or
+        // leave it just below 1.0 after the last positive weight, where a
+        // draw above it would land on a zero-weight bit past it. Pinning
+        // the whole tail to 1.0 keeps the cumulative monotone and every
+        // draw on a bit that has weight.
+        let last_positive = weights
+            .iter()
+            .rposition(|&w| w > 0.0)
+            .expect("a positive weight");
+        cumulative[last_positive..].fill(1.0);
+        let mut guide = [0u8; GUIDE_BUCKETS];
+        let mut i = 0;
+        for (j, g) in guide.iter_mut().enumerate() {
+            let edge = j as f64 / GUIDE_BUCKETS as f64;
+            while cumulative[i] <= edge {
+                i += 1;
+            }
+            *g = i as u8;
+        }
         BitFaultModel {
             width,
             weights,
             cumulative,
+            guide,
             kind: "custom",
         }
     }
@@ -356,16 +382,29 @@ impl BitFaultModel {
     }
 
     /// Samples a bit index to flip using the given entropy source.
+    ///
+    /// Takes exactly one [`Lfsr::next_f64`] draw `u` and returns the
+    /// smallest bit `i` whose cumulative weight exceeds `u`, so each bit
+    /// is drawn with its normalized weight (up to round-off) and a
+    /// zero-weight bit never is. The lookup is an indexed (guide-table)
+    /// search: entry `⌊u·M⌋` of an `M`-bucket table that
+    /// [`from_weights`](Self::from_weights) precomputes names the first
+    /// candidate, and a short forward scan finishes in O(1) expected
+    /// steps.
     pub fn sample_bit(&self, lfsr: &mut Lfsr) -> usize {
-        let u = lfsr.next_f64();
-        // Binary search the cumulative distribution.
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i,
+        self.bit_at(lfsr.next_f64())
+    }
+
+    /// The bit a draw of `u ∈ [0, 1)` selects: the smallest `i` with
+    /// `cumulative[i] > u`. The guide entry for `u`'s bucket is a lower
+    /// bound on it (`⌊u·M⌋/M ≤ u`), and the scan ends by the last entry,
+    /// which is 1.0.
+    fn bit_at(&self, u: f64) -> usize {
+        let mut i = self.guide[(u * GUIDE_BUCKETS as f64) as usize] as usize;
+        while self.cumulative[i] <= u {
+            i += 1;
         }
+        i
     }
 }
 
@@ -462,6 +501,146 @@ mod tests {
             counts[model.sample_bit(&mut lfsr)] += 1;
         }
         counts.iter().map(|&c| c as f64 / n as f64).collect()
+    }
+
+    /// The sampler's former lookup, kept only as the reference for the
+    /// guide table: a cumulative with just its last entry forced to 1.0,
+    /// binary-searched.
+    struct BinarySearchSampler {
+        cumulative: Vec<f64>,
+    }
+
+    impl BinarySearchSampler {
+        fn new(model: &BitFaultModel) -> Self {
+            let mut cumulative = Vec::with_capacity(model.weights().len());
+            let mut acc = 0.0;
+            for &w in model.weights() {
+                acc += w;
+                cumulative.push(acc);
+            }
+            *cumulative.last_mut().expect("non-empty weights") = 1.0;
+            BinarySearchSampler { cumulative }
+        }
+
+        fn bit_at(&self, u: f64) -> usize {
+            match self
+                .cumulative
+                .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
+            {
+                Ok(i) => (i + 1).min(self.cumulative.len() - 1),
+                Err(i) => i,
+            }
+        }
+    }
+
+    /// Every preset at both widths, plus custom weights with leading,
+    /// interior and trailing zero runs, and a vanishing last weight behind
+    /// a running sum that rounds above 1.
+    fn sampler_models() -> Vec<BitFaultModel> {
+        let mut models = Vec::new();
+        for kind in [
+            "emulated",
+            "exponent_heavy",
+            "uniform",
+            "msb_only",
+            "lsb_only",
+        ] {
+            for width in [BitWidth::F64, BitWidth::F32] {
+                models.push(BitFaultModel::from_kind(kind, width).expect("preset"));
+            }
+        }
+        let mut runs = vec![0.0; 64];
+        runs[3..11].fill(1.0);
+        runs[40..51].fill(3.0);
+        models.push(BitFaultModel::from_weights(BitWidth::F64, &runs));
+        let mut single = vec![0.0; 64];
+        single[30] = 1.0;
+        models.push(BitFaultModel::from_weights(BitWidth::F64, &single));
+        // Nine ninths sum to 1 + 1 ulp, ahead of a last positive weight
+        // too small to bring the running sum back to 1.0.
+        let mut vanishing = vec![0.0; 64];
+        vanishing[..9].fill(1.0);
+        vanishing[9] = 1e-18;
+        models.push(BitFaultModel::from_weights(BitWidth::F64, &vanishing));
+        let mut ends = vec![0.0; 32];
+        ends[0] = 1.0;
+        ends[20] = 2.0;
+        models.push(BitFaultModel::from_weights(BitWidth::F32, &ends));
+        let alternating: Vec<f64> = (0..32).map(|i| (i % 2) as f64).collect();
+        models.push(BitFaultModel::from_weights(BitWidth::F32, &alternating));
+        models
+    }
+
+    fn label(model: &BitFaultModel) -> String {
+        format!("{} {}", model.kind(), model.width().name())
+    }
+
+    #[test]
+    fn cumulative_is_monotone_ends_at_one_and_guides_exactly() {
+        for model in sampler_models() {
+            let c = &model.cumulative;
+            assert!(
+                c.windows(2).all(|w| w[0] <= w[1]),
+                "{}: not monotone",
+                label(&model)
+            );
+            assert_eq!(c.last(), Some(&1.0), "{}", label(&model));
+            for (j, &g) in model.guide.iter().enumerate() {
+                let edge = j as f64 / GUIDE_BUCKETS as f64;
+                let first = c.iter().position(|&x| x > edge).expect("ends at 1.0");
+                assert_eq!(g as usize, first, "{}: guide[{j}]", label(&model));
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_draws_match_the_binary_search() {
+        for model in sampler_models() {
+            let reference = BinarySearchSampler::new(&model);
+            let mut lfsr = Lfsr::new(0x5EED_B175);
+            let mut shadow = lfsr.clone();
+            for n in 0..1_000_000 {
+                let bit = model.sample_bit(&mut lfsr);
+                let expected = reference.bit_at(shadow.next_f64());
+                assert_eq!(bit, expected, "{}: draw {n}", label(&model));
+            }
+            assert_eq!(lfsr, shadow, "{}: one draw per sample", label(&model));
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_the_binary_search_at_every_edge() {
+        for model in sampler_models() {
+            let reference = BinarySearchSampler::new(&model);
+            let mut probes = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            for &c in model.cumulative.iter().chain(&reference.cumulative) {
+                probes.extend([c.next_down(), c, c.next_up()]);
+            }
+            probes.extend((0..GUIDE_BUCKETS).map(|j| j as f64 / GUIDE_BUCKETS as f64));
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let bit = model.bit_at(u);
+                assert!(
+                    model.weights()[bit] > 0.0,
+                    "{}: u = {u:e} drew zero-weight bit {bit}",
+                    label(&model)
+                );
+                let expected = reference.bit_at(u);
+                if model.weights()[expected] > 0.0 {
+                    assert_eq!(bit, expected, "{}: u = {u:e}", label(&model));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_off_never_reaches_a_zero_weight_bit() {
+        // The top draw lands on the last positive-weight bit, not on the
+        // sign bit that round-off used to leave reachable for `lsb_only`.
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for width in [BitWidth::F64, BitWidth::F32] {
+            let model = BitFaultModel::lsb_only(width);
+            assert_eq!(model.bit_at(top), width.mantissa_bits() / 2 - 1);
+        }
     }
 
     #[test]

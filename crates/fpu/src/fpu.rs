@@ -915,6 +915,9 @@ pub struct NoisyFpu {
     lfsr: Lfsr,
     /// FLOPs remaining until the next injection (0 when rate is zero).
     countdown: u64,
+    /// Upper end of the strike-interval draw, `round(2/rate − 1)` and at
+    /// least 1, fixed by the effective rate (0 when rate is zero).
+    interval_bound: u64,
     flops: u64,
     stats: FaultStats,
     /// Shadow storage for memory-persistent fault specs.
@@ -963,11 +966,17 @@ impl NoisyFpu {
         // One source of truth for the schedule-to-rate mapping, shared
         // with `FaultModelSpec::dvfs_rate_at`.
         let dvfs = spec.dvfs_segments();
+        let interval_bound = if rate.is_zero() {
+            0
+        } else {
+            (2.0 * rate.mean_interval() - 1.0).round().max(1.0) as u64
+        };
         let mut fpu = NoisyFpu {
             rate,
             spec,
             lfsr: Lfsr::new(seed),
             countdown: 0,
+            interval_bound,
             flops: 0,
             stats: FaultStats::default(),
             memory,
@@ -1031,14 +1040,13 @@ impl NoisyFpu {
 
     /// Draws the number of FLOPs until the next fault: uniform on
     /// `[1, 2/rate - 1]` so the mean interval is `1/rate`, generated by the
-    /// LFSR as in the paper's methodology.
+    /// LFSR as in the paper's methodology. The bound is precomputed, so a
+    /// strike costs one LFSR draw here.
     fn draw_interval(&mut self) -> u64 {
-        if self.rate.is_zero() {
+        if self.interval_bound == 0 {
             return 0;
         }
-        let mean = self.rate.mean_interval();
-        let upper = (2.0 * mean - 1.0).round().max(1.0) as u64;
-        self.lfsr.uniform_1_to(upper)
+        self.lfsr.uniform_1_to(self.interval_bound)
     }
 
     /// Whether the fault schedule strikes at FLOP index `flop`.
