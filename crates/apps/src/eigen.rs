@@ -89,7 +89,7 @@ impl CostFunction for RayleighCost {
 
     fn cost<F: Fpu>(&self, x: &[f64], fpu: &mut F) -> f64 {
         let ax = self.a.matvec(fpu, x).expect("x has dim() entries");
-        let xax = robustify_linalg::dot(fpu, x, &ax).expect("equal lengths");
+        let xax = fpu.dot_batch(x, &ax);
         let xx = robustify_linalg::norm2_sq(fpu, x);
         let dev = fpu.sub(xx, 1.0);
         let dev_sq = fpu.mul(dev, dev);
@@ -206,7 +206,7 @@ impl EigenProblem {
         let v: Vec<f64> = x.iter().map(|e| e / norm).collect();
         let mut fpu = ReliableFpu::new();
         let av = self.a.matvec(&mut fpu, &v).expect("v has dim() entries");
-        let lambda = robustify_linalg::dot(&mut fpu, &v, &av).expect("equal lengths");
+        let lambda = fpu.dot_batch(&v, &av);
         (lambda, v)
     }
 
@@ -282,7 +282,7 @@ fn power_iteration<F: Fpu>(fpu: &mut F, a: &Matrix, k: usize) -> (f64, Vec<f64>)
         x = ax.iter().map(|&v| fpu.div(v, norm)).collect();
     }
     let ax = a.matvec(fpu, &x).expect("x has n entries");
-    let lambda = robustify_linalg::dot(fpu, &x, &ax).expect("equal lengths");
+    let lambda = fpu.dot_batch(&x, &ax);
     (lambda, x)
 }
 

@@ -184,8 +184,8 @@ impl CostFunction for QuadraticCost {
 
     fn cost<F: Fpu>(&self, x: &[f64], fpu: &mut F) -> f64 {
         let qx = self.q.matvec(fpu, x).expect("x has dim() entries");
-        let xqx = robustify_linalg::dot(fpu, x, &qx).expect("equal lengths");
-        let bx = robustify_linalg::dot(fpu, &self.b, x).expect("equal lengths");
+        let xqx = fpu.dot_batch(x, &qx);
+        let bx = fpu.dot_batch(&self.b, x);
         let half = fpu.mul(0.5, xqx);
         fpu.sub(half, bx)
     }
@@ -233,7 +233,7 @@ impl CostFunction for LinearCost {
     }
 
     fn cost<F: Fpu>(&self, x: &[f64], fpu: &mut F) -> f64 {
-        robustify_linalg::dot(fpu, &self.c, x).expect("equal lengths")
+        fpu.dot_batch(&self.c, x)
     }
 
     fn gradient<F: Fpu>(&self, x: &[f64], fpu: &mut F, grad: &mut [f64]) {

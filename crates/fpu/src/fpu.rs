@@ -11,11 +11,12 @@ use crate::fault::{FaultRate, FaultStats};
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultState;
 use crate::model::{FaultCtx, FaultModelSpec};
+use core::ops::{Add, Sub};
 
-/// Width of the fault-free fast lane: the unroll factor of the batch
-/// kernels' `chunks_exact` microkernels, and the number of independent
-/// accumulator lanes a long reduction splits into so the compiler can
-/// autovectorize it.
+/// Number of independent accumulator lanes a long reduction splits into
+/// (see [`LANE_REDUCTION_MIN`]) so the compiler can autovectorize its
+/// fault-free fast lane. It is not an unroll factor: the element-wise
+/// batch kernels run their fast lane as plain loops.
 pub const LANE_WIDTH: usize = 8;
 
 /// Reductions shorter than this keep the historical single-accumulator
@@ -30,6 +31,104 @@ pub const LANE_REDUCTION_MIN: usize = 32;
 
 /// FLOPs of the lane pairwise-combine tree: `LANE_WIDTH − 1` additions.
 const COMBINE_FLOPS: u64 = (LANE_WIDTH - 1) as u64;
+
+/// The element-wise driver every in-place batch kernel runs on:
+/// `y[k] ← elem(y[k], [xs[0][k], …])` for each `k` in order.
+///
+/// A kernel writes its element expression twice: `native` in pure `f64`
+/// arithmetic for the guaranteed-exact ranges
+/// [`with_exact_windows`](Fpu::with_exact_windows) grants, and `through`
+/// on the FPU (`flops_per_elem` FLOPs) for the elements at window
+/// boundaries. The two must issue the same operations in the same operand
+/// order; the lanes and the window math live here once.
+///
+/// # Panics
+///
+/// Panics with "`kernel` operands differ in length" unless every input is
+/// as long as `y`.
+fn zip_update<F: Fpu, const N: usize>(
+    fpu: &mut F,
+    kernel: &str,
+    flops_per_elem: u64,
+    xs: [&[f64]; N],
+    y: &mut [f64],
+    native: impl Fn(f64, [f64; N]) -> f64,
+    through: impl Fn(&mut F, f64, [f64; N]) -> f64,
+) {
+    assert!(
+        xs.iter().all(|x| x.len() == y.len()),
+        "{kernel} operands differ in length"
+    );
+    fpu.with_exact_windows(y.len(), flops_per_elem, |fpu, range, exact| {
+        if exact {
+            // Every input re-sliced to exactly `ys.len()`, so the compiler
+            // can drop the loop's bounds checks.
+            let ys = &mut y[range.clone()];
+            let n = ys.len();
+            let xs = xs.map(|x| &x[range.clone()][..n]);
+            for k in 0..n {
+                ys[k] = native(ys[k], xs.map(|x| x[k]));
+            }
+        } else {
+            let k = range.start; // a strike-lane range is one element
+            y[k] = through(fpu, y[k], xs.map(|x| x[k]));
+        }
+    });
+}
+
+/// The product-reduction driver behind [`Fpu::gemv_row`],
+/// [`Fpu::dot_batch`] and [`Fpu::dot_sub_batch`]: folds
+/// `p = mul(x[k], y[k])` into an accumulator started at `init`, with the
+/// combining operation (`add` or `sub`) written twice, `native` and
+/// `through` the FPU.
+///
+/// Below [`LANE_REDUCTION_MIN`] elements it is one chain,
+/// `acc = combine(acc, p)` per element. From there on the products
+/// accumulate into [`LANE_WIDTH`] lanes (`lane[k % LANE_WIDTH] =
+/// add(lane[k % LANE_WIDTH], p)`), the lanes pairwise-combine to `s`
+/// ([`combine_lanes`]), and the result is `combine(init, s)` on the FPU.
+///
+/// # Panics
+///
+/// Panics with "`kernel` operands differ in length" if the slices do.
+fn reduce<F: Fpu>(
+    fpu: &mut F,
+    kernel: &str,
+    init: f64,
+    x: &[f64],
+    y: &[f64],
+    native: impl Fn(f64, f64) -> f64,
+    through: impl Fn(&mut F, f64, f64) -> f64,
+) -> f64 {
+    assert!(x.len() == y.len(), "{kernel} operands differ in length");
+    if x.len() < LANE_REDUCTION_MIN {
+        let mut acc = init;
+        fpu.with_exact_windows(x.len(), 2, |fpu, range, exact| {
+            if exact {
+                for (&a, &b) in x[range.clone()].iter().zip(&y[range]) {
+                    acc = native(acc, a * b);
+                }
+            } else {
+                let p = fpu.mul(x[range.start], y[range.start]);
+                acc = through(fpu, acc, p);
+            }
+        });
+        return acc;
+    }
+    let mut lanes = [0.0f64; LANE_WIDTH];
+    fpu.with_exact_windows(x.len(), 2, |fpu, range, exact| {
+        if exact {
+            let start = range.start;
+            lanes_accumulate(&mut lanes, &x[range.clone()], &y[range], start);
+        } else {
+            let k = range.start;
+            let p = fpu.mul(x[k], y[k]);
+            lanes[k % LANE_WIDTH] = fpu.add(lanes[k % LANE_WIDTH], p);
+        }
+    });
+    let s = combine_lanes(fpu, &lanes);
+    through(fpu, init, s)
+}
 
 /// Native lane accumulation over one guaranteed-fault-free range of a
 /// reduction: element `start + i` multiplies into lane
@@ -62,52 +161,27 @@ fn lanes_accumulate(lanes: &mut [f64; LANE_WIDTH], x: &[f64], y: &[f64], start: 
     }
 }
 
-/// The lane-indexed product reduction shared by [`Fpu::gemv_row`] and
-/// [`Fpu::dot_sub_batch`] for long inputs: per element `k` in order,
-/// `p = mul(x[k], y[k]); lane[k % LANE_WIDTH] = add(lane[k % LANE_WIDTH],
-/// p)`, followed by the pairwise combine tree. Returns the combined lane
-/// sum (`2·n + LANE_WIDTH − 1` FLOPs).
-fn lane_reduction<F: Fpu>(fpu: &mut F, x: &[f64], y: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; LANE_WIDTH];
-    fpu.with_exact_windows(x.len(), 2, |fpu, range, exact| {
-        if exact {
-            let start = range.start;
-            lanes_accumulate(&mut lanes, &x[range.clone()], &y[range], start);
-        } else {
-            for k in range {
-                let p = fpu.mul(x[k], y[k]);
-                let lane = k % LANE_WIDTH;
-                lanes[lane] = fpu.add(lanes[lane], p);
-            }
-        }
-    });
-    combine_lanes(fpu, &lanes)
-}
-
 /// Pairwise lane combine, through the FPU: `t_j = add(lane_j, lane_{j+4})`
 /// for `j = 0..4`, `u_j = add(t_j, t_{j+2})` for `j = 0..2`, then
 /// `s = add(u_0, u_1)` — `LANE_WIDTH − 1` additions in that fixed order,
 /// on the skip-ahead fast path whenever the schedule guarantees them
 /// fault-free.
 fn combine_lanes<F: Fpu>(fpu: &mut F, lanes: &[f64; LANE_WIDTH]) -> f64 {
+    fn tree(l: &[f64; LANE_WIDTH], mut add: impl FnMut(f64, f64) -> f64) -> f64 {
+        let t0 = add(l[0], l[4]);
+        let t1 = add(l[1], l[5]);
+        let t2 = add(l[2], l[6]);
+        let t3 = add(l[3], l[7]);
+        let u0 = add(t0, t2);
+        let u1 = add(t1, t3);
+        add(u0, u1)
+    }
     if fpu.run_exact(COMBINE_FLOPS) == COMBINE_FLOPS {
-        let t0 = lanes[0] + lanes[4];
-        let t1 = lanes[1] + lanes[5];
-        let t2 = lanes[2] + lanes[6];
-        let t3 = lanes[3] + lanes[7];
-        let u0 = t0 + t2;
-        let u1 = t1 + t3;
-        let s = u0 + u1;
+        let s = tree(lanes, |a, b| a + b);
         fpu.commit_exact(COMBINE_FLOPS);
         s
     } else {
-        let t0 = fpu.add(lanes[0], lanes[4]);
-        let t1 = fpu.add(lanes[1], lanes[5]);
-        let t2 = fpu.add(lanes[2], lanes[6]);
-        let t3 = fpu.add(lanes[3], lanes[7]);
-        let u0 = fpu.add(t0, t2);
-        let u1 = fpu.add(t1, t3);
-        fpu.add(u0, u1)
+        tree(lanes, |a, b| fpu.add(a, b))
     }
 }
 
@@ -178,22 +252,23 @@ impl FlopOp {
 /// pair exposes that window, and the provided batch kernels
 /// ([`dot_batch`](Self::dot_batch), [`axpy_batch`](Self::axpy_batch),
 /// [`scale_batch`](Self::scale_batch), [`gemv_row`](Self::gemv_row), …)
-/// split into two lanes around it: a **fault-free fast lane** —
-/// fixed-width [`LANE_WIDTH`] `chunks_exact` microkernels of pure `f64`
-/// arithmetic with no `Fpu` dispatch and no countdown checks, entered only
-/// for the span `run_exact` guarantees strike-free, and accounted with a
-/// single `commit_exact` bump — and a **scalar strike lane** that runs
-/// window boundaries and remainder tails through the per-op
-/// [`execute`](Self::execute) expansion. Long reductions additionally
-/// split their accumulator into [`LANE_WIDTH`] independent lanes (see
-/// [`LANE_REDUCTION_MIN`]) so the fast lane autovectorizes.
+/// split into two lanes around it: a **fault-free fast lane** — plain
+/// loops of pure `f64` arithmetic with no `Fpu` dispatch and no countdown
+/// checks, entered for every span `run_exact` guarantees strike-free
+/// (remainders included) and accounted with a single `commit_exact` bump —
+/// and a **scalar strike lane** that runs only the window boundaries, one
+/// element at a time, through the per-op [`execute`](Self::execute)
+/// expansion. Long reductions additionally split their accumulator into
+/// [`LANE_WIDTH`] independent lanes (see [`LANE_REDUCTION_MIN`]) so the
+/// fast lane autovectorizes.
 ///
 /// Every batch kernel documents its exact per-op expansion and is
 /// **bit-identical** to issuing that expansion through `execute` one
 /// operation at a time: same results, same FLOP count, same LFSR draw
 /// sequence, same strike indices, same fault statistics. Implementors only
-/// ever override `run_exact`/`commit_exact`; the shared kernel bodies make
-/// the equivalence hold by construction (and the `stochastic_fpu` batch
+/// ever override `run_exact`/`commit_exact`; the element-wise kernels
+/// share one driver and the short reductions another, each owning both
+/// lanes, so the equivalence holds by construction (and the `stochastic_fpu` batch
 /// proptests pin it for every shipped fault-model spec).
 ///
 /// # Examples
@@ -277,9 +352,10 @@ pub trait Fpu {
     }
 
     /// Drives a fixed-cost-per-element kernel through the guaranteed-exact
-    /// window machinery — the one skeleton every batch kernel (and any
-    /// downstream strided kernel, e.g. `Matrix::gram` or the Householder
-    /// reflections) shares.
+    /// window machinery — the one skeleton under the batch kernels' two
+    /// drivers, and under downstream strided kernels that fit no slice
+    /// kernel (the Householder reflections, the doubly stochastic
+    /// gradient).
     ///
     /// `body(fpu, range, exact)` is invoked over consecutive element
     /// ranges covering `0..n` in order. When `exact` is `true` the range
@@ -338,25 +414,7 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(row.len(), x.len(), "gemv_row operands differ in length");
-        if row.len() < LANE_REDUCTION_MIN {
-            let mut acc = init;
-            self.with_exact_windows(row.len(), 2, |fpu, range, exact| {
-                if exact {
-                    for k in range {
-                        acc += row[k] * x[k];
-                    }
-                } else {
-                    for k in range {
-                        let p = fpu.mul(row[k], x[k]);
-                        acc = fpu.add(acc, p);
-                    }
-                }
-            });
-            return acc;
-        }
-        let s = lane_reduction(self, row, x);
-        self.add(init, s)
+        reduce(self, "gemv_row", init, row, x, Add::add, Self::add)
     }
 
     /// Inner product `Σᵢ x[i]·y[i]` (zero-initialized [`gemv_row`]).
@@ -381,7 +439,7 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        self.gemv_row(0.0, x, y)
+        reduce(self, "dot_batch", 0.0, x, y, Add::add, Self::add)
     }
 
     /// Subtractive inner product `init − Σᵢ x[i]·y[i]` — the inner loop of
@@ -407,25 +465,7 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(x.len(), y.len(), "dot_sub_batch operands differ in length");
-        if x.len() < LANE_REDUCTION_MIN {
-            let mut acc = init;
-            self.with_exact_windows(x.len(), 2, |fpu, range, exact| {
-                if exact {
-                    for k in range {
-                        acc -= x[k] * y[k];
-                    }
-                } else {
-                    for k in range {
-                        let p = fpu.mul(x[k], y[k]);
-                        acc = fpu.sub(acc, p);
-                    }
-                }
-            });
-            return acc;
-        }
-        let s = lane_reduction(self, x, y);
-        self.sub(init, s)
+        reduce(self, "dot_sub_batch", init, x, y, Sub::sub, Self::sub)
     }
 
     /// In-place `y ← α x + y` with the scalar as the first multiplicand.
@@ -444,28 +484,18 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(x.len(), y.len(), "axpy_batch operands differ in length");
-        self.with_exact_windows(x.len(), 2, |fpu, range, exact| {
-            if exact {
-                let xs = &x[range.clone()];
-                let ys = &mut y[range];
-                let mut xc = xs.chunks_exact(LANE_WIDTH);
-                let mut yc = ys.chunks_exact_mut(LANE_WIDTH);
-                for (xa, ya) in (&mut xc).zip(&mut yc) {
-                    for j in 0..LANE_WIDTH {
-                        ya[j] += alpha * xa[j];
-                    }
-                }
-                for (xj, yj) in xc.remainder().iter().zip(yc.into_remainder()) {
-                    *yj += alpha * *xj;
-                }
-            } else {
-                for k in range {
-                    let p = fpu.mul(alpha, x[k]);
-                    y[k] = fpu.add(y[k], p);
-                }
-            }
-        });
+        zip_update(
+            self,
+            "axpy_batch",
+            2,
+            [x],
+            y,
+            |y, [x]| y + alpha * x,
+            |fpu, y, [x]| {
+                let p = fpu.mul(alpha, x);
+                fpu.add(y, p)
+            },
+        );
     }
 
     /// One row update of a transposed matrix–vector product:
@@ -487,28 +517,18 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(row.len(), out.len(), "gemv_t_row operands differ in length");
-        self.with_exact_windows(row.len(), 2, |fpu, range, exact| {
-            if exact {
-                let rs = &row[range.clone()];
-                let os = &mut out[range];
-                let mut rc = rs.chunks_exact(LANE_WIDTH);
-                let mut oc = os.chunks_exact_mut(LANE_WIDTH);
-                for (ra, oa) in (&mut rc).zip(&mut oc) {
-                    for j in 0..LANE_WIDTH {
-                        oa[j] += ra[j] * scale;
-                    }
-                }
-                for (rj, oj) in rc.remainder().iter().zip(oc.into_remainder()) {
-                    *oj += *rj * scale;
-                }
-            } else {
-                for k in range {
-                    let p = fpu.mul(row[k], scale);
-                    out[k] = fpu.add(out[k], p);
-                }
-            }
-        });
+        zip_update(
+            self,
+            "gemv_t_row",
+            2,
+            [row],
+            out,
+            |out, [r]| out + r * scale,
+            |fpu, out, [r]| {
+                let p = fpu.mul(r, scale);
+                fpu.add(out, p)
+            },
+        );
     }
 
     /// Element-wise multiply-accumulate `y[i] ← y[i] + a[i]·b[i]` — the
@@ -528,36 +548,18 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(a.len(), b.len(), "fma_batch operands differ in length");
-        assert_eq!(a.len(), y.len(), "fma_batch output differs in length");
-        self.with_exact_windows(a.len(), 2, |fpu, range, exact| {
-            if exact {
-                let asl = &a[range.clone()];
-                let bsl = &b[range.clone()];
-                let ys = &mut y[range];
-                let mut ac = asl.chunks_exact(LANE_WIDTH);
-                let mut bc = bsl.chunks_exact(LANE_WIDTH);
-                let mut yc = ys.chunks_exact_mut(LANE_WIDTH);
-                for ((aa, ba), ya) in (&mut ac).zip(&mut bc).zip(&mut yc) {
-                    for j in 0..LANE_WIDTH {
-                        ya[j] += aa[j] * ba[j];
-                    }
-                }
-                for ((aj, bj), yj) in ac
-                    .remainder()
-                    .iter()
-                    .zip(bc.remainder())
-                    .zip(yc.into_remainder())
-                {
-                    *yj += *aj * *bj;
-                }
-            } else {
-                for k in range {
-                    let p = fpu.mul(a[k], b[k]);
-                    y[k] = fpu.add(y[k], p);
-                }
-            }
-        });
+        zip_update(
+            self,
+            "fma_batch",
+            2,
+            [a, b],
+            y,
+            |y, [a, b]| y + a * b,
+            |fpu, y, [a, b]| {
+                let p = fpu.mul(a, b);
+                fpu.add(y, p)
+            },
+        );
     }
 
     /// In-place scaling `x[i] ← α·x[i]`.
@@ -572,28 +574,15 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        self.with_exact_windows(x.len(), 1, |fpu, range, exact| {
-            if exact {
-                // `alpha` stays the first multiplicand, matching the
-                // per-op expansion `mul(alpha, x[i])` exactly.
-                #[allow(clippy::assign_op_pattern)]
-                fn scale_lane(alpha: f64, xs: &mut [f64]) {
-                    for xj in xs {
-                        *xj = alpha * *xj;
-                    }
-                }
-                let xs = &mut x[range];
-                let mut xc = xs.chunks_exact_mut(LANE_WIDTH);
-                for xa in &mut xc {
-                    scale_lane(alpha, xa);
-                }
-                scale_lane(alpha, xc.into_remainder());
-            } else {
-                for k in range {
-                    x[k] = fpu.mul(alpha, x[k]);
-                }
-            }
-        });
+        zip_update(
+            self,
+            "scale_batch",
+            1,
+            [],
+            x,
+            |x, []| alpha * x,
+            |fpu, x, []| fpu.mul(alpha, x),
+        );
     }
 
     /// Element-wise difference `out[i] ← x[i] − y[i]` (residual kernels).
@@ -612,35 +601,15 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(x.len(), y.len(), "sub_batch operands differ in length");
-        assert_eq!(x.len(), out.len(), "sub_batch output differs in length");
-        self.with_exact_windows(x.len(), 1, |fpu, range, exact| {
-            if exact {
-                let xs = &x[range.clone()];
-                let ys = &y[range.clone()];
-                let os = &mut out[range];
-                let mut xc = xs.chunks_exact(LANE_WIDTH);
-                let mut yc = ys.chunks_exact(LANE_WIDTH);
-                let mut oc = os.chunks_exact_mut(LANE_WIDTH);
-                for ((xa, ya), oa) in (&mut xc).zip(&mut yc).zip(&mut oc) {
-                    for j in 0..LANE_WIDTH {
-                        oa[j] = xa[j] - ya[j];
-                    }
-                }
-                for ((xj, yj), oj) in xc
-                    .remainder()
-                    .iter()
-                    .zip(yc.remainder())
-                    .zip(oc.into_remainder())
-                {
-                    *oj = *xj - *yj;
-                }
-            } else {
-                for k in range {
-                    out[k] = fpu.sub(x[k], y[k]);
-                }
-            }
-        });
+        zip_update(
+            self,
+            "sub_batch",
+            1,
+            [x, y],
+            out,
+            |_, [x, y]| x - y,
+            |fpu, _, [x, y]| fpu.sub(x, y),
+        );
     }
 
     /// In-place element-wise subtraction `y[i] ← y[i] − x[i]` (in-place
@@ -660,74 +629,15 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        assert_eq!(
-            x.len(),
-            y.len(),
-            "sub_assign_batch operands differ in length"
+        zip_update(
+            self,
+            "sub_assign_batch",
+            1,
+            [x],
+            y,
+            |y, [x]| y - x,
+            |fpu, y, [x]| fpu.sub(y, x),
         );
-        self.with_exact_windows(x.len(), 1, |fpu, range, exact| {
-            if exact {
-                let xs = &x[range.clone()];
-                let ys = &mut y[range];
-                let mut xc = xs.chunks_exact(LANE_WIDTH);
-                let mut yc = ys.chunks_exact_mut(LANE_WIDTH);
-                for (xa, ya) in (&mut xc).zip(&mut yc) {
-                    for j in 0..LANE_WIDTH {
-                        ya[j] -= xa[j];
-                    }
-                }
-                for (xj, yj) in xc.remainder().iter().zip(yc.into_remainder()) {
-                    *yj -= *xj;
-                }
-            } else {
-                for k in range {
-                    y[k] = fpu.sub(y[k], x[k]);
-                }
-            }
-        });
-    }
-
-    /// In-place element-wise accumulation `y[i] ← y[i] + x[i]`.
-    ///
-    /// Bit-identical per-op expansion, for each `i` in order:
-    /// `y[i] = add(y[i], x[i])`.
-    ///
-    /// # FLOP accounting
-    ///
-    /// 1 FLOP per element (`add`), `n` total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    fn add_assign_batch(&mut self, x: &[f64], y: &mut [f64])
-    where
-        Self: Sized,
-    {
-        assert_eq!(
-            x.len(),
-            y.len(),
-            "add_assign_batch operands differ in length"
-        );
-        self.with_exact_windows(x.len(), 1, |fpu, range, exact| {
-            if exact {
-                let xs = &x[range.clone()];
-                let ys = &mut y[range];
-                let mut xc = xs.chunks_exact(LANE_WIDTH);
-                let mut yc = ys.chunks_exact_mut(LANE_WIDTH);
-                for (xa, ya) in (&mut xc).zip(&mut yc) {
-                    for j in 0..LANE_WIDTH {
-                        ya[j] += xa[j];
-                    }
-                }
-                for (xj, yj) in xc.remainder().iter().zip(yc.into_remainder()) {
-                    *yj += *xj;
-                }
-            } else {
-                for k in range {
-                    y[k] = fpu.add(y[k], x[k]);
-                }
-            }
-        });
     }
 }
 
@@ -1499,6 +1409,26 @@ mod tests {
         fpu.reset();
         assert_eq!(fpu.dot_sub_batch(1.0, &long, &long), -99.0);
         assert_eq!(fpu.flops(), 2 * 100 + LANE_WIDTH as u64);
+    }
+
+    #[test]
+    fn kernel_flop_counts_are_exact() {
+        let mut fpu = ReliableFpu::new();
+        assert_eq!(fpu.dot_batch(&[], &[]), 0.0);
+        assert_eq!(fpu.flops(), 0, "an empty dot costs nothing");
+        assert_eq!(fpu.dot_batch(&[1.0; 10], &[2.0; 10]), 20.0);
+        assert_eq!(fpu.flops(), 20, "10 muls + 10 adds");
+        // α = 0 still issues every mul and add, and leaves y unchanged.
+        fpu.reset();
+        let mut y = vec![1.0, 2.0];
+        fpu.axpy_batch(0.0, &[5.0, 5.0], &mut y);
+        assert_eq!(y, vec![1.0, 2.0]);
+        assert_eq!(fpu.flops(), 4);
+        fpu.reset();
+        let mut x = vec![1.0, -2.0, 3.0];
+        fpu.scale_batch(0.0, &mut x);
+        assert_eq!(x, vec![0.0; 3]);
+        assert_eq!(fpu.flops(), 3);
     }
 
     #[test]

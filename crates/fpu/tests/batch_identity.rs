@@ -65,26 +65,14 @@ fn batched_workload_fingerprint(fpu: &mut NoisyFpu, len: usize, prefix: u64) -> 
         out.push(fpu.mul(1.0 + i as f64, 1.5).to_bits());
     }
 
-    out.push(fpu.dot_batch(&x, &y).to_bits());
-    out.push(fpu.gemv_row(2.5, &x, &y).to_bits());
-    out.push(fpu.dot_sub_batch(7.5, &x, &y).to_bits());
-
+    // The kernels run in sequence on one operand, twice over, so every
+    // kernel's fast lane takes values that earlier strikes corrupted, NaN
+    // and Inf included.
     let mut v = y.clone();
-    fpu.axpy_batch(0.75, &x, &mut v);
-    out.extend(v.iter().map(|f| f.to_bits()));
-    fpu.gemv_t_row(0.5, &x, &mut v);
-    out.extend(v.iter().map(|f| f.to_bits()));
-    fpu.fma_batch(&x, &y, &mut v);
-    out.extend(v.iter().map(|f| f.to_bits()));
-    fpu.scale_batch(1.25, &mut v);
-    out.extend(v.iter().map(|f| f.to_bits()));
-    let mut diff = vec![0.0; len];
-    fpu.sub_batch(&x, &y, &mut diff);
-    out.extend(diff.iter().map(|f| f.to_bits()));
-    fpu.add_assign_batch(&x, &mut diff);
-    out.extend(diff.iter().map(|f| f.to_bits()));
-    fpu.sub_assign_batch(&y, &mut diff);
-    out.extend(diff.iter().map(|f| f.to_bits()));
+    for kernel in slice_kernels().iter().cycle().take(18) {
+        (kernel.2)(fpu, &x, &y, &mut v);
+        out.extend(v.iter().map(|f| f.to_bits()));
+    }
 
     // The fault stream must continue identically after the batches: any
     // desynchronized LFSR draw or miscounted FLOP shows up here.
@@ -105,6 +93,44 @@ fn batched_workload_fingerprint(fpu: &mut NoisyFpu, len: usize, prefix: u64) -> 
     out
 }
 
+/// A slice kernel under test: its name, FLOPs per element, and a runner
+/// applying it to inputs `x`, `y` and an operand `v` it updates in place
+/// (a reduction writes its result to `v[0]`).
+type SliceKernel = (
+    &'static str,
+    usize,
+    fn(&mut NoisyFpu, &[f64], &[f64], &mut [f64]),
+);
+
+/// Every slice kernel of the `Fpu` trait, the element-wise ones first so
+/// that in a chained run the reductions read the values they produced.
+fn slice_kernels() -> [SliceKernel; 9] {
+    [
+        ("axpy_batch", 2, |f, x, _, v| f.axpy_batch(0.75, x, v)),
+        ("gemv_t_row", 2, |f, x, _, v| f.gemv_t_row(0.5, x, v)),
+        ("fma_batch", 2, |f, x, y, v| f.fma_batch(x, y, v)),
+        ("scale_batch", 1, |f, _, _, v| f.scale_batch(1.25, v)),
+        ("sub_batch", 1, |f, x, _, v| {
+            let w = v.to_vec();
+            f.sub_batch(x, &w, v)
+        }),
+        ("sub_assign_batch", 1, |f, x, _, v| f.sub_assign_batch(x, v)),
+        ("dot_batch", 2, |f, x, _, v| v[0] = f.dot_batch(x, v)),
+        ("gemv_row", 2, |f, x, _, v| v[0] = f.gemv_row(2.5, x, v)),
+        ("dot_sub_batch", 2, |f, x, _, v| {
+            v[0] = f.dot_sub_batch(7.5, x, v)
+        }),
+    ]
+}
+
+/// Runs `kernel` on `x`, `y` and a fresh copy of `y`; returns the copy's
+/// bits.
+fn run_bits(kernel: &SliceKernel, fpu: &mut NoisyFpu, x: &[f64], y: &[f64]) -> Vec<u64> {
+    let mut v = y.to_vec();
+    (kernel.2)(fpu, x, y, &mut v);
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -115,8 +141,8 @@ proptest! {
         seed in any::<u64>(),
         rate_millis in 0u64..1001,
         // Straddles LANE_REDUCTION_MIN: lengths on both sides of the
-        // lane-accumulated reduction threshold, with and without
-        // `chunks_exact(LANE_WIDTH)` remainder tails.
+        // lane-accumulated reduction threshold, with and without a
+        // partial last group of `LANE_WIDTH` lanes.
         len in 1usize..72,
         prefix in 0u64..32,
     ) {
@@ -160,8 +186,10 @@ proptest! {
     }
 
     /// Strike boundaries, pinned: the first fault of a schedule is placed
-    /// at the first, an interior, and the last element of a batch, and
-    /// every placement matches the scalar path bit for bit.
+    /// at the first, an interior, and the last FLOP of a batch, for every
+    /// slice kernel — the reductions and each element-wise kernel at 1 and
+    /// at 2 FLOPs per element, which share one strike lane — and every
+    /// placement matches the scalar path bit for bit.
     #[test]
     fn strikes_at_batch_boundaries_match_scalar(
         seed in any::<u64>(),
@@ -174,33 +202,36 @@ proptest! {
             probe.mul(1.5, 2.5);
         }
         let strike = (probe.flops() - 1) as usize;
-        let flops_per_batch = 2 * len;
-        // Prefixes that put the striking FLOP on the batch's first element,
-        // somewhere inside, and its last element (clamped to stay >= 0).
-        let placements = [
-            strike,
-            strike.saturating_sub(flops_per_batch / 2),
-            strike.saturating_sub(flops_per_batch - 1),
-        ];
         let x: Vec<f64> = (0..len).map(|i| 1.5 + i as f64 * 0.25).collect();
         let y: Vec<f64> = (0..len).map(|i| 2.5 - i as f64 * 0.125).collect();
-        for prefix in placements {
-            let mut batched = NoisyFpu::new(rate, BitFaultModel::emulated(), seed);
-            let mut scalar = NoisyFpu::new(rate, BitFaultModel::emulated(), seed);
-            scalar.set_batching(false);
-            for _ in 0..prefix {
-                prop_assert_eq!(
-                    batched.mul(1.5, 2.5).to_bits(),
-                    scalar.mul(1.5, 2.5).to_bits()
-                );
-            }
-            let a = batched.dot_batch(&x, &y);
-            let b = scalar.dot_batch(&x, &y);
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "prefix {}", prefix);
-            prop_assert_eq!(batched.flops(), scalar.flops());
-            prop_assert_eq!(batched.stats(), scalar.stats());
-            if prefix + flops_per_batch > strike {
-                prop_assert!(batched.faults() >= 1, "batch must contain the strike");
+        for kernel in &slice_kernels() {
+            let (name, flops_per_batch) = (kernel.0, kernel.1 * len);
+            // Prefixes that put the striking FLOP on the batch's first
+            // FLOP, somewhere inside, and its last FLOP (clamped to stay
+            // >= 0).
+            let placements = [
+                strike,
+                strike.saturating_sub(flops_per_batch / 2),
+                strike.saturating_sub(flops_per_batch - 1),
+            ];
+            for prefix in placements {
+                let mut batched = NoisyFpu::new(rate, BitFaultModel::emulated(), seed);
+                let mut scalar = NoisyFpu::new(rate, BitFaultModel::emulated(), seed);
+                scalar.set_batching(false);
+                for _ in 0..prefix {
+                    prop_assert_eq!(
+                        batched.mul(1.5, 2.5).to_bits(),
+                        scalar.mul(1.5, 2.5).to_bits()
+                    );
+                }
+                let a = run_bits(kernel, &mut batched, &x, &y);
+                let b = run_bits(kernel, &mut scalar, &x, &y);
+                prop_assert_eq!(a, b, "{} prefix {}", name, prefix);
+                prop_assert_eq!(batched.flops(), scalar.flops());
+                prop_assert_eq!(batched.stats(), scalar.stats());
+                if prefix + flops_per_batch > strike {
+                    prop_assert!(batched.faults() >= 1, "{} batch must contain the strike", name);
+                }
             }
         }
     }
@@ -270,5 +301,31 @@ proptest! {
                 prop_assert_eq!(batched.stats(), scalar.stats());
             }
         }
+    }
+}
+
+/// Every slice kernel that takes two or more slices rejects unequal
+/// lengths with a panic naming itself — the only length guard its callers
+/// have.
+#[test]
+fn slice_kernels_reject_unequal_lengths() {
+    let x = [1.0, 2.0];
+    let y = [1.0, 2.0, 3.0];
+    for kernel in &slice_kernels() {
+        let name = kernel.0;
+        if name == "scale_batch" {
+            continue; // one slice: nothing to mismatch
+        }
+        let mut fpu = NoisyFpu::new(FaultRate::ZERO, BitFaultModel::emulated(), 1);
+        let payload =
+            std::panic::catch_unwind(move || run_bits(kernel, &mut fpu, &x, &y)).expect_err(name);
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(
+            message,
+            Some(format!("{name} operands differ in length").as_str())
+        );
     }
 }

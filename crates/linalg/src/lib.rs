@@ -18,7 +18,8 @@
 //!   SpMV/SpMTV for 10⁵–10⁶-unknown problems.
 //! * [`LinearOperator`] — the matrix-backend abstraction iterative solvers
 //!   are generic over (dense and sparse backends ship here).
-//! * Vector kernels ([`dot`], [`norm2`], [`axpy`], …).
+//! * Vector norms ([`norm2`], [`norm2_sq`]); the BLAS-1 kernels are the
+//!   [`Fpu`](stochastic_fpu::Fpu) batch kernels.
 //! * [`QrFactorization`] — Householder QR and least squares.
 //! * [`SvdFactorization`] — one-sided Jacobi SVD and least squares.
 //! * [`CholeskyFactorization`] — Cholesky of the normal equations.
@@ -55,7 +56,7 @@ mod triangular;
 pub use banded::BandedMatrix;
 pub use cholesky::{lstsq_cholesky, CholeskyFactorization};
 pub use error::LinalgError;
-pub use kernels::{add_assign, axpy, dot, for_nonzero_runs, norm2, norm2_sq, scale, sub_vec};
+pub use kernels::{for_nonzero_runs, norm2, norm2_sq};
 pub use matrix::Matrix;
 pub use operator::LinearOperator;
 pub use qr::{lstsq_qr, QrFactorization};

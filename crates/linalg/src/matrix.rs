@@ -6,7 +6,6 @@
 //! [`Fpu`](stochastic_fpu::Fpu) so faults reach them.
 
 use crate::error::LinalgError;
-use crate::kernels;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use stochastic_fpu::Fpu;
@@ -219,7 +218,7 @@ impl Matrix {
             ));
         }
         Ok((0..self.rows)
-            .map(|i| kernels::dot_unchecked(fpu, self.row(i), x))
+            .map(|i| fpu.dot_batch(self.row(i), x))
             .collect())
     }
 

@@ -8,9 +8,9 @@
 //! batch kernels ([`Fpu::gemv_row`](stochastic_fpu::Fpu::gemv_row),
 //! [`Fpu::gemv_t_row`](stochastic_fpu::Fpu::gemv_t_row)) built on the
 //! `run_exact`/`commit_exact` window API — so a row's stored nonzeros run
-//! as one fault-free `chunks_exact` microkernel wherever the countdown
-//! permits, fall back to the per-op strike lane at window boundaries, and
-//! stay bit-identical to scalar dispatch at every fault rate.
+//! natively on the fault-free fast lane wherever the countdown permits,
+//! fall back to the per-op strike lane at window boundaries, and stay
+//! bit-identical to scalar dispatch at every fault rate.
 //!
 //! Zero-skips are preserved by *storage*: CSR only stores nonzeros, so a
 //! zero entry never reaches the FPU — the sparse analogue of the
@@ -201,8 +201,9 @@ impl CsrMatrix {
     /// are gathered into a contiguous scratch buffer (data movement) and
     /// reduced by one [`Fpu::gemv_row`] call — the same `p = mul(a_ij,
     /// x_j); acc = add(acc, p)` per-entry expansion, in stored order, that
-    /// scalar dispatch issues, with fault-free stretches running on the
-    /// vectorizable `chunks_exact` lane.
+    /// scalar dispatch issues, with fault-free stretches running natively
+    /// (lane-split and vectorizable once the row reaches
+    /// [`LANE_REDUCTION_MIN`](stochastic_fpu::LANE_REDUCTION_MIN) entries).
     ///
     /// # FLOP accounting
     ///

@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 use robustify_linalg::{
-    dot, lstsq_cholesky, lstsq_qr, lstsq_svd, norm2, norm2_sq, BandedMatrix, CholeskyFactorization,
+    lstsq_cholesky, lstsq_qr, lstsq_svd, norm2, norm2_sq, BandedMatrix, CholeskyFactorization,
     Matrix, QrFactorization, SvdFactorization,
 };
-use stochastic_fpu::ReliableFpu;
+use stochastic_fpu::{Fpu, ReliableFpu};
 
 /// A strategy producing an `m × n` matrix with entries in `[-10, 10]`.
 fn matrix_strategy(m: usize, n: usize) -> impl Strategy<Value = Matrix> {
@@ -35,15 +35,15 @@ proptest! {
     #[test]
     fn dot_is_commutative(x in vec_strategy(8), y in vec_strategy(8)) {
         let mut fpu = ReliableFpu::new();
-        let a = dot(&mut fpu, &x, &y).expect("equal lengths");
-        let b = dot(&mut fpu, &y, &x).expect("equal lengths");
+        let a = fpu.dot_batch(&x, &y);
+        let b = fpu.dot_batch(&y, &x);
         prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()));
     }
 
     #[test]
     fn cauchy_schwarz(x in vec_strategy(8), y in vec_strategy(8)) {
         let mut fpu = ReliableFpu::new();
-        let d = dot(&mut fpu, &x, &y).expect("equal lengths").abs();
+        let d = fpu.dot_batch(&x, &y).abs();
         let bound = norm2(&mut fpu, &x) * norm2(&mut fpu, &y);
         prop_assert!(d <= bound + 1e-9);
     }
