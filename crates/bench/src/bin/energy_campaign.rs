@@ -18,7 +18,7 @@
 //! The whole frontier is one declarative [`CampaignSpec`]: every `(app,
 //! scenario)` pair is a job that *names* its workload in the paper
 //! registry (solvers come from the registry's per-app defaults, the
-//! paper-faithful `paper_robust_solver` configurations). That makes
+//! paper-faithful configurations `paper_registry` registers). That makes
 //! this binary a *thin client* — with `--server ADDR` the campaign is
 //! submitted to a running `campaign_server` instead of executing here,
 //! and with `--cache-dir PATH` a killed local run resumes from its

@@ -17,9 +17,9 @@
 //! client*: with `--server ADDR` it submits the campaign to a running
 //! `campaign_server` and prints the daemon's byte-identical documents;
 //! with `--cache-dir PATH` a local run checkpoints per cell and resumes
-//! after a kill. Jobs materialize workloads at the campaign's base seed
-//! (`Instantiate::Fixed`), so the instance-derived step sizes computed
-//! below from `opts.seed` match the instances each cell solves.
+//! after a kill. Jobs carry no solver: each resolves to its workload's
+//! registry default, whose step sizes derive from the instance the job
+//! materializes at the campaign's base seed (`Instantiate::Fixed`).
 //!
 //! Expected shape: LSB-heavy / duty-cycled / op-selective scenarios are
 //! strictly easier than the paper's transient flip (fewer effective
@@ -28,9 +28,7 @@
 //! the family, failing hardest on the stuck-at scenario.
 
 #![forbid(unsafe_code)]
-use robustify_bench::workloads::{
-    paper_iir_problem, paper_least_squares, paper_registry, paper_robust_solver,
-};
+use robustify_bench::workloads::paper_registry;
 use robustify_bench::{ExperimentOptions, Table};
 use robustify_engine::campaign::JobSpec;
 use stochastic_fpu::{BitFaultModel, BitWidth, FaultModelSpec, FlopOp};
@@ -82,15 +80,9 @@ fn main() {
         vec![0.5, 2.0, 10.0]
     };
 
-    // Instance-derived step sizes; `Instantiate::Fixed` jobs materialize
-    // the same instances at the campaign's base seed.
-    let lsq_gamma0 = paper_least_squares(opts.seed).default_gamma0();
-    let iir_gamma0 = paper_iir_problem(opts.seed).default_gamma0();
-    let spec_for = |app: &str| paper_robust_solver(app, lsq_gamma0, iir_gamma0);
-
     opts.validate_apps(&APPS);
 
-    // One robust-solver configuration per application (the figures' /
+    // Each application runs its registry default solver (the figures' /
     // ch7's choices), paired with every fault-model scenario as a
     // per-job override of the campaign's fault model.
     let mut campaign = opts
@@ -102,11 +94,8 @@ fn main() {
             continue;
         }
         for (model_label, model) in model_family() {
-            campaign = campaign.job(
-                JobSpec::new(&format!("{app}/{model_label}"), app)
-                    .with_solver(spec_for(app))
-                    .with_fault_model(model),
-            );
+            campaign = campaign
+                .job(JobSpec::new(&format!("{app}/{model_label}"), app).with_fault_model(model));
         }
     }
 

@@ -112,35 +112,16 @@ pub fn paper_apsp(seed: u64) -> ApspProblem {
     .expect("cycle-backbone graphs are strongly connected")
 }
 
-/// The campaign binaries' robust-solver configuration per application —
-/// the choices of the paper's figures / Chapter 7. `lsq_gamma0` /
-/// `iir_gamma0` are the workload-derived step sizes
-/// (`LeastSquares::default_gamma0` / `IirProblem::default_gamma0`).
-///
-/// # Panics
-///
-/// Panics on an unknown application name.
-pub fn paper_robust_solver(app: &str, lsq_gamma0: f64, iir_gamma0: f64) -> SolverSpec {
-    let sqs = |iters: usize, gamma0: f64| SolverSpec::sgd(iters, StepSchedule::Sqrt { gamma0 });
-    let anneal_lp = |gamma0: f64| sqs(8000, gamma0).with_annealing(Annealing::default());
-    match app {
-        "least_squares" => SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: lsq_gamma0 })
-            .with_aggressive_stepping(AggressiveStepping::default()),
-        "iir" => sqs(1000, iir_gamma0),
-        "sorting" => sqs(10_000, 0.1)
-            .with_guard(GradientGuard::Adaptive {
-                factor: 3.0,
-                reject: 30.0,
-            })
-            .with_aggressive_stepping(AggressiveStepping::default()),
-        "matching" => sqs(10_000, 0.05),
-        "maxflow" | "apsp" => anneal_lp(0.02),
-        "svm" => sqs(2000, 0.1),
-        "eigen" => sqs(4000, 0.02),
-        "doubly_stochastic" => sqs(3000, 0.1),
-        "poisson2d" => SolverSpec::cg(robustify_apps::poisson2d::CG_BUDGET),
-        other => panic!("unknown app {other}"),
-    }
+/// SGD with the `γ₀/√t` step schedule.
+fn sqrt_sgd(iters: usize, gamma0: f64) -> SolverSpec {
+    SolverSpec::sgd(iters, StepSchedule::Sqrt { gamma0 })
+}
+
+/// The least squares solver, at a workload-derived step size
+/// (`LeastSquares::default_gamma0`).
+fn least_squares_solver(gamma0: f64) -> SolverSpec {
+    SolverSpec::sgd(1000, StepSchedule::Linear { gamma0 })
+        .with_aggressive_stepping(AggressiveStepping::default())
 }
 
 /// The paper's 9 applications plus the large-sparse Poisson workload and
@@ -150,78 +131,75 @@ pub fn paper_robust_solver(app: &str, lsq_gamma0: f64, iir_gamma0: f64) -> Solve
 ///
 /// Each factory is a deterministic function of the seed (the same
 /// constructors the figure binaries call directly), and each default
-/// solver is the paper-faithful configuration from
-/// [`paper_robust_solver`] — with the instance-derived step sizes
-/// (`default_gamma0`) recomputed from the seed, so a job that omits its
-/// solver gets exactly what the figure binaries would use.
+/// solver is the paper-faithful configuration of the figures / Chapter 7
+/// — with the instance-derived step sizes (`default_gamma0`) recomputed
+/// from the seed, so a job that omits its solver gets exactly what the
+/// figure binaries would use.
 pub fn paper_registry() -> WorkloadRegistry {
     let mut reg = WorkloadRegistry::new();
     reg.register(
         "least_squares",
         Box::new(|seed| Box::new(paper_least_squares(seed))),
-        Box::new(|seed| {
-            paper_robust_solver(
-                "least_squares",
-                paper_least_squares(seed).default_gamma0(),
-                0.0,
-            )
-        }),
+        Box::new(|seed| least_squares_solver(paper_least_squares(seed).default_gamma0())),
     );
     reg.register(
         "least_squares_ill",
         Box::new(|seed| Box::new(ill_conditioned_least_squares(seed, 1e4))),
         Box::new(|seed| {
-            paper_robust_solver(
-                "least_squares",
-                ill_conditioned_least_squares(seed, 1e4).default_gamma0(),
-                0.0,
-            )
+            least_squares_solver(ill_conditioned_least_squares(seed, 1e4).default_gamma0())
         }),
     );
     reg.register(
         "iir",
         Box::new(|seed| Box::new(paper_iir_problem(seed))),
-        Box::new(|seed| paper_robust_solver("iir", 0.0, paper_iir_problem(seed).default_gamma0())),
+        Box::new(|seed| sqrt_sgd(1000, paper_iir_problem(seed).default_gamma0())),
     );
     reg.register(
         "sorting",
         Box::new(|seed| Box::new(paper_sort(seed))),
-        Box::new(|_| paper_robust_solver("sorting", 0.0, 0.0)),
+        Box::new(|_| {
+            sqrt_sgd(10_000, 0.1)
+                .with_guard(GradientGuard::Adaptive {
+                    factor: 3.0,
+                    reject: 30.0,
+                })
+                .with_aggressive_stepping(AggressiveStepping::default())
+        }),
     );
     reg.register(
         "matching",
         Box::new(|seed| Box::new(paper_matching(seed))),
-        Box::new(|_| paper_robust_solver("matching", 0.0, 0.0)),
+        Box::new(|_| sqrt_sgd(10_000, 0.05)),
     );
     reg.register(
         "maxflow",
         Box::new(|seed| Box::new(paper_maxflow(seed))),
-        Box::new(|_| paper_robust_solver("maxflow", 0.0, 0.0)),
+        Box::new(|_| sqrt_sgd(8000, 0.02).with_annealing(Annealing::default())),
     );
     reg.register(
         "apsp",
         Box::new(|seed| Box::new(paper_apsp(seed))),
-        Box::new(|_| paper_robust_solver("apsp", 0.0, 0.0)),
+        Box::new(|_| sqrt_sgd(8000, 0.02).with_annealing(Annealing::default())),
     );
     reg.register(
         "svm",
         Box::new(|seed| Box::new(paper_svm(seed))),
-        Box::new(|_| paper_robust_solver("svm", 0.0, 0.0)),
+        Box::new(|_| sqrt_sgd(2000, 0.1)),
     );
     reg.register(
         "eigen",
         Box::new(|seed| Box::new(paper_eigen(seed))),
-        Box::new(|_| paper_robust_solver("eigen", 0.0, 0.0)),
+        Box::new(|_| sqrt_sgd(4000, 0.02)),
     );
     reg.register(
         "doubly_stochastic",
         Box::new(|seed| Box::new(paper_doubly_stochastic(seed))),
-        Box::new(|_| paper_robust_solver("doubly_stochastic", 0.0, 0.0)),
+        Box::new(|_| sqrt_sgd(3000, 0.1)),
     );
     reg.register(
         "poisson2d",
         Box::new(|seed| Box::new(paper_poisson2d(seed))),
-        Box::new(|_| paper_robust_solver("poisson2d", 0.0, 0.0)),
+        Box::new(|_| SolverSpec::cg(robustify_apps::poisson2d::CG_BUDGET)),
     );
     reg
 }
@@ -317,7 +295,7 @@ mod tests {
                 stochastic_fpu::FaultModelSpec::default(),
                 9,
             );
-            paper_sort(5).run_trial(&paper_robust_solver("sorting", 0.0, 0.0), &mut fpu)
+            paper_sort(5).run_trial(&spec, &mut fpu)
         };
         assert_eq!(via_registry, direct);
     }

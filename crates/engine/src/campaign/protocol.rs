@@ -396,7 +396,7 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict};
     use std::io::Cursor;
-    use stochastic_fpu::{BitFaultModel, FaultModelSpec, Fpu, NoisyFpu};
+    use stochastic_fpu::{BitFaultModel, FaultModelSpec, Fpu, NoisyFpu, VoltageErrorModel};
 
     struct Wobble;
 
@@ -562,6 +562,48 @@ mod tests {
             done.get("csv").and_then(JsonValue::as_str),
             Some(local.result.to_csv().as_str())
         );
+        assert_eq!(
+            done.get("json").and_then(JsonValue::as_str),
+            Some(local.result.to_json().as_str())
+        );
+    }
+
+    /// A voltage-axis campaign whose rate grid disagrees with its energy
+    /// model would label a column with an operating point its trials never
+    /// ran at; it is refused before `accepted`, and the connection serves
+    /// the honest campaign next.
+    #[test]
+    fn forged_voltage_rates_are_refused_and_the_connection_serves_on() {
+        let reg = registry();
+        let good = CampaignSpec::new("volts")
+            .voltages(vec![1.0, 0.7], VoltageErrorModel::paper_figure_5_2())
+            .trials(4)
+            .seed(3)
+            .threads(1)
+            .job(JobSpec::new("w", "wobble"));
+        let local = super::super::runner::run(&good, &reg, None, |_| {}).expect("local");
+        let overscaled = good.rates_pct()[1];
+        let bad = good.to_json().replace(
+            &format!("\"rates_pct\":[{},{overscaled}]", good.rates_pct()[0]),
+            &format!("\"rates_pct\":[50,{overscaled}]"),
+        );
+        assert_ne!(bad, good.to_json());
+        let input = format!(
+            "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n",
+            good.to_json()
+        );
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("voltage column 0"),
+            "got {events:?}"
+        );
+        assert!(
+            events[1].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        let done = json::parse(events.last().expect("done event")).expect("done parses");
+        assert_eq!(done.get("event").and_then(JsonValue::as_str), Some("done"));
         assert_eq!(
             done.get("json").and_then(JsonValue::as_str),
             Some(local.result.to_json().as_str())

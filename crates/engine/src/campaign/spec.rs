@@ -347,11 +347,12 @@ impl CampaignSpec {
     }
 
     /// Structural validation: a runnable campaign has a non-empty grid of
-    /// fault-rate percentages in `[0, 100]`, positive trials (campaign-wide
-    /// and per job), at least one job, distinct job labels, explicit
-    /// solver specs that pass [`SolverSpec::validate`], memory fault
-    /// models of at most [`MAX_MEMORY_SLOTS`] slots, and at most
-    /// [`MAX_CAMPAIGN_TRIALS`] trials summed over every cell.
+    /// fault-rate percentages in `[0, 100]` (on a voltage axis, each the
+    /// energy model's rate at its column's voltage), positive trials
+    /// (campaign-wide and per job), at least one job, distinct job
+    /// labels, explicit solver specs that pass [`SolverSpec::validate`],
+    /// memory fault models of at most [`MAX_MEMORY_SLOTS`] slots, and at
+    /// most [`MAX_CAMPAIGN_TRIALS`] trials summed over every cell.
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -365,6 +366,19 @@ impl CampaignSpec {
             for &v in voltages {
                 if !(v > 0.0 && v.is_finite()) {
                     return Err(format!("voltage must be positive and finite, got {v}"));
+                }
+            }
+        }
+        // A voltage column runs at its own rate, so the energy model must
+        // predict exactly that rate at the column's voltage.
+        if let (Some(voltages), Some(model)) = (&self.voltages, &self.energy_model) {
+            for (i, (&v, &r)) in voltages.iter().zip(&self.rates_pct).enumerate() {
+                let expected = model.fault_rate_at(v).percent();
+                if r.to_bits() != expected.to_bits() {
+                    return Err(format!(
+                        "voltage column {i} ({v} V) has rate {r}%, but the energy model \
+                         predicts {expected}% there"
+                    ));
                 }
             }
         }
@@ -578,6 +592,30 @@ mod tests {
         assert_eq!(back, spec);
         assert_eq!(back.energy_model(), Some(&energy));
         spec.validate().expect("voltage spec is valid");
+    }
+
+    #[test]
+    fn voltage_columns_must_run_at_their_models_rate() {
+        let honest = CampaignSpec::new("energy")
+            .voltages(vec![1.0, 0.7], VoltageErrorModel::paper_figure_5_2())
+            .trials(5)
+            .job(JobSpec::new("a", "w"));
+        honest.validate().expect("builder-derived rates match");
+        // The 1.0 V column claims a 50% fault rate.
+        let [nominal, overscaled] = honest.rates_pct() else {
+            unreachable!("two columns")
+        };
+        let wire = honest.to_json();
+        let forged = wire.replace(
+            &format!("\"rates_pct\":[{nominal},{overscaled}]"),
+            &format!("\"rates_pct\":[50,{overscaled}]"),
+        );
+        assert_ne!(forged, wire);
+        let err = CampaignSpec::from_json(&forged)
+            .expect("parses")
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("voltage column 0 (1 V)"), "{err}");
     }
 
     #[test]

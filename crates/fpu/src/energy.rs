@@ -14,6 +14,7 @@
 
 use crate::fault::FaultRate;
 use crate::json::JsonValue;
+use std::cmp::Ordering;
 
 /// A monotone map between FPU supply voltage and timing-error rate, with the
 /// inverse map and a dynamic-power model.
@@ -54,23 +55,8 @@ impl VoltageErrorModel {
     /// strictly decreasing, or if error rates are not strictly increasing
     /// and positive.
     pub fn from_points(nominal_voltage: f64, points: Vec<(f64, f64)>) -> Self {
-        assert!(points.len() >= 2, "need at least two calibration points");
-        assert!(
-            nominal_voltage > 0.0 && nominal_voltage.is_finite(),
-            "nominal voltage must be positive"
-        );
-        for w in points.windows(2) {
-            assert!(w[0].0 > w[1].0, "voltages must be strictly decreasing");
-            assert!(
-                w[0].1 < w[1].1,
-                "error rates must strictly increase as voltage drops"
-            );
-        }
-        for &(v, r) in &points {
-            assert!(
-                v > 0.0 && r > 0.0 && r <= 1.0,
-                "invalid calibration point ({v}, {r})"
-            );
+        if let Err(e) = check_calibration(nominal_voltage, &points) {
+            panic!("{e}");
         }
         VoltageErrorModel {
             points,
@@ -141,26 +127,11 @@ impl VoltageErrorModel {
                 _ => return Err("calibration points must be [voltage, rate] pairs".into()),
             }
         }
-        if points.len() < 2 {
-            return Err("voltage model needs at least two calibration points".into());
-        }
-        if !(nominal > 0.0 && nominal.is_finite()) {
-            return Err("nominal voltage must be positive and finite".into());
-        }
-        for w in points.windows(2) {
-            if !(w[0].0 > w[1].0 && w[0].1 < w[1].1) {
-                return Err(
-                    "calibration voltages must strictly decrease and rates strictly increase"
-                        .into(),
-                );
-            }
-        }
-        for &(v, r) in &points {
-            if !(v > 0.0 && r > 0.0 && r <= 1.0) {
-                return Err(format!("invalid calibration point ({v}, {r})"));
-            }
-        }
-        Ok(Self::from_points(nominal, points))
+        check_calibration(nominal, &points)?;
+        Ok(VoltageErrorModel {
+            points,
+            nominal_voltage: nominal,
+        })
     }
 
     /// Lowest calibrated voltage.
@@ -293,45 +264,37 @@ impl VoltageErrorModel {
     pub fn energy(&self, flops: u64, voltage: f64) -> f64 {
         self.power(voltage) * flops as f64
     }
+}
 
-    /// Full energy accounting for an execution at a chosen voltage.
-    pub fn report(&self, flops: u64, voltage: f64) -> EnergyReport {
-        EnergyReport {
-            voltage,
-            error_rate: self.error_rate(voltage),
-            flops,
-            energy: self.energy(flops, voltage),
+/// The calibration invariants [`VoltageErrorModel::from_points`] panics on
+/// and [`VoltageErrorModel::from_json_value`] returns.
+fn check_calibration(nominal_voltage: f64, points: &[(f64, f64)]) -> Result<(), String> {
+    if points.len() < 2 {
+        return Err("need at least two calibration points".into());
+    }
+    if !(nominal_voltage > 0.0 && nominal_voltage.is_finite()) {
+        return Err("nominal voltage must be positive and finite".into());
+    }
+    for w in points.windows(2) {
+        if w[0].0.partial_cmp(&w[1].0) != Some(Ordering::Greater) {
+            return Err("voltages must be strictly decreasing".into());
+        }
+        if w[0].1.partial_cmp(&w[1].1) != Some(Ordering::Less) {
+            return Err("error rates must strictly increase as voltage drops".into());
         }
     }
+    for &(v, r) in points {
+        if !(v > 0.0 && r > 0.0 && r <= 1.0) {
+            return Err(format!("invalid calibration point ({v}, {r})"));
+        }
+    }
+    Ok(())
 }
 
 impl Default for VoltageErrorModel {
     fn default() -> Self {
         Self::paper_figure_5_2()
     }
-}
-
-/// Energy accounting for one execution at a fixed operating point.
-///
-/// # Examples
-///
-/// ```
-/// use stochastic_fpu::VoltageErrorModel;
-///
-/// let model = VoltageErrorModel::paper_figure_5_2();
-/// let report = model.report(1_000, 1.0);
-/// assert_eq!(report.energy, 1_000.0); // nominal power is normalized to 1
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyReport {
-    /// Supply voltage of the run.
-    pub voltage: f64,
-    /// FPU error rate at that voltage.
-    pub error_rate: f64,
-    /// FLOPs executed.
-    pub flops: u64,
-    /// Energy in normalized `power × FLOP` units.
-    pub energy: f64,
 }
 
 #[cfg(test)]
@@ -451,32 +414,43 @@ mod tests {
         assert_eq!(m.fault_rate_at(1.0).fraction(), 1e-9);
     }
 
+    /// Every invalid calibration makes `from_points` panic and
+    /// `from_json_value` return `Err`, with the same message.
     #[test]
-    fn report_bundles_fields() {
-        let m = VoltageErrorModel::paper_figure_5_2();
-        let rep = m.report(500, 0.8);
-        assert_eq!(rep.flops, 500);
-        assert_eq!(rep.voltage, 0.8);
-        assert!((rep.energy - 500.0 * 0.64).abs() < 1e-9);
-        assert_eq!(rep.error_rate, m.error_rate(0.8));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn from_points_needs_two() {
-        VoltageErrorModel::from_points(1.0, vec![(1.0, 1e-9)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly decreasing")]
-    fn from_points_rejects_unsorted_voltage() {
-        VoltageErrorModel::from_points(1.0, vec![(0.8, 1e-9), (0.9, 1e-8)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn from_points_rejects_non_monotone_rates() {
-        VoltageErrorModel::from_points(1.0, vec![(1.0, 1e-3), (0.9, 1e-5)]);
+    fn invalid_calibrations_fail_alike_on_both_paths() {
+        let cases = [
+            (1.0, vec![(1.0, 1e-9)], "at least two"),
+            (0.0, vec![(1.0, 1e-9), (0.9, 1e-8)], "nominal voltage"),
+            (-1.0, vec![(1.0, 1e-9), (0.9, 1e-8)], "nominal voltage"),
+            (1.0, vec![(0.8, 1e-9), (0.9, 1e-8)], "strictly decreasing"),
+            (1.0, vec![(1.0, 1e-3), (0.9, 1e-5)], "strictly increase"),
+            (
+                1.0,
+                vec![(1.0, 0.0), (0.9, 1e-5)],
+                "invalid calibration point (1, 0)",
+            ),
+            (
+                1.0,
+                vec![(1.0, 1e-3), (0.9, 1.5)],
+                "invalid calibration point (0.9, 1.5)",
+            ),
+        ];
+        for (nominal, points, expected) in cases {
+            let pairs: Vec<String> = points.iter().map(|(v, r)| format!("[{v},{r}]")).collect();
+            let json = format!(
+                "{{\"nominal_voltage\":{nominal},\"points\":[{}]}}",
+                pairs.join(",")
+            );
+            let returned = VoltageErrorModel::from_json_value(&crate::json::parse(&json).unwrap())
+                .expect_err(&json);
+            let panicked = std::panic::catch_unwind(|| {
+                VoltageErrorModel::from_points(nominal, points.clone())
+            })
+            .expect_err(&json);
+            let panicked = panicked.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(panicked, &returned, "{json}");
+            assert!(returned.contains(expected), "{json}: {returned}");
+        }
     }
 
     #[test]
@@ -497,8 +471,6 @@ mod tests {
     fn from_json_rejects_bad_calibrations() {
         for bad in [
             r#"{"points":[[1.0,1e-9],[0.9,1e-8]]}"#,
-            r#"{"nominal_voltage":1.0,"points":[[1.0,1e-9]]}"#,
-            r#"{"nominal_voltage":1.0,"points":[[0.9,1e-8],[1.0,1e-9]]}"#,
             r#"{"nominal_voltage":1.0,"points":[[1.0,1e-9],[0.9,"x"]]}"#,
         ] {
             let v = crate::json::parse(bad).unwrap();

@@ -663,7 +663,7 @@ impl<F: Fpu + ?Sized> Fpu for &mut F {
     }
 }
 
-/// Convenience comparisons and compound operations built on [`Fpu`]
+/// Convenience comparisons and counter snapshots built on [`Fpu`]
 /// primitives.
 ///
 /// Comparisons are implemented as FPU subtractions followed by a sign test,
@@ -683,12 +683,6 @@ pub trait FpuExt: Fpu {
     /// `a <= b` computed through a (possibly faulty) FPU subtraction.
     fn le(&mut self, a: f64, b: f64) -> bool {
         self.sub(a, b) <= 0.0
-    }
-
-    /// Fused multiply-add `a * b + c` executed as two FPU operations.
-    fn mul_add(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        let p = self.mul(a, b);
-        self.add(p, c)
     }
 
     /// Captures the current FLOP/fault counters for later deltas.
@@ -755,11 +749,6 @@ impl ReliableFpu {
     /// Creates a reliable FPU with zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Resets the FLOP counter to zero.
-    pub fn reset(&mut self) {
-        self.flops = 0;
     }
 }
 
@@ -1103,14 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_fpu_reset() {
-        let mut fpu = ReliableFpu::new();
-        fpu.add(1.0, 1.0);
-        fpu.reset();
-        assert_eq!(fpu.flops(), 0);
-    }
-
-    #[test]
     fn zero_rate_noisy_fpu_is_exact() {
         let mut fpu = NoisyFpu::new(FaultRate::ZERO, BitFaultModel::emulated(), 1);
         for i in 0..10_000 {
@@ -1189,13 +1170,6 @@ mod tests {
         assert!(fpu.gt(2.0, 1.0));
         assert!(fpu.le(2.0, 2.0));
         assert_eq!(fpu.flops(), 4);
-    }
-
-    #[test]
-    fn fpu_ext_mul_add() {
-        let mut fpu = ReliableFpu::new();
-        assert_eq!(fpu.mul_add(2.0, 3.0, 4.0), 10.0);
-        assert_eq!(fpu.flops(), 2);
     }
 
     #[test]
@@ -1402,11 +1376,11 @@ mod tests {
         assert_eq!(fpu.flops(), 2 * (LANE_REDUCTION_MIN as u64 - 1));
         // At and above it: the lane expansion adds the combine tree and
         // the init op — `2·n + LANE_WIDTH` FLOPs.
-        fpu.reset();
+        fpu = ReliableFpu::new();
         let long = vec![1.0; 100];
         assert_eq!(fpu.dot_batch(&long, &long), 100.0);
         assert_eq!(fpu.flops(), 2 * 100 + LANE_WIDTH as u64);
-        fpu.reset();
+        fpu = ReliableFpu::new();
         assert_eq!(fpu.dot_sub_batch(1.0, &long, &long), -99.0);
         assert_eq!(fpu.flops(), 2 * 100 + LANE_WIDTH as u64);
     }
@@ -1419,12 +1393,12 @@ mod tests {
         assert_eq!(fpu.dot_batch(&[1.0; 10], &[2.0; 10]), 20.0);
         assert_eq!(fpu.flops(), 20, "10 muls + 10 adds");
         // α = 0 still issues every mul and add, and leaves y unchanged.
-        fpu.reset();
+        fpu = ReliableFpu::new();
         let mut y = vec![1.0, 2.0];
         fpu.axpy_batch(0.0, &[5.0, 5.0], &mut y);
         assert_eq!(y, vec![1.0, 2.0]);
         assert_eq!(fpu.flops(), 4);
-        fpu.reset();
+        fpu = ReliableFpu::new();
         let mut x = vec![1.0, -2.0, 3.0];
         fpu.scale_batch(0.0, &mut x);
         assert_eq!(x, vec![0.0; 3]);

@@ -63,9 +63,8 @@ pub mod json;
 mod lfsr;
 mod memory;
 mod model;
-mod processor;
 
-pub use energy::{EnergyReport, VoltageErrorModel};
+pub use energy::VoltageErrorModel;
 pub use fault::{BitFaultModel, BitWidth, FaultRate, FaultStats};
 pub use fpu::{
     FlopOp, Fpu, FpuExt, FpuSnapshot, NoisyFpu, ReliableFpu, LANE_REDUCTION_MIN, LANE_WIDTH,
@@ -73,4 +72,3 @@ pub use fpu::{
 pub use lfsr::Lfsr;
 pub use memory::{MemoryFaultKind, MemoryFaultModel, MemoryFaultState};
 pub use model::{DvfsStep, FaultModelSpec};
-pub use processor::{StochasticProcessor, SystemEnergyReport};
