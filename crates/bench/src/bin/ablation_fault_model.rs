@@ -63,12 +63,8 @@ fn main() {
         );
     }
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let table = success_table(
-        &format!("Fault-model ablation — robust sort success rate ({trials} trials/point)"),
-        &run.result,
-    );
-    opts.emit(&table, &run);
+    let title = format!("Fault-model ablation — robust sort success rate ({trials} trials/point)");
+    opts.report(&campaign, &paper_registry(), |doc| {
+        success_table(&title, doc)
+    });
 }

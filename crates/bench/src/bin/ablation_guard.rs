@@ -71,27 +71,24 @@ fn main() {
             );
     }
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
-    let mut table = Table::new(
-        &format!("Guard ablation at 2% fault rate ({trials} trials/point)"),
-        &[
-            "guard",
-            "sort_success_%",
-            "lsq_median_err",
-            "iir_median_err",
-        ],
-    );
-    for (i, (name, _)) in guards.iter().enumerate() {
-        table.row(&[
-            name.to_string(),
-            format!("{:.1}", result.cell(3 * i, 0).success_rate()),
-            fmt_metric(result.cell(3 * i + 1, 0).summary().median()),
-            fmt_metric(result.cell(3 * i + 2, 0).summary().median()),
-        ]);
-    }
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |result| {
+        let mut table = Table::new(
+            &format!("Guard ablation at 2% fault rate ({trials} trials/point)"),
+            &[
+                "guard",
+                "sort_success_%",
+                "lsq_median_err",
+                "iir_median_err",
+            ],
+        );
+        for (i, (name, _)) in guards.iter().enumerate() {
+            table.row(&[
+                name.to_string(),
+                format!("{:.1}", result.cells[3 * i][0].success_rate),
+                fmt_metric(result.cells[3 * i + 1][0].median),
+                fmt_metric(result.cells[3 * i + 2][0].median),
+            ]);
+        }
+        table
+    });
 }

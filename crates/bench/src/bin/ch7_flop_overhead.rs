@@ -85,29 +85,27 @@ fn main() {
             .job(JobSpec::new(&format!("{label}/robust"), workload).with_solver(robust.clone()));
     }
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-
-    let mut table = Table::new(
-        "Chapter 7 — FLOP overhead of robustification (0% fault rate)",
-        &[
-            "application",
-            "baseline_flops",
-            "robust_flops",
-            "overhead_x",
-        ],
-    );
-    for (i, (label, ..)) in pairs.iter().enumerate() {
-        let baseline = run.result.cell(2 * i, 0).flops();
-        let robust = run.result.cell(2 * i + 1, 0).flops();
-        table.row(&[
-            label.to_string(),
-            baseline.to_string(),
-            robust.to_string(),
-            format!("{:.0}", robust as f64 / baseline.max(1) as f64),
-        ]);
-    }
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |result| {
+        let mut table = Table::new(
+            "Chapter 7 — FLOP overhead of robustification (0% fault rate)",
+            &[
+                "application",
+                "baseline_flops",
+                "robust_flops",
+                "overhead_x",
+            ],
+        );
+        for (i, (label, ..)) in pairs.iter().enumerate() {
+            let baseline = result.cells[2 * i][0].flops;
+            let robust = result.cells[2 * i + 1][0].flops;
+            table.row(&[
+                label.to_string(),
+                baseline.to_string(),
+                robust.to_string(),
+                format!("{:.0}", robust as f64 / baseline.max(1) as f64),
+            ]);
+        }
+        table
+    });
     robustify_bench::outln!("paper, Ch. 7: robust FLOP counts are 10-1000x the baselines'.");
 }

@@ -18,11 +18,8 @@
 //! The whole frontier is one declarative [`CampaignSpec`]: every `(app,
 //! scenario)` pair is a job that *names* its workload in the paper
 //! registry (solvers come from the registry's per-app defaults, the
-//! paper-faithful configurations `paper_registry` registers). That makes
-//! this binary a *thin client* — with `--server ADDR` the campaign is
-//! submitted to a running `campaign_server` instead of executing here,
-//! and with `--cache-dir PATH` a killed local run resumes from its
-//! checkpointed cells.
+//! paper-faithful configurations `paper_registry` registers), so
+//! `--server` and `--cache-dir` work as for every campaign binary.
 //!
 //! For every `(app, scenario)` the table reports the *minimum-energy
 //! admissible operating point*: the cheapest voltage whose cell still
@@ -37,6 +34,7 @@
 use robustify_bench::workloads::paper_registry;
 use robustify_bench::{ExperimentOptions, Table};
 use robustify_engine::campaign::{CampaignSpec, JobSpec};
+use robustify_engine::DocCell;
 use stochastic_fpu::{BitFaultModel, FaultModelSpec, VoltageErrorModel};
 
 /// The scenario families of the frontier: the paper's transient flip and
@@ -112,78 +110,68 @@ fn main() {
     opts.validate_apps(&APPS);
     let campaign = build_campaign(&opts, voltages, trials);
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
     // The frontier table: one row per (app × scenario), the cheapest
     // admissible operating point against the nominal-voltage energy of
     // the same robust solver.
-    let mut table = Table::new(
-        &format!(
-            "Energy campaign — minimum-energy admissible operating point per \
-             app × scenario ({trials} trials/cell; ≥80% success bar)"
-        ),
-        &[
-            "application",
-            "fault_model",
-            "nominal_energy",
-            "best_energy",
-            "best_voltage",
-            "saving_%",
-            "success@best_%",
-        ],
-    );
-    for (case, label) in result.labels().iter().enumerate() {
-        let (app, scenario) = label.split_once('/').expect("labels are app/scenario");
-        let nominal_energy = result
-            .energy_per_trial(case, 0)
-            .expect("voltage-axis sweeps always have energy");
-        // The cheapest admissible cell; the nominal column is part of the
-        // grid, so a solver that only works fault-free clamps there
-        // rather than vanishing from the table.
-        let mut best: Option<(f64, usize)> = None; // (energy, rate index)
-        for rate_idx in 0..result.rates_pct().len() {
-            let cell = result.cell(case, rate_idx);
-            if cell.successes() * 10 >= cell.trials() * 8 {
-                let energy = result
-                    .energy_per_trial(case, rate_idx)
-                    .expect("voltage-axis sweeps always have energy");
-                if best.map(|(e, _)| energy < e).unwrap_or(true) {
-                    best = Some((energy, rate_idx));
+    opts.report(&campaign, &paper_registry(), |result| {
+        let mut table = Table::new(
+            &format!(
+                "Energy campaign — minimum-energy admissible operating point per \
+                 app × scenario ({trials} trials/cell; ≥80% success bar)"
+            ),
+            &[
+                "application",
+                "fault_model",
+                "nominal_energy",
+                "best_energy",
+                "best_voltage",
+                "saving_%",
+                "success@best_%",
+            ],
+        );
+        for (label, cells) in result.labels.iter().zip(&result.cells) {
+            let (app, scenario) = label.split_once('/').expect("labels are app/scenario");
+            let energy = |cell: &DocCell| {
+                cell.energy_per_trial
+                    .expect("voltage-axis documents always carry energy")
+            };
+            let nominal_energy = energy(&cells[0]);
+            // The cheapest admissible cell; the nominal column is part of the
+            // grid, so a solver that only works fault-free clamps there
+            // rather than vanishing from the table.
+            let mut best: Option<(f64, &DocCell)> = None;
+            for cell in cells {
+                if cell.successes * 10 >= cell.trials * 8 {
+                    let energy = energy(cell);
+                    if best.map(|(e, _)| energy < e).unwrap_or(true) {
+                        best = Some((energy, cell));
+                    }
                 }
             }
-        }
-        let mut row = vec![
-            app.to_string(),
-            scenario.to_string(),
-            format!("{nominal_energy:.0}"),
-        ];
-        match best {
-            Some((energy, rate_idx)) => {
-                let voltage = result
-                    .voltage(case, rate_idx)
-                    .expect("voltage-axis sweeps always have voltages");
-                row.push(format!("{energy:.0}"));
-                row.push(format!("{voltage:.3}"));
-                row.push(format!("{:.0}", 100.0 * (1.0 - energy / nominal_energy)));
-                row.push(format!("{:.1}", result.cell(case, rate_idx).success_rate()));
+            let mut row = vec![
+                app.to_string(),
+                scenario.to_string(),
+                format!("{nominal_energy:.0}"),
+            ];
+            match best {
+                Some((energy, cell)) => {
+                    row.push(format!("{energy:.0}"));
+                    // A DVFS-pinned case has no single voltage.
+                    row.push(cell.voltage.map_or("-".into(), |v| format!("{v:.3}")));
+                    row.push(format!("{:.0}", 100.0 * (1.0 - energy / nominal_energy)));
+                    row.push(format!("{:.1}", cell.success_rate));
+                }
+                None => {
+                    // No operating point — not even nominal — met the bar,
+                    // so there is no "best" cell to report a success rate for.
+                    row.push("unreachable".to_string());
+                    row.push("-".to_string());
+                    row.push("-".to_string());
+                    row.push("-".to_string());
+                }
             }
-            None => {
-                // No operating point — not even nominal — met the bar,
-                // so there is no "best" cell to report a success rate for.
-                row.push("unreachable".to_string());
-                row.push("-".to_string());
-                row.push("-".to_string());
-                row.push("-".to_string());
-            }
+            table.row(&row);
         }
-        table.row(&row);
-    }
-    opts.emit(&table, &run);
-
-    // The engine's per-cell CSV (voltage + energy_per_trial columns) is
-    // the machine-readable frontier artifact.
-    robustify_bench::outln!("\n-- engine csv --\n{}", result.to_csv());
+        table
+    });
 }

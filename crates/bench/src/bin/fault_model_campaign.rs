@@ -13,12 +13,9 @@
 //! downstream plotting).
 //!
 //! The 54 (app × scenario) cells are expressed as per-job fault-model
-//! overrides on a `CampaignSpec`, so this binary is also a *thin
-//! client*: with `--server ADDR` it submits the campaign to a running
-//! `campaign_server` and prints the daemon's byte-identical documents;
-//! with `--cache-dir PATH` a local run checkpoints per cell and resumes
-//! after a kill. Jobs carry no solver: each resolves to its workload's
-//! registry default, whose step sizes derive from the instance the job
+//! overrides on a `CampaignSpec`, so `--server` and `--cache-dir` work
+//! as for every campaign binary. Jobs carry no solver: each resolves to
+//! its workload's registry default, whose step sizes derive from the instance the job
 //! materializes at the campaign's base seed (`Instantiate::Fixed`).
 //!
 //! Expected shape: LSB-heavy / duty-cycled / op-selective scenarios are
@@ -99,37 +96,26 @@ fn main() {
         }
     }
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
     // Comparison table: one row per (app × scenario), success rate per
     // fault rate plus the worst-rate median metric.
-    let n_models = model_family().len();
-    let mut headers: Vec<String> = vec!["application".into(), "fault_model".into()];
-    headers.extend(result.rates_pct().iter().map(|r| format!("success@{r}%")));
-    headers.push("median@max_rate".into());
-    let header_refs: Vec<&str> = headers.iter().map(|h| h.as_str()).collect();
-    let mut table = Table::new(
-        &format!("Fault-model campaign — 9 apps × {n_models} scenarios ({trials} trials/cell)"),
-        &header_refs,
-    );
-    let last_rate = result.rates_pct().len() - 1;
-    for (case, label) in result.labels().iter().enumerate() {
-        let (app, model_label) = label.split_once('/').expect("labels are app/model");
-        let mut row = vec![app.to_string(), model_label.to_string()];
-        for rate_idx in 0..result.rates_pct().len() {
-            row.push(format!("{:.1}", result.cell(case, rate_idx).success_rate()));
+    opts.report(&campaign, &paper_registry(), |result| {
+        let n_models = model_family().len();
+        let mut headers: Vec<String> = vec!["application".into(), "fault_model".into()];
+        headers.extend(result.rates_pct.iter().map(|r| format!("success@{r}%")));
+        headers.push("median@max_rate".into());
+        let header_refs: Vec<&str> = headers.iter().map(|h| h.as_str()).collect();
+        let mut table = Table::new(
+            &format!("Fault-model campaign — 9 apps × {n_models} scenarios ({trials} trials/cell)"),
+            &header_refs,
+        );
+        for (label, cells) in result.labels.iter().zip(&result.cells) {
+            let (app, model_label) = label.split_once('/').expect("labels are app/model");
+            let mut row = vec![app.to_string(), model_label.to_string()];
+            row.extend(cells.iter().map(|cell| format!("{:.1}", cell.success_rate)));
+            let last = cells.last().expect("a non-empty rate grid");
+            row.push(robustify_bench::fmt_metric(last.median));
+            table.row(&row);
         }
-        row.push(robustify_bench::fmt_metric(
-            result.cell(case, last_rate).summary().median(),
-        ));
-        table.row(&row);
-    }
-    opts.emit(&table, &run);
-
-    // The engine's own per-cell CSV (with the fault_model column) is the
-    // machine-readable comparison artifact.
-    robustify_bench::outln!("\n-- engine csv --\n{}", result.to_csv());
+        table
+    });
 }

@@ -83,6 +83,7 @@ fn main() {
         table.row(&row);
     }
     table.print();
+    robustify_bench::outln!("\n-- csv --\n{}", table.to_csv());
 
     // The headline property of the measured distribution the paper emulates.
     let emulated = &histograms[0];

@@ -26,6 +26,7 @@ fn main() {
         v -= 0.025;
     }
     table.print();
+    robustify_bench::outln!("\n-- csv --\n{}", table.to_csv());
 
     // Inverse lookups used by the Figure 6.7 harness.
     let mut inv = Table::new(
@@ -41,4 +42,5 @@ fn main() {
         ]);
     }
     inv.print();
+    robustify_bench::outln!("\n-- csv --\n{}", inv.to_csv());
 }

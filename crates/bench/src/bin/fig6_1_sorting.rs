@@ -8,10 +8,7 @@
 //!
 //! The figure is expressed as a declarative campaign (4 solver-variant
 //! jobs on the `sorting` workload, one fresh 5-element array per trial),
-//! so this binary is also a *thin client*: with `--server ADDR` it
-//! submits the campaign to a running `campaign_server` and prints the
-//! daemon's byte-identical documents; with `--cache-dir PATH` a local run
-//! checkpoints per cell and resumes after a kill.
+//! so `--server` and `--cache-dir` work as for every campaign binary.
 //!
 //! Expected shape (paper): the baseline degrades as faults corrupt its
 //! comparisons; plain 1/t SGD performs poorly; SQS scaling "is able to
@@ -65,13 +62,9 @@ fn main() {
                 .with_aggressive_stepping(AggressiveStepping::default()),
         ));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-    let table = success_table(
-        &format!("Figure 6.1 — Accuracy of Sort, {ITERATIONS} iterations ({trials} trials/point)"),
-        result,
-    );
-    opts.emit(&table, &run);
+    let title =
+        format!("Figure 6.1 — Accuracy of Sort, {ITERATIONS} iterations ({trials} trials/point)");
+    opts.report(&campaign, &paper_registry(), |doc| {
+        success_table(&title, doc)
+    });
 }

@@ -16,11 +16,8 @@
 //! gracefully, with aggressive stepping helping most below 1%.
 //!
 //! The figure is expressed as a declarative campaign (4 solver-variant
-//! jobs on the `least_squares` workload), so this binary is also a *thin
-//! client*: with `--server ADDR` it submits the campaign to a running
-//! `campaign_server` and prints the daemon's byte-identical documents;
-//! with `--cache-dir PATH` a local run checkpoints per cell and resumes
-//! after a kill.
+//! jobs on the `least_squares` workload), so `--server` and `--cache-dir`
+//! work as for every campaign binary.
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
@@ -54,35 +51,32 @@ fn main() {
             SolverSpec::sgd(ITERATIONS, StepSchedule::Sqrt { gamma0 }),
         ));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
-    let mut table = Table::new(
-        &format!(
-            "Figure 6.2 — Accuracy of Least Squares, {ITERATIONS} iterations \
-             (median relative error over {trials} trials; fail = fraction broken)"
-        ),
-        &[
-            "fault_rate_%",
-            "Base:SVD",
-            "svd_fail",
-            "SGD,LS",
-            "SGD+AS,LS",
-            "SGD,SQS",
-        ],
-    );
-    for (rate_idx, rate) in result.rates_pct().iter().enumerate() {
-        let svd = result.cell(0, rate_idx).summary();
-        table.row(&[
-            format!("{rate}"),
-            fmt_metric(svd.median()),
-            format!("{:.0}%", 100.0 * svd.failure_fraction()),
-            fmt_metric(result.cell(1, rate_idx).summary().median()),
-            fmt_metric(result.cell(2, rate_idx).summary().median()),
-            fmt_metric(result.cell(3, rate_idx).summary().median()),
-        ]);
-    }
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |result| {
+        let mut table = Table::new(
+            &format!(
+                "Figure 6.2 — Accuracy of Least Squares, {ITERATIONS} iterations \
+                 (median relative error over {trials} trials; fail = fraction broken)"
+            ),
+            &[
+                "fault_rate_%",
+                "Base:SVD",
+                "svd_fail",
+                "SGD,LS",
+                "SGD+AS,LS",
+                "SGD,SQS",
+            ],
+        );
+        for (rate_idx, rate) in result.rates_pct.iter().enumerate() {
+            let svd = result.cells[0][rate_idx];
+            table.row(&[
+                format!("{rate}"),
+                fmt_metric(svd.median),
+                format!("{:.0}%", 100.0 * svd.failures as f64 / svd.trials as f64),
+                fmt_metric(result.cells[1][rate_idx].median),
+                fmt_metric(result.cells[2][rate_idx].median),
+                fmt_metric(result.cells[3][rate_idx].median),
+            ]);
+        }
+        table
+    });
 }

@@ -9,12 +9,9 @@
 //! faulty FPU as the solve).
 //!
 //! The figure is expressed as a declarative campaign (4 solver-variant
-//! jobs on the `iir` workload), so this binary is also a *thin client*:
-//! with `--server ADDR` it submits the campaign to a running
-//! `campaign_server` and prints the daemon's byte-identical documents;
-//! with `--cache-dir PATH` a local run checkpoints per cell and resumes
-//! after a kill. Jobs materialize the workload at the campaign's base
-//! seed (`Instantiate::Fixed`), so the step size derived below from
+//! jobs on the `iir` workload), so `--server` and `--cache-dir` work as
+//! for every campaign binary. Jobs materialize the workload at the
+//! campaign's base seed (`Instantiate::Fixed`), so the step size derived below from
 //! `paper_iir_problem(opts.seed)` matches the instance each cell solves.
 //!
 //! Expected shape (paper): "IIR using SGD produces several orders of
@@ -65,17 +62,11 @@ fn main() {
                 .with_aggressive_stepping(AggressiveStepping::default()),
         ));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
-    let table = metric_table(
-        &format!(
-            "Figure 6.3 — Accuracy of IIR, {ITERATIONS} iterations \
-             (median error-to-signal ratio over {trials} trials)"
-        ),
-        result,
+    let title = format!(
+        "Figure 6.3 — Accuracy of IIR, {ITERATIONS} iterations \
+         (median error-to-signal ratio over {trials} trials)"
     );
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |doc| {
+        metric_table(&title, doc)
+    });
 }

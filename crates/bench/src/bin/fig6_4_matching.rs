@@ -12,7 +12,7 @@
 //!
 //! The figure is a declarative campaign (4 solver-variant jobs on the
 //! `matching` workload, one fresh graph per trial), so `--server` and
-//! `--cache-dir` work as for every engine binary.
+//! `--cache-dir` work as for every campaign binary.
 //!
 //! Note: per-trial workload seeds use the engine's standard
 //! [`robustify_engine::problem_seed`] derivation; earlier serial recordings
@@ -56,14 +56,10 @@ fn main() {
                 .with_aggressive_stepping(AggressiveStepping::default()),
         ));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let table = success_table(
-        &format!(
-            "Figure 6.4 — Accuracy of Matching, {ITERATIONS} iterations ({trials} trials/point)"
-        ),
-        &run.result,
+    let title = format!(
+        "Figure 6.4 — Accuracy of Matching, {ITERATIONS} iterations ({trials} trials/point)"
     );
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |doc| {
+        success_table(&title, doc)
+    });
 }

@@ -66,14 +66,10 @@ fn main() {
                 .with_aggressive_stepping(AggressiveStepping::default()),
         ));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let table = success_table(
-        &format!(
-            "Figure 6.5 — Matching enhancements, {ITERATIONS} iterations ({trials} trials/point)"
-        ),
-        &run.result,
+    let title = format!(
+        "Figure 6.5 — Matching enhancements, {ITERATIONS} iterations ({trials} trials/point)"
     );
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |doc| {
+        success_table(&title, doc)
+    });
 }

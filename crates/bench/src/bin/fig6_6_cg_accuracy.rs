@@ -8,11 +8,9 @@
 //! restricted); CG degrades gracefully.
 //!
 //! Each table is a declarative campaign (4 solver jobs on the
-//! `least_squares` / `least_squares_ill` registry workloads), so this
-//! binary is also a *thin client*: with `--server ADDR` it submits both
-//! campaigns to a running `campaign_server` and prints the daemon's
-//! byte-identical documents; with `--cache-dir PATH` a local run
-//! checkpoints per cell and resumes after a kill.
+//! `least_squares` / `least_squares_ill` registry workloads), so
+//! `--server` and `--cache-dir` work as for every campaign binary. The
+//! FLOP-cost table is measured in-process in either mode.
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
@@ -45,34 +43,31 @@ fn run_table(title: &str, name: &str, workload: &str, opts: &ExperimentOptions, 
         ))
         .job(job("CG,N=10", SolverSpec::cg(CG_ITERATIONS)));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
-    let mut table = Table::new(
-        title,
-        &[
-            "fault_rate_%",
-            "Base:QR",
-            "Base:SVD",
-            "Base:Cholesky",
-            "CG,N=10",
-            "cg_fail",
-        ],
-    );
-    for (rate_idx, rate) in result.rates_pct().iter().enumerate() {
-        let cg = result.cell(3, rate_idx).summary();
-        table.row(&[
-            format!("{rate}"),
-            fmt_metric(result.cell(0, rate_idx).summary().median()),
-            fmt_metric(result.cell(1, rate_idx).summary().median()),
-            fmt_metric(result.cell(2, rate_idx).summary().median()),
-            fmt_metric(cg.median()),
-            format!("{:.0}%", 100.0 * cg.failure_fraction()),
-        ]);
-    }
-    opts.emit(&table, &run);
+    opts.report(&campaign, &paper_registry(), |result| {
+        let mut table = Table::new(
+            title,
+            &[
+                "fault_rate_%",
+                "Base:QR",
+                "Base:SVD",
+                "Base:Cholesky",
+                "CG,N=10",
+                "cg_fail",
+            ],
+        );
+        for (rate_idx, rate) in result.rates_pct.iter().enumerate() {
+            let cg = result.cells[3][rate_idx];
+            table.row(&[
+                format!("{rate}"),
+                fmt_metric(result.cells[0][rate_idx].median),
+                fmt_metric(result.cells[1][rate_idx].median),
+                fmt_metric(result.cells[2][rate_idx].median),
+                fmt_metric(cg.median),
+                format!("{:.0}%", 100.0 * cg.failures as f64 / cg.trials as f64),
+            ]);
+        }
+        table
+    });
 }
 
 fn main() {

@@ -15,11 +15,11 @@
 //! effectively error-free.
 //!
 //! The grid is declarative (one fixed `least_squares` instance, one job
-//! per CG iteration count), so this binary is also a *thin client*: with
-//! `--server ADDR` it submits the campaign to a running `campaign_server`
-//! and prints the daemon's byte-identical documents; with
-//! `--cache-dir PATH` a local run checkpoints per cell and resumes after
-//! a kill.
+//! per CG iteration count), and with `--cache-dir PATH` a local run
+//! checkpoints per cell and resumes after a kill. Unlike every other
+//! campaign binary it runs locally only: its frontier counts the trials
+//! whose error meets each target, a per-trial order statistic the result
+//! document does not carry, so `--server` exits 2 with a usage message.
 //!
 //! Targets no grid point meets at the 80% bar are *clamped to the
 //! boundary* rather than dropped: the row reports the nominal-voltage
@@ -32,6 +32,7 @@
 //! `clamped` rows instead of disappearing.
 
 #![forbid(unsafe_code)]
+use robustify_bench::cli::usage;
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
 use robustify_bench::{fmt_metric, ExperimentOptions, Table};
 use robustify_core::{RobustProblem, SolverSpec};
@@ -40,6 +41,9 @@ use stochastic_fpu::{Fpu, ReliableFpu, VoltageErrorModel};
 
 fn main() {
     let opts = ExperimentOptions::parse();
+    if opts.server.is_some() {
+        usage("--server: runs locally only; the document lacks the per-trial errors it needs");
+    }
     let trials = opts.trials(10, 4);
     let problem = paper_least_squares(opts.seed);
     let model = VoltageErrorModel::paper_figure_5_2();
@@ -74,9 +78,7 @@ fn main() {
             JobSpec::new(&format!("CG,N={n}"), "least_squares").with_solver(SolverSpec::cg(n)),
         );
     }
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
+    let run = opts.run_local(&campaign, &paper_registry());
     let result = &run.result;
 
     let mut table = Table::new(
@@ -139,7 +141,7 @@ fn main() {
             status.to_string(),
         ]);
     }
-    opts.emit(&table, &run);
+    opts.emit(&table, &result.to_csv(), &result.to_json());
     robustify_bench::outln!(
         "baseline Cholesky: {} FLOPs at {:.2} V (accuracy ~machine precision, rel err {})",
         chol_flops,

@@ -8,11 +8,8 @@
 //! This harness runs basic `1/t` SGD with and without momentum `β = 0.5`
 //! on both workloads across fault rates. The grid is a declarative
 //! campaign (per-trial jobs on the `sorting` and `matching` registry
-//! workloads), so this binary is also a *thin client*: with
-//! `--server ADDR` it submits the campaign to a running `campaign_server`
-//! and prints the daemon's byte-identical documents; with
-//! `--cache-dir PATH` a local run checkpoints per cell and resumes after
-//! a kill.
+//! workloads), so `--server` and `--cache-dir` work as for every
+//! campaign binary.
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::paper_registry;
@@ -51,14 +48,8 @@ fn main() {
         .job(job("match", "matching", match_plain))
         .job(job("match+mom", "matching", match_momentum));
 
-    let Some(run) = opts.execute_campaign(&campaign, &paper_registry()) else {
-        return;
-    };
-    let result = &run.result;
-
-    let table = success_table(
-        &format!("§6.2.2 — momentum (β = 0.5) vs basic SGD ({trials} trials/point)"),
-        result,
-    );
-    opts.emit(&table, &run);
+    let title = format!("§6.2.2 — momentum (β = 0.5) vs basic SGD ({trials} trials/point)");
+    opts.report(&campaign, &paper_registry(), |doc| {
+        success_table(&title, doc)
+    });
 }

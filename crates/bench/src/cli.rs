@@ -1,21 +1,25 @@
 //! The shared CLI of every experiment binary: one flag vocabulary, one
-//! parser, one campaign-execution path.
+//! parser, one campaign-execution and output path.
 //!
-//! Before the campaign service existed, each binary hand-rolled its own
-//! flag subset; this module is the single parser they all share. The
-//! service flags make any campaign-shaped binary a *thin client*:
+//! A campaign binary hands [`ExperimentOptions::report`] its declarative
+//! [`CampaignSpec`] and a renderer; the table is rendered from the
+//! [`SweepDoc`] view of the campaign's JSON document in either mode:
 //!
-//! * `--server ADDR` submits the binary's declarative
-//!   [`CampaignSpec`] to a running `campaign_server` daemon instead of
-//!   executing in-process; the daemon streams per-cell events back and
-//!   returns CSV/JSON documents byte-identical to a local run.
+//! * `--server ADDR` submits the campaign to a running `campaign_server`
+//!   daemon instead of executing in-process; its documents are
+//!   byte-identical to a local run's, so stdout is the same bytes.
 //! * `--cache-dir PATH` makes a local run checkpoint every finished cell
 //!   into the same content-addressed [`ResultCache`] the daemon uses, so
 //!   a killed run resumes from where it died instead of recomputing.
+//!
+//! `fig6_7_cg_energy` reads per-trial errors no document carries, so it
+//! renders from [`ExperimentOptions::run_local`] and rejects `--server`.
 
 use crate::Table;
 use robustify_core::WorkloadRegistry;
-use robustify_engine::campaign::{self, protocol, CampaignRun, CampaignSpec, ResultCache};
+use robustify_engine::campaign::protocol::{self, ClientOutcome};
+use robustify_engine::campaign::{self, CampaignRun, CampaignSpec, JobSpec, ResultCache};
+use robustify_engine::SweepDoc;
 use stochastic_fpu::FaultModelSpec;
 
 /// Options common to every experiment binary.
@@ -87,35 +91,29 @@ impl ExperimentOptions {
     /// # Panics
     ///
     /// Panics with a usage message on unknown flags or malformed values.
-    pub fn parse_from(args: impl Iterator<Item = String>) -> Self {
+    pub fn parse_from(mut args: impl Iterator<Item = String>) -> Self {
         let mut opts = Self::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
+            let mut value = |what: &str| {
+                args.next()
+                    .unwrap_or_else(|| usage(&format!("{arg} needs {what}")))
+            };
             match arg.as_str() {
                 "--fast" => opts.fast = true,
                 "--seed" => {
-                    let v = args.next().unwrap_or_else(|| usage("--seed needs a value"));
-                    opts.seed = v
+                    opts.seed = value("a value")
                         .parse()
                         .unwrap_or_else(|_| usage("--seed must be an integer"));
                 }
-                "--fault-model" => {
-                    opts.fault_model = args
-                        .next()
-                        .unwrap_or_else(|| usage("--fault-model needs a value"));
-                }
+                "--fault-model" => opts.fault_model = value("a value"),
                 "--threads" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--threads needs a value"));
-                    opts.threads = v
+                    opts.threads = value("a value")
                         .parse()
                         .unwrap_or_else(|_| usage("--threads must be an integer"));
                 }
                 "--json" => opts.json = true,
                 "--apps" => {
-                    let v = args.next().unwrap_or_else(|| usage("--apps needs a value"));
-                    let apps: Vec<String> = v
+                    let apps: Vec<String> = value("a value")
                         .split(',')
                         .map(|s| s.trim().to_string())
                         .filter(|s| !s.is_empty())
@@ -125,18 +123,8 @@ impl ExperimentOptions {
                     }
                     opts.apps = Some(apps);
                 }
-                "--server" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--server needs an address (host:port)"));
-                    opts.server = Some(v);
-                }
-                "--cache-dir" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--cache-dir needs a directory path"));
-                    opts.cache_dir = Some(v);
-                }
+                "--server" => opts.server = Some(value("an address (host:port)")),
+                "--cache-dir" => opts.cache_dir = Some(value("a directory path")),
                 "--help" | "-h" => {
                     crate::outln!("{USAGE}");
                     std::process::exit(0)
@@ -212,14 +200,13 @@ impl ExperimentOptions {
             .threads(self.threads)
     }
 
-    /// Executes a campaign according to the service flags.
+    /// Executes a campaign according to the service flags and returns its
+    /// documents.
     ///
-    /// With `--server` the campaign is submitted to the daemon, whose
-    /// documents — byte-identical to a local run's — are printed as the
-    /// artifact (`-- csv --`, plus `-- json --` with `--json`); there is no
-    /// local result to render, so this returns `None`. Otherwise it runs
-    /// in-process against the optional `--cache-dir` cache and returns the
-    /// run for table rendering.
+    /// With `--server` the campaign is submitted to the daemon and the
+    /// outcome is its `done` event. Otherwise it runs in-process through
+    /// [`run_local`](Self::run_local) and the outcome is built from that
+    /// run, so both modes return the same bytes.
     ///
     /// # Panics
     ///
@@ -229,40 +216,40 @@ impl ExperimentOptions {
         &self,
         spec: &CampaignSpec,
         registry: &WorkloadRegistry,
-    ) -> Option<CampaignRun> {
-        match self.try_execute_campaign(spec, registry) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.name());
-                std::process::exit(1)
-            }
-        }
+    ) -> ClientOutcome {
+        let Some(addr) = &self.server else {
+            let run = self.run_local(spec, registry);
+            return ClientOutcome {
+                name: run.result.name().to_string(),
+                cells: run.cells_total,
+                cached: run.cells_cached,
+                csv: run.result.to_csv(),
+                json: run.result.to_json(),
+            };
+        };
+        let outcome = or_exit(spec, protocol::submit_tcp(addr, spec, |_| {}));
+        eprintln!(
+            "[{}: {} cells from {addr}, {} served from cache]",
+            outcome.name, outcome.cells, outcome.cached
+        );
+        outcome
     }
 
-    fn try_execute_campaign(
-        &self,
-        spec: &CampaignSpec,
-        registry: &WorkloadRegistry,
-    ) -> Result<Option<CampaignRun>, String> {
-        if let Some(addr) = &self.server {
-            let outcome = protocol::submit_tcp(addr, spec, |_| {})?;
-            eprintln!(
-                "[{}: {} cells from {addr}, {} served from cache]",
-                outcome.name, outcome.cells, outcome.cached
-            );
-            crate::outln!("\n-- csv --\n{}", outcome.csv);
-            if self.json {
-                crate::outln!("\n-- json --\n{}", outcome.json);
-            }
-            return Ok(None);
-        }
-        let cache = match &self.cache_dir {
-            Some(dir) => {
-                Some(ResultCache::open(dir).map_err(|e| format!("--cache-dir {dir}: {e}"))?)
-            }
-            None => None,
-        };
-        let run = campaign::run(spec, registry, cache.as_ref(), |_| {})?;
+    /// Runs a campaign in-process, checkpointing into the optional
+    /// `--cache-dir` cache, and reports its parallel throughput on stderr.
+    ///
+    /// # Panics
+    ///
+    /// Exits with code 1, printing `<campaign name>: <error>`, when the
+    /// campaign fails (unknown workload, cache I/O).
+    pub fn run_local(&self, spec: &CampaignSpec, registry: &WorkloadRegistry) -> CampaignRun {
+        let cache = self.cache_dir.as_ref().map(|dir| {
+            or_exit(
+                spec,
+                ResultCache::open(dir).map_err(|e| format!("--cache-dir {dir}: {e}")),
+            )
+        });
+        let run = or_exit(spec, campaign::run(spec, registry, cache.as_ref(), |_| {}));
         if let Some(cache) = &cache {
             eprintln!(
                 "[{}: {} cells, {} replayed from {}]",
@@ -272,13 +259,6 @@ impl ExperimentOptions {
                 cache.dir().display()
             );
         }
-        Ok(Some(run))
-    }
-
-    /// Prints a rendered table, the run's parallel throughput, and (with
-    /// `--json`) the result's JSON document.
-    pub fn emit(&self, table: &Table, run: &CampaignRun) {
-        table.print();
         eprintln!(
             "[{} trials in {:.2?} on {} threads — {:.1} trials/s]",
             run.result.total_trials(),
@@ -286,10 +266,53 @@ impl ExperimentOptions {
             run.threads,
             run.throughput(),
         );
+        run
+    }
+
+    /// Executes a campaign, renders its table from the JSON document and
+    /// [`emit`](Self::emit)s both: the one output path of every campaign
+    /// binary, local or `--server`.
+    ///
+    /// # Panics
+    ///
+    /// Exits with code 1, printing `<campaign name>: <error>`, when the
+    /// campaign fails or the document is malformed or describes another
+    /// grid than `spec`.
+    pub fn report(
+        &self,
+        spec: &CampaignSpec,
+        registry: &WorkloadRegistry,
+        render: impl FnOnce(&SweepDoc) -> Table,
+    ) {
+        let outcome = self.execute_campaign(spec, registry);
+        let doc = SweepDoc::parse(&outcome.json).and_then(|doc| {
+            let labels = spec.jobs().iter().map(JobSpec::label);
+            if doc.rates_pct == spec.rates_pct() && doc.labels.iter().eq(labels) {
+                Ok(doc)
+            } else {
+                Err("the result document does not match the submitted grid".to_string())
+            }
+        });
+        self.emit(&render(&or_exit(spec, doc)), &outcome.csv, &outcome.json);
+    }
+
+    /// Prints a rendered table, the campaign's `-- csv --` document and
+    /// (with `--json`) its `-- json --` document.
+    pub fn emit(&self, table: &Table, csv: &str, json: &str) {
+        table.print();
+        crate::outln!("\n-- csv --\n{csv}");
         if self.json {
-            crate::outln!("\n-- json --\n{}", run.result.to_json());
+            crate::outln!("\n-- json --\n{json}");
         }
     }
+}
+
+/// Unwraps a campaign step, or exits 1 with `<campaign name>: <error>`.
+fn or_exit<T>(spec: &CampaignSpec, result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{}: {e}", spec.name());
+        std::process::exit(1)
+    })
 }
 
 const USAGE: &str = "usage: <experiment> [--fast] [--seed N] \
@@ -298,7 +321,9 @@ const USAGE: &str = "usage: <experiment> [--fast] [--seed N] \
      [--threads N] [--json] [--apps app1,app2,...] \
      [--server HOST:PORT] [--cache-dir PATH]";
 
-fn usage(msg: &str) -> ! {
+/// Prints `msg` and the usage line on stderr and exits with code 2: the
+/// answer to every malformed or unsupported flag.
+pub fn usage(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
     std::process::exit(2)
 }
@@ -401,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_campaign_runs_locally_and_resumes_from_the_cache_dir() {
+    fn execute_campaign_returns_the_same_documents_locally_and_over_the_server() {
         let mut registry = WorkloadRegistry::new();
         registry.register(
             "half",
@@ -410,25 +435,35 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("robustify-cli-exec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = ExperimentOptions {
+        let local = ExperimentOptions {
             cache_dir: Some(dir.display().to_string()),
             ..ExperimentOptions::default()
         };
-        let spec = opts
+        let spec = local
             .campaign("cli_exec")
             .rates(vec![0.0, 10.0])
             .trials(3)
-            .job(robustify_engine::campaign::JobSpec::new("half", "half"));
-        let cold = opts
-            .execute_campaign(&spec, &registry)
-            .expect("a local run");
-        assert_eq!(cold.cells_cached, 0);
-        let warm = opts
-            .execute_campaign(&spec, &registry)
-            .expect("a local run");
-        assert_eq!(warm.cells_cached, warm.cells_total);
-        assert_eq!(warm.result.to_csv(), cold.result.to_csv());
-        assert_eq!(warm.result.to_json(), cold.result.to_json());
+            .job(JobSpec::new("half", "half"));
+        let cold = local.execute_campaign(&spec, &registry);
+        assert_eq!((cold.cached, cold.cells), (0, 2));
+        let warm = local.execute_campaign(&spec, &registry);
+        assert_eq!(warm.cached, warm.cells);
+        assert_eq!((&warm.csv, &warm.json), (&cold.csv, &cold.json));
         let _ = std::fs::remove_dir_all(&dir);
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let remote = std::thread::scope(|scope| {
+            let server = scope.spawn(|| protocol::serve_tcp(listener, &registry, None));
+            let remote = ExperimentOptions {
+                server: Some(addr.clone()),
+                ..ExperimentOptions::default()
+            }
+            .execute_campaign(&spec, &registry);
+            protocol::shutdown_tcp(&addr).expect("shutdown");
+            server.join().expect("server thread").expect("serve");
+            remote
+        });
+        assert_eq!(remote, cold);
     }
 }

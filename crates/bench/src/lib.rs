@@ -1,15 +1,16 @@
 //! Shared plumbing for the experiment binaries: the unified CLI parser
-//! ([`cli`]), the paper's workload registry ([`workloads`]), table and CSV
-//! printers, and renderers from engine results to tables.
+//! ([`cli`]), the paper's workload registry ([`workloads`]), the table
+//! printer, and renderers from a campaign's result document to tables.
 //!
 //! Each binary in `src/bin/` regenerates one figure of the paper as a
 //! declarative campaign over [`robustify_engine`]: it names
 //! `(workload × solver)` jobs in [`workloads::paper_registry`] over a
 //! fault-rate grid and lets the engine execute it in parallel with
-//! deterministic seeding. Every engine binary can also run as a *thin
-//! client* of the `campaign_server` daemon (`--server`) or checkpoint into
-//! its content-addressed result cache (`--cache-dir`); see
-//! [`cli::ExperimentOptions::execute_campaign`].
+//! deterministic seeding. Its table is a view of the campaign's JSON
+//! document, so a run as a *thin client* of the `campaign_server` daemon
+//! (`--server`) prints the same bytes as a local run, which can also
+//! checkpoint into a content-addressed result cache (`--cache-dir`); see
+//! [`cli::ExperimentOptions::report`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +29,7 @@ pub mod workloads;
 
 pub use cli::ExperimentOptions;
 
-use robustify_engine::SweepResult;
+use robustify_engine::{csv_field, DocCell, SweepDoc};
 use std::io::{ErrorKind, Write};
 
 /// Writes one line to stdout: the only stdout path of the experiment
@@ -47,38 +48,32 @@ pub fn write_line(line: std::fmt::Arguments) {
 
 /// Renders a success-rate result as a `fault_rate × case` table (the shape
 /// of Figures 6.1, 6.4, 6.5).
-pub fn success_table(title: &str, result: &SweepResult) -> Table {
-    let mut headers: Vec<&str> = vec!["fault_rate_%"];
-    headers.extend(result.labels().iter().map(|l| l.as_str()));
-    let mut table = Table::new(title, &headers);
-    for (rate_idx, rate) in result.rates_pct().iter().enumerate() {
-        let mut row = vec![format!("{rate}")];
-        for case in 0..result.labels().len() {
-            row.push(format!("{:.1}", result.cell(case, rate_idx).success_rate()));
-        }
-        table.row(&row);
-    }
-    table
+pub fn success_table(title: &str, result: &SweepDoc) -> Table {
+    rate_case_table(title, result, |cell| format!("{:.1}", cell.success_rate))
 }
 
 /// Renders a median-metric result as a `fault_rate × case` table (the shape
 /// of Figures 6.2, 6.3, 6.6; lower is better, `fail` marks all-broken
 /// cells).
-pub fn metric_table(title: &str, result: &SweepResult) -> Table {
+pub fn metric_table(title: &str, result: &SweepDoc) -> Table {
+    rate_case_table(title, result, |cell| fmt_metric(cell.median))
+}
+
+/// One row per fault rate, one column per case.
+fn rate_case_table(title: &str, result: &SweepDoc, show: impl Fn(&DocCell) -> String) -> Table {
     let mut headers: Vec<&str> = vec!["fault_rate_%"];
-    headers.extend(result.labels().iter().map(|l| l.as_str()));
+    headers.extend(result.labels.iter().map(|l| l.as_str()));
     let mut table = Table::new(title, &headers);
-    for (rate_idx, rate) in result.rates_pct().iter().enumerate() {
+    for (rate_idx, rate) in result.rates_pct.iter().enumerate() {
         let mut row = vec![format!("{rate}")];
-        for case in 0..result.labels().len() {
-            row.push(fmt_metric(result.cell(case, rate_idx).summary().median()));
-        }
+        row.extend(result.cells.iter().map(|cells| show(&cells[rate_idx])));
         table.row(&row);
     }
     table
 }
 
-/// A column-aligned results table that also emits machine-readable CSV.
+/// A column-aligned results table, with a CSV rendering for the binaries
+/// that have no campaign document.
 ///
 /// # Examples
 ///
@@ -121,18 +116,19 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// The CSV rendering (headers + rows).
+    /// The CSV rendering (headers + rows), each field quoted by the
+    /// engine's [`csv_field`].
     pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        let mut out = String::new();
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            let fields: Vec<String> = line.iter().map(|f| csv_field(f)).collect();
+            out.push_str(&fields.join(","));
             out.push('\n');
         }
         out
     }
 
-    /// Prints the aligned human-readable table followed by the CSV block.
+    /// Prints the aligned human-readable table.
     pub fn print(&self) {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -156,7 +152,6 @@ impl Table {
                 .collect();
             outln!("{}", line.join("  "));
         }
-        outln!("\n-- csv --\n{}", self.to_csv());
     }
 }
 
@@ -181,6 +176,27 @@ mod tests {
         t.row(&["1".into(), "2".into()]);
         t.row(&["3".into(), "4".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n3,4\n");
+    }
+
+    #[test]
+    fn table_csv_quotes_fields_with_commas() {
+        let mut t = Table::new("t", &["fault_rate_%", "SGD+AS,LS", "CG, N=10"]);
+        t.row(&["1".into(), "2".into(), "say \"hi\"".into()]);
+        let csv = t.to_csv();
+        assert_eq!(
+            csv,
+            "fault_rate_%,\"SGD+AS,LS\",\"CG, N=10\"\n1,2,\"say \"\"hi\"\"\"\n"
+        );
+        // Outside quotes every comma separates fields: one count per line.
+        let fields = |line: &str| {
+            line.split('"')
+                .step_by(2)
+                .map(|outside| outside.matches(',').count())
+                .sum::<usize>()
+                + 1
+        };
+        let counts: Vec<usize> = csv.lines().map(fields).collect();
+        assert_eq!(counts, [3, 3]);
     }
 
     #[test]

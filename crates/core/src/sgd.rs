@@ -144,14 +144,6 @@ impl Default for GradientGuard {
 }
 
 impl GradientGuard {
-    /// The default adaptive guard (`factor = 10`, `reject = 100`).
-    pub fn default_adaptive() -> Self {
-        GradientGuard::Adaptive {
-            factor: 10.0,
-            reject: 100.0,
-        }
-    }
-
     /// Applies the guard statelessly (the adaptive variant needs
     /// [`GuardState`]; through this entry point it behaves like a
     /// first-iteration application).

@@ -811,7 +811,6 @@ mod tests {
             .seed(2)
             .job(JobSpec::new("a", "drift"));
         let result = run_plain(&spec);
-        assert_eq!(result.voltages(), Some(&[1.0, 0.7][..]));
         assert_eq!(result.voltage(0, 1), Some(0.7));
         let flops = result.cell(0, 1).flops_per_trial();
         assert_eq!(
@@ -835,7 +834,6 @@ mod tests {
     #[test]
     fn rate_campaigns_emit_empty_voltage_fields() {
         let result = run_plain(&single("t", vec![1.0], 2));
-        assert_eq!(result.voltages(), None);
         assert_eq!(result.voltage(0, 0), None);
         assert_eq!(result.energy_per_trial(0, 0), None);
         assert!(result.to_json().contains("\"voltages\":null"));

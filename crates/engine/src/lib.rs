@@ -23,7 +23,8 @@
 //!   `campaign_server` daemon.
 //! * [`SweepResult`] / [`CellStats`] / [`MetricSummary`] — the result
 //!   document: streaming aggregates (success rate, error quantiles,
-//!   FLOP/fault totals) with CSV and JSON emitters.
+//!   FLOP/fault totals) with CSV and JSON emitters; [`SweepDoc`] is the
+//!   view parsed back from the JSON, which figure tables read.
 //! * [`scheduler`] — the work-stealing pool underneath: a flattened
 //!   `(cell × trial-chunk)` item space on per-worker FIFO deques with
 //!   front-stealing, so heterogeneous cells load-balance and the daemon
@@ -87,5 +88,6 @@ mod sweep;
 pub use scheduler::{JobHandle, Placement, Scheduler, WorkSet};
 pub use stats::{CellStats, MetricSummary, TrialRecord};
 pub use sweep::{
-    derive_trial_seed, extended_fault_rates, paper_fault_rates, problem_seed, SweepResult,
+    csv_field, derive_trial_seed, extended_fault_rates, paper_fault_rates, problem_seed, DocCell,
+    SweepDoc, SweepResult,
 };

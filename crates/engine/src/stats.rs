@@ -12,7 +12,7 @@ use robustify_core::Verdict;
 ///
 /// let s = MetricSummary::from_values(vec![3.0, 1.0, 2.0], 1);
 /// assert_eq!(s.median(), 2.0);
-/// assert_eq!(s.failure_fraction(), 0.25);
+/// assert_eq!(s.failures, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSummary {
@@ -28,11 +28,6 @@ impl MetricSummary {
     pub fn from_values(mut values: Vec<f64>, failures: usize) -> Self {
         values.sort_by(|a, b| a.partial_cmp(b).expect("values are finite"));
         MetricSummary { values, failures }
-    }
-
-    /// Number of trials with a finite metric.
-    pub fn count(&self) -> usize {
-        self.values.len()
     }
 
     /// Geometric-mean-friendly central tendency: the median of the finite
@@ -64,34 +59,9 @@ impl MetricSummary {
         self.values.last().copied().unwrap_or(f64::INFINITY)
     }
 
-    /// The `q`-quantile (`0 ≤ q ≤ 1`, nearest-rank) of the finite values,
-    /// or `∞` when every trial failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.values.is_empty() {
-            return f64::INFINITY;
-        }
-        let idx = ((self.values.len() - 1) as f64 * q).round() as usize;
-        self.values[idx]
-    }
-
     /// How many finite values are at most `threshold`.
     pub fn count_at_most(&self, threshold: f64) -> usize {
         self.values.partition_point(|&v| v <= threshold)
-    }
-
-    /// Fraction of all trials (finite + failed) that failed, in `[0, 1]`.
-    pub fn failure_fraction(&self) -> f64 {
-        let total = self.values.len() + self.failures;
-        if total == 0 {
-            0.0
-        } else {
-            self.failures as f64 / total as f64
-        }
     }
 }
 
@@ -209,8 +179,6 @@ mod tests {
         assert_eq!(s.median(), 2.0);
         assert_eq!(s.mean(), 2.0);
         assert_eq!(s.max(), 3.0);
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.failure_fraction(), 0.25);
         let even = MetricSummary::from_values(vec![1.0, 3.0], 0);
         assert_eq!(even.median(), 2.0);
     }
@@ -220,15 +188,12 @@ mod tests {
         let s = MetricSummary::from_values(vec![], 5);
         assert_eq!(s.median(), f64::INFINITY);
         assert_eq!(s.mean(), f64::INFINITY);
-        assert_eq!(s.failure_fraction(), 1.0);
+        assert_eq!(s.failures, 5);
     }
 
     #[test]
     fn quantiles_and_threshold_counts() {
         let s = MetricSummary::from_values(vec![1.0, 2.0, 3.0, 4.0, 5.0], 0);
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(0.5), 3.0);
-        assert_eq!(s.quantile(1.0), 5.0);
         assert_eq!(s.count_at_most(3.5), 3);
         assert_eq!(s.count_at_most(0.5), 0);
     }
@@ -258,7 +223,7 @@ mod tests {
         assert_eq!(cell.flops_per_trial(), 75);
         assert_eq!(cell.faults(), 3);
         let summary = cell.summary();
-        assert_eq!(summary.count(), 1);
+        assert_eq!(summary.max(), 0.5);
         assert_eq!(summary.failures, 1);
     }
 }

@@ -2,7 +2,7 @@
 //! every campaign emits.
 
 use crate::stats::CellStats;
-use stochastic_fpu::json::escape;
+use stochastic_fpu::json::{self, escape, JsonValue};
 use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
 
 /// Derives the FPU seed for trial `i` from a sweep's base seed.
@@ -123,12 +123,6 @@ impl SweepResult {
     /// The fault-rate grid, as percentages.
     pub fn rates_pct(&self) -> &[f64] {
         &self.rates_pct
-    }
-
-    /// The voltage grid of a voltage-axis sweep (parallel to
-    /// [`rates_pct`](Self::rates_pct)).
-    pub fn voltages(&self) -> Option<&[f64]> {
-        self.voltages.as_deref()
     }
 
     /// The effective supply voltage of a cell: the case's own operating
@@ -310,9 +304,118 @@ impl SweepResult {
     }
 }
 
+/// A view of a [`SweepResult::to_json`] document: the grid and
+/// the per-cell fields figure tables read. A figure renders from this
+/// view whether the document was built in-process or returned by a
+/// `campaign_server` daemon.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepDoc {
+    /// Case labels, in case order.
+    pub labels: Vec<String>,
+    /// The fault-rate grid, as percentages.
+    pub rates_pct: Vec<f64>,
+    /// `cells[case][rate]`; every case has one cell per rate.
+    pub cells: Vec<Vec<DocCell>>,
+}
+
+/// One cell of a [`SweepDoc`], bit-identical to the [`SweepResult`]
+/// values it was serialized from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DocCell {
+    /// Trials aggregated ([`CellStats::trials`]).
+    pub trials: usize,
+    /// Successful trials.
+    pub successes: usize,
+    /// Success percentage in `[0, 100]`.
+    pub success_rate: f64,
+    /// The median finite metric; `∞` when every trial failed.
+    pub median: f64,
+    /// Trials whose metric was non-finite.
+    pub failures: usize,
+    /// Total data-plane FLOPs.
+    pub flops: u64,
+    /// The cell's supply voltage ([`SweepResult::voltage`]).
+    pub voltage: Option<f64>,
+    /// The energy of one trial ([`SweepResult::energy_per_trial`]);
+    /// always `Some` on a voltage axis.
+    pub energy_per_trial: Option<f64>,
+}
+
+impl SweepDoc {
+    /// Parses a [`SweepResult::to_json`] document. A daemon's document is
+    /// outside input, so anything malformed — bad JSON, a missing or
+    /// mistyped field, a case whose cell count differs from the rate
+    /// grid — is an `Err`, never a panic.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let doc = json::parse(text).map_err(|e| format!("result document: {e}"))?;
+        let rates_pct = get(&doc, "rates_pct", |r| {
+            r.as_array()?
+                .iter()
+                .map(JsonValue::as_f64)
+                .collect::<Option<Vec<_>>>()
+        })?;
+        // Every cell of a voltage-axis sweep is energy-accounted.
+        let voltage_axis = get(&doc, "voltages", Some)? != &JsonValue::Null;
+        let cell = |c: &JsonValue| {
+            Ok(DocCell {
+                trials: get(c, "trials", JsonValue::as_usize)?,
+                successes: get(c, "successes", JsonValue::as_usize)?,
+                success_rate: get(c, "success_rate", JsonValue::as_f64)?,
+                median: get(c, "median", nullable)?.unwrap_or(f64::INFINITY),
+                failures: get(c, "failures", JsonValue::as_usize)?,
+                flops: get(c, "flops", JsonValue::as_u64)?,
+                voltage: get(c, "voltage", nullable)?,
+                energy_per_trial: get(c, "energy_per_trial", |e| {
+                    nullable(e).filter(|e| e.is_some() || !voltage_axis)
+                })?,
+            })
+        };
+        let mut labels = Vec::new();
+        let mut cells = Vec::new();
+        for case in get(&doc, "cases", JsonValue::as_array)? {
+            labels.push(get(case, "label", JsonValue::as_str)?.to_string());
+            let row = get(case, "cells", JsonValue::as_array)?
+                .iter()
+                .map(cell)
+                .collect::<Result<Vec<_>, String>>()?;
+            if row.len() != rates_pct.len() {
+                return Err("result document: a case's cells do not match the rate grid".into());
+            }
+            cells.push(row);
+        }
+        Ok(SweepDoc {
+            labels,
+            rates_pct,
+            cells,
+        })
+    }
+}
+
+/// A member of a result-document object converted by `as_t`, or the
+/// error naming it.
+fn get<'a, T>(
+    value: &'a JsonValue,
+    key: &str,
+    as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    value
+        .get(key)
+        .and_then(as_t)
+        .ok_or_else(|| format!("result document: missing or bad \"{key}\""))
+}
+
+/// A number or `null`.
+fn nullable(value: &JsonValue) -> Option<Option<f64>> {
+    match value {
+        JsonValue::Null => Some(None),
+        number => number.as_f64().map(Some),
+    }
+}
+
 /// A CSV text field, quoted per RFC 4180 only when it holds a comma, a
 /// quote or a line break (so plain labels keep their historical bytes).
-fn csv_field(text: &str) -> String {
+/// The one CSV quoting rule of every emitted document and table.
+pub fn csv_field(text: &str) -> String {
     if text.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", text.replace('"', "\"\""))
     } else {

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict, WorkloadRegistry};
 use robustify_engine::campaign::{self, CampaignSpec, JobSpec, ResultCache};
-use robustify_engine::{Placement, Scheduler};
+use robustify_engine::{Placement, Scheduler, SweepDoc, SweepResult};
 use std::path::{Path, PathBuf};
 use stochastic_fpu::json::fnv1a_64;
 use stochastic_fpu::{
@@ -304,5 +304,108 @@ fn fault_model_hashes_collide_iff_specs_are_equal() {
                 );
             }
         }
+    }
+}
+
+/// A workload whose every trial breaks down, so each of its cells has no
+/// finite metric and documents a `null` median.
+struct Broken;
+
+impl DynProblem for Broken {
+    fn name(&self) -> &'static str {
+        "broken"
+    }
+
+    fn run_trial_dyn(&self, _spec: &SolverSpec, _fpu: &mut NoisyFpu) -> Verdict {
+        Verdict::from_metric(f64::NAN, 1.0)
+    }
+}
+
+/// Every field of the parsed view equals the [`SweepResult`] accessor it
+/// was serialized from, bit for bit.
+fn assert_doc_matches(result: &SweepResult) {
+    let doc = SweepDoc::parse(&result.to_json()).expect("a campaign document parses");
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    assert_eq!(doc.labels, result.labels());
+    assert_eq!(doc.rates_pct, result.rates_pct());
+    for case in 0..result.labels().len() {
+        for rate in 0..result.rates_pct().len() {
+            let (view, cell) = (doc.cells[case][rate], result.cell(case, rate));
+            let summary = cell.summary();
+            assert_eq!(view.trials, cell.trials());
+            assert_eq!(view.successes, cell.successes());
+            assert_eq!(view.success_rate.to_bits(), cell.success_rate().to_bits());
+            assert_eq!(view.median.to_bits(), summary.median().to_bits());
+            assert_eq!(view.failures, summary.failures);
+            assert_eq!(view.flops, cell.flops());
+            assert_eq!(bits(view.voltage), bits(result.voltage(case, rate)));
+            assert_eq!(
+                bits(view.energy_per_trial),
+                bits(result.energy_per_trial(case, rate))
+            );
+        }
+    }
+}
+
+#[test]
+fn sweep_doc_reads_back_every_cell_bit_for_bit() {
+    let mut registry = registry();
+    registry.register(
+        "broken",
+        Box::new(|_| Box::new(Broken)),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    let energy = VoltageErrorModel::paper_figure_5_2();
+    let rates = CampaignSpec::new("doc_rates")
+        .rates(vec![0.0, 2.0, 20.0])
+        .trials(5)
+        .seed(3)
+        .job(JobSpec::new("fixed, with a comma", "drift"))
+        .job(JobSpec::new("fresh", "drift").per_trial())
+        .job(JobSpec::new("broken", "broken"));
+    let voltages = CampaignSpec::new("doc_voltages")
+        .voltages(vec![1.0, 0.7, 0.65], energy.clone())
+        .trials(4)
+        .seed(5)
+        .job(JobSpec::new("axis", "drift").per_trial())
+        .job(
+            JobSpec::new("pinned", "drift")
+                .with_fault_model(FaultModelSpec::voltage_linked(energy.clone(), 0.8)),
+        )
+        .job(
+            JobSpec::new("dvfs", "drift").with_fault_model(FaultModelSpec::dvfs(
+                energy,
+                vec![DvfsStep {
+                    flops: 10,
+                    voltage: 0.9,
+                }],
+            )),
+        );
+    for spec in [rates, voltages] {
+        let run = campaign::run(&spec, &registry, None, |_| {}).expect("campaign runs");
+        assert_doc_matches(&run.result);
+    }
+}
+
+#[test]
+fn sweep_doc_rejects_malformed_documents() {
+    let spec = campaign(1, 2);
+    let json = campaign::run(&spec, &registry(), None, |_| {})
+        .expect("campaign runs")
+        .result
+        .to_json();
+    let mut one_cell_short = json.clone();
+    let last_cell = one_cell_short
+        .rfind(",{\"rate_pct\"")
+        .expect("a second cell");
+    one_cell_short.replace_range(last_cell..one_cell_short.len() - 4, "");
+    for bad in [
+        &json[..json.len() / 2],
+        "",
+        "[]",
+        &json.replace("\"trials\":2", "\"trials\":\"2\""),
+        &one_cell_short,
+    ] {
+        assert!(SweepDoc::parse(bad).is_err(), "accepted {bad:?}");
     }
 }

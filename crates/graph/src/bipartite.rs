@@ -114,7 +114,7 @@ impl BipartiteGraph {
 ///
 /// let m = Matching::new(vec![(0, 1), (1, 0)], 5.0);
 /// assert_eq!(m.len(), 2);
-/// assert!(m.covers_left(0));
+/// assert_eq!(m.partner_of_left(0), Some(1));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matching {
@@ -147,11 +147,6 @@ impl Matching {
     /// Whether the matching is empty.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// Whether left vertex `u` is matched.
-    pub fn covers_left(&self, u: usize) -> bool {
-        self.pairs.iter().any(|&(pu, _)| pu == u)
     }
 
     /// The partner of left vertex `u`, if matched.

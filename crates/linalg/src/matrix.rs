@@ -177,18 +177,6 @@ impl Matrix {
         &self.data
     }
 
-    /// The flat row-major data buffer, mutably (for strided kernels that
-    /// drive the [`Fpu::run_exact`](stochastic_fpu::Fpu::run_exact) window
-    /// query directly, e.g. Householder reflections).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose (a data movement, not arithmetic).
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
