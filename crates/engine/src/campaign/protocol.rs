@@ -30,9 +30,9 @@ use super::spec::CampaignSpec;
 use crate::scheduler::Scheduler;
 use robustify_core::WorkloadRegistry;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::thread::ScopedJoinHandle;
 use stochastic_fpu::json::{self, escape, JsonValue};
 
 /// The longest request line the daemon reads, in bytes before its `\n`.
@@ -74,6 +74,14 @@ fn read_request_line(reader: &mut impl BufRead) -> io::Result<Option<RequestLine
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
+/// Writes one event or request line and its `\n` in one `write_all`,
+/// then flushes, so no line waits in a buffered writer.
+fn send(writer: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 fn error_event(message: &str) -> String {
     format!(
         "{{\"event\":\"error\",\"message\":\"{}\"}}",
@@ -104,22 +112,23 @@ fn handle_submit<'env>(
 ) -> io::Result<()> {
     let campaign = match request.get("campaign") {
         Some(v) => v,
-        None => return writeln!(writer, "{}", error_event("submit needs a \"campaign\"")),
+        None => return send(writer, error_event("submit needs a \"campaign\"")),
     };
     let spec = match CampaignSpec::from_json_value(campaign) {
         Ok(spec) => spec,
-        Err(e) => return writeln!(writer, "{}", error_event(&e)),
+        Err(e) => return send(writer, error_event(&e)),
     };
     if let Err(e) = spec.validate() {
-        return writeln!(writer, "{}", error_event(&e));
+        return send(writer, error_event(&e));
     }
-    writeln!(
+    send(
         writer,
-        "{{\"event\":\"accepted\",\"name\":\"{}\",\"cells\":{}}}",
-        escape(spec.name()),
-        spec.jobs().len() * spec.rates_pct().len(),
+        format!(
+            "{{\"event\":\"accepted\",\"name\":\"{}\",\"cells\":{}}}",
+            escape(spec.name()),
+            spec.jobs().len() * spec.rates_pct().len(),
+        ),
     )?;
-    writer.flush()?;
 
     // Stream cell events as the runner finishes them; write failures are
     // remembered and surfaced after the run (the run itself keeps its
@@ -129,29 +138,26 @@ fn handle_submit<'env>(
         if stream_error.is_some() {
             return;
         }
-        if let Err(e) = writeln!(writer, "{}", cell_event(update)).and_then(|()| writer.flush()) {
+        if let Err(e) = send(writer, cell_event(update)) {
             stream_error = Some(e);
         }
     });
     if let Some(e) = stream_error {
         return Err(e);
     }
-    match outcome {
-        Ok(run) => {
-            writeln!(
-                writer,
-                "{{\"event\":\"done\",\"name\":\"{}\",\"cells\":{},\"cached\":{},\
-                 \"csv\":\"{}\",\"json\":\"{}\"}}",
-                escape(run.result.name()),
-                run.cells_total,
-                run.cells_cached,
-                escape(&run.result.to_csv()),
-                escape(&run.result.to_json()),
-            )?;
-        }
-        Err(e) => writeln!(writer, "{}", error_event(&e))?,
-    }
-    writer.flush()
+    let event = match outcome {
+        Ok(run) => format!(
+            "{{\"event\":\"done\",\"name\":\"{}\",\"cells\":{},\"cached\":{},\
+             \"csv\":\"{}\",\"json\":\"{}\"}}",
+            escape(run.result.name()),
+            run.cells_total,
+            run.cells_cached,
+            escape(&run.result.to_csv()),
+            escape(&run.result.to_json()),
+        ),
+        Err(e) => error_event(&e),
+    };
+    send(writer, event)
 }
 
 /// Serves one line-delimited JSON connection (stdio or a TCP stream)
@@ -169,8 +175,7 @@ pub fn serve_connection<'env>(
             RequestLine::Complete(line) => line,
             RequestLine::TooLong => {
                 let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-                writeln!(writer, "{}", error_event(&message))?;
-                writer.flush()?;
+                send(writer, error_event(&message))?;
                 continue;
             }
         };
@@ -180,16 +185,12 @@ pub fn serve_connection<'env>(
         let request = match json::parse(&line) {
             Ok(v) => v,
             Err(e) => {
-                writeln!(writer, "{}", error_event(&e.to_string()))?;
-                writer.flush()?;
+                send(writer, error_event(&e.to_string()))?;
                 continue;
             }
         };
         match request.get("op").and_then(JsonValue::as_str) {
-            Some("ping") => {
-                writeln!(writer, "{{\"event\":\"pong\"}}")?;
-                writer.flush()?;
-            }
+            Some("ping") => send(writer, "{\"event\":\"pong\"}".to_string())?,
             Some("workloads") => {
                 let names = registry
                     .names()
@@ -197,23 +198,20 @@ pub fn serve_connection<'env>(
                     .map(|n| format!("\"{}\"", escape(n)))
                     .collect::<Vec<_>>()
                     .join(",");
-                writeln!(writer, "{{\"event\":\"workloads\",\"names\":[{names}]}}")?;
-                writer.flush()?;
+                send(
+                    writer,
+                    format!("{{\"event\":\"workloads\",\"names\":[{names}]}}"),
+                )?;
             }
             Some("submit") => handle_submit(&request, writer, registry, cache, pool)?,
             Some("shutdown") => {
-                writeln!(writer, "{{\"event\":\"bye\"}}")?;
-                writer.flush()?;
+                send(writer, "{\"event\":\"bye\"}".to_string())?;
                 return Ok(true);
             }
-            _ => {
-                writeln!(
-                    writer,
-                    "{}",
-                    error_event("\"op\" must be ping, workloads, submit, or shutdown")
-                )?;
-                writer.flush()?;
-            }
+            _ => send(
+                writer,
+                error_event("\"op\" must be ping, workloads, submit, or shutdown"),
+            )?,
         }
     }
     Ok(false)
@@ -226,47 +224,63 @@ pub fn serve_connection<'env>(
 /// available parallelism) — concurrent submissions multiplex onto the
 /// same workers and drain in submission order instead of each connection
 /// spawning its own pool.
+///
+/// The loop blocks in `accept`; the handler that reads `shutdown` wakes it
+/// with one connection to the listener's own address. Handlers are joined
+/// as they finish, so only live connections hold a thread.
 pub fn serve_tcp(
     listener: TcpListener,
     registry: &WorkloadRegistry,
     cache: Option<&ResultCache>,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    // An unspecified IP is not connectable everywhere; use the loopback.
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let shutdown = AtomicBool::new(false);
     // The pool outlives the handler scope: a handler mid-submit finishes
     // enqueueing (and awaiting) its job before the workers are told to
     // drain and exit.
     Scheduler::new(0).scoped(|pool| {
         std::thread::scope(|scope| {
-            let mut handlers = Vec::new();
+            let mut handlers: Vec<ScopedJoinHandle<()>> = Vec::new();
             let outcome = loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _addr)) => stream,
+                    Err(e) => break Err(e),
+                };
                 if shutdown.load(Ordering::SeqCst) {
                     break Ok(());
                 }
-                match listener.accept() {
-                    Ok((stream, _addr)) => {
-                        let shutdown = &shutdown;
-                        handlers.push(scope.spawn(move || {
-                            let _ = stream.set_nonblocking(false);
-                            let mut reader = BufReader::new(match stream.try_clone() {
-                                Ok(s) => s,
-                                Err(_) => return,
-                            });
-                            let mut writer = stream;
-                            if let Ok(true) =
-                                serve_connection(&mut reader, &mut writer, registry, cache, pool)
-                            {
-                                shutdown.store(true, Ordering::SeqCst);
-                            }
-                        }));
+                // A panicking handler loses its own connection, not the daemon.
+                for handler in handlers.extract_if(.., |h| h.is_finished()) {
+                    let _ = handler.join();
+                }
+                let shutdown = &shutdown;
+                let spawned = stream.try_clone().and_then(|conn| {
+                    std::thread::Builder::new().spawn_scoped(scope, move || {
+                        let mut reader = BufReader::new(&conn);
+                        if let Ok(true) =
+                            serve_connection(&mut reader, &mut &conn, registry, cache, pool)
+                        {
+                            shutdown.store(true, Ordering::SeqCst);
+                            let _ = TcpStream::connect(wake);
+                        }
+                    })
+                });
+                match spawned {
+                    Ok(handler) => handlers.push(handler),
+                    // A connection the daemon cannot give a thread is
+                    // refused; the daemon serves on.
+                    Err(e) => {
+                        let _ = send(&mut &stream, error_event(&format!("cannot serve: {e}")));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => break Err(e),
                 }
             };
-            // A panicking handler loses its own connection, not the daemon.
             for handler in handlers {
                 let _ = handler.join();
             }
@@ -299,13 +313,8 @@ pub fn submit_over(
     campaign: &CampaignSpec,
     mut on_event: impl FnMut(&str),
 ) -> Result<ClientOutcome, String> {
-    writeln!(
-        writer,
-        "{{\"op\":\"submit\",\"campaign\":{}}}",
-        campaign.to_json()
-    )
-    .and_then(|()| writer.flush())
-    .map_err(|e| format!("send failed: {e}"))?;
+    let request = format!("{{\"op\":\"submit\",\"campaign\":{}}}", campaign.to_json());
+    send(writer, request).map_err(|e| format!("send failed: {e}"))?;
     for line in reader.lines() {
         let line = line.map_err(|e| format!("read failed: {e}"))?;
         if line.trim().is_empty() {
@@ -360,27 +369,17 @@ pub fn submit_tcp(
     on_event: impl FnMut(&str),
 ) -> Result<ClientOutcome, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("clone stream: {e}"))?,
-    );
-    let mut writer = stream;
-    submit_over(&mut reader, &mut writer, campaign, on_event)
+    let mut reader = BufReader::new(&stream);
+    submit_over(&mut reader, &mut &stream, campaign, on_event)
 }
 
 /// Asks the TCP daemon at `addr` to shut down.
 pub fn shutdown_tcp(addr: &str) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    writeln!(writer, "{{\"op\":\"shutdown\"}}")
-        .and_then(|()| writer.flush())
+    send(&mut &stream, "{\"op\":\"shutdown\"}".to_string())
         .map_err(|e| format!("send failed: {e}"))?;
-    let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader
+    BufReader::new(&stream)
         .read_line(&mut line)
         .map_err(|e| format!("read failed: {e}"))?;
     if line.contains("\"bye\"") {
@@ -396,6 +395,8 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict};
     use std::io::Cursor;
+    use std::sync::mpsc;
+    use std::time::Duration;
     use stochastic_fpu::{BitFaultModel, FaultModelSpec, Fpu, NoisyFpu, VoltageErrorModel};
 
     struct Wobble;
@@ -736,6 +737,27 @@ mod tests {
             shutdown_tcp(&addr).expect("shutdown");
             server.join().expect("server thread").expect("serve_tcp");
         });
+    }
+
+    /// `shutdown` alone must end an idle daemon, also one bound to an
+    /// unspecified address; the timeout turns a missed wake-up into a
+    /// failure instead of a hang.
+    #[test]
+    fn shutdown_wakes_an_idle_accept() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = TcpListener::bind(bind).expect("bind");
+            let port = listener.local_addr().expect("addr").port();
+            let (done, served) = mpsc::channel();
+            let server = std::thread::spawn(move || {
+                let _ = done.send(serve_tcp(listener, &registry(), None));
+            });
+            shutdown_tcp(&format!("127.0.0.1:{port}")).expect("shutdown");
+            served
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("serve_tcp on {bind} outlived shutdown: {e}"))
+                .expect("serve_tcp");
+            server.join().expect("server thread");
+        }
     }
 
     #[test]
