@@ -14,6 +14,8 @@ use crate::cost::CostFunction;
 use crate::error::CoreError;
 use crate::schedule::StepSchedule;
 use crate::sgd::{AggressiveStepping, Annealing, GradientGuard, Sgd, SolveReport};
+use stochastic_fpu::json::{JsonCodec, JsonValue};
+use stochastic_fpu::json_object;
 use stochastic_fpu::Fpu;
 
 /// The outcome of checking a decoded solution against the ground truth.
@@ -84,13 +86,13 @@ impl SolveMethod {
 /// A spec is plain data: the experiment binaries build grids of
 /// `(problem × fault rate × SolverSpec)` and hand them to the sweep engine
 /// instead of hand-rolling per-figure solver plumbing.
-/// [`to_json`](SolverSpec::to_json) serializes the spec for result
-/// provenance.
+/// [`JsonCodec::to_json`] serializes the spec for result provenance.
 ///
 /// # Examples
 ///
 /// ```
 /// use robustify_core::{SolverSpec, StepSchedule};
+/// use stochastic_fpu::json::JsonCodec;
 ///
 /// let spec = SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.1 })
 ///     .with_momentum(0.5);
@@ -202,8 +204,9 @@ impl SolverSpec {
 
     /// Checks the values the solver builders would panic on inside a
     /// trial: momentum outside `(0, 1]`, an annealing period of `0` or a
-    /// factor that is not a finite number above `1`, and a CG restart
-    /// interval of `0`.
+    /// factor that is not a finite number above `1`, a CG restart
+    /// interval of `0`, and a gradient guard bound (`clip`, `clamp`,
+    /// `adaptive` factor or reject) that is not positive.
     ///
     /// # Errors
     ///
@@ -226,6 +229,18 @@ impl SolverSpec {
         }
         if self.restart == 0 {
             return Err("CG restart interval must be positive".to_string());
+        }
+        let guard_bounds = match self.guard {
+            Some(GradientGuard::Clip { max_norm: bound })
+            | Some(GradientGuard::ClampComponents { max_abs: bound }) => [bound, bound],
+            Some(GradientGuard::Adaptive { factor, reject }) => [factor, reject],
+            _ => [1.0, 1.0],
+        };
+        if !guard_bounds.iter().all(|&bound| bound > 0.0) {
+            return Err(format!(
+                "guard bounds must be positive, got {:?}",
+                self.guard
+            ));
         }
         Ok(())
     }
@@ -252,135 +267,78 @@ impl SolverSpec {
         }
         sgd
     }
+}
 
-    /// Serializes the spec to a single-line JSON object — the wire format
-    /// carried by campaign jobs and result documents, and the exact
-    /// inverse of [`from_json`](Self::from_json).
-    pub fn to_json(&self) -> String {
-        let schedule = match self.schedule {
-            StepSchedule::Fixed(g) => format!("{{\"kind\":\"fixed\",\"gamma0\":{g}}}"),
-            StepSchedule::Linear { gamma0 } => {
-                format!("{{\"kind\":\"linear\",\"gamma0\":{gamma0}}}")
-            }
-            StepSchedule::Sqrt { gamma0 } => format!("{{\"kind\":\"sqrt\",\"gamma0\":{gamma0}}}"),
+/// The wire format carried by campaign jobs and result documents. Every
+/// field is present: unset options are `null`, the solver-default guard
+/// is `"default"`.
+impl JsonCodec for SolverSpec {
+    fn to_value(&self) -> JsonValue {
+        let (kind, gamma0) = match self.schedule {
+            StepSchedule::Fixed(gamma0) => ("fixed", gamma0),
+            StepSchedule::Linear { gamma0 } => ("linear", gamma0),
+            StepSchedule::Sqrt { gamma0 } => ("sqrt", gamma0),
         };
-        let momentum = match self.momentum {
-            Some(b) => format!("{b}"),
-            None => "null".to_string(),
-        };
-        let aggressive = match self.aggressive {
-            Some(a) => format!(
-                "{{\"success_factor\":{},\"fail_factor\":{},\"rel_tolerance\":{},\
-                 \"max_steps\":{}}}",
-                a.success_factor, a.fail_factor, a.rel_tolerance, a.max_steps,
-            ),
-            None => "null".to_string(),
-        };
-        let annealing = match self.annealing {
-            Some(a) => format!("{{\"period\":{},\"factor\":{}}}", a.period, a.factor),
-            None => "null".to_string(),
-        };
+        let aggressive = self.aggressive.map(|a| {
+            json_object!(
+                "success_factor" => a.success_factor, "fail_factor" => a.fail_factor,
+                "rel_tolerance" => a.rel_tolerance, "max_steps" => a.max_steps,
+            )
+        });
+        let annealing = self
+            .annealing
+            .map(|a| json_object!("period" => a.period, "factor" => a.factor));
         let guard = match self.guard {
-            None => "\"default\"".to_string(),
-            Some(GradientGuard::Off) => "\"off\"".to_string(),
-            Some(GradientGuard::ZeroNonFinite) => "\"zero_nonfinite\"".to_string(),
-            Some(GradientGuard::Clip { max_norm }) => format!("{{\"clip\":{max_norm}}}"),
-            Some(GradientGuard::ClampComponents { max_abs }) => {
-                format!("{{\"clamp\":{max_abs}}}")
-            }
+            None => "default".into(),
+            Some(GradientGuard::Off) => "off".into(),
+            Some(GradientGuard::ZeroNonFinite) => "zero_nonfinite".into(),
+            Some(GradientGuard::Clip { max_norm }) => json_object!("clip" => max_norm),
+            Some(GradientGuard::ClampComponents { max_abs }) => json_object!("clamp" => max_abs),
             Some(GradientGuard::Adaptive { factor, reject }) => {
-                format!("{{\"adaptive\":{factor},\"reject\":{reject}}}")
+                json_object!("adaptive" => factor, "reject" => reject)
             }
         };
-        let variant = match &self.variant {
-            Some(v) => format!("\"{}\"", stochastic_fpu::json::escape(v)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"method\":\"{}\",\"iterations\":{},\"schedule\":{},\"momentum\":{},\
-             \"aggressive\":{},\"annealing\":{},\"guard\":{},\"restart\":{},\"variant\":{}}}",
-            self.method.name(),
-            self.iterations,
-            schedule,
-            momentum,
-            aggressive,
-            annealing,
-            guard,
-            self.restart,
-            variant,
+        json_object!(
+            "method" => self.method.name(), "iterations" => self.iterations,
+            "schedule" => json_object!("kind" => kind, "gamma0" => gamma0),
+            "momentum" => self.momentum, "aggressive" => aggressive, "annealing" => annealing,
+            "guard" => guard, "restart" => self.restart, "variant" => self.variant.as_deref(),
         )
     }
 
-    /// Parses a spec from its [`to_json`](Self::to_json) serialization.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let value = stochastic_fpu::json::parse(json).map_err(|e| e.to_string())?;
-        Self::from_json_value(&value)
-    }
-
-    /// Reconstructs a spec from a parsed JSON tree (the
-    /// [`to_json`](Self::to_json) shape).
-    pub fn from_json_value(value: &stochastic_fpu::json::JsonValue) -> Result<Self, String> {
-        use stochastic_fpu::json::JsonValue;
-        let method = match value.get("method").and_then(JsonValue::as_str) {
-            Some("baseline") => SolveMethod::Baseline,
-            Some("sgd") => SolveMethod::Sgd,
-            Some("preconditioned_sgd") => SolveMethod::PreconditionedSgd,
-            Some("cg") => SolveMethod::Cg,
-            other => return Err(format!("unknown solve method {other:?}")),
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("solver spec");
+        let method = match f.get("method")? {
+            "baseline" => SolveMethod::Baseline,
+            "sgd" => SolveMethod::Sgd,
+            "preconditioned_sgd" => SolveMethod::PreconditionedSgd,
+            "cg" => SolveMethod::Cg,
+            other => return Err(format!("unknown solve method \"{other}\"")),
         };
-        let iterations = value
-            .get("iterations")
-            .and_then(JsonValue::as_usize)
-            .ok_or("solver spec needs an \"iterations\" count")?;
-        let schedule_value = value
-            .get("schedule")
-            .ok_or("solver spec needs a \"schedule\"")?;
-        let gamma0 = schedule_value
-            .get("gamma0")
-            .and_then(JsonValue::as_f64)
-            .ok_or("schedule needs a numeric \"gamma0\"")?;
-        let schedule = match schedule_value.get("kind").and_then(JsonValue::as_str) {
-            Some("fixed") => StepSchedule::Fixed(gamma0),
-            Some("linear") => StepSchedule::Linear { gamma0 },
-            Some("sqrt") => StepSchedule::Sqrt { gamma0 },
-            other => return Err(format!("unknown schedule kind {other:?}")),
+        let schedule = f.get::<&JsonValue>("schedule")?.fields("schedule");
+        let gamma0 = schedule.get("gamma0")?;
+        let schedule = match schedule.get("kind")? {
+            "fixed" => StepSchedule::Fixed(gamma0),
+            "linear" => StepSchedule::Linear { gamma0 },
+            "sqrt" => StepSchedule::Sqrt { gamma0 },
+            other => return Err(format!("unknown schedule kind \"{other}\"")),
         };
-        let momentum = match value.get("momentum") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or("\"momentum\" must be a number or null")?),
-        };
-        let aggressive = match value.get("aggressive") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => {
-                let field = |name: &str| {
-                    v.get(name)
-                        .and_then(JsonValue::as_f64)
-                        .ok_or(format!("aggressive stepping needs a numeric \"{name}\""))
-                };
-                Some(AggressiveStepping {
-                    success_factor: field("success_factor")?,
-                    fail_factor: field("fail_factor")?,
-                    rel_tolerance: field("rel_tolerance")?,
-                    max_steps: v
-                        .get("max_steps")
-                        .and_then(JsonValue::as_usize)
-                        .ok_or("aggressive stepping needs a \"max_steps\" count")?,
-                })
-            }
-        };
-        let annealing = match value.get("annealing") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(Annealing {
-                period: v
-                    .get("period")
-                    .and_then(JsonValue::as_usize)
-                    .ok_or("annealing needs a \"period\" count")?,
-                factor: v
-                    .get("factor")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("annealing needs a numeric \"factor\"")?,
-            }),
-        };
+        let aggressive = f.opt::<&JsonValue>("aggressive")?.map(|a| {
+            let a = a.fields("aggressive stepping");
+            Ok::<_, String>(AggressiveStepping {
+                success_factor: a.get("success_factor")?,
+                fail_factor: a.get("fail_factor")?,
+                rel_tolerance: a.get("rel_tolerance")?,
+                max_steps: a.get("max_steps")?,
+            })
+        });
+        let annealing = f.opt::<&JsonValue>("annealing")?.map(|a| {
+            let a = a.fields("annealing");
+            Ok::<_, String>(Annealing {
+                period: a.get("period")?,
+                factor: a.get("factor")?,
+            })
+        });
         let guard = match value.get("guard") {
             None => None,
             Some(JsonValue::String(s)) => match s.as_str() {
@@ -389,44 +347,30 @@ impl SolverSpec {
                 "zero_nonfinite" => Some(GradientGuard::ZeroNonFinite),
                 other => return Err(format!("unknown guard name \"{other}\"")),
             },
-            Some(v) => {
-                if let Some(max_norm) = v.get("clip").and_then(JsonValue::as_f64) {
-                    Some(GradientGuard::Clip { max_norm })
-                } else if let Some(max_abs) = v.get("clamp").and_then(JsonValue::as_f64) {
-                    Some(GradientGuard::ClampComponents { max_abs })
-                } else if let Some(factor) = v.get("adaptive").and_then(JsonValue::as_f64) {
-                    let reject = v
-                        .get("reject")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("adaptive guard needs a numeric \"reject\"")?;
-                    Some(GradientGuard::Adaptive { factor, reject })
+            Some(g) => {
+                let g = g.fields("guard");
+                Some(if let Ok(max_norm) = g.get("clip") {
+                    GradientGuard::Clip { max_norm }
+                } else if let Ok(max_abs) = g.get("clamp") {
+                    GradientGuard::ClampComponents { max_abs }
                 } else {
-                    return Err("unrecognized \"guard\" object".to_string());
-                }
+                    GradientGuard::Adaptive {
+                        factor: g.get("adaptive")?,
+                        reject: g.get("reject")?,
+                    }
+                })
             }
-        };
-        let restart = value
-            .get("restart")
-            .and_then(JsonValue::as_usize)
-            .ok_or("solver spec needs a \"restart\" interval")?;
-        let variant = match value.get("variant") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("\"variant\" must be a string or null")?
-                    .to_string(),
-            ),
         };
         Ok(SolverSpec {
             method,
-            iterations,
+            iterations: f.get("iterations")?,
             schedule,
-            momentum,
-            aggressive,
-            annealing,
+            momentum: f.opt("momentum")?,
+            aggressive: aggressive.transpose()?,
+            annealing: annealing.transpose()?,
             guard,
-            restart,
-            variant,
+            restart: f.get("restart")?,
+            variant: f.opt("variant")?,
         })
     }
 }
@@ -737,6 +681,45 @@ mod tests {
             let annealing = Annealing { period: 5, factor };
             let spec = SolverSpec::sgd(10, StepSchedule::Fixed(0.1)).with_annealing(annealing);
             assert_rejected(spec, "annealing factor");
+        }
+    }
+
+    /// A guard bound that is not positive would panic in `f64::clamp`
+    /// (or flip the gradient) in every SGD trial.
+    #[test]
+    fn validate_rejects_non_positive_guard_bounds() {
+        let sgd = || SolverSpec::sgd(50, StepSchedule::Fixed(0.1));
+        for bad in [-1.0, 0.0, f64::NAN] {
+            for (guard, field) in [
+                (GradientGuard::Clip { max_norm: bad }, "max_norm"),
+                (GradientGuard::ClampComponents { max_abs: bad }, "max_abs"),
+                (
+                    GradientGuard::Adaptive {
+                        factor: bad,
+                        reject: 100.0,
+                    },
+                    "factor",
+                ),
+                (
+                    GradientGuard::Adaptive {
+                        factor: 10.0,
+                        reject: bad,
+                    },
+                    "reject",
+                ),
+            ] {
+                assert_rejected(sgd().with_guard(guard), field);
+            }
+        }
+        for good in [
+            GradientGuard::Clip { max_norm: 1e-3 },
+            GradientGuard::ClampComponents { max_abs: 2.5 },
+            GradientGuard::Adaptive {
+                factor: 10.0,
+                reject: 100.0,
+            },
+        ] {
+            assert_eq!(sgd().with_guard(good).validate(), Ok(()));
         }
     }
 

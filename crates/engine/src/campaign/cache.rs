@@ -6,7 +6,8 @@ use robustify_core::Verdict;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use stochastic_fpu::json::{self, fnv1a_64, JsonValue};
+use stochastic_fpu::json::{self, fnv1a_64, JsonCodec, JsonValue};
+use stochastic_fpu::json_object;
 
 /// A directory of per-cell checkpoint files.
 ///
@@ -54,68 +55,27 @@ impl ResultCache {
         self.dir.join(Self::file_name(key_json))
     }
 
-    /// Whether an entry for `key_json` exists and verifies.
-    pub fn contains(&self, key_json: &str) -> bool {
-        self.load(key_json).is_some()
-    }
-
     /// Loads the records stored under `key_json`, or `None` on a miss, a
     /// key mismatch (hash collision), or a torn/unparseable entry.
     pub fn load(&self, key_json: &str) -> Option<Vec<TrialRecord>> {
         let content = fs::read_to_string(self.path_for(key_json)).ok()?;
         // The stored key must match byte-for-byte; the entry layout is
         // fixed, so a prefix check is an exact key comparison.
-        let prefix = format!("{{\"key\":{key_json},\"records\":[");
-        if !content.starts_with(&prefix) {
+        if !content.starts_with(&format!("{{\"key\":{key_json},\"records\":[")) {
             return None;
         }
         let doc = json::parse(&content).ok()?;
-        let records = doc.get("records")?.as_array()?;
-        let mut out = Vec::with_capacity(records.len());
-        for record in records {
-            let success = record.get("success")?.as_bool()?;
-            let metric = match record.get("metric")? {
-                JsonValue::String(s) => match s.as_str() {
-                    "inf" => f64::INFINITY,
-                    "-inf" => f64::NEG_INFINITY,
-                    "nan" => f64::NAN,
-                    _ => return None,
-                },
-                v => v.as_f64()?,
-            };
-            out.push(TrialRecord {
-                verdict: Verdict { success, metric },
-                flops: record.get("flops")?.as_u64()?,
-                faults: record.get("faults")?.as_u64()?,
-            });
-        }
-        Some(out)
+        doc.get("records")?
+            .as_array()?
+            .iter()
+            .map(|r| TrialRecord::from_value(r).ok())
+            .collect()
     }
 
     /// Checkpoints `records` under `key_json` (temp file + atomic rename).
     pub fn store(&self, key_json: &str, records: &[TrialRecord]) -> io::Result<()> {
-        let mut doc = format!("{{\"key\":{key_json},\"records\":[");
-        for (i, record) in records.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
-            }
-            let metric = record.verdict.metric;
-            let metric = if metric.is_finite() {
-                format!("{metric}")
-            } else if metric.is_nan() {
-                "\"nan\"".to_string()
-            } else if metric > 0.0 {
-                "\"inf\"".to_string()
-            } else {
-                "\"-inf\"".to_string()
-            };
-            doc.push_str(&format!(
-                "{{\"success\":{},\"metric\":{},\"flops\":{},\"faults\":{}}}",
-                record.verdict.success, metric, record.flops, record.faults,
-            ));
-        }
-        doc.push_str("]}");
-
+        let records: JsonValue = records.iter().map(TrialRecord::to_value).collect();
+        let doc = format!("{{\"key\":{key_json},\"records\":{records}}}");
         let final_path = self.path_for(key_json);
         let tmp_path = self.dir.join(format!("{}.tmp", Self::file_name(key_json)));
         {
@@ -141,6 +101,39 @@ impl ResultCache {
     /// Whether the cache holds no committed entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// One cache-entry record. JSON has no non-finite numbers, so a
+/// non-finite metric is stored as the string `"inf"`, `"-inf"` or `"nan"`.
+impl JsonCodec for TrialRecord {
+    fn to_value(&self) -> JsonValue {
+        let metric: JsonValue = match self.verdict.metric {
+            m if m.is_finite() => m.into(),
+            m => m.to_string().to_lowercase().into(),
+        };
+        json_object!(
+            "success" => self.verdict.success, "metric" => metric,
+            "flops" => self.flops, "faults" => self.faults,
+        )
+    }
+
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("trial record");
+        let metric = match f.get::<&JsonValue>("metric")? {
+            JsonValue::String(s) if ["inf", "-inf", "nan"].contains(&s.as_str()) => {
+                s.parse().expect("Rust parses its own non-finite names")
+            }
+            _ => f.get("metric")?,
+        };
+        Ok(TrialRecord {
+            verdict: Verdict {
+                success: f.get("success")?,
+                metric,
+            },
+            flops: f.get("flops")?,
+            faults: f.get("faults")?,
+        })
     }
 }
 
@@ -194,7 +187,6 @@ mod tests {
         let records = sample_records();
         cache.store(key, &records).expect("store");
         assert_eq!(cache.len(), 1);
-        assert!(cache.contains(key));
         let loaded = cache.load(key).expect("hit");
         assert_eq!(loaded, records, "records replay bit-exactly");
         let _ = fs::remove_dir_all(&dir);

@@ -30,10 +30,11 @@ use super::spec::CampaignSpec;
 use crate::scheduler::Scheduler;
 use robustify_core::WorkloadRegistry;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ScopedJoinHandle;
-use stochastic_fpu::json::{self, escape, JsonValue};
+use stochastic_fpu::json::{self, JsonValue};
+use stochastic_fpu::json_object;
 
 /// The longest request line the daemon reads, in bytes before its `\n`.
 /// A longer line is answered with one `error` event and skipped without
@@ -83,24 +84,16 @@ fn send(writer: &mut impl Write, mut line: String) -> io::Result<()> {
 }
 
 fn error_event(message: &str) -> String {
-    format!(
-        "{{\"event\":\"error\",\"message\":\"{}\"}}",
-        escape(message)
-    )
+    json_object!("event" => "error", "message" => message).to_string()
 }
 
 fn cell_event(update: &CellUpdate) -> String {
-    format!(
-        "{{\"event\":\"cell\",\"job\":{},\"rate\":{},\"label\":\"{}\",\"rate_pct\":{},\
-         \"cached\":{},\"trials\":{},\"successes\":{}}}",
-        update.job_index,
-        update.rate_index,
-        escape(&update.label),
-        update.rate_pct,
-        update.cached,
-        update.trials,
-        update.successes,
+    json_object!(
+        "event" => "cell", "job" => update.job_index, "rate" => update.rate_index,
+        "label" => update.label.as_str(), "rate_pct" => update.rate_pct, "cached" => update.cached,
+        "trials" => update.trials, "successes" => update.successes,
     )
+    .to_string()
 }
 
 fn handle_submit<'env>(
@@ -110,25 +103,14 @@ fn handle_submit<'env>(
     cache: Option<&'env ResultCache>,
     pool: &Scheduler<'env>,
 ) -> io::Result<()> {
-    let campaign = match request.get("campaign") {
-        Some(v) => v,
-        None => return send(writer, error_event("submit needs a \"campaign\"")),
-    };
-    let spec = match CampaignSpec::from_json_value(campaign) {
+    let spec = request.fields("submit").decode::<CampaignSpec>("campaign");
+    let spec = match spec.and_then(|spec| spec.validate().map(|()| spec)) {
         Ok(spec) => spec,
         Err(e) => return send(writer, error_event(&e)),
     };
-    if let Err(e) = spec.validate() {
-        return send(writer, error_event(&e));
-    }
-    send(
-        writer,
-        format!(
-            "{{\"event\":\"accepted\",\"name\":\"{}\",\"cells\":{}}}",
-            escape(spec.name()),
-            spec.jobs().len() * spec.rates_pct().len(),
-        ),
-    )?;
+    let cells = spec.jobs().len() * spec.rates_pct().len();
+    let accepted = json_object!("event" => "accepted", "name" => spec.name(), "cells" => cells);
+    send(writer, accepted.to_string())?;
 
     // Stream cell events as the runner finishes them; write failures are
     // remembered and surfaced after the run (the run itself keeps its
@@ -145,19 +127,15 @@ fn handle_submit<'env>(
     if let Some(e) = stream_error {
         return Err(e);
     }
-    let event = match outcome {
-        Ok(run) => format!(
-            "{{\"event\":\"done\",\"name\":\"{}\",\"cells\":{},\"cached\":{},\
-             \"csv\":\"{}\",\"json\":\"{}\"}}",
-            escape(run.result.name()),
-            run.cells_total,
-            run.cells_cached,
-            escape(&run.result.to_csv()),
-            escape(&run.result.to_json()),
-        ),
+    let line = match outcome {
+        Ok(run) => json_object!(
+            "event" => "done", "name" => run.result.name(), "cells" => run.cells_total,
+            "cached" => run.cells_cached, "csv" => run.result.to_csv(), "json" => run.result.to_json(),
+        )
+        .to_string(),
         Err(e) => error_event(&e),
     };
-    send(writer, event)
+    send(writer, line)
 }
 
 /// Serves one line-delimited JSON connection (stdio or a TCP stream)
@@ -192,16 +170,9 @@ pub fn serve_connection<'env>(
         match request.get("op").and_then(JsonValue::as_str) {
             Some("ping") => send(writer, "{\"event\":\"pong\"}".to_string())?,
             Some("workloads") => {
-                let names = registry
-                    .names()
-                    .iter()
-                    .map(|n| format!("\"{}\"", escape(n)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                send(
-                    writer,
-                    format!("{{\"event\":\"workloads\",\"names\":[{names}]}}"),
-                )?;
+                let names = registry.names().into_iter().collect::<JsonValue>();
+                let workloads = json_object!("event" => "workloads", "names" => names);
+                send(writer, workloads.to_string())?;
             }
             Some("submit") => handle_submit(&request, writer, registry, cache, pool)?,
             Some("shutdown") => {
@@ -227,7 +198,10 @@ pub fn serve_connection<'env>(
 ///
 /// The loop blocks in `accept`; the handler that reads `shutdown` wakes it
 /// with one connection to the listener's own address. Handlers are joined
-/// as they finish, so only live connections hold a thread.
+/// as they finish, so only live connections hold a thread. On shutdown
+/// every live connection's read side is shut, so a handler parked waiting
+/// for a request reads EOF and ends, while one mid-submit finishes its job
+/// and sends its events first.
 pub fn serve_tcp(
     listener: TcpListener,
     registry: &WorkloadRegistry,
@@ -247,7 +221,9 @@ pub fn serve_tcp(
     // drain and exit.
     Scheduler::new(0).scoped(|pool| {
         std::thread::scope(|scope| {
-            let mut handlers: Vec<ScopedJoinHandle<()>> = Vec::new();
+            // Each live connection beside its handler, so shutdown can end
+            // the handler's wait for a request.
+            let mut handlers: Vec<(TcpStream, ScopedJoinHandle<()>)> = Vec::new();
             let outcome = loop {
                 let stream = match listener.accept() {
                     Ok((stream, _addr)) => stream,
@@ -257,7 +233,7 @@ pub fn serve_tcp(
                     break Ok(());
                 }
                 // A panicking handler loses its own connection, not the daemon.
-                for handler in handlers.extract_if(.., |h| h.is_finished()) {
+                for (_, handler) in handlers.extract_if(.., |(_, h)| h.is_finished()) {
                     let _ = handler.join();
                 }
                 let shutdown = &shutdown;
@@ -273,7 +249,7 @@ pub fn serve_tcp(
                     })
                 });
                 match spawned {
-                    Ok(handler) => handlers.push(handler),
+                    Ok(handler) => handlers.push((stream, handler)),
                     // A connection the daemon cannot give a thread is
                     // refused; the daemon serves on.
                     Err(e) => {
@@ -281,7 +257,10 @@ pub fn serve_tcp(
                     }
                 }
             };
-            for handler in handlers {
+            for (stream, _) in &handlers {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            for (_, handler) in handlers {
                 let _ = handler.join();
             }
             outcome
@@ -313,7 +292,7 @@ pub fn submit_over(
     campaign: &CampaignSpec,
     mut on_event: impl FnMut(&str),
 ) -> Result<ClientOutcome, String> {
-    let request = format!("{{\"op\":\"submit\",\"campaign\":{}}}", campaign.to_json());
+    let request = json_object!("op" => "submit", "campaign" => campaign).to_string();
     send(writer, request).map_err(|e| format!("send failed: {e}"))?;
     for line in reader.lines() {
         let line = line.map_err(|e| format!("read failed: {e}"))?;
@@ -323,37 +302,15 @@ pub fn submit_over(
         on_event(&line);
         let event = json::parse(&line).map_err(|e| format!("bad event line: {e}"))?;
         match event.get("event").and_then(JsonValue::as_str) {
-            Some("error") => {
-                let message = event
-                    .get("message")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unspecified daemon error");
-                return Err(message.to_string());
-            }
+            Some("error") => return Err(event.fields("error event").get("message")?),
             Some("done") => {
-                let field = |key: &str| {
-                    event
-                        .get(key)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or(format!("done event lacks \"{key}\""))
-                };
+                let done = event.fields("done event");
                 return Ok(ClientOutcome {
-                    name: event
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    cells: event
-                        .get("cells")
-                        .and_then(JsonValue::as_usize)
-                        .unwrap_or(0),
-                    cached: event
-                        .get("cached")
-                        .and_then(JsonValue::as_usize)
-                        .unwrap_or(0),
-                    csv: field("csv")?,
-                    json: field("json")?,
+                    name: done.get("name")?,
+                    cells: done.get("cells")?,
+                    cached: done.get("cached")?,
+                    csv: done.get("csv")?,
+                    json: done.get("json")?,
                 });
             }
             _ => {}
@@ -393,7 +350,7 @@ pub fn shutdown_tcp(addr: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::campaign::JobSpec;
-    use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict};
+    use robustify_core::{DynProblem, GradientGuard, SolverSpec, StepSchedule, Verdict};
     use std::io::Cursor;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -758,6 +715,53 @@ mod tests {
                 .expect("serve_tcp");
             server.join().expect("server thread");
         }
+    }
+
+    /// A client that connects and then sends nothing must not keep the
+    /// daemon alive after another connection's `shutdown` is answered.
+    #[test]
+    fn shutdown_does_not_wait_for_idle_clients() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (done, served) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let _ = done.send(serve_tcp(listener, &registry(), None));
+        });
+        // One answered request proves the idle connection has a handler.
+        let idle = TcpStream::connect(&addr).expect("connect");
+        send(&mut &idle, "{\"op\":\"ping\"}".to_string()).expect("ping");
+        let mut pong = String::new();
+        BufReader::new(&idle).read_line(&mut pong).expect("pong");
+        assert_eq!(pong, "{\"event\":\"pong\"}\n");
+        shutdown_tcp(&addr).expect("shutdown");
+        served
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("serve_tcp waited for an idle client: {e}"))
+            .expect("serve_tcp");
+        server.join().expect("server thread");
+        drop(idle);
+    }
+
+    /// A guard bound that would panic in every SGD trial is refused before
+    /// `accepted`, and the connection serves the next submission.
+    #[test]
+    fn invalid_guard_is_refused_before_accept() {
+        let reg = registry();
+        let solver = SolverSpec::sgd(5, StepSchedule::Fixed(0.1))
+            .with_guard(GradientGuard::ClampComponents { max_abs: 1.0 });
+        let good = campaign().job(JobSpec::new("s", "wobble").with_solver(solver));
+        let bad = good
+            .to_json()
+            .replace("\"guard\":{\"clamp\":1}", "\"guard\":{\"clamp\":-1}");
+        assert_ne!(bad, good.to_json());
+        let input = format!("{{\"op\":\"submit\",\"campaign\":{bad}}}\n{{\"op\":\"ping\"}}\n");
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert_eq!(events.len(), 2, "got {events:?}");
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("max_abs"),
+            "got {events:?}"
+        );
+        assert_eq!(events[1], "{\"event\":\"pong\"}");
     }
 
     #[test]

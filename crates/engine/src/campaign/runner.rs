@@ -15,7 +15,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use stochastic_fpu::json::escape;
+use stochastic_fpu::json::JsonValue;
+use stochastic_fpu::json_object;
 use stochastic_fpu::{FaultModelSpec, FaultRate, Fpu, NoisyFpu};
 
 /// One grid cell after resolution: which `(job, rate)` it is and the
@@ -131,23 +132,33 @@ fn resolve_jobs(
 /// as current.
 pub const TRIAL_BITS_VERSION: u32 = 1;
 
-/// The canonical content key of one cell: exactly the inputs the
-/// deterministic executor's records depend on, nothing else. Grid
-/// provenance that does not alter trials (campaign name, voltage labels,
-/// thread count) is deliberately absent, so equivalent cells share work
-/// across campaigns.
-fn cell_key_json(job: &ResolvedJob, base_seed: u64, rate_pct: f64) -> String {
-    format!(
-        "{{\"trial_bits\":{TRIAL_BITS_VERSION},\"workload\":\"{}\",\"instantiate\":\"{}\",\
-         \"base_seed\":{},\"trials\":{},\"rate_pct\":{},\"solver\":{},\"fault_model\":{}}}",
-        escape(&job.workload),
-        job.instantiate.name(),
-        base_seed,
-        job.trials,
-        rate_pct,
-        job.solver.to_json(),
-        job.fault_model.to_json(),
+/// The canonical content keys of a job's cells, in rate order: exactly
+/// the inputs the deterministic executor's records depend on, nothing
+/// else. Grid provenance that does not alter trials (campaign name,
+/// voltage labels, thread count) is deliberately absent, so equivalent
+/// cells share work across campaigns.
+fn cell_keys<'a>(
+    job: &ResolvedJob,
+    base_seed: u64,
+    rates_pct: &'a [f64],
+) -> impl Iterator<Item = String> + 'a {
+    let key = json_object!(
+        "trial_bits" => TRIAL_BITS_VERSION, "workload" => job.workload.as_str(),
+        "instantiate" => job.instantiate.name(), "base_seed" => base_seed, "trials" => job.trials,
+        "rate_pct" => JsonValue::Null, "solver" => &job.solver, "fault_model" => &job.fault_model,
     )
+    .to_string();
+    // A job's keys differ only in the rate, so the key is written once and
+    // each rate's `Display` text (the writer's number text) goes in where
+    // the writer put `null`. The writer escapes every quote inside a
+    // string, so the first `"rate_pct":null` in the text is that member.
+    let (head, tail) = key
+        .split_once("\"rate_pct\":null")
+        .expect("the key holds a null rate");
+    let (head, tail) = (head.to_string(), tail.to_string());
+    rates_pct
+        .iter()
+        .map(move |rate| format!("{head}\"rate_pct\":{rate}{tail}"))
 }
 
 /// Resolves a campaign's grid into its cells and their cache keys (cell
@@ -163,11 +174,12 @@ pub fn resolve_cells(
 fn cells_of(spec: &CampaignSpec, jobs: &[ResolvedJob]) -> Vec<ResolvedCell> {
     let mut cells = Vec::with_capacity(jobs.len() * spec.rates_pct().len());
     for (job_index, job) in jobs.iter().enumerate() {
-        for (rate_index, &rate_pct) in spec.rates_pct().iter().enumerate() {
+        let keys = cell_keys(job, spec.base_seed(), spec.rates_pct());
+        for (rate_index, key_json) in keys.enumerate() {
             cells.push(ResolvedCell {
                 job_index,
                 rate_index,
-                key_json: cell_key_json(job, spec.base_seed(), rate_pct),
+                key_json,
             });
         }
     }
@@ -483,7 +495,7 @@ pub fn run_on<'env>(
         }
         case_parts.push(CaseParts {
             label: job.label.clone(),
-            spec_json: job.solver.to_json(),
+            solver: job.solver.clone(),
             fault_model: job.fault_model.clone(),
             cells: job_cells,
         });

@@ -2,7 +2,8 @@
 //! canonical JSON.
 
 use robustify_core::SolverSpec;
-use stochastic_fpu::json::{escape, JsonValue};
+use stochastic_fpu::json::{JsonCodec, JsonValue};
+use stochastic_fpu::json_object;
 use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
 
 /// The most storage slots a memory fault model may declare. Every trial
@@ -133,68 +134,35 @@ impl JobSpec {
     pub fn trials(&self) -> Option<usize> {
         self.trials
     }
+}
 
-    /// Canonical JSON for the wire and for content hashing.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"workload\":\"{}\",\"instantiate\":\"{}\",\"solver\":{},\"fault_model\":{},\"trials\":{}}}",
-            escape(&self.label),
-            escape(&self.workload),
-            self.instantiate.name(),
-            self.solver
-                .as_ref()
-                .map(SolverSpec::to_json)
-                .unwrap_or_else(|| "null".to_string()),
-            self.fault_model
-                .as_ref()
-                .map(FaultModelSpec::to_json)
-                .unwrap_or_else(|| "null".to_string()),
-            self.trials
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| "null".to_string()),
+/// Canonical JSON for the wire and for content hashing; unset overrides
+/// are `null`.
+impl JsonCodec for JobSpec {
+    fn to_value(&self) -> JsonValue {
+        json_object!(
+            "label" => self.label.as_str(), "workload" => self.workload.as_str(),
+            "instantiate" => self.instantiate.name(), "solver" => self.solver.as_ref(),
+            "fault_model" => self.fault_model.as_ref(), "trials" => self.trials,
         )
     }
 
-    /// Parses a job from a parsed JSON value (the exact inverse of
-    /// [`to_json`](Self::to_json)).
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        let label = value
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .ok_or("job needs a string \"label\"")?;
-        let workload = value
-            .get("workload")
-            .and_then(JsonValue::as_str)
-            .ok_or("job needs a string \"workload\"")?;
-        let instantiate = value
-            .get("instantiate")
-            .and_then(JsonValue::as_str)
-            .and_then(Instantiate::from_name)
-            .ok_or("job \"instantiate\" must be \"fixed\" or \"per_trial\"")?;
-        let solver = match value.get("solver") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(SolverSpec::from_json_value(v)?),
-        };
-        let fault_model = match value.get("fault_model") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(FaultModelSpec::from_json_value(v)?),
-        };
-        let trials = match value.get("trials") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => {
-                let t = v.as_usize().ok_or("job \"trials\" must be an integer")?;
-                if t == 0 {
-                    return Err("job \"trials\" must be positive".to_string());
-                }
-                Some(t)
-            }
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("job");
+        let trials = match f.opt("trials")? {
+            Some(0) => return Err("job needs a positive \"trials\"".to_string()),
+            trials => trials,
         };
         Ok(JobSpec {
-            label: label.to_string(),
-            workload: workload.to_string(),
-            instantiate,
-            solver,
-            fault_model,
+            label: f.get("label")?,
+            workload: f.get("workload")?,
+            instantiate: f.map(
+                "a \"fixed\" or \"per_trial\"",
+                "instantiate",
+                Instantiate::from_name,
+            )?,
+            solver: f.decode_opt("solver")?,
+            fault_model: f.decode_opt("fault_model")?,
             trials,
         })
     }
@@ -208,6 +176,7 @@ impl JobSpec {
 ///
 /// ```
 /// use robustify_engine::campaign::{CampaignSpec, JobSpec};
+/// use stochastic_fpu::json::JsonCodec;
 ///
 /// let spec = CampaignSpec::new("demo")
 ///     .rates(vec![1.0, 5.0])
@@ -427,110 +396,45 @@ impl CampaignSpec {
         Ok(())
     }
 
-    /// Canonical JSON for the wire.
+    /// Canonical JSON for the wire ([`JsonCodec::to_json`]).
     pub fn to_json(&self) -> String {
-        let nums = |vs: &[f64]| {
-            vs.iter()
-                .map(|v| format!("{v}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"name\":\"{}\",\"rates_pct\":[{}],\"voltages\":{},\"energy_model\":{},\
-             \"trials\":{},\"base_seed\":{},\"threads\":{},\"fault_model\":{},\"jobs\":[{}]}}",
-            escape(&self.name),
-            nums(&self.rates_pct),
-            self.voltages
-                .as_ref()
-                .map(|v| format!("[{}]", nums(v)))
-                .unwrap_or_else(|| "null".to_string()),
-            self.energy_model
-                .as_ref()
-                .map(VoltageErrorModel::to_json)
-                .unwrap_or_else(|| "null".to_string()),
-            self.trials,
-            self.base_seed,
-            self.threads,
-            self.fault_model.to_json(),
-            self.jobs
-                .iter()
-                .map(JobSpec::to_json)
-                .collect::<Vec<_>>()
-                .join(","),
+        JsonCodec::to_json(self)
+    }
+}
+
+/// Canonical JSON for the wire; a rate-axis campaign has `null`
+/// `"voltages"` and `"energy_model"`.
+impl JsonCodec for CampaignSpec {
+    fn to_value(&self) -> JsonValue {
+        json_object!(
+            "name" => self.name.as_str(), "rates_pct" => self.rates_pct.as_slice(),
+            "voltages" => self.voltages.as_deref(), "energy_model" => self.energy_model.as_ref(),
+            "trials" => self.trials, "base_seed" => self.base_seed, "threads" => self.threads,
+            "fault_model" => &self.fault_model, "jobs" => self.jobs.iter().collect::<JsonValue>(),
         )
     }
 
-    /// Parses a campaign from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = stochastic_fpu::json::parse(text).map_err(|e| e.to_string())?;
-        Self::from_json_value(&value)
-    }
-
-    /// Parses a campaign from a parsed JSON value (the exact inverse of
-    /// [`to_json`](Self::to_json)).
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        let name = value
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("campaign needs a string \"name\"")?;
-        let f64_array = |key: &str| -> Result<Vec<f64>, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_array)
-                .ok_or(format!("campaign \"{key}\" must be an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or(format!("campaign \"{key}\" holds a non-number"))
-                })
-                .collect()
-        };
-        let rates_pct = f64_array("rates_pct")?;
-        let voltages = match value.get("voltages") {
-            None | Some(JsonValue::Null) => None,
-            Some(_) => Some(f64_array("voltages")?),
-        };
-        let energy_model = match value.get("energy_model") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(VoltageErrorModel::from_json_value(v)?),
-        };
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("campaign");
+        let voltages = f.opt("voltages")?;
+        let energy_model = f.decode_opt("energy_model")?;
         if voltages.is_some() != energy_model.is_some() {
             return Err("\"voltages\" and \"energy_model\" travel together".to_string());
         }
-        let trials = value
-            .get("trials")
-            .and_then(JsonValue::as_usize)
-            .ok_or("campaign needs an integer \"trials\"")?;
-        let base_seed = value
-            .get("base_seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("campaign needs an integer \"base_seed\"")?;
-        let threads = value
-            .get("threads")
-            .and_then(JsonValue::as_usize)
-            .ok_or("campaign needs an integer \"threads\"")?;
-        let fault_model = FaultModelSpec::from_json_value(
-            value
-                .get("fault_model")
-                .ok_or("campaign needs a \"fault_model\"")?,
-        )?;
-        let jobs = value
-            .get("jobs")
-            .and_then(JsonValue::as_array)
-            .ok_or("campaign \"jobs\" must be an array")?
-            .iter()
-            .map(JobSpec::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(CampaignSpec {
-            name: name.to_string(),
-            rates_pct,
+            name: f.get("name")?,
+            rates_pct: f.get("rates_pct")?,
             voltages,
             energy_model,
-            trials,
-            base_seed,
-            threads,
-            fault_model,
-            jobs,
+            trials: f.get("trials")?,
+            base_seed: f.get("base_seed")?,
+            threads: f.get("threads")?,
+            fault_model: f.decode("fault_model")?,
+            jobs: f
+                .get::<&[JsonValue]>("jobs")?
+                .iter()
+                .map(JobSpec::from_value)
+                .collect::<Result<_, _>>()?,
         })
     }
 }

@@ -2,7 +2,9 @@
 //! every campaign emits.
 
 use crate::stats::CellStats;
-use stochastic_fpu::json::{self, escape, JsonValue};
+use robustify_core::SolverSpec;
+use stochastic_fpu::json::{self, JsonValue};
+use stochastic_fpu::json_object;
 use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
 
 /// Derives the FPU seed for trial `i` from a sweep's base seed.
@@ -44,7 +46,7 @@ pub fn extended_fault_rates() -> Vec<f64> {
 pub struct SweepResult {
     name: String,
     labels: Vec<String>,
-    specs_json: Vec<String>,
+    solvers: Vec<SolverSpec>,
     /// Effective fault model per case (the job override or the campaign
     /// default).
     fault_models: Vec<FaultModelSpec>,
@@ -60,11 +62,11 @@ pub struct SweepResult {
 }
 
 /// The per-case inputs the campaign runner assembles a [`SweepResult`]
-/// from: label, serialized solver spec, effective fault model, and the
+/// from: label, resolved solver spec, effective fault model, and the
 /// per-rate aggregates in rate order.
 pub(crate) struct CaseParts {
     pub(crate) label: String,
-    pub(crate) spec_json: String,
+    pub(crate) solver: SolverSpec,
     pub(crate) fault_model: FaultModelSpec,
     pub(crate) cells: Vec<CellStats>,
 }
@@ -87,19 +89,19 @@ impl SweepResult {
             // detlint::allow(float-reassociation, reason = "integer trial count, not a float reduction")
             .sum();
         let mut labels = Vec::with_capacity(cases.len());
-        let mut specs_json = Vec::with_capacity(cases.len());
+        let mut solvers = Vec::with_capacity(cases.len());
         let mut fault_models = Vec::with_capacity(cases.len());
         let mut cells = Vec::with_capacity(cases.len());
         for case in cases {
             labels.push(case.label);
-            specs_json.push(case.spec_json);
+            solvers.push(case.solver);
             fault_models.push(case.fault_model);
             cells.push(case.cells);
         }
         SweepResult {
             name,
             labels,
-            specs_json,
+            solvers,
             fault_models,
             rates_pct,
             voltages,
@@ -244,63 +246,32 @@ impl SweepResult {
     /// Deterministic for a fixed grid and seed — thread count does not
     /// appear and cannot influence any value.
     pub fn to_json(&self) -> String {
-        let voltages = match &self.voltages {
-            Some(v) => format!(
-                "[{}]",
-                v.iter()
-                    .map(|v| format!("{v}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-            None => "null".to_string(),
-        };
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"base_seed\":{},\"rates_pct\":[{}],\"voltages\":{voltages},\"cases\":[",
-            escape(&self.name),
-            self.base_seed,
-            self.rates_pct
-                .iter()
-                .map(|r| format!("{r}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for (case, row) in self.cells.iter().enumerate() {
-            if case > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"spec\":{},\"fault_model\":{},\"cells\":[",
-                escape(&self.labels[case]),
-                self.specs_json[case],
-                self.fault_models[case].to_json(),
-            ));
-            for (rate_idx, cell) in row.iter().enumerate() {
-                if rate_idx > 0 {
-                    out.push(',');
-                }
+        let cases = self.cells.iter().enumerate().map(|(case, row)| {
+            let cells = row.iter().enumerate().map(|(rate, cell)| {
                 let summary = cell.summary();
-                out.push_str(&format!(
-                    "{{\"rate_pct\":{},\"trials\":{},\"successes\":{},\"success_rate\":{},\
-                     \"median\":{},\"mean\":{},\"max\":{},\"failures\":{},\"flops\":{},\"faults\":{},\
-                     \"voltage\":{},\"energy_per_trial\":{}}}",
-                    self.rates_pct[rate_idx],
-                    cell.trials(),
-                    cell.successes(),
-                    json_num(cell.success_rate()),
-                    json_num(summary.median()),
-                    json_num(summary.mean()),
-                    json_num(summary.max()),
-                    summary.failures,
-                    cell.flops(),
-                    cell.faults(),
-                    json_opt(self.voltage(case, rate_idx)),
-                    json_opt(self.energy_per_trial(case, rate_idx)),
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+                json_object!(
+                    "rate_pct" => self.rates_pct[rate], "trials" => cell.trials(),
+                    "successes" => cell.successes(),
+                    "success_rate" => JsonValue::finite(cell.success_rate()),
+                    "median" => JsonValue::finite(summary.median()),
+                    "mean" => JsonValue::finite(summary.mean()),
+                    "max" => JsonValue::finite(summary.max()),
+                    "failures" => summary.failures, "flops" => cell.flops(), "faults" => cell.faults(),
+                    "voltage" => JsonValue::finite(self.voltage(case, rate)),
+                    "energy_per_trial" => JsonValue::finite(self.energy_per_trial(case, rate)),
+                )
+            });
+            json_object!(
+                "label" => self.labels[case].as_str(), "spec" => &self.solvers[case],
+                "fault_model" => &self.fault_models[case], "cells" => cells.collect::<JsonValue>(),
+            )
+        });
+        json_object!(
+            "name" => self.name.as_str(), "base_seed" => self.base_seed,
+            "rates_pct" => self.rates_pct.as_slice(), "voltages" => self.voltages.as_deref(),
+            "cases" => cases.collect::<JsonValue>(),
+        )
+        .to_string()
     }
 }
 
@@ -348,33 +319,34 @@ impl SweepDoc {
     /// grid — is an `Err`, never a panic.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = json::parse(text).map_err(|e| format!("result document: {e}"))?;
-        let rates_pct = get(&doc, "rates_pct", |r| {
-            r.as_array()?
-                .iter()
-                .map(JsonValue::as_f64)
-                .collect::<Option<Vec<_>>>()
-        })?;
+        let doc = doc.fields("result document");
+        let rates_pct: Vec<f64> = doc.get("rates_pct")?;
         // Every cell of a voltage-axis sweep is energy-accounted.
-        let voltage_axis = get(&doc, "voltages", Some)? != &JsonValue::Null;
+        let voltage_axis = doc.get::<&JsonValue>("voltages")? != &JsonValue::Null;
         let cell = |c: &JsonValue| {
+            let c = c.fields("result cell");
             Ok(DocCell {
-                trials: get(c, "trials", JsonValue::as_usize)?,
-                successes: get(c, "successes", JsonValue::as_usize)?,
-                success_rate: get(c, "success_rate", JsonValue::as_f64)?,
-                median: get(c, "median", nullable)?.unwrap_or(f64::INFINITY),
-                failures: get(c, "failures", JsonValue::as_usize)?,
-                flops: get(c, "flops", JsonValue::as_u64)?,
-                voltage: get(c, "voltage", nullable)?,
-                energy_per_trial: get(c, "energy_per_trial", |e| {
-                    nullable(e).filter(|e| e.is_some() || !voltage_axis)
-                })?,
+                trials: c.get("trials")?,
+                successes: c.get("successes")?,
+                success_rate: c.get("success_rate")?,
+                median: c.get::<Option<f64>>("median")?.unwrap_or(f64::INFINITY),
+                failures: c.get("failures")?,
+                flops: c.get("flops")?,
+                voltage: c.get("voltage")?,
+                energy_per_trial: c.map(
+                    "a numeric (null off a voltage axis)",
+                    "energy_per_trial",
+                    |e: Option<f64>| (e.is_some() || !voltage_axis).then_some(e),
+                )?,
             })
         };
         let mut labels = Vec::new();
         let mut cells = Vec::new();
-        for case in get(&doc, "cases", JsonValue::as_array)? {
-            labels.push(get(case, "label", JsonValue::as_str)?.to_string());
-            let row = get(case, "cells", JsonValue::as_array)?
+        for case in doc.get::<&[JsonValue]>("cases")? {
+            let case = case.fields("result case");
+            labels.push(case.get("label")?);
+            let row = case
+                .get::<&[JsonValue]>("cells")?
                 .iter()
                 .map(cell)
                 .collect::<Result<Vec<_>, String>>()?;
@@ -388,27 +360,6 @@ impl SweepDoc {
             rates_pct,
             cells,
         })
-    }
-}
-
-/// A member of a result-document object converted by `as_t`, or the
-/// error naming it.
-fn get<'a, T>(
-    value: &'a JsonValue,
-    key: &str,
-    as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
-) -> Result<T, String> {
-    value
-        .get(key)
-        .and_then(as_t)
-        .ok_or_else(|| format!("result document: missing or bad \"{key}\""))
-}
-
-/// A number or `null`.
-fn nullable(value: &JsonValue) -> Option<Option<f64>> {
-    match value {
-        JsonValue::Null => Some(None),
-        number => number.as_f64().map(Some),
     }
 }
 
@@ -434,18 +385,6 @@ fn csv_num(v: f64) -> String {
 /// An optional CSV cell: absent values render as the empty field.
 fn csv_opt(v: Option<f64>) -> String {
     v.map(csv_num).unwrap_or_default()
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    v.map(json_num).unwrap_or_else(|| "null".to_string())
 }
 
 #[cfg(test)]

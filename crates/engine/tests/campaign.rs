@@ -3,11 +3,14 @@
 //! the specs they hash are semantically equal.
 
 use proptest::prelude::*;
-use robustify_core::{DynProblem, SolverSpec, StepSchedule, Verdict, WorkloadRegistry};
+use robustify_core::{
+    AggressiveStepping, Annealing, DynProblem, GradientGuard, SolverSpec, StepSchedule, Verdict,
+    WorkloadRegistry,
+};
 use robustify_engine::campaign::{self, CampaignSpec, JobSpec, ResultCache};
-use robustify_engine::{Placement, Scheduler, SweepDoc, SweepResult};
+use robustify_engine::{Placement, Scheduler, SweepDoc, SweepResult, TrialRecord};
 use std::path::{Path, PathBuf};
-use stochastic_fpu::json::fnv1a_64;
+use stochastic_fpu::json::{self, fnv1a_64, JsonCodec};
 use stochastic_fpu::{
     BitFaultModel, BitWidth, DvfsStep, FaultModelSpec, FlopOp, Fpu, MemoryFaultModel, NoisyFpu,
     VoltageErrorModel,
@@ -408,4 +411,150 @@ fn sweep_doc_rejects_malformed_documents() {
     ] {
         assert!(SweepDoc::parse(bad).is_err(), "accepted {bad:?}");
     }
+}
+
+/// The cell keys of two cells whose solver sets every field, one under a
+/// nested combinator spec and one under a voltage-linked spec (with its
+/// derived `"rate"`), pinned as an earlier release of the codec wrote
+/// them: a key whose bytes change orphans every cache entry written
+/// before. The solver and fault-model members are canonical documents of
+/// their own and re-serialize to the same bytes.
+#[test]
+fn cell_keys_keep_their_bytes() {
+    let workload = "tricky \"w\"\\";
+    let mut registry = WorkloadRegistry::new();
+    registry.register(
+        workload,
+        Box::new(|_| Box::new(Broken)),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    let solver = SolverSpec {
+        variant: Some("svd \"q\"".to_string()),
+        ..SolverSpec::sgd(500, StepSchedule::Sqrt { gamma0: 0.1 + 0.2 })
+            .with_momentum(0.5)
+            .with_aggressive_stepping(AggressiveStepping::default())
+            .with_annealing(Annealing {
+                period: 750,
+                factor: 1.5,
+            })
+            .with_guard(GradientGuard::Adaptive {
+                factor: 10.0,
+                reject: 100.0,
+            })
+            .with_restart(8)
+    };
+    let nested = FaultModelSpec::intermittent(
+        0.25,
+        64,
+        FaultModelSpec::op_selective(
+            vec![FlopOp::Mul, FlopOp::Div, FlopOp::Sqrt],
+            FaultModelSpec::burst(3, BitFaultModel::msb_only(BitWidth::F32)),
+        ),
+    );
+    let linked = FaultModelSpec::voltage_linked(
+        VoltageErrorModel::from_points(1.2, vec![(1.2, 1e-8), (0.8, 1e-2)]),
+        0.9,
+    );
+    let spec = CampaignSpec::new("keys")
+        .rates(vec![0.1 + 0.2])
+        .trials(7)
+        .seed(u64::MAX)
+        .job(
+            JobSpec::new("a", workload)
+                .per_trial()
+                .with_solver(solver.clone())
+                .with_fault_model(nested)
+                .with_trials(3),
+        )
+        .job(
+            JobSpec::new("b", workload)
+                .with_solver(solver.with_guard(GradientGuard::ClampComponents { max_abs: 2.5 }))
+                .with_fault_model(linked),
+        );
+    let keys: Vec<String> = campaign::resolve_cells(&spec, &registry)
+        .expect("resolves")
+        .into_iter()
+        .map(|cell| cell.key_json)
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            r#"{"trial_bits":1,"workload":"tricky \"w\"\\","instantiate":"per_trial","base_seed":18446744073709551615,"trials":3,"rate_pct":0.30000000000000004,"solver":{"method":"sgd","iterations":500,"schedule":{"kind":"sqrt","gamma0":0.30000000000000004},"momentum":0.5,"aggressive":{"success_factor":1.2,"fail_factor":0.5,"rel_tolerance":0.000001,"max_steps":200},"annealing":{"period":750,"factor":1.5},"guard":{"adaptive":10,"reject":100},"restart":8,"variant":"svd \"q\""},"fault_model":{"kind":"intermittent","duty":0.25,"period":64,"inner":{"kind":"op_selective","ops":["mul","div","sqrt"],"inner":{"kind":"burst","length":3,"distribution":"msb_only","width":"f32"}}}}"#,
+            r#"{"trial_bits":1,"workload":"tricky \"w\"\\","instantiate":"fixed","base_seed":18446744073709551615,"trials":7,"rate_pct":0.30000000000000004,"solver":{"method":"sgd","iterations":500,"schedule":{"kind":"sqrt","gamma0":0.30000000000000004},"momentum":0.5,"aggressive":{"success_factor":1.2,"fail_factor":0.5,"rel_tolerance":0.000001,"max_steps":200},"annealing":{"period":750,"factor":1.5},"guard":{"clamp":2.5},"restart":8,"variant":"svd \"q\""},"fault_model":{"kind":"voltage_linked","voltage":0.9,"rate":0.00031622776601683794,"nominal_voltage":1.2,"model":{"nominal_voltage":1.2,"points":[[1.2,0.00000001],[0.8,0.01]]}}}"#,
+        ]
+    );
+    // A workload whose name spells the rate member still gets its rate.
+    let decoy = "w\"rate_pct\":null";
+    registry.register(
+        decoy,
+        Box::new(|_| Box::new(Broken)),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    let spec = spec.job(JobSpec::new("c", decoy));
+    let decoy_key = campaign::resolve_cells(&spec, &registry).expect("resolves")[2]
+        .key_json
+        .clone();
+    let decoy_key = json::parse(&decoy_key).expect("a key parses");
+    assert_eq!(
+        decoy_key.get("workload").and_then(|w| w.as_str()),
+        Some(decoy)
+    );
+    assert_eq!(
+        decoy_key.get("rate_pct").and_then(|r| r.as_f64()),
+        Some(0.1 + 0.2)
+    );
+    for key in &keys {
+        let key = json::parse(key).expect("a key parses");
+        let solver = key.get("solver").expect("solver").to_string();
+        assert_eq!(
+            SolverSpec::from_json(&solver).expect("parses").to_json(),
+            solver
+        );
+        let model = key.get("fault_model").expect("fault model").to_string();
+        assert_eq!(
+            FaultModelSpec::from_json(&model).expect("parses").to_json(),
+            model
+        );
+    }
+}
+
+/// The bytes `ResultCache::store` writes for finite, `inf`, `-inf` and
+/// `nan` metrics, pinned as an earlier release of the codec wrote them.
+#[test]
+fn cache_entries_keep_their_bytes() {
+    let (dir, cache) = temp_cache("entry-bytes");
+    let key = "{\"cell\":\"pinned\"}";
+    let record = |success, metric, flops, faults| TrialRecord {
+        verdict: Verdict { success, metric },
+        flops,
+        faults,
+    };
+    let records = [
+        record(true, 0.1 + 0.2, 640, 3),
+        record(false, f64::INFINITY, u64::MAX, 0),
+        record(false, f64::NEG_INFINITY, 1, 1),
+        record(false, f64::NAN, 2, 2),
+    ];
+    cache.store(key, &records).expect("store");
+    let entry = std::fs::read_to_string(dir.join(ResultCache::file_name(key))).expect("entry");
+    assert_eq!(
+        entry,
+        r#"{"key":{"cell":"pinned"},"records":[{"success":true,"metric":0.30000000000000004,"flops":640,"faults":3},{"success":false,"metric":"inf","flops":18446744073709551615,"faults":0},{"success":false,"metric":"-inf","flops":1,"faults":1},{"success":false,"metric":"nan","flops":2,"faults":2}]}"#
+    );
+    let loaded = cache.load(key).expect("the entry replays");
+    let bits = |records: &[TrialRecord]| -> Vec<_> {
+        records
+            .iter()
+            .map(|r| {
+                (
+                    r.verdict.success,
+                    r.verdict.metric.to_bits(),
+                    r.flops,
+                    r.faults,
+                )
+            })
+            .collect()
+    };
+    assert_eq!(bits(&loaded), bits(&records));
+    let _ = std::fs::remove_dir_all(&dir);
 }

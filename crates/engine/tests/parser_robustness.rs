@@ -1,14 +1,26 @@
-//! Parser robustness: every spec parser the daemon feeds with untrusted
-//! request lines returns `Ok` or `Err` — it never panics — on every prefix
-//! and every single-byte substitution of a canonical document.
+//! The wire codec over one list of canonical documents: one per wire
+//! type, plus a daemon's result document. Each type's document parses
+//! back to the value it was written from and re-serializes to the same
+//! bytes, and every parser the daemon or a thin client feeds with outside
+//! input returns `Ok` or `Err` (it never panics) on every prefix and every
+//! single-byte substitution of its document.
 //!
 //! The mutations are deterministic (no random inputs): truncation at each
 //! byte, and replacement of each byte by each character of a small
 //! alphabet of JSON structure, number and literal bytes.
 
-use robustify_core::{AggressiveStepping, Annealing, GradientGuard, SolverSpec, StepSchedule};
-use robustify_engine::campaign::{CampaignSpec, JobSpec};
-use stochastic_fpu::{BitFaultModel, FaultModelSpec, FlopOp, VoltageErrorModel};
+use robustify_core::{
+    AggressiveStepping, Annealing, DynProblem, GradientGuard, SolverSpec, StepSchedule, Verdict,
+    WorkloadRegistry,
+};
+use robustify_engine::campaign::{self, CampaignSpec, JobSpec};
+use robustify_engine::{SweepDoc, TrialRecord};
+use std::fmt::Debug;
+use stochastic_fpu::json::JsonCodec;
+use stochastic_fpu::{
+    BitFaultModel, BitWidth, DvfsStep, FaultModelSpec, FlopOp, Fpu, MemoryFaultModel, NoisyFpu,
+    VoltageErrorModel,
+};
 
 /// The substituted bytes.
 const ALPHABET: &[u8] = b"{}[]\",:-.0e9n ";
@@ -17,8 +29,8 @@ const ALPHABET: &[u8] = b"{}[]\",:-.0e9n ";
 /// `parse`, failing with the offending input if a call panics. Returns
 /// how many mutants parsed, so callers can check the mutations reach past
 /// the first syntax error.
-fn mutate_all<T>(canonical: &str, parse: fn(&str) -> Result<T, String>) -> usize {
-    assert!(parse(canonical).is_ok(), "canonical document rejected");
+fn mutate_all(canonical: &str, parses: fn(&str) -> bool) -> usize {
+    assert!(parses(canonical), "canonical document rejected");
     let bytes = canonical.as_bytes();
     let prefixes = (0..bytes.len()).map(|end| bytes[..end].to_vec());
     let substitutions = (0..bytes.len()).flat_map(|i| {
@@ -38,7 +50,7 @@ fn mutate_all<T>(canonical: &str, parse: fn(&str) -> Result<T, String>) -> usize
         let Ok(text) = String::from_utf8(mutant) else {
             continue;
         };
-        match std::panic::catch_unwind(|| parse(&text).is_ok()) {
+        match std::panic::catch_unwind(|| parses(&text)) {
             Ok(true) => accepted += 1,
             Ok(false) => {}
             Err(_) => panic!("parser panicked on {text}"),
@@ -65,8 +77,64 @@ fn full_solver() -> SolverSpec {
     }
 }
 
-#[test]
-fn campaign_spec_parser_never_panics() {
+/// A canonical document and its type's parser.
+struct Document {
+    name: &'static str,
+    text: String,
+    parses: fn(&str) -> bool,
+}
+
+/// The canonical document of `value`, checked to round-trip: it parses
+/// back to `value`, and the parsed value writes the same bytes.
+fn canonical<T: JsonCodec + PartialEq + Debug>(name: &'static str, value: T) -> Document {
+    let text = value.to_json();
+    let back = T::from_json(&text).unwrap_or_else(|e| panic!("{name} {text}: {e}"));
+    assert_eq!(back, value, "{name}: from_json(to_json(x)) != x");
+    assert_eq!(back.to_json(), text, "{name}: re-serialization drifted");
+    Document {
+        name,
+        text,
+        parses: |text| T::from_json(text).is_ok(),
+    }
+}
+
+/// A workload whose verdict depends on the fault stream.
+struct Halve;
+
+impl DynProblem for Halve {
+    fn name(&self) -> &'static str {
+        "halve"
+    }
+
+    fn run_trial_dyn(&self, _spec: &SolverSpec, fpu: &mut NoisyFpu) -> Verdict {
+        let x = (0..8).fold(1.0, |x, _| fpu.mul(x, 0.5));
+        Verdict::from_metric((x - 1.0 / 256.0).abs(), 1e-6)
+    }
+}
+
+/// A small real campaign's result document, as a daemon returns it.
+fn result_document() -> String {
+    let mut registry = WorkloadRegistry::new();
+    registry.register(
+        "halve",
+        Box::new(|_| Box::new(Halve)),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    let spec = CampaignSpec::new("doc")
+        .voltages(vec![1.0, 0.7], VoltageErrorModel::paper_figure_5_2())
+        .trials(3)
+        .seed(5)
+        .job(JobSpec::new("h", "halve"));
+    campaign::run(&spec, &registry, None, |_| {})
+        .expect("campaign runs")
+        .result
+        .to_json()
+}
+
+/// A canonical document of every wire type, the nesting fault-model
+/// specs each on their own, and a result document.
+fn documents() -> Vec<Document> {
+    let energy = VoltageErrorModel::paper_figure_5_2();
     let nested = FaultModelSpec::intermittent(
         0.25,
         64,
@@ -75,32 +143,79 @@ fn campaign_spec_parser_never_panics() {
             FaultModelSpec::transient(BitFaultModel::emulated()),
         ),
     );
-    let spec = CampaignSpec::new("fuzz")
-        .voltages(vec![1.0, 0.8], VoltageErrorModel::paper_figure_5_2())
+    let dvfs = FaultModelSpec::dvfs(
+        energy.clone(),
+        vec![
+            DvfsStep {
+                flops: 100,
+                voltage: 0.9,
+            },
+            DvfsStep {
+                flops: 50,
+                voltage: 0.7,
+            },
+        ],
+    );
+    let memory = MemoryFaultModel::register_file(8, BitFaultModel::emulated(), 1000);
+    let job = JobSpec::new("a \"quoted\" label", "w")
+        .per_trial()
+        .with_fault_model(nested.clone())
+        .with_solver(full_solver())
+        .with_trials(2);
+    let campaign = CampaignSpec::new("fuzz")
+        .voltages(vec![1.0, 0.8], energy.clone())
         .trials(3)
-        .seed(7)
-        .model(BitFaultModel::emulated())
-        .job(
-            JobSpec::new("a", "w")
-                .per_trial()
-                .with_fault_model(nested)
-                .with_solver(SolverSpec::cg(10))
-                .with_trials(2),
-        )
-        .job(JobSpec::new("b", "w"));
-    let accepted = mutate_all(&spec.to_json(), CampaignSpec::from_json);
-    assert!(accepted > 0, "no mutant parsed");
+        .seed(u64::MAX)
+        .model(FaultModelSpec::stuck_at(3, true, BitWidth::F32))
+        .job(job.clone())
+        .job(JobSpec::new("b", "w").with_fault_model(dvfs.clone()));
+    let record = |metric| TrialRecord {
+        verdict: Verdict {
+            success: false,
+            metric,
+        },
+        flops: 12,
+        faults: 1,
+    };
+    vec![
+        canonical("campaign", campaign),
+        canonical("job", job),
+        canonical("solver", full_solver()),
+        canonical("baseline solver", SolverSpec::baseline_variant("qr")),
+        canonical("nested fault model", nested),
+        canonical(
+            "burst",
+            FaultModelSpec::burst(3, BitFaultModel::lsb_only(BitWidth::F64)),
+        ),
+        canonical(
+            "voltage-linked",
+            FaultModelSpec::voltage_linked(energy.clone(), 0.8),
+        ),
+        canonical("dvfs", dvfs),
+        canonical("memory spec", FaultModelSpec::memory(memory.clone())),
+        canonical("memory model", memory),
+        canonical("voltage model", energy),
+        canonical("finite record", record(0.1 + 0.2)),
+        canonical("infinite record", record(f64::INFINITY)),
+        canonical("negative infinite record", record(f64::NEG_INFINITY)),
+        Document {
+            name: "result document",
+            text: result_document(),
+            parses: |text| SweepDoc::parse(text).is_ok(),
+        },
+    ]
+}
+
+/// [`canonical`] checks each document's round trip as the list is built.
+#[test]
+fn every_codec_round_trips() {
+    assert!(!documents().is_empty());
 }
 
 #[test]
-fn solver_spec_parser_never_panics() {
-    let accepted = mutate_all(&full_solver().to_json(), SolverSpec::from_json);
-    assert!(accepted > 0, "no mutant parsed");
-}
-
-#[test]
-fn memory_fault_model_parser_never_panics() {
-    let memory = FaultModelSpec::register_file(8, BitFaultModel::emulated(), 1000);
-    let accepted = mutate_all(&memory.to_json(), FaultModelSpec::from_json);
-    assert!(accepted > 0, "no mutant parsed");
+fn every_parser_never_panics() {
+    for doc in documents() {
+        let accepted = mutate_all(&doc.text, doc.parses);
+        assert!(accepted > 0, "{}: no mutant parsed", doc.name);
+    }
 }

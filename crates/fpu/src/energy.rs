@@ -13,7 +13,8 @@
 //!   y-axis "Energy (Power * # of FLOP)".
 
 use crate::fault::FaultRate;
-use crate::json::JsonValue;
+use crate::json::{JsonCodec, JsonValue};
+use crate::json_object;
 use std::cmp::Ordering;
 
 /// A monotone map between FPU supply voltage and timing-error rate, with the
@@ -88,50 +89,6 @@ impl VoltageErrorModel {
     /// descending voltage.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// Serializes the full calibration to a single-line JSON object, the
-    /// exact inverse of [`from_json_value`](Self::from_json_value).
-    pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|&(v, r)| format!("[{v},{r}]"))
-            .collect();
-        format!(
-            "{{\"nominal_voltage\":{},\"points\":[{}]}}",
-            self.nominal_voltage,
-            points.join(","),
-        )
-    }
-
-    /// Reconstructs a model from the [`to_json`](Self::to_json) shape.
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        let nominal = value
-            .get("nominal_voltage")
-            .and_then(JsonValue::as_f64)
-            .ok_or("voltage model needs a numeric \"nominal_voltage\"")?;
-        let raw_points = value
-            .get("points")
-            .and_then(JsonValue::as_array)
-            .ok_or("voltage model needs a \"points\" array")?;
-        let mut points = Vec::with_capacity(raw_points.len());
-        for p in raw_points {
-            let pair = p.as_array().filter(|p| p.len() == 2);
-            let (v, r) = match pair {
-                Some(pair) => (pair[0].as_f64(), pair[1].as_f64()),
-                None => (None, None),
-            };
-            match (v, r) {
-                (Some(v), Some(r)) => points.push((v, r)),
-                _ => return Err("calibration points must be [voltage, rate] pairs".into()),
-            }
-        }
-        check_calibration(nominal, &points)?;
-        Ok(VoltageErrorModel {
-            points,
-            nominal_voltage: nominal,
-        })
     }
 
     /// Lowest calibrated voltage.
@@ -266,8 +223,40 @@ impl VoltageErrorModel {
     }
 }
 
+/// `{"nominal_voltage":…,"points":[[voltage,rate],…]}`: the full
+/// calibration, checked on the way in as [`VoltageErrorModel::from_points`]
+/// checks it.
+impl JsonCodec for VoltageErrorModel {
+    fn to_value(&self) -> JsonValue {
+        let pair = |&(v, r): &(f64, f64)| JsonValue::Array(vec![v.into(), r.into()]);
+        json_object!(
+            "nominal_voltage" => self.nominal_voltage,
+            "points" => self.points.iter().map(pair).collect::<JsonValue>(),
+        )
+    }
+
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("voltage model");
+        let nominal = f.get("nominal_voltage")?;
+        let pair = |p: &JsonValue| match p.as_array()? {
+            [v, r] => Some((v.as_f64()?, r.as_f64()?)),
+            _ => None,
+        };
+        let points = f.map(
+            "[voltage, rate] pairs in",
+            "points",
+            |points: &[JsonValue]| points.iter().map(pair).collect::<Option<Vec<_>>>(),
+        )?;
+        check_calibration(nominal, &points)?;
+        Ok(VoltageErrorModel {
+            points,
+            nominal_voltage: nominal,
+        })
+    }
+}
+
 /// The calibration invariants [`VoltageErrorModel::from_points`] panics on
-/// and [`VoltageErrorModel::from_json_value`] returns.
+/// and [`VoltageErrorModel::from_value`] returns.
 fn check_calibration(nominal_voltage: f64, points: &[(f64, f64)]) -> Result<(), String> {
     if points.len() < 2 {
         return Err("need at least two calibration points".into());
@@ -415,7 +404,7 @@ mod tests {
     }
 
     /// Every invalid calibration makes `from_points` panic and
-    /// `from_json_value` return `Err`, with the same message.
+    /// `from_json` return `Err`, with the same message.
     #[test]
     fn invalid_calibrations_fail_alike_on_both_paths() {
         let cases = [
@@ -441,8 +430,7 @@ mod tests {
                 "{{\"nominal_voltage\":{nominal},\"points\":[{}]}}",
                 pairs.join(",")
             );
-            let returned = VoltageErrorModel::from_json_value(&crate::json::parse(&json).unwrap())
-                .expect_err(&json);
+            let returned = VoltageErrorModel::from_json(&json).expect_err(&json);
             let panicked = std::panic::catch_unwind(|| {
                 VoltageErrorModel::from_points(nominal, points.clone())
             })
@@ -460,8 +448,7 @@ mod tests {
             VoltageErrorModel::from_points(1.2, vec![(1.2, 1e-8), (0.8, 1e-2)]),
         ] {
             let json = model.to_json();
-            let parsed =
-                VoltageErrorModel::from_json_value(&crate::json::parse(&json).unwrap()).unwrap();
+            let parsed = VoltageErrorModel::from_json(&json).unwrap();
             assert_eq!(parsed, model);
             assert_eq!(parsed.to_json(), json);
         }
@@ -473,11 +460,7 @@ mod tests {
             r#"{"points":[[1.0,1e-9],[0.9,1e-8]]}"#,
             r#"{"nominal_voltage":1.0,"points":[[1.0,1e-9],[0.9,"x"]]}"#,
         ] {
-            let v = crate::json::parse(bad).unwrap();
-            assert!(
-                VoltageErrorModel::from_json_value(&v).is_err(),
-                "accepted {bad}"
-            );
+            assert!(VoltageErrorModel::from_json(bad).is_err(), "accepted {bad}");
         }
     }
 

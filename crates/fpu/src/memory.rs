@@ -39,8 +39,11 @@
 //! `t + 1` on, and stays until a scrub or (array-resident) an overwrite —
 //! the invariant the persistence proptests pin down.
 
-use crate::fault::{BitFaultModel, BitWidth, FaultStats};
+use crate::fault::{BitFaultModel, FaultStats};
+use crate::json::{JsonCodec, JsonValue};
+use crate::json_object;
 use crate::lfsr::Lfsr;
+use crate::model::read_bit_model;
 
 /// Which storage structure a persistent fault lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,52 +154,28 @@ impl MemoryFaultModel {
             self.bits.kind()
         )
     }
+}
 
-    /// Serializes the model to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"slots\":{},\"scrub_interval\":{},\"distribution\":\"{}\",\"width\":\"{}\"}}",
-            self.kind.name(),
-            self.slots,
-            self.scrub_interval,
-            self.bits.kind(),
-            self.bits.width().name(),
+/// One object, `"kind"` `"register_file"` or `"array_resident"`; it is
+/// also the wire form of [`FaultModelSpec::Memory`](crate::FaultModelSpec).
+impl JsonCodec for MemoryFaultModel {
+    fn to_value(&self) -> JsonValue {
+        json_object!(
+            "kind" => self.kind.name(), "slots" => self.slots, "scrub_interval" => self.scrub_interval,
+            "distribution" => self.bits.kind(), "width" => self.bits.width().name(),
         )
     }
 
-    /// Reconstructs a model from the [`to_json`](Self::to_json) shape
-    /// (the caller has already dispatched on `"kind"`).
-    pub fn from_json_value(value: &crate::json::JsonValue) -> Result<Self, String> {
-        use crate::json::JsonValue;
-        let kind = match value.get("kind").and_then(JsonValue::as_str) {
-            Some("register_file") => MemoryFaultKind::RegisterFile,
-            Some("array_resident") => MemoryFaultKind::ArrayResident,
-            other => return Err(format!("unknown memory fault kind {other:?}")),
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("memory fault model");
+        let build = match f.get("kind")? {
+            "register_file" => Self::register_file,
+            "array_resident" => Self::array_resident,
+            other => return Err(format!("unknown memory fault kind \"{other}\"")),
         };
-        let slots = value
-            .get("slots")
-            .and_then(JsonValue::as_usize)
-            .filter(|&s| s > 0)
-            .ok_or("memory fault model needs a positive \"slots\" count")?;
-        let scrub_interval = value
-            .get("scrub_interval")
-            .and_then(JsonValue::as_u64)
-            .ok_or("memory fault model needs a \"scrub_interval\"")?;
-        let width = value
-            .get("width")
-            .and_then(JsonValue::as_str)
-            .and_then(BitWidth::from_name)
-            .ok_or("memory fault model needs a \"width\" of \"f32\" or \"f64\"")?;
-        let distribution = value
-            .get("distribution")
-            .and_then(JsonValue::as_str)
-            .ok_or("memory fault model needs a \"distribution\" name")?;
-        let bits = BitFaultModel::from_kind(distribution, width)
-            .ok_or_else(|| format!("unknown bit distribution \"{distribution}\""))?;
-        Ok(match kind {
-            MemoryFaultKind::RegisterFile => Self::register_file(slots, bits, scrub_interval),
-            MemoryFaultKind::ArrayResident => Self::array_resident(slots, bits, scrub_interval),
-        })
+        let slots = f.check("a positive", "slots", |s: &usize| *s > 0)?;
+        let scrub_interval = f.get("scrub_interval")?;
+        Ok(build(slots, read_bit_model(f)?, scrub_interval))
     }
 }
 
@@ -364,7 +343,7 @@ impl MemoryFaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::BitFaultModel;
+    use crate::fault::{BitFaultModel, BitWidth};
 
     fn lfsr() -> Lfsr {
         Lfsr::new(7)

@@ -20,7 +20,8 @@
 use crate::energy::VoltageErrorModel;
 use crate::fault::{BitFaultModel, BitWidth, FaultRate, FaultStats};
 use crate::fpu::FlopOp;
-use crate::json::JsonValue;
+use crate::json::{Fields, JsonCodec, JsonValue};
+use crate::json_object;
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultModel;
 use std::sync::LazyLock;
@@ -84,7 +85,7 @@ fn force_bit(value: f64, bit: usize, one: bool, width: BitWidth) -> (f64, bool) 
 ///
 /// Specs are built in code, carried by campaign grids (with per-job
 /// overrides), serialized into result documents for provenance via
-/// [`to_json`](Self::to_json), and handed to
+/// [`JsonCodec::to_json`], and handed to
 /// [`NoisyFpu`](crate::NoisyFpu), which asks the spec to corrupt each
 /// scheduled strike. The combinator variants
 /// ([`Intermittent`](Self::Intermittent), [`OpSelective`](Self::OpSelective))
@@ -93,6 +94,7 @@ fn force_bit(value: f64, bit: usize, one: bool, width: BitWidth) -> (f64, bool) 
 /// # Examples
 ///
 /// ```
+/// use stochastic_fpu::json::JsonCodec;
 /// use stochastic_fpu::{BitFaultModel, FaultModelSpec, FlopOp};
 ///
 /// let paper = FaultModelSpec::default(); // transient emulated flip
@@ -625,215 +627,121 @@ impl FaultModelSpec {
             FaultModelSpec::Memory { model } => flip(model.bits(), ctx.exact, lfsr, stats),
         }
     }
+}
 
-    /// Serializes the spec to a single-line JSON object — the wire format
-    /// carried by campaign jobs and result documents, and the exact
-    /// inverse of [`from_json`](Self::from_json).
-    pub fn to_json(&self) -> String {
+/// Reads a bit model's `"distribution"` and `"width"` members.
+pub(crate) fn read_bit_model(f: Fields) -> Result<BitFaultModel, String> {
+    let width = f.map("an \"f32\" or \"f64\"", "width", BitWidth::from_name)?;
+    let distribution = f.get("distribution")?;
+    BitFaultModel::from_kind(distribution, width)
+        .ok_or_else(|| format!("unknown bit distribution \"{distribution}\""))
+}
+
+/// The wire format carried by campaign jobs and result documents: one
+/// object per spec, `"kind"` first, combinators nesting their `"inner"`
+/// spec, voltage-linked specs carrying their derived `"rate"`.
+impl JsonCodec for FaultModelSpec {
+    fn to_value(&self) -> JsonValue {
         match self {
-            FaultModelSpec::Transient { model } => format!(
-                "{{\"kind\":\"transient\",\"distribution\":\"{}\",\"width\":\"{}\"}}",
-                model.kind(),
-                model.width().name(),
+            FaultModelSpec::Transient { model } => json_object!(
+                "kind" => "transient", "distribution" => model.kind(), "width" => model.width().name(),
             ),
             FaultModelSpec::StuckAt {
                 bit,
                 stuck_to_one,
                 width,
-            } => format!(
-                "{{\"kind\":\"stuck_at\",\"bit\":{bit},\"stuck_to\":{},\"width\":\"{}\"}}",
-                u8::from(*stuck_to_one),
-                width.name(),
+            } => json_object!(
+                "kind" => "stuck_at", "bit" => *bit, "stuck_to" => u64::from(*stuck_to_one),
+                "width" => width.name(),
             ),
-            FaultModelSpec::Burst { model, length } => format!(
-                "{{\"kind\":\"burst\",\"length\":{length},\"distribution\":\"{}\",\"width\":\"{}\"}}",
-                model.kind(),
-                model.width().name(),
+            FaultModelSpec::Burst { model, length } => json_object!(
+                "kind" => "burst", "length" => *length,
+                "distribution" => model.kind(), "width" => model.width().name(),
             ),
-            FaultModelSpec::Operand { model } => format!(
-                "{{\"kind\":\"operand\",\"distribution\":\"{}\",\"width\":\"{}\"}}",
-                model.kind(),
-                model.width().name(),
+            FaultModelSpec::Operand { model } => json_object!(
+                "kind" => "operand", "distribution" => model.kind(), "width" => model.width().name(),
             ),
             FaultModelSpec::Intermittent {
                 inner,
                 duty,
                 period,
-            } => format!(
-                "{{\"kind\":\"intermittent\",\"duty\":{duty},\"period\":{period},\"inner\":{}}}",
-                inner.to_json(),
+            } => json_object!(
+                "kind" => "intermittent", "duty" => *duty, "period" => *period,
+                "inner" => inner.as_ref(),
             ),
-            FaultModelSpec::OpSelective { inner, ops } => {
-                let ops: Vec<String> = ops.iter().map(|op| format!("\"{}\"", op.name())).collect();
-                format!(
-                    "{{\"kind\":\"op_selective\",\"ops\":[{}],\"inner\":{}}}",
-                    ops.join(","),
-                    inner.to_json(),
-                )
-            }
-            FaultModelSpec::VoltageLinked { model, voltage } => format!(
-                "{{\"kind\":\"voltage_linked\",\"voltage\":{voltage},\"rate\":{},\
-                 \"nominal_voltage\":{},\"model\":{}}}",
-                model.error_rate(*voltage),
-                model.nominal_voltage(),
-                model.to_json(),
+            FaultModelSpec::OpSelective { inner, ops } => json_object!(
+                "kind" => "op_selective", "ops" => ops.iter().map(|op| op.name()).collect::<JsonValue>(),
+                "inner" => inner.as_ref(),
+            ),
+            FaultModelSpec::VoltageLinked { model, voltage } => json_object!(
+                "kind" => "voltage_linked", "voltage" => *voltage, "rate" => model.error_rate(*voltage),
+                "nominal_voltage" => model.nominal_voltage(), "model" => model,
             ),
             FaultModelSpec::DvfsSchedule { model, steps } => {
-                let steps: Vec<String> = steps
-                    .iter()
-                    .map(|s| format!("{{\"flops\":{},\"voltage\":{}}}", s.flops, s.voltage))
-                    .collect();
-                format!(
-                    "{{\"kind\":\"dvfs\",\"steps\":[{}],\"nominal_voltage\":{},\"model\":{}}}",
-                    steps.join(","),
-                    model.nominal_voltage(),
-                    model.to_json(),
+                let step = |s: &DvfsStep| json_object!("flops" => s.flops, "voltage" => s.voltage);
+                json_object!(
+                    "kind" => "dvfs", "steps" => steps.iter().map(step).collect::<JsonValue>(),
+                    "nominal_voltage" => model.nominal_voltage(), "model" => model,
                 )
             }
-            FaultModelSpec::Memory { model } => model.to_json(),
+            FaultModelSpec::Memory { model } => model.to_value(),
         }
     }
 
-    /// Parses a spec from its [`to_json`](Self::to_json) serialization.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let value = crate::json::parse(json).map_err(|e| e.to_string())?;
-        Self::from_json_value(&value)
-    }
-
-    /// Reconstructs a spec from a parsed [`JsonValue`] tree (the
-    /// [`to_json`](Self::to_json) shape).
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        let kind = value
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or("fault model spec needs a \"kind\" string")?;
-        let bit_model = |value: &JsonValue| -> Result<BitFaultModel, String> {
-            let width = value
-                .get("width")
-                .and_then(JsonValue::as_str)
-                .and_then(BitWidth::from_name)
-                .ok_or("fault model needs a \"width\" of \"f32\" or \"f64\"")?;
-            let distribution = value
-                .get("distribution")
-                .and_then(JsonValue::as_str)
-                .ok_or("fault model needs a \"distribution\" name")?;
-            BitFaultModel::from_kind(distribution, width)
-                .ok_or_else(|| format!("unknown bit distribution \"{distribution}\""))
+    fn from_value(value: &JsonValue) -> Result<Self, String> {
+        let f = value.fields("fault model spec");
+        let nested = || -> Result<Self, String> {
+            let inner = f.decode::<Self>("inner")?;
+            if inner.is_injector_level() {
+                return Err(format!("{} cannot nest inside a combinator", inner.name()));
+            }
+            Ok(inner)
         };
-        let voltage_model = |value: &JsonValue| -> Result<VoltageErrorModel, String> {
-            let model = value
-                .get("model")
-                .ok_or("voltage-linked spec needs a \"model\" calibration")?;
-            VoltageErrorModel::from_json_value(model)
-        };
-        Ok(match kind {
-            "transient" => Self::transient(bit_model(value)?),
+        let positive = |v: &f64| *v > 0.0 && v.is_finite();
+        Ok(match f.get("kind")? {
+            "transient" => Self::transient(read_bit_model(f)?),
             "stuck_at" => {
-                let width = value
-                    .get("width")
-                    .and_then(JsonValue::as_str)
-                    .and_then(BitWidth::from_name)
-                    .ok_or("stuck-at spec needs a \"width\"")?;
-                let bit = value
-                    .get("bit")
-                    .and_then(JsonValue::as_usize)
-                    .filter(|&b| b < width.bits())
-                    .ok_or("stuck-at spec needs an in-range \"bit\"")?;
-                let stuck_to = value
-                    .get("stuck_to")
-                    .and_then(JsonValue::as_u64)
-                    .filter(|&s| s <= 1)
-                    .ok_or("stuck-at spec needs a \"stuck_to\" of 0 or 1")?;
+                let width = f.map("an \"f32\" or \"f64\"", "width", BitWidth::from_name)?;
+                let bit = f.check("an in-range", "bit", |b: &usize| *b < width.bits())?;
+                let stuck_to = f.check("a 0 or 1", "stuck_to", |s: &u64| *s <= 1)?;
                 Self::stuck_at(bit, stuck_to == 1, width)
             }
             "burst" => {
-                let length = value
-                    .get("length")
-                    .and_then(JsonValue::as_usize)
-                    .filter(|&l| l > 0)
-                    .ok_or("burst spec needs a positive \"length\"")?;
-                Self::burst(length, bit_model(value)?)
+                let length = f.check("a positive", "length", |l: &usize| *l > 0)?;
+                Self::burst(length, read_bit_model(f)?)
             }
-            "operand" => Self::operand(bit_model(value)?),
+            "operand" => Self::operand(read_bit_model(f)?),
             "intermittent" => {
-                let duty = value
-                    .get("duty")
-                    .and_then(JsonValue::as_f64)
-                    .filter(|d| d.is_finite() && *d > 0.0 && *d <= 1.0)
-                    .ok_or("intermittent spec needs a \"duty\" in (0, 1]")?;
-                let period = value
-                    .get("period")
-                    .and_then(JsonValue::as_u64)
-                    .filter(|&p| p > 0)
-                    .ok_or("intermittent spec needs a positive \"period\"")?;
-                let inner = value
-                    .get("inner")
-                    .ok_or("intermittent spec needs an \"inner\" spec")?;
-                let inner = Self::from_json_value(inner)?;
-                if inner.is_injector_level() {
-                    return Err(format!("{} cannot nest inside a combinator", inner.name()));
-                }
-                Self::intermittent(duty, period, inner)
+                let duty = f.check("a (0, 1]", "duty", |d: &f64| *d > 0.0 && *d <= 1.0)?;
+                let period = f.check("a positive", "period", |p: &u64| *p > 0)?;
+                Self::intermittent(duty, period, nested()?)
             }
             "op_selective" => {
-                let ops = value
-                    .get("ops")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("op-selective spec needs an \"ops\" array")?;
-                let ops: Vec<FlopOp> = ops
-                    .iter()
-                    .map(|op| {
-                        op.as_str()
-                            .and_then(FlopOp::from_name)
-                            .ok_or("unknown op name in \"ops\"".to_string())
-                    })
-                    .collect::<Result<_, _>>()?;
-                if ops.is_empty() {
-                    return Err("op-selective spec needs at least one op".into());
-                }
-                let inner = value
-                    .get("inner")
-                    .ok_or("op-selective spec needs an \"inner\" spec")?;
-                let inner = Self::from_json_value(inner)?;
-                if inner.is_injector_level() {
-                    return Err(format!("{} cannot nest inside a combinator", inner.name()));
-                }
-                Self::op_selective(ops, inner)
+                let ops = f.map("a non-empty", "ops", |ops: &[JsonValue]| {
+                    let ops = ops.iter().map(|op| op.as_str().and_then(FlopOp::from_name));
+                    ops.collect::<Option<Vec<_>>>()
+                        .filter(|ops| !ops.is_empty())
+                })?;
+                Self::op_selective(ops, nested()?)
             }
             "voltage_linked" => {
-                let voltage = value
-                    .get("voltage")
-                    .and_then(JsonValue::as_f64)
-                    .filter(|v| *v > 0.0 && v.is_finite())
-                    .ok_or("voltage-linked spec needs a positive \"voltage\"")?;
-                Self::voltage_linked(voltage_model(value)?, voltage)
+                let voltage = f.check("a positive", "voltage", positive)?;
+                Self::voltage_linked(f.decode("model")?, voltage)
             }
             "dvfs" => {
-                let raw_steps = value
-                    .get("steps")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("dvfs spec needs a \"steps\" array")?;
-                let mut steps = Vec::with_capacity(raw_steps.len());
-                for step in raw_steps {
-                    let flops = step
-                        .get("flops")
-                        .and_then(JsonValue::as_u64)
-                        .filter(|&f| f > 0)
-                        .ok_or("dvfs steps need a positive \"flops\" count")?;
-                    let voltage = step
-                        .get("voltage")
-                        .and_then(JsonValue::as_f64)
-                        .filter(|v| *v > 0.0 && v.is_finite())
-                        .ok_or("dvfs steps need a positive \"voltage\"")?;
-                    steps.push(DvfsStep { flops, voltage });
-                }
-                if steps.is_empty() {
-                    return Err("dvfs spec needs at least one step".into());
-                }
-                Self::dvfs(voltage_model(value)?, steps)
+                let step = |step: &JsonValue| {
+                    let s = step.fields("dvfs step");
+                    Ok(DvfsStep {
+                        flops: s.check("a positive", "flops", |n: &u64| *n > 0)?,
+                        voltage: s.check("a positive", "voltage", positive)?,
+                    })
+                };
+                let steps = f.check("a non-empty", "steps", |s: &&[JsonValue]| !s.is_empty())?;
+                let steps = steps.iter().map(step).collect::<Result<_, String>>()?;
+                Self::dvfs(f.decode("model")?, steps)
             }
             "register_file" | "array_resident" => {
-                Self::memory(MemoryFaultModel::from_json_value(value)?)
+                Self::memory(MemoryFaultModel::from_value(value)?)
             }
             other => return Err(format!("unknown fault model kind \"{other}\"")),
         })
