@@ -21,7 +21,7 @@ use stochastic_fpu::{
 };
 
 /// The `TRIAL_BITS_VERSION` the table below was captured under.
-const PINNED_VERSION: u32 = 1;
+const PINNED_VERSION: u32 = 2;
 
 /// Base seed of every fingerprinted trial.
 const SEED: u64 = 1;
@@ -29,14 +29,14 @@ const SEED: u64 = 1;
 /// `(workload, scenario, rate label, success, metric bits, flops, faults)`.
 type Fingerprint<'a> = (&'a str, &'static str, &'static str, bool, u64, u64, u64);
 
-/// Captured before the memory-fault fast lane and slot cursors landed;
-/// they left every value unchanged.
+/// Recaptured when every fault began to flip from the canonical NaN
+/// (`TRIAL_BITS_VERSION` 2); one table pins debug and release builds.
 #[rustfmt::skip]
 const GOLDEN: &[Fingerprint<'static>] = &[
     ("apsp", "transient", "rate0", false, 4599443747266848694, 3125243, 0),
     ("apsp", "transient", "0.7V", false, 4599522403323254243, 3125073, 3150),
     ("apsp", "register_file", "rate0", false, 4599443747266848694, 3125243, 0),
-    ("apsp", "register_file", "0.7V", false, 4599568780244207734, 3125438, 3149),
+    ("apsp", "register_file", "0.7V", false, 4599580879021144773, 3125563, 3149),
     ("apsp", "array_resident", "rate0", false, 4599443747266848694, 3125243, 0),
     ("apsp", "array_resident", "0.7V", false, 4599436186777218961, 3124993, 3148),
     ("doubly_stochastic", "transient", "rate0", true, 0, 19591, 0),
@@ -48,19 +48,19 @@ const GOLDEN: &[Fingerprint<'static>] = &[
     ("eigen", "transient", "rate0", true, 4575673731685243846, 34000, 0),
     ("eigen", "transient", "0.7V", true, 4575410517685317473, 34000, 36),
     ("eigen", "register_file", "rate0", true, 4575673731685243846, 34000, 0),
-    ("eigen", "register_file", "0.7V", true, 4584980024678726353, 34000, 38),
+    ("eigen", "register_file", "0.7V", true, 4585026773410488589, 34000, 38),
     ("eigen", "array_resident", "rate0", true, 4575673731685243846, 34000, 0),
     ("eigen", "array_resident", "0.7V", true, 4575910290184009385, 34000, 38),
     ("iir", "transient", "rate0", true, 4355577799731715521, 953226, 0),
     ("iir", "transient", "0.7V", true, 4565665825192436476, 953226, 962),
     ("iir", "register_file", "rate0", true, 4355577799731715521, 953226, 0),
-    ("iir", "register_file", "0.7V", true, 4574002333957039590, 953226, 946),
+    ("iir", "register_file", "0.7V", true, 4574589537526714230, 953226, 946),
     ("iir", "array_resident", "rate0", true, 4355577799731715521, 953226, 0),
     ("iir", "array_resident", "0.7V", true, 4572296347282911544, 953226, 946),
     ("least_squares", "transient", "rate0", true, 4487265902613432588, 287700, 0),
     ("least_squares", "transient", "0.7V", true, 4524032817241540315, 283590, 291),
     ("least_squares", "register_file", "rate0", true, 4487265902613432588, 287700, 0),
-    ("least_squares", "register_file", "0.7V", true, 4548532287787945943, 472650, 484),
+    ("least_squares", "register_file", "0.7V", true, 4548819229017164081, 521970, 531),
     ("least_squares", "array_resident", "rate0", true, 4487265902613432588, 287700, 0),
     ("least_squares", "array_resident", "0.7V", true, 4510116502148083854, 295920, 305),
     ("least_squares_ill", "transient", "rate0", true, 4584086694269057259, 1027500, 0),
@@ -90,7 +90,7 @@ const GOLDEN: &[Fingerprint<'static>] = &[
     ("sorting", "transient", "rate0", true, 0, 92870, 0),
     ("sorting", "transient", "0.7V", true, 0, 92937, 97),
     ("sorting", "register_file", "rate0", true, 0, 92870, 0),
-    ("sorting", "register_file", "0.7V", false, 4600877379321698714, 68584, 73),
+    ("sorting", "register_file", "0.7V", false, 4603579539098121011, 67715, 72),
     ("sorting", "array_resident", "rate0", true, 0, 92870, 0),
     ("sorting", "array_resident", "0.7V", false, 4600877379321698714, 92893, 94),
     ("svm", "transient", "rate0", true, 0, 81120, 0),
@@ -187,34 +187,23 @@ fn trial_fingerprints_match_the_pinned_table() {
     assert_pinned("GOLDEN", &fingerprints(&registry), GOLDEN);
 }
 
-/// The `msb_only` `f32` row's metric bits. Its strikes make NaNs whose
-/// payloads reach the metric's finite bits, and debug and release codegen
-/// keep different payloads (ROADMAP item 10), so each build profile pins
-/// its own value; the FLOP and fault counts agree.
-const MSB_ONLY_F32_METRIC: u64 = if cfg!(debug_assertions) {
-    4590255336687568874
-} else {
-    4590255261913795293
-};
-
 /// `(distribution, width, success, metric bits, flops, faults)`.
 type BitModelFingerprint = (&'static str, &'static str, bool, u64, u64, u64);
 
 /// `least_squares` under a transient flip at 5% of FLOPs for every preset
 /// bit distribution and width: the rows that pin the bit sampler itself,
 /// which the table above reaches only through the emulated `f64` preset.
-/// Captured before the bit sampler's guide table landed; it left every
-/// value unchanged.
+/// Recaptured with the table above.
 #[rustfmt::skip]
 const GOLDEN_BIT_MODELS: &[BitModelFingerprint] = &[
     ("emulated", "f64", true, 4572266306774736771, 300030, 14974),
-    ("emulated", "f32", true, 4577003268194057724, 427440, 21375),
+    ("emulated", "f32", true, 4577077480897717882, 484980, 24242),
     ("exponent_heavy", "f64", true, 4587256850487439173, 406890, 20332),
-    ("exponent_heavy", "f32", true, 4587306351769000725, 353460, 17655),
+    ("exponent_heavy", "f32", true, 4587160108196521509, 341130, 17026),
     ("uniform", "f64", true, 4587288263336725098, 427440, 21375),
-    ("uniform", "f32", true, 4587592865688658788, 452100, 22589),
+    ("uniform", "f32", true, 4588184971177358802, 361680, 18057),
     ("msb_only", "f64", true, 4588258357535655029, 406890, 20332),
-    ("msb_only", "f32", true, MSB_ONLY_F32_METRIC, 341130, 17026),
+    ("msb_only", "f32", true, 4589727512304510642, 374010, 18683),
     ("lsb_only", "f64", true, 4487265905905578072, 287700, 14365),
     ("lsb_only", "f32", true, 4487450450001353915, 287700, 14365),
 ];

@@ -76,7 +76,9 @@ pub use error::CoreError;
 pub use lp::LinearProgram;
 pub use penalty::{AffineConstraints, PenaltyCost, PenaltyKind};
 pub use precondition::{precondition_lp, PreconditionedLp};
-pub use problem::{default_solve, RobustOutcome, RobustProblem, SolveMethod, SolverSpec, Verdict};
+pub use problem::{
+    default_solve, RobustOutcome, RobustProblem, SolveMethod, SolverSpec, Verdict, MAX_SOLVER_STEPS,
+};
 pub use schedule::StepSchedule;
 pub use sgd::{AggressiveStepping, Annealing, GradientGuard, GuardState, Sgd, SolveReport};
 pub use workload::{DynProblem, ProblemFactory, SolverFactory, WorkloadRegistry};

@@ -122,6 +122,14 @@ pub struct SolverSpec {
     pub variant: Option<String>,
 }
 
+/// The largest solver budget a [`SolverSpec`] may ask for, in
+/// `iterations` and in an aggressive-stepping tail's `max_steps`. A
+/// campaign daemon runs whatever a submission validates, so without a
+/// bound one accepted cell could hold a pool worker for hours. It is 100×
+/// the largest budget the workload registry and the figures use (10,000
+/// SGD iterations).
+pub const MAX_SOLVER_STEPS: usize = 1_000_000;
+
 impl SolverSpec {
     /// An SGD spec with the given iteration budget and schedule.
     pub fn sgd(iterations: usize, schedule: StepSchedule) -> Self {
@@ -206,12 +214,22 @@ impl SolverSpec {
     /// trial: momentum outside `(0, 1]`, an annealing period of `0` or a
     /// factor that is not a finite number above `1`, a CG restart
     /// interval of `0`, and a gradient guard bound (`clip`, `clamp`,
-    /// `adaptive` factor or reject) that is not positive.
+    /// `adaptive` factor or reject) that is not positive; and a budget
+    /// (`iterations`, aggressive-stepping `max_steps`) above
+    /// [`MAX_SOLVER_STEPS`].
     ///
     /// # Errors
     ///
     /// Returns a message naming the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
+        let max_steps = self.aggressive.map_or(0, |a| a.max_steps);
+        for (field, steps) in [("iterations", self.iterations), ("max_steps", max_steps)] {
+            if steps > MAX_SOLVER_STEPS {
+                return Err(format!(
+                    "solver {field} must be at most {MAX_SOLVER_STEPS}, got {steps}"
+                ));
+            }
+        }
         if let Some(beta) = self.momentum {
             if !(beta > 0.0 && beta <= 1.0) {
                 return Err(format!("momentum β must be in (0, 1], got {beta}"));
@@ -653,6 +671,32 @@ mod tests {
     fn assert_rejected(spec: SolverSpec, field: &str) {
         let err = spec.validate().expect_err(&spec.to_json());
         assert!(err.contains(field), "{err}");
+    }
+
+    #[test]
+    fn validate_caps_the_solver_budget() {
+        let at_cap = SolverSpec::sgd(MAX_SOLVER_STEPS, StepSchedule::Fixed(0.1));
+        assert_eq!(at_cap.validate(), Ok(()));
+        assert_rejected(
+            SolverSpec::sgd(MAX_SOLVER_STEPS + 1, StepSchedule::Fixed(0.1)),
+            "iterations",
+        );
+        assert_rejected(SolverSpec::cg(1_000_000_000_000), "iterations");
+        let tail = |max_steps| AggressiveStepping {
+            max_steps,
+            ..AggressiveStepping::default()
+        };
+        let sgd = || SolverSpec::sgd(50, StepSchedule::Fixed(0.1));
+        assert_eq!(
+            sgd()
+                .with_aggressive_stepping(tail(MAX_SOLVER_STEPS))
+                .validate(),
+            Ok(())
+        );
+        assert_rejected(
+            sgd().with_aggressive_stepping(tail(MAX_SOLVER_STEPS + 1)),
+            "max_steps",
+        );
     }
 
     #[test]

@@ -39,4 +39,6 @@ pub use cache::ResultCache;
 pub use runner::{
     resolve_cells, run, run_on, CampaignRun, CellUpdate, ResolvedCell, TRIAL_BITS_VERSION,
 };
-pub use spec::{CampaignSpec, Instantiate, JobSpec, MAX_CAMPAIGN_TRIALS, MAX_MEMORY_SLOTS};
+pub use spec::{
+    CampaignSpec, Instantiate, JobSpec, MAX_CAMPAIGN_TRIALS, MAX_MEMORY_SLOTS, MAX_SOLVER_STEPS,
+};

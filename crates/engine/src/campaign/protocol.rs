@@ -764,6 +764,36 @@ mod tests {
         assert_eq!(events[1], "{\"event\":\"pong\"}");
     }
 
+    /// A solver budget past `MAX_SOLVER_STEPS` is refused before
+    /// `accepted` (it would hold a worker for hours), and a good submission
+    /// on the same connection runs to `done`.
+    #[test]
+    fn unbounded_solver_work_is_refused_before_accept() {
+        let reg = registry();
+        let solver = SolverSpec::sgd(5, StepSchedule::Fixed(0.1));
+        let good = campaign().job(JobSpec::new("s", "wobble").with_solver(solver));
+        let bad = good
+            .to_json()
+            .replace("\"iterations\":5,", "\"iterations\":1000000000000,");
+        assert_ne!(bad, good.to_json());
+        let input = format!(
+            "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n",
+            good.to_json()
+        );
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("iterations"),
+            "got {events:?}"
+        );
+        assert!(
+            events[1].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        let done = json::parse(events.last().expect("done event")).expect("done parses");
+        assert_eq!(done.get("event").and_then(JsonValue::as_str), Some("done"));
+    }
+
     #[test]
     fn tcp_round_trip_submits_and_shuts_down() {
         let reg = registry();

@@ -19,6 +19,12 @@ pub const MAX_MEMORY_SLOTS: usize = 1 << 20;
 /// grid, `fig6_1_sorting`, runs 4,800.
 pub const MAX_CAMPAIGN_TRIALS: usize = 1_000_000;
 
+/// The most iterations (and aggressive-stepping steps) one solver spec may
+/// ask for, so one accepted cell cannot hold a worker for hours;
+/// [`SolverSpec::validate`], which [`CampaignSpec::validate`] runs on
+/// every job, refuses larger budgets.
+pub use robustify_core::MAX_SOLVER_STEPS;
+
 /// How a job turns its workload factory into problem instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instantiate {

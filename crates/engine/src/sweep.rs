@@ -3,6 +3,7 @@
 
 use crate::stats::CellStats;
 use robustify_core::SolverSpec;
+use std::fmt::Write;
 use stochastic_fpu::json::{self, JsonValue};
 use stochastic_fpu::json_object;
 use stochastic_fpu::{FaultModelSpec, VoltageErrorModel};
@@ -244,9 +245,20 @@ impl SweepResult {
     /// provenance. Non-finite metrics serialize as `null`.
     ///
     /// Deterministic for a fixed grid and seed — thread count does not
-    /// appear and cannot influence any value.
+    /// appear and cannot influence any value. Written one case at a time,
+    /// so beyond the text itself it holds one case's tree at most.
     pub fn to_json(&self) -> String {
-        let cases = self.cells.iter().enumerate().map(|(case, row)| {
+        let mut out = json_object!(
+            "name" => self.name.as_str(), "base_seed" => self.base_seed,
+            "rates_pct" => self.rates_pct.as_slice(), "voltages" => self.voltages.as_deref(),
+        )
+        .to_string();
+        out.pop(); // the closing brace: the cases follow
+        out.push_str(",\"cases\":[");
+        for (case, row) in self.cells.iter().enumerate() {
+            if case > 0 {
+                out.push(',');
+            }
             let cells = row.iter().enumerate().map(|(rate, cell)| {
                 let summary = cell.summary();
                 json_object!(
@@ -261,17 +273,14 @@ impl SweepResult {
                     "energy_per_trial" => JsonValue::finite(self.energy_per_trial(case, rate)),
                 )
             });
-            json_object!(
+            let case = json_object!(
                 "label" => self.labels[case].as_str(), "spec" => &self.solvers[case],
                 "fault_model" => &self.fault_models[case], "cells" => cells.collect::<JsonValue>(),
-            )
-        });
-        json_object!(
-            "name" => self.name.as_str(), "base_seed" => self.base_seed,
-            "rates_pct" => self.rates_pct.as_slice(), "voltages" => self.voltages.as_deref(),
-            "cases" => cases.collect::<JsonValue>(),
-        )
-        .to_string()
+            );
+            write!(out, "{case}").expect("writing to a String cannot fail");
+        }
+        out.push_str("]}");
+        out
     }
 }
 

@@ -11,6 +11,16 @@
 
 use crate::lfsr::Lfsr;
 
+/// The one NaN encoding every fault starts from: a NaN result or operand
+/// is rewritten to these `f64` bits (the quiet NaN with the sign set and
+/// an empty payload) before any bit of it flips. Rust leaves the payload
+/// of an arithmetic NaN unspecified, so without this rule a flip could
+/// turn a codegen choice into finite, different trial bits.
+pub const CANONICAL_NAN: u64 = 0xfff8_0000_0000_0000;
+
+/// [`CANONICAL_NAN`] narrowed to `f32`.
+const CANONICAL_NAN_F32: u32 = 0xffc0_0000;
+
 /// Which IEEE-754 encoding faults are injected into.
 ///
 /// The Leon3 FPU of the paper operates on single-precision values; this
@@ -52,19 +62,37 @@ impl BitWidth {
         }
     }
 
-    /// XORs `mask` into the encoding of `value`: the `f64` bits directly,
-    /// or the bits of `value` rounded to `f32` and widened back. An empty
-    /// mask returns `value` untouched, not even rounded through `f32`, so a
-    /// healthy storage slot never perturbs the values passing through it.
-    /// Every injected flip goes through here.
+    /// The encoding of `value` in this width: the `f64` bits, or the bits
+    /// of `value` rounded to `f32`. A NaN encodes as the canonical NaN
+    /// ([`CANONICAL_NAN`], narrowed for `f32`) whatever its payload, so a
+    /// fault's outcome never depends on which NaN payload codegen left in
+    /// the value it strikes.
+    pub(crate) fn encode(self, value: f64) -> u64 {
+        match (self, value.is_nan()) {
+            (BitWidth::F32, true) => u64::from(CANONICAL_NAN_F32),
+            (BitWidth::F32, false) => u64::from((value as f32).to_bits()),
+            (BitWidth::F64, true) => CANONICAL_NAN,
+            (BitWidth::F64, false) => value.to_bits(),
+        }
+    }
+
+    /// The value of an encoding in this width, widened back to `f64`.
+    pub(crate) fn decode(self, bits: u64) -> f64 {
+        match self {
+            BitWidth::F32 => f32::from_bits(bits as u32) as f64,
+            BitWidth::F64 => f64::from_bits(bits),
+        }
+    }
+
+    /// XORs `mask` into the [`encode`](Self::encode)d `value`. An empty
+    /// mask returns `value` untouched, not even rounded through `f32` or
+    /// canonicalized, so a healthy storage slot never perturbs the values
+    /// passing through it. Every injected flip goes through here.
     pub(crate) fn xor(self, value: f64, mask: u64) -> f64 {
         if mask == 0 {
             return value;
         }
-        match self {
-            BitWidth::F32 => f32::from_bits((value as f32).to_bits() ^ mask as u32) as f64,
-            BitWidth::F64 => f64::from_bits(value.to_bits() ^ mask),
-        }
+        self.decode(self.encode(value) ^ mask)
     }
 
     /// The inverse of [`name`](Self::name), for spec parsers.
@@ -785,6 +813,34 @@ mod tests {
         let exact = 1.0 + 1e-12;
         assert_eq!(BitWidth::F32.xor(exact, 0), exact);
         assert_ne!(BitWidth::F32.xor(exact, 1), exact);
+    }
+
+    #[test]
+    fn every_nan_flips_from_the_canonical_encoding() {
+        let payloads = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ffe_2c00_0000_0001),
+            f64::from_bits(0x7fff_2c00_0000_0001),
+        ];
+        for width in [BitWidth::F64, BitWidth::F32] {
+            for mask in [1u64, 1 << 20, 1 << 30] {
+                let flipped: Vec<u64> = payloads
+                    .iter()
+                    .map(|&nan| width.xor(nan, mask).to_bits())
+                    .collect();
+                assert!(
+                    flipped.iter().all(|&bits| bits == flipped[0]),
+                    "{width:?} mask {mask:#x}: {flipped:x?}"
+                );
+            }
+        }
+        assert_eq!(BitWidth::F64.xor(f64::NAN, 1).to_bits(), CANONICAL_NAN ^ 1);
+        // A flip of the sign bit leaves a NaN with a clear sign.
+        assert_eq!(
+            BitWidth::F64.xor(-f64::NAN, 1 << 63).to_bits(),
+            CANONICAL_NAN ^ (1 << 63)
+        );
     }
 
     #[test]

@@ -185,6 +185,45 @@ fn combine_lanes<F: Fpu>(fpu: &mut F, lanes: &[f64; LANE_WIDTH]) -> f64 {
     }
 }
 
+/// The row-run driver behind [`Fpu::csr_matvec`] and
+/// [`Fpu::csr_matvec_t`]: walks the CSR rows `row_ptr[i]..row_ptr[i + 1]`
+/// in order, and runs as many whole rows as one
+/// [`run_exact`](Fpu::run_exact) window holds natively (`native`), under
+/// one [`commit_exact`](Fpu::commit_exact). The row that does not fit the
+/// window's rest, and a row `row_flops` marks `None` (one the window
+/// cannot hold at any size), go `through` the row's per-op kernel, which
+/// owns its own windows. A row of `Some(0)` FLOPs always fits.
+fn csr_row_runs<F: Fpu>(
+    fpu: &mut F,
+    row_ptr: &[usize],
+    out: &mut [f64],
+    row_flops: impl Fn(usize) -> Option<u64>,
+    native: impl Fn(&mut [f64], usize),
+    mut through: impl FnMut(&mut F, &mut [f64], usize),
+) {
+    let rows = row_ptr.len() - 1;
+    let mut i = 0;
+    while i < rows {
+        let window = fpu.run_exact(2 * (row_ptr[rows] - row_ptr[i]) as u64);
+        let mut used = 0;
+        while i < rows {
+            match row_flops(i) {
+                Some(flops) if used + flops <= window => {
+                    native(out, i);
+                    used += flops;
+                    i += 1;
+                }
+                _ => break,
+            }
+        }
+        fpu.commit_exact(used);
+        if i < rows {
+            through(fpu, out, i);
+            i += 1;
+        }
+    }
+}
+
 /// The floating point operations an FPU executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlopOp {
@@ -297,9 +336,9 @@ pub trait Fpu {
 
     /// How many of the next `max` FLOPs are *guaranteed* to execute
     /// exactly — no fault strike, no per-op injector state (DVFS Bernoulli
-    /// draws, corrupted memory-persistent shadow storage) — so a caller may
-    /// compute them natively and account for them with
-    /// [`commit_exact`](Self::commit_exact).
+    /// draws, a read or write of a corrupted memory-persistent slot, a
+    /// scrub of corrupted slots) — so a caller may compute them natively
+    /// and account for them with [`commit_exact`](Self::commit_exact).
     ///
     /// The default is the conservative `0` ("no guarantee; go through
     /// `execute`"), which keeps any third-party implementor correct
@@ -639,6 +678,133 @@ pub trait Fpu {
             |fpu, y, [x]| fpu.sub(y, x),
         );
     }
+
+    /// Sparse matrix–vector product over compressed sparse rows:
+    /// `y[i] = Σₖ vals[k]·x[cols[k]]` for `k` in `row_ptr[i]..row_ptr[i + 1]`.
+    ///
+    /// Bit-identical per-op expansion: each row in order exactly as
+    /// [`gemv_row`](Self::gemv_row) with `init = 0.0` over the row's
+    /// values and the `x` entries its column indices address — below
+    /// [`LANE_REDUCTION_MIN`] entries `p = mul(vals[k], x[cols[k]]);
+    /// acc = add(acc, p)` per stored entry, lane-split from there on. One
+    /// guaranteed-exact window covers a run of whole short rows, which
+    /// run natively with no gather; the row a window ends in, and every
+    /// lane-split row, runs through [`gemv_row`](Self::gemv_row) on its
+    /// gathered `x` entries.
+    ///
+    /// # FLOP accounting
+    ///
+    /// `2·nnz` FLOPs (`mul` + `add` per stored entry), plus `LANE_WIDTH`
+    /// per row of at least [`LANE_REDUCTION_MIN`] entries. An empty row
+    /// costs nothing and yields `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row_ptr` has `y.len() + 1` offsets, or if an offset
+    /// or column index is out of bounds.
+    fn csr_matvec(
+        &mut self,
+        row_ptr: &[usize],
+        cols: &[usize],
+        vals: &[f64],
+        x: &[f64],
+        y: &mut [f64],
+    ) where
+        Self: Sized,
+    {
+        assert_eq!(row_ptr.len(), y.len() + 1, "csr_matvec row offsets");
+        let row = |i: usize| row_ptr[i]..row_ptr[i + 1];
+        let mut gather = Vec::new();
+        csr_row_runs(
+            self,
+            row_ptr,
+            y,
+            |i| {
+                let nnz = row(i).len();
+                (nnz < LANE_REDUCTION_MIN).then_some(2 * nnz as u64)
+            },
+            |y, i| {
+                let mut acc = 0.0;
+                for k in row(i) {
+                    acc += vals[k] * x[cols[k]];
+                }
+                y[i] = acc;
+            },
+            |fpu, y, i| {
+                gather.clear();
+                gather.extend(cols[row(i)].iter().map(|&j| x[j]));
+                y[i] = fpu.gemv_row(0.0, &vals[row(i)], &gather);
+            },
+        );
+    }
+
+    /// Transposed sparse product over compressed sparse rows, accumulated
+    /// in place: `out[cols[k]] ← out[cols[k]] + vals[k]·y[i]` for every
+    /// row `i` with `y[i] != 0.0` and `k` in `row_ptr[i]..row_ptr[i + 1]`.
+    /// Rows with `y[i] == 0.0` are skipped entirely.
+    ///
+    /// Bit-identical per-op expansion: each remaining row in order
+    /// exactly as [`gemv_t_row`](Self::gemv_t_row) with `scale = y[i]`
+    /// over the row's values and the `out` entries its column indices
+    /// address — `p = mul(vals[k], y[i]); out[cols[k]] =
+    /// add(out[cols[k]], p)` per stored entry (matrix element first, the
+    /// operand order operand-side fault models are sensitive to). Column
+    /// indices must be strictly increasing within a row, so no row
+    /// updates an entry twice. One guaranteed-exact window covers a run of
+    /// whole rows, which update `out` natively in place; the row a window
+    /// ends in runs through [`gemv_t_row`](Self::gemv_t_row) on its
+    /// gathered `out` entries, scattered back.
+    ///
+    /// # FLOP accounting
+    ///
+    /// `2·nnz` FLOPs over the rows with `y[i] != 0.0` (`mul` + `add` per
+    /// stored entry); skipped rows cost nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row_ptr` has `y.len() + 1` offsets, or if an offset
+    /// or column index is out of bounds.
+    fn csr_matvec_t(
+        &mut self,
+        row_ptr: &[usize],
+        cols: &[usize],
+        vals: &[f64],
+        y: &[f64],
+        out: &mut [f64],
+    ) where
+        Self: Sized,
+    {
+        assert_eq!(row_ptr.len(), y.len() + 1, "csr_matvec_t row offsets");
+        let row = |i: usize| row_ptr[i]..row_ptr[i + 1];
+        let mut gather = Vec::new();
+        csr_row_runs(
+            self,
+            row_ptr,
+            out,
+            |i| {
+                Some(if y[i] == 0.0 {
+                    0
+                } else {
+                    2 * row(i).len() as u64
+                })
+            },
+            |out, i| {
+                if y[i] != 0.0 {
+                    for k in row(i) {
+                        out[cols[k]] += vals[k] * y[i];
+                    }
+                }
+            },
+            |fpu, out, i| {
+                gather.clear();
+                gather.extend(cols[row(i)].iter().map(|&j| out[j]));
+                fpu.gemv_t_row(y[i], &vals[row(i)], &mut gather);
+                for (&j, &v) in cols[row(i)].iter().zip(&gather) {
+                    out[j] = v;
+                }
+            },
+        );
+    }
 }
 
 impl<F: Fpu + ?Sized> Fpu for &mut F {
@@ -916,9 +1082,12 @@ impl NoisyFpu {
     pub fn reset_counters(&mut self) {
         self.flops = 0;
         self.stats = FaultStats::default();
-        // The DVFS schedule is indexed by the FLOP counter, which just
-        // rewound to zero; rewind the segment cursor with it.
+        // The DVFS schedule and the memory state's cached window bound are
+        // indexed by the FLOP counter, which just rewound to zero.
         self.dvfs_cursor = 0;
+        if let Some(memory) = &self.memory {
+            memory.rewind();
+        }
     }
 
     /// Enables or disables the countdown skip-ahead fast path used by the
@@ -1033,26 +1202,26 @@ impl Fpu for NoisyFpu {
     /// strike, so they may run natively; the op the countdown expires on
     /// (and everything after it) must go through [`execute`](Fpu::execute).
     /// Memory-persistent specs get the same window while their shadow
-    /// state is clean: an op on clean storage reads no corruption, writes
-    /// none, heals nothing, and a scrub of clean masks is a no-op. While
-    /// any slot is corrupted they report no window. DVFS schedules draw a
+    /// state is clean. While a slot is corrupted the window also ends
+    /// before the first op that reads or writes a corrupted slot and
+    /// before the next scrub boundary
+    /// ([`MemoryFaultState::clean_run`]): every op before it reads no
+    /// corruption, writes none and heals nothing. DVFS schedules draw a
     /// Bernoulli from the LFSR on every op, so they are the one spec that
     /// always takes the per-op path.
     fn run_exact(&self, max: u64) -> u64 {
         if !self.batched || self.dvfs.is_some() {
             return 0;
         }
-        if self
-            .memory
-            .as_ref()
-            .is_some_and(|memory| memory.corrupted_slots() > 0)
-        {
-            return 0;
+        let window = if self.rate.is_zero() {
+            max
+        } else {
+            max.min(self.countdown.saturating_sub(1))
+        };
+        match &self.memory {
+            Some(memory) => window.min(memory.clean_run(self.flops)),
+            None => window,
         }
-        if self.rate.is_zero() {
-            return max;
-        }
-        max.min(self.countdown.saturating_sub(1))
     }
 
     fn commit_exact(&mut self, n: u64) {
@@ -1487,55 +1656,92 @@ mod tests {
         fpu.commit_exact(window + 1);
     }
 
+    /// The first op from FLOP `flop` on that reads or writes a corrupted
+    /// slot of `state` or falls on a scrub boundary, found by stepping op
+    /// by op through the documented routing; `None` while every slot is
+    /// clean.
+    fn first_touch(state: &MemoryFaultState, flop: u64) -> Option<u64> {
+        use crate::memory::MemoryFaultKind;
+        let masks = state.masks();
+        if masks.iter().all(|&m| m == 0) {
+            return None;
+        }
+        let n = masks.len() as u64;
+        let scrub = state.model().scrub_interval();
+        let array = state.model().kind() == MemoryFaultKind::ArrayResident;
+        (flop..).find(|&f| {
+            let dirty = |word: u64| masks[(word % n) as usize] != 0;
+            dirty(f)
+                || (array && (dirty(2 * f) || dirty(2 * f + 1)))
+                || (scrub > 0 && f > 0 && f.is_multiple_of(scrub))
+        })
+    }
+
     #[test]
-    fn memory_specs_get_windows_only_while_clean() {
-        let rate = FaultRate::per_flop(1e-4);
-        let seed = 2;
-        // The strike schedule does not depend on the spec: a transient FPU
-        // with the same seed predicts the memory spec's first window.
-        let window = NoisyFpu::new(rate, BitFaultModel::emulated(), seed).run_exact(u64::MAX);
-        assert!(window > 0);
-        let struck = |spec: FaultModelSpec| {
-            let mut fpu = NoisyFpu::new(rate, spec, seed);
-            assert_eq!(fpu.run_exact(u64::MAX), window, "a fresh spec is clean");
-            fpu.commit_exact(window);
-            fpu.add(1.0, 1.0);
-            assert_eq!(fpu.faults(), 1, "the op after the window strikes");
-            assert_eq!(fpu.run_exact(1000), 0, "dirty storage has no window");
-            fpu
-        };
-
-        // Array-resident: the 8 writes after the strike overwrite every
-        // word, and the window returns as soon as the struck word heals.
-        let mut array = struck(FaultModelSpec::array_resident(
-            8,
-            BitFaultModel::emulated(),
-            0,
-        ));
-        let mut writes = 0;
-        while array.run_exact(1000) == 0 {
-            assert!(writes < 8, "an overwrite heals within one pass");
-            array.add(1.0, 1.0);
-            writes += 1;
+    fn memory_windows_end_before_the_next_dirty_touch() {
+        let bits = BitFaultModel::emulated();
+        // Both kinds; odd and even slot counts; one- and multi-word dirty
+        // bitmaps; scrubbed and never scrubbed.
+        let specs = [
+            FaultModelSpec::array_resident(7, bits.clone(), 50),
+            FaultModelSpec::array_resident(8, bits.clone(), 0),
+            FaultModelSpec::array_resident(131, bits.clone(), 400),
+            FaultModelSpec::register_file(5, bits.clone(), 37),
+            FaultModelSpec::register_file(70, bits.clone(), 0),
+        ];
+        let rate = FaultRate::per_flop(0.05);
+        for spec in specs {
+            for seed in [2, 9] {
+                let name = spec.name();
+                let mut fpu = NoisyFpu::new(rate, spec.clone(), seed);
+                let scrub = spec.memory_model().expect("memory spec").scrub_interval();
+                let (mut dirty_windows, mut wrapped, mut scrubs) = (0, false, 0);
+                for _ in 0..400 {
+                    let flop = fpu.flops();
+                    let window = fpu.run_exact(u64::MAX);
+                    // The countdown's share: the ops a per-op copy runs
+                    // before its next strike.
+                    let mut probe = fpu.clone();
+                    let faults = probe.faults();
+                    while probe.faults() == faults {
+                        probe.add(1.0, 1.0);
+                    }
+                    let countdown = probe.flops() - flop - 1;
+                    let state = fpu.memory_state().expect("memory spec");
+                    let expected = match first_touch(state, flop) {
+                        Some(touch) => countdown.min(touch - flop),
+                        None => countdown,
+                    };
+                    assert_eq!(window, expected, "{name} seed {seed} at FLOP {flop}");
+                    if state.corrupted_slots() > 0 && window > 0 {
+                        dirty_windows += 1;
+                        let n = state.masks().len() as u64;
+                        wrapped |= flop % n + window >= n;
+                    }
+                    if state.corrupted_slots() > 0
+                        && scrub > 0
+                        && (flop + window).is_multiple_of(scrub)
+                    {
+                        scrubs += 1;
+                    }
+                    fpu.commit_exact(window);
+                    // The op after the window: a touch, a scrub or a strike.
+                    fpu.add(1.0, 1.0);
+                }
+                assert!(
+                    dirty_windows > 20,
+                    "{name} seed {seed}: {dirty_windows} dirty windows"
+                );
+                assert!(
+                    wrapped,
+                    "{name} seed {seed}: no dirty window wrapped the slots"
+                );
+                assert!(
+                    scrub == 0 || scrubs > 0,
+                    "{name} seed {seed}: no dirty window met a scrub boundary"
+                );
+            }
         }
-        assert_eq!(array.faults(), 1);
-        assert_eq!(array.memory_state().expect("shadow").corrupted_slots(), 0);
-
-        // Register file: rewrites never heal latch damage, so the window
-        // returns only with the scrub, 16 ops (two passes) after the
-        // strike.
-        let mut regfile = struck(FaultModelSpec::register_file(
-            8,
-            BitFaultModel::emulated(),
-            window + 17,
-        ));
-        for _ in 0..16 {
-            regfile.add(1.0, 1.0);
-            assert_eq!(regfile.run_exact(1000), 0, "rewrites do not heal");
-        }
-        regfile.add(1.0, 1.0);
-        assert_eq!(regfile.faults(), 1);
-        assert!(regfile.run_exact(1000) > 0, "the scrub cleans the latches");
 
         // A DVFS schedule draws a Bernoulli per op.
         let dvfs = NoisyFpu::new(

@@ -65,7 +65,7 @@ mod memory;
 mod model;
 
 pub use energy::VoltageErrorModel;
-pub use fault::{BitFaultModel, BitWidth, FaultRate, FaultStats};
+pub use fault::{BitFaultModel, BitWidth, FaultRate, FaultStats, CANONICAL_NAN};
 pub use fpu::{
     FlopOp, Fpu, FpuExt, FpuSnapshot, NoisyFpu, ReliableFpu, LANE_REDUCTION_MIN, LANE_WIDTH,
 };

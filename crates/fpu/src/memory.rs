@@ -44,6 +44,7 @@ use crate::json::{JsonCodec, JsonValue};
 use crate::json_object;
 use crate::lfsr::Lfsr;
 use crate::model::read_bit_model;
+use std::cell::Cell;
 
 /// Which storage structure a persistent fault lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,18 +188,38 @@ impl JsonCodec for MemoryFaultModel {
 ///
 /// Per-FLOP routing costs no division: the state keeps the slot of the op
 /// in progress and the next scrub boundary as cursors, advanced by
-/// increment and conditional subtract. Only when an op's FLOP index does
-/// not follow the previous op's (after the FPU skipped a guaranteed-exact
-/// window or rewound its counters) does [`begin_op`](Self::begin_op)
-/// re-sync them with one `%`. A count of corrupted slots, kept in O(1) by
-/// installs, heals and scrubs, tells the FPU when the state is clean and
-/// exact ops may run natively.
-#[derive(Debug, Clone, PartialEq)]
+/// increment and conditional subtract. Only when an op's FLOP index lies
+/// more than one pass of the slots ahead of the previous op's (after the
+/// FPU skipped a long guaranteed-exact window or rewound its counters)
+/// does [`begin_op`](Self::begin_op) re-sync them with a `%`.
+///
+/// A bitmap of the corrupted slots, kept by installs, heals and scrubs,
+/// tells the FPU how many upcoming ops run exactly
+/// ([`clean_run`](Self::clean_run)): every op before the first one that
+/// reads or writes a corrupted slot, and before the next scrub boundary.
+/// Such an op reads no corruption, writes none and heals nothing, so it
+/// may run natively. The bounds are cached as absolute FLOP indexes and
+/// refreshed only once the ops pass them; a new corrupted slot shortens
+/// them in O(1).
+#[derive(Debug, Clone)]
 pub struct MemoryFaultState {
     model: MemoryFaultModel,
     masks: Vec<u64>,
     /// Number of nonzero masks.
     dirty: usize,
+    /// Bit `s` is set iff `masks[s] != 0`.
+    dirty_bits: Vec<u64>,
+    /// The first FLOP, from the last [`clean_run`](Self::clean_run)
+    /// query on, that touches a corrupted slot or falls on a scrub
+    /// boundary: the smallest of `next_write`, `next_read` and the next
+    /// scrub boundary. Each is [`UNKNOWN`] until computed, and after a
+    /// scrub or a rewind.
+    next_touch: Cell<u64>,
+    /// The first such FLOP whose write slot is corrupted.
+    next_write: Cell<u64>,
+    /// The first such FLOP that reads a corrupted word (array-resident
+    /// only); also [`UNKNOWN`] after a heal, which may have cleaned it.
+    next_read: Cell<u64>,
     /// FLOP index of the op in progress (the last `begin_op`);
     /// `u64::MAX` before the first.
     cur: u64,
@@ -210,10 +231,14 @@ pub struct MemoryFaultState {
     next_scrub: u64,
 }
 
+/// The `next_touch` of a state whose bound must be recomputed.
+const UNKNOWN: u64 = u64::MAX;
+
 impl MemoryFaultState {
     /// A fresh (uncorrupted) shadow state for `model`.
     pub fn new(model: MemoryFaultModel) -> Self {
         let masks = vec![0; model.slots];
+        let dirty_bits = vec![0; model.slots.div_ceil(64)];
         let next_scrub = match model.scrub_interval {
             0 => u64::MAX,
             interval => interval,
@@ -223,6 +248,10 @@ impl MemoryFaultState {
             model,
             masks,
             dirty: 0,
+            dirty_bits,
+            next_touch: Cell::new(UNKNOWN),
+            next_write: Cell::new(UNKNOWN),
+            next_read: Cell::new(UNKNOWN),
             // FLOP "−1": the first op, FLOP 0, takes the increment path.
             cur: u64::MAX,
             next_scrub,
@@ -254,6 +283,7 @@ impl MemoryFaultState {
     /// Positions the cursors at FLOP `flop`, called by the FPU before
     /// executing it, and runs the scrubber: at every
     /// `scrub_interval`-th FLOP boundary all masks clear.
+    #[inline]
     pub fn begin_op(&mut self, flop: u64) {
         if flop == self.cur.wrapping_add(1) {
             self.slot += 1;
@@ -261,29 +291,193 @@ impl MemoryFaultState {
                 self.slot = 0;
             }
         } else {
-            self.slot = (flop % self.model.slots as u64) as usize;
-            let interval = self.model.scrub_interval;
-            if interval > 0 {
-                self.next_scrub = flop.div_ceil(interval).max(1).saturating_mul(interval);
-            }
+            self.resync(flop);
         }
         self.cur = flop;
         if flop == self.next_scrub {
             self.next_scrub = self.next_scrub.saturating_add(self.model.scrub_interval);
             if self.dirty > 0 {
                 self.masks.fill(0);
+                self.dirty_bits.fill(0);
                 self.dirty = 0;
+                self.rewind();
             }
         }
     }
 
+    /// Moves the cursors to FLOP `flop` when it does not follow the op in
+    /// progress (after a window or a rewind); kept out of the per-op path.
+    #[inline(never)]
+    fn resync(&mut self, flop: u64) {
+        self.slot = self.slot_at(flop);
+        self.next_scrub = self.scrub_from(flop);
+    }
+
+    /// `flop % slots`, the write slot of FLOP `flop`, without a division
+    /// when `flop` lies at most one pass of the slots past the op in
+    /// progress. The initial cursor (FLOP "−1" on the last slot) obeys the
+    /// same wrapping arithmetic.
+    fn slot_at(&self, flop: u64) -> usize {
+        let n = self.masks.len();
+        let ahead = flop.wrapping_sub(self.cur);
+        if ahead <= n as u64 {
+            let slot = self.slot + ahead as usize;
+            if slot >= n {
+                slot - n
+            } else {
+                slot
+            }
+        } else {
+            (flop % n as u64) as usize
+        }
+    }
+
+    /// The first scrub boundary at or after FLOP `flop`: the cursor when
+    /// `flop` lies after the op in progress and not past the cursor, else
+    /// one division (`u64::MAX` when the model never scrubs).
+    fn scrub_from(&self, flop: u64) -> u64 {
+        let interval = self.model.scrub_interval;
+        if interval == 0 {
+            return u64::MAX;
+        }
+        let ahead = flop.wrapping_sub(self.cur);
+        if (1..=self.next_scrub.wrapping_sub(self.cur)).contains(&ahead) {
+            self.next_scrub
+        } else {
+            flop.div_ceil(interval).max(1).saturating_mul(interval)
+        }
+    }
+
+    /// How many ops from FLOP `flop` on run exactly through this storage:
+    /// none of them reads or writes a corrupted slot, and none falls on a
+    /// scrub boundary. Unbounded (`u64::MAX`) while every slot is clean,
+    /// where a scrub clears nothing. O(1) while the cached bound holds.
+    ///
+    /// Array-resident reads sweep words `2f` and `2f + 1` (two per FLOP),
+    /// writes sweep word `f` (one per FLOP); the register file is touched
+    /// by writes only. With `d` the cyclic distance from a sweep's start
+    /// to the next corrupted slot, the bound is `⌊d_read / 2⌋` ops for the
+    /// reads and `d_write` ops for the writes.
+    #[inline]
+    pub fn clean_run(&self, flop: u64) -> u64 {
+        if self.dirty == 0 {
+            return u64::MAX;
+        }
+        let until = self.next_touch.get();
+        if until != UNKNOWN && flop <= until {
+            return until - flop;
+        }
+        self.refresh_bounds(flop) - flop
+    }
+
+    /// Recomputes the bounds a query at FLOP `flop` has passed (each from
+    /// one scan of the dirty-slot bitmap) and returns the first op at or
+    /// after `flop` that touches a corrupted slot or falls on a scrub
+    /// boundary: the uncached half of [`clean_run`](Self::clean_run), kept
+    /// out of line.
+    #[inline(never)]
+    fn refresh_bounds(&self, flop: u64) -> u64 {
+        let stale = |bound: u64| bound == UNKNOWN || flop > bound;
+        let slot = self.slot_at(flop);
+        let mut until = self.next_write.get();
+        if stale(until) {
+            until = flop + self.distance_to_dirty(slot) as u64;
+            self.next_write.set(until);
+        }
+        if self.model.kind == MemoryFaultKind::ArrayResident {
+            let mut read = self.next_read.get();
+            if stale(read) {
+                let n = self.masks.len();
+                let word = if 2 * slot >= n {
+                    2 * slot - n
+                } else {
+                    2 * slot
+                };
+                read = flop + (self.distance_to_dirty(word) / 2) as u64;
+                self.next_read.set(read);
+            }
+            until = until.min(read);
+        }
+        until = until.min(self.scrub_from(flop));
+        self.next_touch.set(until);
+        until
+    }
+
+    /// Forgets the cached [`clean_run`](Self::clean_run) bounds; the FPU
+    /// calls it when it rewinds its FLOP counter.
+    pub(crate) fn rewind(&self) {
+        self.next_touch.set(UNKNOWN);
+        self.next_write.set(UNKNOWN);
+        self.next_read.set(UNKNOWN);
+    }
+
+    /// The cyclic distance from slot `start` to the first corrupted slot
+    /// at or after it. Needs a corrupted slot.
+    fn distance_to_dirty(&self, start: usize) -> usize {
+        let mut word = start / 64;
+        let mut bits = self.dirty_bits[word] & (!0 << (start % 64));
+        while bits == 0 {
+            word += 1;
+            if word == self.dirty_bits.len() {
+                word = 0;
+            }
+            bits = self.dirty_bits[word];
+        }
+        let found = word * 64 + bits.trailing_zeros() as usize;
+        if found < start {
+            found + self.masks.len() - start
+        } else {
+            found - start
+        }
+    }
+
+    /// Folds a slot that just became corrupted, during the op in
+    /// progress, into the cached [`clean_run`](Self::clean_run) bounds:
+    /// the first op that can touch it is the next one, and a bound can
+    /// only move closer. A bound that is unknown or already passed stays
+    /// so.
+    #[inline(never)]
+    fn shorten_bound(&self, slot: usize) {
+        let next = self.cur.wrapping_add(1);
+        let n = self.masks.len();
+        let distance = |from: usize| {
+            if slot < from {
+                slot + n - from
+            } else {
+                slot - from
+            }
+        };
+        // Each cached bound that is known and not yet passed.
+        let shorten = |bound: &Cell<u64>, run: usize| {
+            let until = bound.get();
+            if until != UNKNOWN && until >= next {
+                bound.set(until.min(next + run as u64));
+            }
+        };
+        let write = if self.slot + 1 == n { 0 } else { self.slot + 1 };
+        let mut run = distance(write);
+        shorten(&self.next_write, run);
+        if self.model.kind == MemoryFaultKind::ArrayResident {
+            let read = if 2 * write >= n {
+                2 * write - n
+            } else {
+                2 * write
+            };
+            let read_run = distance(read) / 2;
+            shorten(&self.next_read, read_run);
+            run = run.min(read_run);
+        }
+        shorten(&self.next_touch, run);
+    }
+
     /// The write slot of FLOP `flop`: the cursor when `flop` is the op in
-    /// progress, else one `%`.
+    /// progress (the per-op path's case, kept to one compare), else
+    /// [`slot_at`](Self::slot_at).
     fn write_slot(&self, flop: u64) -> usize {
         if flop == self.cur {
             self.slot
         } else {
-            (flop % self.model.slots as u64) as usize
+            self.slot_at(flop)
         }
     }
 
@@ -318,6 +512,11 @@ impl MemoryFaultState {
                 if self.masks[slot] != 0 {
                     self.masks[slot] = 0;
                     self.dirty -= 1;
+                    self.dirty_bits[slot / 64] &= !(1 << (slot % 64));
+                    // A heal is a write touch, at or past the cached write
+                    // bound, which the next query recomputes anyway; the
+                    // read bound may have pointed at this word.
+                    self.next_read.set(UNKNOWN);
                 }
                 value
             }
@@ -334,6 +533,8 @@ impl MemoryFaultState {
         let bit = self.model.bits.sample_bit(lfsr);
         if self.masks[slot] == 0 {
             self.dirty += 1;
+            self.dirty_bits[slot / 64] |= 1 << (slot % 64);
+            self.shorten_bound(slot);
         }
         self.masks[slot] |= 1u64 << bit;
         stats.record_fault(self.model.bits.width(), bit);

@@ -55,29 +55,16 @@ fn flip(model: &BitFaultModel, value: f64, lfsr: &mut Lfsr, stats: &mut FaultSta
     model.width().xor(value, 1 << bit)
 }
 
-/// Forces `bit` of `value` to `one` in the given encoding. Returns the
-/// forced value and whether the bit actually changed.
+/// Forces `bit` of `value`'s encoding (a NaN's is the canonical one) to
+/// `one`. Returns the forced value and whether the bit actually changed.
 fn force_bit(value: f64, bit: usize, one: bool, width: BitWidth) -> (f64, bool) {
-    match width {
-        BitWidth::F32 => {
-            let old = (value as f32).to_bits();
-            let new = if one {
-                old | (1u32 << bit)
-            } else {
-                old & !(1u32 << bit)
-            };
-            (f32::from_bits(new) as f64, new != old)
-        }
-        BitWidth::F64 => {
-            let old = value.to_bits();
-            let new = if one {
-                old | (1u64 << bit)
-            } else {
-                old & !(1u64 << bit)
-            };
-            (f64::from_bits(new), new != old)
-        }
-    }
+    let old = width.encode(value);
+    let new = if one {
+        old | (1 << bit)
+    } else {
+        old & !(1 << bit)
+    };
+    (width.decode(new), new != old)
 }
 
 /// A serializable, plain-data description of a fault model — the analogue
@@ -583,11 +570,10 @@ impl FaultModelSpec {
                 let start = model.sample_bit(lfsr);
                 // One fault event, recorded at its primary (sampled) position.
                 stats.record_fault(width, start);
-                let mut value = ctx.exact;
-                for bit in start..(start + length).min(width.bits()) {
-                    value = width.xor(value, 1 << bit);
-                }
-                value
+                // One combined mask: the burst flips from one encoding.
+                let end = (start + length).min(width.bits());
+                let mask = (start..end).fold(0u64, |mask, bit| mask | (1 << bit));
+                width.xor(ctx.exact, mask)
             }
             FaultModelSpec::Operand { model } => {
                 let width = model.width();

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use stochastic_fpu::{
-    BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, Lfsr, NoisyFpu, ReliableFpu,
-    VoltageErrorModel,
+    BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, Lfsr, MemoryFaultKind,
+    MemoryFaultState, NoisyFpu, ReliableFpu, VoltageErrorModel,
 };
 
 /// Every shipped fault-model scenario: the CLI presets plus combinator
@@ -254,9 +254,12 @@ proptest! {
     /// The memory state's O(1) bookkeeping survives any mix of per-op
     /// execution, batch kernels on granted windows, bare `commit_exact`
     /// jumps and counter resets, including scrub boundaries that fall
-    /// inside committed windows. After every step the dirty count equals
-    /// a recount of the masks, and the next op puts the write cursor on
-    /// `flop % slots` and runs any scrub due at its boundary.
+    /// inside windows committed while the masks are clean. No granted
+    /// window covers an op that reads or writes a corrupted slot, or a
+    /// scrub boundary while a slot is corrupted. After every step the
+    /// dirty count equals a recount of the masks, and the next op puts the
+    /// write cursor on `flop % slots` and runs any scrub due at its
+    /// boundary.
     #[test]
     fn memory_dirty_count_and_cursors_stay_in_sync(
         seed in any::<u64>(),
@@ -291,6 +294,14 @@ proptest! {
                 }
                 2 => {
                     let window = fpu.run_exact(arg % 200);
+                    let state = fpu.memory_state().expect("memory spec");
+                    let first = fpu.flops();
+                    for flop in first..first + window {
+                        prop_assert!(
+                            !touches(state, flop),
+                            "the window from FLOP {} covers FLOP {}", first, flop
+                        );
+                    }
                     fpu.commit_exact(window);
                 }
                 _ => fpu.reset_counters(),
@@ -385,4 +396,21 @@ proptest! {
         let sum: f64 = model.weights().iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-9);
     }
+}
+
+/// Whether FLOP `flop` reads or writes a corrupted slot of `state`, or
+/// falls on a scrub boundary while a slot is corrupted: the ops a
+/// memory spec must run through `execute`. Array-resident ops read words
+/// `2·flop` and `2·flop + 1` and write word `flop`; register-file ops only
+/// write register `flop` (all modulo the slot count).
+fn touches(state: &MemoryFaultState, flop: u64) -> bool {
+    let masks = state.masks();
+    let n = masks.len() as u64;
+    let dirty = |slot: u64| masks[(slot % n) as usize] != 0;
+    let scrub = state.model().scrub_interval();
+    let array = state.model().kind() == MemoryFaultKind::ArrayResident;
+    let scrubs = scrub > 0 && flop > 0 && flop.is_multiple_of(scrub);
+    dirty(flop)
+        || (array && (dirty(2 * flop) || dirty(2 * flop + 1)))
+        || (scrubs && state.corrupted_slots() > 0)
 }

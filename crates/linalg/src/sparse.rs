@@ -1,16 +1,16 @@
 //! Compressed sparse row (CSR) matrices with batched, bit-deterministic
 //! SpMV/SpMTV.
 //!
-//! Structural operations (triplet assembly, gathers and scatters of vector
-//! entries, dense round-trips) use native arithmetic: they move data
-//! without computing on it. The numerical products route every multiply
-//! and add through an [`Fpu`](stochastic_fpu::Fpu), reusing the proven
-//! batch kernels ([`Fpu::gemv_row`](stochastic_fpu::Fpu::gemv_row),
-//! [`Fpu::gemv_t_row`](stochastic_fpu::Fpu::gemv_t_row)) built on the
-//! `run_exact`/`commit_exact` window API — so a row's stored nonzeros run
+//! Structural operations (triplet assembly, dense round-trips) use native
+//! arithmetic: they move data without computing on it. The numerical products route every multiply
+//! and add through an [`Fpu`](stochastic_fpu::Fpu): the CSR kernels
+//! ([`Fpu::csr_matvec`](stochastic_fpu::Fpu::csr_matvec),
+//! [`Fpu::csr_matvec_t`](stochastic_fpu::Fpu::csr_matvec_t)) built on the
+//! `run_exact`/`commit_exact` window API — so runs of whole rows execute
 //! natively on the fault-free fast lane wherever the countdown permits,
-//! fall back to the per-op strike lane at window boundaries, and stay
-//! bit-identical to scalar dispatch at every fault rate.
+//! the rows at window boundaries fall back to the per-op strike lane, and
+//! every product stays bit-identical to scalar dispatch at every fault
+//! rate.
 //!
 //! Zero-skips are preserved by *storage*: CSR only stores nonzeros, so a
 //! zero entry never reaches the FPU — the sparse analogue of the
@@ -58,8 +58,6 @@ pub struct CsrMatrix {
     col_idx: Vec<usize>,
     /// Value per stored entry; never `0.0`.
     vals: Vec<f64>,
-    /// Largest per-row entry count (sizes the gather scratch buffer).
-    max_row_nnz: usize,
 }
 
 impl CsrMatrix {
@@ -119,17 +117,12 @@ impl CsrMatrix {
         for i in 0..rows {
             row_ptr[i + 1] += row_ptr[i];
         }
-        let max_row_nnz = (0..rows)
-            .map(|i| row_ptr[i + 1] - row_ptr[i])
-            .max()
-            .unwrap_or(0);
         Ok(CsrMatrix {
             rows,
             cols,
             row_ptr,
             col_idx,
             vals,
-            max_row_nnz,
         })
     }
 
@@ -195,21 +188,17 @@ impl CsrMatrix {
         self.vals.iter().all(|v| v.is_finite())
     }
 
-    /// Sparse matrix–vector product `A x` through the FPU.
-    ///
-    /// Per row, the entries of `x` addressed by the row's column indices
-    /// are gathered into a contiguous scratch buffer (data movement) and
-    /// reduced by one [`Fpu::gemv_row`] call — the same `p = mul(a_ij,
-    /// x_j); acc = add(acc, p)` per-entry expansion, in stored order, that
-    /// scalar dispatch issues, with fault-free stretches running natively
-    /// (lane-split and vectorizable once the row reaches
-    /// [`LANE_REDUCTION_MIN`](stochastic_fpu::LANE_REDUCTION_MIN) entries).
+    /// Sparse matrix–vector product `A x` through the FPU: one
+    /// [`Fpu::csr_matvec`] call, whose per-row expansion is
+    /// [`Fpu::gemv_row`]'s — `p = mul(a_ij, x_j); acc = add(acc, p)` per
+    /// stored entry, in stored order (lane-split once a row reaches
+    /// [`LANE_REDUCTION_MIN`](stochastic_fpu::LANE_REDUCTION_MIN)
+    /// entries) — with runs of whole rows on one fault-free window.
     ///
     /// # FLOP accounting
     ///
     /// `2·nnz` FLOPs (`mul` + `add` per stored entry; `+ LANE_WIDTH` per
-    /// row once its reduction lane-splits). Gathers are data movement,
-    /// not FLOPs.
+    /// row once its reduction lane-splits).
     ///
     /// # Errors
     ///
@@ -222,35 +211,24 @@ impl CsrMatrix {
                 format!("length {}", x.len()),
             ));
         }
-        let mut gather = vec![0.0; self.max_row_nnz];
-        let mut y = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            let g = &mut gather[..cols.len()];
-            for (gk, &j) in g.iter_mut().zip(cols) {
-                *gk = x[j];
-            }
-            y.push(fpu.gemv_row(0.0, vals, g));
-        }
+        let mut y = vec![0.0; self.rows];
+        fpu.csr_matvec(&self.row_ptr, &self.col_idx, &self.vals, x, &mut y);
         Ok(y)
     }
 
-    /// Transposed sparse matrix–vector product `Aᵀ y` through the FPU.
-    ///
-    /// Rows with `y[i] == 0.0` are skipped entirely (the same zero-skip
-    /// the dense [`Matrix::matvec_t`] applies). For each remaining row the
-    /// addressed output entries are gathered into a contiguous scratch
-    /// buffer, updated by one [`Fpu::gemv_t_row`] call (`p = mul(a_ij,
-    /// y_i); out_j = add(out_j, p)` per entry in stored order — matrix
-    /// element first, the operand order the operand-side fault models are
-    /// sensitive to), and scattered back. Column indices are strictly
-    /// increasing within a row, so the gather/scatter never aliases.
+    /// Transposed sparse matrix–vector product `Aᵀ y` through the FPU:
+    /// one [`Fpu::csr_matvec_t`] call. Rows with `y[i] == 0.0` are skipped
+    /// entirely (the same zero-skip the dense [`Matrix::matvec_t`]
+    /// applies); every other row updates its output entries as
+    /// [`Fpu::gemv_t_row`] does — `p = mul(a_ij, y_i); out_j = add(out_j,
+    /// p)` per entry in stored order, matrix element first (the operand
+    /// order the operand-side fault models are sensitive to) — with runs
+    /// of whole rows on one fault-free window.
     ///
     /// # FLOP accounting
     ///
     /// `2·nnz` FLOPs over the rows with `y[i] != 0.0` (`mul` + `add` per
-    /// stored entry); skipped rows cost zero. Gather/scatter is data
-    /// movement, not FLOPs.
+    /// stored entry); skipped rows cost zero.
     ///
     /// # Errors
     ///
@@ -264,21 +242,7 @@ impl CsrMatrix {
             ));
         }
         let mut out = vec![0.0; self.cols];
-        let mut scratch = vec![0.0; self.max_row_nnz];
-        for (i, &yi) in y.iter().enumerate() {
-            if yi == 0.0 {
-                continue;
-            }
-            let (cols, vals) = self.row(i);
-            let s = &mut scratch[..cols.len()];
-            for (sk, &j) in s.iter_mut().zip(cols) {
-                *sk = out[j];
-            }
-            fpu.gemv_t_row(yi, vals, s);
-            for (sk, &j) in s.iter().zip(cols) {
-                out[j] = *sk;
-            }
-        }
+        fpu.csr_matvec_t(&self.row_ptr, &self.col_idx, &self.vals, y, &mut out);
         Ok(out)
     }
 

@@ -1,25 +1,36 @@
 //! Determinism contract of the dense and sparse layers: every product
 //! is **byte-identical** between batched and scalar dispatch for every
-//! shipped `FaultModelSpec` variant. Dense: `Matrix::matmul`, `gram` and
-//! `matvec_t` (the `QrFactorization::compute` case is a known failure,
-//! ignored); sparse: CSR SpMV/SpMTV, which also agree with the dense
-//! products at rate 0.
+//! shipped `FaultModelSpec` variant. Dense: `Matrix::matmul`, `gram`,
+//! `matvec_t` and `QrFactorization::compute`; sparse: CSR SpMV/SpMTV,
+//! which also agree with the dense products at rate 0.
 //!
 //! "Scalar" is the same kernel code with the countdown skip-ahead fast
 //! path disabled (`NoisyFpu::set_batching(false)`), which degrades every
 //! batched kernel to its documented per-op `execute` expansion — the
 //! `crates/fpu/tests/batch_identity.rs` pattern applied to the linear
-//! algebra layer. Fingerprints pin committed result bits, FLOP counters,
-//! fault counters and statistics (including the bit-position histogram),
-//! memory shadow state, and the continuation of the fault stream after
-//! the products.
+//! algebra layer. Fingerprints pin committed result bits (every NaN as one
+//! value), FLOP counters, fault counters and statistics (including the
+//! bit-position histogram), memory shadow state, and the continuation of
+//! the fault stream after the products.
 
 use proptest::prelude::*;
 use robustify_linalg::{CsrMatrix, Matrix, QrFactorization};
 use stochastic_fpu::{
     BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, NoisyFpu, ReliableFpu,
-    LANE_REDUCTION_MIN, LANE_WIDTH,
+    CANONICAL_NAN, LANE_REDUCTION_MIN, LANE_WIDTH,
 };
+
+/// A result's bits for a fingerprint, every NaN as one value: which NaN
+/// payload an exact operation keeps is codegen's choice (native fast lane
+/// vs per-op `execute`), and no fault can observe it, because every fault
+/// flips from the canonical NaN.
+fn canon_bits(value: f64) -> u64 {
+    if value.is_nan() {
+        CANONICAL_NAN
+    } else {
+        value.to_bits()
+    }
+}
 
 /// Every shipped fault-model scenario: the CLI presets plus combinator
 /// nestings that exercise each `FaultModelSpec` variant (mirrors
@@ -86,16 +97,19 @@ fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -
     let mut y: Vec<f64> = (0..a.rows())
         .map(|i| 1.5 - (i % 7) as f64 * 0.125)
         .collect();
-    // A zero coefficient pins the matvec_t zero-skip: both dispatch modes
-    // must skip the row entirely (no FLOPs, no strike-schedule advance).
+    // Zero coefficients pin the matvec_t zero-skip: both dispatch modes
+    // must skip the rows entirely (no FLOPs, no strike-schedule advance).
     if a.rows() > 1 {
         y[a.rows() / 3] = 0.0;
     }
+    if a.rows() > 3 {
+        y[3 * a.rows() / 4] = 0.0;
+    }
     let mut out = scalar_prefix(fpu, prefix);
     let ax = a.matvec(fpu, &x).expect("shapes match");
-    out.extend(ax.iter().map(|f| f.to_bits()));
+    out.extend(ax.iter().map(|&f| canon_bits(f)));
     let aty = a.matvec_t(fpu, &y).expect("shapes match");
-    out.extend(aty.iter().map(|f| f.to_bits()));
+    out.extend(aty.iter().map(|&f| canon_bits(f)));
     push_fpu_state(fpu, &mut out);
     out
 }
@@ -129,7 +143,7 @@ fn dense_workload_fingerprint(
     out.extend(matrix_bits(&a.matmul(fpu, rhs).expect("shapes match")));
     out.extend(matrix_bits(&a.gram(fpu)));
     let aty = a.matvec_t(fpu, &y).expect("shapes match");
-    out.extend(aty.iter().map(|f| f.to_bits()));
+    out.extend(aty.iter().map(|&f| canon_bits(f)));
     push_fpu_state(fpu, &mut out);
     out
 }
@@ -147,7 +161,7 @@ fn qr_fingerprint(fpu: &mut NoisyFpu, a: &Matrix, prefix: u64) -> Vec<u64> {
 
 fn matrix_bits(m: &Matrix) -> Vec<u64> {
     (0..m.rows())
-        .flat_map(|i| m.row(i).iter().map(|f| f.to_bits()))
+        .flat_map(|i| m.row(i).iter().map(|&f| canon_bits(f)))
         .collect()
 }
 
@@ -156,7 +170,7 @@ fn matrix_bits(m: &Matrix) -> Vec<u64> {
 /// first, interior and last entries of rows.
 fn scalar_prefix(fpu: &mut NoisyFpu, prefix: u64) -> Vec<u64> {
     (0..prefix)
-        .map(|i| fpu.mul(1.0 + i as f64, 1.5).to_bits())
+        .map(|i| canon_bits(fpu.mul(1.0 + i as f64, 1.5)))
         .collect()
 }
 
@@ -166,8 +180,8 @@ fn push_fpu_state(fpu: &mut NoisyFpu, out: &mut Vec<u64>) {
     // The fault stream must continue identically after the products: any
     // desynchronized LFSR draw or miscounted FLOP shows up here.
     for i in 0..64u64 {
-        out.push(fpu.add(i as f64, 0.5).to_bits());
-        out.push(fpu.sqrt(1.0 + i as f64).to_bits());
+        out.push(canon_bits(fpu.add(i as f64, 0.5)));
+        out.push(canon_bits(fpu.sqrt(1.0 + i as f64)));
     }
 
     out.push(fpu.flops());
@@ -248,15 +262,10 @@ proptest! {
     }
 
     /// Householder QR batched == scalar for every shipped spec variant.
-    /// Known failure: once a row fills with NaNs, a batched axpy lane and
-    /// the per-op `add` may keep different NaN payloads (Rust leaves them
-    /// unspecified), and a later strike that flips an exponent bit turns
-    /// the payload into a finite value. The fix changes figure documents
-    /// at high fault rates, so it waits for a change that moves trial bits
-    /// anyway (ROADMAP.md, "NaN payloads break batched == scalar
-    /// identity").
+    /// Rows fill with NaNs at high rates, and a batched lane and the
+    /// per-op `add` may keep different NaN payloads; the case holds
+    /// because every fault flips from the canonical NaN.
     #[test]
-    #[ignore = "NaN payloads leak through strikes; see ROADMAP.md"]
     fn dense_qr_is_byte_identical_to_scalar(
         seed in any::<u64>(),
         rate_millis in 1u64..1001,
@@ -395,5 +404,80 @@ fn dense_products_past_the_old_tile_edges_are_byte_identical_to_scalar() {
         assert_batched_equals_scalar(FaultRate::per_flop(rate), 0x5eed, |fpu| {
             dense_workload_fingerprint(fpu, &a, &rhs, 5)
         });
+    }
+}
+
+/// Row-run boundaries of the CSR kernels, pinned for every shipped fault
+/// model: the schedule's first strike is placed on the first, a middle
+/// and the last FLOP of every stored row of both products, so a window
+/// ends exactly at a row boundary, inside a row (the row straddles the
+/// window), or on a row's last entry. The matrix mixes short rows, empty
+/// rows and lane-split rows (≥ `LANE_REDUCTION_MIN` entries) between
+/// short ones, and `Aᵀy` skips a short and a long `y_i == 0` row.
+#[test]
+fn csr_row_run_boundaries_are_byte_identical_to_scalar() {
+    let long = LANE_REDUCTION_MIN;
+    // Rows 4 (long) and 9 (short) are the rows
+    // `sparse_workload_fingerprint` zeroes in `y`.
+    let lengths = [5, 0, 3, long + 8, long + 1, 1, 0, 5, 2, 4, 0, 5];
+    let cols = 2 * long + 16;
+    let mut triplets = Vec::new();
+    for (i, &len) in lengths.iter().enumerate() {
+        for k in 0..len {
+            triplets.push((i, i + k, 0.5 + ((i * 13 + k * 5) % 9) as f64 * 0.25));
+        }
+    }
+    let a = CsrMatrix::from_triplets(lengths.len(), cols, &triplets).expect("indices in bounds");
+    let zeroed = [lengths.len() / 3, 3 * lengths.len() / 4];
+    // The (first, last) FLOP of every stored row: `A x` first, lane-split
+    // rows paying `LANE_WIDTH` more, then `Aᵀy` over the nonzero `y` rows.
+    let mut rows = Vec::new();
+    let mut flop = 0;
+    for &len in &lengths {
+        let cost = 2 * len + if len >= long { LANE_WIDTH } else { 0 };
+        if len > 0 {
+            rows.push((flop, flop + cost - 1));
+        }
+        flop += cost;
+    }
+    for (i, &len) in lengths.iter().enumerate() {
+        if len > 0 && !zeroed.contains(&i) {
+            rows.push((flop, flop + 2 * len - 1));
+            flop += 2 * len;
+        }
+    }
+    let targets: Vec<usize> = rows
+        .iter()
+        .flat_map(|&(first, last)| [first, (first + last) / 2, last])
+        .collect();
+    let latest = *targets.iter().max().expect("stored rows");
+    let rate = FaultRate::per_flop(0.001);
+    for spec in shipped_fault_models() {
+        // A seed whose first strike lands late enough to be slid onto
+        // every target by a scalar prefix.
+        let strike = (0..64u64).find_map(|seed| {
+            let mut probe = NoisyFpu::new(rate, spec.clone(), seed);
+            while probe.faults() == 0 && probe.flops() < 20_000 {
+                probe.mul(1.5, 2.5);
+            }
+            let strike = probe.flops() as usize - 1;
+            (probe.faults() > 0 && strike >= latest).then_some((seed, strike))
+        });
+        let Some((seed, strike)) = strike else {
+            continue; // effectively fault-free at this rate
+        };
+        for &target in &targets {
+            let prefix = (strike - target) as u64;
+            let mut batched = NoisyFpu::new(rate, spec.clone(), seed);
+            let mut scalar = NoisyFpu::new(rate, spec.clone(), seed);
+            scalar.set_batching(false);
+            let got = sparse_workload_fingerprint(&mut batched, &a, prefix);
+            assert_eq!(
+                got,
+                sparse_workload_fingerprint(&mut scalar, &a, prefix),
+                "{} diverged with the strike on product FLOP {target}",
+                spec.name()
+            );
+        }
     }
 }
