@@ -21,7 +21,7 @@ use stochastic_fpu::{
 };
 
 /// The `TRIAL_BITS_VERSION` the table below was captured under.
-const PINNED_VERSION: u32 = 2;
+const PINNED_VERSION: u32 = 3;
 
 /// Base seed of every fingerprinted trial.
 const SEED: u64 = 1;
@@ -30,7 +30,8 @@ const SEED: u64 = 1;
 type Fingerprint<'a> = (&'a str, &'static str, &'static str, bool, u64, u64, u64);
 
 /// Recaptured when every fault began to flip from the canonical NaN
-/// (`TRIAL_BITS_VERSION` 2); one table pins debug and release builds.
+/// (`TRIAL_BITS_VERSION` 2), and unchanged when DVFS strikes moved onto
+/// the interval schedule (3); one table pins debug and release builds.
 #[rustfmt::skip]
 const GOLDEN: &[Fingerprint<'static>] = &[
     ("apsp", "transient", "rate0", false, 4599443747266848694, 3125243, 0),
@@ -208,9 +209,33 @@ const GOLDEN_BIT_MODELS: &[BitModelFingerprint] = &[
     ("lsb_only", "f32", true, 4487450450001353915, 287700, 14365),
 ];
 
-fn bit_model_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
+/// One `least_squares` trial at the budget above and 5% of FLOPs per
+/// `(label, width, spec)` case, fingerprinted under its label and width.
+fn least_squares_fingerprints(
+    registry: &WorkloadRegistry,
+    cases: Vec<(&'static str, &'static str, FaultModelSpec)>,
+) -> Vec<BitModelFingerprint> {
     let (problem, solver) = budgeted_trial(registry, "least_squares");
-    let mut out = Vec::new();
+    cases
+        .into_iter()
+        .map(|(label, width, spec)| {
+            let mut fpu =
+                NoisyFpu::new(FaultRate::per_flop(0.05), spec, derive_trial_seed(SEED, 0));
+            let verdict = problem.run_trial_dyn(&solver, &mut fpu);
+            (
+                label,
+                width,
+                verdict.success,
+                verdict.metric.to_bits(),
+                fpu.flops(),
+                fpu.faults(),
+            )
+        })
+        .collect()
+}
+
+fn bit_model_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
+    let mut cases = Vec::new();
     for kind in [
         "emulated",
         "exponent_heavy",
@@ -220,25 +245,39 @@ fn bit_model_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprin
     ] {
         for width in [BitWidth::F64, BitWidth::F32] {
             let model = BitFaultModel::from_kind(kind, width).expect("preset");
-            let spec = FaultModelSpec::transient(model);
-            let mut fpu =
-                NoisyFpu::new(FaultRate::per_flop(0.05), spec, derive_trial_seed(SEED, 0));
-            let verdict = problem.run_trial_dyn(&solver, &mut fpu);
-            out.push((
-                kind,
-                width.name(),
-                verdict.success,
-                verdict.metric.to_bits(),
-                fpu.flops(),
-                fpu.faults(),
-            ));
+            cases.push((kind, width.name(), FaultModelSpec::transient(model)));
         }
     }
-    out
+    least_squares_fingerprints(registry, cases)
 }
 
 #[test]
 fn bit_model_fingerprints_match_the_pinned_table() {
     let got = bit_model_fingerprints(&paper_registry());
     assert_pinned("GOLDEN_BIT_MODELS", &got, GOLDEN_BIT_MODELS);
+}
+
+/// `least_squares` under the two spec families neither table above
+/// reaches, in the bit-model table's shape with the spec's name in the
+/// distribution column: a stuck-at exponent bit at 5% of FLOPs, and the
+/// `dvfs` preset, whose schedule sets its own rates.
+#[rustfmt::skip]
+const GOLDEN_SPECS: &[BitModelFingerprint] = &[
+    ("stuck1_bit52", "f64", true, 4579627266182891158, 349350, 8414),
+    ("dvfs", "f64", true, 4541535172642345296, 402780, 3949),
+];
+
+fn spec_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
+    let stuck = FaultModelSpec::stuck_at(52, true, BitWidth::F64);
+    let dvfs = FaultModelSpec::from_preset("dvfs").expect("shipped preset");
+    least_squares_fingerprints(
+        registry,
+        vec![("stuck1_bit52", "f64", stuck), ("dvfs", "f64", dvfs)],
+    )
+}
+
+#[test]
+fn spec_fingerprints_match_the_pinned_table() {
+    let got = spec_fingerprints(&paper_registry());
+    assert_pinned("GOLDEN_SPECS", &got, GOLDEN_SPECS);
 }

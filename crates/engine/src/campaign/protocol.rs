@@ -603,6 +603,38 @@ mod tests {
         );
     }
 
+    /// A burst longer than the word it flips is refused before
+    /// `accepted` (its mask end would overflow inside a trial), and the
+    /// next good submission on the connection runs to `done`.
+    #[test]
+    fn overlong_bursts_are_refused_and_the_connection_serves_on() {
+        let reg = registry();
+        let good = campaign().job(
+            JobSpec::new("b", "wobble")
+                .with_fault_model(FaultModelSpec::burst(3, BitFaultModel::emulated())),
+        );
+        let bad = good
+            .to_json()
+            .replace("\"length\":3", "\"length\":18446744073709551615");
+        assert_ne!(bad, good.to_json());
+        let input = format!(
+            "{{\"op\":\"submit\",\"campaign\":{bad}}}\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n",
+            good.to_json()
+        );
+        let (events, _) = serve_lines(&input, &reg, 1);
+        assert!(
+            events[0].starts_with("{\"event\":\"error\"") && events[0].contains("length"),
+            "got {events:?}"
+        );
+        assert!(
+            events[1].contains("\"event\":\"accepted\""),
+            "got {events:?}"
+        );
+        let done = json::parse(events.last().expect("done event")).expect("done parses");
+        assert_eq!(done.get("event").and_then(JsonValue::as_str), Some("done"));
+    }
+
     /// A grid whose trial total exceeds the cap would size the runner's
     /// record slots past any allocation; it is refused before `accepted`,
     /// and the connection serves the next submission.

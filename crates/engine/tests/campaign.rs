@@ -479,8 +479,8 @@ fn cell_keys_keep_their_bytes() {
     assert_eq!(
         keys,
         [
-            r#"{"trial_bits":2,"workload":"tricky \"w\"\\","instantiate":"per_trial","base_seed":18446744073709551615,"trials":3,"rate_pct":0.30000000000000004,"solver":{"method":"sgd","iterations":500,"schedule":{"kind":"sqrt","gamma0":0.30000000000000004},"momentum":0.5,"aggressive":{"success_factor":1.2,"fail_factor":0.5,"rel_tolerance":0.000001,"max_steps":200},"annealing":{"period":750,"factor":1.5},"guard":{"adaptive":10,"reject":100},"restart":8,"variant":"svd \"q\""},"fault_model":{"kind":"intermittent","duty":0.25,"period":64,"inner":{"kind":"op_selective","ops":["mul","div","sqrt"],"inner":{"kind":"burst","length":3,"distribution":"msb_only","width":"f32"}}}}"#,
-            r#"{"trial_bits":2,"workload":"tricky \"w\"\\","instantiate":"fixed","base_seed":18446744073709551615,"trials":7,"rate_pct":0.30000000000000004,"solver":{"method":"sgd","iterations":500,"schedule":{"kind":"sqrt","gamma0":0.30000000000000004},"momentum":0.5,"aggressive":{"success_factor":1.2,"fail_factor":0.5,"rel_tolerance":0.000001,"max_steps":200},"annealing":{"period":750,"factor":1.5},"guard":{"clamp":2.5},"restart":8,"variant":"svd \"q\""},"fault_model":{"kind":"voltage_linked","voltage":0.9,"rate":0.00031622776601683794,"nominal_voltage":1.2,"model":{"nominal_voltage":1.2,"points":[[1.2,0.00000001],[0.8,0.01]]}}}"#,
+            r#"{"trial_bits":3,"workload":"tricky \"w\"\\","instantiate":"per_trial","base_seed":18446744073709551615,"trials":3,"rate_pct":0.30000000000000004,"solver":{"method":"sgd","iterations":500,"schedule":{"kind":"sqrt","gamma0":0.30000000000000004},"momentum":0.5,"aggressive":{"success_factor":1.2,"fail_factor":0.5,"rel_tolerance":0.000001,"max_steps":200},"annealing":{"period":750,"factor":1.5},"guard":{"adaptive":10,"reject":100},"restart":8,"variant":"svd \"q\""},"fault_model":{"kind":"intermittent","duty":0.25,"period":64,"inner":{"kind":"op_selective","ops":["mul","div","sqrt"],"inner":{"kind":"burst","length":3,"distribution":"msb_only","width":"f32"}}}}"#,
+            r#"{"trial_bits":3,"workload":"tricky \"w\"\\","instantiate":"fixed","base_seed":18446744073709551615,"trials":7,"rate_pct":0.30000000000000004,"solver":{"method":"sgd","iterations":500,"schedule":{"kind":"sqrt","gamma0":0.30000000000000004},"momentum":0.5,"aggressive":{"success_factor":1.2,"fail_factor":0.5,"rel_tolerance":0.000001,"max_steps":200},"annealing":{"period":750,"factor":1.5},"guard":{"clamp":2.5},"restart":8,"variant":"svd \"q\""},"fault_model":{"kind":"voltage_linked","voltage":0.9,"rate":0.00031622776601683794,"nominal_voltage":1.2,"model":{"nominal_voltage":1.2,"points":[[1.2,0.00000001],[0.8,0.01]]}}}"#,
         ]
     );
     // A workload whose name spells the rate member still gets its rate.

@@ -292,7 +292,7 @@ impl FlopOp {
 /// ([`dot_batch`](Self::dot_batch), [`axpy_batch`](Self::axpy_batch),
 /// [`scale_batch`](Self::scale_batch), [`gemv_row`](Self::gemv_row), …)
 /// split into two lanes around it: a **fault-free fast lane** — plain
-/// loops of pure `f64` arithmetic with no `Fpu` dispatch and no countdown
+/// loops of pure `f64` arithmetic with no `Fpu` dispatch and no horizon
 /// checks, entered for every span `run_exact` guarantees strike-free
 /// (remainders included) and accounted with a single `commit_exact` bump —
 /// and a **scalar strike lane** that runs only the window boundaries, one
@@ -335,8 +335,8 @@ pub trait Fpu {
     }
 
     /// How many of the next `max` FLOPs are *guaranteed* to execute
-    /// exactly — no fault strike, no per-op injector state (DVFS Bernoulli
-    /// draws, a read or write of a corrupted memory-persistent slot, a
+    /// exactly — no fault strike, no injector state change (a DVFS step
+    /// boundary, a read or write of a corrupted memory-persistent slot, a
     /// scrub of corrupted slots) — so a caller may compute them natively
     /// and account for them with [`commit_exact`](Self::commit_exact).
     ///
@@ -949,6 +949,17 @@ impl Fpu for ReliableFpu {
 /// burst, operand-side, intermittent and op-selective scenarios are the
 /// other variants of the same enum.
 ///
+/// # The event horizon
+///
+/// Because the injector draws the *interval* to the next strike, every op
+/// between two scheduled events is exact. The FPU keeps one number, the
+/// FLOP index of the first op that is not guaranteed exact: the smallest
+/// of the next strike, the next DVFS step boundary and the next op that
+/// touches corrupted memory storage or falls on a scrub boundary while
+/// storage is dirty. Ops before it run exactly, through
+/// [`execute`](Fpu::execute) or in [`run_exact`](Fpu::run_exact) windows;
+/// the op at it runs the injector, which then moves the horizon on.
+///
 /// # Examples
 ///
 /// ```
@@ -975,29 +986,38 @@ impl Fpu for ReliableFpu {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NoisyFpu {
-    rate: FaultRate,
     spec: FaultModelSpec,
     lfsr: Lfsr,
-    /// FLOPs remaining until the next injection (0 when rate is zero).
-    countdown: u64,
     /// Upper end of the strike-interval draw, `round(2/rate − 1)` and at
-    /// least 1, fixed by the effective rate (0 when rate is zero).
+    /// least 1, fixed by the rate in force (0 when it is zero).
     interval_bound: u64,
+    /// FLOP index of the next strike (`u64::MAX` at rate zero).
+    next_strike: u64,
+    /// Index of the DVFS step in force (0 for every other spec).
+    step: usize,
+    /// FLOP index at which the DVFS step in force ends (`u64::MAX` for
+    /// the last step and for every other spec).
+    step_end: u64,
+    /// The event horizon: `min(next_strike, step_end, next memory touch)`.
+    next_event: u64,
     flops: u64,
     stats: FaultStats,
     /// Shadow storage for memory-persistent fault specs.
     memory: Option<MemoryFaultState>,
-    /// Precomputed `(end_flop_exclusive, rate)` segments for DVFS specs;
-    /// the last segment's rate persists past the schedule's end.
-    dvfs: Option<Vec<(u64, f64)>>,
-    /// Cursor into `dvfs`: index of the segment covering the current FLOP,
-    /// advanced monotonically so the per-op lookup is O(1) instead of a
-    /// linear re-scan of the schedule.
-    dvfs_cursor: usize,
-    /// Whether the countdown skip-ahead fast path is enabled (it is by
+    /// Whether [`run_exact`](Fpu::run_exact) grants windows (it does by
     /// default; disable for scalar-dispatch comparisons — results are
     /// bit-identical either way).
     batched: bool,
+}
+
+/// The strike-interval bound of `rate`: `round(2/rate − 1)`, at least 1,
+/// and 0 at rate zero.
+fn interval_bound(rate: FaultRate) -> u64 {
+    if rate.is_zero() {
+        0
+    } else {
+        (2.0 * rate.mean_interval() - 1.0).round().max(1.0) as u64
+    }
 }
 
 impl NoisyFpu {
@@ -1011,13 +1031,12 @@ impl NoisyFpu {
     ///
     /// Voltage-linked specs take over the strike schedule: a
     /// [`FaultModelSpec::VoltageLinked`] spec pins the injector to the
-    /// rate its voltage implies through the Figure 5.2 model (so
-    /// [`rate`](Self::rate) reports the derived rate, not the argument),
-    /// and a [`FaultModelSpec::DvfsSchedule`] spec ignores `rate`
-    /// entirely, re-deriving the per-FLOP rate as the schedule steps the
-    /// voltage. Memory-persistent specs allocate shadow storage whose
-    /// corruptions outlive the ops that suffered them (inspect it via
-    /// [`memory_state`](Self::memory_state)).
+    /// rate its voltage implies through the Figure 5.2 model, and a
+    /// [`FaultModelSpec::DvfsSchedule`] spec ignores `rate` entirely,
+    /// redrawing the strike interval at each step's rate as the schedule
+    /// steps the voltage. Memory-persistent specs allocate shadow storage
+    /// whose corruptions outlive the ops that suffered them (inspect it
+    /// via [`memory_state`](Self::memory_state)).
     ///
     /// # Panics
     ///
@@ -1026,45 +1045,34 @@ impl NoisyFpu {
     pub fn new(rate: FaultRate, model: impl Into<FaultModelSpec>, seed: u64) -> Self {
         let spec = model.into();
         spec.assert_nesting();
-        let rate = spec.rate_override().unwrap_or(rate);
-        let memory = spec.memory_model().cloned().map(MemoryFaultState::new);
-        // One source of truth for the schedule-to-rate mapping, shared
-        // with `FaultModelSpec::dvfs_rate_at`.
-        let dvfs = spec.dvfs_segments();
-        let interval_bound = if rate.is_zero() {
-            0
-        } else {
-            (2.0 * rate.mean_interval() - 1.0).round().max(1.0) as u64
+        let (rate, step_end) = match &spec {
+            FaultModelSpec::DvfsSchedule { model, steps } => {
+                let end = if steps.len() > 1 {
+                    steps[0].flops
+                } else {
+                    u64::MAX
+                };
+                (model.fault_rate_at(steps[0].voltage), end)
+            }
+            _ => (spec.rate_override().unwrap_or(rate), u64::MAX),
         };
+        let memory = spec.memory_model().cloned().map(MemoryFaultState::new);
         let mut fpu = NoisyFpu {
-            rate,
             spec,
             lfsr: Lfsr::new(seed),
-            countdown: 0,
-            interval_bound,
+            interval_bound: interval_bound(rate),
+            next_strike: u64::MAX,
+            step: 0,
+            step_end,
+            next_event: 0,
             flops: 0,
             stats: FaultStats::default(),
             memory,
-            dvfs,
-            dvfs_cursor: 0,
             batched: true,
         };
-        fpu.countdown = fpu.draw_interval();
+        fpu.next_strike = fpu.strike_from(0);
+        fpu.next_event = fpu.next_strike.min(step_end);
         fpu
-    }
-
-    /// The effective fault rate: the constructor argument, or the derived
-    /// rate for a fixed voltage-linked spec. For a DVFS schedule this
-    /// still reports the constructor argument, which the strike schedule
-    /// *ignores* — per-op rates follow the voltage steps (query them via
-    /// [`FaultModelSpec::dvfs_rate_at`]).
-    pub fn rate(&self) -> FaultRate {
-        self.rate
-    }
-
-    /// The fault-model spec in use.
-    pub fn fault_model(&self) -> &FaultModelSpec {
-        &self.spec
     }
 
     /// Detailed fault statistics.
@@ -1078,114 +1086,99 @@ impl NoisyFpu {
         self.memory.as_ref()
     }
 
-    /// Resets FLOP and fault counters (the fault schedule continues).
-    pub fn reset_counters(&mut self) {
-        self.flops = 0;
-        self.stats = FaultStats::default();
-        // The DVFS schedule and the memory state's cached window bound are
-        // indexed by the FLOP counter, which just rewound to zero.
-        self.dvfs_cursor = 0;
-        if let Some(memory) = &self.memory {
-            memory.rewind();
-        }
-    }
-
-    /// Enables or disables the countdown skip-ahead fast path used by the
-    /// [`Fpu`] batch kernels. Results are **bit-identical** either way
-    /// (the fast path only ever skips operations the schedule guarantees
-    /// fault-free); disabling it forces every batched operation through
-    /// the per-op [`execute`](Fpu::execute) path, which is what the
-    /// throughput comparisons and the batched-vs-scalar proptests use as
-    /// the reference.
+    /// Enables or disables the guaranteed-exact windows the [`Fpu`] batch
+    /// kernels run natively. Results are **bit-identical** either way
+    /// (a window only ever covers ops before the event horizon);
+    /// disabling them forces every batched operation through the per-op
+    /// [`execute`](Fpu::execute) path, which is what the throughput
+    /// comparisons and the batched-vs-scalar proptests use as the
+    /// reference.
     pub fn set_batching(&mut self, enabled: bool) {
         self.batched = enabled;
     }
 
-    /// Whether the countdown skip-ahead fast path is enabled.
+    /// Whether the guaranteed-exact windows are enabled.
     pub fn batching(&self) -> bool {
         self.batched
     }
 
-    /// Draws the number of FLOPs until the next fault: uniform on
-    /// `[1, 2/rate - 1]` so the mean interval is `1/rate`, generated by the
-    /// LFSR as in the paper's methodology. The bound is precomputed, so a
-    /// strike costs one LFSR draw here.
-    fn draw_interval(&mut self) -> u64 {
+    /// The FLOP index of the next strike when the interval is counted
+    /// from op `flop` on: `flop + k − 1` for `k` drawn uniform on
+    /// `[1, 2/rate − 1]` by the LFSR (so the mean interval is `1/rate`,
+    /// as in the paper's methodology), `u64::MAX` at rate zero.
+    fn strike_from(&mut self, flop: u64) -> u64 {
         if self.interval_bound == 0 {
-            return 0;
+            return u64::MAX;
         }
-        self.lfsr.uniform_1_to(self.interval_bound)
+        flop + self.lfsr.uniform_1_to(self.interval_bound) - 1
     }
 
-    /// Whether the fault schedule strikes at FLOP index `flop`.
-    ///
-    /// Constant-rate specs replay the paper's LFSR interval schedule
-    /// exactly; DVFS specs draw a per-op Bernoulli at the rate of the
-    /// voltage step covering `flop`, so the strike density tracks the
-    /// schedule with no lag.
-    fn strikes(&mut self, flop: u64) -> bool {
-        if let Some(segments) = &self.dvfs {
-            // Advance the cursor to the segment covering `flop`. FLOP
-            // indices are monotone between counter resets, so this is
-            // amortized O(1) per op (the old code re-scanned the whole
-            // schedule on every FLOP). The final segment ends at
-            // `u64::MAX`, which the cursor never steps past — matching
-            // `dvfs_segment_rate`'s fall-through to the last rate.
-            let mut cursor = self.dvfs_cursor;
-            while cursor + 1 < segments.len() && flop >= segments[cursor].0 {
-                cursor += 1;
-            }
-            let rate = segments[cursor].1;
-            self.dvfs_cursor = cursor;
-            return rate > 0.0 && self.lfsr.next_f64() < rate;
-        }
-        if self.rate.is_zero() {
-            return false;
-        }
-        self.countdown -= 1;
-        if self.countdown > 0 {
-            return false;
-        }
-        self.countdown = self.draw_interval();
-        true
-    }
-}
-
-impl Fpu for NoisyFpu {
-    fn execute(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
+    /// Runs the op at the event horizon, FLOP `self.flops`, then moves
+    /// the horizon on: a DVFS step boundary first, then the strike's
+    /// next interval, the memory storage and the corruption, in that
+    /// order.
+    #[inline(never)]
+    fn event(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
         let flop = self.flops;
         self.flops += 1;
-        if let Some(memory) = &mut self.memory {
-            memory.begin_op(flop);
+        if flop == self.step_end {
+            let FaultModelSpec::DvfsSchedule { model, steps } = &self.spec else {
+                unreachable!("only a DVFS schedule has step boundaries")
+            };
+            self.step += 1;
+            let step = steps[self.step];
+            self.step_end = if self.step + 1 == steps.len() {
+                u64::MAX
+            } else {
+                self.step_end.saturating_add(step.flops)
+            };
+            self.interval_bound = interval_bound(model.fault_rate_at(step.voltage));
+            self.next_strike = self.strike_from(flop);
         }
-        let (a, b) = match &self.memory {
-            Some(memory) => memory.load_operands(flop, a, b),
-            None => (a, b),
-        };
-        let exact = op.exact(a, b);
-        let strike = self.strikes(flop);
-        // Commit through storage first (array-resident writes heal their
-        // word), then install any new persistent damage — a fault lands
-        // at FLOP t and is visible from FLOP t+1 on.
-        match &mut self.memory {
+        let strike = flop == self.next_strike;
+        if strike {
+            self.next_strike = self.strike_from(flop + 1);
+        }
+        let value = match &mut self.memory {
+            // Storage first (array-resident writes heal their word), then
+            // any new persistent damage: a fault installed at FLOP t is
+            // visible from FLOP t+1 on.
             Some(memory) => {
-                let committed = memory.commit_result(flop, exact);
+                let value = memory.execute(flop, op, a, b);
                 if strike {
                     memory.install(&mut self.lfsr, &mut self.stats);
                 }
-                committed
+                value
             }
             None if strike => {
                 let ctx = FaultCtx {
                     op,
                     a,
                     b,
-                    exact,
+                    exact: op.exact(a, b),
                     flop,
                 };
                 self.spec.corrupt(&ctx, &mut self.lfsr, &mut self.stats)
             }
-            None => exact,
+            None => op.exact(a, b),
+        };
+        let touch = self
+            .memory
+            .as_ref()
+            .map_or(u64::MAX, |memory| memory.next_touch(flop + 1));
+        self.next_event = self.next_strike.min(self.step_end).min(touch);
+        value
+    }
+}
+
+impl Fpu for NoisyFpu {
+    #[inline]
+    fn execute(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
+        if self.flops < self.next_event {
+            self.flops += 1;
+            op.exact(a, b)
+        } else {
+            self.event(op, a, b)
         }
     }
 
@@ -1197,39 +1190,19 @@ impl Fpu for NoisyFpu {
         self.stats.faults()
     }
 
-    /// The countdown skip-ahead window. For constant-rate specs the LFSR
-    /// interval schedule says the next `countdown − 1` operations cannot
-    /// strike, so they may run natively; the op the countdown expires on
-    /// (and everything after it) must go through [`execute`](Fpu::execute).
-    /// Memory-persistent specs get the same window while their shadow
-    /// state is clean. While a slot is corrupted the window also ends
-    /// before the first op that reads or writes a corrupted slot and
-    /// before the next scrub boundary
-    /// ([`MemoryFaultState::clean_run`]): every op before it reads no
-    /// corruption, writes none and heals nothing. DVFS schedules draw a
-    /// Bernoulli from the LFSR on every op, so they are the one spec that
-    /// always takes the per-op path.
+    /// Every op before the event horizon: the next strike, the next DVFS
+    /// step boundary, and (while memory storage is dirty) the next op that
+    /// reads or writes a corrupted slot or falls on a scrub boundary.
     fn run_exact(&self, max: u64) -> u64 {
-        if !self.batched || self.dvfs.is_some() {
+        if !self.batched {
             return 0;
         }
-        let window = if self.rate.is_zero() {
-            max
-        } else {
-            max.min(self.countdown.saturating_sub(1))
-        };
-        match &self.memory {
-            Some(memory) => window.min(memory.clean_run(self.flops)),
-            None => window,
-        }
+        max.min(self.next_event - self.flops)
     }
 
     fn commit_exact(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        // `run_exact(n) == n` iff the schedule still guarantees n exact
-        // ops; this keeps a buggy caller from silently desynchronizing the
+        // `run_exact(n) == n` iff the horizon still lies `n` ops ahead;
+        // this keeps a buggy caller from silently desynchronizing the
         // fault stream.
         assert_eq!(
             self.run_exact(n),
@@ -1237,9 +1210,6 @@ impl Fpu for NoisyFpu {
             "commit_exact({n}) exceeds the guaranteed-exact window"
         );
         self.flops += n;
-        if !self.rate.is_zero() {
-            self.countdown -= n;
-        }
     }
 }
 
@@ -1378,16 +1348,6 @@ mod tests {
                 "value {v} not representable in f32"
             );
         }
-    }
-
-    #[test]
-    fn voltage_linked_spec_overrides_the_constructor_rate() {
-        use crate::energy::VoltageErrorModel;
-        let model = VoltageErrorModel::paper_figure_5_2();
-        let spec = FaultModelSpec::voltage_linked(model.clone(), 0.65);
-        // The constructor rate is ignored: the voltage dictates the rate.
-        let fpu = NoisyFpu::new(FaultRate::ZERO, spec, 3);
-        assert_eq!(fpu.rate().fraction(), model.error_rate(0.65).min(1.0));
     }
 
     #[test]
@@ -1699,18 +1659,18 @@ mod tests {
                 for _ in 0..400 {
                     let flop = fpu.flops();
                     let window = fpu.run_exact(u64::MAX);
-                    // The countdown's share: the ops a per-op copy runs
-                    // before its next strike.
+                    // The strike schedule's share: the ops a per-op copy
+                    // runs before its next strike.
                     let mut probe = fpu.clone();
                     let faults = probe.faults();
                     while probe.faults() == faults {
                         probe.add(1.0, 1.0);
                     }
-                    let countdown = probe.flops() - flop - 1;
+                    let to_strike = probe.flops() - flop - 1;
                     let state = fpu.memory_state().expect("memory spec");
                     let expected = match first_touch(state, flop) {
-                        Some(touch) => countdown.min(touch - flop),
-                        None => countdown,
+                        Some(touch) => to_strike.min(touch - flop),
+                        None => to_strike,
                     };
                     assert_eq!(window, expected, "{name} seed {seed} at FLOP {flop}");
                     if state.corrupted_slots() > 0 && window > 0 {
@@ -1743,13 +1703,38 @@ mod tests {
             }
         }
 
-        // A DVFS schedule draws a Bernoulli per op.
-        let dvfs = NoisyFpu::new(
-            FaultRate::ZERO,
-            FaultModelSpec::from_preset("dvfs").expect("shipped preset"),
-            2,
-        );
-        assert_eq!(dvfs.run_exact(1000), 0);
+        // A DVFS schedule: every window ends at the next strike or the
+        // next step boundary (FLOPs 1000 and 2000 of the preset), and
+        // never crosses a boundary.
+        for seed in [2, 9] {
+            let spec = FaultModelSpec::from_preset("dvfs").expect("shipped preset");
+            let mut fpu = NoisyFpu::new(FaultRate::ZERO, spec, seed);
+            let mut at_boundary = 0;
+            while fpu.flops() < 3000 {
+                let flop = fpu.flops();
+                let window = fpu.run_exact(u64::MAX);
+                let mut probe = fpu.clone();
+                let faults = probe.faults();
+                while probe.faults() == faults {
+                    probe.add(1.0, 1.0);
+                }
+                let to_strike = probe.flops() - flop - 1;
+                let step_end = [1000, 2000].into_iter().find(|&end| flop < end);
+                let to_boundary = step_end.map_or(u64::MAX, |end| end - flop);
+                assert_eq!(
+                    window,
+                    to_strike.min(to_boundary),
+                    "dvfs seed {seed} at FLOP {flop}"
+                );
+                at_boundary += usize::from(window == to_boundary);
+                fpu.commit_exact(window);
+                fpu.add(1.0, 1.0);
+            }
+            assert!(
+                at_boundary > 0,
+                "dvfs seed {seed}: no window met a boundary"
+            );
+        }
         // Zero-rate constant specs are exact forever.
         let zero = NoisyFpu::new(FaultRate::ZERO, BitFaultModel::emulated(), 2);
         assert_eq!(zero.run_exact(u64::MAX), u64::MAX);

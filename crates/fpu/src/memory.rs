@@ -38,13 +38,19 @@
 //! In both kinds a fault installed at FLOP `t` is visible from FLOP
 //! `t + 1` on, and stays until a scrub or (array-resident) an overwrite —
 //! the invariant the persistence proptests pin down.
+//!
+//! The FPU runs an op through the state only at its event horizon: the
+//! state names the next op that touches a corrupted slot or falls on a
+//! scrub boundary while a slot is corrupted
+//! (`MemoryFaultState::next_touch`), and every op before it has no
+//! memory effect, so it runs exactly.
 
 use crate::fault::{BitFaultModel, FaultStats};
+use crate::fpu::FlopOp;
 use crate::json::{JsonCodec, JsonValue};
 use crate::json_object;
 use crate::lfsr::Lfsr;
 use crate::model::read_bit_model;
-use std::cell::Cell;
 
 /// Which storage structure a persistent fault lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,23 +190,11 @@ impl JsonCodec for MemoryFaultModel {
 /// [`MemoryFaultModel`]: an XOR mask per storage slot.
 ///
 /// Owned and driven by [`NoisyFpu`](crate::NoisyFpu); exposed read-only so
-/// tests and diagnostics can observe which slots are corrupted.
-///
-/// Per-FLOP routing costs no division: the state keeps the slot of the op
-/// in progress and the next scrub boundary as cursors, advanced by
-/// increment and conditional subtract. Only when an op's FLOP index lies
-/// more than one pass of the slots ahead of the previous op's (after the
-/// FPU skipped a long guaranteed-exact window or rewound its counters)
-/// does [`begin_op`](Self::begin_op) re-sync them with a `%`.
-///
-/// A bitmap of the corrupted slots, kept by installs, heals and scrubs,
-/// tells the FPU how many upcoming ops run exactly
-/// ([`clean_run`](Self::clean_run)): every op before the first one that
-/// reads or writes a corrupted slot, and before the next scrub boundary.
-/// Such an op reads no corruption, writes none and heals nothing, so it
-/// may run natively. The bounds are cached as absolute FLOP indexes and
-/// refreshed only once the ops pass them; a new corrupted slot shortens
-/// them in O(1).
+/// tests and diagnostics can observe which slots are corrupted. A bitmap
+/// of the corrupted slots, kept by installs, heals and scrubs, tells the
+/// FPU the next op that touches one (`next_touch`): every op before it
+/// reads no corruption, writes none and heals nothing, so the FPU runs
+/// it exactly, and the state sees only that op and the strikes.
 #[derive(Debug, Clone)]
 pub struct MemoryFaultState {
     model: MemoryFaultModel,
@@ -209,52 +203,18 @@ pub struct MemoryFaultState {
     dirty: usize,
     /// Bit `s` is set iff `masks[s] != 0`.
     dirty_bits: Vec<u64>,
-    /// The first FLOP, from the last [`clean_run`](Self::clean_run)
-    /// query on, that touches a corrupted slot or falls on a scrub
-    /// boundary: the smallest of `next_write`, `next_read` and the next
-    /// scrub boundary. Each is [`UNKNOWN`] until computed, and after a
-    /// scrub or a rewind.
-    next_touch: Cell<u64>,
-    /// The first such FLOP whose write slot is corrupted.
-    next_write: Cell<u64>,
-    /// The first such FLOP that reads a corrupted word (array-resident
-    /// only); also [`UNKNOWN`] after a heal, which may have cleaned it.
-    next_read: Cell<u64>,
-    /// FLOP index of the op in progress (the last `begin_op`);
-    /// `u64::MAX` before the first.
-    cur: u64,
-    /// `cur % slots`: the write slot of the op in progress.
-    slot: usize,
-    /// The first scrub boundary after `cur`: the smallest positive
-    /// multiple of the scrub interval above it (`u64::MAX` when the model
-    /// never scrubs).
-    next_scrub: u64,
 }
-
-/// The `next_touch` of a state whose bound must be recomputed.
-const UNKNOWN: u64 = u64::MAX;
 
 impl MemoryFaultState {
     /// A fresh (uncorrupted) shadow state for `model`.
     pub fn new(model: MemoryFaultModel) -> Self {
         let masks = vec![0; model.slots];
         let dirty_bits = vec![0; model.slots.div_ceil(64)];
-        let next_scrub = match model.scrub_interval {
-            0 => u64::MAX,
-            interval => interval,
-        };
         MemoryFaultState {
-            slot: model.slots - 1,
             model,
             masks,
             dirty: 0,
             dirty_bits,
-            next_touch: Cell::new(UNKNOWN),
-            next_write: Cell::new(UNKNOWN),
-            next_read: Cell::new(UNKNOWN),
-            // FLOP "−1": the first op, FLOP 0, takes the increment path.
-            cur: u64::MAX,
-            next_scrub,
         }
     }
 
@@ -273,142 +233,30 @@ impl MemoryFaultState {
         self.dirty
     }
 
-    /// The FLOP index of the op in progress (the last
-    /// [`begin_op`](Self::begin_op)) and its write slot, `flop % slots`;
-    /// `None` before the first op.
-    pub fn cursor(&self) -> Option<(u64, usize)> {
-        (self.cur != u64::MAX).then_some((self.cur, self.slot))
-    }
-
-    /// Positions the cursors at FLOP `flop`, called by the FPU before
-    /// executing it, and runs the scrubber: at every
-    /// `scrub_interval`-th FLOP boundary all masks clear.
-    #[inline]
-    pub fn begin_op(&mut self, flop: u64) {
-        if flop == self.cur.wrapping_add(1) {
-            self.slot += 1;
-            if self.slot == self.masks.len() {
-                self.slot = 0;
-            }
-        } else {
-            self.resync(flop);
-        }
-        self.cur = flop;
-        if flop == self.next_scrub {
-            self.next_scrub = self.next_scrub.saturating_add(self.model.scrub_interval);
-            if self.dirty > 0 {
-                self.masks.fill(0);
-                self.dirty_bits.fill(0);
-                self.dirty = 0;
-                self.rewind();
-            }
-        }
-    }
-
-    /// Moves the cursors to FLOP `flop` when it does not follow the op in
-    /// progress (after a window or a rewind); kept out of the per-op path.
-    #[inline(never)]
-    fn resync(&mut self, flop: u64) {
-        self.slot = self.slot_at(flop);
-        self.next_scrub = self.scrub_from(flop);
-    }
-
-    /// `flop % slots`, the write slot of FLOP `flop`, without a division
-    /// when `flop` lies at most one pass of the slots past the op in
-    /// progress. The initial cursor (FLOP "−1" on the last slot) obeys the
-    /// same wrapping arithmetic.
-    fn slot_at(&self, flop: u64) -> usize {
-        let n = self.masks.len();
-        let ahead = flop.wrapping_sub(self.cur);
-        if ahead <= n as u64 {
-            let slot = self.slot + ahead as usize;
-            if slot >= n {
-                slot - n
-            } else {
-                slot
-            }
-        } else {
-            (flop % n as u64) as usize
-        }
-    }
-
-    /// The first scrub boundary at or after FLOP `flop`: the cursor when
-    /// `flop` lies after the op in progress and not past the cursor, else
-    /// one division (`u64::MAX` when the model never scrubs).
-    fn scrub_from(&self, flop: u64) -> u64 {
-        let interval = self.model.scrub_interval;
-        if interval == 0 {
-            return u64::MAX;
-        }
-        let ahead = flop.wrapping_sub(self.cur);
-        if (1..=self.next_scrub.wrapping_sub(self.cur)).contains(&ahead) {
-            self.next_scrub
-        } else {
-            flop.div_ceil(interval).max(1).saturating_mul(interval)
-        }
-    }
-
-    /// How many ops from FLOP `flop` on run exactly through this storage:
-    /// none of them reads or writes a corrupted slot, and none falls on a
-    /// scrub boundary. Unbounded (`u64::MAX`) while every slot is clean,
-    /// where a scrub clears nothing. O(1) while the cached bound holds.
+    /// The first op at or after FLOP `flop` that reads or writes a
+    /// corrupted slot or falls on a scrub boundary; `u64::MAX` while
+    /// every slot is clean, where a scrub clears nothing.
     ///
     /// Array-resident reads sweep words `2f` and `2f + 1` (two per FLOP),
     /// writes sweep word `f` (one per FLOP); the register file is touched
     /// by writes only. With `d` the cyclic distance from a sweep's start
-    /// to the next corrupted slot, the bound is `⌊d_read / 2⌋` ops for the
-    /// reads and `d_write` ops for the writes.
-    #[inline]
-    pub fn clean_run(&self, flop: u64) -> u64 {
+    /// to the next corrupted slot, the first read touch lies
+    /// `⌊d_read / 2⌋` ops on and the first write touch `d_write` ops on.
+    pub(crate) fn next_touch(&self, flop: u64) -> u64 {
         if self.dirty == 0 {
             return u64::MAX;
         }
-        let until = self.next_touch.get();
-        if until != UNKNOWN && flop <= until {
-            return until - flop;
-        }
-        self.refresh_bounds(flop) - flop
-    }
-
-    /// Recomputes the bounds a query at FLOP `flop` has passed (each from
-    /// one scan of the dirty-slot bitmap) and returns the first op at or
-    /// after `flop` that touches a corrupted slot or falls on a scrub
-    /// boundary: the uncached half of [`clean_run`](Self::clean_run), kept
-    /// out of line.
-    #[inline(never)]
-    fn refresh_bounds(&self, flop: u64) -> u64 {
-        let stale = |bound: u64| bound == UNKNOWN || flop > bound;
-        let slot = self.slot_at(flop);
-        let mut until = self.next_write.get();
-        if stale(until) {
-            until = flop + self.distance_to_dirty(slot) as u64;
-            self.next_write.set(until);
-        }
+        let n = self.masks.len() as u64;
+        let mut run = self.distance_to_dirty((flop % n) as usize);
         if self.model.kind == MemoryFaultKind::ArrayResident {
-            let mut read = self.next_read.get();
-            if stale(read) {
-                let n = self.masks.len();
-                let word = if 2 * slot >= n {
-                    2 * slot - n
-                } else {
-                    2 * slot
-                };
-                read = flop + (self.distance_to_dirty(word) / 2) as u64;
-                self.next_read.set(read);
-            }
-            until = until.min(read);
+            let read = self.distance_to_dirty((flop % n * 2 % n) as usize) / 2;
+            run = run.min(read);
         }
-        until = until.min(self.scrub_from(flop));
-        self.next_touch.set(until);
-        until
-    }
-
-    /// Forgets the cached [`clean_run`](Self::clean_run) bounds; the FPU
-    /// calls it when it rewinds its FLOP counter.
-    pub(crate) fn rewind(&self) {
-        self.next_touch.set(UNKNOWN);
-        self.next_write.set(UNKNOWN);
-        self.next_read.set(UNKNOWN);
+        let touch = flop.saturating_add(run as u64);
+        match self.model.scrub_interval {
+            0 => touch,
+            interval => touch.min(flop.div_ceil(interval).max(1).saturating_mul(interval)),
+        }
     }
 
     /// The cyclic distance from slot `start` to the first corrupted slot
@@ -431,94 +279,38 @@ impl MemoryFaultState {
         }
     }
 
-    /// Folds a slot that just became corrupted, during the op in
-    /// progress, into the cached [`clean_run`](Self::clean_run) bounds:
-    /// the first op that can touch it is the next one, and a bound can
-    /// only move closer. A bound that is unknown or already passed stays
-    /// so.
-    #[inline(never)]
-    fn shorten_bound(&self, slot: usize) {
-        let next = self.cur.wrapping_add(1);
-        let n = self.masks.len();
-        let distance = |from: usize| {
-            if slot < from {
-                slot + n - from
-            } else {
-                slot - from
-            }
-        };
-        // Each cached bound that is known and not yet passed.
-        let shorten = |bound: &Cell<u64>, run: usize| {
-            let until = bound.get();
-            if until != UNKNOWN && until >= next {
-                bound.set(until.min(next + run as u64));
-            }
-        };
-        let write = if self.slot + 1 == n { 0 } else { self.slot + 1 };
-        let mut run = distance(write);
-        shorten(&self.next_write, run);
-        if self.model.kind == MemoryFaultKind::ArrayResident {
-            let read = if 2 * write >= n {
-                2 * write - n
-            } else {
-                2 * write
-            };
-            let read_run = distance(read) / 2;
-            shorten(&self.next_read, read_run);
-            run = run.min(read_run);
+    /// Executes FLOP `flop` through storage and returns its committed
+    /// result. A scrub boundary (a positive multiple of the scrub
+    /// interval) first clears every mask. Array-resident operands then
+    /// read words `2·flop` and `2·flop + 1` (mod words), with their
+    /// damage XORed in, and the result overwrites (and so heals) word
+    /// `flop`; a register-file result comes back with the damage of
+    /// register `flop` (mod registers) XORed in.
+    pub(crate) fn execute(&mut self, flop: u64, op: FlopOp, a: f64, b: f64) -> f64 {
+        let interval = self.model.scrub_interval;
+        if self.dirty > 0 && interval > 0 && flop > 0 && flop.is_multiple_of(interval) {
+            self.masks.fill(0);
+            self.dirty_bits.fill(0);
+            self.dirty = 0;
         }
-        shorten(&self.next_touch, run);
-    }
-
-    /// The write slot of FLOP `flop`: the cursor when `flop` is the op in
-    /// progress (the per-op path's case, kept to one compare), else
-    /// [`slot_at`](Self::slot_at).
-    fn write_slot(&self, flop: u64) -> usize {
-        if flop == self.cur {
-            self.slot
-        } else {
-            self.slot_at(flop)
+        if self.dirty == 0 {
+            return op.exact(a, b);
         }
-    }
-
-    /// Applies read-path corruption to the operands of FLOP `flop`
-    /// (array-resident faults only; register-file damage sits on the
-    /// write path). Operand `a` reads word `2·flop % words`, operand `b`
-    /// the word after it.
-    pub fn load_operands(&self, flop: u64, a: f64, b: f64) -> (f64, f64) {
-        if self.model.kind != MemoryFaultKind::ArrayResident {
-            return (a, b);
-        }
-        let n = self.masks.len();
-        // `2·flop ≡ 2·slot (mod n)` and `2·slot < 2n`, so one conditional
-        // subtract reduces it.
-        let mut wa = 2 * self.write_slot(flop);
-        if wa >= n {
-            wa -= n;
-        }
-        let wb = if wa + 1 == n { 0 } else { wa + 1 };
+        let n = self.masks.len() as u64;
+        let slot = (flop % n) as usize;
         let width = self.model.bits.width();
-        (width.xor(a, self.masks[wa]), width.xor(b, self.masks[wb]))
-    }
-
-    /// Commits the result of FLOP `flop` through storage: register-file
-    /// damage corrupts the written value; an array-resident write
-    /// overwrites (and thereby heals) word `flop % words`.
-    pub fn commit_result(&mut self, flop: u64, value: f64) -> f64 {
-        let slot = self.write_slot(flop);
         match self.model.kind {
-            MemoryFaultKind::RegisterFile => self.model.bits.width().xor(value, self.masks[slot]),
+            MemoryFaultKind::RegisterFile => width.xor(op.exact(a, b), self.masks[slot]),
             MemoryFaultKind::ArrayResident => {
+                let word = |w: u64| self.masks[(w % n) as usize];
+                let a = width.xor(a, word(2 * flop));
+                let b = width.xor(b, word(2 * flop + 1));
                 if self.masks[slot] != 0 {
                     self.masks[slot] = 0;
                     self.dirty -= 1;
                     self.dirty_bits[slot / 64] &= !(1 << (slot % 64));
-                    // A heal is a write touch, at or past the cached write
-                    // bound, which the next query recomputes anyway; the
-                    // read bound may have pointed at this word.
-                    self.next_read.set(UNKNOWN);
                 }
-                value
+                op.exact(a, b)
             }
         }
     }
@@ -534,7 +326,6 @@ impl MemoryFaultState {
         if self.masks[slot] == 0 {
             self.dirty += 1;
             self.dirty_bits[slot / 64] |= 1 << (slot % 64);
-            self.shorten_bound(slot);
         }
         self.masks[slot] |= 1u64 << bit;
         stats.record_fault(self.model.bits.width(), bit);
@@ -581,9 +372,9 @@ mod tests {
         // on every pass, since rewrites do not heal latch damage.
         for round in 0..8u64 {
             let flop = round * 4 + damaged as u64;
-            let out = state.commit_result(flop, 2.0);
+            let out = state.execute(flop, FlopOp::Add, 1.0, 1.0);
             assert_ne!(out, 2.0, "round {round}: damaged latch must corrupt");
-            let healthy = state.commit_result(flop + 1, 2.0);
+            let healthy = state.execute(flop + 1, FlopOp::Add, 1.0, 1.0);
             assert_eq!(healthy, 2.0, "neighbouring register is healthy");
         }
     }
@@ -599,29 +390,28 @@ mod tests {
             .iter()
             .position(|&m| m != 0)
             .expect("one word");
-        // A read routed through the corrupted word sees the flip: operand
-        // `a` of flop f reads word 2f % 8 (even words), operand `b` reads
-        // (2f + 1) % 8 (odd words).
-        let flop_reading = (word as u64) / 2;
-        let read = |state: &MemoryFaultState| {
-            let (a, b) = state.load_operands(flop_reading, 1.5, 2.5);
-            if word % 2 == 0 {
-                (a, b.to_bits() == 2.5f64.to_bits())
-            } else {
-                (b, a.to_bits() == 1.5f64.to_bits())
-            }
+        // Operand `a` of flop f reads word 2f % 8 (even words), operand `b`
+        // reads (2f + 1) % 8 (odd words); flops f and f + 4 read the same
+        // words, and one of them writes another word than `word`.
+        let reading = [word / 2, word / 2 + 4]
+            .into_iter()
+            .find(|&f| f % 8 != word)
+            .expect("a reading flop that does not overwrite") as u64;
+        // The healthy operand is 0.0, so the sum is the operand read.
+        let (a, b) = if word % 2 == 0 {
+            (1.5, 0.0)
+        } else {
+            (0.0, 2.5)
         };
-        let (got, other_clean) = read(&state);
-        assert_ne!(got.to_bits(), 0, "read produced a value");
-        assert!(other_clean, "the healthy word's operand is untouched");
-        assert_ne!(got, if word % 2 == 0 { 1.5 } else { 2.5 });
+        let read = |state: &mut MemoryFaultState| state.execute(reading, FlopOp::Add, a, b);
+        let got = read(&mut state);
+        assert_ne!(got, a + b, "the read sees the flip");
         // Still corrupted on a second read: persistence between ops.
-        let (again, _) = read(&state);
-        assert_eq!(again.to_bits(), got.to_bits());
+        assert_eq!(read(&mut state).to_bits(), got.to_bits());
         // Overwriting the word (result write of flop ≡ word mod 8) heals.
-        let _ = state.commit_result(word as u64, 9.0);
-        let (a3, b3) = state.load_operands(flop_reading, 1.5, 2.5);
-        assert_eq!((a3, b3), (1.5, 2.5), "overwrite repairs the word");
+        state.execute(word as u64, FlopOp::Add, 0.0, 0.0);
+        assert_eq!(state.corrupted_slots(), 0);
+        assert_eq!(read(&mut state), a + b, "overwrite repairs the word");
     }
 
     #[test]
@@ -634,10 +424,52 @@ mod tests {
             state.install(&mut rng, &mut stats);
         }
         assert!(state.corrupted_slots() > 0);
-        state.begin_op(99);
+        state.execute(99, FlopOp::Add, 1.0, 1.0);
         assert!(state.corrupted_slots() > 0, "no scrub before the boundary");
-        state.begin_op(100);
+        state.execute(100, FlopOp::Add, 1.0, 1.0);
         assert_eq!(state.corrupted_slots(), 0, "scrub boundary clears all");
+        assert_eq!(
+            state.next_touch(101),
+            u64::MAX,
+            "clean storage is never touched"
+        );
+    }
+
+    #[test]
+    fn next_touch_finds_the_first_touching_op() {
+        let bits = BitFaultModel::emulated();
+        for model in [
+            MemoryFaultModel::array_resident(7, bits.clone(), 13),
+            MemoryFaultModel::array_resident(70, bits.clone(), 0),
+            MemoryFaultModel::register_file(5, bits.clone(), 0),
+            MemoryFaultModel::register_file(66, bits.clone(), 29),
+        ] {
+            let mut state = MemoryFaultState::new(model.clone());
+            let mut rng = lfsr();
+            let mut stats = FaultStats::default();
+            let n = model.slots() as u64;
+            let array = model.kind() == MemoryFaultKind::ArrayResident;
+            let scrub = model.scrub_interval();
+            for _ in 0..3 {
+                state.install(&mut rng, &mut stats);
+                let dirty = |slot: u64| state.masks()[(slot % n) as usize] != 0;
+                for flop in 0..200 {
+                    let expected = (flop..)
+                        .find(|&f| {
+                            dirty(f)
+                                || (array && (dirty(2 * f) || dirty(2 * f + 1)))
+                                || (scrub > 0 && f > 0 && f.is_multiple_of(scrub))
+                        })
+                        .expect("a dirty slot is touched within one pass");
+                    assert_eq!(
+                        state.next_touch(flop),
+                        expected,
+                        "{} at {flop}",
+                        model.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -156,9 +156,10 @@ pub enum FaultModelSpec {
         voltage: f64,
     },
     /// A DVFS trajectory: the supply voltage steps through a schedule
-    /// over the trial, and the per-op fault rate follows the Figure 5.2
-    /// model at each step ([`dvfs_rate_at`](Self::dvfs_rate_at)). The
-    /// last step's voltage persists once the schedule is exhausted.
+    /// over the trial, and the fault rate follows the Figure 5.2 model at
+    /// each step: [`NoisyFpu`](crate::NoisyFpu) redraws the strike
+    /// interval at the new step's rate on the step's first op. The last
+    /// step's voltage persists once the schedule is exhausted.
     DvfsSchedule {
         /// The voltage ↦ error-rate calibration (Figure 5.2).
         model: VoltageErrorModel,
@@ -218,9 +219,13 @@ impl FaultModelSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `length == 0`.
+    /// Panics if `length` is 0 or exceeds the encoding's bits.
     pub fn burst(length: usize, model: BitFaultModel) -> Self {
-        assert!(length > 0, "burst length must be at least 1");
+        let bits = model.width().bits();
+        assert!(
+            (1..=bits).contains(&length),
+            "burst length must be in 1..={bits}, got {length}"
+        );
         FaultModelSpec::Burst { model, length }
     }
 
@@ -371,37 +376,6 @@ impl FaultModelSpec {
             FaultModelSpec::VoltageLinked { model, voltage } => Some(model.fault_rate_at(*voltage)),
             _ => None,
         }
-    }
-
-    /// The `(end_flop_exclusive, rate)` segments of a
-    /// [`DvfsSchedule`](Self::DvfsSchedule) spec, the final segment
-    /// extended to `u64::MAX` (the last step's voltage persists past the
-    /// schedule's end). `None` for every other variant. This is the
-    /// single source of the schedule-to-rate mapping:
-    /// [`dvfs_rate_at`](Self::dvfs_rate_at) and
-    /// [`NoisyFpu`](crate::NoisyFpu)'s strike scheduler both read it.
-    pub fn dvfs_segments(&self) -> Option<Vec<(u64, f64)>> {
-        let FaultModelSpec::DvfsSchedule { model, steps } = self else {
-            return None;
-        };
-        let mut segments = Vec::with_capacity(steps.len() + 1);
-        let mut end = 0u64;
-        for step in steps {
-            end = end.saturating_add(step.flops);
-            segments.push((end, model.error_rate(step.voltage).min(1.0)));
-        }
-        let last = segments.last().expect("schedule is non-empty").1;
-        segments.push((u64::MAX, last));
-        Some(segments)
-    }
-
-    /// The per-op fault rate at FLOP index `flop` for a
-    /// [`DvfsSchedule`](Self::DvfsSchedule) spec (`None` for every other
-    /// variant): the rate of the step covering `flop`, with the last
-    /// step's voltage persisting past the schedule's end.
-    pub fn dvfs_rate_at(&self, flop: u64) -> Option<f64> {
-        self.dvfs_segments()
-            .map(|segments| dvfs_segment_rate(&segments, flop))
     }
 
     /// The fixed operating voltage this spec pins the FPU to
@@ -571,7 +545,7 @@ impl FaultModelSpec {
                 // One fault event, recorded at its primary (sampled) position.
                 stats.record_fault(width, start);
                 // One combined mask: the burst flips from one encoding.
-                let end = (start + length).min(width.bits());
+                let end = start.saturating_add(*length).min(width.bits());
                 let mask = (start..end).fold(0u64, |mask, bit| mask | (1 << bit));
                 width.xor(ctx.exact, mask)
             }
@@ -693,8 +667,11 @@ impl JsonCodec for FaultModelSpec {
                 Self::stuck_at(bit, stuck_to == 1, width)
             }
             "burst" => {
-                let length = f.check("a positive", "length", |l: &usize| *l > 0)?;
-                Self::burst(length, read_bit_model(f)?)
+                let model = read_bit_model(f)?;
+                let bits = model.width().bits();
+                let length =
+                    f.check("an in-range", "length", |l: &usize| (1..=bits).contains(l))?;
+                Self::burst(length, model)
             }
             "operand" => Self::operand(read_bit_model(f)?),
             "intermittent" => {
@@ -749,19 +726,6 @@ impl From<BitFaultModel> for FaultModelSpec {
     fn from(model: BitFaultModel) -> Self {
         Self::transient(model)
     }
-}
-
-/// Looks up the rate of the segment covering `flop` in a
-/// [`FaultModelSpec::dvfs_segments`] list — the single lookup rule shared
-/// by `dvfs_rate_at` and `NoisyFpu`'s strike scheduler. The final segment
-/// ends at `u64::MAX`, so the scan only falls through to the last
-/// segment's rate at `flop == u64::MAX` itself.
-pub(crate) fn dvfs_segment_rate(segments: &[(u64, f64)], flop: u64) -> f64 {
-    segments
-        .iter()
-        .find(|&&(end, _)| flop < end)
-        .map(|&(_, rate)| rate)
-        .unwrap_or_else(|| segments.last().expect("schedule is non-empty").1)
 }
 
 #[cfg(test)]
@@ -1064,6 +1028,9 @@ mod tests {
             r#"{"kind":"transient","distribution":"custom","width":"f64"}"#,
             r#"{"kind":"stuck_at","bit":64,"stuck_to":0,"width":"f64"}"#,
             r#"{"kind":"burst","length":0,"distribution":"emulated","width":"f64"}"#,
+            r#"{"kind":"burst","length":65,"distribution":"emulated","width":"f64"}"#,
+            r#"{"kind":"burst","length":33,"distribution":"emulated","width":"f32"}"#,
+            r#"{"kind":"burst","length":18446744073709551615,"distribution":"emulated","width":"f64"}"#,
             r#"{"kind":"intermittent","duty":1.5,"period":10,
                 "inner":{"kind":"transient","distribution":"emulated","width":"f64"}}"#,
             r#"{"kind":"op_selective","ops":["frobnicate"],
@@ -1101,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn dvfs_schedule_rates_and_energy_follow_the_steps() {
+    fn dvfs_schedule_energy_follows_the_steps() {
         let model = VoltageErrorModel::paper_figure_5_2();
         let spec = FaultModelSpec::dvfs(
             model.clone(),
@@ -1117,12 +1084,6 @@ mod tests {
             ],
         );
         assert_eq!(spec.name(), "dvfs2step_transient_emulated");
-        assert_eq!(spec.dvfs_rate_at(0), Some(model.error_rate(0.9)));
-        assert_eq!(spec.dvfs_rate_at(99), Some(model.error_rate(0.9)));
-        assert_eq!(spec.dvfs_rate_at(100), Some(model.error_rate(0.7)));
-        // The last step's voltage persists past the schedule's end.
-        assert_eq!(spec.dvfs_rate_at(10_000), Some(model.error_rate(0.7)));
-        assert_eq!(FaultModelSpec::default().dvfs_rate_at(0), None);
         // Piecewise energy: 100 FLOPs at 0.9, 50 at 0.7, 850 at 0.7.
         let expected = model.energy(100, 0.9) + model.energy(50, 0.7) + model.energy(850, 0.7);
         let got = spec.energy_for_flops(1000).expect("dvfs has energy");
@@ -1187,5 +1148,33 @@ mod tests {
     #[should_panic(expected = "burst length")]
     fn zero_burst_rejected() {
         FaultModelSpec::burst(0, BitFaultModel::emulated());
+    }
+
+    #[test]
+    #[should_panic(expected = "burst length must be in 1..=32, got 33")]
+    fn burst_longer_than_the_word_rejected() {
+        FaultModelSpec::burst(33, BitFaultModel::uniform(BitWidth::F32));
+    }
+
+    #[test]
+    fn burst_length_is_checked_against_the_width() {
+        let json = |length: u64, width: &str| {
+            format!(
+                r#"{{"kind":"burst","length":{length},"distribution":"uniform","width":"{width}"}}"#
+            )
+        };
+        let err = FaultModelSpec::from_json(&json(u64::MAX, "f64")).expect_err("too long");
+        assert_eq!(err, "fault model spec needs an in-range \"length\"");
+        assert!(FaultModelSpec::from_json(&json(32, "f32")).is_ok());
+        // A word-wide burst flips every bit from its start to the top.
+        let spec = FaultModelSpec::from_json(&json(64, "f64")).expect("word-wide burst");
+        let mut lfsr = Lfsr::new(1);
+        let mut stats = FaultStats::default();
+        for i in 0..64 {
+            let got = spec.corrupt(&ctx(FlopOp::Mul, 3.0, 5.0, i), &mut lfsr, &mut stats);
+            let diff = got.to_bits() ^ 15.0f64.to_bits();
+            assert_eq!(diff.trailing_zeros() + diff.count_ones(), 64, "{diff:b}");
+        }
+        assert_eq!(stats.faults(), 64);
     }
 }

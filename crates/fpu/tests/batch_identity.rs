@@ -1,8 +1,8 @@
 //! The ISSUE-5 invariant: batched kernels are **byte-identical** to the
 //! scalar per-op path for every shipped `FaultModelSpec` variant.
 //!
-//! "Scalar" here is the same batch-kernel code with the countdown
-//! skip-ahead fast path disabled (`NoisyFpu::set_batching(false)`), which
+//! "Scalar" here is the same batch-kernel code with the guaranteed-exact
+//! windows disabled (`NoisyFpu::set_batching(false)`), which
 //! degrades every kernel to its documented per-op `execute` expansion —
 //! the exact code path the per-op kernels ran before batching existed.
 //! The tests pin committed result bits (every NaN as one value), FLOP

@@ -7,7 +7,7 @@
 //! ([`Fpu::csr_matvec`](stochastic_fpu::Fpu::csr_matvec),
 //! [`Fpu::csr_matvec_t`](stochastic_fpu::Fpu::csr_matvec_t)) built on the
 //! `run_exact`/`commit_exact` window API — so runs of whole rows execute
-//! natively on the fault-free fast lane wherever the countdown permits,
+//! natively on the fault-free fast lane up to the FPU's event horizon,
 //! the rows at window boundaries fall back to the per-op strike lane, and
 //! every product stays bit-identical to scalar dispatch at every fault
 //! rate.

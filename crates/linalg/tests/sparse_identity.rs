@@ -4,8 +4,8 @@
 //! `matvec_t` and `QrFactorization::compute`; sparse: CSR SpMV/SpMTV,
 //! which also agree with the dense products at rate 0.
 //!
-//! "Scalar" is the same kernel code with the countdown skip-ahead fast
-//! path disabled (`NoisyFpu::set_batching(false)`), which degrades every
+//! "Scalar" is the same kernel code with the guaranteed-exact windows
+//! disabled (`NoisyFpu::set_batching(false)`), which degrades every
 //! batched kernel to its documented per-op `execute` expansion — the
 //! `crates/fpu/tests/batch_identity.rs` pattern applied to the linear
 //! algebra layer. Fingerprints pin committed result bits (every NaN as one
