@@ -21,32 +21,25 @@
 //! codegen and far longer in debug, so debug builds skip it. Run it with
 //! `cargo test --release -p robustify_bench --test claims`.
 
-use std::process::Command;
+mod common;
 
 use robustify_engine::{DocCell, SweepDoc};
+
+use common::json_documents;
 
 /// The seeds every claim must hold at.
 const SEEDS: [u64; 3] = [42, 7, 11];
 
 /// Runs `bin --fast --json --seed seed`; returns its stdout.
 fn spawn(bin: &str, seed: u64) -> String {
-    let out = Command::new(bin)
-        .args(["--fast", "--json", "--seed", &seed.to_string()])
-        .output()
-        .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
-    assert!(out.status.success(), "{bin} --seed {seed} failed: {out:?}");
-    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+    common::spawn(bin, &["--fast", "--json", "--seed", &seed.to_string()])
 }
 
 /// Every `-- json --` document on a binary's stdout, in order.
 fn documents(stdout: &str) -> Vec<SweepDoc> {
-    stdout
-        .split("-- json --\n")
-        .skip(1)
-        .map(|block| {
-            let line = block.lines().next().expect("a document line");
-            SweepDoc::parse(line).expect("a result document")
-        })
+    json_documents(stdout)
+        .into_iter()
+        .map(|line| SweepDoc::parse(line).expect("a result document"))
         .collect()
 }
 
