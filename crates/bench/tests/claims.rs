@@ -17,6 +17,13 @@
 //! later change pass: a change that breaks a claim is at fault until its
 //! CHANGES.md entry explains why the conclusion moved.
 //!
+//! Claims on a robustification ingredient, each with the scratch mutation
+//! that fails it:
+//!
+//! | ingredient | claim | failing mutation |
+//! |---|---|---|
+//! | aggressive stepping | [`aggressive_stepping`] in Figures 6.1 and 6.4 | `aggressive_phase` returns at once |
+//!
 //! It runs eight binaries three times, about two minutes under release
 //! codegen and far longer in debug, so debug builds skip it. Run it with
 //! `cargo test --release -p robustify_bench --test claims`.
@@ -78,8 +85,24 @@ impl Claims {
     }
 }
 
+/// Aggressive stepping: in `doc` (figure `fig`), the `SGD+AS,LS` column
+/// succeeds in at least 10 points more trials than `without`, the same
+/// solver with aggressive stepping off, at every rate ≤ 5%. Set from the
+/// smallest parent gap, 20 points; a mutation that makes
+/// `aggressive_phase` return at once closes every gap to 0.
+fn aggressive_stepping(claims: &mut Claims, fig: &str, seed: u64, doc: &SweepDoc, without: &str) {
+    let (with, without_as) = (case(doc, "SGD+AS,LS"), case(doc, without));
+    for (r, &rate) in doc.rates_pct.iter().enumerate() {
+        let gap = with[r].success_rate - without_as[r].success_rate;
+        claims.check(rate > 5.0 || gap >= 10.0, || {
+            format!("{fig} seed {seed} rate {rate}%: SGD+AS,LS beats {without} by {gap} points")
+        });
+    }
+}
+
 /// Figure 6.1: sorting with SGD+AS under `1/√t` succeeds in ≥ 80% of
-/// trials at every rate, and in more trials than plain SGD.
+/// trials at every rate, and in more trials than plain SGD; aggressive
+/// stepping lifts `SGD` ([`aggressive_stepping`]).
 fn sorting(claims: &mut Claims, seed: u64) {
     let doc = document(env!("CARGO_BIN_EXE_fig6_1_sorting"), seed);
     let (sqs, sgd) = (case(&doc, "SGD+AS,SQS"), case(&doc, "SGD"));
@@ -91,6 +114,7 @@ fn sorting(claims: &mut Claims, seed: u64) {
             format!("fig6_1 seed {seed} rate {rate}%: SGD+AS,SQS no better than SGD")
         });
     }
+    aggressive_stepping(claims, "fig6_1", seed, &doc, "SGD");
 }
 
 /// Figure 6.2: the SVD baseline succeeds in at most 20% of trials at every
@@ -130,7 +154,8 @@ fn iir(claims: &mut Claims, seed: u64) {
 }
 
 /// Figure 6.4: matching with SGD+AS under `1/√t` succeeds in ≥ 90% of
-/// trials at every rate.
+/// trials at every rate; aggressive stepping lifts `SGD,LS`
+/// ([`aggressive_stepping`]).
 fn matching(claims: &mut Claims, seed: u64) {
     let doc = document(env!("CARGO_BIN_EXE_fig6_4_matching"), seed);
     for (r, rate) in doc.rates_pct.iter().enumerate() {
@@ -138,6 +163,7 @@ fn matching(claims: &mut Claims, seed: u64) {
             format!("fig6_4 seed {seed} rate {rate}%: SGD+AS,SQS succeeds in under 90%")
         });
     }
+    aggressive_stepping(claims, "fig6_4", seed, &doc, "SGD,LS");
 }
 
 /// Figure 6.5: ALL succeeds in ≥ 50% of trials at every rate up to 50%

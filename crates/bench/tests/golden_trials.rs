@@ -130,23 +130,27 @@ fn rates() -> [(&'static str, FaultRate); 2] {
     ]
 }
 
-/// `workload`'s instance and default solver at a twentieth of its
-/// iteration budget, which keeps every solver feature (guards, annealing,
-/// aggressive stepping) in play at a debug-build cost of seconds.
-fn budgeted_trial(
-    registry: &WorkloadRegistry,
-    workload: &str,
-) -> (Box<dyn DynProblem>, SolverSpec) {
-    let problem = registry.materialize(workload, SEED).expect("registered");
+/// `workload`'s instance at the fingerprint seed.
+fn instance(registry: &WorkloadRegistry, workload: &str) -> Box<dyn DynProblem> {
+    registry.materialize(workload, SEED).expect("registered")
+}
+
+/// `workload`'s default solver at a twentieth of its iteration budget,
+/// which keeps every solver feature (guards, annealing, aggressive
+/// stepping) in play at a debug-build cost of seconds.
+fn budgeted_solver(registry: &WorkloadRegistry, workload: &str) -> SolverSpec {
     let mut solver = registry.default_solver(workload, SEED).expect("registered");
     solver.iterations = (solver.iterations / 20).max(2);
-    (problem, solver)
+    solver
 }
 
 fn fingerprints(registry: &WorkloadRegistry) -> Vec<Fingerprint<'_>> {
     let mut out = Vec::new();
     for workload in registry.names() {
-        let (problem, solver) = budgeted_trial(registry, workload);
+        let (problem, solver) = (
+            instance(registry, workload),
+            budgeted_solver(registry, workload),
+        );
         for (scenario, spec) in scenarios() {
             for (rate_label, rate) in rates() {
                 let mut fpu = NoisyFpu::new(rate, spec.clone(), derive_trial_seed(SEED, 0));
@@ -209,19 +213,20 @@ const GOLDEN_BIT_MODELS: &[BitModelFingerprint] = &[
     ("lsb_only", "f32", true, 4487450450001353915, 287700, 14365),
 ];
 
-/// One `least_squares` trial at the budget above and 5% of FLOPs per
+/// One `least_squares` trial under `solver` at 5% of FLOPs per
 /// `(label, width, spec)` case, fingerprinted under its label and width.
 fn least_squares_fingerprints(
     registry: &WorkloadRegistry,
+    solver: &SolverSpec,
     cases: Vec<(&'static str, &'static str, FaultModelSpec)>,
 ) -> Vec<BitModelFingerprint> {
-    let (problem, solver) = budgeted_trial(registry, "least_squares");
+    let problem = instance(registry, "least_squares");
     cases
         .into_iter()
         .map(|(label, width, spec)| {
             let mut fpu =
                 NoisyFpu::new(FaultRate::per_flop(0.05), spec, derive_trial_seed(SEED, 0));
-            let verdict = problem.run_trial_dyn(&solver, &mut fpu);
+            let verdict = problem.run_trial_dyn(solver, &mut fpu);
             (
                 label,
                 width,
@@ -248,7 +253,8 @@ fn bit_model_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprin
             cases.push((kind, width.name(), FaultModelSpec::transient(model)));
         }
     }
-    least_squares_fingerprints(registry, cases)
+    let solver = budgeted_solver(registry, "least_squares");
+    least_squares_fingerprints(registry, &solver, cases)
 }
 
 #[test]
@@ -272,6 +278,7 @@ fn spec_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
     let dvfs = FaultModelSpec::from_preset("dvfs").expect("shipped preset");
     least_squares_fingerprints(
         registry,
+        &budgeted_solver(registry, "least_squares"),
         vec![("stuck1_bit52", "f64", stuck), ("dvfs", "f64", dvfs)],
     )
 }
@@ -280,4 +287,35 @@ fn spec_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
 fn spec_fingerprints_match_the_pinned_table() {
     let got = spec_fingerprints(&paper_registry());
     assert_pinned("GOLDEN_SPECS", &got, GOLDEN_SPECS);
+}
+
+/// `least_squares` under its QR baseline at 5% of FLOPs, in the bit-model
+/// table's shape with the preset's name in the distribution column: the
+/// rows that reach the Householder reflections (every row above runs
+/// SGD). Under the transient `emulated` preset and the unscrubbed
+/// `memory` array. Both trials fail (an infinite error), so the rows pin
+/// the FLOP and fault counts; the pinned figure documents hold the QR
+/// baseline's error values.
+#[rustfmt::skip]
+const GOLDEN_QR: &[BitModelFingerprint] = &[
+    ("emulated", "f64", false, 9218868437227405312, 65840, 3266),
+    ("memory", "f64", false, 9218868437227405312, 67940, 3348),
+];
+
+fn qr_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
+    let preset = |name| FaultModelSpec::from_preset(name).expect("shipped preset");
+    least_squares_fingerprints(
+        registry,
+        &SolverSpec::baseline_variant("qr"),
+        vec![
+            ("emulated", "f64", preset("emulated")),
+            ("memory", "f64", preset("memory")),
+        ],
+    )
+}
+
+#[test]
+fn qr_fingerprints_match_the_pinned_table() {
+    let got = qr_fingerprints(&paper_registry());
+    assert_pinned("GOLDEN_QR", &got, GOLDEN_QR);
 }
