@@ -202,47 +202,21 @@ impl DoublyStochasticCost {
         }
     }
 
-    /// Row and column sums of `X` through the FPU.
-    ///
-    /// The two accumulations interleave per entry (`add` into the row sum,
-    /// then `add` into the column sum), so this drives the generic
-    /// [`Fpu::with_exact_windows`] machinery directly rather than a slice
-    /// kernel; the per-op expansion is preserved bit for bit.
+    /// Row and column sums of `X` through the FPU: per entry, in
+    /// row-major order, `row_i = add(row_i, X_ij)` then
+    /// `col_j = add(col_j, X_ij)`.
     fn sums<F: Fpu>(&self, x: &[f64], fpu: &mut F) -> (Vec<f64>, Vec<f64>) {
         let (r, c) = (self.rows(), self.cols());
         let mut row = vec![0.0; r];
         let mut col = vec![0.0; c];
-        // (i, j) tracks the flattened index incrementally — no div/mod in
-        // the hot loop.
-        let (mut i, mut j) = (0, 0);
-        fpu.with_exact_windows(r * c, 2, |fpu, range, exact| {
-            for k in range {
-                let v = x[k];
-                if exact {
-                    row[i] += v;
-                    col[j] += v;
-                } else {
-                    row[i] = fpu.add(row[i], v);
-                    col[j] = fpu.add(col[j], v);
-                }
-                j += 1;
-                if j == c {
-                    j = 0;
-                    i += 1;
-                }
+        for i in 0..r {
+            for j in 0..c {
+                let v = x[i * c + j];
+                row[i] = fpu.add(row[i], v);
+                col[j] = fpu.add(col[j], v);
             }
-        });
-        (row, col)
-    }
-
-    /// Worst-case FLOPs one entry of `X` can cost in
-    /// [`cost`](CostFunction::cost): the payoff ops plus a fully active
-    /// non-negativity hinge.
-    fn worst_flops_per_entry(&self) -> u64 {
-        match self.kind {
-            PenaltyKind::Abs => 4,
-            PenaltyKind::Squared => 5,
         }
+        (row, col)
     }
 }
 
@@ -253,56 +227,17 @@ impl CostFunction for DoublyStochasticCost {
 
     fn cost<F: Fpu>(&self, x: &[f64], fpu: &mut F) -> f64 {
         assert_eq!(x.len(), self.dim(), "X has the wrong dimension");
-        // The per-entry FLOP count is data-dependent (the hinge), so this
-        // drives the Fpu window query directly: entries whose worst case
-        // fits the guaranteed-exact window run natively (committing the
-        // FLOPs actually spent), everything else takes the per-op path.
-        let p = self.payoff.as_slice();
-        let n = self.dim();
-        let per = self.worst_flops_per_entry();
         let mut total = 0.0;
-        let mut k = 0;
-        while k < n {
-            let window = fpu.run_exact((n - k) as u64 * per);
-            if window < per {
-                let v = x[k];
-                // −P·X term.
-                let prod = fpu.mul(p[k], v);
-                total = fpu.sub(total, prod);
-                // μ₁ pen([−X]₊).
-                let neg = (-v).max(0.0);
-                if neg > 0.0 {
-                    let pen = self.pen(neg, fpu);
-                    let w = fpu.mul(self.mu1, pen);
-                    total = fpu.add(total, w);
-                }
-                k += 1;
-            } else {
-                // Fill the window greedily: keep processing entries while
-                // the *worst case* for the next entry still fits, so a
-                // mostly-feasible iterate (hinges inactive, 2 FLOPs per
-                // entry) packs ~2.5× more entries per window than a
-                // worst-case pre-split would.
-                let mut used = 0u64;
-                while k < n && used + per <= window {
-                    let v = x[k];
-                    total -= p[k] * v;
-                    used += 2;
-                    let neg = (-v).max(0.0);
-                    if neg > 0.0 {
-                        let pen = match self.kind {
-                            PenaltyKind::Abs => neg,
-                            PenaltyKind::Squared => {
-                                used += 1;
-                                neg * neg
-                            }
-                        };
-                        total += self.mu1 * pen;
-                        used += 2;
-                    }
-                    k += 1;
-                }
-                fpu.commit_exact(used);
+        for (&p, &v) in self.payoff.as_slice().iter().zip(x) {
+            // −P·X term.
+            let prod = fpu.mul(p, v);
+            total = fpu.sub(total, prod);
+            // μ₁ pen([−X]₊).
+            let neg = (-v).max(0.0);
+            if neg > 0.0 {
+                let pen = self.pen(neg, fpu);
+                let w = fpu.mul(self.mu1, pen);
+                total = fpu.add(total, w);
             }
         }
         let (row, col) = self.sums(x, fpu);
@@ -319,7 +254,7 @@ impl CostFunction for DoublyStochasticCost {
 
     fn gradient<F: Fpu>(&self, x: &[f64], fpu: &mut F, grad: &mut [f64]) {
         assert_eq!(x.len(), self.dim(), "X has the wrong dimension");
-        let (r, c) = (self.rows(), self.cols());
+        let c = self.cols();
         let (row, col) = self.sums(x, fpu);
         // Per-row and per-column hinge coefficients (paper eq. 4.5).
         let row_coef: Vec<f64> = row
@@ -344,58 +279,19 @@ impl CostFunction for DoublyStochasticCost {
                 }
             })
             .collect();
-        // Same window-driven fast path as `cost`: the hinge makes the
-        // per-entry FLOP count data-dependent, so entries run natively
-        // only when their worst case fits the guaranteed-exact window.
         let p = self.payoff.as_slice();
-        let n = r * c;
-        // Hinge worst case: 2 FLOPs, plus the 2 coefficient additions.
-        let per = 4u64;
-        // (i, j) tracks the flattened index k incrementally — no div/mod
-        // in the hot loop.
-        let (mut k, mut i, mut j) = (0, 0, 0);
-        while k < n {
-            let window = fpu.run_exact((n - k) as u64 * per);
-            if window < per {
-                let v = x[k];
+        for (i, &rc) in row_coef.iter().enumerate() {
+            for (j, &cc) in col_coef.iter().enumerate() {
+                let k = i * c + j;
                 // g = −P_ij − μ₁·slope([−X]₊) + rowcoef_i + colcoef_j.
                 let mut g = -p[k];
-                let neg = (-v).max(0.0);
+                let neg = (-x[k]).max(0.0);
                 if neg > 0.0 {
                     let w = fpu.mul(self.mu1, self.slope(neg));
                     g = fpu.sub(g, w);
                 }
-                g = fpu.add(g, row_coef[i]);
-                g = fpu.add(g, col_coef[j]);
-                grad[k] = g;
-                k += 1;
-                j += 1;
-                if j == c {
-                    j = 0;
-                    i += 1;
-                }
-            } else {
-                let mut used = 0u64;
-                while k < n && used + per <= window {
-                    let v = x[k];
-                    let mut g = -p[k];
-                    let neg = (-v).max(0.0);
-                    if neg > 0.0 {
-                        g -= self.mu1 * self.slope(neg);
-                        used += 2;
-                    }
-                    g += row_coef[i];
-                    g += col_coef[j];
-                    used += 2;
-                    grad[k] = g;
-                    k += 1;
-                    j += 1;
-                    if j == c {
-                        j = 0;
-                        i += 1;
-                    }
-                }
-                fpu.commit_exact(used);
+                g = fpu.add(g, rc);
+                grad[k] = fpu.add(g, cc);
             }
         }
     }

@@ -11,7 +11,6 @@ use crate::fault::{FaultRate, FaultStats};
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultState;
 use crate::model::{FaultCtx, FaultModelSpec};
-use core::ops::{Add, Sub};
 
 /// Number of independent accumulator lanes a long reduction splits into
 /// (see [`LANE_REDUCTION_MIN`]) so the compiler can autovectorize its
@@ -29,18 +28,45 @@ pub const LANE_WIDTH: usize = 8;
 /// vectorizable lanes.
 pub const LANE_REDUCTION_MIN: usize = 32;
 
-/// FLOPs of the lane pairwise-combine tree: `LANE_WIDTH − 1` additions.
-const COMBINE_FLOPS: u64 = (LANE_WIDTH - 1) as u64;
+/// The window skeleton under the slice kernels' drivers: runs a
+/// fixed-cost-per-element kernel over `0..n` in order.
+///
+/// `body(fpu, range, exact)` is invoked over consecutive element ranges
+/// covering `0..n`. When `exact` is `true` the range is guaranteed
+/// fault-free (`flops_per_elem` FLOPs per element): compute it natively
+/// and do **not** touch `fpu` — the FLOPs are committed afterwards. When
+/// `exact` is `false` the range is a single element that must run through
+/// the per-op [`execute`](Fpu::execute) expansion on `fpu`. A kernel only
+/// chooses its two loop bodies, never its own window math.
+fn with_exact_windows<F: Fpu>(
+    fpu: &mut F,
+    n: usize,
+    flops_per_elem: u64,
+    mut body: impl FnMut(&mut F, core::ops::Range<usize>, bool),
+) {
+    let mut i = 0;
+    while i < n {
+        let safe = (fpu.run_exact((n - i) as u64 * flops_per_elem) / flops_per_elem) as usize;
+        if safe == 0 {
+            body(fpu, i..i + 1, false);
+            i += 1;
+        } else {
+            body(fpu, i..i + safe, true);
+            fpu.commit_exact(safe as u64 * flops_per_elem);
+            i += safe;
+        }
+    }
+}
 
 /// The element-wise driver every in-place batch kernel runs on:
 /// `y[k] ← elem(y[k], [xs[0][k], …])` for each `k` in order.
 ///
 /// A kernel writes its element expression twice: `native` in pure `f64`
-/// arithmetic for the guaranteed-exact ranges
-/// [`with_exact_windows`](Fpu::with_exact_windows) grants, and `through`
-/// on the FPU (`flops_per_elem` FLOPs) for the elements at window
-/// boundaries. The two must issue the same operations in the same operand
-/// order; the lanes and the window math live here once.
+/// arithmetic for the guaranteed-exact ranges [`with_exact_windows`]
+/// grants, and `through` on the FPU (`flops_per_elem` FLOPs) for the
+/// elements at window boundaries. The two must issue the same operations
+/// in the same operand order; the lanes and the window math live here
+/// once.
 ///
 /// # Panics
 ///
@@ -59,7 +85,7 @@ fn zip_update<F: Fpu, const N: usize>(
         xs.iter().all(|x| x.len() == y.len()),
         "{kernel} operands differ in length"
     );
-    fpu.with_exact_windows(y.len(), flops_per_elem, |fpu, range, exact| {
+    with_exact_windows(fpu, y.len(), flops_per_elem, |fpu, range, exact| {
         if exact {
             // Every input re-sliced to exactly `ys.len()`, so the compiler
             // can drop the loop's bounds checks.
@@ -78,15 +104,15 @@ fn zip_update<F: Fpu, const N: usize>(
 
 /// The product-reduction driver behind [`Fpu::gemv_row`],
 /// [`Fpu::dot_batch`] and [`Fpu::dot_sub_batch`]: folds
-/// `p = mul(x[k], y[k])` into an accumulator started at `init`, with the
-/// combining operation (`add` or `sub`) written twice, `native` and
-/// `through` the FPU.
+/// `p = mul(x[k], y[k])` into an accumulator started at `init` with the
+/// FPU's `combine` (`add` or `sub`).
 ///
-/// Below [`LANE_REDUCTION_MIN`] elements it is one chain,
+/// Below [`LANE_REDUCTION_MIN`] elements it is one per-op chain,
 /// `acc = combine(acc, p)` per element. From there on the products
 /// accumulate into [`LANE_WIDTH`] lanes (`lane[k % LANE_WIDTH] =
-/// add(lane[k % LANE_WIDTH], p)`), the lanes pairwise-combine to `s`
-/// ([`combine_lanes`]), and the result is `combine(init, s)` on the FPU.
+/// add(lane[k % LANE_WIDTH], p)`) on exact windows, the lanes
+/// pairwise-combine to `s` ([`combine_lanes`]), and the result is
+/// `combine(init, s)`.
 ///
 /// # Panics
 ///
@@ -97,26 +123,19 @@ fn reduce<F: Fpu>(
     init: f64,
     x: &[f64],
     y: &[f64],
-    native: impl Fn(f64, f64) -> f64,
-    through: impl Fn(&mut F, f64, f64) -> f64,
+    combine: impl Fn(&mut F, f64, f64) -> f64,
 ) -> f64 {
     assert!(x.len() == y.len(), "{kernel} operands differ in length");
     if x.len() < LANE_REDUCTION_MIN {
         let mut acc = init;
-        fpu.with_exact_windows(x.len(), 2, |fpu, range, exact| {
-            if exact {
-                for (&a, &b) in x[range.clone()].iter().zip(&y[range]) {
-                    acc = native(acc, a * b);
-                }
-            } else {
-                let p = fpu.mul(x[range.start], y[range.start]);
-                acc = through(fpu, acc, p);
-            }
-        });
+        for (&a, &b) in x.iter().zip(y) {
+            let p = fpu.mul(a, b);
+            acc = combine(fpu, acc, p);
+        }
         return acc;
     }
     let mut lanes = [0.0f64; LANE_WIDTH];
-    fpu.with_exact_windows(x.len(), 2, |fpu, range, exact| {
+    with_exact_windows(fpu, x.len(), 2, |fpu, range, exact| {
         if exact {
             let start = range.start;
             lanes_accumulate(&mut lanes, &x[range.clone()], &y[range], start);
@@ -127,7 +146,7 @@ fn reduce<F: Fpu>(
         }
     });
     let s = combine_lanes(fpu, &lanes);
-    through(fpu, init, s)
+    combine(fpu, init, s)
 }
 
 /// Native lane accumulation over one guaranteed-fault-free range of a
@@ -161,28 +180,17 @@ fn lanes_accumulate(lanes: &mut [f64; LANE_WIDTH], x: &[f64], y: &[f64], start: 
     }
 }
 
-/// Pairwise lane combine, through the FPU: `t_j = add(lane_j, lane_{j+4})`
-/// for `j = 0..4`, `u_j = add(t_j, t_{j+2})` for `j = 0..2`, then
-/// `s = add(u_0, u_1)` — `LANE_WIDTH − 1` additions in that fixed order,
-/// on the skip-ahead fast path whenever the schedule guarantees them
-/// fault-free.
-fn combine_lanes<F: Fpu>(fpu: &mut F, lanes: &[f64; LANE_WIDTH]) -> f64 {
-    fn tree(l: &[f64; LANE_WIDTH], mut add: impl FnMut(f64, f64) -> f64) -> f64 {
-        let t0 = add(l[0], l[4]);
-        let t1 = add(l[1], l[5]);
-        let t2 = add(l[2], l[6]);
-        let t3 = add(l[3], l[7]);
-        let u0 = add(t0, t2);
-        let u1 = add(t1, t3);
-        add(u0, u1)
-    }
-    if fpu.run_exact(COMBINE_FLOPS) == COMBINE_FLOPS {
-        let s = tree(lanes, |a, b| a + b);
-        fpu.commit_exact(COMBINE_FLOPS);
-        s
-    } else {
-        tree(lanes, |a, b| fpu.add(a, b))
-    }
+/// Pairwise lane combine, per op: `t_j = add(lane_j, lane_{j+4})` for
+/// `j = 0..4`, `u_j = add(t_j, t_{j+2})` for `j = 0..2`, then
+/// `s = add(u_0, u_1)` — `LANE_WIDTH − 1` additions in that fixed order.
+fn combine_lanes<F: Fpu>(fpu: &mut F, l: &[f64; LANE_WIDTH]) -> f64 {
+    let t0 = fpu.add(l[0], l[4]);
+    let t1 = fpu.add(l[1], l[5]);
+    let t2 = fpu.add(l[2], l[6]);
+    let t3 = fpu.add(l[3], l[7]);
+    let u0 = fpu.add(t0, t2);
+    let u1 = fpu.add(t1, t3);
+    fpu.add(u0, u1)
 }
 
 /// The row-run driver behind [`Fpu::csr_matvec`] and
@@ -288,27 +296,32 @@ impl FlopOp {
 /// The paper's injector draws the *interval between* faults from an LFSR,
 /// so an FPU knows exactly how many upcoming FLOPs are guaranteed exact.
 /// The [`run_exact`](Self::run_exact) / [`commit_exact`](Self::commit_exact)
-/// pair exposes that window, and the provided batch kernels
-/// ([`dot_batch`](Self::dot_batch), [`axpy_batch`](Self::axpy_batch),
-/// [`scale_batch`](Self::scale_batch), [`gemv_row`](Self::gemv_row), …)
-/// split into two lanes around it: a **fault-free fast lane** — plain
-/// loops of pure `f64` arithmetic with no `Fpu` dispatch and no horizon
-/// checks, entered for every span `run_exact` guarantees strike-free
-/// (remainders included) and accounted with a single `commit_exact` bump —
-/// and a **scalar strike lane** that runs only the window boundaries, one
-/// element at a time, through the per-op [`execute`](Self::execute)
-/// expansion. Long reductions additionally split their accumulator into
-/// [`LANE_WIDTH`] independent lanes (see [`LANE_REDUCTION_MIN`]) so the
-/// fast lane autovectorizes.
+/// pair exposes that window to the provided slice kernels, which are the
+/// only code that uses it. Three private drivers in this module split a
+/// kernel into two lanes around the window: a **fault-free fast lane** —
+/// plain loops of pure `f64` arithmetic with no `Fpu` dispatch and no
+/// horizon checks, entered for every span `run_exact` guarantees
+/// strike-free and accounted with a single `commit_exact` bump — and a
+/// **scalar strike lane** that runs only the window boundaries through
+/// the per-op [`execute`](Self::execute) expansion. They are the
+/// element-wise kernels ([`axpy_batch`](Self::axpy_batch),
+/// [`scale_batch`](Self::scale_batch), …), the reductions of at least
+/// [`LANE_REDUCTION_MIN`] elements ([`dot_batch`](Self::dot_batch),
+/// [`gemv_row`](Self::gemv_row), …), whose accumulator splits into
+/// [`LANE_WIDTH`] independent lanes so the fast lane autovectorizes, and
+/// the CSR row runs ([`csr_matvec`](Self::csr_matvec),
+/// [`csr_matvec_t`](Self::csr_matvec_t)). Shorter reductions and the
+/// 7-FLOP lane combine run per op, where a window would cost about what
+/// it saves.
 ///
 /// Every batch kernel documents its exact per-op expansion and is
 /// **bit-identical** to issuing that expansion through `execute` one
 /// operation at a time: same results, same FLOP count, same LFSR draw
-/// sequence, same strike indices, same fault statistics. Implementors only
-/// ever override `run_exact`/`commit_exact`; the element-wise kernels
-/// share one driver and the short reductions another, each owning both
-/// lanes, so the equivalence holds by construction (and the `stochastic_fpu` batch
-/// proptests pin it for every shipped fault-model spec).
+/// sequence, same strike indices, same fault statistics. Implementors
+/// supply `run_exact`/`commit_exact`; the window math lives once in this
+/// module, so the equivalence holds by construction (and the
+/// `stochastic_fpu` batch proptests pin it for every shipped fault-model
+/// spec).
 ///
 /// # Examples
 ///
@@ -337,17 +350,12 @@ pub trait Fpu {
     /// How many of the next `max` FLOPs are *guaranteed* to execute
     /// exactly — no fault strike, no injector state change (a DVFS step
     /// boundary, a read or write of a corrupted memory-persistent slot, a
-    /// scrub of corrupted slots) — so a caller may compute them natively
-    /// and account for them with [`commit_exact`](Self::commit_exact).
-    ///
-    /// The default is the conservative `0` ("no guarantee; go through
-    /// `execute`"), which keeps any third-party implementor correct
-    /// without changes. The window must stay valid until the next
-    /// `execute`/`commit_exact` call on this FPU.
-    fn run_exact(&self, max: u64) -> u64 {
-        let _ = max;
-        0
-    }
+    /// scrub of corrupted slots) — so a slice kernel may compute them
+    /// natively and account for them with
+    /// [`commit_exact`](Self::commit_exact). `0` means "no guarantee; go
+    /// through `execute`", always a correct answer. The window must stay
+    /// valid until the next `execute`/`commit_exact` call on this FPU.
+    fn run_exact(&self, max: u64) -> u64;
 
     /// Accounts for `n` FLOPs the caller executed natively inside a window
     /// previously granted by [`run_exact`](Self::run_exact): bumps the
@@ -357,13 +365,7 @@ pub trait Fpu {
     /// # Panics
     ///
     /// Panics if `n` exceeds the currently guaranteed-exact window.
-    fn commit_exact(&mut self, n: u64) {
-        assert_eq!(
-            n, 0,
-            "commit_exact({n}) without a run_exact window (default implementation \
-             guarantees no exact FLOPs)"
-        );
-    }
+    fn commit_exact(&mut self, n: u64);
 
     /// Addition through the FPU.
     fn add(&mut self, a: f64, b: f64) -> f64 {
@@ -388,42 +390,6 @@ pub trait Fpu {
     /// Square root through the FPU.
     fn sqrt(&mut self, a: f64) -> f64 {
         self.execute(FlopOp::Sqrt, a, 0.0)
-    }
-
-    /// Drives a fixed-cost-per-element kernel through the guaranteed-exact
-    /// window machinery — the one skeleton under the batch kernels' two
-    /// drivers, and under downstream strided kernels that fit no slice
-    /// kernel (the Householder reflections, the doubly stochastic
-    /// gradient).
-    ///
-    /// `body(fpu, range, exact)` is invoked over consecutive element
-    /// ranges covering `0..n` in order. When `exact` is `true` the range
-    /// is guaranteed fault-free (`flops_per_elem` FLOPs per element):
-    /// compute it natively and do **not** touch `fpu` — the FLOPs are
-    /// committed automatically afterwards. When `exact` is `false` the
-    /// range is a single element that must run through the per-op
-    /// [`execute`](Self::execute) expansion on `fpu`.
-    ///
-    /// Keeping the window arithmetic here is what makes the bit-identity
-    /// contract a single-owner property: a kernel can only choose its two
-    /// loop bodies, never its own window math.
-    fn with_exact_windows<B>(&mut self, n: usize, flops_per_elem: u64, mut body: B)
-    where
-        Self: Sized,
-        B: FnMut(&mut Self, core::ops::Range<usize>, bool),
-    {
-        let mut i = 0;
-        while i < n {
-            let safe = (self.run_exact((n - i) as u64 * flops_per_elem) / flops_per_elem) as usize;
-            if safe == 0 {
-                body(self, i..i + 1, false);
-                i += 1;
-            } else {
-                body(self, i..i + safe, true);
-                self.commit_exact(safe as u64 * flops_per_elem);
-                i += safe;
-            }
-        }
     }
 
     /// Inner product with an initial accumulator: one row of a
@@ -453,7 +419,7 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        reduce(self, "gemv_row", init, row, x, Add::add, Self::add)
+        reduce(self, "gemv_row", init, row, x, Self::add)
     }
 
     /// Inner product `Σᵢ x[i]·y[i]` (zero-initialized [`gemv_row`]).
@@ -478,7 +444,7 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        reduce(self, "dot_batch", 0.0, x, y, Add::add, Self::add)
+        reduce(self, "dot_batch", 0.0, x, y, Self::add)
     }
 
     /// Subtractive inner product `init − Σᵢ x[i]·y[i]` — the inner loop of
@@ -504,7 +470,7 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        reduce(self, "dot_sub_batch", init, x, y, Sub::sub, Self::sub)
+        reduce(self, "dot_sub_batch", init, x, y, Self::sub)
     }
 
     /// In-place `y ← α x + y` with the scalar as the first multiplicand.
@@ -1004,9 +970,9 @@ pub struct NoisyFpu {
     stats: FaultStats,
     /// Shadow storage for memory-persistent fault specs.
     memory: Option<MemoryFaultState>,
-    /// Whether [`run_exact`](Fpu::run_exact) grants windows (it does by
-    /// default; disable for scalar-dispatch comparisons — results are
-    /// bit-identical either way).
+    /// Whether [`run_exact`](Fpu::run_exact) grants windows to the slice
+    /// kernels (it does by default; disable for scalar-dispatch
+    /// comparisons — results are bit-identical either way).
     batched: bool,
 }
 
@@ -1086,13 +1052,13 @@ impl NoisyFpu {
         self.memory.as_ref()
     }
 
-    /// Enables or disables the guaranteed-exact windows the [`Fpu`] batch
+    /// Enables or disables the guaranteed-exact windows the [`Fpu`] slice
     /// kernels run natively. Results are **bit-identical** either way
     /// (a window only ever covers ops before the event horizon);
-    /// disabling them forces every batched operation through the per-op
-    /// [`execute`](Fpu::execute) path, which is what the throughput
-    /// comparisons and the batched-vs-scalar proptests use as the
-    /// reference.
+    /// disabling them forces every slice kernel through the per-op
+    /// [`execute`](Fpu::execute) path, which is the reference of the
+    /// batched-vs-scalar proptests and of the benchmark's batch-speedup
+    /// measurement.
     pub fn set_batching(&mut self, enabled: bool) {
         self.batched = enabled;
     }

@@ -30,11 +30,15 @@
 //! * **Batched execution** — because fault *intervals* are drawn up
 //!   front, the injector always knows how many upcoming FLOPs are
 //!   guaranteed exact. [`Fpu::run_exact`] / [`Fpu::commit_exact`] expose
-//!   that window, and the trait's batch kernels ([`Fpu::dot_batch`],
-//!   [`Fpu::axpy_batch`], [`Fpu::scale_batch`], [`Fpu::gemv_row`], …) run
-//!   the fault-free stretch as a tight native loop — **bit-identical** to
-//!   per-op dispatch (same results, counters, LFSR draws and statistics),
-//!   just faster.
+//!   that window to the trait's own slice kernels, and only to them: the
+//!   element-wise kernels ([`Fpu::axpy_batch`], [`Fpu::scale_batch`], …),
+//!   the lane-split long reductions ([`Fpu::dot_batch`],
+//!   [`Fpu::gemv_row`], … of at least [`LANE_REDUCTION_MIN`] elements)
+//!   and the CSR row runs ([`Fpu::csr_matvec`]) run the fault-free
+//!   stretch as a tight native loop — **bit-identical** to per-op
+//!   dispatch (same results, counters, LFSR draws and statistics), just
+//!   faster. Everything else, short reductions and every kernel outside
+//!   this crate included, is a plain per-op loop.
 //! * [`Lfsr`] — the Galois linear feedback shift register used to draw
 //!   inter-fault intervals, mirroring the paper's methodology chapter.
 //! * [`VoltageErrorModel`] — the voltage ↦ FPU-error-rate curve of Figure

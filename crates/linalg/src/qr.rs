@@ -141,14 +141,15 @@ fn householder_reflector<F: Fpu>(fpu: &mut F, a: &Matrix, k: usize) -> Vec<f64> 
 /// active part).
 ///
 /// Organized as three row-contiguous passes instead of a strided per-column
-/// walk: `w = (vᵀ A)ᵀ` accumulated one matrix row at a time on the batched
-/// [`Fpu::axpy_batch`] fast lane, a coefficient pass `coef_j = 2 (w_j /
-/// vᵀv)`, and the rank-1 update `a_row ← a_row − v_r · coef` swept row by
-/// row. The per-entry expansions (`p = mul(v[r], a_rj); w_j = add(w_j, p)`;
-/// `ratio = div(w_j, vtv); coef_j = mul(2, ratio)`; `p = mul(coef_j, v[r]);
-/// a_rj = sub(a_rj, p)`) and each entry's accumulation order match the
-/// historical column walk, so fault-rate-0 results are bit-identical to it
-/// while every inner loop runs over contiguous cache lines.
+/// walk: `w = (vᵀ A)ᵀ` accumulated one matrix row at a time with
+/// [`Fpu::axpy_batch`], a per-op coefficient pass `coef_j = 2 (w_j /
+/// vᵀv)`, and the per-op rank-1 update `a_row ← a_row − v_r · coef` swept
+/// row by row. The per-entry expansions (`p = mul(v[r], a_rj); w_j =
+/// add(w_j, p)`; `ratio = div(w_j, vtv); coef_j = mul(2, ratio)`;
+/// `p = mul(coef_j, v[r]); a_rj = sub(a_rj, p)`) and each entry's
+/// accumulation order match the historical column walk, so fault-rate-0
+/// results are bit-identical to it while every inner loop runs over
+/// contiguous cache lines.
 fn apply_reflector_to_matrix<F: Fpu>(
     fpu: &mut F,
     a: &mut Matrix,
@@ -170,34 +171,16 @@ fn apply_reflector_to_matrix<F: Fpu>(
     }
     // Pass 2: coef_j = 2 (w_j / vᵀv), in place.
     let mut coef = w;
-    fpu.with_exact_windows(width, 2, |fpu, range, exact| {
-        if exact {
-            for c in &mut coef[range] {
-                // detlint::allow(fpu-routing, reason = "fault-free exact-window fast lane; FLOPs pre-committed via run_exact")
-                *c = 2.0 * (*c / vtv);
-            }
-        } else {
-            for j in range {
-                let ratio = fpu.div(coef[j], vtv);
-                coef[j] = fpu.mul(2.0, ratio);
-            }
-        }
-    });
+    for c in &mut coef {
+        let ratio = fpu.div(*c, vtv);
+        *c = fpu.mul(2.0, ratio);
+    }
     // Pass 3: A ← A − v coefᵀ, row by row.
     for (r, &vr) in v.iter().enumerate().take(m).skip(k) {
-        let row = &mut a.row_mut(r)[col_start..];
-        fpu.with_exact_windows(width, 2, |fpu, range, exact| {
-            if exact {
-                for (rj, cj) in row[range.clone()].iter_mut().zip(&coef[range]) {
-                    *rj -= *cj * vr;
-                }
-            } else {
-                for j in range {
-                    let p = fpu.mul(coef[j], vr);
-                    row[j] = fpu.sub(row[j], p);
-                }
-            }
-        });
+        for (rj, &cj) in a.row_mut(r)[col_start..].iter_mut().zip(&coef) {
+            let p = fpu.mul(cj, vr);
+            *rj = fpu.sub(*rj, p);
+        }
     }
 }
 
