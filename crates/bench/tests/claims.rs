@@ -95,7 +95,9 @@ fn aggressive_stepping(claims: &mut Claims, fig: &str, seed: u64, doc: &SweepDoc
     for (r, &rate) in doc.rates_pct.iter().enumerate() {
         let gap = with[r].success_rate - without_as[r].success_rate;
         claims.check(rate > 5.0 || gap >= 10.0, || {
-            format!("{fig} seed {seed} rate {rate}%: SGD+AS,LS beats {without} by {gap} points")
+            format!(
+                "{fig} seed {seed} rate {rate}%: SGD+AS,LS leads {without} by only {gap} points"
+            )
         });
     }
 }

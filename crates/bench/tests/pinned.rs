@@ -58,7 +58,6 @@ const PRESETS: [&str; 14] = [
 ];
 
 /// One pinned run: its name and arguments, and the two hashes.
-#[derive(Debug, PartialEq)]
 struct Pin {
     run: String,
     json: String,
@@ -107,14 +106,10 @@ fn current_pins() -> Vec<Pin> {
         .iter()
         .map(|&(name, bin)| pin(name, bin, &["--fast", "--json"], &mut ragged))
         .collect();
-    let (name, fig6_2) = EXPERIMENTS
-        .iter()
-        .copied()
-        .find(|&(name, _)| name == "fig6_2_least_squares")
-        .expect("fig6_2 is an experiment");
+    let fig6_2 = env!("CARGO_BIN_EXE_fig6_2_least_squares");
     for preset in PRESETS {
         let args = ["--fast", "--json", "--fault-model", preset];
-        pins.push(pin(name, fig6_2, &args, &mut ragged));
+        pins.push(pin("fig6_2_least_squares", fig6_2, &args, &mut ragged));
     }
     assert!(
         ragged.is_empty(),
