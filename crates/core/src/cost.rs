@@ -192,9 +192,9 @@ impl CostFunction for QuadraticCost {
 
     fn gradient<F: Fpu>(&self, x: &[f64], fpu: &mut F, grad: &mut [f64]) {
         let qx = self.q.matvec(fpu, x).expect("x has dim() entries");
-        // grad = Qx − b as one batched element-wise difference — the same
+        // grad = Qx − b as one element-wise difference kernel — the same
         // per-op expansion (`sub(qx_i, b_i)` in order) the historical
-        // element loop issued, on the fast lane.
+        // element loop issued.
         fpu.sub_batch(&qx, &self.b, grad);
     }
 }

@@ -20,8 +20,8 @@
 //! hand-written parser for the TOML subset the config uses.
 //!
 //! Three entry points run the same engine: `cargo run -p detlint`, the
-//! `workspace_clean` integration test under tier-1 `cargo test`, and the
-//! dedicated CI job.
+//! root package's `detlint_clean` integration test under tier-1
+//! `cargo test`, and the dedicated CI job.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -12,10 +12,10 @@ use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultState;
 use crate::model::{FaultCtx, FaultModelSpec};
 
-/// Number of independent accumulator lanes a long reduction splits into
-/// (see [`LANE_REDUCTION_MIN`]) so the compiler can autovectorize its
-/// fault-free fast lane. It is not an unroll factor: the element-wise
-/// batch kernels run their fast lane as plain loops.
+/// Number of accumulator lanes a long reduction splits into (see
+/// [`LANE_REDUCTION_MIN`]). The split is part of the reduction's FLOP
+/// sequence: element `k` accumulates into lane `k % LANE_WIDTH`, and the
+/// lanes combine pairwise at the end, so moving it would move result bits.
 pub const LANE_WIDTH: usize = 8;
 
 /// Reductions shorter than this keep the historical single-accumulator
@@ -23,96 +23,21 @@ pub const LANE_WIDTH: usize = 8;
 /// [`Fpu::gemv_row`] / [`Fpu::dot_batch`] / [`Fpu::dot_sub_batch`] use the
 /// lane-indexed expansion documented on those kernels. The threshold keeps
 /// the paper-scale small kernels (5-element sorts, 8×8 eigen problems,
-/// 10-column least squares rows) on their historical FLOP sequence while
-/// long reductions (residual norms, Gram columns, QR reflections) gain the
-/// vectorizable lanes.
+/// 10-column least squares rows) on their historical FLOP sequence, while
+/// long reductions (residual norms, Gram columns, QR reflections) take the
+/// lane split.
 pub const LANE_REDUCTION_MIN: usize = 32;
-
-/// The window skeleton under the slice kernels' drivers: runs a
-/// fixed-cost-per-element kernel over `0..n` in order.
-///
-/// `body(fpu, range, exact)` is invoked over consecutive element ranges
-/// covering `0..n`. When `exact` is `true` the range is guaranteed
-/// fault-free (`flops_per_elem` FLOPs per element): compute it natively
-/// and do **not** touch `fpu` — the FLOPs are committed afterwards. When
-/// `exact` is `false` the range is a single element that must run through
-/// the per-op [`execute`](Fpu::execute) expansion on `fpu`. A kernel only
-/// chooses its two loop bodies, never its own window math.
-fn with_exact_windows<F: Fpu>(
-    fpu: &mut F,
-    n: usize,
-    flops_per_elem: u64,
-    mut body: impl FnMut(&mut F, core::ops::Range<usize>, bool),
-) {
-    let mut i = 0;
-    while i < n {
-        let safe = (fpu.run_exact((n - i) as u64 * flops_per_elem) / flops_per_elem) as usize;
-        if safe == 0 {
-            body(fpu, i..i + 1, false);
-            i += 1;
-        } else {
-            body(fpu, i..i + safe, true);
-            fpu.commit_exact(safe as u64 * flops_per_elem);
-            i += safe;
-        }
-    }
-}
-
-/// The element-wise driver every in-place batch kernel runs on:
-/// `y[k] ← elem(y[k], [xs[0][k], …])` for each `k` in order.
-///
-/// A kernel writes its element expression twice: `native` in pure `f64`
-/// arithmetic for the guaranteed-exact ranges [`with_exact_windows`]
-/// grants, and `through` on the FPU (`flops_per_elem` FLOPs) for the
-/// elements at window boundaries. The two must issue the same operations
-/// in the same operand order; the lanes and the window math live here
-/// once.
-///
-/// # Panics
-///
-/// Panics with "`kernel` operands differ in length" unless every input is
-/// as long as `y`.
-fn zip_update<F: Fpu, const N: usize>(
-    fpu: &mut F,
-    kernel: &str,
-    flops_per_elem: u64,
-    xs: [&[f64]; N],
-    y: &mut [f64],
-    native: impl Fn(f64, [f64; N]) -> f64,
-    through: impl Fn(&mut F, f64, [f64; N]) -> f64,
-) {
-    assert!(
-        xs.iter().all(|x| x.len() == y.len()),
-        "{kernel} operands differ in length"
-    );
-    with_exact_windows(fpu, y.len(), flops_per_elem, |fpu, range, exact| {
-        if exact {
-            // Every input re-sliced to exactly `ys.len()`, so the compiler
-            // can drop the loop's bounds checks.
-            let ys = &mut y[range.clone()];
-            let n = ys.len();
-            let xs = xs.map(|x| &x[range.clone()][..n]);
-            for k in 0..n {
-                ys[k] = native(ys[k], xs.map(|x| x[k]));
-            }
-        } else {
-            let k = range.start; // a strike-lane range is one element
-            y[k] = through(fpu, y[k], xs.map(|x| x[k]));
-        }
-    });
-}
 
 /// The product-reduction driver behind [`Fpu::gemv_row`],
 /// [`Fpu::dot_batch`] and [`Fpu::dot_sub_batch`]: folds
 /// `p = mul(x[k], y[k])` into an accumulator started at `init` with the
-/// FPU's `combine` (`add` or `sub`).
+/// FPU's `combine` (`add` or `sub`), one op at a time.
 ///
-/// Below [`LANE_REDUCTION_MIN`] elements it is one per-op chain,
+/// Below [`LANE_REDUCTION_MIN`] elements it is one chain,
 /// `acc = combine(acc, p)` per element. From there on the products
 /// accumulate into [`LANE_WIDTH`] lanes (`lane[k % LANE_WIDTH] =
-/// add(lane[k % LANE_WIDTH], p)`) on exact windows, the lanes
-/// pairwise-combine to `s` ([`combine_lanes`]), and the result is
-/// `combine(init, s)`.
+/// add(lane[k % LANE_WIDTH], p)`), the lanes pairwise-combine to `s`
+/// ([`combine_lanes`]), and the result is `combine(init, s)`.
 ///
 /// # Panics
 ///
@@ -135,49 +60,12 @@ fn reduce<F: Fpu>(
         return acc;
     }
     let mut lanes = [0.0f64; LANE_WIDTH];
-    with_exact_windows(fpu, x.len(), 2, |fpu, range, exact| {
-        if exact {
-            let start = range.start;
-            lanes_accumulate(&mut lanes, &x[range.clone()], &y[range], start);
-        } else {
-            let k = range.start;
-            let p = fpu.mul(x[k], y[k]);
-            lanes[k % LANE_WIDTH] = fpu.add(lanes[k % LANE_WIDTH], p);
-        }
-    });
+    for (k, (&a, &b)) in x.iter().zip(y).enumerate() {
+        let p = fpu.mul(a, b);
+        lanes[k % LANE_WIDTH] = fpu.add(lanes[k % LANE_WIDTH], p);
+    }
     let s = combine_lanes(fpu, &lanes);
     combine(fpu, init, s)
-}
-
-/// Native lane accumulation over one guaranteed-fault-free range of a
-/// reduction: element `start + i` multiplies into lane
-/// `(start + i) % LANE_WIDTH`, exactly as the per-op lane expansion does.
-/// `x`/`y` are the range's slices; `start` fixes the lane phase. The
-/// aligned middle runs as an 8-wide microkernel over independent lanes, so
-/// the compiler is free to vectorize it — every lane is its own serial
-/// FP-addition chain, and chains on different lanes never interact, so the
-/// result bits cannot depend on how the lanes are interleaved.
-fn lanes_accumulate(lanes: &mut [f64; LANE_WIDTH], x: &[f64], y: &[f64], start: usize) {
-    let misalign = start % LANE_WIDTH;
-    let lead = if misalign == 0 {
-        0
-    } else {
-        (LANE_WIDTH - misalign).min(x.len())
-    };
-    for i in 0..lead {
-        lanes[(start + i) % LANE_WIDTH] += x[i] * y[i];
-    }
-    let mut xc = x[lead..].chunks_exact(LANE_WIDTH);
-    let mut yc = y[lead..].chunks_exact(LANE_WIDTH);
-    for (xa, ya) in (&mut xc).zip(&mut yc) {
-        for j in 0..LANE_WIDTH {
-            lanes[j] += xa[j] * ya[j];
-        }
-    }
-    // The tail starts lane-aligned, so tail element j belongs to lane j.
-    for (j, (&a, &b)) in xc.remainder().iter().zip(yc.remainder()).enumerate() {
-        lanes[j] += a * b;
-    }
 }
 
 /// Pairwise lane combine, per op: `t_j = add(lane_j, lane_{j+4})` for
@@ -194,13 +82,13 @@ fn combine_lanes<F: Fpu>(fpu: &mut F, l: &[f64; LANE_WIDTH]) -> f64 {
 }
 
 /// The row-run driver behind [`Fpu::csr_matvec`] and
-/// [`Fpu::csr_matvec_t`]: walks the CSR rows `row_ptr[i]..row_ptr[i + 1]`
-/// in order, and runs as many whole rows as one
-/// [`run_exact`](Fpu::run_exact) window holds natively (`native`), under
-/// one [`commit_exact`](Fpu::commit_exact). The row that does not fit the
-/// window's rest, and a row `row_flops` marks `None` (one the window
-/// cannot hold at any size), go `through` the row's per-op kernel, which
-/// owns its own windows. A row of `Some(0)` FLOPs always fits.
+/// [`Fpu::csr_matvec_t`], and the only code that takes exact windows:
+/// walks the CSR rows `row_ptr[i]..row_ptr[i + 1]` in order, and runs as
+/// many whole rows as one [`run_exact`](Fpu::run_exact) window holds
+/// natively (`native`), under one [`commit_exact`](Fpu::commit_exact).
+/// The row that does not fit the window's rest, and a row `row_flops`
+/// marks `None` (one the window cannot hold at any size), go `through`
+/// the row's per-op kernel. A row of `Some(0)` FLOPs always fits.
 fn csr_row_runs<F: Fpu>(
     fpu: &mut F,
     row_ptr: &[usize],
@@ -291,37 +179,28 @@ impl FlopOp {
 /// native arithmetic instead, mirroring the paper's assumption that those
 /// phases are protected.
 ///
-/// # Batched execution and the bit-identity contract
+/// # Slice kernels and exact windows
 ///
-/// The paper's injector draws the *interval between* faults from an LFSR,
-/// so an FPU knows exactly how many upcoming FLOPs are guaranteed exact.
-/// The [`run_exact`](Self::run_exact) / [`commit_exact`](Self::commit_exact)
-/// pair exposes that window to the provided slice kernels, which are the
-/// only code that uses it. Three private drivers in this module split a
-/// kernel into two lanes around the window: a **fault-free fast lane** —
-/// plain loops of pure `f64` arithmetic with no `Fpu` dispatch and no
-/// horizon checks, entered for every span `run_exact` guarantees
-/// strike-free and accounted with a single `commit_exact` bump — and a
-/// **scalar strike lane** that runs only the window boundaries through
-/// the per-op [`execute`](Self::execute) expansion. They are the
-/// element-wise kernels ([`axpy_batch`](Self::axpy_batch),
-/// [`scale_batch`](Self::scale_batch), …), the reductions of at least
-/// [`LANE_REDUCTION_MIN`] elements ([`dot_batch`](Self::dot_batch),
-/// [`gemv_row`](Self::gemv_row), …), whose accumulator splits into
-/// [`LANE_WIDTH`] independent lanes so the fast lane autovectorizes, and
-/// the CSR row runs ([`csr_matvec`](Self::csr_matvec),
-/// [`csr_matvec_t`](Self::csr_matvec_t)). Shorter reductions and the
-/// 7-FLOP lane combine run per op, where a window would cost about what
-/// it saves.
+/// Every provided slice kernel documents its exact per-op expansion and
+/// FLOP count, and the element-wise kernels ([`axpy_batch`](Self::axpy_batch),
+/// [`scale_batch`](Self::scale_batch), …) and the reductions
+/// ([`dot_batch`](Self::dot_batch), [`gemv_row`](Self::gemv_row), …) run
+/// exactly that expansion through [`execute`](Self::execute), one
+/// operation at a time.
 ///
-/// Every batch kernel documents its exact per-op expansion and is
-/// **bit-identical** to issuing that expansion through `execute` one
-/// operation at a time: same results, same FLOP count, same LFSR draw
-/// sequence, same strike indices, same fault statistics. Implementors
-/// supply `run_exact`/`commit_exact`; the window math lives once in this
-/// module, so the equivalence holds by construction (and the
-/// `stochastic_fpu` batch proptests pin it for every shipped fault-model
-/// spec).
+/// The CSR products ([`csr_matvec`](Self::csr_matvec),
+/// [`csr_matvec_t`](Self::csr_matvec_t)) are the one exception. The
+/// paper's injector draws the *interval between* faults from an LFSR, so
+/// an FPU knows exactly how many upcoming FLOPs are guaranteed exact; the
+/// [`run_exact`](Self::run_exact) / [`commit_exact`](Self::commit_exact)
+/// pair exposes that window, and a CSR product runs each run of whole
+/// rows the window holds as a native `f64` loop, accounted with one
+/// `commit_exact` bump, and the row a window ends in per op. The result
+/// is **bit-identical** to the per-op expansion: same results, same FLOP
+/// count, same LFSR draw sequence, same strike indices, same fault
+/// statistics. Implementors supply `run_exact`/`commit_exact`; the row-run
+/// driver lives once in this module, and the `robustify_linalg` sparse
+/// identity tests pin the equivalence for every shipped fault-model spec.
 ///
 /// # Examples
 ///
@@ -350,7 +229,7 @@ pub trait Fpu {
     /// How many of the next `max` FLOPs are *guaranteed* to execute
     /// exactly — no fault strike, no injector state change (a DVFS step
     /// boundary, a read or write of a corrupted memory-persistent slot, a
-    /// scrub of corrupted slots) — so a slice kernel may compute them
+    /// scrub of corrupted slots) — so the CSR row runs may compute them
     /// natively and account for them with
     /// [`commit_exact`](Self::commit_exact). `0` means "no guarantee; go
     /// through `execute`", always a correct answer. The window must stay
@@ -395,12 +274,11 @@ pub trait Fpu {
     /// Inner product with an initial accumulator: one row of a
     /// matrix–vector product, `init + Σᵢ row[i]·x[i]`.
     ///
-    /// Bit-identical per-op expansion. Below [`LANE_REDUCTION_MIN`]
-    /// elements, for each `i` in order: `p = mul(row[i], x[i]);
-    /// acc = add(acc, p)` starting from `acc = init` — 2 FLOPs per
-    /// element. From [`LANE_REDUCTION_MIN`] elements on, the accumulator
-    /// splits into [`LANE_WIDTH`] independent lanes so the fault-free fast
-    /// lane autovectorizes: for each `i` in order `p = mul(row[i], x[i]);
+    /// Per-op expansion. Below [`LANE_REDUCTION_MIN`] elements, for each
+    /// `i` in order: `p = mul(row[i], x[i]); acc = add(acc, p)` starting
+    /// from `acc = init` — 2 FLOPs per element. From
+    /// [`LANE_REDUCTION_MIN`] elements on, the accumulator splits into
+    /// [`LANE_WIDTH`] lanes: for each `i` in order `p = mul(row[i], x[i]);
     /// lane[i % LANE_WIDTH] = add(lane[i % LANE_WIDTH], p)`, then the
     /// lanes pairwise-combine (`t_j = add(lane_j, lane_{j+4})`,
     /// `u_j = add(t_j, t_{j+2})`, `s = add(u_0, u_1)`) and
@@ -424,11 +302,10 @@ pub trait Fpu {
 
     /// Inner product `Σᵢ x[i]·y[i]` (zero-initialized [`gemv_row`]).
     ///
-    /// Bit-identical per-op expansion: exactly [`gemv_row`] with
-    /// `init = 0.0` — `p = mul(x[i], y[i])` per element, accumulated
-    /// single-chain below [`LANE_REDUCTION_MIN`] elements and lane-indexed
-    /// (with the pairwise combine and the final `add(0.0, s)`) from there
-    /// on.
+    /// Per-op expansion: exactly [`gemv_row`] with `init = 0.0` —
+    /// `p = mul(x[i], y[i])` per element, accumulated single-chain below
+    /// [`LANE_REDUCTION_MIN`] elements and lane-indexed (with the pairwise
+    /// combine and the final `add(0.0, s)`) from there on.
     ///
     /// [`gemv_row`]: Self::gemv_row
     ///
@@ -450,13 +327,13 @@ pub trait Fpu {
     /// Subtractive inner product `init − Σᵢ x[i]·y[i]` — the inner loop of
     /// triangular substitution and Cholesky.
     ///
-    /// Bit-identical per-op expansion. Below [`LANE_REDUCTION_MIN`]
-    /// elements, for each `i` in order: `p = mul(x[i], y[i]);
-    /// acc = sub(acc, p)` — 2 FLOPs per element. From
-    /// [`LANE_REDUCTION_MIN`] elements on, the products accumulate into
-    /// [`LANE_WIDTH`] lanes exactly as in [`gemv_row`](Self::gemv_row)
-    /// (`lane[i % LANE_WIDTH] = add(lane[i % LANE_WIDTH], p)`, pairwise
-    /// combine to `s`) and the result is `acc = sub(init, s)`.
+    /// Per-op expansion. Below [`LANE_REDUCTION_MIN`] elements, for each
+    /// `i` in order: `p = mul(x[i], y[i]); acc = sub(acc, p)` — 2 FLOPs
+    /// per element. From [`LANE_REDUCTION_MIN`] elements on, the products
+    /// accumulate into [`LANE_WIDTH`] lanes exactly as in
+    /// [`gemv_row`](Self::gemv_row) (`lane[i % LANE_WIDTH] =
+    /// add(lane[i % LANE_WIDTH], p)`, pairwise combine to `s`) and the
+    /// result is `acc = sub(init, s)`.
     ///
     /// # FLOP accounting
     ///
@@ -475,7 +352,7 @@ pub trait Fpu {
 
     /// In-place `y ← α x + y` with the scalar as the first multiplicand.
     ///
-    /// Bit-identical per-op expansion, for each `i` in order:
+    /// Per-op expansion, for each `i` in order:
     /// `p = mul(alpha, x[i]); y[i] = add(y[i], p)`.
     ///
     /// # FLOP accounting
@@ -489,18 +366,11 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        zip_update(
-            self,
-            "axpy_batch",
-            2,
-            [x],
-            y,
-            |y, [x]| y + alpha * x,
-            |fpu, y, [x]| {
-                let p = fpu.mul(alpha, x);
-                fpu.add(y, p)
-            },
-        );
+        assert!(x.len() == y.len(), "axpy_batch operands differ in length");
+        for (y, &x) in y.iter_mut().zip(x) {
+            let p = self.mul(alpha, x);
+            *y = self.add(*y, p);
+        }
     }
 
     /// One row update of a transposed matrix–vector product:
@@ -508,7 +378,7 @@ pub trait Fpu {
     /// multiplicand (the operand order `Aᵀy` kernels historically used —
     /// operand-side fault models are sensitive to it).
     ///
-    /// Bit-identical per-op expansion, for each `i` in order:
+    /// Per-op expansion, for each `i` in order:
     /// `p = mul(row[i], scale); out[i] = add(out[i], p)`.
     ///
     /// # FLOP accounting
@@ -522,24 +392,20 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        zip_update(
-            self,
-            "gemv_t_row",
-            2,
-            [row],
-            out,
-            |out, [r]| out + r * scale,
-            |fpu, out, [r]| {
-                let p = fpu.mul(r, scale);
-                fpu.add(out, p)
-            },
+        assert!(
+            row.len() == out.len(),
+            "gemv_t_row operands differ in length"
         );
+        for (out, &r) in out.iter_mut().zip(row) {
+            let p = self.mul(r, scale);
+            *out = self.add(*out, p);
+        }
     }
 
     /// Element-wise multiply-accumulate `y[i] ← y[i] + a[i]·b[i]` — the
     /// banded-diagonal product kernel.
     ///
-    /// Bit-identical per-op expansion, for each `i` in order:
+    /// Per-op expansion, for each `i` in order:
     /// `p = mul(a[i], b[i]); y[i] = add(y[i], p)`.
     ///
     /// # FLOP accounting
@@ -553,23 +419,19 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        zip_update(
-            self,
-            "fma_batch",
-            2,
-            [a, b],
-            y,
-            |y, [a, b]| y + a * b,
-            |fpu, y, [a, b]| {
-                let p = fpu.mul(a, b);
-                fpu.add(y, p)
-            },
+        assert!(
+            a.len() == y.len() && b.len() == y.len(),
+            "fma_batch operands differ in length"
         );
+        for ((y, &a), &b) in y.iter_mut().zip(a).zip(b) {
+            let p = self.mul(a, b);
+            *y = self.add(*y, p);
+        }
     }
 
     /// In-place scaling `x[i] ← α·x[i]`.
     ///
-    /// Bit-identical per-op expansion, for each `i` in order:
+    /// Per-op expansion, for each `i` in order:
     /// `x[i] = mul(alpha, x[i])`.
     ///
     /// # FLOP accounting
@@ -579,20 +441,14 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        zip_update(
-            self,
-            "scale_batch",
-            1,
-            [],
-            x,
-            |x, []| alpha * x,
-            |fpu, x, []| fpu.mul(alpha, x),
-        );
+        for x in x.iter_mut() {
+            *x = self.mul(alpha, *x);
+        }
     }
 
     /// Element-wise difference `out[i] ← x[i] − y[i]` (residual kernels).
     ///
-    /// Bit-identical per-op expansion, for each `i` in order:
+    /// Per-op expansion, for each `i` in order:
     /// `out[i] = sub(x[i], y[i])`.
     ///
     /// # FLOP accounting
@@ -606,21 +462,19 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        zip_update(
-            self,
-            "sub_batch",
-            1,
-            [x, y],
-            out,
-            |_, [x, y]| x - y,
-            |fpu, _, [x, y]| fpu.sub(x, y),
+        assert!(
+            x.len() == out.len() && y.len() == out.len(),
+            "sub_batch operands differ in length"
         );
+        for ((out, &x), &y) in out.iter_mut().zip(x).zip(y) {
+            *out = self.sub(x, y);
+        }
     }
 
     /// In-place element-wise subtraction `y[i] ← y[i] − x[i]` (in-place
     /// residual kernels).
     ///
-    /// Bit-identical per-op expansion, for each `i` in order:
+    /// Per-op expansion, for each `i` in order:
     /// `y[i] = sub(y[i], x[i])`.
     ///
     /// # FLOP accounting
@@ -634,15 +488,13 @@ pub trait Fpu {
     where
         Self: Sized,
     {
-        zip_update(
-            self,
-            "sub_assign_batch",
-            1,
-            [x],
-            y,
-            |y, [x]| y - x,
-            |fpu, y, [x]| fpu.sub(y, x),
+        assert!(
+            x.len() == y.len(),
+            "sub_assign_batch operands differ in length"
         );
+        for (y, &x) in y.iter_mut().zip(x) {
+            *y = self.sub(*y, x);
+        }
     }
 
     /// Sparse matrix–vector product over compressed sparse rows:
@@ -923,8 +775,9 @@ impl Fpu for ReliableFpu {
 /// of the next strike, the next DVFS step boundary and the next op that
 /// touches corrupted memory storage or falls on a scrub boundary while
 /// storage is dirty. Ops before it run exactly, through
-/// [`execute`](Fpu::execute) or in [`run_exact`](Fpu::run_exact) windows;
-/// the op at it runs the injector, which then moves the horizon on.
+/// [`execute`](Fpu::execute) or in the CSR row runs'
+/// [`run_exact`](Fpu::run_exact) windows; the op at it runs the injector,
+/// which then moves the horizon on.
 ///
 /// # Examples
 ///
@@ -970,9 +823,9 @@ pub struct NoisyFpu {
     stats: FaultStats,
     /// Shadow storage for memory-persistent fault specs.
     memory: Option<MemoryFaultState>,
-    /// Whether [`run_exact`](Fpu::run_exact) grants windows to the slice
-    /// kernels (it does by default; disable for scalar-dispatch
-    /// comparisons — results are bit-identical either way).
+    /// Whether [`run_exact`](Fpu::run_exact) grants windows to the CSR
+    /// row runs (it does by default; disable for per-op comparisons —
+    /// results are bit-identical either way).
     batched: bool,
 }
 
@@ -1052,13 +905,14 @@ impl NoisyFpu {
         self.memory.as_ref()
     }
 
-    /// Enables or disables the guaranteed-exact windows the [`Fpu`] slice
-    /// kernels run natively. Results are **bit-identical** either way
+    /// Enables or disables the guaranteed-exact windows the CSR row runs
+    /// of [`Fpu::csr_matvec`] and [`Fpu::csr_matvec_t`] run natively, the
+    /// only code that takes them. Results are **bit-identical** either way
     /// (a window only ever covers ops before the event horizon);
-    /// disabling them forces every slice kernel through the per-op
-    /// [`execute`](Fpu::execute) path, which is the reference of the
-    /// batched-vs-scalar proptests and of the benchmark's batch-speedup
-    /// measurement.
+    /// disabling them sends every CSR row through its per-op
+    /// [`execute`](Fpu::execute) expansion, which is the reference of the
+    /// sparse identity tests and of the benchmark's batch-speedup
+    /// measurement. Every other kernel runs per op regardless.
     pub fn set_batching(&mut self, enabled: bool) {
         self.batched = enabled;
     }
@@ -1182,7 +1036,7 @@ impl Fpu for NoisyFpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{BitFaultModel, BitWidth};
+    use crate::fault::{BitFaultModel, BitWidth, CANONICAL_NAN};
 
     #[test]
     fn reliable_fpu_is_exact() {
@@ -1708,20 +1562,55 @@ mod tests {
 
     #[test]
     fn disabling_batching_forces_the_per_op_path_with_identical_results() {
-        let x: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect();
+        // 64 rows over 64 columns: short rows of 0–6 entries, and every
+        // 16th row long enough for the lane split.
+        let mut row_ptr = vec![0];
+        let mut cols = Vec::new();
+        for i in 0..64 {
+            let nnz = if i % 16 == 5 {
+                LANE_REDUCTION_MIN + 3
+            } else {
+                i % 7
+            };
+            // Strictly increasing columns, as `csr_matvec_t` requires.
+            let mut row: Vec<usize> = (0..nnz).map(|k| (i + 3 * k) % 64).collect();
+            row.sort_unstable();
+            cols.extend(row);
+            row_ptr.push(cols.len());
+        }
+        let vals: Vec<f64> = (0..cols.len()).map(|k| 0.5 + k as f64 * 0.25).collect();
+        let x: Vec<f64> = (0..64).map(|i| 1.5 - i as f64 * 0.125).collect();
         let mut fast = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), 41);
         let mut slow = fast.clone();
         slow.set_batching(false);
         assert!(fast.batching() && !slow.batching());
         assert_eq!(slow.run_exact(100), 0);
-        let mut yf = vec![1.0; 100];
-        let mut ys = vec![1.0; 100];
-        fast.axpy_batch(0.75, &x, &mut yf);
-        slow.axpy_batch(0.75, &x, &mut ys);
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&yf), bits(&ys));
-        assert_eq!(fast.flops(), slow.flops());
-        assert_eq!(fast.stats(), slow.stats());
+        // Every NaN as one value: the native rows and the per-op path may
+        // keep different payloads, which no fault can observe.
+        let bits = |v: &[f64]| {
+            v.iter()
+                .map(|f| {
+                    if f.is_nan() {
+                        CANONICAL_NAN
+                    } else {
+                        f.to_bits()
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        for _ in 0..4 {
+            let (mut yf, mut ys) = (vec![0.0; 64], vec![0.0; 64]);
+            fast.csr_matvec(&row_ptr, &cols, &vals, &x, &mut yf);
+            slow.csr_matvec(&row_ptr, &cols, &vals, &x, &mut ys);
+            assert_eq!(bits(&yf), bits(&ys));
+            let (mut of, mut os) = (vec![1.0; 64], vec![1.0; 64]);
+            fast.csr_matvec_t(&row_ptr, &cols, &vals, &x, &mut of);
+            slow.csr_matvec_t(&row_ptr, &cols, &vals, &x, &mut os);
+            assert_eq!(bits(&of), bits(&os));
+            assert_eq!(fast.flops(), slow.flops());
+            assert_eq!(fast.stats(), slow.stats());
+        }
+        assert!(fast.faults() > 0, "the products must take strikes");
     }
 
     #[test]

@@ -27,18 +27,18 @@
 //!   ([`MemoryFaultModel`]: register-file latch damage, array-resident
 //!   word upsets) install corruptions that stay in state between
 //!   operations until scrubbed or overwritten.
-//! * **Batched execution** — because fault *intervals* are drawn up
-//!   front, the injector always knows how many upcoming FLOPs are
-//!   guaranteed exact. [`Fpu::run_exact`] / [`Fpu::commit_exact`] expose
-//!   that window to the trait's own slice kernels, and only to them: the
-//!   element-wise kernels ([`Fpu::axpy_batch`], [`Fpu::scale_batch`], …),
-//!   the lane-split long reductions ([`Fpu::dot_batch`],
-//!   [`Fpu::gemv_row`], … of at least [`LANE_REDUCTION_MIN`] elements)
-//!   and the CSR row runs ([`Fpu::csr_matvec`]) run the fault-free
-//!   stretch as a tight native loop — **bit-identical** to per-op
-//!   dispatch (same results, counters, LFSR draws and statistics), just
-//!   faster. Everything else, short reductions and every kernel outside
-//!   this crate included, is a plain per-op loop.
+//! * **Slice kernels and exact windows** — the [`Fpu`] trait's slice
+//!   kernels ([`Fpu::axpy_batch`], [`Fpu::dot_batch`], …) each document
+//!   their per-op expansion and run it one op at a time; reductions of at
+//!   least [`LANE_REDUCTION_MIN`] elements split into [`LANE_WIDTH`]
+//!   accumulator lanes as part of that expansion. Because fault
+//!   *intervals* are drawn up front, the injector always knows how many
+//!   upcoming FLOPs are guaranteed exact; [`Fpu::run_exact`] /
+//!   [`Fpu::commit_exact`] expose that window to one kernel family only,
+//!   the CSR row runs ([`Fpu::csr_matvec`], [`Fpu::csr_matvec_t`]), which
+//!   run whole fault-free rows as a native loop — **bit-identical** to
+//!   per-op dispatch (same results, counters, LFSR draws and statistics),
+//!   just faster.
 //! * [`Lfsr`] — the Galois linear feedback shift register used to draw
 //!   inter-fault intervals, mirroring the paper's methodology chapter.
 //! * [`VoltageErrorModel`] — the voltage ↦ FPU-error-rate curve of Figure

@@ -270,7 +270,7 @@ impl Matrix {
     ///
     /// Accumulated row-outer (`G[p..] += a_ip · row_i[p..]` for each row
     /// `i`), so every access is contiguous in row-major storage and runs
-    /// on the batched [`Fpu::axpy_batch`] fast lane — the historical
+    /// as one [`Fpu::axpy_batch`] per row — the historical
     /// column-pair walk strided through the whole matrix per entry. Each
     /// upper-triangle entry still receives its per-row product
     /// (`prod = mul(a_ip, a_iq); acc = add(acc, prod)`) in ascending row

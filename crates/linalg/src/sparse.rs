@@ -5,12 +5,11 @@
 //! arithmetic: they move data without computing on it. The numerical products route every multiply
 //! and add through an [`Fpu`](stochastic_fpu::Fpu): the CSR kernels
 //! ([`Fpu::csr_matvec`](stochastic_fpu::Fpu::csr_matvec),
-//! [`Fpu::csr_matvec_t`](stochastic_fpu::Fpu::csr_matvec_t)) are among
-//! the FPU's slice kernels that run on its exact windows — so runs of
-//! whole rows execute natively on the fault-free fast lane up to the
-//! FPU's event horizon, the rows at window boundaries fall back to the
-//! per-op strike lane, and every product stays bit-identical to scalar
-//! dispatch at every fault rate.
+//! [`Fpu::csr_matvec_t`](stochastic_fpu::Fpu::csr_matvec_t)) are the
+//! FPU's one kernel family that runs on its exact windows — so runs of
+//! whole rows execute natively up to the FPU's event horizon, the row at
+//! a window boundary runs its per-op expansion, and every product stays
+//! bit-identical to per-op dispatch at every fault rate.
 //!
 //! Zero-skips are preserved by *storage*: CSR only stores nonzeros, so a
 //! zero entry never reaches the FPU — the sparse analogue of the

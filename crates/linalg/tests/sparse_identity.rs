@@ -5,10 +5,12 @@
 //! which also agree with the dense products at rate 0.
 //!
 //! "Scalar" is the same kernel code with the guaranteed-exact windows
-//! disabled (`NoisyFpu::set_batching(false)`), which degrades every
-//! batched kernel to its documented per-op `execute` expansion — the
-//! `crates/fpu/tests/batch_identity.rs` pattern applied to the linear
-//! algebra layer. Fingerprints pin committed result bits (every NaN as one
+//! disabled (`NoisyFpu::set_batching(false)`), which sends the CSR row
+//! runs, the FPU's one windowed kernel family, through their documented
+//! per-op `execute` expansion. The dense products call only per-op slice
+//! kernels (pinned against hand-written expansions in
+//! `crates/fpu/tests/batch_identity.rs`), so their cases here run one
+//! code path twice and pin its repeatability under every spec. Fingerprints pin committed result bits (every NaN as one
 //! value), FLOP counters, fault counters and statistics (including the
 //! bit-position histogram), memory shadow state, and the continuation of
 //! the fault stream after the products.

@@ -1,9 +1,8 @@
 //! Tier-1 face of the static determinism lints: plain `cargo test` from
 //! the workspace root must prove the tree is `detlint`-clean.
 //!
-//! The same engine also runs as `cargo run -p detlint`, as
-//! `crates/detlint/tests/workspace_clean.rs` under `--workspace` test
-//! runs, and as the dedicated CI job.
+//! The same engine also runs as `cargo run -p detlint`, the dedicated
+//! CI job; `--workspace` test runs include this test too.
 
 use std::path::Path;
 
