@@ -6,7 +6,7 @@
 
 use rand::{Rng, RngExt};
 use robustify_core::{
-    CgLeastSquares, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, SolveMethod,
+    run_cgls, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, SolveMethod,
     SolverSpec, Verdict,
 };
 use robustify_linalg::{lstsq_cholesky, lstsq_qr, lstsq_svd, Matrix, QrFactorization};
@@ -287,14 +287,10 @@ impl RobustProblem for LeastSquares {
     ) -> Result<RobustOutcome<Vec<f64>>, CoreError> {
         match spec.method {
             SolveMethod::Cg => {
-                let report = CgLeastSquares::new(&self.a, &self.b)
-                    .expect("problem shapes are consistent by construction")
-                    .with_max_iterations(spec.iterations)
-                    .with_restart_interval(spec.restart)
-                    .solve(&vec![0.0; self.dim()], fpu);
+                let report = run_cgls(spec, &self.a, &self.b, &vec![0.0; self.dim()], fpu);
                 Ok(RobustOutcome {
-                    solution: Some(report.x),
-                    report: None,
+                    solution: Some(report.x.clone()),
+                    report: Some(report),
                 })
             }
             _ => robustify_core::default_solve(self, spec, fpu),

@@ -6,7 +6,7 @@
 
 use crate::doubly_stochastic::DoublyStochasticCost;
 use robustify_core::{
-    precondition_lp, CoreError, PenaltyKind, RobustOutcome, RobustProblem, SolveMethod,
+    precondition_lp, run_sgd, CoreError, PenaltyKind, RobustOutcome, RobustProblem, SolveMethod,
     SolveReport, SolverSpec, Verdict,
 };
 use robustify_graph::{brute_force_matching, hungarian, BipartiteGraph, Matching};
@@ -152,7 +152,7 @@ impl MatchingProblem {
             .r()
             .matvec(&mut stochastic_fpu::ReliableFpu::new(), &x0)
             .expect("x0 has lp dim");
-        let report = spec.build_sgd().run(&mut pen, &y0, fpu);
+        let report = run_sgd(spec, &mut pen, &y0, fpu);
         let x = pre.recover(&report.x)?;
         Ok((self.decode(&cost, &x), report))
     }

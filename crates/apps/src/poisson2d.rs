@@ -20,7 +20,7 @@
 
 use rand::{Rng, RngExt};
 use robustify_core::{
-    CgLeastSquares, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, SolveMethod,
+    run_cgls, CoreError, QuadraticResidualCost, RobustOutcome, RobustProblem, SolveMethod,
     SolverSpec, Verdict,
 };
 use robustify_linalg::CsrMatrix;
@@ -192,14 +192,10 @@ impl RobustProblem for Poisson2d {
     ) -> Result<RobustOutcome<Vec<f64>>, CoreError> {
         match spec.method {
             SolveMethod::Cg => {
-                let report = CgLeastSquares::new(&self.a, &self.b)
-                    .expect("problem shapes are consistent by construction")
-                    .with_max_iterations(spec.iterations)
-                    .with_restart_interval(spec.restart)
-                    .solve(&vec![0.0; self.dim()], fpu);
+                let report = run_cgls(spec, &self.a, &self.b, &vec![0.0; self.dim()], fpu);
                 Ok(RobustOutcome {
-                    solution: Some(report.x),
-                    report: None,
+                    solution: Some(report.x.clone()),
+                    report: Some(report),
                 })
             }
             _ => robustify_core::default_solve(self, spec, fpu),
@@ -212,7 +208,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use robustify_core::CostFunction;
     use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
 
     fn small() -> Poisson2d {
@@ -240,10 +235,9 @@ mod tests {
         // Unrestarted CG converges in at most n iterations on a reliable
         // processor — the §3.3 bound, here through the sparse backend.
         let p = small();
-        let report = CgLeastSquares::new(p.a(), p.b())
-            .expect("consistent shapes")
-            .with_max_iterations(p.dim())
-            .solve(&vec![0.0; p.dim()], &mut ReliableFpu::new());
+        let n = p.dim();
+        let spec = SolverSpec::cg(n).with_restart(n + 1);
+        let report = run_cgls(&spec, p.a(), p.b(), &vec![0.0; n], &mut ReliableFpu::new());
         assert!(
             p.relative_residual(&report.x) < 1e-6,
             "residual {}",
@@ -262,6 +256,20 @@ mod tests {
         assert_eq!(p.relative_residual(&x), p.reference_metric());
         assert!(p.reference_metric().is_finite());
         assert!(p.reference_metric() > 0.0);
+    }
+
+    #[test]
+    fn cg_reports_what_it_ran() {
+        let p = small();
+        let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 3);
+        let out = p
+            .solve(&SolverSpec::cg(CG_BUDGET), &mut fpu)
+            .expect("cg is supported");
+        let report = out.report.expect("cg reports its run");
+        assert!(report.iterations <= CG_BUDGET);
+        assert_eq!(report.flops, fpu.flops());
+        assert_eq!(report.faults, fpu.faults());
+        assert_eq!(out.solution, Some(report.x));
     }
 
     #[test]
@@ -305,64 +313,5 @@ mod tests {
         // The baseline breaks down: there is none.
         let verdict = p.run_trial(&SolverSpec::baseline(), &mut ReliableFpu::new());
         assert!(!verdict.success);
-    }
-
-    #[test]
-    fn jacobi_preconditioner_cuts_iterations_on_scaled_laplacian() {
-        // The plain 5-point Laplacian has a constant diagonal, so Jacobi is
-        // a no-op there. Column-scale it across four orders of magnitude —
-        // the kind of unit-mixing the preconditioner exists to undo — and
-        // compare CGLS with and without Jacobi at the same budget.
-        let p = small();
-        let n = p.dim();
-        let scale = |j: usize| 10f64.powi((j % 5) as i32 - 2);
-        let mut triplets = Vec::with_capacity(p.a().nnz());
-        for i in 0..n {
-            let (cols, vals) = p.a().row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                triplets.push((i, j, v * scale(j)));
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, n, &triplets).expect("valid triplets");
-        let budget = 3 * CG_BUDGET;
-        let d = a.normal_diagonal(&mut ReliableFpu::new());
-        let cost = QuadraticResidualCost::new(a.clone(), p.b().to_vec()).expect("consistent");
-        let solve = |k: usize, jacobi: bool| {
-            let mut solver = CgLeastSquares::new(&a, p.b())
-                .expect("consistent shapes")
-                .with_max_iterations(k)
-                .with_tolerance(0.0);
-            if jacobi {
-                solver = solver
-                    .with_jacobi_preconditioner(&d)
-                    .expect("diagonal has n entries");
-            }
-            solver.solve(&vec![0.0; n], &mut ReliableFpu::new())
-        };
-        // A reliable solve with budget k stops at iterate k, so the
-        // residual after k iterations is that of a rerun at budget k.
-        let residual_at =
-            |k: usize, jacobi: bool| cost.cost(&solve(k, jacobi).x, &mut ReliableFpu::new());
-        let plain = solve(budget, false);
-
-        // Same residual: the preconditioned run must reach the best cost
-        // the unpreconditioned run achieves anywhere in its budget…
-        let target = (0..=plain.iterations)
-            .map(|k| residual_at(k, false))
-            .fold(f64::INFINITY, f64::min);
-        let jacobi_final = residual_at(budget, true);
-        assert!(
-            jacobi_final <= target,
-            "jacobi final {jacobi_final} vs plain best {target}"
-        );
-        // …and strictly earlier (fewer iterations to the same residual).
-        let crossing = (0..=budget)
-            .find(|&k| residual_at(k, true) <= target)
-            .expect("preconditioned run reaches the target");
-        assert!(
-            crossing < plain.iterations,
-            "jacobi crossed at {crossing}, plain used {} iterations",
-            plain.iterations
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! inexact (noisy) gradients is well understood. "To reduce the effect of
 //! noisy gradients, our implementation of CG resets the search direction
 //! after every few iterations" — reproduced here via
-//! [`CgLeastSquares::with_restart_interval`].
+//! [`SolverSpec::restart`].
 //!
 //! The implementation is CGLS (conjugate gradient on the normal equations,
 //! applied implicitly): the matrix–vector products `A p` and `Aᵀ r` — the
@@ -14,275 +14,156 @@
 //! caller's FPU, while the scalar recurrences (`α`, `β`) and the iterate
 //! updates are control-plane, matching the paper's protection assumption.
 
-use crate::error::CoreError;
-use robustify_linalg::{LinearOperator, Matrix};
+use crate::problem::SolverSpec;
+use crate::sgd::SolveReport;
+use robustify_linalg::LinearOperator;
 use stochastic_fpu::{Fpu, FpuExt};
 
-/// The outcome of a conjugate gradient solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgReport {
-    /// The final iterate.
-    pub x: Vec<f64>,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Times the search direction was reset (beyond the initial one).
-    pub restarts: usize,
-    /// Data-plane FLOPs charged to the provided FPU.
-    pub flops: u64,
-    /// Faults injected during the solve.
-    pub faults: u64,
-}
+/// The solve stops early once `‖Aᵀ r‖²` falls to this value: the iterate
+/// then solves the normal equations to working precision.
+const TOLERANCE: f64 = 1e-24;
 
-/// Conjugate gradient for `min ‖A x − b‖²` on a stochastic processor.
+/// Runs CGLS for `min ‖A x − b‖²` from `x0`, routing the matrix–vector
+/// products through `fpu`.
 ///
-/// Generic over the matrix backend: the solver only needs the
+/// Reads the spec's `iterations` (the budget; the paper's Figure 6.6
+/// uses `N = 10`) and `restart`: every `restart` iterations the search
+/// direction resets to steepest descent, the paper's mitigation for noisy
+/// gradients. Generic over the matrix backend: the solver only needs the
 /// [`LinearOperator`] products `A p` and `Aᵀ r`, so the same code runs
-/// dense ([`Matrix`], the default) or sparse
+/// dense ([`Matrix`](robustify_linalg::Matrix)) or sparse
 /// ([`CsrMatrix`](robustify_linalg::CsrMatrix)) without change.
+///
+/// # Panics
+///
+/// Panics with [`SolverSpec::validate`]'s message if the spec is invalid,
+/// if `b.len() != A.rows()`, and if `x0.len() != A.cols()`.
 ///
 /// # Examples
 ///
 /// ```
-/// use robustify_core::CgLeastSquares;
+/// use robustify_core::{run_cgls, SolverSpec};
 /// use robustify_linalg::Matrix;
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]])?;
-/// let solver = CgLeastSquares::new(&a, &[2.0, 2.0, 3.0])?;
-/// let report = solver.solve(&[0.0, 0.0], &mut ReliableFpu::new());
+/// let b = [2.0, 2.0, 3.0];
+/// let report = run_cgls(&SolverSpec::cg(2), &a, &b, &[0.0, 0.0], &mut ReliableFpu::new());
 /// // The system is consistent: x = (1, 2) solves it exactly.
 /// assert!((report.x[0] - 1.0).abs() < 1e-9 && (report.x[1] - 2.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgLeastSquares<'a, M: LinearOperator = Matrix> {
-    a: &'a M,
-    b: &'a [f64],
-    max_iterations: usize,
-    restart_interval: Option<usize>,
-    tolerance: f64,
-    /// Inverse Jacobi preconditioner `M⁻¹ = diag(AᵀA)⁻¹`, applied on the
-    /// control plane. `None` leaves the recurrence untouched bit-for-bit.
-    inv_precond: Option<Vec<f64>>,
+pub fn run_cgls<M: LinearOperator, F: Fpu>(
+    spec: &SolverSpec,
+    a: &M,
+    b: &[f64],
+    x0: &[f64],
+    fpu: &mut F,
+) -> SolveReport {
+    if let Err(message) = spec.validate() {
+        panic!("{message}");
+    }
+    assert_eq!(b.len(), a.rows(), "right-hand side has the wrong length");
+    assert_eq!(
+        x0.len(),
+        a.cols(),
+        "initial iterate has the wrong dimension"
+    );
+    let snapshot = fpu.snapshot();
+
+    let mut x = x0.to_vec();
+    let (mut r, mut p, mut gamma) = restart_state(a, b, &x, fpu);
+
+    let mut iterations = 0;
+    let mut restarts = 0;
+    for t in 1..=spec.iterations {
+        if gamma <= TOLERANCE {
+            break;
+        }
+        // q = A p (data plane).
+        let q = a.matvec(fpu, &p).expect("p has n entries");
+        let qtq = squared_norm(&q);
+        if !qtq.is_finite() || qtq <= 0.0 {
+            // Degenerate or corrupted direction: restart from steepest
+            // descent (control-plane decision).
+            (r, p, gamma) = restart_state(a, b, &x, fpu);
+            restarts += 1;
+            iterations = t;
+            continue;
+        }
+        let alpha = gamma / qtq;
+        // Control-plane magnitude check: a corrupted product can make
+        // `alpha·p` enormous while still finite, after which no later
+        // step recovers. Reject any move far beyond the iterate's own
+        // scale and restart from steepest descent instead.
+        // detlint::allow(fpu-routing, reason = "step-rejection guard is reliable control-plane arithmetic")
+        let x_scale = 1.0 + x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let step_too_large = !alpha.is_finite()
+            || p.iter()
+                // detlint::allow(fpu-routing, reason = "step-rejection guard is reliable control-plane arithmetic")
+                .any(|&pi| !(alpha * pi).is_finite() || (alpha * pi).abs() > 1e6 * x_scale);
+        if step_too_large {
+            (r, p, gamma) = restart_state(a, b, &x, fpu);
+            restarts += 1;
+            iterations = t;
+            continue;
+        }
+        for (xi, &pi) in x.iter_mut().zip(&p) {
+            *xi += alpha * pi;
+        }
+        for (ri, &qi) in r.iter_mut().zip(&q) {
+            *ri -= alpha * qi;
+        }
+        // s = Aᵀ r (data plane): the gradient of ½‖Ax − b‖² up to sign.
+        let mut s = a.matvec_t(fpu, &r).expect("r has rows() entries");
+        sanitize(&mut s);
+        let gamma_new = squared_norm(&s);
+        if t % spec.restart == 0 {
+            // Steepest-descent reset: p = s.
+            p = s;
+            restarts += 1;
+        } else {
+            let beta = if gamma > 0.0 { gamma_new / gamma } else { 0.0 };
+            for (pi, &si) in p.iter_mut().zip(&s) {
+                *pi = si + beta * *pi;
+            }
+        }
+        gamma = gamma_new;
+        iterations = t;
+    }
+
+    SolveReport {
+        x,
+        iterations,
+        restarts,
+        flops: snapshot.flops_since(fpu),
+        faults: snapshot.faults_since(fpu),
+    }
 }
 
-impl<'a, M: LinearOperator> CgLeastSquares<'a, M> {
-    /// Creates a solver for the system `(A, b)` with the default budget of
-    /// `A.cols()` iterations (the exact-arithmetic convergence bound), no
-    /// restarts, and tolerance `1e-24` on `‖Aᵀr‖²`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if `b.len() != a.rows()`.
-    pub fn new(a: &'a M, b: &'a [f64]) -> Result<Self, CoreError> {
-        if b.len() != a.rows() {
-            return Err(CoreError::shape(
-                format!("rhs of length {}", a.rows()),
-                format!("length {}", b.len()),
-            ));
-        }
-        Ok(CgLeastSquares {
-            a,
-            b,
-            max_iterations: a.cols(),
-            restart_interval: None,
-            tolerance: 1e-24,
-            inv_precond: None,
-        })
-    }
+/// Computes the steepest-descent restart state `(r, p, γ)` at `x`:
+/// `r = b − A x`, `p = Aᵀ r` and `γ = ‖p‖²`.
+fn restart_state<M: LinearOperator, F: Fpu>(
+    a: &M,
+    b: &[f64],
+    x: &[f64],
+    fpu: &mut F,
+) -> (Vec<f64>, Vec<f64>, f64) {
+    let ax = a.matvec(fpu, x).expect("x has n entries");
+    let mut r: Vec<f64> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
+    sanitize(&mut r);
+    let mut s = a.matvec_t(fpu, &r).expect("r has rows() entries");
+    sanitize(&mut s);
+    let gamma = squared_norm(&s);
+    (r, s, gamma)
+}
 
-    /// Enables the Jacobi (diagonal) preconditioner from the diagonal of
-    /// the normal matrix, `normal_diagonal[j] = (AᵀA)ⱼⱼ = Σᵢ aᵢⱼ²` —
-    /// [`CsrMatrix::normal_diagonal`](robustify_linalg::CsrMatrix::normal_diagonal)
-    /// computes it for sparse systems.
-    ///
-    /// Each restart and update then preconditions the gradient,
-    /// `z = M⁻¹ s`, searches along `z`, and measures progress by
-    /// `γ = sᵀ z` instead of `‖s‖²` — on badly column-scaled systems this
-    /// undoes the scaling and recovers the well-conditioned iteration
-    /// count. The division happens once here; per-iteration application
-    /// is `n` control-plane multiplies, consistent with the scalar
-    /// recurrences (the data-plane FLOP stream of `A p` / `Aᵀ r` is
-    /// unchanged). Non-positive or non-finite diagonal entries (empty
-    /// columns) fall back to `1.0`, i.e. unpreconditioned on that
-    /// coordinate. The [`with_tolerance`](Self::with_tolerance) threshold
-    /// then applies to `sᵀ M⁻¹ s`, which matches `‖Aᵀ r‖²` only up to the
-    /// diagonal scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if
-    /// `normal_diagonal.len() != A.cols()`.
-    pub fn with_jacobi_preconditioner(
-        mut self,
-        normal_diagonal: &[f64],
-    ) -> Result<Self, CoreError> {
-        if normal_diagonal.len() != self.a.cols() {
-            return Err(CoreError::shape(
-                format!("normal diagonal of length {}", self.a.cols()),
-                format!("length {}", normal_diagonal.len()),
-            ));
-        }
-        self.inv_precond = Some(
-            normal_diagonal
-                .iter()
-                .map(|&d| {
-                    if d.is_finite() && d > 0.0 {
-                        // detlint::allow(fpu-routing, reason = "one-time control-plane inversion of the preconditioner diagonal")
-                        1.0 / d
-                    } else {
-                        1.0
-                    }
-                })
-                .collect(),
-        );
-        Ok(self)
-    }
-
-    /// Sets the iteration budget (the paper's Figure 6.6 uses `N = 10`).
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    /// Resets the search direction to steepest descent every `interval`
-    /// iterations, the paper's mitigation for noisy gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval == 0`.
-    pub fn with_restart_interval(mut self, interval: usize) -> Self {
-        assert!(interval > 0, "restart interval must be positive");
-        self.restart_interval = Some(interval);
-        self
-    }
-
-    /// Sets the stopping tolerance on `‖Aᵀ r‖²`.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
-        self
-    }
-
-    /// Runs CGLS from `x0`, routing matrix–vector products through `fpu`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0.len() != A.cols()`.
-    pub fn solve<F: Fpu>(&self, x0: &[f64], fpu: &mut F) -> CgReport {
-        let n = self.a.cols();
-        assert_eq!(x0.len(), n, "initial iterate has the wrong dimension");
-        let snapshot = fpu.snapshot();
-
-        let mut x = x0.to_vec();
-        let (mut r, mut p, mut gamma) = self.restart_state(&x, fpu);
-
-        let mut iterations = 0;
-        let mut restarts = 0;
-        for t in 1..=self.max_iterations {
-            if gamma <= self.tolerance {
-                break;
-            }
-            // q = A p (data plane).
-            let q = self.a.matvec(fpu, &p).expect("p has n entries");
-            // detlint::allow(float-reassociation, reason = "reliable scalar control plane of robust CGLS (see ARCHITECTURE.md)")
-            let qtq: f64 = q.iter().map(|v| v * v).sum();
-            if !qtq.is_finite() || qtq <= 0.0 {
-                // Degenerate or corrupted direction: restart from steepest
-                // descent (control-plane decision).
-                let state = self.restart_state(&x, fpu);
-                r = state.0;
-                p = state.1;
-                gamma = state.2;
-                restarts += 1;
-                iterations = t;
-                continue;
-            }
-            let alpha = gamma / qtq;
-            // Control-plane magnitude check: a corrupted product can make
-            // `alpha·p` enormous while still finite, after which no later
-            // step recovers. Reject any move far beyond the iterate's own
-            // scale and restart from steepest descent instead.
-            // detlint::allow(fpu-routing, reason = "step-rejection guard is reliable control-plane arithmetic")
-            let x_scale = 1.0 + x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            let step_too_large = !alpha.is_finite()
-                || p.iter()
-                    // detlint::allow(fpu-routing, reason = "step-rejection guard is reliable control-plane arithmetic")
-                    .any(|&pi| !(alpha * pi).is_finite() || (alpha * pi).abs() > 1e6 * x_scale);
-            if step_too_large {
-                let state = self.restart_state(&x, fpu);
-                r = state.0;
-                p = state.1;
-                gamma = state.2;
-                restarts += 1;
-                iterations = t;
-                continue;
-            }
-            for (xi, &pi) in x.iter_mut().zip(&p) {
-                *xi += alpha * pi;
-            }
-            for (ri, &qi) in r.iter_mut().zip(&q) {
-                *ri -= alpha * qi;
-            }
-            // s = Aᵀ r (data plane): the gradient of ½‖Ax − b‖² up to sign.
-            let mut s = self.a.matvec_t(fpu, &r).expect("r has rows() entries");
-            sanitize(&mut s);
-            let (z, gamma_new) = self.precondition(s);
-            let forced_restart = self.restart_interval.map(|k| t % k == 0).unwrap_or(false);
-            if forced_restart {
-                // Steepest-descent reset: p = z.
-                p.copy_from_slice(&z);
-                restarts += 1;
-            } else {
-                let beta = if gamma > 0.0 { gamma_new / gamma } else { 0.0 };
-                for (pi, &zi) in p.iter_mut().zip(&z) {
-                    *pi = zi + beta * *pi;
-                }
-            }
-            gamma = gamma_new;
-            iterations = t;
-        }
-
-        CgReport {
-            x,
-            iterations,
-            restarts,
-            flops: snapshot.flops_since(fpu),
-            faults: snapshot.faults_since(fpu),
-        }
-    }
-
-    /// Computes the steepest-descent restart state `(r, p, γ)` at `x`,
-    /// with `p = z = M⁻¹ s` and `γ = sᵀ z` when preconditioned.
-    fn restart_state<F: Fpu>(&self, x: &[f64], fpu: &mut F) -> (Vec<f64>, Vec<f64>, f64) {
-        let ax = self.a.matvec(fpu, x).expect("x has n entries");
-        let mut r: Vec<f64> = self.b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-        sanitize(&mut r);
-        let mut s = self.a.matvec_t(fpu, &r).expect("r has rows() entries");
-        sanitize(&mut s);
-        let (z, gamma) = self.precondition(s);
-        (r, z, gamma)
-    }
-
-    /// Control-plane preconditioning `(z, γ) = (M⁻¹ s, sᵀ z)`. Without a
-    /// preconditioner, `s` passes through untouched with `γ = ‖s‖²` —
-    /// bit-identical to the unpreconditioned recurrence.
-    fn precondition(&self, s: Vec<f64>) -> (Vec<f64>, f64) {
-        match &self.inv_precond {
-            None => {
-                // detlint::allow(float-reassociation, reason = "reliable scalar control plane of robust CGLS (see ARCHITECTURE.md)")
-                let gamma: f64 = s.iter().map(|v| v * v).sum();
-                (s, gamma)
-            }
-            Some(inv) => {
-                let z: Vec<f64> = s.iter().zip(inv).map(|(&si, &mi)| si * mi).collect();
-                // detlint::allow(float-reassociation, reason = "reliable scalar control plane of robust CGLS (see ARCHITECTURE.md)")
-                let gamma: f64 = s.iter().zip(&z).map(|(&si, &zi)| si * zi).sum();
-                (z, gamma)
-            }
-        }
-    }
+/// `‖v‖²`, summed in order on the control plane.
+fn squared_norm(v: &[f64]) -> f64 {
+    // detlint::allow(float-reassociation, reason = "reliable scalar control plane of robust CGLS (see ARCHITECTURE.md)")
+    v.iter().map(|vi| vi * vi).sum()
 }
 
 /// Control-plane sanitization: zero out non-finite lanes so one corrupted
@@ -299,7 +180,7 @@ fn sanitize(v: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::cost::{CostFunction, QuadraticResidualCost};
-    use robustify_linalg::lstsq_qr;
+    use robustify_linalg::{lstsq_qr, Matrix};
     use stochastic_fpu::{BitFaultModel, BitWidth, FaultRate, NoisyFpu, ReliableFpu};
 
     /// The residual cost `‖A x − b‖²`, measured reliably.
@@ -321,17 +202,24 @@ mod tests {
         (a, vec![1.0, 0.0, 2.0, -1.0, 3.0])
     }
 
+    /// Unrestarted CG with a budget of `k` iterations (`k ≤ 3`): the
+    /// restart interval lies past the tall system's exact-arithmetic
+    /// bound of 3 iterations.
+    fn unrestarted(k: usize) -> SolverSpec {
+        SolverSpec::cg(k).with_restart(4)
+    }
+
     #[test]
     fn converges_in_n_iterations_reliable() {
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent");
-        let report = solver.solve(&[0.0; 3], &mut ReliableFpu::new());
+        let report = run_cgls(&unrestarted(3), &a, &b, &[0.0; 3], &mut ReliableFpu::new());
         let mut fpu = ReliableFpu::new();
         let x_qr = lstsq_qr(&mut fpu, &a, &b).expect("full rank");
         for (c, q) in report.x.iter().zip(&x_qr) {
             assert!((c - q).abs() < 1e-8, "cg {c} vs qr {q}");
         }
         assert!(report.iterations <= 3);
+        assert_eq!(report.restarts, 0);
     }
 
     #[test]
@@ -339,14 +227,9 @@ mod tests {
         // A reliable solve with budget k stops at iterate k, so rerunning
         // every prefix budget walks the iterates of the full solve.
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent");
-        let full = solver.solve(&[0.0; 3], &mut ReliableFpu::new());
-        let prefix = |k: usize| {
-            solver
-                .clone()
-                .with_max_iterations(k)
-                .solve(&[0.0; 3], &mut ReliableFpu::new())
-        };
+        let prefix =
+            |k: usize| run_cgls(&unrestarted(k), &a, &b, &[0.0; 3], &mut ReliableFpu::new());
+        let full = prefix(3);
         assert_eq!(prefix(full.iterations), full);
         let costs: Vec<f64> = (0..=full.iterations)
             .map(|k| residual(&a, &b, &prefix(k).x))
@@ -359,16 +242,13 @@ mod tests {
     #[test]
     fn tolerates_low_order_noise() {
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b)
-            .expect("consistent")
-            .with_max_iterations(10)
-            .with_restart_interval(3);
         let mut fpu = NoisyFpu::new(
             FaultRate::per_flop(0.01),
             BitFaultModel::lsb_only(BitWidth::F64),
             5,
         );
-        let report = solver.solve(&[0.0; 3], &mut fpu);
+        let spec = SolverSpec::cg(10).with_restart(3);
+        let report = run_cgls(&spec, &a, &b, &[0.0; 3], &mut fpu);
         let x_ref = lstsq_qr(&mut ReliableFpu::new(), &a, &b).expect("full rank");
         let (cost, ref_cost) = (residual(&a, &b, &report.x), residual(&a, &b, &x_ref));
         assert!(
@@ -379,100 +259,70 @@ mod tests {
 
     #[test]
     fn restart_interval_forces_restarts() {
+        // Low-order noise keeps ‖Aᵀr‖² above the stopping tolerance, so
+        // the whole budget runs and every second iteration resets.
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b)
-            .expect("consistent")
-            .with_max_iterations(9)
-            .with_tolerance(0.0)
-            .with_restart_interval(2);
-        let report = solver.solve(&[0.0; 3], &mut ReliableFpu::new());
+        let mut fpu = NoisyFpu::new(
+            FaultRate::per_flop(0.01),
+            BitFaultModel::lsb_only(BitWidth::F64),
+            5,
+        );
+        let spec = SolverSpec::cg(9).with_restart(2);
+        let report = run_cgls(&spec, &a, &b, &[0.0; 3], &mut fpu);
+        assert_eq!(report.iterations, 9);
         assert!(report.restarts >= 3, "restarts = {}", report.restarts);
     }
 
     #[test]
     fn terminates_under_heavy_faults() {
         let (a, b) = tall_system();
+        let spec = SolverSpec::cg(10).with_restart(3);
         for seed in 0..10 {
-            let solver = CgLeastSquares::new(&a, &b)
-                .expect("consistent")
-                .with_max_iterations(10)
-                .with_restart_interval(3);
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.3), BitFaultModel::emulated(), seed);
-            let report = solver.solve(&[0.0; 3], &mut fpu);
+            let report = run_cgls(&spec, &a, &b, &[0.0; 3], &mut fpu);
             assert!(report.x.iter().all(|v| v.is_finite()), "iterate corrupted");
         }
     }
 
     #[test]
-    fn shape_validation() {
+    #[should_panic(expected = "CG restart interval must be positive")]
+    fn run_cgls_refuses_a_zero_restart_interval() {
+        let (a, b) = tall_system();
+        let spec = SolverSpec::cg(3).with_restart(0);
+        run_cgls(&spec, &a, &b, &[0.0; 3], &mut ReliableFpu::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "right-hand side has the wrong length")]
+    fn run_cgls_refuses_a_wrong_length_rhs() {
         let (a, _) = tall_system();
-        assert!(CgLeastSquares::new(&a, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn identity_preconditioner_is_bitwise_unpreconditioned() {
-        let (a, b) = tall_system();
-        // diag = 1 inverts to 1, so z = s·1 reproduces s exactly; the whole
-        // report (iterate, restarts, FLOP/fault counters) must be identical,
-        // fault schedule included.
-        for seed in [0, 5, 11] {
-            let solve = |jacobi: bool| {
-                let mut solver = CgLeastSquares::new(&a, &b)
-                    .expect("consistent")
-                    .with_max_iterations(10)
-                    .with_restart_interval(3);
-                if jacobi {
-                    solver = solver
-                        .with_jacobi_preconditioner(&[1.0; 3])
-                        .expect("length matches");
-                }
-                let mut fpu =
-                    NoisyFpu::new(FaultRate::per_flop(0.05), BitFaultModel::emulated(), seed);
-                solver.solve(&[0.0; 3], &mut fpu)
-            };
-            assert_eq!(solve(false), solve(true), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn jacobi_preconditioner_requires_matching_length() {
-        let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent");
-        assert!(solver
-            .clone()
-            .with_jacobi_preconditioner(&[1.0; 2])
-            .is_err());
-        assert!(solver.with_jacobi_preconditioner(&[1.0; 3]).is_ok());
-    }
-
-    #[test]
-    fn jacobi_preconditioner_handles_degenerate_diagonal() {
-        let (a, b) = tall_system();
-        // Zero / non-finite entries fall back to identity on that
-        // coordinate instead of poisoning the search direction.
-        let solver = CgLeastSquares::new(&a, &b)
-            .expect("consistent")
-            .with_jacobi_preconditioner(&[0.0, f64::NAN, 4.0])
-            .expect("length matches");
-        let report = solver.solve(&[0.0; 3], &mut ReliableFpu::new());
-        assert!(report.x.iter().all(|v| v.is_finite()));
-        assert!(residual(&a, &b, &report.x).is_finite());
+        run_cgls(
+            &SolverSpec::cg(3),
+            &a,
+            &[1.0],
+            &[0.0; 3],
+            &mut ReliableFpu::new(),
+        );
     }
 
     #[test]
     #[should_panic(expected = "wrong dimension")]
     fn solve_rejects_bad_x0() {
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent");
-        solver.solve(&[0.0; 2], &mut ReliableFpu::new());
+        run_cgls(
+            &SolverSpec::cg(3),
+            &a,
+            &b,
+            &[0.0; 2],
+            &mut ReliableFpu::new(),
+        );
     }
 
     #[test]
     fn flops_are_charged_to_caller_fpu() {
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent");
         let mut fpu = ReliableFpu::new();
-        let report = solver.solve(&[0.0; 3], &mut fpu);
+        let report = run_cgls(&SolverSpec::cg(3), &a, &b, &[0.0; 3], &mut fpu);
         assert_eq!(report.flops, fpu.flops());
         assert!(report.flops > 0);
     }

@@ -14,8 +14,8 @@ use stochastic_fpu::Fpu;
 /// tests) is assumed protected and uses native arithmetic.
 ///
 /// Implementors whose cost contains penalty terms can override
-/// [`anneal`](CostFunction::anneal) to let [`Sgd`](crate::Sgd) periodically
-/// increase the penalty parameter (§6.2.4 of the paper).
+/// [`anneal`](CostFunction::anneal) to let [`run_sgd`](crate::run_sgd)
+/// periodically increase the penalty parameter (§6.2.4 of the paper).
 pub trait CostFunction {
     /// Dimension `d` of the search space.
     fn dim(&self) -> usize;

@@ -28,18 +28,21 @@
 //!   L1 (Theorem 2) and squared-hinge penalty forms and annealable `μ`.
 //! * [`LinearProgram`] — the generic combinatorial engine: sorting,
 //!   matching, max-flow and shortest paths all reduce to LPs (§4.3–4.7).
-//! * [`Sgd`] — stochastic (sub)gradient descent with the paper's step-size
-//!   schedules (`1/t`, `1/√t`, fixed), aggressive stepping, momentum,
-//!   and penalty annealing (§3.2, §6.2).
-//! * [`CgLeastSquares`] — conjugate gradient with periodic direction resets
-//!   for noisy gradients (§3.3, §6.3).
+//! * [`run_sgd`] — stochastic (sub)gradient descent with the paper's
+//!   step-size schedules (`1/t`, `1/√t`, fixed), aggressive stepping,
+//!   momentum, and penalty annealing (§3.2, §6.2).
+//! * [`run_cgls`] — conjugate gradient least squares with periodic
+//!   direction resets for noisy gradients (§3.3, §6.3).
 //! * [`precondition_lp`] — QR preconditioning of ill-conditioned LPs
 //!   (§6.2.1).
+//!
+//! Both solvers read their configuration from a [`SolverSpec`], the one
+//! description of a solver that campaigns, cache keys and figures share.
 //!
 //! # Quickstart: a robust least squares solve
 //!
 //! ```
-//! use robustify_core::{Sgd, StepSchedule, QuadraticResidualCost};
+//! use robustify_core::{run_sgd, QuadraticResidualCost, SolverSpec, StepSchedule};
 //! use robustify_linalg::Matrix;
 //! use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
 //!
@@ -48,7 +51,8 @@
 //! let a = Matrix::identity(2);
 //! let mut cost = QuadraticResidualCost::new(a, vec![3.0, 4.0])?;
 //! let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.001), BitFaultModel::emulated(), 1);
-//! let report = Sgd::new(500, StepSchedule::Fixed(0.2)).run(&mut cost, &[0.0, 0.0], &mut fpu);
+//! let spec = SolverSpec::sgd(500, StepSchedule::Fixed(0.2));
+//! let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut fpu);
 //! assert!((report.x[0] - 3.0).abs() < 0.1);
 //! # Ok(())
 //! # }
@@ -70,7 +74,7 @@ mod sgd;
 pub(crate) mod test_util;
 mod workload;
 
-pub use cg::{CgLeastSquares, CgReport};
+pub use cg::run_cgls;
 pub use cost::{CostFunction, LinearCost, QuadraticCost, QuadraticResidualCost};
 pub use error::CoreError;
 pub use lp::LinearProgram;
@@ -80,7 +84,7 @@ pub use problem::{
     default_solve, RobustOutcome, RobustProblem, SolveMethod, SolverSpec, Verdict, MAX_SOLVER_STEPS,
 };
 pub use schedule::StepSchedule;
-pub use sgd::{AggressiveStepping, Annealing, GradientGuard, GuardState, Sgd, SolveReport};
+pub use sgd::{run_sgd, AggressiveStepping, Annealing, GradientGuard, GuardState, SolveReport};
 pub use workload::{DynProblem, ProblemFactory, SolverFactory, WorkloadRegistry};
 
 // The injector-side vocabulary of a trial, re-exported so problem and

@@ -6,7 +6,7 @@
 //! programming, which is P-complete, can be implemented this way" (§4.7).
 //! [`LinearProgram`] is that reduction target: sorting (§4.3), bipartite
 //! matching (§4.4), max-flow (§4.5) and all-pairs shortest paths (§4.6) all
-//! build one of these and hand it to [`Sgd`](crate::Sgd) through
+//! build one of these and hand it to [`run_sgd`](crate::run_sgd) through
 //! [`LinearProgram::penalized`].
 
 use crate::cost::LinearCost;

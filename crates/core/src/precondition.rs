@@ -166,8 +166,9 @@ pub fn precondition_lp(lp: &LinearProgram) -> Result<PreconditionedLp, CoreError
 mod tests {
     use super::*;
     use crate::penalty::PenaltyKind;
+    use crate::problem::SolverSpec;
     use crate::schedule::StepSchedule;
-    use crate::sgd::Sgd;
+    use crate::sgd::{run_sgd, GradientGuard};
     use stochastic_fpu::Fpu;
 
     /// An ill-conditioned box LP: max x0 + x1 on [0, 1] × [0, 5], with the
@@ -195,13 +196,14 @@ mod tests {
             .lp()
             .penalized(20.0, PenaltyKind::Abs)
             .expect("valid mu");
-        let report = Sgd::new(40_000, StepSchedule::Sqrt { gamma0: 0.5 })
-            .with_guard(crate::sgd::GradientGuard::Off)
-            .run(
-                &mut cost,
-                &[0.0; 2],
-                &mut stochastic_fpu::ReliableFpu::new(),
-            );
+        let spec = SolverSpec::sgd(40_000, StepSchedule::Sqrt { gamma0: 0.5 })
+            .with_guard(GradientGuard::Off);
+        let report = run_sgd(
+            &spec,
+            &mut cost,
+            &[0.0; 2],
+            &mut stochastic_fpu::ReliableFpu::new(),
+        );
         let x = pre.recover(&report.x).expect("R nonsingular");
         // True optimum of the original LP: x = (1, 5).
         assert!((x[0] - 1.0).abs() < 0.2, "x = {x:?}");

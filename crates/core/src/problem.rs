@@ -13,7 +13,7 @@
 use crate::cost::CostFunction;
 use crate::error::CoreError;
 use crate::schedule::StepSchedule;
-use crate::sgd::{AggressiveStepping, Annealing, GradientGuard, Sgd, SolveReport};
+use crate::sgd::{run_sgd, AggressiveStepping, Annealing, GradientGuard, SolveReport};
 use stochastic_fpu::json::{JsonCodec, JsonValue};
 use stochastic_fpu::json_object;
 use stochastic_fpu::Fpu;
@@ -113,9 +113,10 @@ pub struct SolverSpec {
     pub aggressive: Option<AggressiveStepping>,
     /// Penalty annealing (§6.2.4), if enabled.
     pub annealing: Option<Annealing>,
-    /// Gradient guard override; `None` uses the solver default.
+    /// Gradient guard override; `None` is [`GradientGuard::default`].
     pub guard: Option<GradientGuard>,
-    /// CG restart interval (ignored by other methods).
+    /// CG restart interval: the search direction resets to steepest
+    /// descent every `restart` iterations (ignored by other methods).
     pub restart: usize,
     /// Baseline variant selector (e.g. `"svd"`, `"qr"`, `"cholesky"` for
     /// least squares); `None` picks the problem's canonical baseline.
@@ -210,8 +211,9 @@ impl SolverSpec {
         self
     }
 
-    /// Checks the values the solver builders would panic on inside a
-    /// trial: momentum outside `(0, 1]`, an annealing period of `0` or a
+    /// Checks the values [`run_sgd`](crate::run_sgd) and
+    /// [`run_cgls`](crate::run_cgls) refuse with a panic inside a trial:
+    /// momentum outside `(0, 1]`, an annealing period of `0` or a
     /// factor that is not a finite number above `1`, a CG restart
     /// interval of `0`, and a gradient guard bound (`clip`, `clamp`,
     /// `adaptive` factor or reject) that is not positive; and a budget
@@ -261,29 +263,6 @@ impl SolverSpec {
             ));
         }
         Ok(())
-    }
-
-    /// Builds the configured [`Sgd`] solver.
-    ///
-    /// # Panics
-    ///
-    /// Panics (like the [`Sgd`] builders) on invalid momentum or annealing
-    /// parameters, which [`validate`](Self::validate) reports as errors.
-    pub fn build_sgd(&self) -> Sgd {
-        let mut sgd = Sgd::new(self.iterations, self.schedule);
-        if let Some(beta) = self.momentum {
-            sgd = sgd.with_momentum(beta);
-        }
-        if let Some(aggressive) = self.aggressive {
-            sgd = sgd.with_aggressive_stepping(aggressive);
-        }
-        if let Some(annealing) = self.annealing {
-            sgd = sgd.with_annealing(annealing);
-        }
-        if let Some(guard) = self.guard {
-            sgd = sgd.with_guard(guard);
-        }
-        sgd
     }
 }
 
@@ -517,7 +496,7 @@ pub fn default_solve<P: RobustProblem + ?Sized, F: Fpu>(
         SolveMethod::Sgd => {
             let mut cost = problem.cost();
             let x0 = problem.initial_iterate(&cost, fpu);
-            let report = spec.build_sgd().run(&mut cost, &x0, fpu);
+            let report = run_sgd(spec, &mut cost, &x0, fpu);
             let solution = problem.decode(&cost, &report.x);
             Ok(RobustOutcome {
                 solution: Some(solution),

@@ -7,7 +7,8 @@
 //! be carried out reliably as they are critical for convergence" — those run
 //! in native arithmetic here (the control plane).
 //!
-//! Enhancements from §3.2 / §6.2:
+//! Enhancements from §3.2 / §6.2, each a field of the [`SolverSpec`] that
+//! [`run_sgd`] reads:
 //!
 //! * **Step-size schedules** — `1/t` (LS), `1/√t` (SQS), fixed.
 //! * **Aggressive stepping (AS)** — after the fixed iteration budget, a
@@ -23,7 +24,7 @@
 //!   it. Set [`GradientGuard::Off`] to study the unguarded behaviour.
 
 use crate::cost::CostFunction;
-use crate::schedule::StepSchedule;
+use crate::problem::SolverSpec;
 use stochastic_fpu::{Fpu, FpuExt, ReliableFpu};
 
 /// The adaptive step-size phase appended after the main loop (§3.2:
@@ -143,15 +144,6 @@ impl Default for GradientGuard {
     }
 }
 
-impl GradientGuard {
-    /// Applies the guard statelessly (the adaptive variant needs
-    /// [`GuardState`]; through this entry point it behaves like a
-    /// first-iteration application).
-    pub fn apply(&self, grad: &mut [f64]) {
-        GuardState::new(*self).apply(grad);
-    }
-}
-
 /// Mutable state carried by a [`GradientGuard`] across iterations (the
 /// running scale estimate of the adaptive variant).
 #[derive(Debug, Clone, PartialEq)]
@@ -256,229 +248,174 @@ fn median_abs(v: &[f64]) -> f64 {
     }
 }
 
-/// The outcome of a stochastic solve.
+/// The outcome of an iterative solve ([`run_sgd`] or
+/// [`run_cgls`](crate::run_cgls)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// The final iterate.
     pub x: Vec<f64>,
-    /// Total iterations executed (main loop + aggressive stepping).
+    /// Total iterations executed (SGD: main loop + aggressive stepping).
     pub iterations: usize,
+    /// Times CG reset its search direction beyond the initial one (always
+    /// `0` for SGD).
+    pub restarts: usize,
     /// Data-plane FLOPs charged to the provided FPU during the solve.
     pub flops: u64,
     /// Faults the FPU injected during the solve.
     pub faults: u64,
 }
 
-/// Stochastic gradient descent configured with the paper's enhancements.
+/// Runs the stochastic gradient descent that `spec` describes from `x0`,
+/// evaluating gradients through `fpu`.
 ///
-/// Construct with [`Sgd::new`], then chain the builder methods. The solver
-/// is reusable: [`run`](Sgd::run) borrows it immutably.
+/// Reads the spec's `iterations`, `schedule`, `momentum`
+/// (`dₜ = β ∇f + (1−β) dₜ₋₁`), `aggressive` tail, `annealing` and
+/// `guard` (`None` is [`GradientGuard::default`]); its `method` is the
+/// caller's dispatch and is not consulted. The returned report's
+/// FLOP/fault counts are the *deltas* accrued on `fpu` during this call.
+///
+/// # Panics
+///
+/// Panics with [`SolverSpec::validate`]'s message if the spec is invalid,
+/// and if `x0.len() != cost.dim()`.
 ///
 /// # Examples
 ///
 /// ```
-/// use robustify_core::{CostFunction, Sgd, StepSchedule, QuadraticResidualCost};
+/// use robustify_core::{run_sgd, CostFunction, SolverSpec, StepSchedule, QuadraticResidualCost};
 /// use robustify_linalg::Matrix;
 /// use stochastic_fpu::ReliableFpu;
 ///
 /// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let mut cost = QuadraticResidualCost::new(Matrix::identity(2), vec![1.0, -1.0])?;
-/// let sgd = Sgd::new(200, StepSchedule::Sqrt { gamma0: 0.4 })
+/// let spec = SolverSpec::sgd(200, StepSchedule::Sqrt { gamma0: 0.4 })
 ///     .with_momentum(0.5)
 ///     .with_aggressive_stepping(Default::default());
-/// let report = sgd.run(&mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
+/// let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
 /// assert!(cost.cost(&report.x, &mut ReliableFpu::new()) < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sgd {
-    iterations: usize,
-    schedule: StepSchedule,
-    momentum: Option<f64>,
-    aggressive: Option<AggressiveStepping>,
-    annealing: Option<Annealing>,
-    guard: GradientGuard,
+pub fn run_sgd<C: CostFunction, F: Fpu>(
+    spec: &SolverSpec,
+    cost: &mut C,
+    x0: &[f64],
+    fpu: &mut F,
+) -> SolveReport {
+    if let Err(message) = spec.validate() {
+        panic!("{message}");
+    }
+    assert_eq!(
+        x0.len(),
+        cost.dim(),
+        "initial iterate has the wrong dimension"
+    );
+    let snapshot = fpu.snapshot();
+    let dim = cost.dim();
+    let mut x = x0.to_vec();
+    let mut grad = vec![0.0; dim];
+    let mut direction = vec![0.0; dim];
+    let mut guard = GuardState::new(spec.guard.unwrap_or_default());
+
+    let mut executed = 0;
+    for t in 1..=spec.iterations {
+        cost.gradient(&x, fpu, &mut grad);
+        guard.apply(&mut grad);
+        match spec.momentum {
+            Some(beta) => {
+                for (d, &g) in direction.iter_mut().zip(&grad) {
+                    // detlint::allow(fpu-routing, reason = "the update step runs on the reliable processor per the paper's split")
+                    *d = beta * g + (1.0 - beta) * *d;
+                }
+            }
+            None => direction.copy_from_slice(&grad),
+        }
+        let gamma = spec.schedule.step(t);
+        for (xi, &di) in x.iter_mut().zip(&direction) {
+            *xi -= gamma * di;
+        }
+        if let Some(ann) = spec.annealing {
+            if t % ann.period == 0 {
+                cost.anneal(ann.factor);
+            }
+        }
+        executed = t;
+    }
+
+    if let Some(aggressive) = spec.aggressive {
+        let gamma = spec.schedule.step(spec.iterations.max(1));
+        executed += aggressive_phase(cost, &mut x, &mut grad, fpu, aggressive, gamma, &mut guard);
+    }
+
+    SolveReport {
+        x,
+        iterations: executed,
+        restarts: 0,
+        flops: snapshot.flops_since(fpu),
+        faults: snapshot.faults_since(fpu),
+    }
 }
 
-impl Sgd {
-    /// Creates a solver running `iterations` main-loop steps with the given
-    /// step-size schedule and the default gradient guard.
-    pub fn new(iterations: usize, schedule: StepSchedule) -> Self {
-        Sgd {
-            iterations,
-            schedule,
-            momentum: None,
-            aggressive: None,
-            annealing: None,
-            guard: GradientGuard::default(),
-        }
-    }
-
-    /// Enables momentum smoothing `dₜ = β ∇f + (1−β) dₜ₋₁` (the paper uses
-    /// `β = 0.5`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `beta` is outside `(0, 1]`.
-    pub fn with_momentum(mut self, beta: f64) -> Self {
-        assert!(
-            beta > 0.0 && beta <= 1.0,
-            "momentum β must be in (0, 1], got {beta}"
-        );
-        self.momentum = Some(beta);
-        self
-    }
-
-    /// Appends an aggressive-stepping phase after the main loop.
-    pub fn with_aggressive_stepping(mut self, config: AggressiveStepping) -> Self {
-        self.aggressive = Some(config);
-        self
-    }
-
-    /// Enables periodic penalty annealing (effective only for costs whose
-    /// [`anneal`](CostFunction::anneal) is not a no-op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.period == 0` or `config.factor <= 1.0`.
-    pub fn with_annealing(mut self, config: Annealing) -> Self {
-        assert!(config.period > 0, "annealing period must be positive");
-        assert!(config.factor > 1.0, "annealing factor must exceed 1.0");
-        self.annealing = Some(config);
-        self
-    }
-
-    /// Replaces the gradient guard.
-    pub fn with_guard(mut self, guard: GradientGuard) -> Self {
-        self.guard = guard;
-        self
-    }
-
-    /// Runs the solve from `x0`, evaluating gradients through `fpu`.
-    ///
-    /// The returned report's FLOP/fault counts are the *deltas* accrued on
-    /// `fpu` during this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0.len() != cost.dim()`.
-    pub fn run<C: CostFunction, F: Fpu>(
-        &self,
-        cost: &mut C,
-        x0: &[f64],
-        fpu: &mut F,
-    ) -> SolveReport {
-        assert_eq!(
-            x0.len(),
-            cost.dim(),
-            "initial iterate has the wrong dimension"
-        );
-        let snapshot = fpu.snapshot();
-        let dim = cost.dim();
-        let mut x = x0.to_vec();
-        let mut grad = vec![0.0; dim];
-        let mut direction = vec![0.0; dim];
-        let mut guard = GuardState::new(self.guard);
-
-        let mut executed = 0;
-        for t in 1..=self.iterations {
-            cost.gradient(&x, fpu, &mut grad);
-            guard.apply(&mut grad);
-            match self.momentum {
-                Some(beta) => {
-                    for (d, &g) in direction.iter_mut().zip(&grad) {
-                        // detlint::allow(fpu-routing, reason = "the update step runs on the reliable processor per the paper's split")
-                        *d = beta * g + (1.0 - beta) * *d;
-                    }
-                }
-                None => direction.copy_from_slice(&grad),
-            }
-            let gamma = self.schedule.step(t);
-            for (xi, &di) in x.iter_mut().zip(&direction) {
-                *xi -= gamma * di;
-            }
-            if let Some(ann) = self.annealing {
-                if t % ann.period == 0 {
-                    cost.anneal(ann.factor);
-                }
-            }
-            executed = t;
-        }
-
-        if let Some(aggressive) = self.aggressive {
-            executed += self.aggressive_phase(cost, &mut x, &mut grad, fpu, aggressive, &mut guard);
-        }
-
-        SolveReport {
-            x,
-            iterations: executed,
-            flops: snapshot.flops_since(fpu),
-            faults: snapshot.faults_since(fpu),
-        }
-    }
-
-    /// The variable step-size phase: grow the step after each cost decrease,
-    /// shrink it (and roll back) after each increase; stop when the relative
-    /// change between consecutive evaluations falls below the tolerance.
-    /// Cost evaluations here are control-plane (reliable); gradients remain
-    /// noisy.
-    fn aggressive_phase<C: CostFunction, F: Fpu>(
-        &self,
-        cost: &mut C,
-        x: &mut Vec<f64>,
-        grad: &mut [f64],
-        fpu: &mut F,
-        config: AggressiveStepping,
-        guard: &mut GuardState,
-    ) -> usize {
-        let mut measure = ReliableFpu::new();
-        let mut gamma = self.schedule.step(self.iterations.max(1));
-        let mut f_current = cost.cost(x, &mut measure);
-        let mut steps = 0;
-        // The phase ends once progress stalls *repeatedly*: a single
-        // sub-tolerance step right after entry (where γ is still the tiny
-        // tail of the main schedule) must not abort the phase before the
-        // success factor has had a chance to grow the step.
-        let mut stall_streak = 0;
-        for _ in 0..config.max_steps {
-            cost.gradient(x, fpu, grad);
-            guard.apply(grad);
-            let candidate: Vec<f64> = x
-                .iter()
-                .zip(grad.iter())
-                .map(|(xi, gi)| xi - gamma * gi)
-                .collect();
-            let f_candidate = cost.cost(&candidate, &mut measure);
-            steps += 1;
-            if f_candidate.is_finite() && f_candidate < f_current {
-                let rel = (f_current - f_candidate).abs() / f_current.abs().max(1e-12);
-                *x = candidate;
-                f_current = f_candidate;
-                gamma *= config.success_factor;
-                if rel < config.rel_tolerance {
-                    stall_streak += 1;
-                    if stall_streak >= 5 {
-                        break;
-                    }
-                } else {
-                    stall_streak = 0;
-                }
-            } else {
-                gamma *= config.fail_factor;
-                if gamma < 1e-18 {
+/// The variable step-size phase, starting from step `gamma`: grow the step
+/// after each cost decrease, shrink it (and roll back) after each
+/// increase; stop when the relative change between consecutive
+/// evaluations falls below the tolerance. Cost evaluations here are
+/// control-plane (reliable); gradients remain noisy.
+fn aggressive_phase<C: CostFunction, F: Fpu>(
+    cost: &mut C,
+    x: &mut Vec<f64>,
+    grad: &mut [f64],
+    fpu: &mut F,
+    config: AggressiveStepping,
+    mut gamma: f64,
+    guard: &mut GuardState,
+) -> usize {
+    let mut measure = ReliableFpu::new();
+    let mut f_current = cost.cost(x, &mut measure);
+    let mut steps = 0;
+    // The phase ends once progress stalls *repeatedly*: a single
+    // sub-tolerance step right after entry (where γ is still the tiny
+    // tail of the main schedule) must not abort the phase before the
+    // success factor has had a chance to grow the step.
+    let mut stall_streak = 0;
+    for _ in 0..config.max_steps {
+        cost.gradient(x, fpu, grad);
+        guard.apply(grad);
+        let candidate: Vec<f64> = x
+            .iter()
+            .zip(grad.iter())
+            .map(|(xi, gi)| xi - gamma * gi)
+            .collect();
+        let f_candidate = cost.cost(&candidate, &mut measure);
+        steps += 1;
+        if f_candidate.is_finite() && f_candidate < f_current {
+            let rel = (f_current - f_candidate).abs() / f_current.abs().max(1e-12);
+            *x = candidate;
+            f_current = f_candidate;
+            gamma *= config.success_factor;
+            if rel < config.rel_tolerance {
+                stall_streak += 1;
+                if stall_streak >= 5 {
                     break;
                 }
+            } else {
+                stall_streak = 0;
+            }
+        } else {
+            gamma *= config.fail_factor;
+            if gamma < 1e-18 {
+                break;
             }
         }
-        steps
     }
+    steps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{QuadraticCost, QuadraticResidualCost};
+    use crate::schedule::StepSchedule;
     use robustify_linalg::Matrix;
     use stochastic_fpu::{BitFaultModel, BitWidth, FaultRate, NoisyFpu};
 
@@ -496,15 +433,13 @@ mod tests {
     #[test]
     fn converges_on_reliable_fpu() {
         let mut cost = residual_cost();
-        let report = Sgd::new(300, StepSchedule::Fixed(0.1)).run(
-            &mut cost,
-            &[0.0, 0.0],
-            &mut ReliableFpu::new(),
-        );
+        let spec = SolverSpec::sgd(300, StepSchedule::Fixed(0.1));
+        let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
         assert!((report.x[0] - 2.0).abs() < 1e-6, "x = {:?}", report.x);
         assert!((report.x[1] + 1.0).abs() < 1e-6);
         assert!(reliable_cost(&cost, &report.x) < 1e-10);
         assert_eq!(report.iterations, 300);
+        assert_eq!(report.restarts, 0);
         assert!(report.flops > 0);
         assert_eq!(report.faults, 0);
     }
@@ -519,11 +454,8 @@ mod tests {
             BitFaultModel::lsb_only(BitWidth::F64),
             3,
         );
-        let report = Sgd::new(2000, StepSchedule::Linear { gamma0: 0.5 }).run(
-            &mut cost,
-            &[0.0, 0.0],
-            &mut fpu,
-        );
+        let spec = SolverSpec::sgd(2000, StepSchedule::Linear { gamma0: 0.5 });
+        let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut fpu);
         assert!(report.faults > 0, "no faults were injected");
         assert!((report.x[0] - 2.0).abs() < 1e-2, "x = {:?}", report.x);
         assert!((report.x[1] + 1.0).abs() < 1e-2);
@@ -533,9 +465,9 @@ mod tests {
     fn survives_exponent_faults_with_clip_guard() {
         let mut cost = residual_cost();
         let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 17);
-        let report = Sgd::new(3000, StepSchedule::Linear { gamma0: 0.5 })
-            .with_guard(GradientGuard::Clip { max_norm: 1e3 })
-            .run(&mut cost, &[0.0, 0.0], &mut fpu);
+        let spec = SolverSpec::sgd(3000, StepSchedule::Linear { gamma0: 0.5 })
+            .with_guard(GradientGuard::Clip { max_norm: 1e3 });
+        let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut fpu);
         assert!(report.x.iter().all(|v| v.is_finite()));
         assert!(
             (report.x[0] - 2.0).abs() < 0.5 && (report.x[1] + 1.0).abs() < 0.5,
@@ -547,24 +479,23 @@ mod tests {
     #[test]
     fn momentum_still_converges() {
         let mut cost = residual_cost();
-        let report = Sgd::new(500, StepSchedule::Fixed(0.05))
-            .with_momentum(0.5)
-            .run(&mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
+        let spec = SolverSpec::sgd(500, StepSchedule::Fixed(0.05)).with_momentum(0.5);
+        let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
         assert!(reliable_cost(&cost, &report.x) < 1e-8);
     }
 
     #[test]
     fn aggressive_stepping_refines_the_solution() {
         let mut cost = residual_cost();
-        let base = Sgd::new(20, StepSchedule::Linear { gamma0: 0.3 }).run(
-            &mut cost,
+        let spec = SolverSpec::sgd(20, StepSchedule::Linear { gamma0: 0.3 });
+        let base = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
+        let mut cost2 = residual_cost();
+        let with_as = run_sgd(
+            &spec.with_aggressive_stepping(AggressiveStepping::default()),
+            &mut cost2,
             &[0.0, 0.0],
             &mut ReliableFpu::new(),
         );
-        let mut cost2 = residual_cost();
-        let with_as = Sgd::new(20, StepSchedule::Linear { gamma0: 0.3 })
-            .with_aggressive_stepping(AggressiveStepping::default())
-            .run(&mut cost2, &[0.0, 0.0], &mut ReliableFpu::new());
         let (with_as_cost, base_cost) = (
             reliable_cost(&cost2, &with_as.x),
             reliable_cost(&cost, &base.x),
@@ -594,26 +525,26 @@ mod tests {
         .expect("dims match")
         .with_nonneg();
         let mu_before = cost.mu();
-        Sgd::new(100, StepSchedule::Sqrt { gamma0: 0.1 })
-            .with_annealing(Annealing {
+        let spec =
+            SolverSpec::sgd(100, StepSchedule::Sqrt { gamma0: 0.1 }).with_annealing(Annealing {
                 period: 10,
                 factor: 2.0,
-            })
-            .run(&mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
+            });
+        run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
         assert_eq!(cost.mu(), mu_before * 2f64.powi(10));
     }
 
     #[test]
     fn guard_zeroes_non_finite_components() {
         let mut g = vec![1.0, f64::NAN, f64::INFINITY, -2.0];
-        GradientGuard::ZeroNonFinite.apply(&mut g);
+        GuardState::new(GradientGuard::ZeroNonFinite).apply(&mut g);
         assert_eq!(g, vec![1.0, 0.0, 0.0, -2.0]);
     }
 
     #[test]
     fn guard_clips_norm() {
         let mut g = vec![30.0, 40.0]; // norm 50
-        GradientGuard::Clip { max_norm: 5.0 }.apply(&mut g);
+        GuardState::new(GradientGuard::Clip { max_norm: 5.0 }).apply(&mut g);
         let norm = (g[0] * g[0] + g[1] * g[1]).sqrt();
         assert!((norm - 5.0).abs() < 1e-12);
         assert!((g[0] / g[1] - 0.75).abs() < 1e-12, "direction preserved");
@@ -622,7 +553,7 @@ mod tests {
     #[test]
     fn guard_off_is_identity() {
         let mut g = vec![f64::NAN, 1e300];
-        GradientGuard::Off.apply(&mut g);
+        GuardState::new(GradientGuard::Off).apply(&mut g);
         assert!(g[0].is_nan());
         assert_eq!(g[1], 1e300);
     }
@@ -631,22 +562,16 @@ mod tests {
     #[should_panic(expected = "wrong dimension")]
     fn run_rejects_bad_x0() {
         let mut cost = residual_cost();
-        Sgd::new(1, StepSchedule::Fixed(0.1)).run(&mut cost, &[0.0], &mut ReliableFpu::new());
+        let spec = SolverSpec::sgd(1, StepSchedule::Fixed(0.1));
+        run_sgd(&spec, &mut cost, &[0.0], &mut ReliableFpu::new());
     }
 
     #[test]
-    #[should_panic(expected = "momentum")]
-    fn invalid_momentum_panics() {
-        Sgd::new(1, StepSchedule::Fixed(0.1)).with_momentum(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "annealing factor")]
-    fn invalid_annealing_panics() {
-        Sgd::new(1, StepSchedule::Fixed(0.1)).with_annealing(Annealing {
-            period: 5,
-            factor: 1.0,
-        });
+    #[should_panic(expected = "momentum β must be in (0, 1], got 1.5")]
+    fn run_sgd_refuses_an_invalid_spec() {
+        let mut cost = residual_cost();
+        let spec = SolverSpec::sgd(1, StepSchedule::Fixed(0.1)).with_momentum(1.5);
+        run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut ReliableFpu::new());
     }
 
     #[test]
@@ -664,11 +589,8 @@ mod tests {
                     BitFaultModel::lsb_only(BitWidth::F64),
                     seed,
                 );
-                let report = Sgd::new(iters, StepSchedule::Linear { gamma0: 0.9 }).run(
-                    &mut cost,
-                    &[5.0, 5.0],
-                    &mut fpu,
-                );
+                let spec = SolverSpec::sgd(iters, StepSchedule::Linear { gamma0: 0.9 });
+                let report = run_sgd(&spec, &mut cost, &[5.0, 5.0], &mut fpu);
                 // f* = -b'Q^{-1}b/2 = -(1+1) = -2 for this system.
                 total += reliable_cost(&cost, &report.x) - (-2.0);
             }

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use robustify_core::{
-    AffineConstraints, CgLeastSquares, CostFunction, GradientGuard, GuardState, LinearCost,
-    LinearProgram, PenaltyCost, PenaltyKind, QuadraticResidualCost, Sgd, StepSchedule,
+    run_cgls, run_sgd, AffineConstraints, CostFunction, GradientGuard, GuardState, LinearCost,
+    LinearProgram, PenaltyCost, PenaltyKind, QuadraticResidualCost, SolverSpec, StepSchedule,
 };
 use robustify_linalg::Matrix;
 use stochastic_fpu::ReliableFpu;
@@ -138,9 +138,9 @@ proptest! {
         let gamma = 0.5 / (fro * fro);
         let costs: Vec<f64> = (0..=50)
             .map(|k| {
-                let report = Sgd::new(k, StepSchedule::Fixed(gamma))
-                    .with_guard(GradientGuard::Off)
-                    .run(&mut cost, &[0.0; 3], &mut ReliableFpu::new());
+                let spec = SolverSpec::sgd(k, StepSchedule::Fixed(gamma))
+                    .with_guard(GradientGuard::Off);
+                let report = run_sgd(&spec, &mut cost, &[0.0; 3], &mut ReliableFpu::new());
                 cost.cost(&report.x, &mut ReliableFpu::new())
             })
             .collect();
@@ -155,9 +155,9 @@ proptest! {
     fn cg_solves_consistent_systems(a in full_rank_tall(4, 4), x_true in proptest::collection::vec(-3.0f64..3.0, 4)) {
         let mut fpu = ReliableFpu::new();
         let b = a.matvec(&mut fpu, &x_true).expect("shapes match");
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent")
-            .with_max_iterations(12);
-        let report = solver.solve(&[0.0; 4], &mut ReliableFpu::new());
+        // Unrestarted: the interval lies past the budget.
+        let spec = SolverSpec::cg(12).with_restart(13);
+        let report = run_cgls(&spec, &a, &b, &[0.0; 4], &mut ReliableFpu::new());
         let cost = QuadraticResidualCost::new(a.clone(), b.clone()).expect("consistent")
             .cost(&report.x, &mut ReliableFpu::new());
         prop_assert!(cost < 1e-12, "residual {}", cost);

@@ -245,31 +245,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// The diagonal of the normal matrix `AᵀA` — per column `j`, the sum
-    /// of squares `Σᵢ aᵢⱼ²` over the stored entries — the Jacobi
-    /// preconditioner for CGLS
-    /// (`CgLeastSquares::with_jacobi_preconditioner` in the core crate).
-    ///
-    /// Walks the stored entries in row-major order, squaring and
-    /// scatter-accumulating per entry: `p = mul(a_ij, a_ij);
-    /// d[j] = add(d[j], p)`, bit-identical to scalar dispatch.
-    ///
-    /// # FLOP accounting
-    ///
-    /// `2·nnz` FLOPs (`mul` + `add` per stored entry). The scatter by
-    /// column index is data movement, not FLOPs.
-    pub fn normal_diagonal<F: Fpu>(&self, fpu: &mut F) -> Vec<f64> {
-        let mut d = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let p = fpu.mul(v, v);
-                d[j] = fpu.add(d[j], p);
-            }
-        }
-        d
-    }
-
     /// Maximum absolute difference to another sparse matrix over the dense
     /// expansion (native arithmetic — a measurement, not solver work).
     ///

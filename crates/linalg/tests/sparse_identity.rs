@@ -1,22 +1,18 @@
-//! Determinism contract of the dense and sparse layers: every product
-//! is **byte-identical** between batched and scalar dispatch for every
-//! shipped `FaultModelSpec` variant. Dense: `Matrix::matmul`, `gram`,
-//! `matvec_t` and `QrFactorization::compute`; sparse: CSR SpMV/SpMTV,
-//! which also agree with the dense products at rate 0.
+//! Determinism contract of the sparse layer: the CSR products (SpMV and
+//! SpMTV) are **byte-identical** between batched and scalar dispatch for
+//! every shipped `FaultModelSpec` variant, and agree with the dense
+//! products at rate 0.
 //!
 //! "Scalar" is the same kernel code with the guaranteed-exact windows
 //! disabled (`NoisyFpu::set_batching(false)`), which sends the CSR row
 //! runs, the FPU's one windowed kernel family, through their documented
-//! per-op `execute` expansion. The dense products call only per-op slice
-//! kernels (pinned against hand-written expansions in
-//! `crates/fpu/tests/batch_identity.rs`), so their cases here run one
-//! code path twice and pin its repeatability under every spec. Fingerprints pin committed result bits (every NaN as one
-//! value), FLOP counters, fault counters and statistics (including the
-//! bit-position histogram), memory shadow state, and the continuation of
-//! the fault stream after the products.
+//! per-op `execute` expansion. Fingerprints pin committed result bits
+//! (every NaN as one value), FLOP counters, fault counters and statistics
+//! (including the bit-position histogram), memory shadow state, and the
+//! continuation of the fault stream after the products.
 
 use proptest::prelude::*;
-use robustify_linalg::{CsrMatrix, Matrix, QrFactorization};
+use robustify_linalg::CsrMatrix;
 use stochastic_fpu::{
     BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, NoisyFpu, ReliableFpu,
     CANONICAL_NAN, LANE_REDUCTION_MIN, LANE_WIDTH,
@@ -116,57 +112,6 @@ fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -
     out
 }
 
-/// A deterministic dense test matrix with a scattered zero pattern, so
-/// `matmul` also skips some `a_ik == 0` terms.
-fn dense_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |i, j| {
-        if (i + 2 * j + salt) % 7 == 3 {
-            0.0
-        } else {
-            ((i * 31 + j * 17 + salt) % 13) as f64 * 0.125 - 0.75
-        }
-    })
-}
-
-/// Runs `a · rhs`, `aᵀa` and `aᵀy` (one zero coefficient in `y`) on
-/// `fpu` and fingerprints every observable bit as
-/// [`sparse_workload_fingerprint`] does.
-fn dense_workload_fingerprint(
-    fpu: &mut NoisyFpu,
-    a: &Matrix,
-    rhs: &Matrix,
-    prefix: u64,
-) -> Vec<u64> {
-    let mut y: Vec<f64> = (0..a.rows())
-        .map(|i| 1.5 - (i % 7) as f64 * 0.125)
-        .collect();
-    y[a.rows() / 3] = 0.0;
-    let mut out = scalar_prefix(fpu, prefix);
-    out.extend(matrix_bits(&a.matmul(fpu, rhs).expect("shapes match")));
-    out.extend(matrix_bits(&a.gram(fpu)));
-    let aty = a.matvec_t(fpu, &y).expect("shapes match");
-    out.extend(aty.iter().map(|&f| canon_bits(f)));
-    push_fpu_state(fpu, &mut out);
-    out
-}
-
-/// Runs the Householder QR of tall-or-square `a` on `fpu` and
-/// fingerprints both factors and the FPU state.
-fn qr_fingerprint(fpu: &mut NoisyFpu, a: &Matrix, prefix: u64) -> Vec<u64> {
-    let mut out = scalar_prefix(fpu, prefix);
-    let qr = QrFactorization::compute(fpu, a).expect("tall or square");
-    out.extend(matrix_bits(qr.q()));
-    out.extend(matrix_bits(qr.r()));
-    push_fpu_state(fpu, &mut out);
-    out
-}
-
-fn matrix_bits(m: &Matrix) -> Vec<u64> {
-    (0..m.rows())
-        .flat_map(|i| m.row(i).iter().map(|&f| canon_bits(f)))
-        .collect()
-}
-
 /// Starts a fingerprint with `prefix` scalar ops. They slide the strike
 /// schedule relative to row boundaries, so across cases strikes land on
 /// first, interior and last entries of rows.
@@ -242,45 +187,6 @@ proptest! {
         });
     }
 
-    /// Dense batched == scalar for every shipped spec variant. Row
-    /// lengths of 1..`3·LANE_WIDTH` cross every lane remainder of the
-    /// batched kernels.
-    #[test]
-    fn dense_products_are_byte_identical_to_scalar(
-        seed in any::<u64>(),
-        rate_millis in 1u64..1001,
-        rows in 1usize..(3 * LANE_WIDTH),
-        inner in 1usize..(3 * LANE_WIDTH),
-        cols in 1usize..(3 * LANE_WIDTH),
-        salt in 0usize..7,
-        prefix in 0u64..32,
-    ) {
-        let a = dense_matrix(rows, inner, salt);
-        let rhs = dense_matrix(inner, cols, salt + 1);
-        let rate = FaultRate::per_flop(rate_millis as f64 / 1000.0);
-        assert_batched_equals_scalar(rate, seed, |fpu| {
-            dense_workload_fingerprint(fpu, &a, &rhs, prefix)
-        });
-    }
-
-    /// Householder QR batched == scalar for every shipped spec variant.
-    /// Rows fill with NaNs at high rates, and a batched lane and the
-    /// per-op `add` may keep different NaN payloads; the case holds
-    /// because every fault flips from the canonical NaN.
-    #[test]
-    fn dense_qr_is_byte_identical_to_scalar(
-        seed in any::<u64>(),
-        rate_millis in 1u64..1001,
-        extra_rows in 0usize..LANE_WIDTH,
-        cols in 1usize..(2 * LANE_WIDTH),
-        salt in 0usize..7,
-        prefix in 0u64..32,
-    ) {
-        let a = dense_matrix(cols + extra_rows, cols, salt);
-        let rate = FaultRate::per_flop(rate_millis as f64 / 1000.0);
-        assert_batched_equals_scalar(rate, seed, |fpu| qr_fingerprint(fpu, &a, prefix));
-    }
-
     /// Triplet → CSR → dense round-trip: assembly (any order, duplicate
     /// accumulation, zero dropping) reproduces the dense matrix exactly.
     #[test]
@@ -310,7 +216,7 @@ proptest! {
         prop_assert_eq!(CsrMatrix::from_dense(&dense).to_dense(), dense);
     }
 
-    /// At rate 0 the sparse products agree with the dense [`Matrix`]
+    /// At rate 0 the sparse products agree with the dense `Matrix`
     /// products: a rate-0 `NoisyFpu` is bit-identical to the reliable
     /// path, rows with no stored zeros reproduce the dense result bit for
     /// bit (same kernel call on the same data), and rows with dropped
@@ -394,19 +300,6 @@ fn sparse_flop_counts_reflect_stored_entries_only() {
         .matvec(&mut dense_fpu, &x)
         .expect("shapes match");
     assert_eq!(sparse_fpu.flops(), dense_fpu.flops());
-}
-
-/// Dense identity past the old `matmul` tile edges: an inner dimension
-/// above 64 and more than 256 output columns.
-#[test]
-fn dense_products_past_the_old_tile_edges_are_byte_identical_to_scalar() {
-    let a = dense_matrix(3, 70, 0);
-    let rhs = dense_matrix(70, 260, 1);
-    for rate in [1e-3, 0.05] {
-        assert_batched_equals_scalar(FaultRate::per_flop(rate), 0x5eed, |fpu| {
-            dense_workload_fingerprint(fpu, &a, &rhs, 5)
-        });
-    }
 }
 
 /// Row-run boundaries of the CSR kernels, pinned for every shipped fault

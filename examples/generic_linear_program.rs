@@ -16,7 +16,7 @@
 //! cargo run --release --example generic_linear_program
 //! ```
 
-use robustify::core::{Annealing, LinearProgram, PenaltyKind, Sgd, StepSchedule};
+use robustify::core::{run_sgd, Annealing, LinearProgram, PenaltyKind, SolverSpec, StepSchedule};
 use robustify::fpu::{BitFaultModel, FaultRate, Fpu, NoisyFpu};
 use robustify::linalg::Matrix;
 
@@ -35,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             7,
         );
         let mut cost = lp.penalized(10.0, PenaltyKind::Squared)?;
-        let sgd = Sgd::new(20_000, StepSchedule::Sqrt { gamma0: 0.1 })
+        let spec = SolverSpec::sgd(20_000, StepSchedule::Sqrt { gamma0: 0.1 })
             .with_annealing(Annealing::default());
-        let report = sgd.run(&mut cost, &[0.0, 0.0], &mut fpu);
+        let report = run_sgd(&spec, &mut cost, &[0.0, 0.0], &mut fpu);
         println!(
             "fault rate {rate_pct:>4}%: x = ({:.3}, {:.3}), profit {:.3}, violation {:.2e}, {} faults",
             report.x[0],

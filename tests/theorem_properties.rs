@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use robustify::apps::matching::MatchingProblem;
 use robustify::apps::sorting::SortProblem;
 use robustify::core::{
-    CostFunction, PenaltyKind, QuadraticCost, RobustProblem, Sgd, SolverSpec, StepSchedule,
+    run_sgd, CostFunction, PenaltyKind, QuadraticCost, RobustProblem, SolverSpec, StepSchedule,
 };
 use robustify::fpu::{BitFaultModel, BitWidth, FaultRate, NoisyFpu, ReliableFpu};
 use robustify::graph::generators::random_bipartite;
@@ -33,8 +33,8 @@ proptest! {
             BitFaultModel::lsb_only(BitWidth::F64),
             seed,
         );
-        let report = Sgd::new(1500, StepSchedule::Linear { gamma0: 0.45 })
-            .run(&mut cost, &[4.0, -4.0], &mut fpu);
+        let spec = SolverSpec::sgd(1500, StepSchedule::Linear { gamma0: 0.45 });
+        let report = run_sgd(&spec, &mut cost, &[4.0, -4.0], &mut fpu);
         // x* solves Qx = b.
         let x_star = robustify::linalg::lstsq_qr(&mut ReliableFpu::new(), &q, &[b0, b1])
             .expect("nonsingular");

@@ -3,7 +3,7 @@
 //! deterministic under a fixed seed.
 
 use robustify::apps::least_squares::LeastSquares;
-use robustify::core::{RobustProblem, Sgd, SolverSpec, StepSchedule};
+use robustify::core::{run_sgd, RobustProblem, SolverSpec, StepSchedule};
 use robustify::fpu::{BitFaultModel, FaultRate, Fpu, NoisyFpu, ReliableFpu};
 use robustify::graph::BipartiteGraph;
 use robustify::linalg::Matrix;
@@ -19,10 +19,10 @@ fn facade_reexports_resolve() {
     let eye = Matrix::identity(3);
     assert_eq!(eye.rows(), 3);
 
-    let sgd = Sgd::new(10, StepSchedule::Fixed(0.1));
+    let spec = SolverSpec::sgd(10, StepSchedule::Fixed(0.1));
     let mut quad = robustify::core::QuadraticResidualCost::new(Matrix::identity(2), vec![1.0, 1.0])
         .expect("consistent shapes");
-    let report = sgd.run(&mut quad, &[0.0, 0.0], &mut fpu);
+    let report = run_sgd(&spec, &mut quad, &[0.0, 0.0], &mut fpu);
     assert_eq!(report.iterations, 10);
 
     let graph = BipartiteGraph::new(1, 1, vec![(0, 0, 1.0)]).expect("valid edge");
