@@ -4,16 +4,16 @@
 //! Accepts line-delimited JSON requests (`ping`, `workloads`, `submit`,
 //! `shutdown`) over stdin/stdout (the default, for piping and tests) or
 //! TCP (`--listen HOST:PORT`). Campaigns execute on one process-wide
-//! work-stealing [`Scheduler`] sized to the host. In TCP mode concurrent
-//! clients share the machine trial-by-trial instead of oversubscribing it
-//! with per-connection pools, and the steal deques dispatch chunks in
-//! approximate submission order, so no connection starves. Submitted
+//! FIFO [`Scheduler`] sized to the host. In TCP mode concurrent clients
+//! share one pool instead of oversubscribing the machine with
+//! per-connection pools, and its run queue starts chunks in submission
+//! order, so no connection starves. Submitted
 //! campaigns name their workloads declaratively; the daemon resolves them
 //! against [`paper_registry`], executes the grid across worker threads,
 //! and streams one `cell` event per finished cell followed by a `done`
 //! event carrying the full CSV/JSON documents — byte-identical to what an
 //! in-process run of the same spec would emit, whatever the pool width or
-//! steal schedule.
+//! schedule.
 //!
 //! With `--cache-dir PATH` every finished cell is checkpointed to a
 //! content-addressed on-disk store *before* it is reported, keyed by a

@@ -6,6 +6,7 @@ use robustify_core::Verdict;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use stochastic_fpu::json::{self, fnv1a_64, JsonCodec, JsonValue};
 use stochastic_fpu::json_object;
 
@@ -28,6 +29,9 @@ use stochastic_fpu::json_object;
 ///
 /// Writes go through a temp file + atomic rename, so a campaign killed
 /// mid-write never leaves a torn entry — at worst the cell is re-run.
+/// Each store writes its own temp file, so concurrent stores of one key
+/// (two daemon clients missing on the same cell, or one campaign listing
+/// a cell twice) each commit whole: the last rename wins.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -74,10 +78,17 @@ impl ResultCache {
 
     /// Checkpoints `records` under `key_json` (temp file + atomic rename).
     pub fn store(&self, key_json: &str, records: &[TrialRecord]) -> io::Result<()> {
+        /// Numbers this process's temp files, so no two stores share one.
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let records: JsonValue = records.iter().map(TrialRecord::to_value).collect();
         let doc = format!("{{\"key\":{key_json},\"records\":{records}}}");
         let final_path = self.path_for(key_json);
-        let tmp_path = self.dir.join(format!("{}.tmp", Self::file_name(key_json)));
+        let tmp_path = self.dir.join(format!(
+            "{}.{}-{}.tmp",
+            Self::file_name(key_json),
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed),
+        ));
         {
             let mut tmp = fs::File::create(&tmp_path)?;
             tmp.write_all(doc.as_bytes())?;
@@ -214,6 +225,32 @@ mod tests {
         let content = fs::read_to_string(&path).expect("read");
         fs::write(&path, &content[..content.len() / 2]).expect("truncate");
         assert!(cache.load(torn).is_none(), "torn entry must not replay");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Concurrent stores of one key all succeed and leave one whole
+    /// entry: a shared temp path let one rename win and the rest fail.
+    #[test]
+    fn concurrent_stores_of_one_key_all_commit() {
+        let dir = temp_dir("concurrent");
+        let cache = ResultCache::open(&dir).expect("open");
+        let key = "{\"cell\":\"shared\"}";
+        let records = sample_records();
+        let writers = 4;
+        let barrier = std::sync::Barrier::new(writers);
+        for _ in 0..50 {
+            std::thread::scope(|scope| {
+                for _ in 0..writers {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.store(key, &records).expect("every store commits");
+                    });
+                }
+            });
+            assert_eq!(cache.load(key), Some(records.clone()));
+        }
+        let files = fs::read_dir(&dir).expect("read cache dir").count();
+        assert_eq!(files, 1, "one entry and no stray temp files");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -20,7 +20,7 @@
 //!   cached cell is indistinguishable from re-running it — which is what
 //!   makes resuming a killed campaign sound.
 //! * [`run_on`] — the executor: cache-hit cells replay instantly, missing
-//!   cells decompose into trial-granular items on a work-stealing
+//!   cells decompose into trial-granular items on a FIFO
 //!   [`Scheduler`](crate::Scheduler) (so a heavy sparse cell load-balances
 //!   across workers instead of serializing), each cell checkpoints as its
 //!   last trial lands, and the cells assemble into a

@@ -191,9 +191,9 @@ pub fn serve_connection<'env>(
 /// Runs the TCP daemon on an already-bound listener until some connection
 /// sends `shutdown`. Each connection gets a lightweight handler thread
 /// for protocol I/O, but every submission's trials execute on one
-/// process-wide work-stealing [`Scheduler`] (sized to the host's
-/// available parallelism) — concurrent submissions multiplex onto the
-/// same workers and drain in submission order instead of each connection
+/// process-wide FIFO [`Scheduler`] (sized to the host's available
+/// parallelism) — concurrent submissions share the same workers and
+/// their chunks start in submission order instead of each connection
 /// spawning its own pool.
 ///
 /// The loop blocks in `accept`; the handler that reads `shutdown` wakes it

@@ -1,6 +1,6 @@
 //! The campaign executor: resolve jobs against a registry, replay
 //! cache-hit cells, decompose the misses into trial-granular items on the
-//! shared work-stealing [`Scheduler`], checkpoint each cell as its last
+//! shared FIFO [`Scheduler`], checkpoint each cell as its last
 //! trial lands, and assemble a standard [`SweepResult`].
 
 use super::cache::ResultCache;
@@ -317,8 +317,8 @@ impl WorkSet for CampaignWorkSet<'_> {
                 let _ = self.tx.send((cell.slot, Err(message)));
                 return;
             }
-            // Assemble in trial-index order: the steal schedule decided
-            // *when* each record was produced, never how they combine.
+            // Assemble in trial-index order: the schedule decided *when*
+            // each record was produced, never how they combine.
             let records: Vec<TrialRecord> = (cell.offset..cell.offset + cell.trials)
                 .map(|i| {
                     self.records[i]
@@ -643,14 +643,13 @@ mod tests {
     }
 
     /// The shared-pool path (`run_on`) produces byte-identical documents
-    /// to the private-pool path, even under a forced-steal placement.
+    /// to the private-pool path.
     #[test]
     fn shared_pool_run_matches_private_pool_run() {
         let reg = registry();
         let spec = campaign();
         let local = run(&spec, &reg, None, |_| {}).expect("private-pool run");
         let pooled = Scheduler::new(3)
-            .with_placement(crate::Placement::Pinned(1))
             .scoped(|pool| run_on(&spec, &reg, None, pool, |_| {}))
             .expect("shared-pool run");
         assert_eq!(pooled.result.to_csv(), local.result.to_csv());

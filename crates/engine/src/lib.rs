@@ -25,10 +25,10 @@
 //!   document: streaming aggregates (success rate, error quantiles,
 //!   FLOP/fault totals) with CSV and JSON emitters; [`SweepDoc`] is the
 //!   view parsed back from the JSON, which figure tables read.
-//! * [`scheduler`] — the work-stealing pool underneath: a flattened
-//!   `(cell × trial-chunk)` item space on per-worker FIFO deques with
-//!   front-stealing, so heterogeneous cells load-balance and the daemon
-//!   multiplexes concurrent submissions fairly onto one process-wide pool.
+//! * [`scheduler`] — the worker pool underneath: a flattened
+//!   `(cell × trial-chunk)` item space on one FIFO run queue, so
+//!   heterogeneous cells load-balance and the daemon runs concurrent
+//!   submissions in arrival order on one process-wide pool.
 //!
 //! # Determinism
 //!
@@ -85,7 +85,7 @@ pub mod scheduler;
 mod stats;
 mod sweep;
 
-pub use scheduler::{JobHandle, Placement, Scheduler, WorkSet};
+pub use scheduler::{JobHandle, Scheduler, WorkSet};
 pub use stats::{CellStats, MetricSummary, TrialRecord};
 pub use sweep::{
     csv_field, derive_trial_seed, extended_fault_rates, paper_fault_rates, problem_seed, DocCell,

@@ -1,5 +1,5 @@
-//! The shared work-stealing trial scheduler: one place that decides
-//! *when* a unit of deterministic work runs, used by campaign execution
+//! The shared trial scheduler: one place that decides *when* a unit of
+//! deterministic work runs, used by campaign execution
 //! ([`campaign::run_on`](crate::campaign::run_on), on a private pool via
 //! [`campaign::run`](crate::campaign::run)) and the daemon's shared
 //! connection pool ([`campaign::protocol::serve_tcp`](crate::campaign::protocol::serve_tcp)).
@@ -8,29 +8,27 @@
 //!
 //! Work arrives as a [`WorkSet`] — a flattened item space (for the engine,
 //! one item per trial) — plus a list of index ranges ("chunks") that never
-//! span a cell boundary (see [`cell_chunks`]). [`Scheduler::submit`] deals
-//! the chunks across per-worker FIFO deques; each worker pops the *front*
-//! of its own deque and, when that is empty, steals the *front* of the
-//! next worker's deque (wrapping). Stealing from the front — rather than
-//! the classic steal-from-the-back — is deliberate: chunks drain in
-//! approximate global submission order, so when several daemon connections
-//! share one pool, an earlier submission's chunks are preferred over a
-//! later one's (fairness by arrival, not by deque topology).
+//! span a cell boundary (see [`cell_chunks`]). [`Scheduler::submit`]
+//! appends the chunks to one FIFO run queue shared by every worker; each
+//! idle worker pops the queue's front. Chunks therefore start in global
+//! submission order, so when several daemon connections share one pool,
+//! an earlier submission's chunks start before a later one's (fairness by
+//! arrival). The queue lock is taken once per chunk, and a chunk holds at
+//! least one trial, so the lock is never busier than the trial rate.
 //!
-//! # Why determinism survives stealing
+//! # Why determinism survives the schedule
 //!
-//! The scheduler moves *placement* and *timing* only. Every item's inputs
-//! are a pure function of its index (trial seeds via
+//! The scheduler moves *timing* only. Every item's inputs are a pure
+//! function of its index (trial seeds via
 //! [`derive_trial_seed`](crate::derive_trial_seed)), every item writes to
 //! its own pre-allocated slot, and aggregation happens in item-index order
-//! after the job completes — so the steal schedule, thread count, and
-//! [`Placement`] can never reach the output bytes. The proptests in
-//! `tests/` pin this by comparing a 1-thread run against N-thread runs
-//! under adversarial [`Placement::Pinned`] schedules.
+//! after the job completes — so which worker ran an item, and when, can
+//! never reach the output bytes. The proptests in `tests/` pin this by
+//! comparing a 1-thread run against N-thread runs on private and shared
+//! pools.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 
@@ -40,22 +38,6 @@ use std::thread::Scope;
 pub trait WorkSet: Send + Sync {
     /// Executes item `index`. Called at most once per index per job.
     fn run_item(&self, index: usize);
-}
-
-/// Where [`Scheduler::submit`] places a job's chunks.
-///
-/// Placement is a scheduling hint only — it can never affect output
-/// bytes. `Pinned` exists as a test knob: putting every chunk on one
-/// worker's deque forces all other workers to steal, which is the most
-/// adversarial schedule the steal protocol can produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Deal chunks across workers round-robin (the default).
-    #[default]
-    RoundRobin,
-    /// Put every chunk on the given worker's deque (modulo the worker
-    /// count), forcing the others to steal.
-    Pinned(usize),
 }
 
 /// Per-job completion accounting, shared by every queued chunk and the
@@ -78,7 +60,7 @@ impl JobState {
     }
 }
 
-/// One contiguous run of item indices from one job, queued on a worker.
+/// One contiguous run of item indices from one job, waiting in the queue.
 struct QueuedChunk<'env> {
     set: Arc<dyn WorkSet + 'env>,
     state: Arc<JobState>,
@@ -103,8 +85,14 @@ impl JobHandle {
     }
 }
 
-/// A fixed-size pool of workers executing [`WorkSet`] chunks from
-/// per-worker FIFO deques with front-stealing (see the module docs).
+/// The run queue and the flag that lets idle workers exit once it drains.
+struct RunQueue<'env> {
+    chunks: VecDeque<QueuedChunk<'env>>,
+    shutdown: bool,
+}
+
+/// A fixed-size pool of workers executing [`WorkSet`] chunks from one
+/// FIFO run queue (see the module docs).
 ///
 /// The `'env` parameter bounds what submitted work may borrow: a
 /// scheduler declared before a [`std::thread::scope`] can execute work
@@ -116,46 +104,33 @@ impl JobHandle {
 /// arrive. Workers drain every queued chunk before exiting.
 /// [`scoped`](Self::scoped) runs that whole lifecycle around one closure.
 pub struct Scheduler<'env> {
-    deques: Vec<Mutex<VecDeque<QueuedChunk<'env>>>>,
-    /// Bumped on every submit (and on shutdown) under the lock, so a
-    /// worker that found all deques empty can detect a push that raced
-    /// its scan instead of sleeping through it.
-    generation: Mutex<u64>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    /// Round-robin placement cursor, shared so interleaved submits from
-    /// several connections spread across workers.
-    cursor: Mutex<usize>,
-    placement: Placement,
+    workers: usize,
+    queue: Mutex<RunQueue<'env>>,
+    /// Signalled on every submit and on shutdown.
+    ready: Condvar,
 }
 
 impl<'env> Scheduler<'env> {
     /// A scheduler with `workers` worker slots (`0` = the host's available
-    /// parallelism) and round-robin placement.
+    /// parallelism).
     pub fn new(workers: usize) -> Self {
         let workers = match workers {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
         Scheduler {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            generation: Mutex::new(0),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            cursor: Mutex::new(0),
-            placement: Placement::RoundRobin,
+            workers,
+            queue: Mutex::new(RunQueue {
+                chunks: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
         }
-    }
-
-    /// Overrides chunk placement (a scheduling hint; see [`Placement`]).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
     }
 
     /// The number of worker slots.
     pub fn workers(&self) -> usize {
-        self.deques.len()
+        self.workers
     }
 
     /// Spawns the worker threads into `scope`. The scheduler must outlive
@@ -167,14 +142,14 @@ impl<'env> Scheduler<'env> {
     where
         'env: 'scope,
     {
-        for me in 0..self.deques.len() {
-            scope.spawn(move || self.worker_loop(me));
+        for _ in 0..self.workers {
+            scope.spawn(move || self.worker_loop());
         }
     }
 
     /// The whole lifecycle for a caller that owns the pool: starts the
     /// workers in a fresh scope, runs `body` on the pool, then shuts the
-    /// pool down and joins the workers once their queues drain.
+    /// pool down and joins the workers once the queue drains.
     pub fn scoped<R>(&self, body: impl FnOnce(&Self) -> R) -> R {
         std::thread::scope(|scope| {
             self.start(scope);
@@ -184,9 +159,10 @@ impl<'env> Scheduler<'env> {
         })
     }
 
-    /// Queues a job's chunks and returns a handle to await it. The
-    /// submitted `set` is dropped when its last chunk finishes (the
-    /// scheduler keeps no reference beyond the queued chunks).
+    /// Appends a job's chunks to the run queue and returns a handle to
+    /// await it. The submitted `set` is dropped when its last chunk
+    /// finishes (the scheduler keeps no reference beyond the queued
+    /// chunks).
     pub fn submit(&self, set: Arc<dyn WorkSet + 'env>, chunks: Vec<Range<usize>>) -> JobHandle {
         let mut total = 0usize;
         for chunk in &chunks {
@@ -196,33 +172,15 @@ impl<'env> Scheduler<'env> {
             remaining: Mutex::new(total),
             done: Condvar::new(),
         });
-        if total > 0 {
-            for range in chunks {
-                if range.is_empty() {
-                    continue;
-                }
-                let worker = match self.placement {
-                    Placement::RoundRobin => {
-                        let mut cursor = self.cursor.lock().expect("scheduler cursor");
-                        let w = *cursor;
-                        *cursor = (w + 1) % self.deques.len();
-                        w
-                    }
-                    Placement::Pinned(w) => w % self.deques.len(),
-                };
-                self.deques[worker]
-                    .lock()
-                    .expect("scheduler deque")
-                    .push_back(QueuedChunk {
-                        set: Arc::clone(&set),
-                        state: Arc::clone(&state),
-                        range,
-                    });
-            }
-            let mut generation = self.generation.lock().expect("scheduler signal");
-            *generation += 1;
-            self.wake.notify_all();
+        let mut queue = self.queue.lock().expect("scheduler queue");
+        for range in chunks.into_iter().filter(|range| !range.is_empty()) {
+            queue.chunks.push_back(QueuedChunk {
+                set: Arc::clone(&set),
+                state: Arc::clone(&state),
+                range,
+            });
         }
+        self.ready.notify_all();
         JobHandle { state }
     }
 
@@ -230,27 +188,8 @@ impl<'env> Scheduler<'env> {
     /// Callers must guarantee no further [`submit`](Self::submit)s after
     /// this (the daemon joins its connection handlers first).
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let mut generation = self.generation.lock().expect("scheduler signal");
-        *generation += 1;
-        self.wake.notify_all();
-    }
-
-    /// Pops the front of `me`'s own deque, else steals the front of the
-    /// next non-empty deque (wrapping) — global approximate FIFO.
-    fn grab(&self, me: usize) -> Option<QueuedChunk<'env>> {
-        let n = self.deques.len();
-        for offset in 0..n {
-            let victim = (me + offset) % n;
-            let popped = self.deques[victim]
-                .lock()
-                .expect("scheduler deque")
-                .pop_front();
-            if popped.is_some() {
-                return popped;
-            }
-        }
-        None
+        self.queue.lock().expect("scheduler queue").shutdown = true;
+        self.ready.notify_all();
     }
 
     fn run_chunk(&self, chunk: QueuedChunk<'env>) {
@@ -277,31 +216,20 @@ impl<'env> Scheduler<'env> {
         drop(guard);
     }
 
-    fn worker_loop(&self, me: usize) {
+    /// Pops and runs the queue's front chunk (outside the lock) until the
+    /// queue is empty and shutdown is set.
+    fn worker_loop(&self) {
         loop {
-            let seen = *self.generation.lock().expect("scheduler signal");
-            if let Some(chunk) = self.grab(me) {
-                self.run_chunk(chunk);
-                continue;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                // Drain-before-exit: a chunk pushed between the scan and
-                // the flag read must still run. (No submits arrive after
-                // shutdown, so one extra scan suffices.)
-                match self.grab(me) {
-                    Some(chunk) => {
-                        self.run_chunk(chunk);
-                        continue;
-                    }
-                    None => return,
-                }
-            }
-            let generation = self.generation.lock().expect("scheduler signal");
-            if *generation == seen {
-                // Nothing new arrived since the (empty) scan; sleep until
-                // the next submit or shutdown bumps the generation.
-                drop(self.wake.wait(generation).expect("scheduler signal"));
-            }
+            let queue = self.queue.lock().expect("scheduler queue");
+            let mut queue = self
+                .ready
+                .wait_while(queue, |q| q.chunks.is_empty() && !q.shutdown)
+                .expect("scheduler queue");
+            let Some(chunk) = queue.chunks.pop_front() else {
+                return;
+            };
+            drop(queue);
+            self.run_chunk(chunk);
         }
     }
 }
@@ -335,7 +263,7 @@ pub fn cell_chunks(offsets: &[usize], workers: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Marks each executed index in a slot array and counts executions,
     /// so tests can assert exactly-once coverage under any schedule.
@@ -387,19 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn every_item_runs_exactly_once_at_any_width_and_placement() {
+    fn every_item_runs_exactly_once_at_any_width() {
         let offsets = [0usize, 13, 13, 50, 97];
         for workers in [1usize, 2, 5] {
-            for placement in [Placement::RoundRobin, Placement::Pinned(workers - 1)] {
-                let set = Arc::new(Touch::new(97));
-                Scheduler::new(workers)
-                    .with_placement(placement)
-                    .scoped(|pool| {
-                        pool.submit(set.clone(), cell_chunks(&offsets, workers))
-                            .wait()
-                    });
-                set.assert_each_ran_once();
-            }
+            let set = Arc::new(Touch::new(97));
+            Scheduler::new(workers).scoped(|pool| {
+                pool.submit(set.clone(), cell_chunks(&offsets, workers))
+                    .wait()
+            });
+            set.assert_each_ran_once();
         }
     }
 
@@ -429,5 +353,48 @@ mod tests {
             pool.submit(set.clone(), Vec::new()).wait();
             pool.submit(set, vec![0..0, 0..0]).wait();
         });
+    }
+
+    /// Logs the order in which items start. Item 1 blocks until item 3
+    /// or item 4 has started, so one worker stays parked inside the first
+    /// job while the other decides what runs next.
+    #[derive(Default)]
+    struct Arrival {
+        log: Mutex<Vec<usize>>,
+        started: Condvar,
+    }
+
+    impl WorkSet for Arrival {
+        fn run_item(&self, index: usize) {
+            let mut log = self.log.lock().expect("start log");
+            log.push(index);
+            self.started.notify_all();
+            if index == 1 {
+                let parked = |log: &mut Vec<usize>| !log.contains(&3) && !log.contains(&4);
+                drop(self.started.wait_while(log, parked).expect("start log"));
+            }
+        }
+    }
+
+    /// Fairness by arrival: every chunk of an earlier job (items 0..4)
+    /// starts before any chunk of a later one (items 4..6), even while a
+    /// worker is busy in the earlier job.
+    #[test]
+    fn chunks_start_in_submission_order() {
+        let set = Arc::new(Arrival::default());
+        let pool = Scheduler::new(2);
+        std::thread::scope(|scope| {
+            let first = pool.submit(set.clone(), vec![0..1, 1..2, 2..3, 3..4]);
+            let second = pool.submit(set.clone(), vec![4..5, 5..6]);
+            pool.start(scope);
+            first.wait();
+            second.wait();
+            pool.shutdown();
+        });
+        let log = set.log.lock().expect("start log");
+        assert!(
+            log[..4].iter().all(|&i| i < 4),
+            "a later job overtook an earlier one: {log:?}"
+        );
     }
 }

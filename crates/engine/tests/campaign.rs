@@ -8,7 +8,7 @@ use robustify_core::{
     WorkloadRegistry,
 };
 use robustify_engine::campaign::{self, CampaignSpec, JobSpec, ResultCache};
-use robustify_engine::{Placement, Scheduler, SweepDoc, SweepResult, TrialRecord};
+use robustify_engine::{Scheduler, SweepDoc, SweepResult, TrialRecord};
 use std::path::{Path, PathBuf};
 use stochastic_fpu::json::{self, fnv1a_64, JsonCodec};
 use stochastic_fpu::{
@@ -67,9 +67,9 @@ fn campaign(seed: u64, trials: usize) -> CampaignSpec {
 
 /// A grid whose cells differ wildly in weight and injector: per-job trial
 /// counts from 1 to `3 × trials + 1` and three fault-model families in one
-/// campaign — the adversarial input for the steal-schedule property.
+/// campaign — the adversarial input for the schedule property.
 fn heterogeneous_campaign(seed: u64, trials: usize) -> CampaignSpec {
-    CampaignSpec::new("steal_property")
+    CampaignSpec::new("schedule_property")
         .rates(vec![0.0, 2.0, 20.0])
         .trials(trials)
         .seed(seed)
@@ -186,49 +186,45 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The steal-schedule guarantee: a heterogeneous campaign (per-cell
-    /// trial counts 1…3N+1, three fault-model families) run serially, in
-    /// parallel with round-robin placement, and on a shared pool under a
-    /// forced-steal `Pinned` placement emits byte-identical CSV/JSON —
-    /// and checkpoints byte-identical `ResultCache` key contents.
+    /// The schedule guarantee: a heterogeneous campaign (per-cell trial
+    /// counts 1…3N+1, three fault-model families) run serially, in
+    /// parallel on a private pool, and on a shared pool (`run_on`) emits
+    /// byte-identical CSV/JSON — and checkpoints byte-identical
+    /// `ResultCache` key contents.
     #[test]
-    fn steal_schedules_never_change_bytes_or_cache_contents(
+    fn schedules_never_change_bytes_or_cache_contents(
         seed in 0u64..1_000_000,
         trials in 1usize..6,
         threads in 2usize..6,
-        pin in 0usize..6,
     ) {
         let reg = registry();
         let base = heterogeneous_campaign(seed, trials);
 
-        let (dir_serial, cache_serial) = temp_cache("steal-serial");
+        let (dir_serial, cache_serial) = temp_cache("schedule-serial");
         let serial = campaign::run(&base.clone().threads(1), &reg, Some(&cache_serial), |_| {})
             .expect("serial run");
 
-        let (dir_rr, cache_rr) = temp_cache("steal-rr");
+        let (dir_parallel, cache_parallel) = temp_cache("schedule-parallel");
         let parallel =
-            campaign::run(&base.clone().threads(threads), &reg, Some(&cache_rr), |_| {})
+            campaign::run(&base.clone().threads(threads), &reg, Some(&cache_parallel), |_| {})
                 .expect("parallel run");
 
-        // Forced steals: every chunk lands on one worker's deque, so the
-        // other `threads − 1` workers execute only by stealing.
-        let (dir_pin, cache_pin) = temp_cache("steal-pin");
-        let stolen = Scheduler::new(threads)
-            .with_placement(Placement::Pinned(pin))
-            .scoped(|pool| campaign::run_on(&base, &reg, Some(&cache_pin), pool, |_| {}))
-            .expect("pinned run");
+        let (dir_pool, cache_pool) = temp_cache("schedule-pool");
+        let pooled = Scheduler::new(threads)
+            .scoped(|pool| campaign::run_on(&base, &reg, Some(&cache_pool), pool, |_| {}))
+            .expect("shared-pool run");
 
         prop_assert_eq!(parallel.result.to_csv(), serial.result.to_csv());
         prop_assert_eq!(parallel.result.to_json(), serial.result.to_json());
-        prop_assert_eq!(stolen.result.to_csv(), serial.result.to_csv());
-        prop_assert_eq!(stolen.result.to_json(), serial.result.to_json());
+        prop_assert_eq!(pooled.result.to_csv(), serial.result.to_csv());
+        prop_assert_eq!(pooled.result.to_json(), serial.result.to_json());
 
         let expected = dir_contents(&dir_serial);
         prop_assert_eq!(expected.len(), 12, "4 jobs × 3 rates checkpointed");
-        prop_assert_eq!(&dir_contents(&dir_rr), &expected);
-        prop_assert_eq!(&dir_contents(&dir_pin), &expected);
+        prop_assert_eq!(&dir_contents(&dir_parallel), &expected);
+        prop_assert_eq!(&dir_contents(&dir_pool), &expected);
 
-        for dir in [dir_serial, dir_rr, dir_pin] {
+        for dir in [dir_serial, dir_parallel, dir_pool] {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

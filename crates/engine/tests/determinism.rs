@@ -1,12 +1,12 @@
 //! The engine's determinism guarantee, as a property: a campaign run with
-//! 1 worker thread, with N worker threads, and on a shared pool under a
-//! forced-steal placement produces byte-identical documents for the same
-//! base seed and grid.
+//! 1 worker thread, with N worker threads, and on a shared pool of N
+//! workers produces byte-identical documents for the same base seed and
+//! grid.
 
 use proptest::prelude::*;
 use robustify_core::{RobustProblem, SolverSpec, StepSchedule, Verdict, WorkloadRegistry};
 use robustify_engine::campaign::{self, CampaignSpec, JobSpec};
-use robustify_engine::{Placement, Scheduler, SweepResult};
+use robustify_engine::{Scheduler, SweepResult};
 use robustify_linalg::Matrix;
 use stochastic_fpu::{
     BitFaultModel, BitWidth, DvfsStep, FaultModelSpec, FlopOp, VoltageErrorModel,
@@ -157,29 +157,25 @@ fn run(spec: &CampaignSpec, threads: usize) -> SweepResult {
         .result
 }
 
-/// Runs `spec` on a shared pool of `workers` with every chunk pinned to
-/// one worker's deque.
-fn run_pinned(spec: &CampaignSpec, workers: usize, pin: usize) -> SweepResult {
+/// Runs `spec` with `run_on` on a shared pool of `workers`.
+fn run_pooled(spec: &CampaignSpec, workers: usize) -> SweepResult {
     let reg = registry();
-    let run = Scheduler::new(workers)
-        .with_placement(Placement::Pinned(pin))
-        .scoped(|pool| campaign::run_on(spec, &reg, None, pool, |_| {}));
-    run.expect("pinned run").result
+    let run =
+        Scheduler::new(workers).scoped(|pool| campaign::run_on(spec, &reg, None, pool, |_| {}));
+    run.expect("shared-pool run").result
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The determinism guarantee: 1-thread and N-thread runs of the same
-    /// grid, and a run on a shared pool whose chunks all land on one
-    /// worker's deque (so the others execute only by stealing), emit
-    /// byte-identical JSON and CSV.
+    /// grid, and a run on a shared pool of N workers, emit byte-identical
+    /// JSON and CSV.
     #[test]
     fn thread_count_never_changes_results(
         base_seed in 0u64..1_000_000,
         trials in 1usize..10,
         threads in 2usize..8,
-        pin in 0usize..8,
     ) {
         let grid = with_jobs(
             CampaignSpec::new("determinism")
@@ -193,9 +189,9 @@ proptest! {
         let parallel = run(&grid, threads);
         prop_assert_eq!(serial.to_json(), parallel.to_json());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());
-        let stolen = run_pinned(&grid, threads, pin);
-        prop_assert_eq!(serial.to_json(), stolen.to_json());
-        prop_assert_eq!(serial.to_csv(), stolen.to_csv());
+        let pooled = run_pooled(&grid, threads);
+        prop_assert_eq!(serial.to_json(), pooled.to_json());
+        prop_assert_eq!(serial.to_csv(), pooled.to_csv());
     }
 
     /// The fault-grid guarantee: a campaign whose jobs mix six distinct
