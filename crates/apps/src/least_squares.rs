@@ -287,7 +287,7 @@ impl RobustProblem for LeastSquares {
     ) -> Result<RobustOutcome<Vec<f64>>, CoreError> {
         match spec.method {
             SolveMethod::Cg => {
-                let report = run_cgls(spec, &self.a, &self.b, &vec![0.0; self.dim()], fpu);
+                let report = run_cgls(spec, &self.a, &self.b, fpu);
                 Ok(RobustOutcome {
                     solution: Some(report.x.clone()),
                     report: Some(report),

@@ -10,8 +10,12 @@
 //! restarted CG the paper uses for least squares (§3.3), running over a
 //! [`CsrMatrix`] through the
 //! [`LinearOperator`](robustify_linalg::LinearOperator) backend
-//! abstraction: the
-//! solve never materializes a dense matrix.
+//! abstraction: the solve never materializes a dense matrix.
+//!
+//! The stencil is laid row by row, in column order, straight into CSR
+//! storage ([`CsrMatrix::from_parts`]), so building the matrix stages
+//! nothing beside it (no triplet list, no sort order), and the CG solve
+//! holds its five vectors for the whole budget.
 //!
 //! Quality is judged by the reliable relative residual `‖A x − b‖ / ‖b‖`
 //! against the residual the *same CG budget* reaches on a reliable
@@ -75,28 +79,38 @@ impl Poisson2d {
     pub fn new<R: Rng>(grid: usize, rng: &mut R) -> Self {
         assert!(grid > 0, "grid must be positive");
         let n = grid * grid;
-        let idx = |r: usize, c: usize| r * grid + c;
-        let mut triplets = Vec::with_capacity(5 * n);
+        // Each row's stencil in ascending column order (up, left, centre,
+        // right, down), laid straight into CSR storage; a boundary side
+        // drops one neighbour per node, so nnz = 5n − 4g.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(5 * n - 4 * grid);
+        let mut vals = Vec::with_capacity(5 * n - 4 * grid);
+        row_ptr.push(0);
         for r in 0..grid {
             for c in 0..grid {
-                let i = idx(r, c);
-                triplets.push((i, i, 4.0));
+                let i = r * grid + c;
+                let mut push = |j: usize, v: f64| {
+                    col_idx.push(j);
+                    vals.push(v);
+                };
                 if r > 0 {
-                    triplets.push((i, idx(r - 1, c), -1.0));
-                }
-                if r + 1 < grid {
-                    triplets.push((i, idx(r + 1, c), -1.0));
+                    push(i - grid, -1.0);
                 }
                 if c > 0 {
-                    triplets.push((i, idx(r, c - 1), -1.0));
+                    push(i - 1, -1.0);
                 }
+                push(i, 4.0);
                 if c + 1 < grid {
-                    triplets.push((i, idx(r, c + 1), -1.0));
+                    push(i + 1, -1.0);
                 }
+                if r + 1 < grid {
+                    push(i + grid, -1.0);
+                }
+                row_ptr.push(vals.len());
             }
         }
-        let a = CsrMatrix::from_triplets(n, n, &triplets)
-            .expect("stencil indices are in bounds by construction");
+        let a = CsrMatrix::from_parts(n, n, row_ptr, col_idx, vals)
+            .expect("the stencil rows are sorted and in bounds by construction");
         let b: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
         let mut problem = Poisson2d {
             grid,
@@ -145,8 +159,10 @@ impl Poisson2d {
             return f64::INFINITY;
         }
         let mut fpu = ReliableFpu::new();
-        let ax = self.a.matvec(&mut fpu, x).expect("x has dim() entries");
-        let r: Vec<f64> = self.b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+        let mut r = self.a.matvec(&mut fpu, x).expect("x has dim() entries");
+        for (ri, bi) in r.iter_mut().zip(&self.b) {
+            *ri = bi - *ri;
+        }
         let num = robustify_linalg::norm2(&mut fpu, &r);
         let den = robustify_linalg::norm2(&mut fpu, &self.b);
         num / den.max(1e-300)
@@ -192,7 +208,7 @@ impl RobustProblem for Poisson2d {
     ) -> Result<RobustOutcome<Vec<f64>>, CoreError> {
         match spec.method {
             SolveMethod::Cg => {
-                let report = run_cgls(spec, &self.a, &self.b, &vec![0.0; self.dim()], fpu);
+                let report = run_cgls(spec, &self.a, &self.b, fpu);
                 Ok(RobustOutcome {
                     solution: Some(report.x.clone()),
                     report: Some(report),
@@ -230,6 +246,44 @@ mod tests {
         assert_eq!(p.a().nnz(), 5 * 64 - 4 * 8);
     }
 
+    /// The five-point stencil as unordered triplets, for
+    /// [`CsrMatrix::from_triplets`] to sort.
+    fn stencil_triplets(grid: usize) -> Vec<(usize, usize, f64)> {
+        let idx = |r: usize, c: usize| r * grid + c;
+        let mut triplets = Vec::new();
+        for r in 0..grid {
+            for c in 0..grid {
+                let i = idx(r, c);
+                triplets.push((i, i, 4.0));
+                if r > 0 {
+                    triplets.push((i, idx(r - 1, c), -1.0));
+                }
+                if r + 1 < grid {
+                    triplets.push((i, idx(r + 1, c), -1.0));
+                }
+                if c > 0 {
+                    triplets.push((i, idx(r, c - 1), -1.0));
+                }
+                if c + 1 < grid {
+                    triplets.push((i, idx(r, c + 1), -1.0));
+                }
+            }
+        }
+        triplets
+    }
+
+    #[test]
+    fn direct_assembly_matches_triplet_assembly() {
+        for grid in [1, 2, 3, 8] {
+            let n = grid * grid;
+            let p = Poisson2d::new(grid, &mut StdRng::seed_from_u64(grid as u64));
+            let reference = CsrMatrix::from_triplets(n, n, &stencil_triplets(grid))
+                .expect("stencil indices are in bounds");
+            assert_eq!(p.a(), &reference, "grid {grid}");
+            assert_eq!(p.a().nnz(), 5 * n - 4 * grid, "grid {grid}");
+        }
+    }
+
     #[test]
     fn full_budget_cg_solves_the_system() {
         // Unrestarted CG converges in at most n iterations on a reliable
@@ -237,7 +291,7 @@ mod tests {
         let p = small();
         let n = p.dim();
         let spec = SolverSpec::cg(n).with_restart(n + 1);
-        let report = run_cgls(&spec, p.a(), p.b(), &vec![0.0; n], &mut ReliableFpu::new());
+        let report = run_cgls(&spec, p.a(), p.b(), &mut ReliableFpu::new());
         assert!(
             p.relative_residual(&report.x) < 1e-6,
             "residual {}",

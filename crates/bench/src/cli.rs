@@ -252,11 +252,12 @@ impl ExperimentOptions {
         let run = or_exit(spec, campaign::run(spec, registry, cache.as_ref(), |_| {}));
         if let Some(cache) = &cache {
             eprintln!(
-                "[{}: {} cells, {} replayed from {}]",
+                "[{}: {} cells, {} replayed from {}, {} trials executed]",
                 spec.name(),
                 run.cells_total,
                 run.cells_cached,
-                cache.dir().display()
+                cache.dir().display(),
+                run.trials_executed
             );
         }
         eprintln!(

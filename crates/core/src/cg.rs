@@ -23,8 +23,8 @@ use stochastic_fpu::{Fpu, FpuExt};
 /// then solves the normal equations to working precision.
 const TOLERANCE: f64 = 1e-24;
 
-/// Runs CGLS for `min ‖A x − b‖²` from `x0`, routing the matrix–vector
-/// products through `fpu`.
+/// Runs CGLS for `min ‖A x − b‖²` from `x = 0`, routing the
+/// matrix–vector products through `fpu`.
 ///
 /// Reads the spec's `iterations` (the budget; the paper's Figure 6.6
 /// uses `N = 10`) and `restart`: every `restart` iterations the search
@@ -34,10 +34,15 @@ const TOLERANCE: f64 = 1e-24;
 /// dense ([`Matrix`](robustify_linalg::Matrix)) or sparse
 /// ([`CsrMatrix`](robustify_linalg::CsrMatrix)) without change.
 ///
+/// The solve allocates five vectors up front and no other `n`- or
+/// `m`-sized buffer: the iterate `x`, the residual `r = b − A x`, the
+/// direction `p`, and the product buffers `q = A p` and `s = Aᵀ r`,
+/// which every product overwrites in place.
+///
 /// # Panics
 ///
 /// Panics with [`SolverSpec::validate`]'s message if the spec is invalid,
-/// if `b.len() != A.rows()`, and if `x0.len() != A.cols()`.
+/// and if `b.len() != A.rows()`.
 ///
 /// # Examples
 ///
@@ -49,7 +54,7 @@ const TOLERANCE: f64 = 1e-24;
 /// # fn main() -> Result<(), robustify_core::CoreError> {
 /// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]])?;
 /// let b = [2.0, 2.0, 3.0];
-/// let report = run_cgls(&SolverSpec::cg(2), &a, &b, &[0.0, 0.0], &mut ReliableFpu::new());
+/// let report = run_cgls(&SolverSpec::cg(2), &a, &b, &mut ReliableFpu::new());
 /// // The system is consistent: x = (1, 2) solves it exactly.
 /// assert!((report.x[0] - 1.0).abs() < 1e-9 && (report.x[1] - 2.0).abs() < 1e-9);
 /// # Ok(())
@@ -59,22 +64,18 @@ pub fn run_cgls<M: LinearOperator, F: Fpu>(
     spec: &SolverSpec,
     a: &M,
     b: &[f64],
-    x0: &[f64],
     fpu: &mut F,
 ) -> SolveReport {
     if let Err(message) = spec.validate() {
         panic!("{message}");
     }
     assert_eq!(b.len(), a.rows(), "right-hand side has the wrong length");
-    assert_eq!(
-        x0.len(),
-        a.cols(),
-        "initial iterate has the wrong dimension"
-    );
     let snapshot = fpu.snapshot();
 
-    let mut x = x0.to_vec();
-    let (mut r, mut p, mut gamma) = restart_state(a, b, &x, fpu);
+    let mut x = vec![0.0; a.cols()];
+    let (mut r, mut q) = (vec![0.0; a.rows()], vec![0.0; a.rows()]);
+    let (mut p, mut s) = (vec![0.0; a.cols()], vec![0.0; a.cols()]);
+    let mut gamma = restart(a, b, &x, &mut r, &mut p, &mut q, fpu);
 
     let mut iterations = 0;
     let mut restarts = 0;
@@ -83,12 +84,12 @@ pub fn run_cgls<M: LinearOperator, F: Fpu>(
             break;
         }
         // q = A p (data plane).
-        let q = a.matvec(fpu, &p).expect("p has n entries");
+        a.matvec_into(fpu, &p, &mut q).expect("p has n entries");
         let qtq = squared_norm(&q);
         if !qtq.is_finite() || qtq <= 0.0 {
             // Degenerate or corrupted direction: restart from steepest
             // descent (control-plane decision).
-            (r, p, gamma) = restart_state(a, b, &x, fpu);
+            gamma = restart(a, b, &x, &mut r, &mut p, &mut q, fpu);
             restarts += 1;
             iterations = t;
             continue;
@@ -105,7 +106,7 @@ pub fn run_cgls<M: LinearOperator, F: Fpu>(
                 // detlint::allow(fpu-routing, reason = "step-rejection guard is reliable control-plane arithmetic")
                 .any(|&pi| !(alpha * pi).is_finite() || (alpha * pi).abs() > 1e6 * x_scale);
         if step_too_large {
-            (r, p, gamma) = restart_state(a, b, &x, fpu);
+            gamma = restart(a, b, &x, &mut r, &mut p, &mut q, fpu);
             restarts += 1;
             iterations = t;
             continue;
@@ -117,12 +118,14 @@ pub fn run_cgls<M: LinearOperator, F: Fpu>(
             *ri -= alpha * qi;
         }
         // s = Aᵀ r (data plane): the gradient of ½‖Ax − b‖² up to sign.
-        let mut s = a.matvec_t(fpu, &r).expect("r has rows() entries");
+        a.matvec_t_into(fpu, &r, &mut s)
+            .expect("r has rows() entries");
         sanitize(&mut s);
         let gamma_new = squared_norm(&s);
         if t % spec.restart == 0 {
-            // Steepest-descent reset: p = s.
-            p = s;
+            // Steepest-descent reset: p = s (`s` is overwritten before
+            // its next read).
+            std::mem::swap(&mut p, &mut s);
             restarts += 1;
         } else {
             let beta = if gamma > 0.0 { gamma_new / gamma } else { 0.0 };
@@ -143,21 +146,26 @@ pub fn run_cgls<M: LinearOperator, F: Fpu>(
     }
 }
 
-/// Computes the steepest-descent restart state `(r, p, γ)` at `x`:
-/// `r = b − A x`, `p = Aᵀ r` and `γ = ‖p‖²`.
-fn restart_state<M: LinearOperator, F: Fpu>(
+/// Puts the steepest-descent restart state at `x` in place: `r = b − A x`
+/// (with `A x` computed into the scratch buffer `q`), `p = Aᵀ r`, and
+/// returns `γ = ‖p‖²`.
+fn restart<M: LinearOperator, F: Fpu>(
     a: &M,
     b: &[f64],
     x: &[f64],
+    r: &mut [f64],
+    p: &mut [f64],
+    q: &mut [f64],
     fpu: &mut F,
-) -> (Vec<f64>, Vec<f64>, f64) {
-    let ax = a.matvec(fpu, x).expect("x has n entries");
-    let mut r: Vec<f64> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-    sanitize(&mut r);
-    let mut s = a.matvec_t(fpu, &r).expect("r has rows() entries");
-    sanitize(&mut s);
-    let gamma = squared_norm(&s);
-    (r, s, gamma)
+) -> f64 {
+    a.matvec_into(fpu, x, q).expect("x has n entries");
+    for ((ri, &bi), &axi) in r.iter_mut().zip(b).zip(q.iter()) {
+        *ri = bi - axi;
+    }
+    sanitize(r);
+    a.matvec_t_into(fpu, r, p).expect("r has rows() entries");
+    sanitize(p);
+    squared_norm(p)
 }
 
 /// `‖v‖²`, summed in order on the control plane.
@@ -212,7 +220,7 @@ mod tests {
     #[test]
     fn converges_in_n_iterations_reliable() {
         let (a, b) = tall_system();
-        let report = run_cgls(&unrestarted(3), &a, &b, &[0.0; 3], &mut ReliableFpu::new());
+        let report = run_cgls(&unrestarted(3), &a, &b, &mut ReliableFpu::new());
         let mut fpu = ReliableFpu::new();
         let x_qr = lstsq_qr(&mut fpu, &a, &b).expect("full rank");
         for (c, q) in report.x.iter().zip(&x_qr) {
@@ -227,8 +235,7 @@ mod tests {
         // A reliable solve with budget k stops at iterate k, so rerunning
         // every prefix budget walks the iterates of the full solve.
         let (a, b) = tall_system();
-        let prefix =
-            |k: usize| run_cgls(&unrestarted(k), &a, &b, &[0.0; 3], &mut ReliableFpu::new());
+        let prefix = |k: usize| run_cgls(&unrestarted(k), &a, &b, &mut ReliableFpu::new());
         let full = prefix(3);
         assert_eq!(prefix(full.iterations), full);
         let costs: Vec<f64> = (0..=full.iterations)
@@ -248,7 +255,7 @@ mod tests {
             5,
         );
         let spec = SolverSpec::cg(10).with_restart(3);
-        let report = run_cgls(&spec, &a, &b, &[0.0; 3], &mut fpu);
+        let report = run_cgls(&spec, &a, &b, &mut fpu);
         let x_ref = lstsq_qr(&mut ReliableFpu::new(), &a, &b).expect("full rank");
         let (cost, ref_cost) = (residual(&a, &b, &report.x), residual(&a, &b, &x_ref));
         assert!(
@@ -268,7 +275,7 @@ mod tests {
             5,
         );
         let spec = SolverSpec::cg(9).with_restart(2);
-        let report = run_cgls(&spec, &a, &b, &[0.0; 3], &mut fpu);
+        let report = run_cgls(&spec, &a, &b, &mut fpu);
         assert_eq!(report.iterations, 9);
         assert!(report.restarts >= 3, "restarts = {}", report.restarts);
     }
@@ -279,7 +286,7 @@ mod tests {
         let spec = SolverSpec::cg(10).with_restart(3);
         for seed in 0..10 {
             let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.3), BitFaultModel::emulated(), seed);
-            let report = run_cgls(&spec, &a, &b, &[0.0; 3], &mut fpu);
+            let report = run_cgls(&spec, &a, &b, &mut fpu);
             assert!(report.x.iter().all(|v| v.is_finite()), "iterate corrupted");
         }
     }
@@ -289,40 +296,21 @@ mod tests {
     fn run_cgls_refuses_a_zero_restart_interval() {
         let (a, b) = tall_system();
         let spec = SolverSpec::cg(3).with_restart(0);
-        run_cgls(&spec, &a, &b, &[0.0; 3], &mut ReliableFpu::new());
+        run_cgls(&spec, &a, &b, &mut ReliableFpu::new());
     }
 
     #[test]
     #[should_panic(expected = "right-hand side has the wrong length")]
     fn run_cgls_refuses_a_wrong_length_rhs() {
         let (a, _) = tall_system();
-        run_cgls(
-            &SolverSpec::cg(3),
-            &a,
-            &[1.0],
-            &[0.0; 3],
-            &mut ReliableFpu::new(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong dimension")]
-    fn solve_rejects_bad_x0() {
-        let (a, b) = tall_system();
-        run_cgls(
-            &SolverSpec::cg(3),
-            &a,
-            &b,
-            &[0.0; 2],
-            &mut ReliableFpu::new(),
-        );
+        run_cgls(&SolverSpec::cg(3), &a, &[1.0], &mut ReliableFpu::new());
     }
 
     #[test]
     fn flops_are_charged_to_caller_fpu() {
         let (a, b) = tall_system();
         let mut fpu = ReliableFpu::new();
-        let report = run_cgls(&SolverSpec::cg(3), &a, &b, &[0.0; 3], &mut fpu);
+        let report = run_cgls(&SolverSpec::cg(3), &a, &b, &mut fpu);
         assert_eq!(report.flops, fpu.flops());
         assert!(report.flops > 0);
     }

@@ -157,7 +157,7 @@ proptest! {
         let b = a.matvec(&mut fpu, &x_true).expect("shapes match");
         // Unrestarted: the interval lies past the budget.
         let spec = SolverSpec::cg(12).with_restart(13);
-        let report = run_cgls(&spec, &a, &b, &[0.0; 4], &mut ReliableFpu::new());
+        let report = run_cgls(&spec, &a, &b, &mut ReliableFpu::new());
         let cost = QuadraticResidualCost::new(a.clone(), b.clone()).expect("consistent")
             .cost(&report.x, &mut ReliableFpu::new());
         prop_assert!(cost < 1e-12, "residual {}", cost);

@@ -11,6 +11,7 @@ use crate::sweep::{derive_trial_seed, problem_seed, CaseParts};
 use crate::SweepResult;
 use robustify_core::{DynProblem, SolverSpec, WorkloadRegistry};
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -60,6 +61,9 @@ pub struct CampaignRun {
     pub cells_total: usize,
     /// Cells replayed from the cache rather than executed.
     pub cells_cached: usize,
+    /// Trials executed rather than replayed: each missed key's trials run
+    /// once, however many cells of the grid share that key.
+    pub trials_executed: usize,
     /// Worker threads of the pool the campaign ran on.
     pub threads: usize,
     /// Wall-clock duration of the run (never part of the documents).
@@ -352,9 +356,10 @@ fn stats_of(records: &[TrialRecord]) -> CellStats {
 /// spec (`0` threads = available parallelism): a scoped [`Scheduler`]
 /// that [`run_on`] executes on. Cache-hit cells replay instantly; missing
 /// cells decompose into trial-granular scheduler items, checkpointing to
-/// `cache` as each cell's last trial lands. `on_cell` observes every
+/// `cache` as each cell's last trial lands. Cells that share a key
+/// execute its trials once and store it once. `on_cell` observes every
 /// finished cell (cached ones first, in grid order; executed ones in
-/// completion order). A trial that panics fails its cell: the cell is not
+/// completion order, each key's later cells right after its first). A trial that panics fails its cell: the cell is not
 /// checkpointed, the rest of the grid still runs, and the campaign
 /// returns `Err` naming the trial.
 pub fn run(
@@ -384,33 +389,44 @@ pub fn run_on<'env>(
     let rates = spec.rates_pct();
 
     // Replay phase: resolve every cell against the cache first, so only
-    // genuinely new work is scheduled.
+    // genuinely new work is scheduled. Equal keys mean equal records, so
+    // a missed key executes once, on its first cell; every later cell of
+    // that key is a twin that takes the same records.
     let mut slots: Vec<Option<Vec<TrialRecord>>> = vec![None; cells.len()];
     let mut misses: Vec<usize> = Vec::new();
+    let mut twins: Vec<(usize, usize)> = Vec::new();
+    let mut missed_keys: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, cell) in cells.iter().enumerate() {
+        if let Some(&first) = missed_keys.get(cell.key_json.as_str()) {
+            twins.push((i, first));
+            continue;
+        }
         match cache.and_then(|c| c.load(&cell.key_json)) {
             Some(records) => slots[i] = Some(records),
-            None => misses.push(i),
+            None => {
+                missed_keys.insert(&cell.key_json, i);
+                misses.push(i);
+            }
         }
     }
-    let cells_cached = cells.len() - misses.len();
-    for (i, slot) in slots.iter().enumerate() {
+    let cells_cached = cells.len() - misses.len() - twins.len();
+    let update = |cell: &ResolvedCell, cached: bool, stats: &CellStats| CellUpdate {
+        job_index: cell.job_index,
+        rate_index: cell.rate_index,
+        label: jobs[cell.job_index].label.clone(),
+        rate_pct: rates[cell.rate_index],
+        cached,
+        trials: stats.trials(),
+        successes: stats.successes(),
+    };
+    for (cell, slot) in cells.iter().zip(&slots) {
         if let Some(records) = slot {
-            let cell = &cells[i];
-            let stats = stats_of(records);
-            on_cell(&CellUpdate {
-                job_index: cell.job_index,
-                rate_index: cell.rate_index,
-                label: jobs[cell.job_index].label.clone(),
-                rate_pct: rates[cell.rate_index],
-                cached: true,
-                trials: stats.trials(),
-                successes: stats.successes(),
-            });
+            on_cell(&update(cell, true, &stats_of(records)));
         }
     }
 
     let mut error: Option<String> = None;
+    let mut trials_executed = 0;
     if !misses.is_empty() {
         // Flatten the missing cells into one trial-granular item space.
         let mut exec_cells = Vec::with_capacity(misses.len());
@@ -433,6 +449,7 @@ pub fn run_on<'env>(
             total += trials;
         }
         offsets.push(total);
+        trials_executed = total;
         let mut fixed: Vec<(String, OnceLock<_>)> = Vec::new();
         for job in jobs.iter().filter(|j| j.instantiate == Instantiate::Fixed) {
             if !fixed.iter().any(|(workload, _)| *workload == job.workload) {
@@ -466,17 +483,12 @@ pub fn run_on<'env>(
             if let Some(err) = store_err {
                 error.get_or_insert(format!("cache checkpoint failed: {err}"));
             }
-            let cell = &cells[slot];
             let stats = stats_of(&records);
-            on_cell(&CellUpdate {
-                job_index: cell.job_index,
-                rate_index: cell.rate_index,
-                label: jobs[cell.job_index].label.clone(),
-                rate_pct: rates[cell.rate_index],
-                cached: false,
-                trials: stats.trials(),
-                successes: stats.successes(),
-            });
+            on_cell(&update(&cells[slot], false, &stats));
+            for &(twin, _) in twins.iter().filter(|&&(_, first)| first == slot) {
+                on_cell(&update(&cells[twin], false, &stats));
+                slots[twin] = Some(records.clone());
+            }
             slots[slot] = Some(records);
         }
         handle.wait();
@@ -512,6 +524,7 @@ pub fn run_on<'env>(
         result,
         cells_total: cells.len(),
         cells_cached,
+        trials_executed,
         threads: pool.workers(),
         elapsed: start.elapsed(),
     })
@@ -742,6 +755,94 @@ mod tests {
             documents.push((result.to_csv(), result.to_json()));
         }
         assert_eq!(documents[0], documents[1]);
+    }
+
+    /// `Drift`, counting every trial it runs.
+    struct CountedDrift {
+        inner: Drift,
+        trials: Arc<AtomicUsize>,
+    }
+
+    impl DynProblem for CountedDrift {
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+
+        fn run_trial_dyn(&self, spec: &SolverSpec, fpu: &mut NoisyFpu) -> Verdict {
+            self.trials.fetch_add(1, Ordering::SeqCst);
+            self.inner.run_trial_dyn(spec, fpu)
+        }
+    }
+
+    /// Two jobs that differ only in their label share every cell key: each
+    /// key's trials run once, each cell still reports and fills its own
+    /// document row, and the key is stored once.
+    #[test]
+    fn cells_sharing_a_key_run_its_trials_once() {
+        let trials = Arc::new(AtomicUsize::new(0));
+        let mut reg = registry();
+        let counter = Arc::clone(&trials);
+        reg.register(
+            "counted",
+            Box::new(move |seed| {
+                Box::new(CountedDrift {
+                    inner: Drift {
+                        target: 48.0 + (seed % 3) as f64,
+                    },
+                    trials: Arc::clone(&counter),
+                })
+            }),
+            Box::new(|_| SolverSpec::baseline()),
+        );
+        let spec = |labels: &[&str], threads| {
+            labels.iter().fold(
+                CampaignSpec::new("twins")
+                    .rates(vec![0.0, 5.0, 20.0])
+                    .trials(6)
+                    .seed(3)
+                    .threads(threads),
+                |spec, label| spec.job(JobSpec::new(label, "counted")),
+            )
+        };
+        let twins = spec(&["first", "second"], 2);
+        let (dir, cache) = temp_cache("twins");
+        let mut updates = Vec::new();
+        let cold = run(&twins, &reg, Some(&cache), |u| updates.push(u.clone())).expect("cold run");
+        assert_eq!(
+            trials.load(Ordering::SeqCst),
+            3 * 6,
+            "one key's trials per rate"
+        );
+        assert_eq!(cold.trials_executed, 3 * 6);
+        assert_eq!((cold.cells_total, cold.cells_cached), (6, 0));
+        assert_eq!(cache.len(), 3, "each key stored once");
+        let mut reported: Vec<_> = updates
+            .iter()
+            .map(|u| (u.job_index, u.rate_index, u.cached))
+            .collect();
+        reported.sort_by_key(|&(job, rate, _)| (job, rate));
+        let every_cell: Vec<_> = (0..2)
+            .flat_map(|job| (0..3).map(move |rate| (job, rate, false)))
+            .collect();
+        assert_eq!(reported, every_cell, "every cell reports once, executed");
+
+        // Each job's cells are what a campaign of that job alone executes,
+        // and a warm replay (one load per cell) gives the same documents.
+        for (job, label) in ["first", "second"].into_iter().enumerate() {
+            let alone = run(&spec(&[label], 1), &reg, None, |_| {}).expect("solo run");
+            for rate in 0..3 {
+                assert_eq!(cold.result.cell(job, rate), alone.result.cell(0, rate));
+            }
+        }
+        trials.store(0, Ordering::SeqCst);
+        let warm = run(&twins, &reg, Some(&cache), |_| {}).expect("warm run");
+        assert_eq!(trials.load(Ordering::SeqCst), 0);
+        assert_eq!((warm.cells_cached, warm.trials_executed), (6, 0));
+        assert_eq!(warm.result.to_csv(), cold.result.to_csv());
+        assert_eq!(warm.result.to_json(), cold.result.to_json());
+        let serial = run(&spec(&["first", "second"], 1), &reg, None, |_| {}).expect("serial");
+        assert_eq!(serial.result.to_json(), cold.result.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! [`Fpu`](stochastic_fpu::Fpu) so faults reach them.
 
 use crate::error::LinalgError;
+use crate::operator::check_len;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use stochastic_fpu::Fpu;
@@ -193,45 +194,76 @@ impl Matrix {
         self.data.iter().all(|x| x.is_finite())
     }
 
-    /// Matrix–vector product `A x` through the FPU.
+    /// Matrix–vector product `A x` through the FPU
+    /// ([`matvec_into`](Self::matvec_into) into a new vector).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.cols()`.
     pub fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::shape(
-                format!("vector of length {}", self.cols),
-                format!("length {}", x.len()),
-            ));
-        }
-        Ok((0..self.rows)
-            .map(|i| fpu.dot_batch(self.row(i), x))
-            .collect())
+        let mut y = vec![0.0; self.rows];
+        self.matvec_into(fpu, x, &mut y)?;
+        Ok(y)
     }
 
-    /// Transposed matrix–vector product `Aᵀ y` through the FPU.
+    /// Overwrites `y` with `A x` through the FPU: one
+    /// [`Fpu::dot_batch`] per row, in row order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.cols()`
+    /// or `y.len() != self.rows()`.
+    pub fn matvec_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        check_len("vector", self.cols, x)?;
+        check_len("output", self.rows, y)?;
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = fpu.dot_batch(self.row(i), x);
+        }
+        Ok(())
+    }
+
+    /// Transposed matrix–vector product `Aᵀ y` through the FPU
+    /// ([`matvec_t_into`](Self::matvec_t_into) into a new vector).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `y.len() != self.rows()`.
     pub fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if y.len() != self.rows {
-            return Err(LinalgError::shape(
-                format!("vector of length {}", self.rows),
-                format!("length {}", y.len()),
-            ));
-        }
         let mut out = vec![0.0; self.cols];
+        self.matvec_t_into(fpu, y, &mut out)?;
+        Ok(out)
+    }
+
+    /// Overwrites `out` with `Aᵀ y` through the FPU: `out` is zeroed, then
+    /// every row with `y[i] != 0.0` adds `row(i)·y[i]` in row order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `y.len() != self.rows()`
+    /// or `out.len() != self.cols()`.
+    pub fn matvec_t_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        y: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        check_len("vector", self.rows, y)?;
+        check_len("output", self.cols, out)?;
+        out.fill(0.0);
         for (i, &yi) in y.iter().enumerate() {
             if yi == 0.0 {
                 continue;
             }
             // One batched row update `out += row(i)·yi`, bit-identical to
             // the historical per-op loop (matrix element first, then yi).
-            fpu.gemv_t_row(yi, self.row(i), &mut out);
+            fpu.gemv_t_row(yi, self.row(i), out);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix product `A B` through the FPU.

@@ -5,7 +5,9 @@
 //! `Aᵀ y`. [`LinearOperator`] captures exactly that surface so the same
 //! solver runs over a dense [`Matrix`](crate::Matrix) or a
 //! [`CsrMatrix`](crate::CsrMatrix) without knowing which backend holds
-//! the entries.
+//! the entries. Each product writes into a caller buffer, so a solver
+//! can hold its vectors for a whole solve; the allocating forms wrap the
+//! in-place ones.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -16,7 +18,8 @@ use stochastic_fpu::Fpu;
 /// Implementations must route every multiply and add through the given
 /// [`Fpu`] and preserve the workspace determinism contract: for a fixed
 /// operator and input, the FLOP sequence is fixed, so batched and scalar
-/// dispatch produce bit-identical results and fault streams.
+/// dispatch produce bit-identical results and fault streams. The output
+/// buffer's prior contents never reach the FPU.
 pub trait LinearOperator {
     /// Number of rows.
     fn rows(&self) -> usize;
@@ -24,21 +27,64 @@ pub trait LinearOperator {
     /// Number of columns.
     fn cols(&self) -> usize;
 
-    /// Computes `A x`.
+    /// Overwrites `y` with `A x`.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `x.len() != self.cols()`.
-    fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError>;
+    /// `x.len() != self.cols()` or `y.len() != self.rows()`.
+    fn matvec_into<F: Fpu>(&self, fpu: &mut F, x: &[f64], y: &mut [f64])
+        -> Result<(), LinalgError>;
 
-    /// Computes `Aᵀ y`, skipping rows whose coefficient `y[i]` is zero.
+    /// Overwrites `out` with `Aᵀ y`, skipping rows whose coefficient
+    /// `y[i]` is zero.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `y.len() != self.rows()`.
-    fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError>;
+    /// `y.len() != self.rows()` or `out.len() != self.cols()`.
+    fn matvec_t_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        y: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError>;
+
+    /// Computes `A x` into a new vector
+    /// ([`matvec_into`](Self::matvec_into)).
+    ///
+    /// # Errors
+    ///
+    /// As [`matvec_into`](Self::matvec_into).
+    fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut y = vec![0.0; self.rows()];
+        self.matvec_into(fpu, x, &mut y)?;
+        Ok(y)
+    }
+
+    /// Computes `Aᵀ y` into a new vector
+    /// ([`matvec_t_into`](Self::matvec_t_into)).
+    ///
+    /// # Errors
+    ///
+    /// As [`matvec_t_into`](Self::matvec_t_into).
+    fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut out = vec![0.0; self.cols()];
+        self.matvec_t_into(fpu, y, &mut out)?;
+        Ok(out)
+    }
+}
+
+/// Checks one product operand's length: `vector` for an input, `output`
+/// for the buffer a product overwrites.
+pub(crate) fn check_len(role: &str, expected: usize, v: &[f64]) -> Result<(), LinalgError> {
+    if v.len() == expected {
+        return Ok(());
+    }
+    Err(LinalgError::shape(
+        format!("{role} of length {expected}"),
+        format!("length {}", v.len()),
+    ))
 }
 
 impl LinearOperator for Matrix {
@@ -50,12 +96,22 @@ impl LinearOperator for Matrix {
         Matrix::cols(self)
     }
 
-    fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Matrix::matvec(self, fpu, x)
+    fn matvec_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        Matrix::matvec_into(self, fpu, x, y)
     }
 
-    fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Matrix::matvec_t(self, fpu, y)
+    fn matvec_t_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        y: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        Matrix::matvec_t_into(self, fpu, y, out)
     }
 }
 
@@ -79,5 +135,16 @@ mod tests {
             .matvec_t(&mut fpu, &[1.0, 0.0, 2.0])
             .expect("shapes match");
         assert_eq!(t_trait, t_direct);
+    }
+
+    #[test]
+    fn in_place_products_check_both_lengths() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[0.0, 1.0]]).expect("valid rows");
+        let mut fpu = ReliableFpu::new();
+        let mut short = [0.0; 2];
+        assert!(LinearOperator::matvec_into(&a, &mut fpu, &[1.0, 1.0], &mut short).is_err());
+        assert!(LinearOperator::matvec_t_into(&a, &mut fpu, &[1.0; 3], &mut [0.0; 3]).is_err());
+        assert!(LinearOperator::matvec_t_into(&a, &mut fpu, &[1.0; 2], &mut short).is_err());
+        assert_eq!(fpu.flops(), 0, "a refused product runs nothing");
     }
 }

@@ -1,9 +1,10 @@
 //! Compressed sparse row (CSR) matrices with batched, bit-deterministic
 //! SpMV/SpMTV.
 //!
-//! Structural operations (triplet assembly, dense round-trips) use native
-//! arithmetic: they move data without computing on it. The numerical products route every multiply
-//! and add through an [`Fpu`](stochastic_fpu::Fpu): the CSR kernels
+//! Structural operations (triplet assembly, validated row-ordered parts,
+//! dense round-trips) use native arithmetic: they move data without
+//! computing on it. The numerical products route every multiply and add
+//! through an [`Fpu`](stochastic_fpu::Fpu): the CSR kernels
 //! ([`Fpu::csr_matvec`](stochastic_fpu::Fpu::csr_matvec),
 //! [`Fpu::csr_matvec_t`](stochastic_fpu::Fpu::csr_matvec_t)) are the
 //! FPU's one kernel family that runs on its exact windows — so runs of
@@ -19,7 +20,7 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::operator::LinearOperator;
+use crate::operator::{check_len, LinearOperator};
 use std::fmt;
 use stochastic_fpu::Fpu;
 
@@ -125,18 +126,112 @@ impl CsrMatrix {
         })
     }
 
+    /// Takes a matrix already in compressed sparse row form: row `i`'s
+    /// entries are `col_idx[k]`, `vals[k]` for `k` in
+    /// `row_ptr[i]..row_ptr[i + 1]`. Nothing is copied or reordered, so
+    /// an assembler that produces rows in order pays for the matrix alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] (the kind
+    /// [`from_triplets`](Self::from_triplets) returns) if either dimension
+    /// is zero; unless `row_ptr` has `rows + 1` non-decreasing offsets from
+    /// `0` to `col_idx.len() == vals.len()`; or if a row's column indices
+    /// are not strictly increasing, a column index is out of bounds, or a
+    /// stored value is `0.0`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use robustify_linalg::CsrMatrix;
+    ///
+    /// # fn main() -> Result<(), robustify_linalg::LinalgError> {
+    /// // [2 0 1]
+    /// // [0 3 0]
+    /// let a = CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![2.0, 1.0, 3.0])?;
+    /// let b = CsrMatrix::from_triplets(2, 3, &[(0, 0, 2.0), (0, 2, 1.0), (1, 1, 3.0)])?;
+    /// assert_eq!(a, b);
+    /// assert!(CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![2, 0, 1], vec![1.0; 3]).is_err());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        vals: Vec<f64>,
+    ) -> Result<Self, LinalgError> {
+        if rows == 0 || cols == 0 {
+            return Err(LinalgError::shape(
+                "positive dimensions",
+                format!("{rows}x{cols}"),
+            ));
+        }
+        let nnz = vals.len();
+        if row_ptr.len() != rows + 1
+            || row_ptr[0] != 0
+            || row_ptr[rows] != nnz
+            || col_idx.len() != nnz
+        {
+            return Err(LinalgError::shape(
+                format!("{} row offsets from 0 to {nnz} entries", rows + 1),
+                format!(
+                    "{} offsets from {:?} to {:?} over {} column indices",
+                    row_ptr.len(),
+                    row_ptr.first(),
+                    row_ptr.last(),
+                    col_idx.len()
+                ),
+            ));
+        }
+        for (i, span) in row_ptr.windows(2).enumerate() {
+            let (start, end) = (span[0], span[1]);
+            if start > end || end > nnz {
+                return Err(LinalgError::shape(
+                    "non-decreasing row offsets",
+                    format!("row {i} spanning {start}..{end}"),
+                ));
+            }
+            let row_cols = &col_idx[start..end];
+            if row_cols.windows(2).any(|w| w[0] >= w[1]) || row_cols.last() >= Some(&cols) {
+                return Err(LinalgError::shape(
+                    format!("strictly increasing columns below {cols} in each row"),
+                    format!("row {i} with columns {row_cols:?}"),
+                ));
+            }
+            if let Some(k) = vals[start..end].iter().position(|&v| v == 0.0) {
+                return Err(LinalgError::shape(
+                    "nonzero stored values",
+                    format!("a stored zero at ({i}, {})", row_cols[k]),
+                ));
+            }
+        }
+        Ok(CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            vals,
+        })
+    }
+
     /// Compresses a dense matrix, keeping exactly its nonzero entries.
     pub fn from_dense(dense: &Matrix) -> Self {
-        let mut triplets = Vec::new();
+        let mut row_ptr = Vec::with_capacity(dense.rows() + 1);
+        let (mut col_idx, mut vals) = (Vec::new(), Vec::new());
+        row_ptr.push(0);
         for i in 0..dense.rows() {
             for (j, &v) in dense.row(i).iter().enumerate() {
                 if v != 0.0 {
-                    triplets.push((i, j, v));
+                    col_idx.push(j);
+                    vals.push(v);
                 }
             }
+            row_ptr.push(vals.len());
         }
-        Self::from_triplets(dense.rows(), dense.cols(), &triplets)
-            .expect("dense dimensions are positive and entries are in bounds")
+        Self::from_parts(dense.rows(), dense.cols(), row_ptr, col_idx, vals)
+            .expect("dense rows give sorted, in-bounds, nonzero entries")
     }
 
     /// Expands back to a dense [`Matrix`] (the round-trip inverse of
@@ -187,12 +282,30 @@ impl CsrMatrix {
         self.vals.iter().all(|v| v.is_finite())
     }
 
-    /// Sparse matrix–vector product `A x` through the FPU: one
+    /// Sparse matrix–vector product `A x` through the FPU
+    /// ([`matvec_into`](Self::matvec_into) into a new vector).
+    ///
+    /// # FLOP accounting
+    ///
+    /// As [`matvec_into`](Self::matvec_into).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if
+    /// `x.len() != self.cols()`.
+    pub fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut y = vec![0.0; self.rows];
+        self.matvec_into(fpu, x, &mut y)?;
+        Ok(y)
+    }
+
+    /// Overwrites `y` with `A x` through the FPU: one
     /// [`Fpu::csr_matvec`] call, whose per-row expansion is
     /// [`Fpu::gemv_row`]'s — `p = mul(a_ij, x_j); acc = add(acc, p)` per
     /// stored entry, in stored order (lane-split once a row reaches
     /// [`LANE_REDUCTION_MIN`](stochastic_fpu::LANE_REDUCTION_MIN)
-    /// entries) — with runs of whole rows on one fault-free window.
+    /// entries) — with runs of whole rows on one fault-free window. Every
+    /// row writes its `y` entry, so `y`'s prior contents never matter.
     ///
     /// # FLOP accounting
     ///
@@ -202,27 +315,44 @@ impl CsrMatrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `x.len() != self.cols()`.
-    pub fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::shape(
-                format!("vector of length {}", self.cols),
-                format!("length {}", x.len()),
-            ));
-        }
-        let mut y = vec![0.0; self.rows];
-        fpu.csr_matvec(&self.row_ptr, &self.col_idx, &self.vals, x, &mut y);
-        Ok(y)
+    /// `x.len() != self.cols()` or `y.len() != self.rows()`.
+    pub fn matvec_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        check_len("vector", self.cols, x)?;
+        check_len("output", self.rows, y)?;
+        fpu.csr_matvec(&self.row_ptr, &self.col_idx, &self.vals, x, y);
+        Ok(())
     }
 
-    /// Transposed sparse matrix–vector product `Aᵀ y` through the FPU:
-    /// one [`Fpu::csr_matvec_t`] call. Rows with `y[i] == 0.0` are skipped
-    /// entirely (the same zero-skip the dense [`Matrix::matvec_t`]
-    /// applies); every other row updates its output entries as
-    /// [`Fpu::gemv_t_row`] does — `p = mul(a_ij, y_i); out_j = add(out_j,
-    /// p)` per entry in stored order, matrix element first (the operand
-    /// order the operand-side fault models are sensitive to) — with runs
-    /// of whole rows on one fault-free window.
+    /// Transposed sparse matrix–vector product `Aᵀ y` through the FPU
+    /// ([`matvec_t_into`](Self::matvec_t_into) into a new vector).
+    ///
+    /// # FLOP accounting
+    ///
+    /// As [`matvec_t_into`](Self::matvec_t_into).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if
+    /// `y.len() != self.rows()`.
+    pub fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut out = vec![0.0; self.cols];
+        self.matvec_t_into(fpu, y, &mut out)?;
+        Ok(out)
+    }
+
+    /// Overwrites `out` with `Aᵀ y` through the FPU: `out` is zeroed, then
+    /// one [`Fpu::csr_matvec_t`] call accumulates into it. Rows with
+    /// `y[i] == 0.0` are skipped entirely (the same zero-skip the dense
+    /// [`Matrix::matvec_t`] applies); every other row updates its output
+    /// entries as [`Fpu::gemv_t_row`] does — `p = mul(a_ij, y_i); out_j =
+    /// add(out_j, p)` per entry in stored order, matrix element first (the
+    /// operand order the operand-side fault models are sensitive to) —
+    /// with runs of whole rows on one fault-free window.
     ///
     /// # FLOP accounting
     ///
@@ -232,17 +362,18 @@ impl CsrMatrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `y.len() != self.rows()`.
-    pub fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if y.len() != self.rows {
-            return Err(LinalgError::shape(
-                format!("vector of length {}", self.rows),
-                format!("length {}", y.len()),
-            ));
-        }
-        let mut out = vec![0.0; self.cols];
-        fpu.csr_matvec_t(&self.row_ptr, &self.col_idx, &self.vals, y, &mut out);
-        Ok(out)
+    /// `y.len() != self.rows()` or `out.len() != self.cols()`.
+    pub fn matvec_t_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        y: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        check_len("vector", self.rows, y)?;
+        check_len("output", self.cols, out)?;
+        out.fill(0.0);
+        fpu.csr_matvec_t(&self.row_ptr, &self.col_idx, &self.vals, y, out);
+        Ok(())
     }
 
     /// Maximum absolute difference to another sparse matrix over the dense
@@ -272,17 +403,27 @@ impl LinearOperator for CsrMatrix {
 
     /// # FLOP accounting
     ///
-    /// `2·nnz` FLOPs — delegates to [`CsrMatrix::matvec`].
-    fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        CsrMatrix::matvec(self, fpu, x)
+    /// `2·nnz` FLOPs — delegates to [`CsrMatrix::matvec_into`].
+    fn matvec_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        CsrMatrix::matvec_into(self, fpu, x, y)
     }
 
     /// # FLOP accounting
     ///
     /// `2·nnz` FLOPs over nonzero `y` rows — delegates to
-    /// [`CsrMatrix::matvec_t`].
-    fn matvec_t<F: Fpu>(&self, fpu: &mut F, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        CsrMatrix::matvec_t(self, fpu, y)
+    /// [`CsrMatrix::matvec_t_into`].
+    fn matvec_t_into<F: Fpu>(
+        &self,
+        fpu: &mut F,
+        y: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        CsrMatrix::matvec_t_into(self, fpu, y, out)
     }
 }
 
@@ -346,6 +487,51 @@ mod tests {
         assert!(CsrMatrix::from_triplets(2, 0, &[]).is_err());
         assert!(CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).is_err());
         assert!(CsrMatrix::from_triplets(2, 2, &[(0, 2, 1.0)]).is_err());
+    }
+
+    #[test]
+    fn parts_refuse_malformed_storage() {
+        let build = |row_ptr: &[usize], cols: &[usize], vals: &[f64]| {
+            CsrMatrix::from_parts(2, 3, row_ptr.to_vec(), cols.to_vec(), vals.to_vec())
+        };
+        let refused = [
+            ("unsorted columns", build(&[0, 2, 2], &[2, 0], &[1.0, 1.0])),
+            ("duplicate column", build(&[0, 2, 2], &[1, 1], &[1.0, 1.0])),
+            ("column out of range", build(&[0, 1, 1], &[3], &[1.0])),
+            ("explicit zero", build(&[0, 1, 2], &[0, 1], &[1.0, 0.0])),
+            ("short row_ptr", build(&[0, 1], &[0], &[1.0])),
+            ("long row_ptr", build(&[0, 1, 1, 1], &[0], &[1.0])),
+            ("row_ptr not from 0", build(&[1, 1, 1], &[0], &[1.0])),
+            ("decreasing row_ptr", build(&[0, 2, 1], &[0], &[1.0])),
+            ("row_ptr past the entries", build(&[0, 3, 1], &[0], &[1.0])),
+            (
+                "row_ptr short of the entries",
+                build(&[0, 1, 1], &[0, 1], &[1.0, 1.0]),
+            ),
+            (
+                "columns and values differ",
+                build(&[0, 1, 1], &[0, 1], &[1.0]),
+            ),
+            (
+                "zero rows",
+                CsrMatrix::from_parts(0, 3, vec![0], vec![], vec![]),
+            ),
+            (
+                "zero columns",
+                CsrMatrix::from_parts(1, 0, vec![0, 0], vec![], vec![]),
+            ),
+        ];
+        for (case, result) in refused {
+            assert!(
+                matches!(result, Err(LinalgError::DimensionMismatch { .. })),
+                "{case}: {result:?}"
+            );
+        }
+        let triplet_error = CsrMatrix::from_triplets(2, 3, &[(0, 3, 1.0)]).unwrap_err();
+        assert!(matches!(
+            triplet_error,
+            LinalgError::DimensionMismatch { .. }
+        ));
     }
 
     #[test]
