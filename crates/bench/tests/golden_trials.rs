@@ -319,3 +319,111 @@ fn qr_fingerprints_match_the_pinned_table() {
     let got = qr_fingerprints(&paper_registry());
     assert_pinned("GOLDEN_QR", &got, GOLDEN_QR);
 }
+
+/// `(workload, scenario, rate label, success, metric bits, flops, faults,
+/// FNV-1a of the `FaultStats` bit histogram, FNV-1a of the final masks)`.
+type MemoryFingerprint = (
+    &'static str,
+    &'static str,
+    &'static str,
+    bool,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+);
+
+/// The memory lane at the low end of the energy frontier (0.6 V and
+/// 0.65 V, 1e-1 and 1e-2 per FLOP), where damage piles up faster than
+/// it heals: the rows above stop at 0.7 V, where the `poisson2d` memory
+/// and transient rows still share one metric. Each row also pins the bit
+/// histogram and the storage the trial leaves behind.
+#[rustfmt::skip]
+const GOLDEN_MEMORY: &[MemoryFingerprint] = &[
+    ("poisson2d", "array_resident", "0.6V", false, 4607182418800017408, 8168994, 816426, 16954939591412690713, 10401698389600540949),
+    ("poisson2d", "array_resident", "0.65V", false, 4607182418800017408, 8171260, 81421, 17401415429608363311, 12424659342233891881),
+    ("poisson2d", "memory", "0.6V", false, 4607182418800017408, 8168642, 816389, 2142782340351080895, 5202125549254514236),
+    ("poisson2d", "memory", "0.65V", false, 4607182418800017408, 8171240, 81421, 17401415429608363311, 14071108147808429615),
+    ("poisson2d", "register_file", "0.6V", false, 4607182418800017408, 8171200, 816652, 13949064106758427430, 707716372534860311),
+    ("poisson2d", "register_file", "0.65V", false, 4607182418800017408, 8171520, 81423, 6597694535301304109, 2033948881421968236),
+    ("least_squares", "array_resident", "0.6V", true, 4581893255674106058, 332910, 33259, 9658041016346349389, 3262413747379274817),
+    ("least_squares", "array_resident", "0.65V", true, 4534887961793168917, 435660, 4294, 7522178074705603849, 1799639577788818976),
+    ("least_squares", "memory", "0.6V", true, 4577904651266377491, 349350, 34882, 10241321075146207073, 13869994699677522012),
+    ("least_squares", "memory", "0.65V", true, 4524484274812652533, 386340, 3818, 15147476465356902407, 9052592289448545061),
+    ("least_squares", "register_file", "0.6V", true, 4588488077085874843, 406890, 40634, 2796213088985729190, 11720727840370235308),
+    ("least_squares", "register_file", "0.65V", true, 4586138636524771103, 341130, 3375, 5377806687429334064, 8850953009073315924),
+    ("iir", "array_resident", "0.6V", true, 4572664343680205915, 953226, 95169, 14730529229273753652, 8893108182769776043),
+    ("iir", "array_resident", "0.65V", true, 4572951505316551928, 953226, 9466, 10153669122525018505, 13409027623275221613),
+    ("iir", "memory", "0.6V", true, 4572473600900429122, 953226, 95169, 14730529229273753652, 11900839071061654583),
+    ("iir", "memory", "0.65V", true, 4573136432151663989, 953226, 9466, 10153669122525018505, 9052592289448545061),
+    ("iir", "register_file", "0.6V", true, 4571919984965262995, 953226, 95169, 14730529229273753652, 14592087926483138036),
+    ("iir", "register_file", "0.65V", true, 4573316382420957166, 953226, 9466, 10153669122525018505, 4615741827399955027),
+    ("sorting", "array_resident", "0.6V", false, 4600877379321698714, 92513, 9302, 10181030786368554143, 9939128855088185289),
+    ("sorting", "array_resident", "0.65V", true, 0, 92890, 922, 4298313406665560895, 5331272441508112540),
+    ("sorting", "memory", "0.6V", false, 4600877379321698714, 91898, 9241, 9491975715623230482, 13498631854742954021),
+    ("sorting", "memory", "0.65V", true, 0, 93012, 924, 7068518863119410193, 9052592289448545061),
+    ("sorting", "register_file", "0.6V", false, 4605380978949069210, 67778, 6815, 11486798090286768242, 12371373428126060091),
+    ("sorting", "register_file", "0.65V", false, 4600877379321698714, 67234, 669, 5833199817292710748, 743926193792075806),
+];
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+fn memory_fingerprints(registry: &WorkloadRegistry) -> Vec<MemoryFingerprint> {
+    let scenarios = [
+        (
+            "array_resident",
+            FaultModelSpec::array_resident(4096, BitFaultModel::emulated(), 100_000),
+        ),
+        (
+            "memory",
+            FaultModelSpec::from_preset("memory").expect("shipped preset"),
+        ),
+        (
+            "register_file",
+            FaultModelSpec::register_file(32, BitFaultModel::emulated(), 10_000),
+        ),
+    ];
+    let voltages = VoltageErrorModel::paper_figure_5_2();
+    let mut out = Vec::new();
+    for workload in ["poisson2d", "least_squares", "iir", "sorting"] {
+        let (problem, solver) = (
+            instance(registry, workload),
+            budgeted_solver(registry, workload),
+        );
+        for (scenario, spec) in &scenarios {
+            for (rate_label, volts) in [("0.6V", 0.6), ("0.65V", 0.65)] {
+                let rate = voltages.fault_rate_at(volts);
+                let mut fpu = NoisyFpu::new(rate, spec.clone(), derive_trial_seed(SEED, 0));
+                let verdict = problem.run_trial_dyn(&solver, &mut fpu);
+                let masks = fpu.memory_state().map(|m| fnv1a(m.masks()));
+                out.push((
+                    workload,
+                    *scenario,
+                    rate_label,
+                    verdict.success,
+                    verdict.metric.to_bits(),
+                    fpu.flops(),
+                    fpu.faults(),
+                    fnv1a(fpu.stats().bit_histogram()),
+                    masks.expect("memory spec"),
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn memory_fingerprints_match_the_pinned_table() {
+    let got = memory_fingerprints(&paper_registry());
+    assert_pinned("GOLDEN_MEMORY", &got, GOLDEN_MEMORY);
+}
