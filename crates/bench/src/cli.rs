@@ -261,8 +261,8 @@ impl ExperimentOptions {
             );
         }
         eprintln!(
-            "[{} trials in {:.2?} on {} threads — {:.1} trials/s]",
-            run.result.total_trials(),
+            "[{} trials executed in {:.2?} on {} threads — {:.1} trials/s]",
+            run.trials_executed,
             run.elapsed,
             run.threads,
             run.throughput(),

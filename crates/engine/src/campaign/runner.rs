@@ -71,13 +71,14 @@ pub struct CampaignRun {
 }
 
 impl CampaignRun {
-    /// Trials per second of wall clock for this run.
+    /// Trials executed per second of wall clock for this run; trials
+    /// replayed from the cache do not count.
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             return f64::INFINITY;
         }
-        self.result.total_trials() as f64 / secs
+        self.trials_executed as f64 / secs
     }
 }
 
@@ -838,6 +839,7 @@ mod tests {
         let warm = run(&twins, &reg, Some(&cache), |_| {}).expect("warm run");
         assert_eq!(trials.load(Ordering::SeqCst), 0);
         assert_eq!((warm.cells_cached, warm.trials_executed), (6, 0));
+        assert_eq!(warm.throughput(), 0.0, "a replay executes no trials");
         assert_eq!(warm.result.to_csv(), cold.result.to_csv());
         assert_eq!(warm.result.to_json(), cold.result.to_json());
         let serial = run(&spec(&["first", "second"], 1), &reg, None, |_| {}).expect("serial");

@@ -890,19 +890,32 @@ impl NoisyFpu {
             batched: true,
         };
         fpu.next_strike = fpu.strike_from(0);
-        fpu.next_event = fpu.next_strike.min(step_end);
+        fpu.next_event = if fpu.memory.is_some() {
+            fpu.memory_horizon()
+        } else {
+            fpu.next_strike.min(step_end)
+        };
         fpu
     }
 
-    /// Detailed fault statistics.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
+    /// Detailed fault statistics as of the current FLOP.
+    pub fn stats(&self) -> FaultStats {
+        let mut stats = self.stats.clone();
+        if let Some(memory) = &self.memory {
+            memory.record_pending(self.flops, &mut stats);
+        }
+        stats
     }
 
     /// The shadow storage of a memory-persistent spec (`None` for
-    /// transient scenarios) — which slots currently hold corrupted bits.
-    pub fn memory_state(&self) -> Option<&MemoryFaultState> {
-        self.memory.as_ref()
+    /// transient scenarios) as of the current FLOP — which slots hold
+    /// corrupted bits after every op executed so far.
+    pub fn memory_state(&self) -> Option<MemoryFaultState> {
+        self.memory.as_ref().map(|memory| {
+            let mut settled = memory.clone();
+            settled.settle(self.flops, &mut FaultStats::default());
+            settled
+        })
     }
 
     /// Enables or disables the guaranteed-exact windows the CSR row runs
@@ -935,10 +948,13 @@ impl NoisyFpu {
 
     /// Runs the op at the event horizon, FLOP `self.flops`, then moves
     /// the horizon on: a DVFS step boundary first, then the strike's
-    /// next interval, the memory storage and the corruption, in that
-    /// order.
+    /// next interval and the corruption, in that order. Memory specs run
+    /// [`memory_event`](Self::memory_event) instead.
     #[inline(never)]
     fn event(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
+        if self.memory.is_some() {
+            return self.memory_event(op, a, b);
+        }
         let flop = self.flops;
         self.flops += 1;
         if flop == self.step_end {
@@ -955,41 +971,69 @@ impl NoisyFpu {
             self.interval_bound = interval_bound(model.fault_rate_at(step.voltage));
             self.next_strike = self.strike_from(flop);
         }
-        let strike = flop == self.next_strike;
-        if strike {
+        let value = if flop == self.next_strike {
             self.next_strike = self.strike_from(flop + 1);
-        }
-        let value = match &mut self.memory {
-            // Storage first (array-resident writes heal their word), then
-            // any new persistent damage: a fault installed at FLOP t is
-            // visible from FLOP t+1 on.
-            Some(memory) => {
-                let value = memory.execute(flop, op, a, b);
-                if strike {
-                    memory.install(&mut self.lfsr, &mut self.stats);
-                }
-                value
-            }
-            None if strike => {
-                let ctx = FaultCtx {
-                    op,
-                    a,
-                    b,
-                    exact: op.exact(a, b),
-                    flop,
-                };
-                self.spec.corrupt(&ctx, &mut self.lfsr, &mut self.stats)
-            }
-            None => op.exact(a, b),
+            let ctx = FaultCtx {
+                op,
+                a,
+                b,
+                exact: op.exact(a, b),
+                flop,
+            };
+            self.spec.corrupt(&ctx, &mut self.lfsr, &mut self.stats)
+        } else {
+            op.exact(a, b)
         };
-        let touch = self
-            .memory
-            .as_ref()
-            .map_or(u64::MAX, |memory| memory.next_touch(flop + 1));
-        self.next_event = self.next_strike.min(self.step_end).min(touch);
+        self.next_event = self.next_strike.min(self.step_end);
         value
     }
+
+    /// Runs the op at a memory spec's event horizon, FLOP `self.flops`,
+    /// one that reads or writes through damage: storage settles up to
+    /// it, the op runs through storage, and a strike landing on it draws
+    /// its next interval and then its damage (visible from the next op
+    /// on).
+    fn memory_event(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
+        let flop = self.flops;
+        self.flops += 1;
+        let memory = self.memory.as_mut().expect("a memory spec");
+        let value = memory.execute(flop, op, a, b, &mut self.stats);
+        if flop == self.next_strike {
+            // `strike_from(flop + 1)`, on the fields `memory` leaves free.
+            self.next_strike = flop + self.lfsr.uniform_1_to(self.interval_bound);
+            memory.strike(&mut self.lfsr, &mut self.stats);
+        }
+        self.next_event = self.memory_horizon();
+        value
+    }
+
+    /// A memory spec's event horizon from the settled FLOP on: the first
+    /// op that reads or writes through damage, either held in storage now
+    /// or installed by a strike before that op. Strikes draw no data, so
+    /// every strike before the horizon is drawn here, in the LFSR order
+    /// of a per-op run (its next interval, then its slot, then its bit),
+    /// and settles with the op at the horizon. Past [`MAX_DRAWN`] drawn
+    /// strikes whose damage heals unread, the horizon stops at the next
+    /// strike.
+    fn memory_horizon(&mut self) -> u64 {
+        let memory = self.memory.as_mut().expect("a memory spec");
+        let mut horizon = memory.next_touch();
+        let mut drawn = 0;
+        while self.next_strike < horizon {
+            if drawn == MAX_DRAWN {
+                return self.next_strike;
+            }
+            let strike = self.next_strike;
+            self.next_strike = strike + self.lfsr.uniform_1_to(self.interval_bound);
+            horizon = horizon.min(memory.install(strike, &mut self.lfsr));
+            drawn += 1;
+        }
+        horizon
+    }
 }
+
+/// The most strikes a memory spec draws ahead of its event horizon.
+const MAX_DRAWN: usize = 1024;
 
 impl Fpu for NoisyFpu {
     #[inline]
@@ -1007,12 +1051,16 @@ impl Fpu for NoisyFpu {
     }
 
     fn faults(&self) -> u64 {
-        self.stats.faults()
+        let pending = self
+            .memory
+            .as_ref()
+            .map_or(0, |memory| memory.pending_before(self.flops));
+        self.stats.faults() + pending
     }
 
-    /// Every op before the event horizon: the next strike, the next DVFS
-    /// step boundary, and (while memory storage is dirty) the next op that
-    /// reads or writes a corrupted slot or falls on a scrub boundary.
+    /// Every op before the event horizon: the next strike and the next
+    /// DVFS step boundary, or, under a memory spec, the next op that
+    /// reads or writes through damage.
     fn run_exact(&self, max: u64) -> u64 {
         if !self.batched {
             return 0;
@@ -1436,25 +1484,31 @@ mod tests {
         fpu.commit_exact(window + 1);
     }
 
-    /// The first op from FLOP `flop` on that reads or writes a corrupted
-    /// slot of `state` or falls on a scrub boundary, found by stepping op
-    /// by op through the documented routing; `None` while every slot is
-    /// clean.
-    fn first_touch(state: &MemoryFaultState, flop: u64) -> Option<u64> {
+    /// The first op from `fpu`'s current FLOP on whose result depends on
+    /// stored damage: an array-resident op reading a corrupted word, or
+    /// a register-file op writing through a corrupted register. Found by
+    /// stepping a copy op by op and reading each op's words from the
+    /// settled state before it (a scrub at the op clears them first).
+    fn first_touch(fpu: &NoisyFpu) -> u64 {
         use crate::memory::MemoryFaultKind;
-        let masks = state.masks();
-        if masks.iter().all(|&m| m == 0) {
-            return None;
-        }
-        let n = masks.len() as u64;
-        let scrub = state.model().scrub_interval();
-        let array = state.model().kind() == MemoryFaultKind::ArrayResident;
-        (flop..).find(|&f| {
+        let mut probe = fpu.clone();
+        loop {
+            let f = probe.flops();
+            let state = probe.memory_state().expect("memory spec");
+            let masks = state.masks();
+            let n = masks.len() as u64;
             let dirty = |word: u64| masks[(word % n) as usize] != 0;
-            dirty(f)
-                || (array && (dirty(2 * f) || dirty(2 * f + 1)))
-                || (scrub > 0 && f > 0 && f.is_multiple_of(scrub))
-        })
+            let scrub = state.model().scrub_interval();
+            let scrubbed = scrub > 0 && f > 0 && f.is_multiple_of(scrub);
+            let damaged = match state.model().kind() {
+                MemoryFaultKind::ArrayResident => dirty(2 * f) || dirty(2 * f + 1),
+                MemoryFaultKind::RegisterFile => dirty(f),
+            };
+            if damaged && !scrubbed {
+                return f;
+            }
+            probe.add(1.0, 1.0);
+        }
     }
 
     #[test]
@@ -1475,37 +1529,30 @@ mod tests {
                 let name = spec.name();
                 let mut fpu = NoisyFpu::new(rate, spec.clone(), seed);
                 let scrub = spec.memory_model().expect("memory spec").scrub_interval();
-                let (mut dirty_windows, mut wrapped, mut scrubs) = (0, false, 0);
+                let (mut dirty_windows, mut wrapped, mut scrubs, mut strikes) = (0, false, 0, 0);
                 for _ in 0..400 {
                     let flop = fpu.flops();
                     let window = fpu.run_exact(u64::MAX);
-                    // The strike schedule's share: the ops a per-op copy
-                    // runs before its next strike.
-                    let mut probe = fpu.clone();
-                    let faults = probe.faults();
-                    while probe.faults() == faults {
-                        probe.add(1.0, 1.0);
-                    }
-                    let to_strike = probe.flops() - flop - 1;
+                    // Strikes and scrubs end no window: only damage does.
+                    assert_eq!(
+                        window,
+                        first_touch(&fpu) - flop,
+                        "{name} seed {seed} at FLOP {flop}"
+                    );
                     let state = fpu.memory_state().expect("memory spec");
-                    let expected = match first_touch(state, flop) {
-                        Some(touch) => to_strike.min(touch - flop),
-                        None => to_strike,
-                    };
-                    assert_eq!(window, expected, "{name} seed {seed} at FLOP {flop}");
                     if state.corrupted_slots() > 0 && window > 0 {
                         dirty_windows += 1;
                         let n = state.masks().len() as u64;
                         wrapped |= flop % n + window >= n;
+                        let end = flop + window;
+                        if scrub > 0 && (flop + 1..end).any(|f| f.is_multiple_of(scrub)) {
+                            scrubs += 1;
+                        }
                     }
-                    if state.corrupted_slots() > 0
-                        && scrub > 0
-                        && (flop + window).is_multiple_of(scrub)
-                    {
-                        scrubs += 1;
-                    }
+                    let faults = fpu.faults();
                     fpu.commit_exact(window);
-                    // The op after the window: a touch, a scrub or a strike.
+                    strikes += usize::from(fpu.faults() > faults);
+                    // The op after the window reads or writes through damage.
                     fpu.add(1.0, 1.0);
                 }
                 assert!(
@@ -1518,8 +1565,9 @@ mod tests {
                 );
                 assert!(
                     scrub == 0 || scrubs > 0,
-                    "{name} seed {seed}: no dirty window met a scrub boundary"
+                    "{name} seed {seed}: no dirty window spanned a scrub boundary"
                 );
+                assert!(strikes > 20, "{name} seed {seed}: {strikes} windows struck");
             }
         }
 
@@ -1558,6 +1606,48 @@ mod tests {
         // Zero-rate constant specs are exact forever.
         let zero = NoisyFpu::new(FaultRate::ZERO, BitFaultModel::emulated(), 2);
         assert_eq!(zero.run_exact(u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn one_window_spans_a_dirty_overwrite_and_a_silent_strike() {
+        let spec = FaultModelSpec::array_resident(16, BitFaultModel::emulated(), 0);
+        let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.1), spec, 3);
+        // Step op by op to a window that overwrites a corrupted word and
+        // takes a strike, neither of which ends it any more.
+        let (window, before) = loop {
+            let flop = fpu.flops();
+            let window = fpu.run_exact(u64::MAX);
+            let masks = fpu.memory_state().expect("memory spec").masks().to_vec();
+            let overwrites = (flop..flop + window).any(|f| masks[(f % 16) as usize] != 0);
+            let mut probe = fpu.clone();
+            probe.commit_exact(window);
+            if overwrites && probe.faults() > fpu.faults() {
+                break (window, fpu.clone());
+            }
+            fpu.add(1.0, 1.0);
+            assert!(fpu.flops() < 100_000, "no such window");
+        };
+        let mut fast = before.clone();
+        fast.commit_exact(window);
+        let mut slow = before;
+        slow.set_batching(false);
+        for _ in 0..window {
+            slow.add(1.0, 1.0);
+        }
+        let masks = |fpu: &NoisyFpu| fpu.memory_state().expect("memory spec").masks().to_vec();
+        assert_eq!(masks(&fast), masks(&slow));
+        assert_eq!(fast.stats(), slow.stats());
+        assert_eq!(fast.faults(), slow.faults());
+        // Both run on identically: the op after the window reads damage.
+        let a: Vec<u64> = (0..256)
+            .map(|i| fast.mul(1.5, i as f64).to_bits())
+            .collect();
+        let b: Vec<u64> = (0..256)
+            .map(|i| slow.mul(1.5, i as f64).to_bits())
+            .collect();
+        assert_eq!(a, b);
+        assert_eq!(masks(&fast), masks(&slow));
+        assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]

@@ -189,12 +189,16 @@ impl JsonCodec for MemoryFaultModel {
 /// The mutable shadow state of one FPU executing under a
 /// [`MemoryFaultModel`]: an XOR mask per storage slot.
 ///
-/// Owned and driven by [`NoisyFpu`](crate::NoisyFpu); exposed read-only so
-/// tests and diagnostics can observe which slots are corrupted. A bitmap
-/// of the corrupted slots, kept by installs, heals and scrubs, tells the
-/// FPU the next op that touches one (`next_touch`): every op before it
-/// reads no corruption, writes none and heals nothing, so the FPU runs
-/// it exactly, and the state sees only that op and the strikes.
+/// Owned and driven by [`NoisyFpu`](crate::NoisyFpu), which hands out
+/// settled copies (see [`NoisyFpu::memory_state`](crate::NoisyFpu::memory_state))
+/// so tests and diagnostics can observe which slots are corrupted.
+///
+/// Storage changes without looking at data: strikes, overwrites and
+/// scrubs are a function of the LFSR and the FLOP index alone. So the
+/// state records the FLOP up to which its masks are settled, and the
+/// strikes drawn ahead of it, and applies everything in between in bulk,
+/// in FLOP order, when asked: at the next op whose result depends on
+/// stored damage (`next_touch`, `install`), or for an observer.
 #[derive(Debug, Clone)]
 pub struct MemoryFaultState {
     model: MemoryFaultModel,
@@ -203,6 +207,27 @@ pub struct MemoryFaultState {
     dirty: usize,
     /// Bit `s` is set iff `masks[s] != 0`.
     dirty_bits: Vec<u64>,
+    /// Every op before this FLOP has reached the masks.
+    settled: u64,
+    /// `settled` modulo the slot count: the slot op `settled` writes.
+    cursor: usize,
+    /// The first scrub boundary at or after `settled` (`u64::MAX` when
+    /// never scrubbed).
+    next_scrub: u64,
+    /// Strikes drawn but not yet applied, in FLOP order, all at or after
+    /// `settled`.
+    pending: Vec<Strike>,
+}
+
+/// A strike drawn ahead of the settled FLOP: after op `flop`, slot
+/// `slot` gains bit `bit`.
+#[derive(Debug, Clone, Copy)]
+struct Strike {
+    flop: u64,
+    slot: usize,
+    bit: usize,
+    /// `(flop + 1)` modulo the slot count.
+    next: usize,
 }
 
 impl MemoryFaultState {
@@ -210,11 +235,19 @@ impl MemoryFaultState {
     pub fn new(model: MemoryFaultModel) -> Self {
         let masks = vec![0; model.slots];
         let dirty_bits = vec![0; model.slots.div_ceil(64)];
+        let next_scrub = match model.scrub_interval {
+            0 => u64::MAX,
+            interval => interval,
+        };
         MemoryFaultState {
             model,
             masks,
             dirty: 0,
             dirty_bits,
+            settled: 0,
+            cursor: 0,
+            next_scrub,
+            pending: Vec::new(),
         }
     }
 
@@ -233,29 +266,186 @@ impl MemoryFaultState {
         self.dirty
     }
 
-    /// The first op at or after FLOP `flop` that reads or writes a
-    /// corrupted slot or falls on a scrub boundary; `u64::MAX` while
-    /// every slot is clean, where a scrub clears nothing.
+    /// Number of drawn strikes before FLOP `to` not yet applied.
+    pub(crate) fn pending_before(&self, to: u64) -> u64 {
+        self.pending.partition_point(|s| s.flop < to) as u64
+    }
+
+    /// Records the upsets of the drawn strikes before FLOP `to` not yet
+    /// applied into `stats`.
+    pub(crate) fn record_pending(&self, to: u64, stats: &mut FaultStats) {
+        let width = self.model.bits.width();
+        for strike in self.pending.iter().take_while(|s| s.flop < to) {
+            stats.record_fault(width, strike.bit);
+        }
+    }
+
+    /// `(slot + ops)` modulo the slot count, dividing only when `ops`
+    /// spans a whole pass.
+    fn slot_after(&self, slot: usize, ops: u64) -> usize {
+        let n = self.masks.len();
+        if ops < n as u64 {
+            let s = slot + ops as usize;
+            if s >= n {
+                s - n
+            } else {
+                s
+            }
+        } else {
+            ((slot as u64 + ops) % n as u64) as usize
+        }
+    }
+
+    /// The slot an array-resident operand `a` reads at the op that writes
+    /// `slot`: `2·slot` modulo the slot count.
+    fn read_slot(&self, slot: usize) -> usize {
+        let twice = 2 * slot;
+        if twice >= self.masks.len() {
+            twice - self.masks.len()
+        } else {
+            twice
+        }
+    }
+
+    /// The cyclic distance from slot `from` to slot `to`.
+    fn cyclic(&self, from: usize, to: usize) -> usize {
+        if to >= from {
+            to - from
+        } else {
+            to + self.masks.len() - from
+        }
+    }
+
+    /// Applies every op before FLOP `to` not yet applied, in FLOP order:
+    /// the last scrub boundary passed clears every mask, each
+    /// array-resident op overwrites (heals) its word, and each drawn
+    /// strike then flips its bit, recorded into `stats`.
+    pub(crate) fn settle(&mut self, to: u64, stats: &mut FaultStats) {
+        if to <= self.settled {
+            return;
+        }
+        if self.next_scrub < to {
+            // Only the ops from the last scrub boundary on reach the masks.
+            let interval = self.model.scrub_interval;
+            let last = (to - 1) / interval * interval;
+            self.clear(0, self.masks.len());
+            self.settled = last;
+            self.cursor = (last % self.masks.len() as u64) as usize;
+            self.next_scrub = last.saturating_add(interval);
+        }
+        let width = self.model.bits.width();
+        let mut applied = 0;
+        while let Some(&strike) = self.pending.get(applied).filter(|s| s.flop < to) {
+            stats.record_fault(width, strike.bit);
+            // A strike before the scrub boundary settled from is wiped.
+            if strike.flop >= self.settled {
+                self.advance(strike.flop + 1, strike.next);
+                self.flip(strike.slot, strike.bit);
+            }
+            applied += 1;
+        }
+        if to > self.settled {
+            let cursor = self.slot_after(self.cursor, to - self.settled);
+            self.advance(to, cursor);
+        }
+        self.pending.drain(..applied);
+    }
+
+    /// Moves `settled` on to FLOP `to` (whose slot is `cursor`) past ops
+    /// that neither strike nor scrub: array-resident ops overwrite their
+    /// words, register-file ops change nothing.
+    fn advance(&mut self, to: u64, cursor: usize) {
+        if self.model.kind == MemoryFaultKind::ArrayResident {
+            let ops = to - self.settled;
+            let n = self.masks.len();
+            if ops >= n as u64 {
+                self.clear(0, n);
+            } else if self.cursor + ops as usize <= n {
+                self.clear(self.cursor, self.cursor + ops as usize);
+            } else {
+                self.clear(self.cursor, n);
+                self.clear(0, cursor);
+            }
+        }
+        self.settled = to;
+        self.cursor = cursor;
+    }
+
+    /// Heals slots `lo..hi`, one dirty-bitmap word at a time.
+    fn clear(&mut self, lo: usize, hi: usize) {
+        let mut word = lo / 64;
+        while self.dirty > 0 && word * 64 < hi {
+            let mut range = u64::MAX;
+            if word == lo / 64 {
+                range &= u64::MAX << (lo % 64);
+            }
+            if hi < (word + 1) * 64 {
+                range &= (1 << (hi % 64)) - 1;
+            }
+            let mut bits = self.dirty_bits[word] & range;
+            self.dirty_bits[word] &= !bits;
+            while bits != 0 {
+                self.masks[word * 64 + bits.trailing_zeros() as usize] = 0;
+                self.dirty -= 1;
+                bits &= bits - 1;
+            }
+            word += 1;
+        }
+    }
+
+    /// Flips bit `bit` of slot `slot`'s mask.
+    fn flip(&mut self, slot: usize, bit: usize) {
+        if self.masks[slot] == 0 {
+            self.dirty += 1;
+            self.dirty_bits[slot / 64] |= 1 << (slot % 64);
+        }
+        self.masks[slot] |= 1u64 << bit;
+    }
+
+    /// The first op at or after the settled FLOP whose result depends on
+    /// the damage the masks hold now: an array-resident op that reads a
+    /// corrupted word before an op overwrites it, or a register-file op
+    /// that writes through a corrupted register; `u64::MAX` when there is
+    /// none before the next scrub. Damage from drawn strikes is not
+    /// counted here (see [`install`](Self::install)).
     ///
     /// Array-resident reads sweep words `2f` and `2f + 1` (two per FLOP),
     /// writes sweep word `f` (one per FLOP); the register file is touched
     /// by writes only. With `d` the cyclic distance from a sweep's start
-    /// to the next corrupted slot, the first read touch lies
-    /// `⌊d_read / 2⌋` ops on and the first write touch `d_write` ops on.
-    pub(crate) fn next_touch(&self, flop: u64) -> u64 {
+    /// to the next corrupted slot, the first read lies `⌊d / 2⌋` ops on
+    /// and the first write-through `d` ops on. From op `f`, with
+    /// `c = f mod n`, the `min(c, n − 1 − c)` words from `c` on are
+    /// overwritten before the read sweep reaches them, so the read search
+    /// skips that run.
+    pub(crate) fn next_touch(&self) -> u64 {
         if self.dirty == 0 {
             return u64::MAX;
         }
-        let n = self.masks.len() as u64;
-        let mut run = self.distance_to_dirty((flop % n) as usize);
-        if self.model.kind == MemoryFaultKind::ArrayResident {
-            let read = self.distance_to_dirty((flop % n * 2 % n) as usize) / 2;
-            run = run.min(read);
-        }
-        let touch = flop.saturating_add(run as u64);
-        match self.model.scrub_interval {
-            0 => touch,
-            interval => touch.min(flop.div_ceil(interval).max(1).saturating_mul(interval)),
+        let n = self.masks.len();
+        let c = self.cursor;
+        let ops = match self.model.kind {
+            MemoryFaultKind::RegisterFile => self.distance_to_dirty(c),
+            MemoryFaultKind::ArrayResident => {
+                let start = self.read_slot(c);
+                let shadow = c..c + c.min(n - 1 - c);
+                let mut distance = self.distance_to_dirty(start);
+                let word = self.slot_after(start, distance as u64);
+                if shadow.contains(&word) {
+                    // Resume past the run; a search that comes back
+                    // round to `start` found only overwritten words.
+                    distance += shadow.end - word + self.distance_to_dirty(shadow.end);
+                    if distance >= n {
+                        return u64::MAX;
+                    }
+                }
+                distance / 2
+            }
+        };
+        let touch = self.settled + ops as u64;
+        if touch < self.next_scrub {
+            touch
+        } else {
+            u64::MAX
         }
     }
 
@@ -271,64 +461,119 @@ impl MemoryFaultState {
             }
             bits = self.dirty_bits[word];
         }
-        let found = word * 64 + bits.trailing_zeros() as usize;
-        if found < start {
-            found + self.masks.len() - start
-        } else {
-            found - start
-        }
+        self.cyclic(start, word * 64 + bits.trailing_zeros() as usize)
     }
 
-    /// Executes FLOP `flop` through storage and returns its committed
-    /// result. A scrub boundary (a positive multiple of the scrub
-    /// interval) first clears every mask. Array-resident operands then
-    /// read words `2·flop` and `2·flop + 1` (mod words), with their
-    /// damage XORed in, and the result overwrites (and so heals) word
-    /// `flop`; a register-file result comes back with the damage of
-    /// register `flop` (mod registers) XORed in.
-    pub(crate) fn execute(&mut self, flop: u64, op: FlopOp, a: f64, b: f64) -> f64 {
-        let interval = self.model.scrub_interval;
-        if self.dirty > 0 && interval > 0 && flop > 0 && flop.is_multiple_of(interval) {
-            self.masks.fill(0);
-            self.dirty_bits.fill(0);
-            self.dirty = 0;
+    /// Runs FLOP `flop` through storage once every earlier op has been
+    /// applied, and returns its committed result. A scrub boundary (a
+    /// positive multiple of the scrub interval) first clears every mask.
+    /// Array-resident operands then read words `2·flop` and `2·flop + 1`
+    /// (mod words), with their damage XORed in, and the result
+    /// overwrites (and so heals) word `flop`; a register-file result
+    /// comes back with the damage of register `flop` (mod registers)
+    /// XORed in. The state is then settled to `flop + 1`; a strike on
+    /// the op lands with [`strike`](Self::strike).
+    pub(crate) fn execute(
+        &mut self,
+        flop: u64,
+        op: FlopOp,
+        a: f64,
+        b: f64,
+        stats: &mut FaultStats,
+    ) -> f64 {
+        self.settle(flop, stats);
+        if flop == self.next_scrub {
+            self.clear(0, self.masks.len());
+            self.next_scrub = flop.saturating_add(self.model.scrub_interval);
         }
-        if self.dirty == 0 {
-            return op.exact(a, b);
-        }
-        let n = self.masks.len() as u64;
-        let slot = (flop % n) as usize;
         let width = self.model.bits.width();
-        match self.model.kind {
+        let slot = self.cursor;
+        let value = match self.model.kind {
             MemoryFaultKind::RegisterFile => width.xor(op.exact(a, b), self.masks[slot]),
             MemoryFaultKind::ArrayResident => {
-                let word = |w: u64| self.masks[(w % n) as usize];
-                let a = width.xor(a, word(2 * flop));
-                let b = width.xor(b, word(2 * flop + 1));
-                if self.masks[slot] != 0 {
-                    self.masks[slot] = 0;
-                    self.dirty -= 1;
-                    self.dirty_bits[slot / 64] &= !(1 << (slot % 64));
-                }
-                op.exact(a, b)
+                let word = self.read_slot(slot);
+                let next = if word + 1 == self.masks.len() {
+                    0
+                } else {
+                    word + 1
+                };
+                let a = width.xor(a, self.masks[word]);
+                let value = op.exact(a, width.xor(b, self.masks[next]));
+                self.clear(slot, slot + 1);
+                value
             }
-        }
+        };
+        self.settled = flop + 1;
+        self.cursor = if slot + 1 == self.masks.len() {
+            0
+        } else {
+            slot + 1
+        };
+        value
     }
 
-    /// Installs one new persistent fault: a slot drawn uniformly from the
-    /// LFSR gains a flipped bit drawn from the model's distribution.
-    /// Records the upset into `stats`. Called by the FPU when its fault
-    /// schedule strikes; the damage is visible from the *next* access of
-    /// the slot on.
-    pub fn install(&mut self, lfsr: &mut Lfsr, stats: &mut FaultStats) {
-        let slot = (lfsr.uniform_1_to(self.model.slots as u64) - 1) as usize;
-        let bit = self.model.bits.sample_bit(lfsr);
-        if self.masks[slot] == 0 {
-            self.dirty += 1;
-            self.dirty_bits[slot / 64] |= 1 << (slot % 64);
-        }
-        self.masks[slot] |= 1u64 << bit;
+    /// Draws and applies the strike that lands on the op just run
+    /// through [`execute`](Self::execute): a slot drawn uniformly from
+    /// the LFSR gains a flipped bit drawn from the model's distribution,
+    /// recorded into `stats`. The damage is visible from the next op on.
+    pub(crate) fn strike(&mut self, lfsr: &mut Lfsr, stats: &mut FaultStats) {
+        let (slot, bit) = self.draw(lfsr);
+        self.flip(slot, bit);
         stats.record_fault(self.model.bits.width(), bit);
+    }
+
+    /// A strike's slot, drawn uniformly from the LFSR, then its flipped
+    /// bit, drawn from the model's distribution.
+    fn draw(&self, lfsr: &mut Lfsr) -> (usize, usize) {
+        let slot = (lfsr.uniform_1_to(self.model.slots as u64) - 1) as usize;
+        (slot, self.model.bits.sample_bit(lfsr))
+    }
+
+    /// Draws the strike the FPU's schedule lands on FLOP `flop` (at or
+    /// after the settled FLOP and every strike drawn before) as
+    /// [`strike`](Self::strike) does. The damage reaches the masks, and
+    /// the upset the fault statistics, with the [`settle`](Self::settle)
+    /// that passes `flop`; it is visible from op `flop + 1` on.
+    ///
+    /// Returns the first op that reads (array-resident) or writes through
+    /// (register file) the damage, `u64::MAX` when an overwrite or a
+    /// scrub heals it first.
+    pub(crate) fn install(&mut self, flop: u64, lfsr: &mut Lfsr) -> u64 {
+        let (slot, bit) = self.draw(lfsr);
+        let (from, cursor) = self
+            .pending
+            .last()
+            .map_or((self.settled, self.cursor), |s| (s.flop + 1, s.next));
+        let next = self.slot_after(cursor, flop + 1 - from);
+        self.pending.push(Strike {
+            flop,
+            slot,
+            bit,
+            next,
+        });
+        let write = self.cyclic(next, slot);
+        let ops = match self.model.kind {
+            MemoryFaultKind::RegisterFile => write,
+            MemoryFaultKind::ArrayResident => {
+                let read = self.cyclic(self.read_slot(next), slot) / 2;
+                if read > write {
+                    return u64::MAX;
+                }
+                read
+            }
+        };
+        let touch = flop + 1 + ops as u64;
+        let scrub = if self.next_scrub > flop {
+            self.next_scrub
+        } else {
+            let interval = self.model.scrub_interval;
+            (flop + 1).div_ceil(interval).saturating_mul(interval)
+        };
+        if touch < scrub {
+            touch
+        } else {
+            u64::MAX
+        }
     }
 }
 
@@ -355,12 +600,25 @@ mod tests {
         assert!(a.to_json().contains("\"kind\":\"array_resident\""));
     }
 
+    /// Runs FLOP `flop` through `state`, settling every op before it.
+    fn step(state: &mut MemoryFaultState, flop: u64, a: f64, b: f64) -> f64 {
+        state.execute(flop, FlopOp::Add, a, b, &mut FaultStats::default())
+    }
+
+    /// A state with one strike drawn from `lfsr()` after FLOP 0, settled
+    /// to FLOP 1.
+    fn struck(model: MemoryFaultModel) -> (MemoryFaultState, FaultStats) {
+        let mut state = MemoryFaultState::new(model);
+        let mut stats = FaultStats::default();
+        state.install(0, &mut lfsr());
+        state.settle(1, &mut stats);
+        (state, stats)
+    }
+
     #[test]
     fn register_file_damage_persists_across_writes() {
         let model = MemoryFaultModel::register_file(4, BitFaultModel::lsb_only(BitWidth::F64), 0);
-        let mut state = MemoryFaultState::new(model);
-        let mut stats = FaultStats::default();
-        state.install(&mut lfsr(), &mut stats);
+        let (mut state, stats) = struck(model);
         assert_eq!(stats.faults(), 1);
         assert_eq!(state.corrupted_slots(), 1);
         let damaged = state
@@ -370,11 +628,11 @@ mod tests {
             .expect("one slot");
         // Every write routed through the damaged register is corrupted —
         // on every pass, since rewrites do not heal latch damage.
-        for round in 0..8u64 {
+        for round in 1..9u64 {
             let flop = round * 4 + damaged as u64;
-            let out = state.execute(flop, FlopOp::Add, 1.0, 1.0);
+            let out = step(&mut state, flop, 1.0, 1.0);
             assert_ne!(out, 2.0, "round {round}: damaged latch must corrupt");
-            let healthy = state.execute(flop + 1, FlopOp::Add, 1.0, 1.0);
+            let healthy = step(&mut state, flop + 1, 1.0, 1.0);
             assert_eq!(healthy, 2.0, "neighbouring register is healthy");
         }
     }
@@ -382,36 +640,39 @@ mod tests {
     #[test]
     fn array_word_corrupts_reads_until_overwritten() {
         let model = MemoryFaultModel::array_resident(8, BitFaultModel::lsb_only(BitWidth::F64), 0);
-        let mut state = MemoryFaultState::new(model);
-        let mut stats = FaultStats::default();
-        state.install(&mut lfsr(), &mut stats);
+        let (mut state, _) = struck(model);
         let word = state
             .masks()
             .iter()
             .position(|&m| m != 0)
-            .expect("one word");
+            .expect("one word") as u64;
         // Operand `a` of flop f reads word 2f % 8 (even words), operand `b`
-        // reads (2f + 1) % 8 (odd words); flops f and f + 4 read the same
-        // words, and one of them writes another word than `word`.
-        let reading = [word / 2, word / 2 + 4]
-            .into_iter()
-            .find(|&f| f % 8 != word)
-            .expect("a reading flop that does not overwrite") as u64;
+        // reads (2f + 1) % 8 (odd words), and the op then writes word
+        // f % 8. Flops f and f + 4 read the same words; find a pair with
+        // no write of `word` from f up to f + 4.
+        let reads = |f: u64| (2 * f) % 8 == word || (2 * f + 1) % 8 == word;
+        let first = (1..)
+            .find(|&f| reads(f) && !(f..f + 4).any(|g| g % 8 == word))
+            .expect("two reads with no overwrite between");
         // The healthy operand is 0.0, so the sum is the operand read.
-        let (a, b) = if word % 2 == 0 {
+        let (a, b) = if word.is_multiple_of(2) {
             (1.5, 0.0)
         } else {
             (0.0, 2.5)
         };
-        let read = |state: &mut MemoryFaultState| state.execute(reading, FlopOp::Add, a, b);
-        let got = read(&mut state);
+        let got = step(&mut state, first, a, b);
         assert_ne!(got, a + b, "the read sees the flip");
-        // Still corrupted on a second read: persistence between ops.
-        assert_eq!(read(&mut state).to_bits(), got.to_bits());
-        // Overwriting the word (result write of flop ≡ word mod 8) heals.
-        state.execute(word as u64, FlopOp::Add, 0.0, 0.0);
+        // Still corrupted four ops on: persistence between ops.
+        assert_eq!(step(&mut state, first + 4, a, b).to_bits(), got.to_bits());
+        // The next write of the word (flop ≡ word mod 8) heals it.
+        let heal = (first + 5..).find(|f| f % 8 == word).expect("a write");
+        let after = (heal + 1..).find(|&f| reads(f)).expect("a read");
+        assert_eq!(
+            step(&mut state, after, a, b),
+            a + b,
+            "overwrite repairs the word"
+        );
         assert_eq!(state.corrupted_slots(), 0);
-        assert_eq!(read(&mut state), a + b, "overwrite repairs the word");
     }
 
     #[test]
@@ -420,19 +681,48 @@ mod tests {
         let mut state = MemoryFaultState::new(model);
         let mut stats = FaultStats::default();
         let mut rng = lfsr();
-        for _ in 0..3 {
-            state.install(&mut rng, &mut stats);
+        for flop in 0..3 {
+            state.install(flop, &mut rng);
         }
+        state.settle(3, &mut stats);
         assert!(state.corrupted_slots() > 0);
-        state.execute(99, FlopOp::Add, 1.0, 1.0);
+        step(&mut state, 99, 1.0, 1.0);
         assert!(state.corrupted_slots() > 0, "no scrub before the boundary");
-        state.execute(100, FlopOp::Add, 1.0, 1.0);
+        step(&mut state, 100, 1.0, 1.0);
         assert_eq!(state.corrupted_slots(), 0, "scrub boundary clears all");
         assert_eq!(
-            state.next_touch(101),
+            state.next_touch(),
             u64::MAX,
             "clean storage is never touched"
         );
+    }
+
+    /// The first op from FLOP `flop` on whose result depends on `masks`,
+    /// found by running the documented routing op by op: array-resident
+    /// op `f` reads words `2f` and `2f + 1`, then overwrites word `f`;
+    /// register-file op `f` writes through register `f`; a scrub
+    /// boundary clears everything first. `u64::MAX` when no op does.
+    fn first_damaged_access(model: &MemoryFaultModel, masks: &[u64], flop: u64) -> u64 {
+        let mut masks = masks.to_vec();
+        let n = masks.len() as u64;
+        let scrub = model.scrub_interval();
+        let slot = |f: u64| (f % n) as usize;
+        for f in flop..flop + 2 * n + 1 {
+            if scrub > 0 && f > 0 && f.is_multiple_of(scrub) {
+                return u64::MAX;
+            }
+            match model.kind() {
+                MemoryFaultKind::RegisterFile if masks[slot(f)] != 0 => return f,
+                MemoryFaultKind::ArrayResident => {
+                    if masks[slot(2 * f)] != 0 || masks[slot(2 * f + 1)] != 0 {
+                        return f;
+                    }
+                    masks[slot(f)] = 0;
+                }
+                MemoryFaultKind::RegisterFile => {}
+            }
+        }
+        u64::MAX
     }
 
     #[test]
@@ -440,34 +730,36 @@ mod tests {
         let bits = BitFaultModel::emulated();
         for model in [
             MemoryFaultModel::array_resident(7, bits.clone(), 13),
+            MemoryFaultModel::array_resident(8, bits.clone(), 0),
             MemoryFaultModel::array_resident(70, bits.clone(), 0),
+            MemoryFaultModel::array_resident(131, bits.clone(), 0),
             MemoryFaultModel::register_file(5, bits.clone(), 0),
             MemoryFaultModel::register_file(66, bits.clone(), 29),
         ] {
             let mut state = MemoryFaultState::new(model.clone());
             let mut rng = lfsr();
             let mut stats = FaultStats::default();
-            let n = model.slots() as u64;
-            let array = model.kind() == MemoryFaultKind::ArrayResident;
-            let scrub = model.scrub_interval();
-            for _ in 0..3 {
-                state.install(&mut rng, &mut stats);
-                let dirty = |slot: u64| state.masks()[(slot % n) as usize] != 0;
-                for flop in 0..200 {
-                    let expected = (flop..)
-                        .find(|&f| {
-                            dirty(f)
-                                || (array && (dirty(2 * f) || dirty(2 * f + 1)))
-                                || (scrub > 0 && f > 0 && f.is_multiple_of(scrub))
-                        })
-                        .expect("a dirty slot is touched within one pass");
-                    assert_eq!(
-                        state.next_touch(flop),
-                        expected,
-                        "{} at {flop}",
-                        model.name()
-                    );
+            let (mut touched, mut skipped) = (0, 0);
+            for flop in 0..400 {
+                state.settle(flop, &mut stats);
+                let expected = first_damaged_access(&model, state.masks(), flop);
+                assert_eq!(state.next_touch(), expected, "{} at {flop}", model.name());
+                touched += usize::from(expected != u64::MAX);
+                // A lone strike's damage, drawn on a clean copy.
+                let mut alone = MemoryFaultState::new(model.clone());
+                alone.settle(flop, &mut stats);
+                let touch = alone.install(flop, &mut rng.clone());
+                alone.settle(flop + 1, &mut stats);
+                let expected = first_damaged_access(&model, alone.masks(), flop + 1);
+                assert_eq!(touch, expected, "{} strike at {flop}", model.name());
+                skipped += usize::from(expected == u64::MAX);
+                if flop % 11 == 0 {
+                    state.install(flop, &mut rng);
                 }
+            }
+            assert!(touched > 25, "{}: {touched} touching states", model.name());
+            if model.kind() == MemoryFaultKind::ArrayResident {
+                assert!(skipped > 0, "{}: no strike healed unread", model.name());
             }
         }
     }

@@ -203,7 +203,8 @@ proptest! {
             fpu.memory_state().expect("memory spec").masks().to_vec();
         for flop in 0..500u64 {
             let _ = fpu.add(1.0 + flop as f64, 0.5);
-            let after = fpu.memory_state().expect("memory spec").masks();
+            let state = fpu.memory_state().expect("memory spec");
+            let after = state.masks();
             let mut installs = 0usize;
             for (w, (&b, &a)) in before.iter().zip(after).enumerate() {
                 let scrubbed =
@@ -253,12 +254,12 @@ proptest! {
 
     /// The memory state's O(1) dirty count survives any mix of per-op
     /// execution, batch kernels on granted windows and bare
-    /// `commit_exact` jumps, including scrub boundaries that fall inside
-    /// windows committed while the masks are clean. No granted window
-    /// covers an op that reads or writes a corrupted slot, or a scrub
-    /// boundary while a slot is corrupted. After every step the dirty
+    /// `commit_exact` jumps, including scrub boundaries, overwrites and
+    /// strikes inside windows. No granted window covers an op that reads
+    /// a corrupted word or writes through a corrupted register. After every step the dirty
     /// count equals a recount of the masks, and the next op runs any
-    /// scrub due at its boundary.
+    /// scrub due at its boundary. The windows' ops are checked one by one
+    /// against the settled state before each.
     #[test]
     fn memory_dirty_count_stays_in_sync_and_windows_skip_touches(
         seed in any::<u64>(),
@@ -293,13 +294,15 @@ proptest! {
                 }
                 _ => {
                     let window = fpu.run_exact(arg % 200);
-                    let state = fpu.memory_state().expect("memory spec");
                     let first = fpu.flops();
+                    let mut probe = fpu.clone();
                     for flop in first..first + window {
+                        let state = probe.memory_state().expect("memory spec");
                         prop_assert!(
-                            !touches(state, flop),
+                            !touches(&state, flop),
                             "the window from FLOP {} covers FLOP {}", first, flop
                         );
+                        probe.commit_exact(1);
                     }
                     fpu.commit_exact(window);
                 }
@@ -392,19 +395,21 @@ proptest! {
     }
 }
 
-/// Whether FLOP `flop` reads or writes a corrupted slot of `state`, or
-/// falls on a scrub boundary while a slot is corrupted: the ops a
-/// memory spec must run through `execute`. Array-resident ops read words
-/// `2·flop` and `2·flop + 1` and write word `flop`; register-file ops only
-/// write register `flop` (all modulo the slot count).
+/// Whether the result of FLOP `flop` depends on the damage `state` (the
+/// settled state before it) holds: the ops a memory spec must run
+/// through `execute`. Array-resident ops read words `2·flop` and
+/// `2·flop + 1`; register-file ops write through register `flop` (all
+/// modulo the slot count). A scrub boundary clears the damage first.
 fn touches(state: &MemoryFaultState, flop: u64) -> bool {
     let masks = state.masks();
     let n = masks.len() as u64;
     let dirty = |slot: u64| masks[(slot % n) as usize] != 0;
     let scrub = state.model().scrub_interval();
-    let array = state.model().kind() == MemoryFaultKind::ArrayResident;
-    let scrubs = scrub > 0 && flop > 0 && flop.is_multiple_of(scrub);
-    dirty(flop)
-        || (array && (dirty(2 * flop) || dirty(2 * flop + 1)))
-        || (scrubs && state.corrupted_slots() > 0)
+    if scrub > 0 && flop > 0 && flop.is_multiple_of(scrub) {
+        return false;
+    }
+    match state.model().kind() {
+        MemoryFaultKind::ArrayResident => dirty(2 * flop) || dirty(2 * flop + 1),
+        MemoryFaultKind::RegisterFile => dirty(flop),
+    }
 }
