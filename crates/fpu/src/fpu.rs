@@ -227,10 +227,9 @@ pub trait Fpu {
     }
 
     /// How many of the next `max` FLOPs are *guaranteed* to execute
-    /// exactly — no fault strike, no injector state change (a DVFS step
-    /// boundary, a read or write of a corrupted memory-persistent slot, a
-    /// scrub of corrupted slots) — so the CSR row runs may compute them
-    /// natively and account for them with
+    /// exactly — no fault strike, no DVFS step boundary, no read of or
+    /// write through damaged memory-persistent storage — so the CSR row
+    /// runs may compute them natively and account for them with
     /// [`commit_exact`](Self::commit_exact). `0` means "no guarantee; go
     /// through `execute`", always a correct answer. The window must stay
     /// valid until the next `execute`/`commit_exact` call on this FPU.
@@ -771,13 +770,19 @@ impl Fpu for ReliableFpu {
 ///
 /// Because the injector draws the *interval* to the next strike, every op
 /// between two scheduled events is exact. The FPU keeps one number, the
-/// FLOP index of the first op that is not guaranteed exact: the smallest
-/// of the next strike, the next DVFS step boundary and the next op that
-/// touches corrupted memory storage or falls on a scrub boundary while
-/// storage is dirty. Ops before it run exactly, through
+/// FLOP index of the first op that is not guaranteed exact: the smaller
+/// of the next strike and the next DVFS step boundary. Under a memory
+/// spec a strike changes only storage, and storage changes without
+/// looking at data, so the horizon is instead the first op that reads a
+/// damaged word (array-resident) or writes through a damaged register
+/// (register file), counting the damage of every strike before it; those
+/// strikes are drawn ahead, and they, overwrites and scrubs settle in
+/// bulk at that op. Ops before the horizon run exactly, through
 /// [`execute`](Fpu::execute) or in the CSR row runs'
 /// [`run_exact`](Fpu::run_exact) windows; the op at it runs the injector,
-/// which then moves the horizon on.
+/// which then moves the horizon on. [`faults`](Fpu::faults),
+/// [`stats`](Self::stats) and [`memory_state`](Self::memory_state)
+/// report the state as of the current FLOP either way.
 ///
 /// # Examples
 ///
@@ -817,7 +822,8 @@ pub struct NoisyFpu {
     /// FLOP index at which the DVFS step in force ends (`u64::MAX` for
     /// the last step and for every other spec).
     step_end: u64,
-    /// The event horizon: `min(next_strike, step_end, next memory touch)`.
+    /// The event horizon: `min(next_strike, step_end)`, or under a memory
+    /// spec the next op that reads or writes through damage.
     next_event: u64,
     flops: u64,
     stats: FaultStats,

@@ -39,11 +39,15 @@
 //! `t + 1` on, and stays until a scrub or (array-resident) an overwrite —
 //! the invariant the persistence proptests pin down.
 //!
-//! The FPU runs an op through the state only at its event horizon: the
-//! state names the next op that touches a corrupted slot or falls on a
-//! scrub boundary while a slot is corrupted
-//! (`MemoryFaultState::next_touch`), and every op before it has no
-//! memory effect, so it runs exactly.
+//! Storage changes without looking at data: strikes, overwrites and
+//! scrubs follow from the LFSR and the FLOP index alone. Only two kinds
+//! of op have a result that depends on stored damage — an array-resident
+//! op that reads a corrupted word, and a register-file op that writes
+//! through a corrupted register — so the FPU runs only those through the
+//! state (its event horizon). Every op before one runs exactly, and the
+//! storage effects of those ops (overwrites, scrubs, and the strikes the
+//! FPU draws ahead) settle in bulk, in FLOP order, when the next such op
+//! arrives or an observer asks.
 
 use crate::fault::{BitFaultModel, FaultStats};
 use crate::fpu::FlopOp;
