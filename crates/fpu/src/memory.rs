@@ -202,7 +202,8 @@ impl JsonCodec for MemoryFaultModel {
 /// state records the FLOP up to which its masks are settled, and the
 /// strikes drawn ahead of it, and applies everything in between in bulk,
 /// in FLOP order, when asked: at the next op whose result depends on
-/// stored damage (`next_touch`, `install`), or for an observer.
+/// stored damage (the first of `next_touch` and every drawn strike's
+/// `install` answer), or for an observer.
 #[derive(Debug, Clone)]
 pub struct MemoryFaultState {
     model: MemoryFaultModel,
@@ -496,23 +497,14 @@ impl MemoryFaultState {
             MemoryFaultKind::RegisterFile => width.xor(op.exact(a, b), self.masks[slot]),
             MemoryFaultKind::ArrayResident => {
                 let word = self.read_slot(slot);
-                let next = if word + 1 == self.masks.len() {
-                    0
-                } else {
-                    word + 1
-                };
                 let a = width.xor(a, self.masks[word]);
-                let value = op.exact(a, width.xor(b, self.masks[next]));
+                let b = width.xor(b, self.masks[self.slot_after(word, 1)]);
                 self.clear(slot, slot + 1);
-                value
+                op.exact(a, b)
             }
         };
         self.settled = flop + 1;
-        self.cursor = if slot + 1 == self.masks.len() {
-            0
-        } else {
-            slot + 1
-        };
+        self.cursor = self.slot_after(slot, 1);
         value
     }
 
