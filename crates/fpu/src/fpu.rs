@@ -1091,6 +1091,7 @@ impl Fpu for NoisyFpu {
 mod tests {
     use super::*;
     use crate::fault::{BitFaultModel, BitWidth, CANONICAL_NAN};
+    use crate::memory::MemoryFaultModel;
 
     #[test]
     fn reliable_fpu_is_exact() {
@@ -1654,6 +1655,125 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(masks(&fast), masks(&slow));
         assert_eq!(fast.stats(), slow.stats());
+    }
+
+    /// A memory spec run op by op from its documented semantics: a scrub
+    /// boundary clears every mask, the op reads (array-resident) or
+    /// writes through (register file) storage, an array-resident result
+    /// overwrites its word, and a strike on the op draws its next
+    /// interval, then its slot, then its bit.
+    struct MemoryReference {
+        model: MemoryFaultModel,
+        lfsr: Lfsr,
+        bound: u64,
+        next_strike: u64,
+        masks: Vec<u64>,
+        stats: FaultStats,
+        flop: u64,
+    }
+
+    impl MemoryReference {
+        fn new(rate: FaultRate, model: MemoryFaultModel, seed: u64) -> Self {
+            let mut lfsr = Lfsr::new(seed);
+            let bound = interval_bound(rate);
+            let next_strike = lfsr.uniform_1_to(bound) - 1;
+            let masks = vec![0; model.slots()];
+            MemoryReference {
+                model,
+                lfsr,
+                bound,
+                next_strike,
+                masks,
+                stats: FaultStats::default(),
+                flop: 0,
+            }
+        }
+
+        fn add(&mut self, a: f64, b: f64) -> f64 {
+            use crate::memory::MemoryFaultKind;
+            let f = self.flop;
+            self.flop += 1;
+            let scrub = self.model.scrub_interval();
+            if scrub > 0 && f > 0 && f.is_multiple_of(scrub) {
+                self.masks.fill(0);
+            }
+            let n = self.masks.len() as u64;
+            let slot = |word: u64| (word % n) as usize;
+            let width = self.model.bits().width();
+            let value = match self.model.kind() {
+                MemoryFaultKind::RegisterFile => width.xor(a + b, self.masks[slot(f)]),
+                MemoryFaultKind::ArrayResident => {
+                    let a = width.xor(a, self.masks[slot(2 * f)]);
+                    let b = width.xor(b, self.masks[slot(2 * f + 1)]);
+                    self.masks[slot(f)] = 0;
+                    a + b
+                }
+            };
+            if f == self.next_strike {
+                self.next_strike = f + self.lfsr.uniform_1_to(self.bound);
+                let struck = self.lfsr.uniform_1_to(n) - 1;
+                let bit = self.model.bits().sample_bit(&mut self.lfsr);
+                self.masks[struck as usize] |= 1 << bit;
+                self.stats.record_fault(width, bit);
+            }
+            value
+        }
+    }
+
+    #[test]
+    fn strikes_that_heal_unread_stop_the_horizon_after_max_drawn() {
+        let bits = BitFaultModel::emulated();
+        let rate = FaultRate::per_flop(0.5);
+        let models = [
+            // A scrub at every op: no damage is ever read.
+            MemoryFaultModel::register_file(8, bits.clone(), 1),
+            MemoryFaultModel::array_resident(16, bits.clone(), 1),
+            // Some damage read, most healed first.
+            MemoryFaultModel::array_resident(7, bits.clone(), 3),
+            MemoryFaultModel::register_file(5, bits.clone(), 2),
+        ];
+        for model in models {
+            let name = model.name();
+            let spec = FaultModelSpec::Memory {
+                model: model.clone(),
+            };
+            let mut reference = MemoryReference::new(rate, model.clone(), 5);
+            let mut fast = NoisyFpu::new(rate, spec, 5);
+            let mut slow = fast.clone();
+            slow.set_batching(false);
+            let masks = |fpu: &NoisyFpu| fpu.memory_state().expect("memory spec").masks().to_vec();
+            let mut capped = 0;
+            while fast.flops() < 20_000 {
+                let window = fast.run_exact(u64::MAX);
+                // The cap is the only bound on a spec whose damage heals
+                // unread: at 0.5 strikes fall 1 to 3 ops apart, and the
+                // horizon stops at the strike after the last one drawn.
+                if model.scrub_interval() == 1 {
+                    assert!(window <= 3 * (MAX_DRAWN as u64 + 1), "{name}: {window}");
+                }
+                capped += usize::from(window > 64);
+                let window = window.min(20_000 - fast.flops());
+                fast.commit_exact(window);
+                for _ in 0..window {
+                    slow.add(1.0, 1.0);
+                    reference.add(1.0, 1.0);
+                }
+                let (a, b) = (1.5 + window as f64, 0.25);
+                let want = reference.add(a, b).to_bits();
+                assert_eq!(fast.add(a, b).to_bits(), want, "{name}");
+                assert_eq!(slow.add(a, b).to_bits(), want, "{name}");
+                for fpu in [&fast, &slow] {
+                    assert_eq!(fpu.flops(), reference.flop, "{name}");
+                    assert_eq!(fpu.stats(), reference.stats, "{name}");
+                    assert_eq!(fpu.faults(), reference.stats.faults(), "{name}");
+                    assert_eq!(masks(fpu), reference.masks, "{name}");
+                }
+            }
+            assert!(reference.stats.faults() > 9_000, "{name}");
+            if model.scrub_interval() == 1 {
+                assert!(capped >= 8, "{name}: {capped} capped windows");
+            }
+        }
     }
 
     #[test]
