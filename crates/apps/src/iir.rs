@@ -84,11 +84,6 @@ impl IirFilter {
         Self::new(a, b).expect("constructed taps are finite with b0 = 1")
     }
 
-    /// Numerator taps.
-    pub fn numerator(&self) -> &[f64] {
-        &self.a
-    }
-
     /// Denominator taps.
     pub fn denominator(&self) -> &[f64] {
         &self.b

@@ -21,7 +21,7 @@ use stochastic_fpu::{
 };
 
 /// The `TRIAL_BITS_VERSION` the table below was captured under.
-const PINNED_VERSION: u32 = 3;
+const PINNED_VERSION: u32 = 4;
 
 /// Base seed of every fingerprinted trial.
 const SEED: u64 = 1;
@@ -30,16 +30,17 @@ const SEED: u64 = 1;
 type Fingerprint<'a> = (&'a str, &'static str, &'static str, bool, u64, u64, u64);
 
 /// Recaptured when every fault began to flip from the canonical NaN
-/// (`TRIAL_BITS_VERSION` 2), and unchanged when DVFS strikes moved onto
-/// the interval schedule (3); one table pins debug and release builds.
+/// (`TRIAL_BITS_VERSION` 2), unchanged when DVFS strikes moved onto the
+/// interval schedule (3), and recaptured when every product reduction
+/// became one chain (4); one table pins debug and release builds.
 #[rustfmt::skip]
 const GOLDEN: &[Fingerprint<'static>] = &[
-    ("apsp", "transient", "rate0", false, 4599443747266848694, 3125243, 0),
-    ("apsp", "transient", "0.7V", false, 4599522403323254243, 3125073, 3150),
-    ("apsp", "register_file", "rate0", false, 4599443747266848694, 3125243, 0),
-    ("apsp", "register_file", "0.7V", false, 4599580879021144773, 3125563, 3149),
-    ("apsp", "array_resident", "rate0", false, 4599443747266848694, 3125243, 0),
-    ("apsp", "array_resident", "0.7V", false, 4599436186777218961, 3124993, 3148),
+    ("apsp", "transient", "rate0", false, 4599443747266848694, 2818043, 0),
+    ("apsp", "transient", "0.7V", false, 4599478614344043911, 2817868, 2829),
+    ("apsp", "register_file", "rate0", false, 4599443747266848694, 2818043, 0),
+    ("apsp", "register_file", "0.7V", false, 4600195088986625879, 2818088, 2829),
+    ("apsp", "array_resident", "rate0", false, 4599443747266848694, 2818043, 0),
+    ("apsp", "array_resident", "0.7V", false, 4599569313686211885, 2817683, 2829),
     ("doubly_stochastic", "transient", "rate0", true, 0, 19591, 0),
     ("doubly_stochastic", "transient", "0.7V", true, 0, 19543, 22),
     ("doubly_stochastic", "register_file", "rate0", true, 0, 19591, 0),
@@ -53,23 +54,23 @@ const GOLDEN: &[Fingerprint<'static>] = &[
     ("eigen", "array_resident", "rate0", true, 4575673731685243846, 34000, 0),
     ("eigen", "array_resident", "0.7V", true, 4575910290184009385, 34000, 38),
     ("iir", "transient", "rate0", true, 4355577799731715521, 953226, 0),
-    ("iir", "transient", "0.7V", true, 4565665825192436476, 953226, 962),
+    ("iir", "transient", "0.7V", true, 4565665825192436450, 953226, 962),
     ("iir", "register_file", "rate0", true, 4355577799731715521, 953226, 0),
-    ("iir", "register_file", "0.7V", true, 4574589537526714230, 953226, 946),
+    ("iir", "register_file", "0.7V", true, 4574589537526714234, 953226, 946),
     ("iir", "array_resident", "rate0", true, 4355577799731715521, 953226, 0),
     ("iir", "array_resident", "0.7V", true, 4572296347282911544, 953226, 946),
     ("least_squares", "transient", "rate0", true, 4487265902613432588, 287700, 0),
-    ("least_squares", "transient", "0.7V", true, 4524032817241540315, 283590, 291),
+    ("least_squares", "transient", "0.7V", true, 4524032817241942188, 283590, 291),
     ("least_squares", "register_file", "rate0", true, 4487265902613432588, 287700, 0),
     ("least_squares", "register_file", "0.7V", true, 4548819229017164081, 521970, 531),
     ("least_squares", "array_resident", "rate0", true, 4487265902613432588, 287700, 0),
     ("least_squares", "array_resident", "0.7V", true, 4510116502148083854, 295920, 305),
-    ("least_squares_ill", "transient", "rate0", true, 4584086694269057259, 1027500, 0),
-    ("least_squares_ill", "transient", "0.7V", true, 4584939791967254730, 1027500, 1036),
-    ("least_squares_ill", "register_file", "rate0", true, 4584086694269057259, 1027500, 0),
-    ("least_squares_ill", "register_file", "0.7V", true, 4586363132670555243, 1027500, 1025),
-    ("least_squares_ill", "array_resident", "rate0", true, 4584086694269057259, 1027500, 0),
-    ("least_squares_ill", "array_resident", "0.7V", true, 4584844725254547008, 1027500, 1025),
+    ("least_squares_ill", "transient", "rate0", true, 4583979723238418947, 1027500, 0),
+    ("least_squares_ill", "transient", "0.7V", true, 4584939791967255191, 1027500, 1036),
+    ("least_squares_ill", "register_file", "rate0", true, 4583979723238418947, 1027500, 0),
+    ("least_squares_ill", "register_file", "0.7V", true, 4586363132671521982, 1027500, 1025),
+    ("least_squares_ill", "array_resident", "rate0", true, 4583979723238418947, 1027500, 0),
+    ("least_squares_ill", "array_resident", "0.7V", true, 4584844725254547232, 1027500, 1025),
     ("matching", "transient", "rate0", true, 0, 76873, 0),
     ("matching", "transient", "0.7V", true, 0, 76800, 82),
     ("matching", "register_file", "rate0", true, 0, 76873, 0),
@@ -82,11 +83,11 @@ const GOLDEN: &[Fingerprint<'static>] = &[
     ("maxflow", "register_file", "0.7V", false, 4600917263461514687, 459518, 467),
     ("maxflow", "array_resident", "rate0", false, 4599629116647983396, 459086, 0),
     ("maxflow", "array_resident", "0.7V", false, 4599856254798017293, 459203, 466),
-    ("poisson2d", "transient", "rate0", false, 4602215200198876685, 6128640, 0),
+    ("poisson2d", "transient", "rate0", false, 4602215200198876683, 6128640, 0),
     ("poisson2d", "transient", "0.7V", false, 4607182418800017408, 8171520, 8173),
-    ("poisson2d", "register_file", "rate0", false, 4602215200198876685, 6128640, 0),
+    ("poisson2d", "register_file", "rate0", false, 4602215200198876683, 6128640, 0),
     ("poisson2d", "register_file", "0.7V", false, 4607182418800017408, 8171520, 8147),
-    ("poisson2d", "array_resident", "rate0", false, 4602215200198876685, 6128640, 0),
+    ("poisson2d", "array_resident", "rate0", false, 4602215200198876683, 6128640, 0),
     ("poisson2d", "array_resident", "0.7V", false, 4607182418800017408, 8171520, 8147),
     ("sorting", "transient", "rate0", true, 0, 92870, 0),
     ("sorting", "transient", "0.7V", true, 0, 92937, 97),
@@ -201,16 +202,16 @@ type BitModelFingerprint = (&'static str, &'static str, bool, u64, u64, u64);
 /// Recaptured with the table above.
 #[rustfmt::skip]
 const GOLDEN_BIT_MODELS: &[BitModelFingerprint] = &[
-    ("emulated", "f64", true, 4572266306774736771, 300030, 14974),
-    ("emulated", "f32", true, 4577077480897717882, 484980, 24242),
+    ("emulated", "f64", true, 4572266306774736967, 300030, 14974),
+    ("emulated", "f32", true, 4577077480897717784, 484980, 24242),
     ("exponent_heavy", "f64", true, 4587256850487439173, 406890, 20332),
     ("exponent_heavy", "f32", true, 4587160108196521509, 341130, 17026),
-    ("uniform", "f64", true, 4587288263336725098, 427440, 21375),
-    ("uniform", "f32", true, 4588184971177358802, 361680, 18057),
+    ("uniform", "f64", true, 4587288263336725147, 427440, 21375),
+    ("uniform", "f32", true, 4588184971177358827, 361680, 18057),
     ("msb_only", "f64", true, 4588258357535655029, 406890, 20332),
     ("msb_only", "f32", true, 4589727512304510642, 374010, 18683),
-    ("lsb_only", "f64", true, 4487265905905578072, 287700, 14365),
-    ("lsb_only", "f32", true, 4487450450001353915, 287700, 14365),
+    ("lsb_only", "f64", true, 4487265906008457619, 287700, 14365),
+    ("lsb_only", "f32", true, 4487450450104233462, 287700, 14365),
 ];
 
 /// One `least_squares` trial under `solver` at 5% of FLOPs per
@@ -270,7 +271,7 @@ fn bit_model_fingerprints_match_the_pinned_table() {
 #[rustfmt::skip]
 const GOLDEN_SPECS: &[BitModelFingerprint] = &[
     ("stuck1_bit52", "f64", true, 4579627266182891158, 349350, 8414),
-    ("dvfs", "f64", true, 4541535172642345296, 402780, 3949),
+    ("dvfs", "f64", true, 4541535172642320179, 402780, 3949),
 ];
 
 fn spec_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
@@ -298,8 +299,8 @@ fn spec_fingerprints_match_the_pinned_table() {
 /// baseline's error values.
 #[rustfmt::skip]
 const GOLDEN_QR: &[BitModelFingerprint] = &[
-    ("emulated", "f64", false, 9218868437227405312, 65840, 3266),
-    ("memory", "f64", false, 9218868437227405312, 67940, 3348),
+    ("emulated", "f64", false, 9218868437227405312, 65600, 3252),
+    ("memory", "f64", false, 9218868437227405312, 67700, 3335),
 ];
 
 fn qr_fingerprints(registry: &WorkloadRegistry) -> Vec<BitModelFingerprint> {
@@ -348,17 +349,17 @@ const GOLDEN_MEMORY: &[MemoryFingerprint] = &[
     ("poisson2d", "register_file", "0.6V", false, 4607182418800017408, 8171200, 816652, 13949064106758427430, 707716372534860311),
     ("poisson2d", "register_file", "0.65V", false, 4607182418800017408, 8171520, 81423, 6597694535301304109, 2033948881421968236),
     ("least_squares", "array_resident", "0.6V", true, 4581893255674106058, 332910, 33259, 9658041016346349389, 3262413747379274817),
-    ("least_squares", "array_resident", "0.65V", true, 4534887961793168917, 435660, 4294, 7522178074705603849, 1799639577788818976),
+    ("least_squares", "array_resident", "0.65V", true, 4534887961793068449, 435660, 4294, 7522178074705603849, 1799639577788818976),
     ("least_squares", "memory", "0.6V", true, 4577904651266377491, 349350, 34882, 10241321075146207073, 13869994699677522012),
     ("least_squares", "memory", "0.65V", true, 4524484274812652533, 386340, 3818, 15147476465356902407, 9052592289448545061),
-    ("least_squares", "register_file", "0.6V", true, 4588488077085874843, 406890, 40634, 2796213088985729190, 11720727840370235308),
-    ("least_squares", "register_file", "0.65V", true, 4586138636524771103, 341130, 3375, 5377806687429334064, 8850953009073315924),
+    ("least_squares", "register_file", "0.6V", true, 4588488077085874819, 406890, 40634, 2796213088985729190, 11720727840370235308),
+    ("least_squares", "register_file", "0.65V", true, 4586138636524771127, 341130, 3375, 5377806687429334064, 8850953009073315924),
     ("iir", "array_resident", "0.6V", true, 4572664343680205915, 953226, 95169, 14730529229273753652, 8893108182769776043),
-    ("iir", "array_resident", "0.65V", true, 4572951505316551928, 953226, 9466, 10153669122525018505, 13409027623275221613),
+    ("iir", "array_resident", "0.65V", true, 4572951505316551930, 953226, 9466, 10153669122525018505, 13409027623275221613),
     ("iir", "memory", "0.6V", true, 4572473600900429122, 953226, 95169, 14730529229273753652, 11900839071061654583),
-    ("iir", "memory", "0.65V", true, 4573136432151663989, 953226, 9466, 10153669122525018505, 9052592289448545061),
+    ("iir", "memory", "0.65V", true, 4573136432151663992, 953226, 9466, 10153669122525018505, 9052592289448545061),
     ("iir", "register_file", "0.6V", true, 4571919984965262995, 953226, 95169, 14730529229273753652, 14592087926483138036),
-    ("iir", "register_file", "0.65V", true, 4573316382420957166, 953226, 9466, 10153669122525018505, 4615741827399955027),
+    ("iir", "register_file", "0.65V", true, 4573316382420957168, 953226, 9466, 10153669122525018505, 4615741827399955027),
     ("sorting", "array_resident", "0.6V", false, 4600877379321698714, 92513, 9302, 10181030786368554143, 9939128855088185289),
     ("sorting", "array_resident", "0.65V", true, 0, 92890, 922, 4298313406665560895, 5331272441508112540),
     ("sorting", "memory", "0.6V", false, 4600877379321698714, 91898, 9241, 9491975715623230482, 13498631854742954021),

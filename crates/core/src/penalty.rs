@@ -227,19 +227,6 @@ impl<C: CostFunction> PenaltyCost<C> {
         self.mu
     }
 
-    /// Replaces the penalty parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mu` is not positive and finite.
-    pub fn set_mu(&mut self, mu: f64) {
-        assert!(
-            mu > 0.0 && mu.is_finite(),
-            "penalty parameter must be positive, got {mu}"
-        );
-        self.mu = mu;
-    }
-
     /// The penalty form in use.
     pub fn kind(&self) -> PenaltyKind {
         self.kind
@@ -276,11 +263,6 @@ impl<C: CostFunction> PenaltyCost<C> {
             total += x.iter().map(|&v| (-v).max(0.0)).sum::<f64>();
         }
         total
-    }
-
-    /// Whether `x` satisfies every constraint within `tol`.
-    pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
-        self.violation(x) <= tol
     }
 
     fn penalty_value<F: Fpu>(&self, violation: f64, fpu: &mut F) -> f64 {
@@ -410,7 +392,7 @@ mod tests {
             let mut fpu = ReliableFpu::new();
             // x = (0.5, 0.5) is feasible; cost should be exactly cᵀx = -1.
             assert_eq!(cost.cost(&[0.5, 0.5], &mut fpu), -1.0);
-            assert!(cost.is_feasible(&[0.5, 0.5], 1e-12));
+            assert!(cost.violation(&[0.5, 0.5]) <= 1e-12);
         }
     }
 
@@ -478,8 +460,8 @@ mod tests {
         let mut cost = simple_lp_cost(PenaltyKind::Squared, 2.0);
         cost.anneal(3.0);
         assert_eq!(cost.mu(), 6.0);
-        cost.set_mu(1.0);
-        assert_eq!(cost.mu(), 1.0);
+        cost.anneal(0.5);
+        assert_eq!(cost.mu(), 3.0);
     }
 
     #[test]

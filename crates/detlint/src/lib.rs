@@ -9,7 +9,7 @@
 //! |------|---------|
 //! | `fpu-routing` | raw `f64` math / float intrinsics outside the `Fpu` trait in fault-injected layers |
 //! | `nondeterministic-order` | `HashMap`/`HashSet`, wall clocks, OS randomness near output emitters |
-//! | `float-reassociation` | `.sum()` / arithmetic `.fold(..)` reductions outside the 8-lane accumulators |
+//! | `float-reassociation` | `.sum()` / arithmetic `.fold(..)` reductions outside the fpu crate's reduction kernels |
 //! | `flop-accounting` | `pub` batch kernels missing their `# FLOP accounting` doc section |
 //! | `forbid-unsafe` | crate roots missing `#![forbid(unsafe_code)]` |
 //!

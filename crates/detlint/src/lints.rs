@@ -24,7 +24,7 @@ pub const FPU_ROUTING: &str = "fpu-routing";
 /// Iteration-order / wall-clock / OS-entropy nondeterminism near emitters.
 pub const NONDETERMINISTIC_ORDER: &str = "nondeterministic-order";
 /// Float reductions the compiler may reassociate, outside the blessed
-/// 8-lane accumulator helpers.
+/// fpu reduction kernels.
 pub const FLOAT_REASSOCIATION: &str = "float-reassociation";
 /// Batch kernels missing their `# FLOP accounting` doc section.
 pub const FLOP_ACCOUNTING: &str = "flop-accounting";
@@ -313,8 +313,8 @@ impl<'a> FileLinter<'a> {
 
     /// `float-reassociation`: `.sum()` / `.product()` iterator reductions
     /// and `.fold(..)` whose body contains arithmetic — single dependency
-    /// chains the compiler may only vectorize by reassociating, which is
-    /// exactly what the 8-lane accumulator helpers exist to pin down.
+    /// chains the compiler may only vectorize by reassociating, where the
+    /// fpu reduction kernels pin one documented per-op order.
     /// Order-insensitive folds (`f64::max`) pass.
     pub fn float_reassociation(&self, findings: &mut Vec<Finding>) {
         for k in 0..self.code.len() {
@@ -339,7 +339,7 @@ impl<'a> FileLinter<'a> {
                         name.line,
                         FLOAT_REASSOCIATION,
                         format!(
-                            "`.{}()` reduction outside the 8-lane kernel accumulators",
+                            "`.{}()` reduction outside the fpu reduction kernels",
                             name.text
                         ),
                     ));
@@ -377,8 +377,7 @@ impl<'a> FileLinter<'a> {
                             self.path,
                             name.line,
                             FLOAT_REASSOCIATION,
-                            "arithmetic `.fold(..)` outside the 8-lane kernel accumulators"
-                                .to_string(),
+                            "arithmetic `.fold(..)` outside the fpu reduction kernels".to_string(),
                         ));
                     }
                 }

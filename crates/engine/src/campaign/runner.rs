@@ -135,7 +135,7 @@ fn resolve_jobs(
 /// count (the golden trial fingerprints in `robustify_bench`'s tests fail
 /// on such a change), so a cache written by older code is never replayed
 /// as current.
-pub const TRIAL_BITS_VERSION: u32 = 3;
+pub const TRIAL_BITS_VERSION: u32 = 4;
 
 /// The canonical content keys of a job's cells, in rate order: exactly
 /// the inputs the deterministic executor's records depend on, nothing

@@ -12,32 +12,10 @@ use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultState;
 use crate::model::{FaultCtx, FaultModelSpec};
 
-/// Number of accumulator lanes a long reduction splits into (see
-/// [`LANE_REDUCTION_MIN`]). The split is part of the reduction's FLOP
-/// sequence: element `k` accumulates into lane `k % LANE_WIDTH`, and the
-/// lanes combine pairwise at the end, so moving it would move result bits.
-pub const LANE_WIDTH: usize = 8;
-
-/// Reductions shorter than this keep the historical single-accumulator
-/// expansion (`acc = add(acc, p)` per element); from this length on,
-/// [`Fpu::gemv_row`] / [`Fpu::dot_batch`] / [`Fpu::dot_sub_batch`] use the
-/// lane-indexed expansion documented on those kernels. The threshold keeps
-/// the paper-scale small kernels (5-element sorts, 8×8 eigen problems,
-/// 10-column least squares rows) on their historical FLOP sequence, while
-/// long reductions (residual norms, Gram columns, QR reflections) take the
-/// lane split.
-pub const LANE_REDUCTION_MIN: usize = 32;
-
 /// The product-reduction driver behind [`Fpu::gemv_row`],
-/// [`Fpu::dot_batch`] and [`Fpu::dot_sub_batch`]: folds
-/// `p = mul(x[k], y[k])` into an accumulator started at `init` with the
-/// FPU's `combine` (`add` or `sub`), one op at a time.
-///
-/// Below [`LANE_REDUCTION_MIN`] elements it is one chain,
-/// `acc = combine(acc, p)` per element. From there on the products
-/// accumulate into [`LANE_WIDTH`] lanes (`lane[k % LANE_WIDTH] =
-/// add(lane[k % LANE_WIDTH], p)`), the lanes pairwise-combine to `s`
-/// ([`combine_lanes`]), and the result is `combine(init, s)`.
+/// [`Fpu::dot_batch`] and [`Fpu::dot_sub_batch`]: one chain,
+/// `acc = combine(acc, mul(x[k], y[k]))` per element starting from
+/// `acc = init`, where `combine` is the FPU's `add` or `sub`.
 ///
 /// # Panics
 ///
@@ -51,34 +29,12 @@ fn reduce<F: Fpu>(
     combine: impl Fn(&mut F, f64, f64) -> f64,
 ) -> f64 {
     assert!(x.len() == y.len(), "{kernel} operands differ in length");
-    if x.len() < LANE_REDUCTION_MIN {
-        let mut acc = init;
-        for (&a, &b) in x.iter().zip(y) {
-            let p = fpu.mul(a, b);
-            acc = combine(fpu, acc, p);
-        }
-        return acc;
-    }
-    let mut lanes = [0.0f64; LANE_WIDTH];
-    for (k, (&a, &b)) in x.iter().zip(y).enumerate() {
+    let mut acc = init;
+    for (&a, &b) in x.iter().zip(y) {
         let p = fpu.mul(a, b);
-        lanes[k % LANE_WIDTH] = fpu.add(lanes[k % LANE_WIDTH], p);
+        acc = combine(fpu, acc, p);
     }
-    let s = combine_lanes(fpu, &lanes);
-    combine(fpu, init, s)
-}
-
-/// Pairwise lane combine, per op: `t_j = add(lane_j, lane_{j+4})` for
-/// `j = 0..4`, `u_j = add(t_j, t_{j+2})` for `j = 0..2`, then
-/// `s = add(u_0, u_1)` — `LANE_WIDTH − 1` additions in that fixed order.
-fn combine_lanes<F: Fpu>(fpu: &mut F, l: &[f64; LANE_WIDTH]) -> f64 {
-    let t0 = fpu.add(l[0], l[4]);
-    let t1 = fpu.add(l[1], l[5]);
-    let t2 = fpu.add(l[2], l[6]);
-    let t3 = fpu.add(l[3], l[7]);
-    let u0 = fpu.add(t0, t2);
-    let u1 = fpu.add(t1, t3);
-    fpu.add(u0, u1)
+    acc
 }
 
 /// The row-run driver behind [`Fpu::csr_matvec`] and
@@ -86,14 +42,13 @@ fn combine_lanes<F: Fpu>(fpu: &mut F, l: &[f64; LANE_WIDTH]) -> f64 {
 /// walks the CSR rows `row_ptr[i]..row_ptr[i + 1]` in order, and runs as
 /// many whole rows as one [`run_exact`](Fpu::run_exact) window holds
 /// natively (`native`), under one [`commit_exact`](Fpu::commit_exact).
-/// The row that does not fit the window's rest, and a row `row_flops`
-/// marks `None` (one the window cannot hold at any size), go `through`
-/// the row's per-op kernel. A row of `Some(0)` FLOPs always fits.
+/// The row that does not fit the window's rest goes `through` the row's
+/// per-op kernel. A row of `row_flops` 0 always fits.
 fn csr_row_runs<F: Fpu>(
     fpu: &mut F,
     row_ptr: &[usize],
     out: &mut [f64],
-    row_flops: impl Fn(usize) -> Option<u64>,
+    row_flops: impl Fn(usize) -> u64,
     native: impl Fn(&mut [f64], usize),
     mut through: impl FnMut(&mut F, &mut [f64], usize),
 ) {
@@ -103,14 +58,13 @@ fn csr_row_runs<F: Fpu>(
         let window = fpu.run_exact(2 * (row_ptr[rows] - row_ptr[i]) as u64);
         let mut used = 0;
         while i < rows {
-            match row_flops(i) {
-                Some(flops) if used + flops <= window => {
-                    native(out, i);
-                    used += flops;
-                    i += 1;
-                }
-                _ => break,
+            let flops = row_flops(i);
+            if used + flops > window {
+                break;
             }
+            native(out, i);
+            used += flops;
+            i += 1;
         }
         fpu.commit_exact(used);
         if i < rows {
@@ -273,21 +227,13 @@ pub trait Fpu {
     /// Inner product with an initial accumulator: one row of a
     /// matrix–vector product, `init + Σᵢ row[i]·x[i]`.
     ///
-    /// Per-op expansion. Below [`LANE_REDUCTION_MIN`] elements, for each
-    /// `i` in order: `p = mul(row[i], x[i]); acc = add(acc, p)` starting
-    /// from `acc = init` — 2 FLOPs per element. From
-    /// [`LANE_REDUCTION_MIN`] elements on, the accumulator splits into
-    /// [`LANE_WIDTH`] lanes: for each `i` in order `p = mul(row[i], x[i]);
-    /// lane[i % LANE_WIDTH] = add(lane[i % LANE_WIDTH], p)`, then the
-    /// lanes pairwise-combine (`t_j = add(lane_j, lane_{j+4})`,
-    /// `u_j = add(t_j, t_{j+2})`, `s = add(u_0, u_1)`) and
-    /// `acc = add(init, s)`.
+    /// Per-op expansion, for each `i` in order:
+    /// `p = mul(row[i], x[i]); acc = add(acc, p)` starting from
+    /// `acc = init`.
     ///
     /// # FLOP accounting
     ///
-    /// 2 FLOPs per element (`mul` + `add`); `2·n` total below
-    /// [`LANE_REDUCTION_MIN`], `2·n + LANE_WIDTH` from there on (the
-    /// pairwise lane combine plus the `init` add).
+    /// 2 FLOPs per element (`mul` + `add`), `2·n` total.
     ///
     /// # Panics
     ///
@@ -302,16 +248,13 @@ pub trait Fpu {
     /// Inner product `Σᵢ x[i]·y[i]` (zero-initialized [`gemv_row`]).
     ///
     /// Per-op expansion: exactly [`gemv_row`] with `init = 0.0` —
-    /// `p = mul(x[i], y[i])` per element, accumulated single-chain below
-    /// [`LANE_REDUCTION_MIN`] elements and lane-indexed (with the pairwise
-    /// combine and the final `add(0.0, s)`) from there on.
+    /// `p = mul(x[i], y[i]); acc = add(acc, p)` per element.
     ///
     /// [`gemv_row`]: Self::gemv_row
     ///
     /// # FLOP accounting
     ///
-    /// Identical to [`gemv_row`](Self::gemv_row): `2·n` FLOPs below
-    /// [`LANE_REDUCTION_MIN`], `2·n + LANE_WIDTH` from there on.
+    /// Identical to [`gemv_row`](Self::gemv_row): `2·n` FLOPs.
     ///
     /// # Panics
     ///
@@ -326,18 +269,13 @@ pub trait Fpu {
     /// Subtractive inner product `init − Σᵢ x[i]·y[i]` — the inner loop of
     /// triangular substitution and Cholesky.
     ///
-    /// Per-op expansion. Below [`LANE_REDUCTION_MIN`] elements, for each
-    /// `i` in order: `p = mul(x[i], y[i]); acc = sub(acc, p)` — 2 FLOPs
-    /// per element. From [`LANE_REDUCTION_MIN`] elements on, the products
-    /// accumulate into [`LANE_WIDTH`] lanes exactly as in
-    /// [`gemv_row`](Self::gemv_row) (`lane[i % LANE_WIDTH] =
-    /// add(lane[i % LANE_WIDTH], p)`, pairwise combine to `s`) and the
-    /// result is `acc = sub(init, s)`.
+    /// Per-op expansion, for each `i` in order:
+    /// `p = mul(x[i], y[i]); acc = sub(acc, p)` starting from
+    /// `acc = init`.
     ///
     /// # FLOP accounting
     ///
-    /// 2 FLOPs per element (`mul` + `sub`/`add`); `2·n` total below
-    /// [`LANE_REDUCTION_MIN`], `2·n + LANE_WIDTH` from there on.
+    /// 2 FLOPs per element (`mul` + `sub`), `2·n` total.
     ///
     /// # Panics
     ///
@@ -501,19 +439,16 @@ pub trait Fpu {
     ///
     /// Bit-identical per-op expansion: each row in order exactly as
     /// [`gemv_row`](Self::gemv_row) with `init = 0.0` over the row's
-    /// values and the `x` entries its column indices address — below
-    /// [`LANE_REDUCTION_MIN`] entries `p = mul(vals[k], x[cols[k]]);
-    /// acc = add(acc, p)` per stored entry, lane-split from there on. One
-    /// guaranteed-exact window covers a run of whole short rows, which
-    /// run natively with no gather; the row a window ends in, and every
-    /// lane-split row, runs through [`gemv_row`](Self::gemv_row) on its
-    /// gathered `x` entries.
+    /// values and the `x` entries its column indices address —
+    /// `p = mul(vals[k], x[cols[k]]); acc = add(acc, p)` per stored
+    /// entry. One guaranteed-exact window covers a run of whole rows,
+    /// which run natively with no gather; the row a window ends in runs
+    /// through [`gemv_row`](Self::gemv_row) on its gathered `x` entries.
     ///
     /// # FLOP accounting
     ///
-    /// `2·nnz` FLOPs (`mul` + `add` per stored entry), plus `LANE_WIDTH`
-    /// per row of at least [`LANE_REDUCTION_MIN`] entries. An empty row
-    /// costs nothing and yields `0.0`.
+    /// `2·nnz` FLOPs (`mul` + `add` per stored entry). An empty row costs
+    /// nothing and yields `0.0`.
     ///
     /// # Panics
     ///
@@ -536,10 +471,7 @@ pub trait Fpu {
             self,
             row_ptr,
             y,
-            |i| {
-                let nnz = row(i).len();
-                (nnz < LANE_REDUCTION_MIN).then_some(2 * nnz as u64)
-            },
+            |i| 2 * row(i).len() as u64,
             |y, i| {
                 let mut acc = 0.0;
                 for k in row(i) {
@@ -599,11 +531,11 @@ pub trait Fpu {
             row_ptr,
             out,
             |i| {
-                Some(if y[i] == 0.0 {
+                if y[i] == 0.0 {
                     0
                 } else {
                     2 * row(i).len() as u64
-                })
+                }
             },
             |out, i| {
                 if y[i] != 0.0 {
@@ -1319,31 +1251,14 @@ mod tests {
 
     /// The scalar reference for a batch kernel: the documented per-op
     /// expansion of `dot_batch`, issued through `execute` one op at a
-    /// time — the single-chain form below `LANE_REDUCTION_MIN` elements,
-    /// the lane-indexed form (with the pairwise combine and the final
-    /// `add(0.0, s)`) from there on.
+    /// time.
     fn scalar_dot(fpu: &mut NoisyFpu, x: &[f64], y: &[f64]) -> f64 {
-        if x.len() < LANE_REDUCTION_MIN {
-            let mut acc = 0.0;
-            for (&a, &b) in x.iter().zip(y) {
-                let p = fpu.mul(a, b);
-                acc = fpu.add(acc, p);
-            }
-            return acc;
-        }
-        let mut lanes = [0.0f64; LANE_WIDTH];
-        for (k, (&a, &b)) in x.iter().zip(y).enumerate() {
+        let mut acc = 0.0;
+        for (&a, &b) in x.iter().zip(y) {
             let p = fpu.mul(a, b);
-            lanes[k % LANE_WIDTH] = fpu.add(lanes[k % LANE_WIDTH], p);
+            acc = fpu.add(acc, p);
         }
-        let t0 = fpu.add(lanes[0], lanes[4]);
-        let t1 = fpu.add(lanes[1], lanes[5]);
-        let t2 = fpu.add(lanes[2], lanes[6]);
-        let t3 = fpu.add(lanes[3], lanes[7]);
-        let u0 = fpu.add(t0, t2);
-        let u1 = fpu.add(t1, t3);
-        let s = fpu.add(u0, u1);
-        fpu.add(0.0, s)
+        acc
     }
 
     #[test]
@@ -1372,30 +1287,20 @@ mod tests {
     }
 
     #[test]
-    fn lane_reduction_threshold_and_flop_count() {
-        // Below the threshold: the historical 2-FLOPs-per-element chain.
-        let mut fpu = ReliableFpu::new();
-        let short = vec![1.0; LANE_REDUCTION_MIN - 1];
-        assert_eq!(fpu.dot_batch(&short, &short), short.len() as f64);
-        assert_eq!(fpu.flops(), 2 * (LANE_REDUCTION_MIN as u64 - 1));
-        // At and above it: the lane expansion adds the combine tree and
-        // the init op — `2·n + LANE_WIDTH` FLOPs.
-        fpu = ReliableFpu::new();
-        let long = vec![1.0; 100];
-        assert_eq!(fpu.dot_batch(&long, &long), 100.0);
-        assert_eq!(fpu.flops(), 2 * 100 + LANE_WIDTH as u64);
-        fpu = ReliableFpu::new();
-        assert_eq!(fpu.dot_sub_batch(1.0, &long, &long), -99.0);
-        assert_eq!(fpu.flops(), 2 * 100 + LANE_WIDTH as u64);
-    }
-
-    #[test]
     fn kernel_flop_counts_are_exact() {
         let mut fpu = ReliableFpu::new();
         assert_eq!(fpu.dot_batch(&[], &[]), 0.0);
         assert_eq!(fpu.flops(), 0, "an empty dot costs nothing");
         assert_eq!(fpu.dot_batch(&[1.0; 10], &[2.0; 10]), 20.0);
         assert_eq!(fpu.flops(), 20, "10 muls + 10 adds");
+        // A long reduction is the same chain: `2·n` FLOPs at any length.
+        fpu = ReliableFpu::new();
+        let long = vec![1.0; 100];
+        assert_eq!(fpu.dot_batch(&long, &long), 100.0);
+        assert_eq!(fpu.flops(), 200);
+        fpu = ReliableFpu::new();
+        assert_eq!(fpu.dot_sub_batch(1.0, &long, &long), -99.0);
+        assert_eq!(fpu.flops(), 200);
         // α = 0 still issues every mul and add, and leaves y unchanged.
         fpu = ReliableFpu::new();
         let mut y = vec![1.0, 2.0];
@@ -1779,24 +1684,22 @@ mod tests {
     #[test]
     fn disabling_batching_forces_the_per_op_path_with_identical_results() {
         // 64 rows over 64 columns: short rows of 0–6 entries, and every
-        // 16th row long enough for the lane split.
+        // 16th row of 35.
         let mut row_ptr = vec![0];
         let mut cols = Vec::new();
         for i in 0..64 {
-            let nnz = if i % 16 == 5 {
-                LANE_REDUCTION_MIN + 3
-            } else {
-                i % 7
-            };
+            let nnz = if i % 16 == 5 { 35 } else { i % 7 };
             // Strictly increasing columns, as `csr_matvec_t` requires.
             let mut row: Vec<usize> = (0..nnz).map(|k| (i + 3 * k) % 64).collect();
             row.sort_unstable();
             cols.extend(row);
             row_ptr.push(cols.len());
         }
-        let vals: Vec<f64> = (0..cols.len()).map(|k| 0.5 + k as f64 * 0.25).collect();
+        // Tenths round, so a native row summed out of order changes bits.
+        let vals: Vec<f64> = (0..cols.len()).map(|k| 0.5 + k as f64 * 0.1).collect();
         let x: Vec<f64> = (0..64).map(|i| 1.5 - i as f64 * 0.125).collect();
-        let mut fast = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), 41);
+        // Sparse enough strikes that windows hold whole 70-FLOP rows.
+        let mut fast = NoisyFpu::new(FaultRate::per_flop(0.005), BitFaultModel::emulated(), 41);
         let mut slow = fast.clone();
         slow.set_batching(false);
         assert!(fast.batching() && !slow.batching());

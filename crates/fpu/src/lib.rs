@@ -29,9 +29,9 @@
 //!   operations until scrubbed or overwritten.
 //! * **Slice kernels and exact windows** — the [`Fpu`] trait's slice
 //!   kernels ([`Fpu::axpy_batch`], [`Fpu::dot_batch`], …) each document
-//!   their per-op expansion and run it one op at a time; reductions of at
-//!   least [`LANE_REDUCTION_MIN`] elements split into [`LANE_WIDTH`]
-//!   accumulator lanes as part of that expansion. Because fault
+//!   their per-op expansion and run it one op at a time; every product
+//!   reduction is one chain, `acc = add(acc, mul(x[k], y[k]))` (or `sub`)
+//!   from its initial value, `2·n` FLOPs at any length. Because fault
 //!   *intervals* are drawn up front, the injector always knows how many
 //!   upcoming FLOPs are guaranteed exact; [`Fpu::run_exact`] /
 //!   [`Fpu::commit_exact`] expose that window to one kernel family only,
@@ -70,9 +70,7 @@ mod model;
 
 pub use energy::VoltageErrorModel;
 pub use fault::{BitFaultModel, BitWidth, FaultRate, FaultStats, CANONICAL_NAN};
-pub use fpu::{
-    FlopOp, Fpu, FpuExt, FpuSnapshot, NoisyFpu, ReliableFpu, LANE_REDUCTION_MIN, LANE_WIDTH,
-};
+pub use fpu::{FlopOp, Fpu, FpuExt, FpuSnapshot, NoisyFpu, ReliableFpu};
 pub use lfsr::Lfsr;
 pub use memory::{MemoryFaultKind, MemoryFaultModel, MemoryFaultState};
 pub use model::{DvfsStep, FaultModelSpec};

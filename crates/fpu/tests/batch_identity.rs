@@ -13,7 +13,6 @@
 use proptest::prelude::*;
 use stochastic_fpu::{
     BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, NoisyFpu, CANONICAL_NAN,
-    LANE_REDUCTION_MIN, LANE_WIDTH,
 };
 
 /// A result's bits for a fingerprint, every NaN as one value: which NaN
@@ -116,7 +115,7 @@ type Run = fn(&mut NoisyFpu, &[f64], &[f64], &mut [f64]);
 /// A slice kernel under test.
 struct SliceKernel {
     name: &'static str,
-    /// FLOPs per element, before a reduction's lane combine.
+    /// FLOPs per element.
     flops_per_elem: usize,
     /// The kernel itself.
     run: Run,
@@ -136,29 +135,14 @@ impl SliceKernel {
 
 /// The documented per-op expansion of `gemv_row`, `dot_batch` and
 /// `dot_sub_batch`: `p = mul(x[k], y[k])` per element, folded into `init`
-/// by `combine` one element at a time below `LANE_REDUCTION_MIN`
-/// elements; from there on added into lane `k % LANE_WIDTH`, the lanes
-/// combined pairwise (`t_j = add(lane_j, lane_{j+4})`,
-/// `u_j = add(t_j, t_{j+2})`, `s = add(u_0, u_1)`) and the result
-/// `combine(init, s)`.
+/// by `combine` one element at a time.
 fn reduce_expansion(fpu: &mut NoisyFpu, init: f64, x: &[f64], y: &[f64], combine: FlopOp) -> f64 {
-    if x.len() < LANE_REDUCTION_MIN {
-        let mut acc = init;
-        for (&a, &b) in x.iter().zip(y) {
-            let p = fpu.mul(a, b);
-            acc = fpu.execute(combine, acc, p);
-        }
-        return acc;
-    }
-    let mut lane = [0.0; LANE_WIDTH];
-    for (k, (&a, &b)) in x.iter().zip(y).enumerate() {
+    let mut acc = init;
+    for (&a, &b) in x.iter().zip(y) {
         let p = fpu.mul(a, b);
-        lane[k % LANE_WIDTH] = fpu.add(lane[k % LANE_WIDTH], p);
+        acc = fpu.execute(combine, acc, p);
     }
-    let t: Vec<f64> = (0..4).map(|j| fpu.add(lane[j], lane[j + 4])).collect();
-    let u: Vec<f64> = (0..2).map(|j| fpu.add(t[j], t[j + 2])).collect();
-    let s = fpu.add(u[0], u[1]);
-    fpu.execute(combine, init, s)
+    acc
 }
 
 /// Every slice kernel of the `Fpu` trait but the CSR products, the
@@ -282,13 +266,16 @@ fn twins_after(
 }
 
 /// The FLOP index of the first strike of `spec`'s schedule at `rate`
-/// from `seed`, if it comes within `budget` FLOPs.
-fn first_strike(rate: FaultRate, spec: &FaultModelSpec, seed: u64, budget: u64) -> Option<usize> {
+/// from `seed` that falls at or after FLOP `from`.
+fn strike_from(rate: FaultRate, spec: &FaultModelSpec, seed: u64, from: u64) -> usize {
     let mut probe = NoisyFpu::new(rate, spec.clone(), seed);
-    while probe.faults() == 0 && probe.flops() < budget {
+    loop {
+        let before = probe.faults();
         probe.mul(1.5, 2.5);
+        if probe.faults() > before && probe.flops() > from {
+            return (probe.flops() - 1) as usize;
+        }
     }
-    (probe.faults() > 0).then(|| (probe.flops() - 1) as usize)
 }
 
 proptest! {
@@ -301,9 +288,6 @@ proptest! {
     fn kernels_are_byte_identical_to_their_expansions(
         seed in any::<u64>(),
         rate_millis in 0u64..1001,
-        // Straddles LANE_REDUCTION_MIN: lengths on both sides of the
-        // lane-split reduction threshold, with and without a partial
-        // last group of `LANE_WIDTH` lanes.
         len in 1usize..72,
         prefix in 0u64..32,
     ) {
@@ -345,95 +329,42 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Strike boundaries, pinned: the first fault of a schedule is placed
-    /// at the first, an interior, and the last FLOP of a kernel, for every
+    /// Strike boundaries, pinned: a strike of the schedule is placed at
+    /// the first, an interior, and the last FLOP of a kernel, for every
     /// slice kernel — the reductions and each element-wise kernel at 1 and
-    /// at 2 FLOPs per element — and every placement matches the kernel's
-    /// expansion bit for bit.
+    /// at 2 FLOPs per element — on a short and on a long (≥ 34-element)
+    /// operand, and every placement matches the kernel's expansion bit for
+    /// bit.
     #[test]
     fn strikes_at_kernel_boundaries_match_the_expansion(
         seed in any::<u64>(),
-        len in 2usize..32,
+        short in 2usize..32,
     ) {
         let rate = FaultRate::per_flop(0.02);
         let spec = FaultModelSpec::from(BitFaultModel::emulated());
-        let strike = first_strike(rate, &spec, seed, u64::MAX).expect("rate 0.02 strikes");
-        let x: Vec<f64> = (0..len).map(|i| 1.5 + i as f64 * 0.25).collect();
-        let y: Vec<f64> = (0..len).map(|i| 2.5 - i as f64 * 0.125).collect();
-        for kernel in &slice_kernels() {
-            let flops = kernel.flops_per_elem * len;
-            // Prefixes that put the striking FLOP on the kernel's first
-            // FLOP, somewhere inside, and its last FLOP (clamped to stay
-            // >= 0).
-            let placements = [
-                strike,
-                strike.saturating_sub(flops / 2),
-                strike.saturating_sub(flops - 1),
-            ];
-            for prefix in placements {
-                let (mut kernels, mut expansions) = twins_after(rate, &spec, seed, prefix);
-                let a = run_bits(kernel, false, &mut kernels, &x, &y);
-                let b = run_bits(kernel, true, &mut expansions, &x, &y);
-                prop_assert_eq!(a, b, "{} prefix {}", kernel.name, prefix);
-                prop_assert_eq!(kernels.flops(), expansions.flops());
-                prop_assert_eq!(kernels.stats(), expansions.stats());
-                if prefix + flops > strike {
+        let lens = [short, short + 32];
+        // Far enough out that every placement has a scalar prefix.
+        let strike = strike_from(rate, &spec, seed, 2 * lens[1] as u64);
+        for len in lens {
+            let x: Vec<f64> = (0..len).map(|i| 1.5 + i as f64 * 0.25).collect();
+            let y: Vec<f64> = (0..len).map(|i| 2.5 - i as f64 * 0.125).collect();
+            for kernel in &slice_kernels() {
+                let flops = kernel.flops_per_elem * len;
+                // Prefixes that put the striking FLOP on the kernel's
+                // first FLOP, somewhere inside, and its last FLOP.
+                for prefix in [strike, strike - flops / 2, strike - (flops - 1)] {
+                    let (mut kernels, mut expansions) = twins_after(rate, &spec, seed, prefix);
+                    let faults = kernels.faults();
+                    let a = run_bits(kernel, false, &mut kernels, &x, &y);
+                    let b = run_bits(kernel, true, &mut expansions, &x, &y);
+                    prop_assert_eq!(a, b, "{} len {} prefix {}", kernel.name, len, prefix);
+                    prop_assert_eq!(kernels.flops(), expansions.flops());
+                    prop_assert_eq!(kernels.stats(), expansions.stats());
                     prop_assert!(
-                        kernels.faults() >= 1,
+                        kernels.faults() > faults,
                         "{} must contain the strike",
                         kernel.name
                     );
-                }
-            }
-        }
-    }
-
-    /// Lane boundaries, pinned, for every shipped fault model: on
-    /// reductions long enough for the lane split, the schedule's first
-    /// strike is placed on the first FLOP of every `LANE_WIDTH` chunk, on
-    /// the last element of the remainder tail, and on the first and last
-    /// FLOP of the lane combine. Every placement must match the
-    /// expansion bit for bit.
-    #[test]
-    fn strikes_at_lane_boundaries_match_the_expansion(
-        seed in any::<u64>(),
-        extra in 0usize..(2 * LANE_WIDTH),
-    ) {
-        // At least five full chunks, usually plus a remainder tail.
-        let len = LANE_REDUCTION_MIN + LANE_WIDTH + extra + 1;
-        let x: Vec<f64> = (0..len).map(|i| 1.5 + i as f64 * 0.25).collect();
-        let y: Vec<f64> = (0..len).map(|i| 2.5 - i as f64 * 0.125).collect();
-        // Element k issues FLOPs 2k and 2k+1 (mul, lane add); the combine
-        // follows at FLOPs 2·len .. 2·len + LANE_WIDTH.
-        let mut targets: Vec<usize> = (0..len).step_by(LANE_WIDTH).map(|k| 2 * k).collect();
-        targets.extend([2 * (len - 1), 2 * len, 2 * len + LANE_WIDTH - 1]);
-        let rate = FaultRate::per_flop(0.02);
-        for spec in shipped_fault_models() {
-            // Duty-cycled and voltage-linked wrappers can push the first
-            // strike arbitrarily far out for some seeds; such a schedule
-            // is effectively fault-free here and covered above.
-            let Some(strike) = first_strike(rate, &spec, seed, 10_000) else {
-                continue;
-            };
-            let reductions = ["dot_batch", "gemv_row", "dot_sub_batch"];
-            for kernel in slice_kernels().iter().filter(|k| reductions.contains(&k.name)) {
-                for &flop in &targets {
-                    let prefix = strike.saturating_sub(flop);
-                    let (mut kernels, mut expansions) = twins_after(rate, &spec, seed, prefix);
-                    let a = run_bits(kernel, false, &mut kernels, &x, &y);
-                    let b = run_bits(kernel, true, &mut expansions, &x, &y);
-                    prop_assert_eq!(
-                        a,
-                        b,
-                        "{} {} diverged at FLOP {} (prefix {})",
-                        spec.name(),
-                        kernel.name,
-                        flop,
-                        prefix
-                    );
-                    prop_assert_eq!(kernels.flops(), expansions.flops());
-                    prop_assert_eq!(kernels.faults(), expansions.faults());
-                    prop_assert_eq!(kernels.stats(), expansions.stats());
                 }
             }
         }

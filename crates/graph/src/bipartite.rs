@@ -114,7 +114,7 @@ impl BipartiteGraph {
 ///
 /// let m = Matching::new(vec![(0, 1), (1, 0)], 5.0);
 /// assert_eq!(m.len(), 2);
-/// assert_eq!(m.partner_of_left(0), Some(1));
+/// assert_eq!(m.pairs(), &[(0, 1), (1, 0)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matching {
@@ -147,11 +147,6 @@ impl Matching {
     /// Whether the matching is empty.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// The partner of left vertex `u`, if matched.
-    pub fn partner_of_left(&self, u: usize) -> Option<usize> {
-        self.pairs.iter().find(|&&(pu, _)| pu == u).map(|&(_, v)| v)
     }
 }
 
@@ -207,8 +202,6 @@ mod tests {
         let m = Matching::new(vec![(1, 0), (0, 1)], 4.0);
         assert_eq!(m.pairs(), &[(0, 1), (1, 0)], "pairs are sorted");
         assert_eq!(m.weight(), 4.0);
-        assert_eq!(m.partner_of_left(0), Some(1));
-        assert_eq!(m.partner_of_left(2), None);
         assert!(!m.is_empty());
     }
 }

@@ -80,11 +80,6 @@ impl BandedMatrix {
         self.n
     }
 
-    /// Number of sub-diagonals.
-    pub fn bandwidth(&self) -> usize {
-        self.band
-    }
-
     /// Entry `(i, j)` (zero outside the band).
     ///
     /// # Panics

@@ -57,8 +57,7 @@ impl CholeskyFactorization {
                 // acc = a_ij − Σ_{k<j} l_ik l_jk: the already-computed
                 // prefixes of rows i and j are contiguous, so the update
                 // is one batched subtractive dot (bit-identical to its
-                // per-op expansion; prefixes of LANE_REDUCTION_MIN+
-                // elements take the vectorizable lane-accumulator form).
+                // per-op expansion).
                 let acc = fpu.dot_sub_batch(a[(i, j)], &l.row(i)[..j], &l.row(j)[..j]);
                 if i == j {
                     if !acc.is_finite() || acc <= 0.0 {

@@ -302,15 +302,13 @@ impl CsrMatrix {
     /// Overwrites `y` with `A x` through the FPU: one
     /// [`Fpu::csr_matvec`] call, whose per-row expansion is
     /// [`Fpu::gemv_row`]'s — `p = mul(a_ij, x_j); acc = add(acc, p)` per
-    /// stored entry, in stored order (lane-split once a row reaches
-    /// [`LANE_REDUCTION_MIN`](stochastic_fpu::LANE_REDUCTION_MIN)
-    /// entries) — with runs of whole rows on one fault-free window. Every
-    /// row writes its `y` entry, so `y`'s prior contents never matter.
+    /// stored entry, in stored order — with runs of whole rows on one
+    /// fault-free window. Every row writes its `y` entry, so `y`'s prior
+    /// contents never matter.
     ///
     /// # FLOP accounting
     ///
-    /// `2·nnz` FLOPs (`mul` + `add` per stored entry; `+ LANE_WIDTH` per
-    /// row once its reduction lane-splits).
+    /// `2·nnz` FLOPs (`mul` + `add` per stored entry).
     ///
     /// # Errors
     ///

@@ -34,7 +34,7 @@ pub fn solve_upper<F: Fpu>(fpu: &mut F, u: &Matrix, b: &[f64]) -> Result<Vec<f64
     for i in (0..n).rev() {
         // The strictly-upper part of row i is contiguous: one batched
         // `acc = b[i] − Σ u_ij·x_j`, bit-identical to its per-op
-        // expansion (lane-accumulated for LANE_REDUCTION_MIN+ elements).
+        // expansion.
         let acc = fpu.dot_sub_batch(b[i], &u.row(i)[i + 1..], &x[i + 1..]);
         let pivot = u[(i, i)];
         if pivot == 0.0 {
@@ -75,7 +75,7 @@ pub fn solve_lower<F: Fpu>(fpu: &mut F, l: &Matrix, b: &[f64]) -> Result<Vec<f64
     for i in 0..n {
         // The strictly-lower part of row i is contiguous: one batched
         // `acc = b[i] − Σ l_ij·x_j`, bit-identical to its per-op
-        // expansion (lane-accumulated for LANE_REDUCTION_MIN+ elements).
+        // expansion.
         let acc = fpu.dot_sub_batch(b[i], &l.row(i)[..i], &x[..i]);
         let pivot = l[(i, i)];
         if pivot == 0.0 {

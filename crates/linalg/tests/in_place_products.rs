@@ -8,7 +8,6 @@
 use robustify_linalg::{CsrMatrix, LinearOperator};
 use stochastic_fpu::{
     BitFaultModel, FaultModelSpec, FaultRate, FaultStats, Fpu, NoisyFpu, CANONICAL_NAN,
-    LANE_REDUCTION_MIN,
 };
 
 /// A result's bits, every NaN as one value (which NaN payload an exact op
@@ -68,11 +67,10 @@ fn in_place<M: LinearOperator>(a: &M, fpu: &mut NoisyFpu, x: &[f64], y: &[f64]) 
     fingerprint(fpu, &ax, &aty)
 }
 
-/// A 24 × 40 matrix mixing empty, short and lane-split rows (stride 1
-/// rows reach [`LANE_REDUCTION_MIN`]).
+/// A 24 × 40 matrix mixing empty, short and long rows (stride 1 rows
+/// hold all 40 entries).
 fn test_matrix() -> CsrMatrix {
     let (rows, cols) = (24, 40);
-    assert!(cols >= LANE_REDUCTION_MIN);
     let mut triplets = Vec::new();
     for i in (0..rows).filter(|&i| i != 11) {
         let stride = 1 + i % 5;

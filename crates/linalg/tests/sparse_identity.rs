@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use robustify_linalg::CsrMatrix;
 use stochastic_fpu::{
     BitFaultModel, BitWidth, FaultModelSpec, FaultRate, FlopOp, Fpu, NoisyFpu, ReliableFpu,
-    CANONICAL_NAN, LANE_REDUCTION_MIN, LANE_WIDTH,
+    CANONICAL_NAN,
 };
 
 /// A result's bits for a fingerprint, every NaN as one value: which NaN
@@ -67,9 +67,9 @@ fn shipped_fault_models() -> Vec<FaultModelSpec> {
 
 /// A deterministic sparse test matrix: entry at `(i, j)` when
 /// `(i * 7 + j) % stride == 0`, with one row left structurally empty to
-/// pin the empty-row path. `stride == 1` yields dense rows (long enough
-/// rows take the lane-accumulated reduction); larger strides yield the
-/// scattered-gather shape.
+/// pin the empty-row path. `stride == 1` yields dense rows; larger
+/// strides yield the scattered-gather shape. Values step by tenths, which
+/// round, so a row summed in any order but its expansion's changes bits.
 fn test_matrix(rows: usize, cols: usize, stride: usize) -> CsrMatrix {
     let mut triplets = Vec::new();
     for i in 0..rows {
@@ -78,7 +78,7 @@ fn test_matrix(rows: usize, cols: usize, stride: usize) -> CsrMatrix {
         }
         for j in 0..cols {
             if (i * 7 + j) % stride == 0 {
-                triplets.push((i, j, 0.5 + ((i * 13 + j * 5) % 9) as f64 * 0.25));
+                triplets.push((i, j, 0.5 + ((i * 13 + j * 5) % 9) as f64 * 0.1));
             }
         }
     }
@@ -174,9 +174,8 @@ proptest! {
         seed in any::<u64>(),
         rate_millis in 0u64..1001,
         rows in 1usize..20,
-        // Straddles LANE_REDUCTION_MIN so stride-1 rows take the
-        // lane-accumulated reduction and strided rows the short chain.
-        cols in 1usize..(2 * LANE_REDUCTION_MIN),
+        // Up to 63 columns, so stride-1 rows reach past 32 entries.
+        cols in 1usize..64,
         stride in 1usize..6,
         prefix in 0u64..32,
     ) {
@@ -220,8 +219,7 @@ proptest! {
     /// products: a rate-0 `NoisyFpu` is bit-identical to the reliable
     /// path, rows with no stored zeros reproduce the dense result bit for
     /// bit (same kernel call on the same data), and rows with dropped
-    /// zeros agree to rounding (the dense kernel sums the zero terms, in
-    /// possibly different lane groupings).
+    /// zeros agree to rounding (the dense kernel sums the zero terms).
     #[test]
     fn sparse_matches_dense_at_rate_zero(
         rows in 1usize..16,
@@ -307,11 +305,12 @@ fn sparse_flop_counts_reflect_stored_entries_only() {
 /// and the last FLOP of every stored row of both products, so a window
 /// ends exactly at a row boundary, inside a row (the row straddles the
 /// window), or on a row's last entry. The matrix mixes short rows, empty
-/// rows and lane-split rows (≥ `LANE_REDUCTION_MIN` entries) between
-/// short ones, and `Aᵀy` skips a short and a long `y_i == 0` row.
+/// rows and long rows (≥ 32 entries, which run natively inside windows
+/// like short ones) between short ones, and `Aᵀy` skips a short and a
+/// long `y_i == 0` row.
 #[test]
 fn csr_row_run_boundaries_are_byte_identical_to_scalar() {
-    let long = LANE_REDUCTION_MIN;
+    let long = 32;
     // Rows 4 (long) and 9 (short) are the rows
     // `sparse_workload_fingerprint` zeroes in `y`.
     let lengths = [5, 0, 3, long + 8, long + 1, 1, 0, 5, 2, 4, 0, 5];
@@ -319,21 +318,20 @@ fn csr_row_run_boundaries_are_byte_identical_to_scalar() {
     let mut triplets = Vec::new();
     for (i, &len) in lengths.iter().enumerate() {
         for k in 0..len {
-            triplets.push((i, i + k, 0.5 + ((i * 13 + k * 5) % 9) as f64 * 0.25));
+            triplets.push((i, i + k, 0.5 + ((i * 13 + k * 5) % 9) as f64 * 0.1));
         }
     }
     let a = CsrMatrix::from_triplets(lengths.len(), cols, &triplets).expect("indices in bounds");
     let zeroed = [lengths.len() / 3, 3 * lengths.len() / 4];
-    // The (first, last) FLOP of every stored row: `A x` first, lane-split
-    // rows paying `LANE_WIDTH` more, then `Aᵀy` over the nonzero `y` rows.
+    // The (first, last) FLOP of every stored row: `A x` first, then `Aᵀy`
+    // over the nonzero `y` rows.
     let mut rows = Vec::new();
     let mut flop = 0;
     for &len in &lengths {
-        let cost = 2 * len + if len >= long { LANE_WIDTH } else { 0 };
         if len > 0 {
-            rows.push((flop, flop + cost - 1));
+            rows.push((flop, flop + 2 * len - 1));
         }
-        flop += cost;
+        flop += 2 * len;
     }
     for (i, &len) in lengths.iter().enumerate() {
         if len > 0 && !zeroed.contains(&i) {
